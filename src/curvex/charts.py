@@ -12,10 +12,10 @@ Sign convention: R_ijij = K on a space form of curvature K, so
 rc_ij = sum_s rm_isjs and sc = n(n-1)K.
 
 Normal charts wrap the exponential map at a center point.  Flat charts and
-space forms centered at the chart origin use closed forms; everything else
-integrates the geodesic equation together with its variational (Jacobi)
-system and caches values along a fixed bundle of rays, since that is the
-shape the radial-spherical quadrature consumes.
+space forms centered at the chart origin use closed forms in the geodesic
+radius alone; everything else integrates the geodesic equation together
+with its variational (Jacobi) system and caches values along a fixed bundle
+of rays, since that is the shape the radial-spherical quadrature consumes.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def _space_form_metric(n: int, K: float):
         m = X.shape[0]
         r = np.linalg.norm(X, axis=-1)
         f = sn_over_r(K, r) ** 2  # tangential eigenvalue
-        rsafe = np.maximum(r, 1e-300)
+        rsafe = np.where(r < 1e-14, 1.0, r)
         P = X[:, :, None] * X[:, None, :] / rsafe[:, None, None] ** 2
         eye = np.broadcast_to(np.eye(n), (m, n, n))
         g = P + f[:, None, None] * (eye - P)
@@ -588,9 +588,10 @@ class RayTables:
 class NormalChart:
     """Geodesic normal coordinates at a center point.
 
-    kind 'flat' and 'space_form' evaluate closed forms anywhere; kind 'ode'
-    carries spline tables along a fixed direction bundle and only serves
-    the radial-spherical node layout.
+    kind 'flat' and 'space_form' get all their geometry from the geodesic
+    radius (radial_geometry); kind 'ode' carries spline tables along a
+    fixed direction bundle and only serves the radial-spherical node layout
+    (ray_tables).
     """
 
     def __init__(self, chart, center, radius, frame, kind, K=0.0):
@@ -606,44 +607,27 @@ class NormalChart:
         self._spl = {}
         self._sc_spline = None
 
-    # -- pointwise closed forms (flat / space_form) --
+    # -- closed forms (flat / space_form) --
 
-    @property
-    def pointwise_ok(self) -> bool:
-        return self.kind in ("flat", "space_form")
+    def radial_geometry(self, r):
+        """(density, tangential factor, Sc) at normal-coordinate radii r.
+
+        On M^n_K, sqrt(det g~) = (sn_K(r)/r)^{n-1} and g~^{-1} = P + tang *
+        (I - P) with P the radial projector and tang = (r/sn_K(r))^2, so
+        g~^{ij} M_i M_j = (x^.M)^2 + tang * (|M|^2 - (x^.M)^2).  Density and
+        tang have the shape of r; the scalar curvature is a constant.
+        """
+        r = np.asarray(r, dtype=float)
+        if self.kind == "flat":
+            one = np.ones_like(r)
+            return one, one, 0.0
+        if self.kind == "space_form":
+            s = sn_over_r(self.K, r)
+            return s ** (self.n - 1), 1.0 / s**2, self.n * (self.n - 1) * self.K
+        raise InvalidSpec("radial geometry unavailable for ode normal charts")
 
     def density_pts(self, X) -> np.ndarray:
-        X = np.atleast_2d(X)
-        if self.kind == "flat":
-            return np.ones(X.shape[0])
-        if self.kind == "space_form":
-            r = np.linalg.norm(X, axis=-1)
-            return sn_over_r(self.K, r) ** (self.n - 1)
-        raise InvalidSpec("pointwise density unavailable for ode normal charts")
-
-    def ginv_quad_pts(self, X, M) -> np.ndarray:
-        """g~^{ij} M_i M_j at points X for covectors M (same shape)."""
-        X = np.atleast_2d(X)
-        M = np.atleast_2d(M)
-        if self.kind == "flat":
-            return np.sum(M * M, axis=-1)
-        if self.kind == "space_form":
-            r = np.linalg.norm(X, axis=-1)
-            rsafe = np.maximum(r, 1e-300)
-            radial = np.sum(X * M, axis=-1) / rsafe
-            m2 = np.sum(M * M, axis=-1)
-            tang = 1.0 / sn_over_r(self.K, r) ** 2
-            out = radial**2 + tang * (m2 - radial**2)
-            return np.where(r < 1e-14, m2, out)
-        raise InvalidSpec("pointwise metric unavailable for ode normal charts")
-
-    def sc_pts(self, X) -> np.ndarray:
-        X = np.atleast_2d(X)
-        if self.kind == "flat":
-            return np.zeros(X.shape[0])
-        if self.kind == "space_form":
-            return np.full(X.shape[0], self.n * (self.n - 1) * self.K)
-        raise InvalidSpec("pointwise curvature unavailable for ode normal charts")
+        return self.radial_geometry(np.linalg.norm(np.atleast_2d(X), axis=-1))[0]
 
     def exp_pts(self, X) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -653,50 +637,22 @@ class NormalChart:
             return self.center[None, :] + X @ self.frame.T
         raise InvalidSpec("use ray tables for ode normal charts")
 
-    # -- ray tables (all kinds) --
+    # -- ray tables (ode) --
 
-    def ray_tables(self, radii, dirs=None, want_sc=False) -> RayTables:
+    def ray_tables(self, radii, want_sc=False) -> RayTables:
+        """Spline values along the chart's own direction bundle."""
+        if self.kind != "ode":
+            raise InvalidSpec("closed-form normal charts use radial_geometry")
         radii = np.asarray(radii, dtype=float)
-        n = self.n
-        if self.kind == "ode":
-            if dirs is not None and dirs is not self.dirs:
-                if (
-                    self.dirs is None
-                    or dirs.shape != self.dirs.shape
-                    or not np.allclose(dirs, self.dirs)
-                ):
-                    raise InvalidSpec(
-                        "ode normal chart serves only its own direction bundle"
-                    )
-            rq = np.minimum(radii, self.radius)  # beyond r0 the cutoff is zero
-            gt = self._spl["gtil"](rq)  # (nd, nr, n, n) after axis move
-            dens = self._spl["dens"](rq)
-            ginv = np.linalg.inv(gt)
-            sc = None
-            if want_sc:
-                self._ensure_sc_tables()
-                sc = self._sc_spline(rq)
-            return RayTables(self.dirs, radii, dens, ginv, sc)
-
-        if dirs is None:
-            raise InvalidSpec("closed-form ray tables need a direction set")
-        nd, nr = dirs.shape[0], radii.shape[0]
-        X = dirs[:, None, :] * radii[None, :, None]
-        dens = self.density_pts(X.reshape(-1, n)).reshape(nd, nr)
-        if self.kind == "flat":
-            ginv = np.broadcast_to(np.eye(n), (nd, nr, n, n)).copy()
-        else:
-            P = dirs[:, :, None] * dirs[:, None, :]  # (nd, n, n)
-            tang = 1.0 / sn_over_r(self.K, radii) ** 2  # (nr,)
-            eye = np.eye(n)
-            ginv = (
-                P[:, None, :, :]
-                + tang[None, :, None, None] * (eye - P)[:, None, :, :]
-            )
+        rq = np.minimum(radii, self.radius)  # beyond r0 the cutoff is zero
+        gt = self._spl["gtil"](rq)  # (nd, nr, n, n) after axis move
+        dens = self._spl["dens"](rq)
+        ginv = np.linalg.inv(gt)
         sc = None
         if want_sc:
-            sc = self.sc_pts(X.reshape(-1, n)).reshape(nd, nr)
-        return RayTables(np.asarray(dirs), radii, dens, ginv, sc)
+            self._ensure_sc_tables()
+            sc = self._sc_spline(rq)
+        return RayTables(self.dirs, radii, dens, ginv, sc)
 
     def _ensure_sc_tables(self, nr: int = 65):
         if self._sc_spline is not None:

@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_chebyu, roots_legendre
 
-from ._spaceform import ball_volume_K, sphere_area_K
-from .charts import NormalChart
+from ._spaceform import ball_volume_K
+from .charts import NormalChart, RayTables
 from .errors import (
     ConfigInvalid,
     PositivityWarning,
@@ -72,17 +72,19 @@ class QuadratureSpec:
             raise ConfigInvalid("truncation radius must exceed 3")
 
 
+def _cutoff_pair(s):
+    """cutoff and cutoff_prime at s, both from one clipped ramp variable."""
+    w = np.clip(2.0 * np.asarray(s, dtype=float) - 1.0, 0.0, 1.0)
+    return 1.0 - w**3 * (10.0 - 15.0 * w + 6.0 * w * w), -60.0 * (w * (1.0 - w)) ** 2
+
+
 def cutoff(s):
     """C^2 radial cutoff: 1 on [0, 1/2], quintic smoothstep down to 0 at 1."""
-    s = np.asarray(s, dtype=float)
-    w = np.clip(2.0 * s - 1.0, 0.0, 1.0)
-    return 1.0 - w**3 * (10.0 - 15.0 * w + 6.0 * w * w)
+    return _cutoff_pair(s)[0]
 
 
 def cutoff_prime(s):
-    s = np.asarray(s, dtype=float)
-    w = np.clip(2.0 * s - 1.0, 0.0, 1.0)
-    return -60.0 * (w * (1.0 - w)) ** 2
+    return _cutoff_pair(s)[1]
 
 
 @dataclass
@@ -114,29 +116,22 @@ class TestFunction:
                 f"r_s={self.r_s} exceeds normal chart radius {self.nchart.radius}"
             )
 
-    def eta2(self, X, t: float):
-        """eta^2 at points X (m, n), floored at ETA_FLOOR."""
+    def eta2_with_grad(self, X, t: float, r=None):
+        """(eta^2, d eta^2) at points X (m, n), eta^2 floored at ETA_FLOOR
+        and the gradient zeroed on the clamped set.  r = |X| when given."""
         X = np.atleast_2d(X)
-        r = np.linalg.norm(X, axis=-1)
-        poly = 1.0 + np.einsum("mi,ij,mj->m", X, self.a, X) + self.alpha * t
-        raw = cutoff(r / self.r_s) * poly
-        return self.scale**2 * np.maximum(raw, ETA_FLOOR)
-
-    def eta2_with_grad(self, X, t: float):
-        """(eta^2, d eta^2) with the gradient zeroed on the clamped set."""
-        X = np.atleast_2d(X)
-        m = X.shape[0]
-        r = np.linalg.norm(X, axis=-1)
-        rsafe = np.maximum(r, 1e-300)
+        if r is None:
+            r = np.linalg.norm(X, axis=-1)
         ax = X @ self.a
         poly = 1.0 + np.einsum("mi,mi->m", X, ax) + self.alpha * t
-        cut = cutoff(r / self.r_s)
+        cut, dcut = _cutoff_pair(r / self.r_s)
+        dcut /= self.r_s
         raw = cut * poly
         clamped = raw <= ETA_FLOOR
         val = self.scale**2 * np.maximum(raw, ETA_FLOOR)
-        dcut = cutoff_prime(r / self.r_s) / self.r_s
         grad = self.scale**2 * (
-            (dcut * poly / rsafe)[:, None] * X + (2.0 * cut)[:, None] * ax
+            (dcut * poly / np.maximum(r, 1e-300))[:, None] * X
+            + (2.0 * cut)[:, None] * ax
         )
         grad[clamped] = 0.0
         return val, grad
@@ -196,6 +191,7 @@ def build_test_function(
 
 @lru_cache(maxsize=32)
 def _hermite_nodes(n: int, order: int):
+    """Product Gauss-Hermite nodes z with |z|^2, |z| and the weights."""
     z1, w1 = np.polynomial.hermite.hermgauss(order)
     zs = np.stack(
         [g.ravel() for g in np.meshgrid(*([z1] * n), indexing="ij")], axis=-1
@@ -204,7 +200,8 @@ def _hermite_nodes(n: int, order: int):
         np.stack([g.ravel() for g in np.meshgrid(*([w1] * n), indexing="ij")], -1),
         axis=-1,
     )
-    return zs, ws / np.pi ** (n / 2.0)
+    z2 = np.einsum("mi,mi->m", zs, zs)
+    return zs, z2, np.sqrt(z2), ws / np.pi ** (n / 2.0)
 
 
 @lru_cache(maxsize=64)
@@ -301,32 +298,38 @@ class Components:
     errs: dict = field(default_factory=dict)
 
 
-def _accumulate(tf: TestFunction, t: float, X, z2, wts, slab=None):
+def _accumulate(tf: TestFunction, t: float, X, r, z2, wts, geom=None):
     """Weighted sums of the four integrands over prepared nodes.
 
-    X are normal-coordinate points (m, n); z2 = |z|^2 at the nodes; wts
-    already contain the Gaussian factor and the pi^{-n/2} normalization.
-    slab, when given, is (ray_tables, nd, nr) for ode charts.
+    X are the m normal-coordinate points (m, n) and r = |X|.  wts already
+    contain the Gaussian factor and the pi^{-n/2} normalization; their
+    shape lays the nodes out, (m,) or (nd, nr) along rays, and z2 = |z|^2
+    broadcasts against it.  geom is the chart's RayTables on ode charts or
+    radial_geometry at the ray radii; by default radial_geometry at r.
     """
-    nc = tf.nchart
-    n = nc.n
-    eta2, geta2 = tf.eta2_with_grad(X, t)
+    n = tf.nchart.n
+    grid = wts.shape
+    eta2, geta2 = tf.eta2_with_grad(X, t, r)
     mvec = geta2 / (2.0 * eta2)[:, None] - X / (4.0 * t)
-    if slab is None:
-        dens = nc.density_pts(X)
-        Q = nc.ginv_quad_pts(X, mvec)
-        sc = nc.sc_pts(X)
+    del geta2  # freed before the geometry arrays are made
+    if geom is None:
+        geom = tf.nchart.radial_geometry(r)
+    if isinstance(geom, RayTables):
+        dens, sc = geom.dens, geom.sc
+        Q = geom.ginv_quad(mvec.reshape(*grid, n))
     else:
-        tab, nd, nr = slab
-        dens = tab.dens.ravel()
-        Q = tab.ginv_quad(mvec.reshape(nd, nr, n)).ravel()
-        sc = tab.sc.ravel()
+        dens, tang, sc = geom
+        xm2 = (np.einsum("mi,mi->m", X, mvec) / np.maximum(r, 1e-300)) ** 2
+        m2 = np.einsum("mi,mi->m", mvec, mvec)
+        xm2 = xm2.reshape(grid)
+        Q = xm2 + tang * (m2.reshape(grid) - xm2)
+    eta2 = eta2.reshape(grid)
     base = eta2 * dens
     logu2 = np.log(eta2) - (n / 2.0) * np.log(4 * np.pi * t) - z2
-    mass = float(np.dot(wts, base))
-    entropy = float(np.dot(wts, base * logu2))
-    dirichlet = float(np.dot(wts, base * Q))
-    sc_integral = float(np.dot(wts, base * sc))
+    mass = float(np.vdot(wts, base))
+    entropy = float(np.vdot(wts, base * logu2))
+    dirichlet = float(np.vdot(wts, base * Q))
+    sc_integral = float(np.vdot(wts, base * sc))
     return mass, entropy, dirichlet, sc_integral
 
 
@@ -336,20 +339,19 @@ def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int):
     rule = _effective_rule(nc, quad)
     s2t = 2.0 * np.sqrt(t)
 
-    if rule == "hermite":
-        Z, W = _hermite_nodes(n, order)
+    if rule in ("hermite", "mc"):
+        if rule == "hermite":
+            Z, z2, zn, W = _hermite_nodes(n, order)
+        else:
+            rng = np.random.default_rng(quad.seed)
+            count = quad.mc_samples if order >= quad.order else quad.mc_samples // 2
+            Z = rng.normal(scale=np.sqrt(0.5), size=(count, n))
+            z2 = np.einsum("mi,mi->m", Z, Z)
+            zn = np.sqrt(z2)
+            W = np.full(count, 1.0 / count)
         X = s2t * Z
-        z2 = np.einsum("mi,mi->m", Z, Z)
-        return _accumulate(tf, t, X, z2, W)
-
-    if rule == "mc":
-        rng = np.random.default_rng(quad.seed)
-        count = quad.mc_samples if order >= quad.order else quad.mc_samples // 2
-        Z = rng.normal(scale=np.sqrt(0.5), size=(count, n))
-        X = s2t * Z
-        z2 = np.einsum("mi,mi->m", Z, Z)
-        W = np.full(count, 1.0 / count)
-        return _accumulate(tf, t, X, z2, W)
+        r = s2t * zn
+        return _accumulate(tf, t, X, r, z2, W)
 
     # radial_sphere
     kinks = (tf.r_s / (2.0 * s2t), tf.r_s / s2t)  # cutoff corners in z-radius
@@ -367,16 +369,16 @@ def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int):
                 "normal chart direction bundle does not match the sphere rule; "
                 "build it with sphere_rule(n, order, seed) directions"
             )
-        tab = nc.ray_tables(s2t * rho, want_sc=True)
+        geom = nc.ray_tables(s2t * rho, want_sc=True)
     else:
         dirs, wd = sphere_rule(n, order, quad.seed)
-        tab = nc.ray_tables(s2t * rho, dirs=dirs, want_sc=True)
+        geom = nc.radial_geometry(s2t * rho)
     nd, nr = dirs.shape[0], rho.shape[0]
     X = (dirs[:, None, :] * (s2t * rho)[None, :, None]).reshape(-1, n)
-    z2 = np.broadcast_to(rho**2, (nd, nr)).ravel()
+    r = np.broadcast_to(s2t * rho, (nd, nr)).ravel()
     radial_w = wr * rho ** (n - 1) * np.exp(-(rho**2))
-    W = (wd[:, None] * radial_w[None, :]).ravel() / np.pi ** (n / 2.0)
-    return _accumulate(tf, t, X, z2, W, slab=(tab, nd, nr))
+    W = wd[:, None] * radial_w[None, :] / np.pi ** (n / 2.0)
+    return _accumulate(tf, t, X, r, rho**2, W, geom)
 
 
 def eval_components(
@@ -484,7 +486,7 @@ def gaussian_integral(
 
     def once(order):
         if rule == "hermite":
-            Z, W = _hermite_nodes(n, order)
+            Z, _, _, W = _hermite_nodes(n, order)
         elif rule == "radial_sphere":
             rho, wr = _radial_nodes(order, quad.c_trunc)
             dirs, wd = sphere_rule(n, order, quad.seed)
@@ -513,31 +515,16 @@ def ball_volume(nchart: NormalChart, r: float, order: int = 64) -> float:
         raise SupportTooLarge("ball radius exceeds the normal chart radius")
     if nchart.kind == "ode":
         raise ConfigInvalid(
-            "ball_volume on ode charts needs the direction weights; "
-            "use ball_volume_rays"
+            "ball_volume needs a closed-form normal chart; volumes from ode "
+            "ray tables are open (ROADMAP.md, non-model charts)"
         )
+    # the density is radial, so the angular integral is the sphere area
     x1, w1 = roots_legendre(order)
     rho = 0.5 * r * (x1 + 1.0)
     wr = 0.5 * r * w1
     n = nchart.n
-    dirs, wd = sphere_rule(n, order if n <= 4 else 16, 1234)
-    X = (dirs[:, None, :] * rho[None, :, None]).reshape(-1, n)
-    dens = nchart.density_pts(X).reshape(dirs.shape[0], -1)
-    shell = dens * rho[None, :] ** (n - 1)
-    return float(np.einsum("d,r,dr->", wd, wr, shell))
-
-
-def ball_volume_rays(
-    nchart: NormalChart, r: float, wd, order: int = 64
-) -> float:
-    """Ball volume for ode charts, given the weights of the chart's own
-    direction bundle."""
-    x1, w1 = roots_legendre(order)
-    rho = 0.5 * r * (x1 + 1.0)
-    wr = 0.5 * r * w1
-    tab = nchart.ray_tables(rho)
-    shell = tab.dens * rho[None, :] ** (nchart.n - 1)
-    return float(np.einsum("d,r,dr->", np.asarray(wd), wr, shell))
+    dens = nchart.radial_geometry(rho)[0]
+    return float(sphere_area(n) * np.dot(wr, dens * rho ** (n - 1)))
 
 
 def bishop_gromov_ratio(nchart: NormalChart, radii, K: float) -> np.ndarray:

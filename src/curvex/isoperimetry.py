@@ -144,13 +144,12 @@ class SymmetrizationResult:
         return self.coarea * self.grad_integral - self.area_original**2
 
 
-def _u_and_slopes(tf: TestFunction, t: float, X, dirs_rep):
-    """u, du/dr and |grad u|^2 at points X; dirs_rep holds the unit ray
-    direction of each point.  Flat-chart normal coordinates only."""
+def _u_and_slopes(tf: TestFunction, t: float, X, r, dirs_rep):
+    """u, du/dr and |grad u|^2 at points X of radius r; dirs_rep holds the
+    unit ray direction of each point.  Flat-chart normal coordinates only."""
     n = tf.nchart.n
-    eta2, geta2 = tf.eta2_with_grad(X, t)
-    r2 = np.einsum("mi,mi->m", X, X)
-    h2 = (4 * np.pi * t) ** (-n / 2.0) * np.exp(-r2 / (4 * t))
+    eta2, geta2 = tf.eta2_with_grad(X, t, r)
+    h2 = (4 * np.pi * t) ** (-n / 2.0) * np.exp(-r * r / (4 * t))
     u2 = h2 * eta2
     u = np.sqrt(u2)
     # grad u = u * (grad eta2 / (2 eta2) - x / 4t)
@@ -193,7 +192,7 @@ def symmetrize(
 
     X = (dirs[:, None, :] * rg[None, :, None]).reshape(-1, n)
     dirs_rep = np.repeat(dirs, m, axis=0)
-    u_flat, du_flat, gsq_flat = _u_and_slopes(tf, t, X, dirs_rep)
+    u_flat, du_flat, gsq_flat = _u_and_slopes(tf, t, X, np.tile(rg, nd), dirs_rep)
     U = u_flat.reshape(nd, m)
 
     if np.any(np.diff(U, axis=1) > 1e-12 * U[:, :1]):
@@ -215,7 +214,7 @@ def symmetrize(
     for _ in range(4):
         Xc = (dirs[:, None, :] * r_cross[:, :, None]).reshape(-1, n)
         dr_rep = np.repeat(dirs, levels, axis=0)
-        uc, duc, _ = _u_and_slopes(tf, t, Xc, dr_rep)
+        uc, duc, _ = _u_and_slopes(tf, t, Xc, r_cross.ravel(), dr_rep)
         uc = uc.reshape(nd, levels)
         duc = duc.reshape(nd, levels)
         step = (uc - s_ladder[None, :]) / np.minimum(duc, -1e-300)
@@ -223,7 +222,7 @@ def symmetrize(
 
     Xc = (dirs[:, None, :] * r_cross[:, :, None]).reshape(-1, n)
     dr_rep = np.repeat(dirs, levels, axis=0)
-    _, duc, gsqc = _u_and_slopes(tf, t, Xc, dr_rep)
+    _, duc, gsqc = _u_and_slopes(tf, t, Xc, r_cross.ravel(), dr_rep)
     slope = np.maximum(-duc.reshape(nd, levels), 1e-300)
     gnorm = np.sqrt(gsqc.reshape(nd, levels))
     shell = r_cross ** (n - 1)  # flat density is 1

@@ -147,18 +147,12 @@ class MuResult:
         return self.value <= self.witness_value + slack
 
 
-def _objective_parts(dom: RadialDomain, f: np.ndarray, t: float):
-    D = dom.dirichlet(f)
-    S = dom.entropy(f)
-    return D, S
-
-
 def _entropy_value(dom: RadialDomain, f: np.ndarray, t: float) -> float:
     n = dom.n
     sc = n * (n - 1) * dom.K
-    D, S = _objective_parts(dom, f, t)
     return (
-        4.0 * t * D - S - n - (n / 2.0) * np.log(4.0 * np.pi * t) + t * sc
+        4.0 * t * dom.dirichlet(f) - dom.entropy(f)
+        - n - (n / 2.0) * np.log(4.0 * np.pi * t) + t * sc
     )
 
 

@@ -3,6 +3,8 @@
 The conformal-factor oracle values were frozen from a sympy computation of
 the exact curvature of g = exp(2f) delta, f = (|x|^2 + |x|^4) / 20, n=3."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,14 +136,62 @@ class TestGenericCurvature:
         assert vals[0.02] / vals[0.01] == pytest.approx(2.0, rel=2e-3)
 
 
+def _radial_quad(X, M, tang):
+    """g~^{ij} M_i M_j from the radial split, as the functionals kernel
+    forms it: (x^.M)^2 + tang * (|M|^2 - (x^.M)^2)."""
+    xm = np.einsum("mi,mi->m", X, M) / np.linalg.norm(X, axis=1)
+    return xm**2 + tang * (np.einsum("mi,mi->m", M, M) - xm**2)
+
+
+class TestRadialGeometryOracle:
+    """Closed-form normal charts against the chart's own metric: chart
+    coordinates are normal coordinates at the origin, so sqrt(det g(X)) is
+    the density and g(X)^{-1} the inverse metric."""
+
+    @pytest.mark.parametrize(
+        "kind,n,K", [("space_form", 4, 1.0), ("space_form", 3, -1.0), ("flat", 3, 0.0)]
+    )
+    def test_density_and_quadratic_form(self, kind, n, K):
+        ch = make_chart(ModelSpec(kind, n, K=K))
+        r0 = 0.95 * float(ch.domain.hi[0])
+        nc = build_normal_chart(ch, np.zeros(n), r0)
+        rng = np.random.default_rng(11)
+        dirs = rng.normal(size=(64, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        X = dirs * rng.uniform(0.01, r0, size=(64, 1))
+        M = rng.normal(size=(64, n))
+        g = ch.metric(X)
+        dens, tang, sc = nc.radial_geometry(np.linalg.norm(X, axis=1))
+        assert np.allclose(dens, np.sqrt(np.linalg.det(g)), rtol=1e-12, atol=0)
+        want = np.einsum("mi,mij,mj->m", M, np.linalg.inv(g), M)
+        assert np.allclose(_radial_quad(X, M, tang), want, rtol=1e-12, atol=0)
+        assert sc == n * (n - 1) * K
+
+    def test_space_form_metric_at_origin_is_identity(self):
+        metric = make_chart(ModelSpec("space_form", 2, K=1.0)).metric
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = metric(np.array([[0.0, 0.0], [0.3, 0.4]]))
+        assert np.array_equal(g[0], np.eye(2))
+        assert g[1] == pytest.approx(
+            np.eye(2) + ((np.sin(0.5) / 0.5) ** 2 - 1) * np.array(
+                [[0.64, -0.48], [-0.48, 0.36]]
+            ),
+            rel=1e-12,
+        )
+
+
 class TestNormalCharts:
     def test_flat_normal_chart(self):
         ch = make_chart(ModelSpec("flat", 3))
         nc = build_normal_chart(ch, np.array([0.5, 0.0, -0.5]), 1.0)
         X = np.array([[0.3, 0.1, 0.0], [0.0, 0.0, 0.9]])
+        dens, tang, sc = nc.radial_geometry(np.linalg.norm(X, axis=1))
+        assert np.allclose(dens, 1.0)
         assert np.allclose(nc.density_pts(X), 1.0)
+        assert sc == 0.0
         M = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
-        assert np.allclose(nc.ginv_quad_pts(X, M), (M**2).sum(axis=1))
+        assert np.allclose(_radial_quad(X, M, tang), (M**2).sum(axis=1))
         assert np.allclose(nc.exp_pts(X), np.array([0.5, 0.0, -0.5]) + X)
 
     def test_sphere_closed_form_density(self):
@@ -151,8 +201,10 @@ class TestNormalCharts:
         X = np.zeros((3, 3))
         X[:, 0] = r
         want = (np.sin(r) / r) ** 2
+        dens, _, sc = nc.radial_geometry(r)
+        assert np.allclose(dens, want, rtol=1e-12)
         assert np.allclose(nc.density_pts(X), want, rtol=1e-12)
-        assert np.allclose(nc.sc_pts(X), 6.0)
+        assert sc == 6.0
 
     def test_hyperbolic_tangential_inverse(self):
         ch = make_chart(ModelSpec("space_form", 2, K=-1.0))
@@ -161,7 +213,20 @@ class TestNormalCharts:
         X = np.array([[r, 0.0]])
         M = np.array([[0.0, 1.0]])  # purely tangential covector
         want = (r / np.sinh(r)) ** 2
-        assert nc.ginv_quad_pts(X, M)[0] == pytest.approx(want, rel=1e-12)
+        _, tang, _ = nc.radial_geometry(np.array([r]))
+        assert tang[0] == pytest.approx(want, rel=1e-12)
+        assert _radial_quad(X, M, tang)[0] == pytest.approx(want, rel=1e-12)
+
+    def test_geometry_routes_by_chart_kind(self):
+        ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.7))
+        with pytest.raises(InvalidSpec):
+            build_normal_chart(ch, np.zeros(3), 1.0).ray_tables(np.array([0.5]))
+        dirs = np.eye(3)
+        nc = build_normal_chart(
+            ch, np.array([0.3, 0.0, 0.0]), 0.5, dirs=dirs, r_samples=32
+        )
+        with pytest.raises(InvalidSpec):
+            nc.radial_geometry(np.array([0.2]))
 
     def test_ode_matches_closed_form_off_center(self):
         """Shooting from a non-origin sphere point reproduces the

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from curvex import ModelSpec, build_normal_chart, curvature_at, make_chart
+from curvex._spaceform import ball_volume_K
 from curvex.errors import (
     ConfigInvalid,
     PositivityWarning,
@@ -11,6 +14,7 @@ from curvex.errors import (
 from curvex.functionals import (
     QuadratureSpec,
     TestFunction,
+    _eval_once,
     ball_volume,
     bishop_gromov_ratio,
     build_test_function,
@@ -194,6 +198,41 @@ class TestSphereFunctionals:
         assert vh == pytest.approx(vr, abs=1e-11)
 
 
+class TestKernelOracle:
+    """The radial kernel against a dense evaluation of the same integrals:
+    product Gauss-Hermite nodes built here, the density sqrt(det g) and
+    M^T g^{-1} M from the chart's metric (chart coordinates are normal
+    coordinates at the origin)."""
+
+    @pytest.mark.parametrize(
+        "kind,n,K", [("space_form", 4, 1.0), ("space_form", 3, -1.0), ("flat", 3, 0.0)]
+    )
+    def test_components_match_dense_metric(self, kind, n, K):
+        ch = make_chart(ModelSpec(kind, n, K=K))
+        r_s = 0.95 * float(ch.domain.hi[0])
+        nc = build_normal_chart(ch, np.zeros(n), r_s)
+        rng = np.random.default_rng(8)
+        a = rng.normal(scale=0.1, size=(n, n))
+        tf = TestFunction(nc, a + a.T, 0.3, r_s)
+        t, order = 0.01, 10
+        got = _eval_once(tf, t, QuadratureSpec(rule="hermite", order=order), order)
+
+        z1, w1 = np.polynomial.hermite.hermgauss(order)
+        Z = np.array(list(itertools.product(z1, repeat=n)))
+        W = np.prod(list(itertools.product(w1, repeat=n)), axis=1) / np.pi ** (n / 2)
+        X = 2.0 * np.sqrt(t) * Z
+        eta2, geta2 = tf.eta2_with_grad(X, t)
+        assert np.any((eta2 < 1.0) & (eta2 > 1e-300))  # nodes on the cutoff ramp
+        g = ch.metric(X)
+        M = geta2 / (2.0 * eta2)[:, None] - X / (4.0 * t)
+        base = eta2 * np.sqrt(np.linalg.det(g))
+        logu2 = np.log(eta2) - (n / 2.0) * np.log(4 * np.pi * t) - (Z**2).sum(1)
+        Q = np.einsum("mi,mij,mj->m", M, np.linalg.inv(g), M)
+        want = [W @ base, W @ (base * logu2), W @ (base * Q)]
+        assert got[:3] == pytest.approx(want, rel=1e-12)
+        assert got[3] == pytest.approx(n * (n - 1) * K * want[0], rel=1e-12)
+
+
 class TestGuards:
     def test_time_too_large(self, s3_setup):
         _, nc, cv = s3_setup
@@ -239,6 +278,16 @@ class TestBallVolume:
         for r in (0.8, 1.5):
             want = np.pi * (2 * r - np.sin(2 * r))
             assert ball_volume(nc, r) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    def test_matches_space_form_volume(self, n, K):
+        spec = ModelSpec("flat", n) if K == 0 else ModelSpec("space_form", n, K=K)
+        ch = make_chart(spec)
+        nc = build_normal_chart(ch, np.zeros(n), float(ch.domain.hi[0]))
+        assert ball_volume(nc, 1.0) == pytest.approx(
+            ball_volume_K(n, K, 1.0), rel=1e-12
+        )
 
     def test_bishop_gromov_sphere_constant(self):
         ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
