@@ -4,9 +4,16 @@ A chart is a smooth map from an axis-aligned box to symmetric positive
 matrices.  The catalog covers flat space, space forms in normal
 coordinates, a sphere-times-line product, and conformal perturbations of
 flat space.  Curvature comes from an analytic callback when the geometry
-is homogeneous, otherwise from Richardson-extrapolated central differences
-of the metric map (local 2-jets; the higher invariants nest differences of
-the resulting scalar and Ricci fields).
+is homogeneous, otherwise from the chart's Christoffel symbols and their
+first derivatives (the higher invariants nest central differences of the
+resulting scalar and Ricci fields).
+
+Every chart has one geometry call, christoffel(pts) -> (g, g^{-1}, Gamma,
+dGamma), and the route behind it follows from the input: conformal charts
+whose profile carries its derivatives (the PROFILES entries) get closed
+forms, every other chart (custom metrics, plain-callable profiles, the
+product chart) Richardson-extrapolated central differences of the metric
+map.  Geodesic shooting and the curvature fields both go through it.
 
 Sign convention: R_ijij = K on a space form of curvature K, so
 rc_ij = sum_s rm_isjs and sc = n(n-1)K.
@@ -82,19 +89,41 @@ class Box:
         return float(min((x - self.lo).min(), (self.hi - x).min()))
 
 
-def _profile_quartic(X):
-    r2 = np.sum(np.atleast_2d(X) ** 2, axis=-1)
-    return r2 + r2 * r2
+class RadialProfile:
+    """A profile phi(s) of s = |x|^2 that also knows its derivatives.
+
+    Called on (m, n) points it returns phi(|x|^2); `jet` adds the gradient
+    2 phi'(s) x and the Hessian 2 phi'(s) I + 4 phi''(s) x x^T, which
+    give conformal charts their closed-form Christoffel symbols.
+    """
+
+    def __init__(self, phi: Callable, dphi: Callable, d2phi: Callable):
+        self.phi, self.dphi, self.d2phi = phi, dphi, d2phi
+
+    def __call__(self, X):
+        return self.phi(np.sum(np.atleast_2d(X) ** 2, axis=-1))
+
+    def jet(self, X):
+        """(value (m,), gradient (m, n), Hessian (m, n, n)) at X."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        s = np.sum(X**2, axis=-1)
+        d1, d2 = self.dphi(s)[:, None], self.d2phi(s)[:, None, None]
+        hess = 4.0 * d2 * X[:, :, None] * X[:, None, :]
+        hess += 2.0 * d1[:, :, None] * np.eye(X.shape[1])
+        return self.phi(s), 2.0 * d1 * X, hess
 
 
-def _profile_gaussian(X):
-    r2 = np.sum(np.atleast_2d(X) ** 2, axis=-1)
-    return np.exp(-r2 / 0.5625)  # width 0.75
-
+_GAUSS_W2 = 0.5625  # squared width 0.75 of the Gaussian bump
 
 PROFILES: dict[str, Callable] = {
-    "quartic_bump": _profile_quartic,
-    "gaussian_bump": _profile_gaussian,
+    "quartic_bump": RadialProfile(
+        lambda s: s + s * s, lambda s: 1.0 + 2.0 * s, lambda s: np.full_like(s, 2.0)
+    ),
+    "gaussian_bump": RadialProfile(
+        lambda s: np.exp(-s / _GAUSS_W2),
+        lambda s: -np.exp(-s / _GAUSS_W2) / _GAUSS_W2,
+        lambda s: np.exp(-s / _GAUSS_W2) / _GAUSS_W2**2,
+    ),
 }
 
 
@@ -116,6 +145,14 @@ class ModelSpec:
 
 @dataclass
 class MetricChart:
+    """A metric on a coordinate box.
+
+    `christoffel(pts) -> (g, g^{-1}, Gamma, dGamma)` is the chart's one
+    geometry call below curvature, with Gamma[:,k,i,j] = Gamma^k_ij and
+    dGamma[:,r,k,i,j] = d_r Gamma^k_ij.  Left unset, it differentiates
+    `metric` numerically (_JetEngine.gamma).
+    """
+
     n: int
     domain: Box
     metric: Callable  # (m, n) -> (m, n, n), vectorized
@@ -123,6 +160,17 @@ class MetricChart:
     K: float = 0.0
     curvature_callback: Callable | None = None  # x -> CurvatureData
     constant_sc: float | None = None
+    christoffel: Callable | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.christoffel is None:
+            self.christoffel = _JetEngine(self).gamma
+
+    @property
+    def christoffel_route(self) -> str:
+        """'finite_difference' or 'closed_form'."""
+        fd = isinstance(getattr(self.christoffel, "__self__", None), _JetEngine)
+        return "finite_difference" if fd else "closed_form"
 
 
 def _default_halfwidth(spec: ModelSpec) -> float:
@@ -238,13 +286,41 @@ def make_chart(spec: ModelSpec) -> MetricChart:
             eye = np.broadcast_to(np.eye(n), (X.shape[0], n, n))
             return np.exp(2.0 * f)[:, None, None] * eye
 
-        chart = MetricChart(n, box, metric, kind="conformal_flat", K=0.0)
+        chart = MetricChart(
+            n, box, metric, kind="conformal_flat", K=0.0,
+            christoffel=(
+                _conformal_christoffel(n, eps, profile.jet)
+                if hasattr(profile, "jet") else None
+            ),
+        )
 
     else:
         raise InvalidSpec(f"unknown chart kind {spec.kind!r}")
 
     _check_positive_definite(chart)
     return chart
+
+
+def _conformal_christoffel(n: int, eps: float, jet: Callable):
+    """Closed-form geometry of g = exp(2f) delta with f = eps * profile:
+    Gamma^k_ij = d^k_i f_j + d^k_j f_i - d_ij f_k and d_r Gamma^k_ij =
+    d^k_i f_jr + d^k_j f_ir - d_ij f_kr (Besse, Einstein Manifolds, 1.J).
+    Both are a 0/+-1 tensor C[s,k,i,j] applied to df or to the Hessian."""
+    eye = np.eye(n)
+    C = (
+        eye[None, :, :, None] * eye[:, None, None, :]
+        + eye[None, :, None, :] * eye[:, None, :, None]
+        - eye[None, None, :, :] * eye[:, :, None, None]
+    ).reshape(n, n**3)
+
+    def christoffel(pts):
+        f, df, ddf = (eps * np.asarray(a, dtype=float) for a in jet(pts))
+        e2f = np.exp(2.0 * f)[:, None, None]
+        gam = (df @ C).reshape(-1, n, n, n)
+        dgam = (ddf @ C).reshape(-1, n, n, n, n)
+        return e2f * eye, eye / e2f, gam, dgam
+
+    return christoffel
 
 
 def _check_positive_definite(chart: MetricChart, samples: int = 128):
@@ -263,6 +339,81 @@ def _check_positive_definite(chart: MetricChart, samples: int = 128):
 # finite-difference jets of the metric and pointwise curvature
 
 
+class _Stencil:
+    """Central-difference stencil of step h around each point.
+
+    Offsets: the centre (if `center`), then +h, -h, +2h, -2h along each
+    axis in turn, then for each axis pair k < l the diagonal points
+    a h e_k + b h e_l, (a, b) = (1, 1), (1, -1), (-1, 1), (-1, -1), each
+    followed by its 2h copy when cross == "richardson" (cross == "plain":
+    h only; None: no diagonal points).  First and pure second derivatives
+    use the 4th-order 5-point formulas; mixed second derivatives the cross
+    stencil, Richardson-combined over h and 2h when asked.
+    """
+
+    def __init__(self, n: int, h: float, center: bool = False,
+                 cross: str | None = None):
+        self.n, self.h, self.center, self.cross = n, h, center, cross
+        steps = np.array([h, -h, 2 * h, -2 * h])
+        offs = [np.eye(n)[:, None, :] * steps[None, :, None]]
+        if center:
+            offs.insert(0, np.zeros((1, 1, n)))
+        self.pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+        if cross is not None:
+            scales = (h, 2 * h) if cross == "richardson" else (h,)
+            eye = np.eye(n)
+            offs.append(np.array([
+                s * (a * eye[k] + b * eye[l])
+                for k, l in self.pairs
+                for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+                for s in scales
+            ]))
+        self.offsets = np.concatenate([o.reshape(-1, n) for o in offs])
+
+    def points(self, pts):
+        """Stencil points of every row of pts, point-major: (m * S, n)."""
+        return (pts[:, None, :] + self.offsets[None, :, :]).reshape(-1, self.n)
+
+    def derivs(self, vals):
+        """Derivatives at the centre from vals[:, s] = f(pts + offsets[s]).
+
+        Returns d1[:, k] = d_k f, and with the centre also
+        d2[:, k, l] = d_k d_l f (pure ones only, unless cross is set).
+        """
+        n, h, m = self.n, self.h, vals.shape[0]
+        c = int(self.center)
+        axis = vals[:, c : c + 4 * n].reshape(m, n, 4, *vals.shape[2:])
+        fp, fm, fp2, fm2 = (axis[:, :, j] for j in range(4))
+        d1 = (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h)
+        if not self.center:
+            return d1
+        f0 = vals[:, :1]
+        diag = (-(fp2 + fm2) + 16.0 * (fp + fm) - 30.0 * f0) / (12.0 * h * h)
+        d2 = np.zeros((m, n, n) + vals.shape[2:])
+        idx = np.arange(n)
+        d2[:, idx, idx] = diag
+        if self.cross is not None and self.pairs:
+            ns = 2 if self.cross == "richardson" else 1
+            v = vals[:, c + 4 * n :].reshape(m, len(self.pairs), 4, ns,
+                                             *vals.shape[2:])
+            pp, pm, mp, mm = (v[:, :, j] for j in range(4))
+            cr = pp - pm - mp + mm
+            mixed = cr[:, :, 0] / (4.0 * h * h)
+            if ns == 2:
+                mixed = (4.0 * mixed - cr[:, :, 1] / (16.0 * h * h)) / 3.0
+            kk, ll = np.array(self.pairs).T
+            d2[:, kk, ll] = mixed
+            d2[:, ll, kk] = mixed
+        return d1, d2
+
+
+def _fd_step(chart: MetricChart) -> float:
+    """Base differencing step, scaled with the domain per the eps^(1/6)
+    rule."""
+    hw = 0.5 * float((chart.domain.hi - chart.domain.lo).max())
+    return _EPS16 * max(1.0, hw)
+
+
 class _JetEngine:
     """Batched Richardson central differences of a chart's metric map.
 
@@ -274,84 +425,35 @@ class _JetEngine:
     def __init__(self, chart: MetricChart):
         self.chart = chart
         self.n = chart.n
-        hw = 0.5 * float((chart.domain.hi - chart.domain.lo).max())
-        self.h = _EPS16 * max(1.0, hw)
+        self.h = _fd_step(chart)
+        self.stencil = _Stencil(self.n, self.h, center=True, cross="richardson")
 
-    def jets(self, pts, h: float | None = None):
+    def jets(self, pts):
         """g, dg, d2g at pts; dg[:,k] = d_k g, d2g[:,k,l] = d_k d_l g."""
-        chart, n = self.chart, self.n
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        m = pts.shape[0]
-        h = self.h if h is None else h
+        vals = self.chart.metric(self.stencil.points(pts)).reshape(
+            pts.shape[0], -1, self.n, self.n
+        )
+        dg, d2g = self.stencil.derivs(vals)
+        return vals[:, 0], dg, d2g
 
-        offs = [np.zeros(n)]
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = 1.0
-            for s in (h, -h, 2 * h, -2 * h):
-                offs.append(s * e)
-        pair_offs = []
-        pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-        for k, l in pairs:
-            ek = np.zeros(n)
-            el = np.zeros(n)
-            ek[k] = 1.0
-            el[l] = 1.0
-            for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                pair_offs.append(h * (a * ek + b * el))
-                pair_offs.append(2 * h * (a * ek + b * el))
-        offs = np.array(offs + pair_offs)  # (S, n)
-        S = offs.shape[0]
-
-        allpts = (pts[:, None, :] + offs[None, :, :]).reshape(m * S, n)
-        vals = chart.metric(allpts).reshape(m, S, n, n)
-
-        g = vals[:, 0]
-        dg = np.empty((m, n, n, n))
-        d2g = np.empty((m, n, n, n, n))
-        for k in range(n):
-            base = 1 + 4 * k
-            fp, fm, fp2, fm2 = (vals[:, base + j] for j in range(4))
-            dg[:, k] = (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h)
-            d2g[:, k, k] = (
-                -(fp2 + fm2) + 16.0 * (fp + fm) - 30.0 * g
-            ) / (12.0 * h * h)
-        base = 1 + 4 * n
-        for idx, (k, l) in enumerate(pairs):
-            b = base + 8 * idx
-            pp, pp2, pm, pm2, mp, mp2, mm, mm2 = (vals[:, b + j] for j in range(8))
-            cross_h = (pp - pm - mp + mm) / (4.0 * h * h)
-            cross_2h = (pp2 - pm2 - mp2 + mm2) / (16.0 * h * h)
-            mixed = (4.0 * cross_h - cross_2h) / 3.0
-            d2g[:, k, l] = mixed
-            d2g[:, l, k] = mixed
-        return g, dg, d2g
-
-    def gamma(self, pts, with_deriv: bool = False):
-        """Christoffel symbols Gamma[:,k,i,j] = Gamma^k_ij, optionally with
-        coordinate derivatives dGamma[:,m,k,i,j] = d_m Gamma^k_ij."""
+    def gamma(self, pts):
+        """(g, g^{-1}, Gamma, dGamma) at pts, the chart's default
+        `christoffel`: Gamma[:,k,i,j] = Gamma^k_ij, dGamma[:,r,k,i,j] =
+        d_r Gamma^k_ij."""
         g, dg, d2g = self.jets(pts)
+        m, n = g.shape[0], self.n
         ginv = np.linalg.inv(g)
         # sym[k,i,j] = d_i g_jk + d_j g_ik - d_k g_ij
-        sym = (
-            np.einsum("mijk->mkij", dg)
-            + np.einsum("mjik->mkij", dg)
-            - np.einsum("mkij->mkij", dg)
-        )
-        gam = 0.5 * np.einsum("mkl,mlij->mkij", ginv, sym)
-        if not with_deriv:
-            return g, ginv, gam
-        dginv = -np.einsum("mka,mrab,mbl->mrkl", ginv, dg, ginv)
-        dsym = (
-            np.einsum("mrijk->mrkij", d2g)
-            + np.einsum("mrjik->mrkij", d2g)
-            - np.einsum("mrkij->mrkij", d2g)
-        )
+        sym = dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg
+        gam = 0.5 * (ginv @ sym.reshape(m, n, n * n)).reshape(m, n, n, n)
+        dginv = -(ginv[:, None] @ dg @ ginv[:, None])  # -g^-1 (d_r g) g^-1
+        dsym = d2g.transpose(0, 1, 4, 2, 3) + d2g.transpose(0, 1, 4, 3, 2) - d2g
         dgam = 0.5 * (
-            np.einsum("mrkl,mlij->mrkij", dginv, sym)
-            + np.einsum("mkl,mrlij->mrkij", ginv, dsym)
+            dginv @ sym.reshape(m, 1, n, n * n)
+            + ginv[:, None] @ dsym.reshape(m, n, n, n * n)
         )
-        return g, ginv, gam, dgam
+        return g, ginv, gam, dgam.reshape(m, n, n, n, n)
 
 
 def _riemann_lowered(g, gam, dgam):
@@ -383,14 +485,15 @@ def _sym_project(rm):
 
 
 class _GenericCurvature:
-    """Curvature fields of a chart without an analytic callback."""
+    """Curvature fields of a chart without an analytic callback, from its
+    Christoffel symbols."""
 
     def __init__(self, chart: MetricChart):
         self.chart = chart
-        self.jet = _JetEngine(chart)
+        self.h = _fd_step(chart)
 
     def rm_frame_batch(self, pts):
-        g, ginv, gam, dgam = self.jet.gamma(pts, with_deriv=True)
+        g, ginv, gam, dgam = self.chart.christoffel(pts)
         rm = _riemann_lowered(g, gam, dgam)
         rm_p, resid = _sym_project(rm)
         scale = max(1.0, float(np.abs(rm_p).max()))
@@ -403,14 +506,14 @@ class _GenericCurvature:
         return rm_f, g, ginv, gam, E
 
     def sc_batch(self, pts):
-        g, ginv, gam, dgam = self.jet.gamma(pts, with_deriv=True)
+        g, ginv, gam, dgam = self.chart.christoffel(pts)
         rm = _riemann_lowered(g, gam, dgam)
         rc = np.einsum("mab,maibj->mij", ginv, rm)
         return np.einsum("mij,mij->m", ginv, rc)
 
     def rc_gamma_batch(self, pts):
         """Coordinate Ricci components and Christoffels at pts."""
-        g, ginv, gam, dgam = self.jet.gamma(pts, with_deriv=True)
+        g, ginv, gam, dgam = self.chart.christoffel(pts)
         rm = _riemann_lowered(g, gam, dgam)
         rc = np.einsum("mab,maibj->mij", ginv, rm)
         return rc, gam
@@ -418,24 +521,11 @@ class _GenericCurvature:
     def grad_rc_batch(self, pts):
         """nabla_l R_ij (coordinate components) at pts."""
         rc, gam = self.rc_gamma_batch(pts)
-        h = 1.5 * self.jet.h
-        n = self.chart.n
+        st = _Stencil(self.chart.n, 1.5 * self.h)
         pts = np.atleast_2d(pts)
-        m = pts.shape[0]
-        offs = []
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = 1.0
-            for s in (h, -h, 2 * h, -2 * h):
-                offs.append(s * e)
-        offs = np.array(offs)
-        allpts = (pts[:, None, :] + offs[None, :, :]).reshape(-1, n)
-        rc_st, _ = self.rc_gamma_batch(allpts)
-        rc_st = rc_st.reshape(m, n, 4, n, n)
-        drc = (
-            8.0 * (rc_st[:, :, 0] - rc_st[:, :, 1])
-            - (rc_st[:, :, 2] - rc_st[:, :, 3])
-        ) / (12.0 * h)  # drc[:,l,i,j] = d_l rc_ij
+        rc_st, _ = self.rc_gamma_batch(st.points(pts))
+        # drc[:,l,i,j] = d_l rc_ij
+        drc = st.derivs(rc_st.reshape(pts.shape[0], -1, *rc_st.shape[1:]))
         # nabla_l R_ij = d_l R_ij - Gam^q_li R_qj - Gam^q_lj R_iq
         return (
             drc
@@ -462,7 +552,7 @@ def curvature_at(
         return chart.curvature_callback(x)
 
     gc = _GenericCurvature(chart)
-    h1 = gc.jet.h
+    h1 = gc.h
     # nested stencils reach ~ 2*h_outer + 2*h_inner from x
     h_sc = 4.0 * h1
     need = 2.0 * h_sc + 2.5 * h1
@@ -480,36 +570,9 @@ def curvature_at(
 
     n = chart.n
     # scalar-curvature field on a first/second derivative stencil
-    offs = [np.zeros(n)]
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        for s in (h_sc, -h_sc, 2 * h_sc, -2 * h_sc):
-            offs.append(s * e)
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    for k, l in pairs:
-        ek = np.zeros(n)
-        el = np.zeros(n)
-        ek[k] = 1.0
-        el[l] = 1.0
-        for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            offs.append(h_sc * (a * ek + b * el))
-    offs = np.array(offs)
-    sc_vals = gc.sc_batch(x[None, :] + offs)
-    sc_c = sc_vals[0]
-    dsc = np.empty(n)
-    d2sc = np.empty((n, n))
-    for k in range(n):
-        base = 1 + 4 * k
-        fp, fm, fp2, fm2 = sc_vals[base : base + 4]
-        dsc[k] = (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h_sc)
-        d2sc[k, k] = (-(fp2 + fm2) + 16.0 * (fp + fm) - 30.0 * sc_c) / (
-            12.0 * h_sc * h_sc
-        )
-    base = 1 + 4 * n
-    for idx, (k, l) in enumerate(pairs):
-        pp, pm, mp, mm = sc_vals[base + 4 * idx : base + 4 * idx + 4]
-        d2sc[k, l] = d2sc[l, k] = (pp - pm - mp + mm) / (4.0 * h_sc * h_sc)
+    st = _Stencil(n, h_sc, center=True, cross="plain")
+    dsc, d2sc = st.derivs(gc.sc_batch(st.points(x[None, :]))[None])
+    dsc, d2sc = dsc[0], d2sc[0]
 
     lap_sc = float(
         np.einsum("ij,ij->", ginv[0], d2sc)
@@ -520,17 +583,9 @@ def curvature_at(
     grad_rc_c = hess_rc_c = None
     if want_hessian:
         grad_rc_c = gc.grad_rc_batch(x[None, :])[0]  # [l,i,j]
-        h2 = 4.0 * h1
-        offs2 = []
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = 1.0
-            for s in (h2, -h2, 2 * h2, -2 * h2):
-                offs2.append(s * e)
-        T_st = gc.grad_rc_batch(x[None, :] + np.array(offs2)).reshape(n, 4, n, n, n)
-        dT = (
-            8.0 * (T_st[:, 0] - T_st[:, 1]) - (T_st[:, 2] - T_st[:, 3])
-        ) / (12.0 * h2)  # dT[k,l,i,j] = d_k (nabla_l R_ij)
+        st = _Stencil(n, 4.0 * h1)
+        T_st = gc.grad_rc_batch(st.points(x[None, :]))
+        dT = st.derivs(T_st[None])[0]  # dT[k,l,i,j] = d_k (nabla_l R_ij)
         T0 = grad_rc_c
         hess_c = (
             dT
@@ -604,6 +659,7 @@ class NormalChart:
         self.n = chart.n
         self.dirs = None
         self.rule_key = None  # (n, order, seed) of the sphere rule behind dirs
+        self.nfev = 0  # right-hand-side calls of the geodesic shooting (ode)
         self._spl = {}
         self._sc_spline = None
 
@@ -625,9 +681,6 @@ class NormalChart:
             s = sn_over_r(self.K, r)
             return s ** (self.n - 1), 1.0 / s**2, self.n * (self.n - 1) * self.K
         raise InvalidSpec("radial geometry unavailable for ode normal charts")
-
-    def density_pts(self, X) -> np.ndarray:
-        return self.radial_geometry(np.linalg.norm(np.atleast_2d(X), axis=-1))[0]
 
     def exp_pts(self, X) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -669,7 +722,6 @@ class NormalChart:
 def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
     n = chart.n
     nd = dirs.shape[0]
-    jet = _JetEngine(chart)
     g0 = chart.metric(p[None, :])[0]
     E = _frame(g0[None, :, :])[0]
 
@@ -689,15 +741,17 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
     sl_Jp = slice(2 * nd * n + nd * n * n, 2 * nd * n + 2 * nd * n * n)
 
     def rhs(s, y):
-        gam_pts = y[sl_g].reshape(nd, n)
+        x = y[sl_g].reshape(nd, n)
         v = y[sl_v].reshape(nd, n)
         J = y[sl_J].reshape(nd, n, n)
         Jp = y[sl_Jp].reshape(nd, n, n)
-        _, _, gam, dgam = jet.gamma(gam_pts, with_deriv=True)
-        acc = -np.einsum("mkij,mi,mj->mk", gam, v, v)
-        Jpp = -np.einsum("mrkij,mra,mi,mj->mka", dgam, J, v, v) - 2.0 * np.einsum(
-            "mkij,mia,mj->mka", gam, Jp, v
-        )
+        _, _, gam, dgam = chart.christoffel(x)
+        gv = (gam @ v[:, None, :, None])[..., 0]  # Gamma^k_ij v^j as [m,k,i]
+        acc = -(gv @ v[:, :, None])[..., 0]
+        # d_r Gamma^k_ij v^i v^j as [m,r,k], contracted with J last
+        dvv = dgam.reshape(nd, -1, n) @ v[:, :, None]
+        dvv = (dvv.reshape(nd, -1, n) @ v[:, :, None]).reshape(nd, n, n)
+        Jpp = -(dvv.transpose(0, 2, 1) @ J) - 2.0 * (gv @ Jp)
         return np.concatenate([v.ravel(), acc.ravel(), Jp.ravel(), Jpp.ravel()])
 
     r_grid = np.linspace(0.0, r0, r_samples)
@@ -733,6 +787,7 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
 
     nc = NormalChart(chart, p, r0, E, "ode", K=chart.K)
     nc.dirs = dirs
+    nc.nfev = int(sol.nfev)
     nc._spl = {
         "dens": CubicSpline(r_grid, dens, axis=1),
         "gtil": CubicSpline(r_grid, gtil, axis=1),

@@ -142,6 +142,7 @@ def _expand(cfg, seed, functional: str):
             "c1_error": fit.c1 - pred.c1,
             "c2_error": fit.c2 - pred.c2,
         },
+        "meta": result.meta,
     }
     fitted_curve = fit.c1 * result.ts + fit.c2 * result.ts**2
     pred_curve = pred.c1 * result.ts + pred.c2 * result.ts**2

@@ -283,6 +283,12 @@ def run_expansion(
             "r_s": r_s,
             "rule": quad.rule,
             "order": quad.order,
+            "normal_chart": nc.kind,
+            "christoffel": chart.christoffel_route,
+            **(
+                {"rays": int(nc.dirs.shape[0]), "nfev": nc.nfev}
+                if nc.kind == "ode" else {}
+            ),
         },
     )
 

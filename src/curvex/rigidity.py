@@ -23,8 +23,9 @@ from scipy.optimize import brentq
 
 from .charts import MetricChart, build_normal_chart, curvature_at
 from .errors import ConfigInvalid
-from .functionals import ball_volume, sphere_rule
+from .functionals import ball_volume
 from .isoperimetry import iso_profile
+from .moments import sphere_area
 from .tensor_core import CurvatureData, norm_sq, weyl_decompose
 
 __all__ = [
@@ -76,10 +77,11 @@ def space_form_residuals(curv: CurvatureData, K: float) -> dict:
     return out
 
 
-def isoperimetric_probe(nchart, K: float, volume: float,
-                        order: int = 32, seed: int = 1234) -> dict:
+def isoperimetric_probe(nchart, K: float, volume: float) -> dict:
     """Measured geodesic-sphere area minus the model profile at equal
-    volume.  Zero margin is the rigidity signature."""
+    volume.  Zero margin is the rigidity signature.  The density of a
+    closed-form normal chart is radial, so the area of the geodesic sphere
+    of radius r is sphere_area(n) * density(r) * r^(n-1)."""
     r_max = nchart.radius * 0.98
     v_max = ball_volume(nchart, r_max)
     if volume >= v_max:
@@ -90,9 +92,8 @@ def isoperimetric_probe(nchart, K: float, volume: float,
         lambda rr: ball_volume(nchart, rr) - volume, 1e-8 * r_max, r_max,
         xtol=1e-14, rtol=1e-14,
     )
-    dirs, wd = sphere_rule(nchart.n, order, seed)
-    dens = nchart.density_pts(dirs * r)
-    area = float(np.dot(wd, dens) * r ** (nchart.n - 1))
+    dens = nchart.radial_geometry(r)[0]
+    area = float(sphere_area(nchart.n) * dens * r ** (nchart.n - 1))
     model = iso_profile(nchart.n, K, volume)
     return {
         "radius": float(r),
@@ -120,7 +121,6 @@ def assess_rigidity(
     probe_radius: float | None = None,
     tol: float = 1e-6,
     extended: bool = False,
-    order: int = 32,
     seed: int = 1234,
 ) -> RigidityReport:
     """Run the full battery at sampled points plus isoperimetric probes
@@ -174,8 +174,7 @@ def assess_rigidity(
     nc = build_normal_chart(chart, np.zeros(n), r0=probe_radius)
     v_ref = ball_volume(nc, probe_radius * 0.95)
     for frac in probe_fracs:
-        probe = isoperimetric_probe(nc, K, frac * v_ref, order=order,
-                                    seed=seed)
+        probe = isoperimetric_probe(nc, K, frac * v_ref)
         rel = probe["margin"] / max(probe["model_area"], 1e-300)
         checks.append(
             RigidityCheck(

@@ -18,7 +18,7 @@ from curvex import (
     norm_sq,
     scalar_curvature_batch,
 )
-from curvex.charts import PROFILES, Box
+from curvex.charts import PROFILES, Box, _JetEngine
 from curvex.errors import InvalidSpec, OutOfDomain
 from curvex.tensor_core import e_functional, v_tensor
 
@@ -136,6 +136,99 @@ class TestGenericCurvature:
         assert vals[0.02] / vals[0.01] == pytest.approx(2.0, rel=2e-3)
 
 
+def _conformal(profile, n=3, eps=0.05):
+    return make_chart(
+        ModelSpec("conformal_flat", n, perturbation=Perturbation(eps, profile),
+                  halfwidth=1.5)
+    )
+
+
+def _plain(name):
+    """The catalog profile as a bare callable, without derivatives."""
+    return lambda X: PROFILES[name](X)
+
+
+class TestChristoffelRoutes:
+    """Closed-form conformal Christoffels against the finite-difference
+    jet engine and sympy, and the route each chart gets."""
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_closed_form_matches_finite_differences(self, name, n):
+        ch = _conformal(PROFILES[name], n)
+        assert ch.christoffel_route == "closed_form"
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-0.6, 0.6, size=(6, n))
+        g, ginv, gam, dgam = ch.christoffel(pts)
+        g_fd, ginv_fd, gam_fd, dgam_fd = _JetEngine(ch).gamma(pts)
+        assert np.array_equal(g, ch.metric(pts))
+        assert np.allclose(ginv, np.linalg.inv(g), rtol=1e-14, atol=0)
+        assert np.abs(gam - gam_fd).max() < 1e-8
+        assert np.abs(dgam - dgam_fd).max() < 1e-8
+        assert np.abs(dgam).max() > 0.05  # the check is not vacuous
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_profile_derivatives_match_sympy(self, name):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x0:3")
+        s = sum(x**2 for x in xs)
+        phi = {
+            "quartic_bump": s + s**2,
+            "gaussian_bump": sympy.exp(-s / sympy.Rational(9, 16)),
+        }[name]
+        grad = [sympy.diff(phi, x) for x in xs]
+        hess = [[sympy.diff(phi, a, b) for b in xs] for a in xs]
+        fns = [sympy.lambdify(xs, e, "math") for e in (phi, grad, hess)]
+        X = np.random.default_rng(2).uniform(-1.2, 1.2, size=(7, 3))
+        val, dval, ddval = PROFILES[name].jet(X)
+        assert np.array_equal(val, PROFILES[name](X))
+        for i, x in enumerate(X):
+            want = [np.array(f(*x), dtype=float) for f in fns]
+            assert val[i] == pytest.approx(want[0], rel=1e-14)
+            assert np.allclose(dval[i], want[1], rtol=1e-13, atol=1e-15)
+            assert np.allclose(ddval[i], want[2], rtol=1e-13, atol=1e-15)
+
+    def test_route_is_picked_from_the_input(self):
+        assert _conformal(_plain("quartic_bump")).christoffel_route == (
+            "finite_difference"
+        )
+        for spec in (
+            ModelSpec("product_sphere_line", 3, K=1.0),
+            ModelSpec("space_form", 3, K=-1.0),
+            ModelSpec("flat", 2),
+        ):
+            assert make_chart(spec).christoffel_route == "finite_difference"
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_plain_callable_reproduces_closed_form_rays(self, name):
+        """Geodesic shooting through the finite-difference route lands on
+        the closed-form route's ray tables."""
+        rng = np.random.default_rng(3)
+        dirs = rng.normal(size=(6, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        r = np.linspace(0.0, 0.8, 9)
+        tabs = []
+        for profile in (PROFILES[name], _plain(name)):
+            ch = _conformal(profile, eps=0.2)
+            nc = build_normal_chart(ch, np.zeros(3), 0.8, dirs=dirs,
+                                    r_samples=96)
+            tabs.append((nc.ray_tables(r), nc._spl["gtil"](r)))
+        (closed, gt_closed), (fd, gt_fd) = tabs
+        assert np.abs(closed.dens - fd.dens).max() < 1e-8
+        assert np.abs(gt_closed - gt_fd).max() < 1e-8
+        assert np.abs(closed.ginv - fd.ginv).max() < 1e-8
+        assert np.abs(closed.dens - 1.0).max() > 1e-3  # the metric is curved
+
+    def test_closed_form_curvature_matches_finite_differences(self):
+        p = np.array([0.15, -0.1, 0.125])
+        closed = curvature_at(_conformal(PROFILES["gaussian_bump"]), p)
+        fd = curvature_at(_conformal(_plain("gaussian_bump")), p)
+        assert closed.sc == pytest.approx(fd.sc, abs=1e-8)
+        assert np.allclose(closed.rm, fd.rm, atol=1e-8)
+        assert closed.lap_sc == pytest.approx(fd.lap_sc, abs=1e-4)
+        assert np.allclose(closed.grad_rc, fd.grad_rc, atol=1e-6)
+
+
 def _radial_quad(X, M, tang):
     """g~^{ij} M_i M_j from the radial split, as the functionals kernel
     forms it: (x^.M)^2 + tang * (|M|^2 - (x^.M)^2)."""
@@ -188,7 +281,6 @@ class TestNormalCharts:
         X = np.array([[0.3, 0.1, 0.0], [0.0, 0.0, 0.9]])
         dens, tang, sc = nc.radial_geometry(np.linalg.norm(X, axis=1))
         assert np.allclose(dens, 1.0)
-        assert np.allclose(nc.density_pts(X), 1.0)
         assert sc == 0.0
         M = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
         assert np.allclose(_radial_quad(X, M, tang), (M**2).sum(axis=1))
@@ -198,12 +290,9 @@ class TestNormalCharts:
         ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.7))
         nc = build_normal_chart(ch, np.zeros(3), 1.5)
         r = np.array([0.5, 1.0, 1.4])
-        X = np.zeros((3, 3))
-        X[:, 0] = r
         want = (np.sin(r) / r) ** 2
         dens, _, sc = nc.radial_geometry(r)
         assert np.allclose(dens, want, rtol=1e-12)
-        assert np.allclose(nc.density_pts(X), want, rtol=1e-12)
         assert sc == 6.0
 
     def test_hyperbolic_tangential_inverse(self):

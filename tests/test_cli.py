@@ -102,6 +102,7 @@ class TestRuns:
         assert code == 0
         doc = json.loads((tmp_path / "expand_L.json").read_text())
         assert abs(doc["result"]["fitted"]["c1"]) < 1e-5
+        assert doc["result"]["meta"]["normal_chart"] == "flat"
         lines = (tmp_path / "expand_L.csv").read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "t"
         assert len(lines) == 7  # header + 6 time points

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvex import ModelSpec, Perturbation, curvature_at, make_chart
+from curvex import ModelSpec, Perturbation, curvature_at, make_chart, norm_sq
 from curvex.charts import PROFILES
 from curvex.errors import ConfigInvalid, IllConditionedFit, NoiseDominates
 from curvex.expansion import (
@@ -131,6 +131,8 @@ class TestRuns:
         )
         assert res.fit.c1 == pytest.approx(res.predicted.c1, rel=5e-3)
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=5e-2)
+        assert res.meta["normal_chart"] == "space_form"
+        assert "nfev" not in res.meta and "rays" not in res.meta
 
     @pytest.mark.filterwarnings("ignore::curvex.errors.PositivityWarning")
     def test_hyperbolic_n2(self):
@@ -184,6 +186,33 @@ class TestRuns:
         )
         assert res.fit.c1 == pytest.approx(1.2, rel=1e-3)
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=0.05)
+        assert res.meta["normal_chart"] == "ode"
+        assert res.meta["christoffel"] == "closed_form"
+        assert res.meta["rays"] == 512 and res.meta["nfev"] > 0
+
+    def test_sphere_line_ode_route(self):
+        """Geodesic shooting through the finite-difference Christoffel
+        route: on S^2 x R, lap Sc = 0 and c2 tracks -|Rm|^2/6.  (At order
+        12 the angular rule leaves a t-independent offset of 3.6e-8 in the
+        values and c2 comes out near +1.66; order 16 resolves it.)"""
+        ch = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
+        ch.curvature_callback = ch.constant_sc = None  # curvature by FD too
+        cv = curvature_at(ch, np.zeros(3))
+        res = run_expansion(
+            ch,
+            np.zeros(3),
+            functional="L",
+            r_s=0.9,
+            quad=QuadratureSpec(rule="radial_sphere", order=16),
+            curv=cv,
+        )
+        want = -(cv.lap_sc + norm_sq(cv.rm) / 6.0)
+        assert want == pytest.approx(-2.0 / 3.0, rel=1e-4)
+        assert res.fit.c2 == pytest.approx(want, rel=0.10)
+        assert res.fit.c1 == pytest.approx(-2.0, rel=1e-3)
+        assert res.meta["christoffel"] == "finite_difference"
+        assert res.meta["normal_chart"] == "ode"
+        assert res.meta["rays"] > 0 and res.meta["nfev"] > 0
 
     def test_profile_mismatch_direction(self):
         """Moving a away from Ricci/3 must shift the entropy-functional c2

@@ -72,6 +72,18 @@ class TestIsoperimetricProbe:
         probe = isoperimetric_probe(nc, 1.0, 4 * np.pi / 3)
         assert probe["margin"] > 0.1
 
+    def test_sphere5_margin_at_rounding_level(self):
+        """The area is sphere_area(n) dens(r) r^(n-1), not a sum over a
+        sphere rule, so on S^5 the probe closes to the rounding of the two
+        volume integrals (a 20,000-direction rule left up to 4.3e-13)."""
+        rep = assess_rigidity(make_chart(ModelSpec("space_form", 5, K=1.0)),
+                              1.0, npoints=1)
+        probes = rep.named("isoperimetric")
+        assert len(probes) == 3 and rep.verdict == "consistent_with_rigidity"
+        for c in probes:
+            assert abs(c.margin) <= 1e-14 * c.detail["model_area"]
+            assert abs(c.margin) < 1e-13
+
     def test_volume_guard(self, flat_chart):
         nc = build_normal_chart(flat_chart, np.zeros(3), r0=1.0)
         with pytest.raises(ConfigInvalid):
