@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._spaceform import ball_volume_K
+from ._spaceform import ball_volume_K, sphere_area_K
 from .charts import (
     PROFILES,
     ModelSpec,
@@ -43,7 +43,7 @@ from .expansion import (
     run_expansion,
 )
 from .functionals import QuadratureSpec, ball_volume, build_test_function
-from .isoperimetry import iso_profile, iso_profile_radius, symmetrize
+from .isoperimetry import iso_profile_radius, symmetrize
 from .mu_solver import mu_bound_report, mu_curve, rm_bound_from_mu
 from .rigidity import assess_rigidity
 
@@ -191,10 +191,11 @@ def _isoprofile(cfg, seed):
     n = int(sec.get("n", 3))
     K = float(sec.get("K", 0.0))
     betas = _floats(sec.get("betas", "0.5 1.0 2.0"))
-    table = []
-    for b in betas:
-        r = iso_profile_radius(n, K, b)
-        table.append((b, r, iso_profile(n, K, b)))
+    radii = iso_profile_radius(n, K, np.array(betas))
+    table = [
+        (b, float(r), float(a))
+        for b, r, a in zip(betas, radii, sphere_area_K(n, K, radii))
+    ]
     payload = {
         "n": n,
         "K": K,
@@ -240,6 +241,7 @@ def _symmetrize(cfg, seed):
                       "symmetrized": res.dirichlet_symmetrized,
                       "gap": gap},
         "holder_margin_min": float(res.holder_margin().min()),
+        "meta": res.meta,
         "pass": bool(mass_ok and entropy_ok and gap_ok),
     }
     rows = [

@@ -136,6 +136,26 @@ class TestFunction:
         grad[clamped] = 0.0
         return val, grad
 
+    def eta2_on_rays(self, q, p, r, t: float, grad: bool = True):
+        """eta^2 along rays x = r d from two scalars per direction.
+
+        q = d.a.d and p = |a d|^2 (shape (nd, 1)) broadcast against the
+        radii r, so a radius-only grid (m,) keeps the cutoff at (m,).
+        Returns eta^2 alone when grad is False, else (eta^2, d eta^2/dr,
+        squared length of the tangential part of grad eta^2); same floor
+        and zero gradient on the clamped set as eta2_with_grad."""
+        s2 = self.scale**2
+        cut, dcut = _cutoff_pair(r / self.r_s)
+        poly = 1.0 + q * (r * r) + self.alpha * t
+        raw = cut * poly
+        val = s2 * np.maximum(raw, ETA_FLOOR)
+        if not grad:
+            return val
+        live = raw > ETA_FLOOR
+        d_dr = np.where(live, s2 * (dcut / self.r_s * poly + 2.0 * cut * r * q), 0.0)
+        tang = np.where(live, (2.0 * s2 * cut * r) ** 2 * (p - q * q), 0.0)
+        return val, d_dr, tang
+
 
 def build_test_function(
     nchart: NormalChart,

@@ -17,6 +17,21 @@ r_y(s) the level-crossing radius along the ray y,
 evaluated at r = r_y(s); the first is exactly -dV/ds by the coarea
 formula, which the tests cross-check against finite differences of the
 volume ladder.
+
+On the flat chart the sweep works from two scalars per direction,
+q = d.a.d and p = |a d|^2, and never forms coordinate arrays.  Along
+x = r d, with c = cut(r/r_s), P = 1 + alpha t + q r^2, S = scale^2 and
+u^2 = (4 pi t)^{-n/2} exp(-r^2/4t) eta^2,
+
+  eta^2               = S c P
+  d eta^2/dr          = S (c' P / r_s + 2 c r q)
+  |grad_tan eta^2|^2  = (2 S c r)^2 (p - q^2)
+  du/dr               = u (d eta^2/dr / (2 eta^2) - r/4t)
+  |grad u|^2          = (du/dr)^2 + u^2 |grad_tan eta^2|^2 / (4 eta^4)
+
+where grad_tan is the part orthogonal to d, and eta^2 is floored with
+its gradient zeroed where it is clamped.  The seed grid needs only u,
+and its cutoff and Gaussian factors depend on r alone.
 """
 
 from __future__ import annotations
@@ -45,48 +60,66 @@ __all__ = [
 ]
 
 
-def iso_profile_radius(n: int, K: float, beta: float, tol: float = 1e-12) -> float:
-    """Radius of the ball of volume beta in the space form M^n_K."""
-    if beta <= 0:
+# Newton on the level crossings stops once max |u(r) - s| / s is at most
+# _NEWTON_TOL; after _NEWTON_CAP steps a residual above _NEWTON_FAIL raises
+_NEWTON_TOL = 1e-13
+_NEWTON_CAP = 4
+_NEWTON_FAIL = 1e-10
+
+
+def iso_profile_radius(n: int, K: float, beta, tol: float = 1e-12):
+    """Radius of the ball of volume beta in the space form M^n_K.
+
+    beta may be an array: every element runs the same bracket, bisection
+    and Newton polish, and a converged element stops updating.  A scalar
+    in gives a float out."""
+    b = np.asarray(beta, dtype=float)
+    scalar = b.ndim == 0
+    b = np.atleast_1d(b)
+    if np.any(b <= 0):
         raise NonPositiveVolume("volume must be positive")
     if K > 0:
-        r_hi = np.pi / np.sqrt(K)
-        total = float(ball_volume_K(n, K, r_hi))
-        if beta >= total * (1 - 1e-14):
+        r_top = np.pi / np.sqrt(K)
+        total = float(ball_volume_K(n, K, r_top))
+        if np.any(b >= total * (1 - 1e-14)):
             raise VolumeTooLarge(
-                f"volume {beta} reaches the total volume {total} of the sphere"
+                f"volume {b.max()} reaches the total volume {total} of the sphere"
             )
+        r_hi = np.full(b.shape, r_top)
     else:
-        r_hi = 1.0
-        while float(ball_volume_K(n, K, r_hi)) < beta:
-            r_hi *= 2.0
-            if r_hi > 1e6:
+        r_hi = np.ones(b.shape)
+        short = ball_volume_K(n, K, r_hi) < b
+        while short.any():
+            r_hi[short] *= 2.0
+            if r_hi.max() > 1e6:
                 raise VolumeTooLarge("volume out of representable range")
-    r_lo = 0.0
+            short[short] = ball_volume_K(n, K, r_hi[short]) < b[short]
+    r_lo = np.zeros(b.shape)
     # bisect to a decent bracket, then polish with Newton (V' = area)
     for _ in range(60):
         mid = 0.5 * (r_lo + r_hi)
-        if float(ball_volume_K(n, K, mid)) < beta:
-            r_lo = mid
-        else:
-            r_hi = mid
+        below = ball_volume_K(n, K, mid) < b
+        r_lo = np.where(below, mid, r_lo)
+        r_hi = np.where(below, r_hi, mid)
     r = 0.5 * (r_lo + r_hi)
+    live = np.arange(b.size)
     for _ in range(8):
-        f = float(ball_volume_K(n, K, r)) - beta
-        a = float(sphere_area_K(n, K, r))
-        if a == 0:
+        f = ball_volume_K(n, K, r[live]) - b[live]
+        a = sphere_area_K(n, K, r[live])
+        ok = a != 0
+        live = live[ok]
+        step = f[ok] / a[ok]
+        r[live] = np.clip(r[live] - step, r_lo[live], r_hi[live])
+        live = live[np.abs(step) >= tol * np.maximum(1.0, r[live])]
+        if live.size == 0:
             break
-        step = f / a
-        r -= step
-        r = min(max(r, r_lo), r_hi)
-        if abs(step) < tol * max(1.0, r):
-            break
-    return float(r)
+    return float(r[0]) if scalar else r
 
 
-def iso_profile(n: int, K: float, beta: float) -> float:
-    """Boundary area of the volume-beta ball in M^n_K."""
-    return float(sphere_area_K(n, K, iso_profile_radius(n, K, beta)))
+def iso_profile(n: int, K: float, beta):
+    """Boundary area of the volume-beta ball in M^n_K (vectorized in beta)."""
+    area = sphere_area_K(n, K, iso_profile_radius(n, K, beta))
+    return float(area) if np.ndim(area) == 0 else area
 
 
 class _SquareRadiusSpline:
@@ -144,19 +177,19 @@ class SymmetrizationResult:
         return self.coarea * self.grad_integral - self.area_original**2
 
 
-def _u_and_slopes(tf: TestFunction, t: float, X, r, dirs_rep):
-    """u, du/dr and |grad u|^2 at points X of radius r; dirs_rep holds the
-    unit ray direction of each point.  Flat-chart normal coordinates only."""
+def _u_on_rays(tf: TestFunction, t: float, q, p, r, slopes: bool = True):
+    """u, du/dr and |grad u|^2 along rays x = r d with q = d.a.d and
+    p = |a d|^2 per direction; u alone when slopes is False.  Flat-chart
+    normal coordinates only."""
     n = tf.nchart.n
-    eta2, geta2 = tf.eta2_with_grad(X, t, r)
     h2 = (4 * np.pi * t) ** (-n / 2.0) * np.exp(-r * r / (4 * t))
-    u2 = h2 * eta2
-    u = np.sqrt(u2)
-    # grad u = u * (grad eta2 / (2 eta2) - x / 4t)
-    mvec = geta2 / (2.0 * eta2)[:, None] - X / (4.0 * t)
-    grad = u[:, None] * mvec
-    du_dr = np.einsum("mi,mi->m", grad, dirs_rep)
-    grad_sq = np.einsum("mi,mi->m", grad, grad)
+    if not slopes:
+        return np.sqrt(h2 * tf.eta2_on_rays(q, p, r, t, grad=False))
+    eta2, deta2, tang = tf.eta2_on_rays(q, p, r, t)
+    u = np.sqrt(h2 * eta2)
+    # grad u = u * (grad eta2 / (2 eta2) - x / 4t), split along and across d
+    du_dr = u * (deta2 / (2.0 * eta2) - r / (4.0 * t))
+    grad_sq = du_dr**2 + (u / (2.0 * eta2)) ** 2 * tang
     return u, du_dr, grad_sq
 
 
@@ -190,10 +223,10 @@ def symmetrize(
     m = 2048
     rg = np.linspace(0.0, r_max, m)
 
-    X = (dirs[:, None, :] * rg[None, :, None]).reshape(-1, n)
-    dirs_rep = np.repeat(dirs, m, axis=0)
-    u_flat, du_flat, gsq_flat = _u_and_slopes(tf, t, X, np.tile(rg, nd), dirs_rep)
-    U = u_flat.reshape(nd, m)
+    ad = dirs @ tf.a
+    q = np.einsum("di,di->d", dirs, ad)[:, None]
+    p = np.einsum("di,di->d", ad, ad)[:, None]
+    U = _u_on_rays(tf, t, q, p, rg, slopes=False)
 
     if np.any(np.diff(U, axis=1) > 1e-12 * U[:, :1]):
         raise LevelSetDegenerate(
@@ -207,24 +240,27 @@ def symmetrize(
     s_ladder = np.geomspace(top, bottom, levels)
 
     # level-crossing radii: monotone interp seed, then Newton with the
-    # analytic radial slope
+    # analytic radial slope until the relative residual in u is negligible
     r_cross = np.empty((nd, levels))
     for d in range(nd):
         r_cross[d] = np.interp(-s_ladder, -U[d], rg)
-    for _ in range(4):
-        Xc = (dirs[:, None, :] * r_cross[:, :, None]).reshape(-1, n)
-        dr_rep = np.repeat(dirs, levels, axis=0)
-        uc, duc, _ = _u_and_slopes(tf, t, Xc, r_cross.ravel(), dr_rep)
-        uc = uc.reshape(nd, levels)
-        duc = duc.reshape(nd, levels)
-        step = (uc - s_ladder[None, :]) / np.minimum(duc, -1e-300)
+    steps = 0
+    while True:
+        uc, duc, gsqc = _u_on_rays(tf, t, q, p, r_cross)
+        resid = float(np.max(np.abs(uc - s_ladder) / s_ladder))
+        if resid <= _NEWTON_TOL or steps == _NEWTON_CAP:
+            break
+        step = (uc - s_ladder) / np.minimum(duc, -1e-300)
         r_cross = np.clip(r_cross - step, 0.0, r_max)
+        steps += 1
+    if resid > _NEWTON_FAIL:
+        raise LevelSetDegenerate(
+            f"level crossings did not converge: relative residual {resid:.2e} "
+            f"after {steps} Newton steps"
+        )
 
-    Xc = (dirs[:, None, :] * r_cross[:, :, None]).reshape(-1, n)
-    dr_rep = np.repeat(dirs, levels, axis=0)
-    _, duc, gsqc = _u_and_slopes(tf, t, Xc, r_cross.ravel(), dr_rep)
-    slope = np.maximum(-duc.reshape(nd, levels), 1e-300)
-    gnorm = np.sqrt(gsqc.reshape(nd, levels))
+    slope = np.maximum(-duc, 1e-300)
+    gnorm = np.sqrt(gsqc)
     shell = r_cross ** (n - 1)  # flat density is 1
 
     coarea = np.einsum("d,dl->l", wd, shell / slope)  # -dV/ds
@@ -236,7 +272,7 @@ def symmetrize(
     vol_along = r_cross**n / n
     volumes = np.einsum("d,dl->l", wd, vol_along)
 
-    r_bar = np.array([iso_profile_radius(n, K, float(v)) for v in volumes])
+    r_bar = iso_profile_radius(n, K, volumes)
     area_comp = sphere_area_K(n, K, r_bar)
 
     if np.any(np.diff(volumes) <= 0):
@@ -280,5 +316,7 @@ def symmetrize(
         entropy_symmetrized=entropy_sym,
         dirichlet_original=comp.dirichlet,
         dirichlet_symmetrized=dir_sym,
-        meta={"t": t, "levels": levels, "order": order},
+        meta={"t": t, "levels": levels, "order": order, "rays": nd,
+              "seed_radii": m, "newton_steps": steps,
+              "crossing_residual": resid},
     )

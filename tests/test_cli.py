@@ -56,6 +56,19 @@ order = 16
 """
 
 
+SYM_CFG = """
+[chart]
+kind = flat
+n = 3
+halfwidth = 2.0
+
+[experiment]
+a = 0.3 -0.1 0.05
+levels = 512
+order = 16
+"""
+
+
 class TestRuns:
     def test_isoprofile(self, tmp_path):
         cfg = _write(tmp_path, "c.ini", ISO_CFG)
@@ -135,6 +148,21 @@ class TestDeterminism:
         assert (d1 / "isoprofile.csv").read_bytes() == (
             d2 / "isoprofile.csv"
         ).read_bytes()
+
+    def test_symmetrize_reruns_carry_meta(self, tmp_path):
+        cfg = _write(tmp_path, "c.ini", SYM_CFG)
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        for d in (d1, d2):
+            assert main(
+                ["symmetrize", "--config", cfg, "--out", str(d),
+                 "--no-timestamp"]
+            ) == 0
+        raw = (d1 / "symmetrize.json").read_bytes()
+        assert raw == (d2 / "symmetrize.json").read_bytes()
+        meta = json.loads(raw)["result"]["meta"]
+        assert meta["rays"] == 2 * 16 * 16 and meta["seed_radii"] == 2048
+        assert 1 <= meta["newton_steps"] <= 4
+        assert meta["crossing_residual"] <= 1e-13
 
     def test_timestamp_present_by_default(self, tmp_path):
         cfg = _write(tmp_path, "c.ini", ISO_CFG)

@@ -1,8 +1,11 @@
 """Isoperimetric profile and radial symmetrization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from curvex import isoperimetry
 from curvex._spaceform import ball_volume_K, sphere_area_K
 from curvex.charts import ModelSpec, build_normal_chart, make_chart
 from curvex.errors import (
@@ -11,8 +14,9 @@ from curvex.errors import (
     NonPositiveVolume,
     VolumeTooLarge,
 )
-from curvex.functionals import build_test_function
+from curvex.functionals import TestFunction, build_test_function
 from curvex.isoperimetry import (
+    _u_on_rays,
     iso_profile,
     iso_profile_radius,
     symmetrize,
@@ -81,6 +85,35 @@ class TestIsoProfile:
         assert abs(
             iso_profile(3, 1.0, beta) - float(sphere_area_K(3, 1.0, 0.8))
         ) < 1e-9
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_array_matches_scalar_calls(self, K, n):
+        top = 0.97 * np.pi if K > 0 else 4.0
+        betas = ball_volume_K(n, K, np.linspace(0.02, top, 37))
+        radii = iso_profile_radius(n, K, betas)
+        assert radii.shape == betas.shape
+        one_by_one = np.array(
+            [iso_profile_radius(n, K, float(b)) for b in betas]
+        )
+        np.testing.assert_allclose(radii, one_by_one, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            iso_profile(n, K, betas), sphere_area_K(n, K, radii),
+            rtol=1e-14, atol=0,
+        )
+
+    def test_scalar_in_float_out(self):
+        assert type(iso_profile_radius(3, -1.0, 2.0)) is float
+        assert type(iso_profile(3, 1.0, np.float64(2.0))) is float
+
+    def test_one_bad_element_raises(self):
+        with pytest.raises(NonPositiveVolume):
+            iso_profile_radius(3, 0.0, np.array([1.0, 0.0, 2.0]))
+        total = float(ball_volume_K(3, 1.0, np.pi))
+        with pytest.raises(VolumeTooLarge):
+            iso_profile_radius(3, 1.0, np.array([1.0, total]))
+        with pytest.raises(VolumeTooLarge):
+            iso_profile_radius(3, 0.0, np.array([1.0, 1e300]))
 
 
 class TestSymmetrizeRadial:
@@ -183,10 +216,7 @@ class TestSymmetrizeSphereTarget:
         assert res.r_bar.max() < np.pi
         # positive curvature target: balls of equal volume have smaller
         # boundary, so the comparison area sits below the flat one
-        flat_area = sphere_area_K(
-            3, 0.0, np.array([iso_profile_radius(3, 0.0, float(v))
-                              for v in res.volumes])
-        )
+        flat_area = sphere_area_K(3, 0.0, iso_profile_radius(3, 0.0, res.volumes))
         assert np.all(res.area_comparison <= flat_area + 1e-12)
 
 
@@ -220,3 +250,140 @@ class TestGuards:
         spl = radial_result.profile.spline()
         with pytest.raises(ValueError):
             spl(0.5, 2)
+
+
+def _u_and_slopes_pointwise(tf, t, X, r, dirs_rep):
+    """u, du/dr and |grad u|^2 through eta2_with_grad on full coordinate
+    arrays: the formula symmetrize used before the ray form."""
+    n = tf.nchart.n
+    eta2, geta2 = tf.eta2_with_grad(X, t, r)
+    h2 = (4 * np.pi * t) ** (-n / 2.0) * np.exp(-r * r / (4 * t))
+    u = np.sqrt(h2 * eta2)
+    mvec = geta2 / (2.0 * eta2)[:, None] - X / (4.0 * t)
+    grad = u[:, None] * mvec
+    du_dr = np.einsum("mi,mi->m", grad, dirs_rep)
+    grad_sq = np.einsum("mi,mi->m", grad, grad)
+    return u, du_dr, grad_sq
+
+
+class TestRayForm:
+    """u, du/dr and |grad u|^2 from q = d.a.d and p = |a d|^2 per ray
+    against the pointwise evaluation on (nd * m, n) coordinates."""
+
+    T = 0.1
+
+    @pytest.fixture(scope="class")
+    def case(self, flat_chart):
+        # one negative eigenvalue: the profile crosses zero inside the
+        # support along e_2, so the clamp is hit before the cutoff ends
+        a = np.array([[0.5, 0.2, 0.0], [0.2, -1.5, 0.1], [0.0, 0.1, 0.3]])
+        tf = TestFunction(flat_chart, a, alpha=0.7, r_s=1.2, scale=1.5)
+        rng = np.random.default_rng(7)
+        dirs = rng.normal(size=(64, 3))
+        dirs[:4] = np.eye(3)[[0, 1, 1, 2]]
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        r = rng.uniform(0.0, tf.r_s, size=(64, 48))
+        r[:, 0], r[:, 1] = 0.0, tf.r_s
+        return tf, dirs, r
+
+    def _rays(self, tf, dirs, r, dq=0.0, dp=0.0):
+        ad = dirs @ tf.a
+        q = np.einsum("di,di->d", dirs, ad)[:, None] + dq
+        p = np.einsum("di,di->d", ad, ad)[:, None] + dp
+        return _u_on_rays(tf, self.T, q, p, r)
+
+    def _pointwise(self, tf, dirs, r):
+        m = r.shape[1]
+        X = (dirs[:, None, :] * r[:, :, None]).reshape(-1, dirs.shape[1])
+        out = _u_and_slopes_pointwise(
+            tf, self.T, X, r.ravel(), np.repeat(dirs, m, axis=0)
+        )
+        return [v.reshape(r.shape) for v in out]
+
+    def _max_rel(self, tf, dirs, r, **shift):
+        ref = self._pointwise(tf, dirs, r)
+        got = self._rays(tf, dirs, r, **shift)
+        return max(
+            float(np.max(np.abs(g - f) / np.maximum(np.abs(f), 1e-300)))
+            for g, f in zip(got, ref)
+        )
+
+    def test_grid_covers_ramp_and_clamp(self, case):
+        tf, dirs, r = case
+        eta2, _ = tf.eta2_with_grad(
+            (dirs[:, None, :] * r[:, :, None]).reshape(-1, 3), self.T, r.ravel()
+        )
+        clamped = eta2 <= tf.scale**2 * 1e-300
+        ramp = (r.ravel() > 0.5 * tf.r_s) & ~clamped
+        assert clamped.sum() > 50 and ramp.sum() > 500
+
+    def test_matches_pointwise(self, case):
+        assert self._max_rel(*case) < 1e-12
+
+    @pytest.mark.parametrize("shift", [{"dq": 1e-10}, {"dp": 1e-10}])
+    def test_perturbed_scalars_detected(self, case, shift):
+        assert self._max_rel(*case, **shift) > 1e-12
+
+    def test_clamped_points_have_zero_gradient(self, case):
+        tf, dirs, r = case
+        ad = dirs @ tf.a
+        q = np.einsum("di,di->d", dirs, ad)[:, None]
+        p = np.einsum("di,di->d", ad, ad)[:, None]
+        val, d_dr, tang = tf.eta2_on_rays(q, p, r, self.T)
+        clamped = val <= tf.scale**2 * 1e-300
+        assert clamped.any()
+        assert np.all(d_dr[clamped] == 0.0) and np.all(tang[clamped] == 0.0)
+        np.testing.assert_array_equal(
+            tf.eta2_on_rays(q, None, r, self.T, grad=False), val
+        )
+
+    def test_slope_matches_finite_difference(self, case):
+        tf, dirs, r = case
+        h = 1e-6
+        r = np.clip(r, 2 * h, tf.r_s - 2 * h)
+        u_hi = self._rays(tf, dirs, r + h)[0]
+        u_lo = self._rays(tf, dirs, r - h)[0]
+        _, du, _ = self._rays(tf, dirs, r)
+        # away from where eta^2 reaches zero (the clamp and the end of the
+        # cutoff), since u = sqrt(...) bends sharply there
+        q = np.einsum("di,di->d", dirs, dirs @ tf.a)[:, None]
+        smooth = (1.0 + q * (r + 2 * h) ** 2 + tf.alpha * self.T > 0.05) & (
+            r < 0.95 * tf.r_s
+        )
+        fd = (u_hi - u_lo) / (2 * h)
+        err = np.abs(fd - du)[smooth]
+        assert smooth.sum() > 2000
+        assert np.all(err <= 1e-6 * np.abs(du[smooth]) + 1e-9 * np.abs(du).max())
+
+
+class TestNewtonCrossings:
+    def test_run_record(self, aniso_result):
+        meta = aniso_result.meta
+        assert meta["rays"] == 2048 and meta["seed_radii"] == 2048
+        assert 1 <= meta["newton_steps"] <= 4
+        assert meta["crossing_residual"] <= 1e-13
+
+    def test_unconverged_crossings_raise(self, flat_chart, monkeypatch):
+        # one Newton step from the grid seed leaves a residual near 1e-9
+        monkeypatch.setattr(isoperimetry, "_NEWTON_CAP", 1)
+        tf = build_test_function(
+            flat_chart, None, mode=np.diag([0.3, -0.1, 0.05]), alpha=0.0,
+            r_s=1.2,
+        )
+        with pytest.raises(LevelSetDegenerate, match="did not converge"):
+            symmetrize(tf, t=0.01, K=0.0, levels=64, order=32)
+
+
+def test_symmetrize_peak_memory(flat_chart):
+    """The c08 configuration stays well below the 708 MB that dense
+    (nd * m, n) coordinate arrays took."""
+    tf = build_test_function(
+        flat_chart, None, mode=np.diag([0.3, -0.1, 0.05]), alpha=0.0, r_s=1.6
+    )
+    tracemalloc.start()
+    try:
+        symmetrize(tf, t=0.01, K=0.0, levels=512, order=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300e6, f"peak {peak / 1e6:.0f} MB"
