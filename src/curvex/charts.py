@@ -20,9 +20,12 @@ rc_ij = sum_s rm_isjs and sc = n(n-1)K.
 
 Normal charts wrap the exponential map at a center point.  Flat charts and
 space forms centered at the chart origin use closed forms in the geodesic
-radius alone; everything else integrates the geodesic equation together
-with its variational (Jacobi) system and caches values along a fixed bundle
+radius alone; everything else ('ode' charts) integrates the geodesic
+equation together with its variational (Jacobi) system along a fixed bundle
 of rays, since that is the shape the radial-spherical quadrature consumes.
+An 'ode' chart keeps one radius-major table, built once at the sample
+radii: density, g~^{-1} and exp point for every ray, under one cubic
+spline in r, so reading it at the quadrature radii inverts nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import make_interp_spline
 
 from ._spaceform import sn_over_r
 from .errors import (
@@ -467,6 +470,22 @@ def _riemann_lowered(g, gam, dgam):
     return np.einsum("mal,mlkij->makij", g, r_up)
 
 
+def _ricci(gam, dgam):
+    """rc[:,i,j] = R_ij = d_k Gamma^k_ij - d_j Gamma^k_ki + Gamma^k_kl
+    Gamma^l_ij - Gamma^k_jl Gamma^l_ki, the contraction rc_ij = rm^a_iaj of
+    _riemann_lowered taken without forming the Riemann tensor."""
+    m, n = gam.shape[:2]
+    tr = np.einsum("mkkl->ml", gam)
+    G = gam.transpose(0, 2, 1, 3)  # G[:,j,k,l] = Gamma^k_jl
+    quad = G.reshape(m, n, n * n) @ G.reshape(m, n * n, n)  # [:,j,i]
+    return (
+        np.einsum("mkkij->mij", dgam)
+        - np.einsum("mjkki->mij", dgam)
+        + np.einsum("ml,mlij->mij", tr, gam)
+        - quad.transpose(0, 2, 1)
+    )
+
+
 def _frame(g):
     """E with E^T g E = I; columns are the orthonormal frame vectors."""
     L = np.linalg.cholesky(g)
@@ -506,17 +525,13 @@ class _GenericCurvature:
         return rm_f, g, ginv, gam, E
 
     def sc_batch(self, pts):
-        g, ginv, gam, dgam = self.chart.christoffel(pts)
-        rm = _riemann_lowered(g, gam, dgam)
-        rc = np.einsum("mab,maibj->mij", ginv, rm)
-        return np.einsum("mij,mij->m", ginv, rc)
+        _, ginv, gam, dgam = self.chart.christoffel(pts)
+        return np.einsum("mij,mij->m", ginv, _ricci(gam, dgam))
 
     def rc_gamma_batch(self, pts):
         """Coordinate Ricci components and Christoffels at pts."""
-        g, ginv, gam, dgam = self.chart.christoffel(pts)
-        rm = _riemann_lowered(g, gam, dgam)
-        rc = np.einsum("mab,maibj->mij", ginv, rm)
-        return rc, gam
+        _, _, gam, dgam = self.chart.christoffel(pts)
+        return _ricci(gam, dgam), gam
 
     def grad_rc_batch(self, pts):
         """nabla_l R_ij (coordinate components) at pts."""
@@ -660,7 +675,7 @@ class NormalChart:
         self.dirs = None
         self.rule_key = None  # (n, order, seed) of the sphere rule behind dirs
         self.nfev = 0  # right-hand-side calls of the geodesic shooting (ode)
-        self._spl = {}
+        self._table = None  # spline in r of (nd, 1 + n^2 + n): dens, g~^-1, exp
         self._sc_spline = None
 
     # -- closed forms (flat / space_form) --
@@ -698,25 +713,25 @@ class NormalChart:
             raise InvalidSpec("closed-form normal charts use radial_geometry")
         radii = np.asarray(radii, dtype=float)
         rq = np.minimum(radii, self.radius)  # beyond r0 the cutoff is zero
-        gt = self._spl["gtil"](rq)  # (nd, nr, n, n) after axis move
-        dens = self._spl["dens"](rq)
-        ginv = np.linalg.inv(gt)
+        n, nd = self.n, self.dirs.shape[0]
+        tab = self._table(rq).transpose(1, 0, 2)  # (nd, nr, 1 + n^2 + n)
+        dens = tab[..., 0]
+        ginv = tab[..., 1 : 1 + n * n].reshape(nd, rq.size, n, n)
         sc = None
         if want_sc:
             self._ensure_sc_tables()
-            sc = self._sc_spline(rq)
+            sc = self._sc_spline(rq).T
         return RayTables(self.dirs, radii, dens, ginv, sc)
 
     def _ensure_sc_tables(self, nr: int = 65):
         if self._sc_spline is not None:
             return
         rg = np.linspace(0.0, self.radius, nr)
-        exp_pts = self._spl["exp"](rg)  # (nd, nr, n)
-        nd = exp_pts.shape[0]
+        exp_pts = self._table(rg)[..., -self.n :]  # (nr, nd, n)
         sc = scalar_curvature_batch(
             self.chart, exp_pts.reshape(-1, self.n)
-        ).reshape(nd, nr)
-        self._sc_spline = CubicSpline(rg, sc, axis=1)
+        ).reshape(nr, -1)
+        self._sc_spline = make_interp_spline(rg, sc, k=3, axis=0)
 
 
 def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
@@ -762,8 +777,9 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
         raise GeodesicLeftDomain(f"geodesic integration failed: {sol.message}")
 
     nt = sol.t.size
-    gam_pts = sol.y[sl_g].reshape(nd, n, nt).transpose(0, 2, 1)  # (nd, nt, n)
-    J = sol.y[sl_J].reshape(nd, n, n, nt).transpose(0, 3, 1, 2)  # (nd, nt, n, n)
+    y = sol.y.T  # radius-major: (nt, state)
+    gam_pts = y[:, sl_g].reshape(nt, nd, n)
+    J = y[:, sl_J].reshape(nt, nd, n, n)
 
     inside = chart.domain.contains(gam_pts.reshape(-1, n))
     if not inside.all():
@@ -773,26 +789,27 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
 
     # Jacobian of exp at r*y is J(r)/r; at r=0 it is the frame itself
     rsafe = np.where(r_grid > 0, r_grid, 1.0)
-    Jfull = J / rsafe[None, :, None, None]
-    Jfull[:, 0] = E
+    Jfull = J / rsafe[:, None, None, None]
+    Jfull[0] = E
 
-    g_along = chart.metric(gam_pts.reshape(-1, n)).reshape(nd, nt, n, n)
-    gtil = np.einsum("dtia,dtij,dtjb->dtab", Jfull, g_along, Jfull)
+    g_along = chart.metric(gam_pts.reshape(-1, n)).reshape(nt, nd, n, n)
+    gtil = Jfull.transpose(0, 1, 3, 2) @ g_along @ Jfull
     det = np.linalg.det(gtil)
     if np.any(det <= 0):
         raise JacobianSingular(
             "pulled-back metric degenerate: normal radius crosses a conjugate point"
         )
-    dens = np.sqrt(det)
+    # one table per sample radius and ray: density, g~^{-1}, exp point
+    tab = np.concatenate(
+        [np.sqrt(det)[..., None], np.linalg.inv(gtil).reshape(nt, nd, n * n),
+         gam_pts],
+        axis=-1,
+    )
 
     nc = NormalChart(chart, p, r0, E, "ode", K=chart.K)
     nc.dirs = dirs
     nc.nfev = int(sol.nfev)
-    nc._spl = {
-        "dens": CubicSpline(r_grid, dens, axis=1),
-        "gtil": CubicSpline(r_grid, gtil, axis=1),
-        "exp": CubicSpline(r_grid, gam_pts, axis=1),
-    }
+    nc._table = make_interp_spline(r_grid, tab, k=3, axis=0)
     return nc
 
 

@@ -318,6 +318,17 @@ class Components:
     errs: dict = field(default_factory=dict)
 
 
+def _ray_rule(nc: NormalChart, key):
+    """sphere_rule(*key), checked against the ode chart's direction bundle."""
+    dirs, wd = sphere_rule(*key)
+    if nc.dirs.shape != dirs.shape or not np.array_equal(nc.dirs, dirs):
+        raise ConfigInvalid(
+            "normal chart direction bundle does not match the sphere rule; "
+            "build it with sphere_rule(n, order, seed) directions"
+        )
+    return dirs, wd
+
+
 def _accumulate(tf: TestFunction, t: float, X, r, z2, wts, geom=None):
     """Weighted sums of the four integrands over prepared nodes.
 
@@ -380,15 +391,7 @@ def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int):
     if nc.kind == "ode":
         # the angular rule is pinned at chart build time; order changes
         # (including the error-estimate drop) only refine the radial part
-        if nc.rule_key is not None:
-            dirs, wd = sphere_rule(*nc.rule_key)
-        else:
-            dirs, wd = sphere_rule(n, quad.order, quad.seed)
-        if nc.dirs.shape != dirs.shape or not np.array_equal(nc.dirs, dirs):
-            raise ConfigInvalid(
-                "normal chart direction bundle does not match the sphere rule; "
-                "build it with sphere_rule(n, order, seed) directions"
-            )
+        dirs, wd = _ray_rule(nc, nc.rule_key or (n, quad.order, quad.seed))
         geom = nc.ray_tables(s2t * rho, want_sc=True)
     else:
         dirs, wd = sphere_rule(n, order, quad.seed)
@@ -533,16 +536,19 @@ def ball_volume(nchart: NormalChart, r: float, order: int = 64) -> float:
         raise ConfigInvalid("radius must be positive")
     if r > nchart.radius * (1 + 1e-12):
         raise SupportTooLarge("ball radius exceeds the normal chart radius")
-    if nchart.kind == "ode":
-        raise ConfigInvalid(
-            "ball_volume needs a closed-form normal chart; volumes from ode "
-            "ray tables are open (ROADMAP.md, non-model charts)"
-        )
-    # the density is radial, so the angular integral is the sphere area
     x1, w1 = roots_legendre(order)
     rho = 0.5 * r * (x1 + 1.0)
     wr = 0.5 * r * w1
     n = nchart.n
+    if nchart.kind == "ode":
+        if nchart.rule_key is None:
+            raise ConfigInvalid(
+                "ball_volume on an ode normal chart needs the sphere rule "
+                "behind its directions; build it with prepare_normal_chart"
+            )
+        _, wd = _ray_rule(nchart, nchart.rule_key)
+        return float(wd @ (nchart.ray_tables(rho).dens @ (wr * rho ** (n - 1))))
+    # the density is radial, so the angular integral is the sphere area
     dens = nchart.radial_geometry(rho)[0]
     return float(sphere_area(n) * np.dot(wr, dens * rho ** (n - 1)))
 

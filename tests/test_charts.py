@@ -3,6 +3,7 @@
 The conformal-factor oracle values were frozen from a sympy computation of
 the exact curvature of g = exp(2f) delta, f = (|x|^2 + |x|^4) / 20, n=3."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,8 +19,9 @@ from curvex import (
     norm_sq,
     scalar_curvature_batch,
 )
-from curvex.charts import PROFILES, Box, _JetEngine
+from curvex.charts import PROFILES, Box, _GenericCurvature, _JetEngine
 from curvex.errors import InvalidSpec, OutOfDomain
+from curvex.functionals import sphere_rule
 from curvex.tensor_core import e_functional, v_tensor
 
 
@@ -212,10 +214,9 @@ class TestChristoffelRoutes:
             ch = _conformal(profile, eps=0.2)
             nc = build_normal_chart(ch, np.zeros(3), 0.8, dirs=dirs,
                                     r_samples=96)
-            tabs.append((nc.ray_tables(r), nc._spl["gtil"](r)))
-        (closed, gt_closed), (fd, gt_fd) = tabs
+            tabs.append(nc.ray_tables(r))
+        closed, fd = tabs
         assert np.abs(closed.dens - fd.dens).max() < 1e-8
-        assert np.abs(gt_closed - gt_fd).max() < 1e-8
         assert np.abs(closed.ginv - fd.ginv).max() < 1e-8
         assert np.abs(closed.dens - 1.0).max() > 1e-3  # the metric is curved
 
@@ -227,6 +228,59 @@ class TestChristoffelRoutes:
         assert np.allclose(closed.rm, fd.rm, atol=1e-8)
         assert closed.lap_sc == pytest.approx(fd.lap_sc, abs=1e-4)
         assert np.allclose(closed.grad_rc, fd.grad_rc, atol=1e-6)
+
+
+def _ricci_from_riemann(gam, dgam):
+    """R_ij = R^l_ilj from the full Riemann tensor R^l_kij = d_i Gamma^l_jk
+    - d_j Gamma^l_ik + Gamma^l_is Gamma^s_jk - Gamma^l_js Gamma^s_ik."""
+    r_up = (
+        np.einsum("miljk->mlkij", dgam)
+        - np.einsum("mjlik->mlkij", dgam)
+        + np.einsum("mlis,msjk->mlkij", gam, gam)
+        - np.einsum("mljs,msik->mlkij", gam, gam)
+    )
+    return np.einsum("mlilj->mij", r_up)
+
+
+class TestRicciContraction:
+    """Ricci tensor and scalar curvature contracted straight from Gamma and
+    dGamma against the contraction of the full Riemann tensor."""
+
+    @pytest.mark.parametrize(
+        "chart",
+        [
+            pytest.param(lambda k=k: _conformal(PROFILES[k]), id=f"{k}-closed")
+            for k in sorted(PROFILES)
+        ]
+        + [
+            pytest.param(lambda k=k: _conformal(_plain(k)), id=f"{k}-fd")
+            for k in sorted(PROFILES)
+        ]
+        + [
+            pytest.param(
+                lambda: make_chart(ModelSpec("product_sphere_line", 3, K=1.0)),
+                id="S2xR",
+            ),
+            pytest.param(
+                lambda: make_chart(ModelSpec("product_sphere_line", 4, K=-1.0)),
+                id="H2xR2",
+            ),
+        ],
+    )
+    def test_matches_full_riemann(self, chart):
+        ch = chart()
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-0.7, 0.7, size=(64, ch.n))
+        _, ginv, gam, dgam = ch.christoffel(pts)
+        rc_want = _ricci_from_riemann(gam, dgam)
+        sc_want = np.einsum("mij,mij->m", ginv, rc_want)
+        gc = _GenericCurvature(ch)
+        rc, gam_out = gc.rc_gamma_batch(pts)
+        sc = gc.sc_batch(pts)
+        assert np.array_equal(gam_out, gam)
+        assert np.abs(rc - rc_want).max() <= 1e-12 * np.abs(rc_want).max()
+        assert np.abs(sc - sc_want).max() <= 1e-12 * np.abs(sc_want).max()
+        assert np.abs(sc_want).max() > 0.1  # the check is not vacuous
 
 
 def _radial_quad(X, M, tang):
@@ -319,7 +373,8 @@ class TestNormalCharts:
 
     def test_ode_matches_closed_form_off_center(self):
         """Shooting from a non-origin sphere point reproduces the
-        center-independent density (sin r / r)^2."""
+        center-independent density (sin r / r)^2 and inverse metric
+        P + (r / sin r)^2 (I - P), P the radial projector."""
         ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
         rng = np.random.default_rng(0)
         dirs = rng.normal(size=(8, 3))
@@ -332,9 +387,9 @@ class TestNormalCharts:
         want = (np.sin(r) / r) ** 2
         assert np.abs(tab.dens - want[None, :]).max() < 1e-9
         assert np.abs(tab.sc - 6.0).max() < 1e-8
-        # Gauss lemma: the radial direction keeps unit length
-        gr = np.einsum("drab,da,db->dr", tab.ginv, dirs, dirs)
-        assert np.abs(gr - 1.0).max() < 1e-9
+        P = dirs[:, None, :, None] * dirs[:, None, None, :]
+        want = P + ((r / np.sin(r)) ** 2)[None, :, None, None] * (np.eye(3) - P)
+        assert np.abs(tab.ginv - want).max() < 1e-9
 
     def test_ode_flat_chart_is_exact(self):
         ch = make_chart(ModelSpec("flat", 2, halfwidth=3.0))
@@ -360,6 +415,35 @@ class TestNormalCharts:
         tab = nc.ray_tables(np.linspace(0.0, 0.9, 20))
         assert tab.dens.min() > 0
         assert np.abs(tab.dens[:, 0] - 1.0).max() < 1e-10
+
+    def test_ray_tables_converge_under_refinement(self, conformal_chart):
+        """The c06 chart's tables at off-grid radii barely move when the
+        sample radii are refined fourfold."""
+        dirs, _ = sphere_rule(3, 16)
+        r = np.linspace(0.013, 0.887, 23)
+        tabs = [
+            build_normal_chart(
+                conformal_chart, np.zeros(3), 0.9, dirs=dirs, r_samples=rs
+            ).ray_tables(r)
+            for rs in (384, 1536)
+        ]
+        assert np.abs(tabs[0].dens - tabs[1].dens).max() < 1e-11
+        assert np.abs(tabs[0].ginv - tabs[1].ginv).max() < 1e-11
+
+    def test_ode_build_memory(self, conformal_chart):
+        """The c06 chart with the benchmark's 512 rays and the default 384
+        radii: one (radii, rays, 1 + n^2 + n) table keeps the build peak
+        and what the chart holds afterwards bounded."""
+        dirs, _ = sphere_rule(3, 16)
+        tracemalloc.start()
+        try:
+            nc = build_normal_chart(conformal_chart, np.zeros(3), 0.9, dirs=dirs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nc.kind == "ode"
+        assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"
+        assert held < 40e6, f"held {held / 1e6:.0f} MB"
 
     def test_normal_ball_must_fit(self):
         ch = make_chart(ModelSpec("flat", 2, halfwidth=1.0))

@@ -3,7 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from curvex import ModelSpec, build_normal_chart, curvature_at, make_chart
+from curvex import (
+    ModelSpec,
+    Perturbation,
+    build_normal_chart,
+    curvature_at,
+    make_chart,
+)
+from curvex.charts import PROFILES
+from curvex.expansion import prepare_normal_chart
 from curvex._spaceform import ball_volume_K
 from curvex.errors import (
     ConfigInvalid,
@@ -288,6 +296,41 @@ class TestBallVolume:
         assert ball_volume(nc, 1.0) == pytest.approx(
             ball_volume_K(n, K, 1.0), rel=1e-12
         )
+
+    def test_ode_chart_matches_sphere_volume(self):
+        """Off-centre S^3 normal chart from geodesic shooting: its density
+        tables under its own sphere rule give pi (2r - sin 2r)."""
+        ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
+        nc = prepare_normal_chart(
+            ch, np.array([0.3, -0.2, 0.1]), 1.0,
+            QuadratureSpec(rule="radial_sphere", order=16),
+        )
+        assert nc.kind == "ode"
+        for r in (0.3, 0.7, 1.0):
+            assert ball_volume(nc, r) == pytest.approx(
+                ball_volume_K(3, 1.0, r), rel=1e-9
+            )
+
+    def test_ode_chart_needs_its_sphere_rule(self):
+        """A flat ode chart (conformal factor 0) gives the Euclidean volume
+        once the sphere rule behind its directions is known, and only then."""
+        ch = make_chart(ModelSpec(
+            "conformal_flat", 3,
+            perturbation=Perturbation(0.0, PROFILES["quartic_bump"]),
+        ))
+        dirs, _ = sphere_rule(3, 8)
+        nc = build_normal_chart(ch, np.array([0.2, 0.1, -0.3]), 0.5,
+                                dirs=dirs, r_samples=32)
+        with pytest.raises(ConfigInvalid):
+            ball_volume(nc, 0.4)
+        nc.rule_key = (3, 10, 1234)
+        with pytest.raises(ConfigInvalid):
+            ball_volume(nc, 0.4)
+        nc.rule_key = (3, 8, 1234)
+        for r in (0.2, 0.4, 0.5):
+            assert ball_volume(nc, r) == pytest.approx(
+                4.0 * np.pi / 3.0 * r**3, rel=1e-12
+            )
 
     def test_bishop_gromov_sphere_constant(self):
         ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
