@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "omega_n",
     "sn",
-    "sn_prime",
     "sn_over_r",
     "sphere_area_K",
     "ball_volume_K",
@@ -37,15 +36,6 @@ def sn(K: float, r):
         rt = np.sqrt(-K)
         return np.sinh(rt * r) / rt
     return r.copy() if r.ndim else float(r)
-
-
-def sn_prime(K: float, r):
-    r = np.asarray(r, dtype=float)
-    if K > 0:
-        return np.cos(np.sqrt(K) * r)
-    if K < 0:
-        return np.cosh(np.sqrt(-K) * r)
-    return np.ones_like(r) if r.ndim else 1.0
 
 
 def sn_over_r(K: float, r):

@@ -267,8 +267,10 @@ def run_expansion(
     evaluate = eval_L_normalized if functional == "L" else eval_W_normalized
     values = np.empty_like(ts)
     errors = np.empty_like(ts)
+    nodes = 0
     for i, t in enumerate(ts):
-        values[i], errors[i] = evaluate(tf, float(t), quad)
+        values[i], errors[i], count = evaluate(tf, float(t), quad)
+        nodes += count
     fit = extract_series(ts, values, errors, expected_c2_scale)
     return ExpansionResult(
         ts=ts,
@@ -283,6 +285,7 @@ def run_expansion(
             "r_s": r_s,
             "rule": quad.rule,
             "order": quad.order,
+            "nodes": nodes,
             "normal_chart": nc.kind,
             "christoffel": chart.christoffel_route,
             **(

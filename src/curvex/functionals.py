@@ -10,6 +10,12 @@ The substitution x = 2 sqrt(t) z turns each of them into
 pi^{-n/2} * integral of exp(-|z|^2) G(z), which the engine computes with
 product Gauss-Hermite quadrature, a radial-times-sphere rule with segment
 splits at the cutoff kinks, or seeded Monte Carlo for n = 5, 6.
+
+When a has no off-diagonal entries the integrand is even in every
+coordinate, so the product Hermite grid is folded onto the orthant z >= 0:
+order^n nodes become ceil(order/2)^n, with doubled weights off the zero
+node.  A non-diagonal a, and gaussian_integral with its arbitrary G, keep
+the full grid.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ __all__ = [
     "cutoff_prime",
     "eval_components",
     "eval_L",
-    "eval_W",
     "eval_L_normalized",
     "eval_W_normalized",
     "gaussian_integral",
@@ -68,6 +73,10 @@ class QuadratureSpec:
             raise ConfigInvalid(f"unknown quadrature rule {self.rule!r}")
         if self.order < 8:
             raise ConfigInvalid("quadrature order below 8")
+        if not 1 <= self.err_drop <= self.order - 2:
+            raise ConfigInvalid(
+                f"err_drop {self.err_drop} outside [1, order - 2 = {self.order - 2}]"
+            )
         if self.c_trunc <= 3.0:
             raise ConfigInvalid("truncation radius must exceed 3")
 
@@ -210,9 +219,16 @@ def build_test_function(
 
 
 @lru_cache(maxsize=32)
-def _hermite_nodes(n: int, order: int):
-    """Product Gauss-Hermite nodes z with |z|^2, |z| and the weights."""
-    z1, w1 = np.polynomial.hermite.hermgauss(order)
+def _hermite_nodes(n: int, order: int, fold: bool = False):
+    """Product Gauss-Hermite nodes z with |z|^2, |z| and the weights.
+
+    fold builds the grid from the half rule z >= 0 on every axis, each
+    positive node carrying its mirror's weight; it integrates exactly the
+    functions even in every coordinate."""
+    z1, w1 = np.polynomial.hermite.hermgauss(order)  # symmetric: z1 == -z1[::-1]
+    if fold:
+        half = z1 >= 0.0
+        z1, w1 = z1[half], np.where(z1[half] > 0.0, 2.0 * w1[half], w1[half])
     zs = np.stack(
         [g.ravel() for g in np.meshgrid(*([z1] * n), indexing="ij")], axis=-1
     )
@@ -316,6 +332,7 @@ class Components:
     dirichlet: float
     sc_integral: float
     errs: dict = field(default_factory=dict)
+    nodes: int = 0  # nodes evaluated, error-estimate rule included
 
 
 def _ray_rule(nc: NormalChart, key):
@@ -337,6 +354,7 @@ def _accumulate(tf: TestFunction, t: float, X, r, z2, wts, geom=None):
     shape lays the nodes out, (m,) or (nd, nr) along rays, and z2 = |z|^2
     broadcasts against it.  geom is the chart's RayTables on ode charts or
     radial_geometry at the ray radii; by default radial_geometry at r.
+    Returns the four sums and the node count.
     """
     n = tf.nchart.n
     grid = wts.shape
@@ -361,7 +379,7 @@ def _accumulate(tf: TestFunction, t: float, X, r, z2, wts, geom=None):
     entropy = float(np.vdot(wts, base * logu2))
     dirichlet = float(np.vdot(wts, base * Q))
     sc_integral = float(np.vdot(wts, base * sc))
-    return mass, entropy, dirichlet, sc_integral
+    return mass, entropy, dirichlet, sc_integral, wts.size
 
 
 def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int):
@@ -372,7 +390,12 @@ def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int):
 
     if rule in ("hermite", "mc"):
         if rule == "hermite":
-            Z, z2, zn, W = _hermite_nodes(n, order)
+            # Hermite never runs on ode charts, so the geometry depends on
+            # |x| alone; a diagonal a then makes every integrand even in
+            # each coordinate (eta^2 and its gradient enter through |x|^2,
+            # x.a.x and |a x|^2), and mirror nodes give identical values
+            fold = not np.any(tf.a - np.diag(np.diagonal(tf.a)))
+            Z, z2, zn, W = _hermite_nodes(n, order, fold)
         else:
             rng = np.random.default_rng(quad.seed)
             count = quad.mc_samples if order >= quad.order else quad.mc_samples // 2
@@ -420,14 +443,15 @@ def eval_components(
     hi = _eval_once(tf, t, quad, quad.order)
     if hi[0] <= 0:
         raise QuadratureNotConverged("mass came out nonpositive")
-    errs = {}
+    errs, nodes = {}, hi[4]
     if want_err:
         lo = _eval_once(tf, t, quad, quad.order - quad.err_drop)
         for name, a, b in zip(
             ("mass", "entropy", "dirichlet", "sc_integral"), hi, lo
         ):
             errs[name] = abs(a - b)
-    return Components(t, hi[0], hi[1], hi[2], hi[3], errs)
+        nodes += lo[4]
+    return Components(t, *hi[:4], errs, nodes)
 
 
 def _L_of(comp: Components, n: int) -> float:
@@ -454,30 +478,24 @@ def _L_err(comp: Components, n: int) -> float:
 
 
 def eval_L(tf, t, quad=QuadratureSpec(), want_err=True):
-    """Log-Sobolev-type deficit of u at time t: (value, error estimate)."""
+    """Log-Sobolev-type deficit of u at time t: (value, error estimate,
+    nodes evaluated)."""
     comp = eval_components(tf, t, quad, want_err)
-    return _L_of(comp, tf.nchart.n), _L_err(comp, tf.nchart.n)
-
-
-def eval_W(tf, t, quad=QuadratureSpec(), want_err=True):
-    """Entropy functional: the deficit plus t times the curvature integral."""
-    comp = eval_components(tf, t, quad, want_err)
-    n = tf.nchart.n
-    val = _L_of(comp, n) + t * comp.sc_integral
-    err = _L_err(comp, n) + t * comp.errs.get("sc_integral", 0.0)
-    return val, err
+    return _L_of(comp, tf.nchart.n), _L_err(comp, tf.nchart.n), comp.nodes
 
 
 def eval_L_normalized(tf, t, quad=QuadratureSpec(), want_err=True):
-    """Deficit of the unit-mass rescaling u / sqrt(mass)."""
+    """Deficit of the unit-mass rescaling u / sqrt(mass), as eval_L."""
     comp = eval_components(tf, t, quad, want_err)
     n = tf.nchart.n
     val = _L_of(comp, n) / comp.mass
     err = (_L_err(comp, n) + abs(val) * comp.errs.get("mass", 0.0)) / comp.mass
-    return val, err
+    return val, err, comp.nodes
 
 
 def eval_W_normalized(tf, t, quad=QuadratureSpec(), want_err=True):
+    """Entropy functional (deficit plus t times the curvature integral) of
+    the unit-mass rescaling, as eval_L."""
     comp = eval_components(tf, t, quad, want_err)
     n = tf.nchart.n
     val = (_L_of(comp, n) + t * comp.sc_integral) / comp.mass
@@ -486,7 +504,7 @@ def eval_W_normalized(tf, t, quad=QuadratureSpec(), want_err=True):
         + t * comp.errs.get("sc_integral", 0.0)
         + abs(val) * comp.errs.get("mass", 0.0)
     ) / comp.mass
-    return val, err
+    return val, err, comp.nodes
 
 
 # ---------------------------------------------------------------------------

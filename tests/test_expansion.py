@@ -133,6 +133,14 @@ class TestRuns:
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=5e-2)
         assert res.meta["normal_chart"] == "space_form"
         assert "nfev" not in res.meta and "rays" not in res.meta
+        # orders 24 and 18: 2 o^2 directions x o radii per segment, with
+        # segments [0, 3], [3, 10] and a split at the inner cutoff kink
+        # r_s / (4 sqrt t) where it falls below the truncation radius 10
+        segs = 2 + (1.7 / (4.0 * np.sqrt(res.ts)) < 10.0)
+        assert segs.tolist() == [2] * 7 + [3] * 3
+        assert res.meta["nodes"] == sum(
+            2 * o**3 * int(k) for k in segs for o in (24, 18)
+        )
 
     @pytest.mark.filterwarnings("ignore::curvex.errors.PositivityWarning")
     def test_hyperbolic_n2(self):
@@ -189,6 +197,7 @@ class TestRuns:
         assert res.meta["normal_chart"] == "ode"
         assert res.meta["christoffel"] == "closed_form"
         assert res.meta["rays"] == 512 and res.meta["nfev"] > 0
+        assert res.meta["nodes"] > 0 and res.meta["nodes"] % 512 == 0
 
     def test_sphere_line_ode_route(self):
         """Geodesic shooting through the finite-difference Christoffel
@@ -236,6 +245,35 @@ class TestRuns:
         want_shift = 4.0 * np.sum(B * B)
         got_shift = shifted.fit.c2 - base.fit.c2
         assert got_shift == pytest.approx(want_shift, rel=0.05)
+
+
+class TestHermiteFold:
+    """Space forms at the origin take a = Rc/3, a multiple of the identity,
+    so run_expansion evaluates the product Hermite grid folded onto the
+    orthant z >= 0."""
+
+    def test_s4_order24_node_count(self):
+        ch = make_chart(ModelSpec("space_form", 4, K=1.0))
+        res = run_expansion(
+            ch, np.zeros(4), functional="L", r_s=1.45,
+            quad=QuadratureSpec(rule="hermite", order=24),
+        )
+        assert res.fit.c1 == pytest.approx(-12.0, rel=5e-3)
+        assert res.fit.c2 == pytest.approx(-4.0, rel=5e-2)
+        # 12^4 + 9^4 per time against 24^4 + 18^4 on the full grid
+        assert res.meta["nodes"] == 10 * (12**4 + 9**4) == 272_970
+
+    def test_odd_err_drop_folds_the_zero_node(self):
+        ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
+        res = run_expansion(
+            ch, np.zeros(3), functional="L", r_s=1.7,
+            quad=QuadratureSpec(rule="hermite", order=24, err_drop=5),
+        )
+        assert res.fit.c1 == pytest.approx(-6.0, rel=5e-3)
+        assert res.fit.c2 == pytest.approx(-2.0, rel=5e-2)
+        assert np.all(np.isfinite(res.errors))
+        # the order-19 rule keeps its zero node: 10 half nodes per axis
+        assert res.meta["nodes"] == 10 * (12**3 + 10**3)
 
 
 class TestVolumeFit:

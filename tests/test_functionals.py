@@ -142,7 +142,7 @@ class TestFlatExactness:
         ch = make_chart(ModelSpec("flat", 3))
         nc = build_normal_chart(ch, np.zeros(3), 2.0)
         tf = TestFunction(nc, np.zeros((3, 3)), 0.0, 2.0)
-        val, err = eval_L(tf, 0.003, QuadratureSpec(rule=rule, order=32))
+        val, err, _ = eval_L(tf, 0.003, QuadratureSpec(rule=rule, order=32))
         assert abs(val) < 1e-12
 
     def test_mass_is_one(self):
@@ -162,8 +162,8 @@ class TestSphereFunctionals:
         tf3 = build_test_function(
             nc, cv, mode="optimal_a", alpha=0.0, r_s=1.7, scale=3.0
         )
-        v1, _ = eval_L(tf1, t, q)
-        v3, _ = eval_L(tf3, t, q)
+        v1, _, _ = eval_L(tf1, t, q)
+        v3, _, _ = eval_L(tf3, t, q)
         assert v3 == pytest.approx(9.0 * v1, rel=1e-10)
 
     def test_normalization_invariance(self, s3_setup):
@@ -174,8 +174,8 @@ class TestSphereFunctionals:
         tf3 = build_test_function(
             nc, cv, mode="optimal_a", alpha=0.0, r_s=1.7, scale=5.0
         )
-        v1, _ = eval_L_normalized(tf1, 6e-4, q)
-        v3, _ = eval_L_normalized(tf3, 6e-4, q)
+        v1, _, _ = eval_L_normalized(tf1, 6e-4, q)
+        v3, _, _ = eval_L_normalized(tf3, 6e-4, q)
         assert v3 == pytest.approx(v1, rel=1e-10)
 
     def test_entropy_slope(self, s3_setup):
@@ -201,8 +201,8 @@ class TestSphereFunctionals:
         _, nc, cv = s3_setup
         tf = build_test_function(nc, cv, mode="optimal_a", r_s=1.7)
         t = 1e-3
-        vh, _ = eval_L(tf, t, QuadratureSpec(rule="hermite", order=40))
-        vr, _ = eval_L(tf, t, QuadratureSpec(rule="radial_sphere", order=40))
+        vh, _, _ = eval_L(tf, t, QuadratureSpec(rule="hermite", order=40))
+        vr, _, _ = eval_L(tf, t, QuadratureSpec(rule="radial_sphere", order=40))
         assert vh == pytest.approx(vr, abs=1e-11)
 
 
@@ -210,20 +210,38 @@ class TestKernelOracle:
     """The radial kernel against a dense evaluation of the same integrals:
     product Gauss-Hermite nodes built here, the density sqrt(det g) and
     M^T g^{-1} M from the chart's metric (chart coordinates are normal
-    coordinates at the origin)."""
+    coordinates at the origin).  A diagonal profile a runs the folded
+    grid, a general one the full grid; the dense oracle always uses the
+    full grid."""
+
+    CASES = [("space_form", 4, 1.0), ("space_form", 3, -1.0), ("flat", 3, 0.0)]
 
     @pytest.mark.parametrize(
-        "kind,n,K", [("space_form", 4, 1.0), ("space_form", 3, -1.0), ("flat", 3, 0.0)]
+        "kind,n,K,profile,order",
+        [pytest.param(*case, "random", 10, id="-".join(map(str, case)))
+         for case in CASES]
+        + [pytest.param(*case, profile, order,
+                        id="-".join(map(str, (*case, profile, order))))
+           for case in CASES for profile in ("diag", "rc3") for order in (9, 10)
+           if not (case[0] == "flat" and profile == "rc3")],  # Rc = 0 there
     )
-    def test_components_match_dense_metric(self, kind, n, K):
+    def test_components_match_dense_metric(self, kind, n, K, profile, order):
         ch = make_chart(ModelSpec(kind, n, K=K))
         r_s = 0.95 * float(ch.domain.hi[0])
         nc = build_normal_chart(ch, np.zeros(n), r_s)
-        rng = np.random.default_rng(8)
-        a = rng.normal(scale=0.1, size=(n, n))
-        tf = TestFunction(nc, a + a.T, 0.3, r_s)
-        t, order = 0.01, 10
+        if profile == "random":
+            a = np.random.default_rng(8).normal(scale=0.1, size=(n, n))
+            a = a + a.T
+        elif profile == "diag":
+            a = np.diag([0.2, -0.1, 0.05, 0.15][:n])
+        else:
+            a = curvature_at(ch, np.zeros(n)).rc / 3.0
+        tf = TestFunction(nc, a, 0.3, r_s)
+        t = 0.01
         got = _eval_once(tf, t, QuadratureSpec(rule="hermite", order=order), order)
+        # a silent fall back to the full grid would show in the count
+        folded = profile != "random"
+        assert got[4] == ((order + 1) // 2 if folded else order) ** n
 
         z1, w1 = np.polynomial.hermite.hermgauss(order)
         Z = np.array(list(itertools.product(z1, repeat=n)))
@@ -242,6 +260,20 @@ class TestKernelOracle:
 
 
 class TestGuards:
+    @pytest.mark.parametrize(
+        "order,err_drop", [(8, 8), (24, 0), (24, -4)],
+        ids=["drop_to_zero", "zero_drop", "negative_drop"],
+    )
+    def test_err_drop_out_of_range(self, order, err_drop):
+        # the lower rule needs order - err_drop >= 2 and must differ from
+        # the headline rule; a negative drop would refine instead
+        with pytest.raises(ConfigInvalid, match="err_drop"):
+            QuadratureSpec(rule="hermite", order=order, err_drop=err_drop)
+
+    def test_err_drop_limits_accepted(self):
+        assert QuadratureSpec(order=8, err_drop=6).err_drop == 6
+        assert QuadratureSpec(order=8, err_drop=1).err_drop == 1
+
     def test_time_too_large(self, s3_setup):
         _, nc, cv = s3_setup
         tf = build_test_function(nc, cv, mode="zero", alpha=0.0, r_s=1.0)
@@ -267,7 +299,7 @@ class TestGuards:
         _, nc, _ = s3_setup
         with pytest.warns(PositivityWarning):
             tf = build_test_function(nc, mode=-2.0 * np.eye(3), alpha=0.0, r_s=1.5)
-        val, _ = eval_L(tf, 1e-3, QuadratureSpec(order=24))
+        val, _, _ = eval_L(tf, 1e-3, QuadratureSpec(order=24))
         assert np.isfinite(val)
 
 
