@@ -9,11 +9,13 @@ first derivatives (the higher invariants nest central differences of the
 resulting scalar and Ricci fields).
 
 Every chart has one geometry call, christoffel(pts) -> (g, g^{-1}, Gamma,
-dGamma), and the route behind it follows from the input: conformal charts
-whose profile carries its derivatives (the PROFILES entries) get closed
-forms, every other chart (custom metrics, plain-callable profiles, the
-product chart) Richardson-extrapolated central differences of the metric
-map.  Geodesic shooting and the curvature fields both go through it.
+dGamma), and the route behind it follows from the input: space forms and
+the sphere-times-line product (a space form times a flat line) get the
+closed form of a space form in normal coordinates, conformal charts whose
+profile carries its derivatives (the PROFILES entries) their own closed
+form, and every other chart (flat space, custom metrics, plain-callable
+profiles) Richardson-extrapolated central differences of the metric map.
+Geodesic shooting and the curvature fields both go through it.
 
 Sign convention: R_ijij = K on a space form of curvature K, so
 rc_ij = sum_s rm_isjs and sc = n(n-1)K.
@@ -24,16 +26,22 @@ radius alone; everything else ('ode' charts) integrates the geodesic
 equation together with its variational (Jacobi) system along a fixed bundle
 of rays, since that is the shape the radial-spherical quadrature consumes.
 An 'ode' chart keeps one radius-major table, built once at the sample
-radii: density, g~^{-1} and exp point for every ray, under one cubic
-spline in r, so reading it at the quadrature radii inverts nothing.
+radii, a block of radii at a time, with cofactor determinants and inverses
+for n <= 3: density, g~^{-1} and exp point for every ray, under one cubic
+spline in r, so reading it at the quadrature radii inverts nothing.  The
+build raises JacobianSingular where det(J/r) changes sign (a conjugate
+point) and QuadratureNotConverged where the Gauss lemma g~^{-1} y = y fails
+by more than 1e-8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 from scipy.interpolate import make_interp_spline
 
@@ -45,6 +53,7 @@ from .errors import (
     InvalidSpec,
     JacobianSingular,
     OutOfDomain,
+    QuadratureNotConverged,
 )
 from .tensor_core import MAX_DIM, CurvatureData, space_form_curvature
 
@@ -242,6 +251,7 @@ def make_chart(spec: ModelSpec) -> MetricChart:
             n, box, _space_form_metric(n, spec.K), kind="space_form", K=spec.K,
             curvature_callback=lambda x: space_form_curvature(n, spec.K),
             constant_sc=n * (n - 1) * spec.K,
+            christoffel=_space_form_christoffel(n, spec.K),
         )
 
     elif spec.kind == "product_sphere_line":
@@ -263,6 +273,22 @@ def make_chart(spec: ModelSpec) -> MetricChart:
             g[:, idx, idx] = 1.0
             return g
 
+        sphere_christoffel = _space_form_christoffel(2, K)
+
+        def christoffel(X):
+            # the line factor is flat: the sphere's geometry in the top-left
+            X = np.atleast_2d(X)
+            m = X.shape[0]
+            g2, ginv2, gam2, dgam2 = sphere_christoffel(X[:, :2])
+            g = np.broadcast_to(np.eye(n), (m, n, n)).copy()
+            ginv = g.copy()
+            g[:, :2, :2], ginv[:, :2, :2] = g2, ginv2
+            gam = np.zeros((m, n, n, n))
+            gam[:, :2, :2, :2] = gam2
+            dgam = np.zeros((m, n, n, n, n))
+            dgam[:, :2, :2, :2, :2] = dgam2
+            return g, ginv, gam, dgam
+
         P = np.zeros((n, n))
         P[0, 0] = P[1, 1] = 1.0
         rm = K * (
@@ -275,6 +301,7 @@ def make_chart(spec: ModelSpec) -> MetricChart:
         chart = MetricChart(
             n, box, metric, kind="product_sphere_line", K=spec.K,
             curvature_callback=lambda x: curv, constant_sc=2 * K,
+            christoffel=christoffel,
         )
 
     elif spec.kind == "conformal_flat":
@@ -302,6 +329,91 @@ def make_chart(spec: ModelSpec) -> MetricChart:
 
     _check_positive_definite(chart)
     return chart
+
+
+# (sn_K(r)/r)^2 = sum_j c_j z^j in z = K r^2, and the same series for
+# q = (1 - (sn_K(r)/r)^2)/z = -sum_j c_{j+1} z^j; columns: f, f', f'', q,
+# q', q'' in z.  Sixteen terms reach rounding for |z| < 1.
+_SN2 = np.array([(-1.0) ** j * 2.0 ** (2 * j + 1) / factorial(2 * j + 2)
+                 for j in range(16)])
+_SN2_JET = np.stack(
+    [np.pad(c, (0, 16 - c.size)) for c in (
+        _SN2, npoly.polyder(_SN2), npoly.polyder(_SN2, 2),
+        -_SN2[1:], npoly.polyder(-_SN2[1:]), npoly.polyder(-_SN2[1:], 2),
+    )],
+    axis=-1,
+)
+
+
+def _warp_jet(K: float, s):
+    """f = (sn_K(r)/r)^2 and h = (1 - f)/r^2 with their first two
+    derivatives in s = r^2, as (f, f_s, f_ss, h, h_s, h_ss): a series in
+    z = K s for |z| < 1, closed forms in sn and cn above."""
+    z = K * s
+    out = np.empty((6,) + z.shape)
+    small = np.abs(z) < 1.0
+    out[:, small] = npoly.polyval(z[small], _SN2_JET)
+    zb = z[~small]
+    if zb.size:
+        x = np.sqrt(np.abs(zb))
+        sn, cn = (np.sin(x), np.cos(x)) if K > 0 else (np.sinh(x), np.cosh(x))
+        S = sn / x  # sn_K(r)/r; d/dz S = (cn - S)/(2z), d/dz cn = -S/2
+        Sz = (cn - S) / (2.0 * zb)
+        Szz = -(0.25 * S + 1.5 * Sz) / zb
+        f, fz, fzz = S * S, 2.0 * S * Sz, 2.0 * (Sz * Sz + S * Szz)
+        q = (1.0 - f) / zb
+        qz = -(fz + q) / zb
+        out[:, ~small] = f, fz, fzz, q, qz, -(fzz + 2.0 * qz) / zb
+    return out * (K ** np.array([0, 1, 2, 1, 2, 3]))[:, None]
+
+
+def _space_form_christoffel(n: int, K: float):
+    """Closed-form geometry of M^n_K in normal coordinates, g = f delta +
+    h x x^T with f = (sn_K(r)/r)^2 and h = (1 - f)/r^2.  Lowered,
+    Gamma_{k,ij} = (F (x_i d_jk + x_j d_ik - x_k d_ij) + H x_i x_j x_k +
+    2 h d_ij x_k)/2 with F = f'/r, H = h'/r; raised with g^{-1} = P +
+    (I - P)/f it is Gamma^k_ij = (A T + B U + C V)/2, where T = x_i d_kj +
+    x_j d_ki, U = x_k d_ij, V = x_i x_j x_k and, in s = r^2,
+    A = 2 f_s/f, B = 2 (h - f_s), C = 2 (h_s - 2 f_s h/f).  Then
+    d_r Gamma^k_ij = x_r (A_s T + B_s U + C_s V) + (A dT + B dU + C dV)/2."""
+    eye = np.eye(n)
+    dT = np.einsum("ri,kj->rkij", eye, eye) + np.einsum("rj,ki->rkij", eye, eye)
+    dU = np.einsum("rk,ij->rkij", eye, eye)
+
+    def christoffel(pts):
+        X = np.atleast_2d(np.asarray(pts, dtype=float))
+        xx = X[:, :, None] * X[:, None, :]
+        f, fs, fss, h, hs, hss = _warp_jet(K, np.einsum("mi,mi->m", X, X))
+        a, b = fs / f, h / f
+        coef = 2.0 * np.stack([a, h - fs, hs - 2.0 * a * h], axis=-1)
+        coef_s = 2.0 * np.stack(
+            [fss / f - a * a, hs - fss,
+             hss - 2.0 * (fss * b + a * hs - a * a * h)],
+            axis=-1,
+        )
+        basis = np.stack([
+            np.einsum("mi,kj->mkij", X, eye) + np.einsum("mj,ki->mkij", X, eye),
+            np.einsum("mk,ij->mkij", X, eye),
+            np.einsum("mk,mij->mkij", X, xx),
+        ], axis=1)
+        dV = (
+            np.einsum("ri,mjk->mrkij", eye, xx)
+            + np.einsum("rj,mik->mrkij", eye, xx)
+            + np.einsum("rk,mij->mrkij", eye, xx)
+        )
+        gam = 0.5 * np.einsum("mc,mckij->mkij", coef, basis)
+        dgam = (
+            X[:, :, None, None, None]
+            * np.einsum("mc,mckij->mkij", coef_s, basis)[:, None]
+            + 0.5 * (coef[:, 0, None, None, None, None] * dT
+                     + coef[:, 1, None, None, None, None] * dU
+                     + coef[:, 2, None, None, None, None] * dV)
+        )
+        g = f[:, None, None] * eye + h[:, None, None] * xx
+        ginv = eye / f[:, None, None] - b[:, None, None] * xx
+        return g, ginv, gam, dgam
+
+    return christoffel
 
 
 def _conformal_christoffel(n: int, eps: float, jet: Callable):
@@ -446,7 +558,7 @@ class _JetEngine:
         d_r Gamma^k_ij."""
         g, dg, d2g = self.jets(pts)
         m, n = g.shape[0], self.n
-        ginv = np.linalg.inv(g)
+        ginv = _det_inv(g)[1]
         # sym[k,i,j] = d_i g_jk + d_j g_ik - d_k g_ij
         sym = dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg
         gam = 0.5 * (ginv @ sym.reshape(m, n, n * n)).reshape(m, n, n, n)
@@ -490,6 +602,25 @@ def _frame(g):
     """E with E^T g E = I; columns are the orthonormal frame vectors."""
     L = np.linalg.cholesky(g)
     return np.linalg.inv(L).transpose(0, 2, 1)
+
+
+_ROT = np.array([1, 2, 0]), np.array([2, 0, 1])  # i+1, i+2 mod 3
+
+
+def _det_inv(a):
+    """(det a, a^{-1}) for a stack (..., n, n) of matrices: the cofactors
+    over the determinant for n <= 3, LAPACK above."""
+    n = a.shape[-1]
+    if n > 3:
+        return np.linalg.det(a), np.linalg.inv(a)
+    if n == 2:
+        cof = a[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    else:  # cof_ij = a_{i+1,j+1} a_{i+2,j+2} - a_{i+1,j+2} a_{i+2,j+1}
+        i1, i2 = _ROT
+        r1, r2 = i1[:, None], i2[:, None]
+        cof = a[..., r1, i1] * a[..., r2, i2] - a[..., r1, i2] * a[..., r2, i1]
+    det = np.einsum("...j,...j->...", a[..., 0, :], cof[..., 0, :])
+    return det, cof.swapaxes(-1, -2) / det[..., None, None]
 
 
 def _sym_project(rm):
@@ -675,6 +806,7 @@ class NormalChart:
         self.dirs = None
         self.rule_key = None  # (n, order, seed) of the sphere rule behind dirs
         self.nfev = 0  # right-hand-side calls of the geodesic shooting (ode)
+        self.gauss_residual = None  # largest |g~^{-1} y - y| in the table (ode)
         self._table = None  # spline in r of (nd, 1 + n^2 + n): dens, g~^-1, exp
         self._sc_spline = None
 
@@ -734,6 +866,10 @@ class NormalChart:
         self._sc_spline = make_interp_spline(rg, sc, k=3, axis=0)
 
 
+_TABLE_BLOCK = 32  # sample radii per block of the ode table build
+_GAUSS_TOL = 1e-8  # largest |g~^{-1} y - y| an ode table may carry
+
+
 def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
     n = chart.n
     nd = dirs.shape[0]
@@ -775,40 +911,52 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
     )
     if not sol.success:
         raise GeodesicLeftDomain(f"geodesic integration failed: {sol.message}")
-
-    nt = sol.t.size
+    nfev = int(sol.nfev)
     y = sol.y.T  # radius-major: (nt, state)
-    gam_pts = y[:, sl_g].reshape(nt, nd, n)
-    J = y[:, sl_J].reshape(nt, nd, n, n)
+    del sol
+    nt = y.shape[0]
 
-    inside = chart.domain.contains(gam_pts.reshape(-1, n))
-    if not inside.all():
+    if not chart.domain.contains(y[:, sl_g].reshape(-1, n)).all():
         raise GeodesicLeftDomain(
             "a geodesic left the chart domain before reaching the requested radius"
         )
 
-    # Jacobian of exp at r*y is J(r)/r; at r=0 it is the frame itself
-    rsafe = np.where(r_grid > 0, r_grid, 1.0)
-    Jfull = J / rsafe[:, None, None, None]
-    Jfull[0] = E
-
-    g_along = chart.metric(gam_pts.reshape(-1, n)).reshape(nt, nd, n, n)
-    gtil = Jfull.transpose(0, 1, 3, 2) @ g_along @ Jfull
-    det = np.linalg.det(gtil)
-    if np.any(det <= 0):
-        raise JacobianSingular(
-            "pulled-back metric degenerate: normal radius crosses a conjugate point"
+    # one table per sample radius and ray: density, g~^{-1}, exp point,
+    # filled a block of radii at a time
+    tab = np.empty((nt, nd, 1 + n * n + n))
+    gauss = 0.0
+    for lo in range(0, nt, _TABLE_BLOCK):
+        blk = slice(lo, lo + _TABLE_BLOCK)
+        pts = y[blk, sl_g].reshape(-1, nd, n)
+        # Jacobian of exp at r*y is J(r)/r; at r=0 it is the frame itself
+        r = r_grid[blk]
+        Jr = y[blk, sl_J].reshape(-1, nd, n, n)
+        Jr = Jr / np.where(r > 0, r, 1.0)[:, None, None, None]
+        if lo == 0:
+            Jr[0] = E
+        if np.any(_det_inv(Jr)[0] <= 0):
+            raise JacobianSingular(
+                "exp-map Jacobian changes sign: the normal radius crosses a "
+                "conjugate point"
+            )
+        g = chart.metric(pts.reshape(-1, n)).reshape(Jr.shape)
+        det, ginv = _det_inv(Jr.swapaxes(-1, -2) @ g @ Jr)
+        # Gauss lemma: g~^{-1} y = y along every ray
+        resid = ginv @ dirs[:, :, None] - dirs[:, :, None]
+        gauss = max(gauss, float(np.abs(resid).max()))
+        tab[blk, :, 0] = np.sqrt(det)
+        tab[blk, :, 1 : 1 + n * n] = ginv.reshape(-1, nd, n * n)
+        tab[blk, :, 1 + n * n :] = pts
+    if gauss > _GAUSS_TOL:
+        raise QuadratureNotConverged(
+            f"Gauss-lemma residual {gauss:.2e} of the ode tables exceeds "
+            f"{_GAUSS_TOL:.0e}; tighten rtol"
         )
-    # one table per sample radius and ray: density, g~^{-1}, exp point
-    tab = np.concatenate(
-        [np.sqrt(det)[..., None], np.linalg.inv(gtil).reshape(nt, nd, n * n),
-         gam_pts],
-        axis=-1,
-    )
 
     nc = NormalChart(chart, p, r0, E, "ode", K=chart.K)
     nc.dirs = dirs
-    nc.nfev = int(sol.nfev)
+    nc.nfev = nfev
+    nc.gauss_residual = gauss
     nc._table = make_interp_spline(r_grid, tab, k=3, axis=0)
     return nc
 
@@ -825,7 +973,12 @@ def build_normal_chart(
 
     Flat charts and space forms centered at the chart origin return closed
     forms.  Anything else shoots geodesics along `dirs` (required) and
-    tabulates density and pulled-back metric along each ray.
+    tabulates density and pulled-back metric along each ray.  Two checks
+    guard the tables: det(J/r) changing sign on some ray raises
+    JacobianSingular (a conjugate point of even multiplicity, where det J
+    only touches zero, as off-centre on S^3, is not seen; on the catalog
+    charts the domain check stops such geodesics first), and a Gauss-lemma
+    residual |g~^{-1} y - y| above 1e-8 raises QuadratureNotConverged.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (chart.n,):

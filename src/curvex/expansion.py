@@ -289,7 +289,8 @@ def run_expansion(
             "normal_chart": nc.kind,
             "christoffel": chart.christoffel_route,
             **(
-                {"rays": int(nc.dirs.shape[0]), "nfev": nc.nfev}
+                {"rays": int(nc.dirs.shape[0]), "nfev": nc.nfev,
+                 "gauss_residual": nc.gauss_residual}
                 if nc.kind == "ode" else {}
             ),
         },

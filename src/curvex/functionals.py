@@ -218,6 +218,13 @@ def build_test_function(
 # node construction
 
 
+def _read_only(*arrays):
+    """The arrays, write-protected: a cached rule is shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=32)
 def _hermite_nodes(n: int, order: int, fold: bool = False):
     """Product Gauss-Hermite nodes z with |z|^2, |z| and the weights.
@@ -237,7 +244,7 @@ def _hermite_nodes(n: int, order: int, fold: bool = False):
         axis=-1,
     )
     z2 = np.einsum("mi,mi->m", zs, zs)
-    return zs, z2, np.sqrt(z2), ws / np.pi ** (n / 2.0)
+    return _read_only(zs, z2, np.sqrt(z2), ws / np.pi ** (n / 2.0))
 
 
 @lru_cache(maxsize=64)
@@ -289,7 +296,7 @@ def sphere_rule(n: int, order: int, seed: int = 1234):
         dirs = rng.normal(size=(count, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         wts = np.full(count, sphere_area(n) / count)
-    return dirs, wts
+    return _read_only(dirs, wts)
 
 
 def _radial_nodes(order: int, c: float, kinks=()):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvex import ModelSpec, Perturbation, curvature_at, make_chart, norm_sq
-from curvex.charts import PROFILES
+from curvex.charts import PROFILES, MetricChart
 from curvex.errors import ConfigInvalid, IllConditionedFit, NoiseDominates
 from curvex.expansion import (
     extract_series,
@@ -133,6 +133,7 @@ class TestRuns:
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=5e-2)
         assert res.meta["normal_chart"] == "space_form"
         assert "nfev" not in res.meta and "rays" not in res.meta
+        assert "gauss_residual" not in res.meta
         # orders 24 and 18: 2 o^2 directions x o radii per segment, with
         # segments [0, 3], [3, 10] and a split at the inner cutoff kink
         # r_s / (4 sqrt t) where it falls below the truncation radius 10
@@ -198,14 +199,17 @@ class TestRuns:
         assert res.meta["christoffel"] == "closed_form"
         assert res.meta["rays"] == 512 and res.meta["nfev"] > 0
         assert res.meta["nodes"] > 0 and res.meta["nodes"] % 512 == 0
+        assert 0 < res.meta["gauss_residual"] < 1e-9
 
     def test_sphere_line_ode_route(self):
         """Geodesic shooting through the finite-difference Christoffel
         route: on S^2 x R, lap Sc = 0 and c2 tracks -|Rm|^2/6.  (At order
         12 the angular rule leaves a t-independent offset of 3.6e-8 in the
         values and c2 comes out near +1.66; order 16 resolves it.)"""
-        ch = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
-        ch.curvature_callback = ch.constant_sc = None  # curvature by FD too
+        # the catalog chart's metric alone, so its closed-form
+        # Christoffels give way to the jet engine
+        cat = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
+        ch = MetricChart(3, cat.domain, cat.metric)
         cv = curvature_at(ch, np.zeros(3))
         res = run_expansion(
             ch,

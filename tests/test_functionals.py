@@ -23,6 +23,7 @@ from curvex.functionals import (
     QuadratureSpec,
     TestFunction,
     _eval_once,
+    _hermite_nodes,
     ball_volume,
     bishop_gromov_ratio,
     build_test_function,
@@ -94,6 +95,21 @@ class TestSphereRule:
         d2, w2 = sphere_rule(5, 16, seed=7)
         assert np.array_equal(d1, d2)
         assert w1.sum() == pytest.approx(sphere_area(5), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [lambda: sphere_rule(3, 8), lambda: _hermite_nodes(2, 6),
+         lambda: _hermite_nodes(2, 7, True)],
+        ids=["sphere_rule", "hermite", "hermite_folded"],
+    )
+    def test_cached_rules_are_read_only(self, rule):
+        """Every caller of a cached rule gets the same arrays, so none may
+        write into them."""
+        arrays = rule()
+        assert all(a is b for a, b in zip(arrays, rule()))
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestMomentBridge:
