@@ -31,7 +31,9 @@ for n <= 3: density, g~^{-1} and exp point for every ray, under one cubic
 spline in r, so reading it at the quadrature radii inverts nothing.  The
 build raises JacobianSingular where det(J/r) changes sign (a conjugate
 point) and QuadratureNotConverged where the Gauss lemma g~^{-1} y = y fails
-by more than 1e-8.
+by more than 1e-8.  Both kinds answer one call, NormalChart.geometry(r, w)
+-> (density, w.g~^{-1}w, Sc) for covectors w orthogonal to the ray: with
+the Gauss lemma that is all the geometry a radial kernel needs.
 """
 
 from __future__ import annotations
@@ -771,35 +773,19 @@ def scalar_curvature_batch(chart: MetricChart, pts) -> np.ndarray:
 # normal charts
 
 
-@dataclass
-class RayTables:
-    """Values along exp(r*y) for a direction bundle: shapes (nd, nr, ...)."""
-
-    dirs: np.ndarray
-    radii: np.ndarray
-    dens: np.ndarray
-    ginv: np.ndarray
-    sc: np.ndarray | None = None
-
-    def ginv_quad(self, M):
-        """g~^{ij} M_i M_j for a covector slab M of shape (nd, nr, n)."""
-        return np.einsum("drab,dra,drb->dr", self.ginv, M, M)
-
-
 class NormalChart:
     """Geodesic normal coordinates at a center point.
 
     kind 'flat' and 'space_form' get all their geometry from the geodesic
-    radius (radial_geometry); kind 'ode' carries spline tables along a
-    fixed direction bundle and only serves the radial-spherical node layout
-    (ray_tables).
+    radius; kind 'ode' carries spline tables along a fixed direction
+    bundle and only serves the radial-spherical node layout.  Both answer
+    the one geometry call.
     """
 
-    def __init__(self, chart, center, radius, frame, kind, K=0.0):
+    def __init__(self, chart, center, radius, kind, K=0.0):
         self.chart = chart
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
-        self.frame = frame
         self.kind = kind
         self.K = K
         self.n = chart.n
@@ -810,60 +796,42 @@ class NormalChart:
         self._table = None  # spline in r of (nd, 1 + n^2 + n): dens, g~^-1, exp
         self._sc_spline = None
 
-    # -- closed forms (flat / space_form) --
+    def geometry(self, r, w):
+        """(density, w.g~^{-1}w, Sc) at x = r d for covectors w orthogonal
+        to d.
 
-    def radial_geometry(self, r):
-        """(density, tangential factor, Sc) at normal-coordinate radii r.
-
-        On M^n_K, sqrt(det g~) = (sn_K(r)/r)^{n-1} and g~^{-1} = P + tang *
-        (I - P) with P the radial projector and tang = (r/sn_K(r))^2, so
-        g~^{ij} M_i M_j = (x^.M)^2 + tang * (|M|^2 - (x^.M)^2).  Density and
-        tang have the shape of r; the scalar curvature is a constant.
+        By the Gauss lemma g~^{-1} d = d, so these three scalars are all a
+        radial kernel needs.  The leading axes of w (..., n) broadcast
+        against r: points (m, n) against r (m,), or rays (nd, 1, n) against
+        radii (nr,).  On M^n_K the density is (sn_K(r)/r)^{n-1} and g~^{-1}
+        = P + (r/sn_K(r))^2 (I - P) with P the radial projector, so w.g~^{-1}w
+        = (r/sn_K(r))^2 |w|^2 and Sc is a constant.  An ode chart takes one
+        covector per ray of its bundle, evaluates its spline at the radii
+        and contracts the g~^{-1} block with w (x) w; its outputs are
+        (nd, nr).
         """
         r = np.asarray(r, dtype=float)
+        n = self.n
+        if self.kind == "ode":
+            nd = self.dirs.shape[0]
+            if w.size != nd * n:
+                raise InvalidSpec(f"ode chart takes one covector per ray ({nd})")
+            rq = np.minimum(r, self.radius)  # beyond r0 the cutoff is zero
+            tab = self._table(rq)  # (nr, nd, 1 + n^2 + n)
+            w = w.reshape(nd, n)
+            ww = (w[:, :, None] * w[:, None, :]).reshape(nd, n * n)
+            wgw = np.einsum("rdk,dk->dr", tab[..., 1 : 1 + n * n], ww)
+            if self._sc_spline is None:  # Sc at the exp points, once per chart
+                rg = np.linspace(0.0, self.radius, 65)
+                pts = self._table(rg)[..., -n:].reshape(-1, n)
+                sc = scalar_curvature_batch(self.chart, pts).reshape(rg.size, nd)
+                self._sc_spline = make_interp_spline(rg, sc, k=3, axis=0)
+            return tab[..., 0].T, wgw, self._sc_spline(rq).T
+        w2 = np.einsum("...i,...i->...", w, w)
         if self.kind == "flat":
-            one = np.ones_like(r)
-            return one, one, 0.0
-        if self.kind == "space_form":
-            s = sn_over_r(self.K, r)
-            return s ** (self.n - 1), 1.0 / s**2, self.n * (self.n - 1) * self.K
-        raise InvalidSpec("radial geometry unavailable for ode normal charts")
-
-    def exp_pts(self, X) -> np.ndarray:
-        X = np.atleast_2d(X)
-        if self.kind == "space_form":
-            return X.copy()
-        if self.kind == "flat":
-            return self.center[None, :] + X @ self.frame.T
-        raise InvalidSpec("use ray tables for ode normal charts")
-
-    # -- ray tables (ode) --
-
-    def ray_tables(self, radii, want_sc=False) -> RayTables:
-        """Spline values along the chart's own direction bundle."""
-        if self.kind != "ode":
-            raise InvalidSpec("closed-form normal charts use radial_geometry")
-        radii = np.asarray(radii, dtype=float)
-        rq = np.minimum(radii, self.radius)  # beyond r0 the cutoff is zero
-        n, nd = self.n, self.dirs.shape[0]
-        tab = self._table(rq).transpose(1, 0, 2)  # (nd, nr, 1 + n^2 + n)
-        dens = tab[..., 0]
-        ginv = tab[..., 1 : 1 + n * n].reshape(nd, rq.size, n, n)
-        sc = None
-        if want_sc:
-            self._ensure_sc_tables()
-            sc = self._sc_spline(rq).T
-        return RayTables(self.dirs, radii, dens, ginv, sc)
-
-    def _ensure_sc_tables(self, nr: int = 65):
-        if self._sc_spline is not None:
-            return
-        rg = np.linspace(0.0, self.radius, nr)
-        exp_pts = self._table(rg)[..., -self.n :]  # (nr, nd, n)
-        sc = scalar_curvature_batch(
-            self.chart, exp_pts.reshape(-1, self.n)
-        ).reshape(nr, -1)
-        self._sc_spline = make_interp_spline(rg, sc, k=3, axis=0)
+            return np.ones_like(r), w2, 0.0
+        s = sn_over_r(self.K, r)
+        return s ** (n - 1), w2 / s**2, n * (n - 1) * self.K
 
 
 _TABLE_BLOCK = 32  # sample radii per block of the ode table build
@@ -953,7 +921,7 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
             f"{_GAUSS_TOL:.0e}; tighten rtol"
         )
 
-    nc = NormalChart(chart, p, r0, E, "ode", K=chart.K)
+    nc = NormalChart(chart, p, r0, "ode", K=chart.K)
     nc.dirs = dirs
     nc.nfev = nfev
     nc.gauss_residual = gauss
@@ -991,7 +959,7 @@ def build_normal_chart(
     if chart.kind == "flat":
         if chart.domain.boundary_distance(p) < r0:
             raise OutOfDomain("normal ball leaves the chart domain")
-        return NormalChart(chart, p, r0, np.eye(chart.n), "flat", K=0.0)
+        return NormalChart(chart, p, r0, "flat", K=0.0)
 
     if chart.kind == "space_form" and np.allclose(p, 0.0):
         if chart.K > 0 and r0 >= 0.995 * np.pi / np.sqrt(chart.K):
@@ -1000,9 +968,7 @@ def build_normal_chart(
         # box ball is the honest bound for every sign of K
         if r0 > chart.domain.boundary_distance(np.zeros(chart.n)):
             raise OutOfDomain("normal ball leaves the chart domain")
-        return NormalChart(
-            chart, p, r0, np.eye(chart.n), "space_form", K=chart.K
-        )
+        return NormalChart(chart, p, r0, "space_form", K=chart.K)
 
     if dirs is None:
         raise InvalidSpec("generic normal charts need a direction bundle")

@@ -9,7 +9,22 @@ against u^2 times the Riemannian volume density.
 The substitution x = 2 sqrt(t) z turns each of them into
 pi^{-n/2} * integral of exp(-|z|^2) G(z), which the engine computes with
 product Gauss-Hermite quadrature, a radial-times-sphere rule with segment
-splits at the cutoff kinks, or seeded Monte Carlo for n = 5, 6.
+splits at the cutoff kinks, or seeded Monte Carlo for n = 5, 6.  One node
+builder serves every rule: unit directions d, z-radii and weights, laid
+out as m points or as nd rays times nr radii.
+
+The Dirichlet integrand is |grad u|^2 = u^2 g~^{ij} M_i M_j with the
+covector M = grad eta^2 / (2 eta^2) - x/4t.  Along x = r d, with
+q = d.a.d and P = 1 + q r^2 + alpha t, grad(x.a.x) = 2 r (q d + w) where
+w = a d - q d is orthogonal to d, so
+
+  M = kappa d + beta w,   kappa = d eta^2/dr / (2 eta^2) - r/4t,
+                          beta  = r / P.
+
+The Gauss lemma g~^{-1} d = d removes the cross term and fixes the radial
+one: g~^{ij} M_i M_j = kappa^2 + beta^2 w.g~^{-1}w.  So each node needs
+eta^2, kappa and beta^2 from the test function (one kernel) and density,
+w.g~^{-1}w and Sc from the normal chart (one geometry call).
 
 When a has no off-diagonal entries the integrand is even in every
 coordinate, so the product Hermite grid is folded onto the orthant z >= 0:
@@ -28,7 +43,7 @@ import numpy as np
 from scipy.special import roots_chebyu, roots_legendre
 
 from ._spaceform import ball_volume_K
-from .charts import NormalChart, RayTables
+from .charts import NormalChart
 from .errors import (
     ConfigInvalid,
     PositivityWarning,
@@ -125,45 +140,31 @@ class TestFunction:
                 f"r_s={self.r_s} exceeds normal chart radius {self.nchart.radius}"
             )
 
-    def eta2_with_grad(self, X, t: float, r=None):
-        """(eta^2, d eta^2) at points X (m, n), eta^2 floored at ETA_FLOOR
-        and the gradient zeroed on the clamped set.  r = |X| when given."""
-        X = np.atleast_2d(X)
-        if r is None:
-            r = np.linalg.norm(X, axis=-1)
-        ax = X @ self.a
-        poly = 1.0 + np.einsum("mi,mi->m", X, ax) + self.alpha * t
-        cut, dcut = _cutoff_pair(r / self.r_s)
-        dcut /= self.r_s
-        raw = cut * poly
-        clamped = raw <= ETA_FLOOR
-        val = self.scale**2 * np.maximum(raw, ETA_FLOOR)
-        grad = self.scale**2 * (
-            (dcut * poly / np.maximum(r, 1e-300))[:, None] * X
-            + (2.0 * cut)[:, None] * ax
-        )
-        grad[clamped] = 0.0
-        return val, grad
+    def eta2_with_grad(self, q, r, t: float):
+        """(eta^2, kappa, beta^2) along rays x = r d, with q = d.a.d
+        broadcast against the radii r.
 
-    def eta2_on_rays(self, q, p, r, t: float, grad: bool = True):
-        """eta^2 along rays x = r d from two scalars per direction.
-
-        q = d.a.d and p = |a d|^2 (shape (nd, 1)) broadcast against the
-        radii r, so a radius-only grid (m,) keeps the cutoff at (m,).
-        Returns eta^2 alone when grad is False, else (eta^2, d eta^2/dr,
-        squared length of the tangential part of grad eta^2); same floor
-        and zero gradient on the clamped set as eta2_with_grad."""
-        s2 = self.scale**2
+        The kernel covector grad eta^2 / (2 eta^2) - x/4t is kappa d + beta w
+        with w = a d - q d; see the module docstring.  eta^2 is floored at
+        ETA_FLOOR, and on the clamped set its gradient is zero: kappa =
+        -r/4t and beta^2 = 0 there."""
         cut, dcut = _cutoff_pair(r / self.r_s)
-        poly = 1.0 + q * (r * r) + self.alpha * t
-        raw = cut * poly
-        val = s2 * np.maximum(raw, ETA_FLOOR)
-        if not grad:
-            return val
-        live = raw > ETA_FLOOR
-        d_dr = np.where(live, s2 * (dcut / self.r_s * poly + 2.0 * cut * r * q), 0.0)
-        tang = np.where(live, (2.0 * s2 * cut * r) ** 2 * (p - q * q), 0.0)
-        return val, d_dr, tang
+        poly = q * (r * r)
+        poly += 1.0
+        poly += self.alpha * t
+        val = cut * poly
+        live = val > ETA_FLOOR
+        np.maximum(val, ETA_FLOOR, out=val)
+        # kappa + r/4t = (d eta^2/dr) / (2 eta^2), zero on the clamped set
+        kappa = (0.5 * dcut / self.r_s) * poly
+        kappa += (cut * r) * q
+        kappa *= live
+        kappa /= val
+        kappa -= r / (4.0 * t)
+        beta2 = np.divide(r, poly, out=np.zeros(val.shape), where=live)
+        beta2 *= beta2
+        val *= self.scale**2
+        return val, kappa, beta2
 
 
 def build_test_function(
@@ -227,7 +228,8 @@ def _read_only(*arrays):
 
 @lru_cache(maxsize=32)
 def _hermite_nodes(n: int, order: int, fold: bool = False):
-    """Product Gauss-Hermite nodes z with |z|^2, |z| and the weights.
+    """Product Gauss-Hermite nodes z = |z| d as unit directions d (the
+    zero node gets d = 0), radii |z| and weights.
 
     fold builds the grid from the half rule z >= 0 on every axis, each
     positive node carrying its mirror's weight; it integrates exactly the
@@ -243,8 +245,9 @@ def _hermite_nodes(n: int, order: int, fold: bool = False):
         np.stack([g.ravel() for g in np.meshgrid(*([w1] * n), indexing="ij")], -1),
         axis=-1,
     )
-    z2 = np.einsum("mi,mi->m", zs, zs)
-    return _read_only(zs, z2, np.sqrt(z2), ws / np.pi ** (n / 2.0))
+    zn = np.sqrt(np.einsum("mi,mi->m", zs, zs))
+    zs /= np.where(zn > 0.0, zn, 1.0)[:, None]
+    return _read_only(zs, zn, ws / np.pi ** (n / 2.0))
 
 
 @lru_cache(maxsize=64)
@@ -310,19 +313,48 @@ def _radial_nodes(order: int, c: float, kinks=()):
     return np.concatenate(nodes), np.concatenate(wts)
 
 
-def _effective_rule(nchart: NormalChart, quad: QuadratureSpec) -> str:
-    rule = quad.rule
-    if rule == "auto":
-        if nchart.kind == "ode":
-            return "radial_sphere"
-        return "radial_sphere" if nchart.n <= 4 else "mc"
-    if nchart.kind == "ode" and rule != "radial_sphere":
+def _ray_rule(nc: NormalChart, key):
+    """sphere_rule(*key), checked against the ode chart's direction bundle."""
+    dirs, wd = sphere_rule(*key)
+    if nc.dirs.shape != dirs.shape or not np.array_equal(nc.dirs, dirs):
         raise ConfigInvalid(
-            "ode normal charts support only the radial_sphere rule"
+            "normal chart direction bundle does not match the sphere rule; "
+            "build it with sphere_rule(n, order, seed) directions"
         )
-    if rule == "hermite" and nchart.n > 4:
-        raise ConfigInvalid("product Hermite grids are limited to n <= 4")
-    return rule
+    return dirs, wd
+
+
+def _nodes(rule, n, order, quad, c, kinks=(), fold=False, nchart=None):
+    """Unit directions d, z-radii rho and weights of one rule; the weights
+    carry the Gaussian factor and the pi^{-n/2} normalization.
+
+    hermite and mc lay m nodes out as d (m, n), rho (m,), weights (m,);
+    radial_sphere as rays d (nd, 1, n) times radii rho (nr,) on [0, c]
+    split at the kinks, weights (nd, nr).  On an ode nchart the rays are
+    the chart's own bundle."""
+    if rule == "hermite":
+        if n > 4:  # order^n nodes: 1e8 at the default order and n = 5
+            raise ConfigInvalid("product Hermite grids are limited to n <= 4")
+        return _hermite_nodes(n, order, fold)
+    if rule == "mc":
+        rng = np.random.default_rng(quad.seed)
+        count = quad.mc_samples if order >= quad.order else quad.mc_samples // 2
+        Z = rng.normal(scale=np.sqrt(0.5), size=(count, n))
+        rho = np.linalg.norm(Z, axis=1)
+        return Z / rho[:, None], rho, np.full(count, 1.0 / count)
+    if rule != "radial_sphere":
+        raise ConfigInvalid(f"unknown rule {rule!r}")
+    rho, wr = _radial_nodes(order, c, kinks)
+    if nchart is not None and nchart.kind == "ode":
+        # the angular rule is pinned at chart build time; order changes
+        # (including the error-estimate drop) only refine the radial part
+        key = nchart.rule_key or (n, quad.order, quad.seed)
+        dirs, wd = _ray_rule(nchart, key)
+    else:
+        dirs, wd = sphere_rule(n, order, quad.seed)
+    radial_w = wr * rho ** (n - 1) * np.exp(-(rho**2))
+    wts = wd[:, None] * radial_w[None, :] / np.pi ** (n / 2.0)
+    return dirs[:, None, :], rho, wts
 
 
 # ---------------------------------------------------------------------------
@@ -342,96 +374,42 @@ class Components:
     nodes: int = 0  # nodes evaluated, error-estimate rule included
 
 
-def _ray_rule(nc: NormalChart, key):
-    """sphere_rule(*key), checked against the ode chart's direction bundle."""
-    dirs, wd = sphere_rule(*key)
-    if nc.dirs.shape != dirs.shape or not np.array_equal(nc.dirs, dirs):
-        raise ConfigInvalid(
-            "normal chart direction bundle does not match the sphere rule; "
-            "build it with sphere_rule(n, order, seed) directions"
-        )
-    return dirs, wd
-
-
-def _accumulate(tf: TestFunction, t: float, X, r, z2, wts, geom=None):
-    """Weighted sums of the four integrands over prepared nodes.
-
-    X are the m normal-coordinate points (m, n) and r = |X|.  wts already
-    contain the Gaussian factor and the pi^{-n/2} normalization; their
-    shape lays the nodes out, (m,) or (nd, nr) along rays, and z2 = |z|^2
-    broadcasts against it.  geom is the chart's RayTables on ode charts or
-    radial_geometry at the ray radii; by default radial_geometry at r.
-    Returns the four sums and the node count.
-    """
-    n = tf.nchart.n
-    grid = wts.shape
-    eta2, geta2 = tf.eta2_with_grad(X, t, r)
-    mvec = geta2 / (2.0 * eta2)[:, None] - X / (4.0 * t)
-    del geta2  # freed before the geometry arrays are made
-    if geom is None:
-        geom = tf.nchart.radial_geometry(r)
-    if isinstance(geom, RayTables):
-        dens, sc = geom.dens, geom.sc
-        Q = geom.ginv_quad(mvec.reshape(*grid, n))
-    else:
-        dens, tang, sc = geom
-        xm2 = (np.einsum("mi,mi->m", X, mvec) / np.maximum(r, 1e-300)) ** 2
-        m2 = np.einsum("mi,mi->m", mvec, mvec)
-        xm2 = xm2.reshape(grid)
-        Q = xm2 + tang * (m2.reshape(grid) - xm2)
-    eta2 = eta2.reshape(grid)
-    base = eta2 * dens
-    logu2 = np.log(eta2) - (n / 2.0) * np.log(4 * np.pi * t) - z2
-    mass = float(np.vdot(wts, base))
-    entropy = float(np.vdot(wts, base * logu2))
-    dirichlet = float(np.vdot(wts, base * Q))
-    sc_integral = float(np.vdot(wts, base * sc))
-    return mass, entropy, dirichlet, sc_integral, wts.size
-
-
 def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int):
+    """The four sums over the nodes x = 2 sqrt(t) rho d of one rule, and
+    the node count.  Per node the kernel gives eta^2, kappa and beta^2,
+    the chart density, w.g~^{-1}w and Sc, and the Dirichlet integrand is
+    eta^2 (kappa^2 + beta^2 w.g~^{-1}w)."""
     nc = tf.nchart
     n = nc.n
-    rule = _effective_rule(nc, quad)
+    rule = quad.rule
+    if rule == "auto":
+        rule = "radial_sphere" if nc.kind == "ode" or n <= 4 else "mc"
+    elif nc.kind == "ode" and rule != "radial_sphere":
+        raise ConfigInvalid("ode normal charts support only the radial_sphere rule")
     s2t = 2.0 * np.sqrt(t)
-
-    if rule in ("hermite", "mc"):
-        if rule == "hermite":
-            # Hermite never runs on ode charts, so the geometry depends on
-            # |x| alone; a diagonal a then makes every integrand even in
-            # each coordinate (eta^2 and its gradient enter through |x|^2,
-            # x.a.x and |a x|^2), and mirror nodes give identical values
-            fold = not np.any(tf.a - np.diag(np.diagonal(tf.a)))
-            Z, z2, zn, W = _hermite_nodes(n, order, fold)
-        else:
-            rng = np.random.default_rng(quad.seed)
-            count = quad.mc_samples if order >= quad.order else quad.mc_samples // 2
-            Z = rng.normal(scale=np.sqrt(0.5), size=(count, n))
-            z2 = np.einsum("mi,mi->m", Z, Z)
-            zn = np.sqrt(z2)
-            W = np.full(count, 1.0 / count)
-        X = s2t * Z
-        r = s2t * zn
-        return _accumulate(tf, t, X, r, z2, W)
-
-    # radial_sphere
-    kinks = (tf.r_s / (2.0 * s2t), tf.r_s / s2t)  # cutoff corners in z-radius
-    c_eff = min(quad.c_trunc, tf.r_s / s2t)  # integrand vanishes past support
-    rho, wr = _radial_nodes(order, c_eff, kinks)
-    if nc.kind == "ode":
-        # the angular rule is pinned at chart build time; order changes
-        # (including the error-estimate drop) only refine the radial part
-        dirs, wd = _ray_rule(nc, nc.rule_key or (n, quad.order, quad.seed))
-        geom = nc.ray_tables(s2t * rho, want_sc=True)
-    else:
-        dirs, wd = sphere_rule(n, order, quad.seed)
-        geom = nc.radial_geometry(s2t * rho)
-    nd, nr = dirs.shape[0], rho.shape[0]
-    X = (dirs[:, None, :] * (s2t * rho)[None, :, None]).reshape(-1, n)
-    r = np.broadcast_to(s2t * rho, (nd, nr)).ravel()
-    radial_w = wr * rho ** (n - 1) * np.exp(-(rho**2))
-    W = wd[:, None] * radial_w[None, :] / np.pi ** (n / 2.0)
-    return _accumulate(tf, t, X, r, rho**2, W, geom)
+    # Hermite never runs on ode charts, so the geometry depends on |x|
+    # alone; a diagonal a then makes every integrand even in each
+    # coordinate (eta^2 and its gradient enter through |x|^2, x.a.x and
+    # |a x|^2), and mirror nodes give identical values
+    fold = not np.any(tf.a - np.diag(np.diagonal(tf.a)))
+    dirs, rho, wts = _nodes(
+        rule, n, order, quad,
+        c=min(quad.c_trunc, tf.r_s / s2t),  # integrand vanishes past support
+        kinks=(tf.r_s / (2.0 * s2t), tf.r_s / s2t),  # cutoff corners in z
+        fold=fold, nchart=nc,
+    )
+    r = s2t * rho
+    ad = dirs @ tf.a
+    q = np.einsum("...i,...i->...", dirs, ad)
+    eta2, kappa, beta2 = tf.eta2_with_grad(q, r, t)
+    dens, wgw, sc = nc.geometry(r, ad - q[..., None] * dirs)
+    base = eta2 * dens
+    logu2 = np.log(eta2) - (n / 2.0) * np.log(4 * np.pi * t) - rho * rho
+    mass = float(np.vdot(wts, base))
+    entropy = float(np.vdot(wts, base * logu2))
+    dirichlet = float(np.vdot(wts, base * (kappa * kappa + beta2 * wgw)))
+    sc_integral = float(np.vdot(wts, base * sc))
+    return mass, entropy, dirichlet, sc_integral, wts.size
 
 
 def eval_components(
@@ -533,22 +511,9 @@ def gaussian_integral(
     rule = rule or ("hermite" if n <= 4 else "mc")
 
     def once(order):
-        if rule == "hermite":
-            Z, _, _, W = _hermite_nodes(n, order)
-        elif rule == "radial_sphere":
-            rho, wr = _radial_nodes(order, quad.c_trunc)
-            dirs, wd = sphere_rule(n, order, quad.seed)
-            Z = (dirs[:, None, :] * rho[None, :, None]).reshape(-1, n)
-            radial_w = wr * rho ** (n - 1) * np.exp(-(rho**2))
-            W = (wd[:, None] * radial_w[None, :]).ravel() / np.pi ** (n / 2.0)
-        elif rule == "mc":
-            rng = np.random.default_rng(quad.seed)
-            cnt = quad.mc_samples if order >= quad.order else quad.mc_samples // 2
-            Z = rng.normal(scale=np.sqrt(0.5), size=(cnt, n))
-            W = np.full(cnt, 1.0 / cnt)
-        else:
-            raise ConfigInvalid(f"unknown rule {rule!r}")
-        return float(np.dot(W, np.asarray(G(2.0 * np.sqrt(t) * Z))))
+        dirs, rho, W = _nodes(rule, n, order, quad, quad.c_trunc)
+        X = (2.0 * np.sqrt(t) * rho)[..., None] * dirs
+        return float(np.dot(W.ravel(), np.asarray(G(X.reshape(-1, n)))))
 
     hi = once(quad.order)
     lo = once(quad.order - quad.err_drop)
@@ -572,10 +537,11 @@ def ball_volume(nchart: NormalChart, r: float, order: int = 64) -> float:
                 "behind its directions; build it with prepare_normal_chart"
             )
         _, wd = _ray_rule(nchart, nchart.rule_key)
-        return float(wd @ (nchart.ray_tables(rho).dens @ (wr * rho ** (n - 1))))
-    # the density is radial, so the angular integral is the sphere area
-    dens = nchart.radial_geometry(rho)[0]
-    return float(sphere_area(n) * np.dot(wr, dens * rho ** (n - 1)))
+    else:  # the density is radial: one direction carrying the sphere area
+        wd = np.array([sphere_area(n)])
+    dens = nchart.geometry(rho, np.zeros((wd.size, 1, n)))[0]
+    dens = np.broadcast_to(dens, (wd.size, rho.size))
+    return float(wd @ (dens @ (wr * rho ** (n - 1))))
 
 
 def bishop_gromov_ratio(nchart: NormalChart, radii, K: float) -> np.ndarray:

@@ -21,17 +21,21 @@ volume ladder.
 On the flat chart the sweep works from two scalars per direction,
 q = d.a.d and p = |a d|^2, and never forms coordinate arrays.  Along
 x = r d, with c = cut(r/r_s), P = 1 + alpha t + q r^2, S = scale^2 and
-u^2 = (4 pi t)^{-n/2} exp(-r^2/4t) eta^2,
+u^2 = (4 pi t)^{-n/2} exp(-r^2/4t) eta^2, the functionals kernel gives
 
-  eta^2               = S c P
-  d eta^2/dr          = S (c' P / r_s + 2 c r q)
-  |grad_tan eta^2|^2  = (2 S c r)^2 (p - q^2)
-  du/dr               = u (d eta^2/dr / (2 eta^2) - r/4t)
-  |grad u|^2          = (du/dr)^2 + u^2 |grad_tan eta^2|^2 / (4 eta^4)
+  eta^2   = S c P
+  kappa   = d eta^2/dr / (2 eta^2) - r/4t = (c'/r_s) / (2c) + r q / P - r/4t
+  beta^2  = r^2 / P^2
 
-where grad_tan is the part orthogonal to d, and eta^2 is floored with
-its gradient zeroed where it is clamped.  The seed grid needs only u,
-and its cutoff and Gaussian factors depend on r alone.
+and grad u = u (kappa d + beta w) with w = a d - q d orthogonal to d and
+|w|^2 = p - q^2, so
+
+  du/dr       = u kappa
+  |grad u|^2  = u^2 (kappa^2 + beta^2 (p - q^2)).
+
+eta^2 is floored and its gradient zeroed where it is clamped: kappa =
+-r/4t and beta^2 = 0 there.  The seed grid needs only u; it is evaluated
+a block of rays at a time, each block on the radii of the whole grid.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ __all__ = [
 _NEWTON_TOL = 1e-13
 _NEWTON_CAP = 4
 _NEWTON_FAIL = 1e-10
+_SEED_BLOCK = 256  # rays per block of the 2048-radius seed grid
 
 
 def iso_profile_radius(n: int, K: float, beta, tol: float = 1e-12):
@@ -177,20 +182,17 @@ class SymmetrizationResult:
         return self.coarea * self.grad_integral - self.area_original**2
 
 
-def _u_on_rays(tf: TestFunction, t: float, q, p, r, slopes: bool = True):
+def _heat2(n: int, t: float, r):
+    """(4 pi t)^{-n/2} exp(-r^2/4t), the factor with u^2 = _heat2 eta^2."""
+    return (4 * np.pi * t) ** (-n / 2.0) * np.exp(-r * r / (4 * t))
+
+
+def _u_on_rays(tf: TestFunction, t: float, q, p, r):
     """u, du/dr and |grad u|^2 along rays x = r d with q = d.a.d and
-    p = |a d|^2 per direction; u alone when slopes is False.  Flat-chart
-    normal coordinates only."""
-    n = tf.nchart.n
-    h2 = (4 * np.pi * t) ** (-n / 2.0) * np.exp(-r * r / (4 * t))
-    if not slopes:
-        return np.sqrt(h2 * tf.eta2_on_rays(q, p, r, t, grad=False))
-    eta2, deta2, tang = tf.eta2_on_rays(q, p, r, t)
-    u = np.sqrt(h2 * eta2)
-    # grad u = u * (grad eta2 / (2 eta2) - x / 4t), split along and across d
-    du_dr = u * (deta2 / (2.0 * eta2) - r / (4.0 * t))
-    grad_sq = du_dr**2 + (u / (2.0 * eta2)) ** 2 * tang
-    return u, du_dr, grad_sq
+    p = |a d|^2 per direction.  Flat-chart normal coordinates only."""
+    eta2, kappa, beta2 = tf.eta2_with_grad(q, r, t)
+    u = np.sqrt(_heat2(tf.nchart.n, t, r) * eta2)
+    return u, u * kappa, u * u * (kappa * kappa + beta2 * (p - q * q))
 
 
 def symmetrize(
@@ -226,24 +228,27 @@ def symmetrize(
     ad = dirs @ tf.a
     q = np.einsum("di,di->d", dirs, ad)[:, None]
     p = np.einsum("di,di->d", ad, ad)[:, None]
-    U = _u_on_rays(tf, t, q, p, rg, slopes=False)
 
-    if np.any(np.diff(U, axis=1) > 1e-12 * U[:, :1]):
-        raise LevelSetDegenerate(
-            "u is not radially decreasing along some ray; the level sets "
-            "are not star-shaped and the radial ladder breaks down"
-        )
-
-    u_max = float(U[:, 0].max())
+    # the seed grid needs u alone; u at the apex is the same on every ray
+    h2 = _heat2(n, t, rg)
+    u_max = float(np.sqrt(h2[0] * tf.eta2_with_grad(q[0], 0.0, t)[0][0]))
     top = u_max * (1.0 - 1e-3)
     bottom = u_max * 1e-6
     s_ladder = np.geomspace(top, bottom, levels)
 
-    # level-crossing radii: monotone interp seed, then Newton with the
-    # analytic radial slope until the relative residual in u is negligible
+    # level-crossing radii: monotone interp seed on the seed grid, a block
+    # of rays at a time, then Newton with the analytic radial slope until
+    # the relative residual in u is negligible
     r_cross = np.empty((nd, levels))
-    for d in range(nd):
-        r_cross[d] = np.interp(-s_ladder, -U[d], rg)
+    for lo in range(0, nd, _SEED_BLOCK):
+        U = np.sqrt(h2 * tf.eta2_with_grad(q[lo : lo + _SEED_BLOCK], rg, t)[0])
+        if np.any(np.diff(U, axis=1) > 1e-12 * U[:, :1]):
+            raise LevelSetDegenerate(
+                "u is not radially decreasing along some ray; the level sets "
+                "are not star-shaped and the radial ladder breaks down"
+            )
+        for d, u in enumerate(U, lo):
+            r_cross[d] = np.interp(-s_ladder, -u, rg)
     steps = 0
     while True:
         uc, duc, gsqc = _u_on_rays(tf, t, q, p, r_cross)

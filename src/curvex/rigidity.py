@@ -92,7 +92,7 @@ def isoperimetric_probe(nchart, K: float, volume: float) -> dict:
         lambda rr: ball_volume(nchart, rr) - volume, 1e-8 * r_max, r_max,
         xtol=1e-14, rtol=1e-14,
     )
-    dens = nchart.radial_geometry(r)[0]
+    dens = nchart.geometry(r, np.zeros(nchart.n))[0]
     area = float(sphere_area(nchart.n) * dens * r ** (nchart.n - 1))
     model = iso_profile(nchart.n, K, volume)
     return {

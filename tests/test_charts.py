@@ -262,11 +262,11 @@ class TestChristoffelRoutes:
             ch = _conformal(profile, eps=0.2)
             nc = build_normal_chart(ch, np.zeros(3), 0.8, dirs=dirs,
                                     r_samples=96)
-            tabs.append(nc.ray_tables(r))
-        closed, fd = tabs
-        assert np.abs(closed.dens - fd.dens).max() < 1e-8
-        assert np.abs(closed.ginv - fd.ginv).max() < 1e-8
-        assert np.abs(closed.dens - 1.0).max() > 1e-3  # the metric is curved
+            tabs.append(_full_table(nc, r))
+        (dens, ginv), (dens_fd, ginv_fd) = tabs
+        assert np.abs(dens - dens_fd).max() < 1e-8
+        assert np.abs(ginv - ginv_fd).max() < 1e-8
+        assert np.abs(dens - 1.0).max() > 1e-3  # the metric is curved
 
     def test_closed_form_curvature_matches_finite_differences(self):
         p = np.array([0.15, -0.1, 0.125])
@@ -331,11 +331,30 @@ class TestRicciContraction:
         assert np.abs(sc_want).max() > 0.1  # the check is not vacuous
 
 
-def _radial_quad(X, M, tang):
-    """g~^{ij} M_i M_j from the radial split, as the functionals kernel
-    forms it: (x^.M)^2 + tang * (|M|^2 - (x^.M)^2)."""
-    xm = np.einsum("mi,mi->m", X, M) / np.linalg.norm(X, axis=1)
-    return xm**2 + tang * (np.einsum("mi,mi->m", M, M) - xm**2)
+def _full_table(nc, r):
+    """Density (nd, nr) and the whole g~^{-1} (nd, nr, n, n) from an ode
+    chart's spline, for oracles that need more than NormalChart.geometry
+    contracts out of it."""
+    n = nc.n
+    tab = nc._table(r).swapaxes(0, 1)
+    return tab[..., 0], tab[..., 1 : 1 + n * n].reshape(*tab.shape[:2], n, n)
+
+
+def _density(nc, r):
+    """The density part of NormalChart.geometry; an ode chart's is (nd, nr)."""
+    nd = 1 if nc.dirs is None else nc.dirs.shape[0]
+    return nc.geometry(r, np.zeros((nd, 1, nc.n)))[0]
+
+
+def _split_quad(nc, X, M):
+    """g~^{ij} M_i M_j through the Gauss-lemma split M = k d + w with w
+    orthogonal to d = x/|x|: k^2 + w.g~^{-1}w, the form the functionals
+    kernel uses."""
+    r = np.linalg.norm(X, axis=1)
+    d = X / r[:, None]
+    k = np.einsum("mi,mi->m", d, M)
+    dens, wgw, sc = nc.geometry(r, M - k[:, None] * d)
+    return dens, k**2 + wgw, sc
 
 
 class TestRadialGeometryOracle:
@@ -356,10 +375,10 @@ class TestRadialGeometryOracle:
         X = dirs * rng.uniform(0.01, r0, size=(64, 1))
         M = rng.normal(size=(64, n))
         g = ch.metric(X)
-        dens, tang, sc = nc.radial_geometry(np.linalg.norm(X, axis=1))
+        dens, quad, sc = _split_quad(nc, X, M)
         assert np.allclose(dens, np.sqrt(np.linalg.det(g)), rtol=1e-12, atol=0)
         want = np.einsum("mi,mij,mj->m", M, np.linalg.inv(g), M)
-        assert np.allclose(_radial_quad(X, M, tang), want, rtol=1e-12, atol=0)
+        assert np.allclose(quad, want, rtol=1e-12, atol=0)
         assert sc == n * (n - 1) * K
 
     def test_space_form_metric_at_origin_is_identity(self):
@@ -381,19 +400,18 @@ class TestNormalCharts:
         ch = make_chart(ModelSpec("flat", 3))
         nc = build_normal_chart(ch, np.array([0.5, 0.0, -0.5]), 1.0)
         X = np.array([[0.3, 0.1, 0.0], [0.0, 0.0, 0.9]])
-        dens, tang, sc = nc.radial_geometry(np.linalg.norm(X, axis=1))
+        M = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+        dens, quad, sc = _split_quad(nc, X, M)
         assert np.allclose(dens, 1.0)
         assert sc == 0.0
-        M = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
-        assert np.allclose(_radial_quad(X, M, tang), (M**2).sum(axis=1))
-        assert np.allclose(nc.exp_pts(X), np.array([0.5, 0.0, -0.5]) + X)
+        assert np.allclose(quad, (M**2).sum(axis=1))
 
     def test_sphere_closed_form_density(self):
         ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.7))
         nc = build_normal_chart(ch, np.zeros(3), 1.5)
         r = np.array([0.5, 1.0, 1.4])
         want = (np.sin(r) / r) ** 2
-        dens, _, sc = nc.radial_geometry(r)
+        dens, _, sc = nc.geometry(r, np.zeros(3))
         assert np.allclose(dens, want, rtol=1e-12)
         assert sc == 6.0
 
@@ -404,20 +422,29 @@ class TestNormalCharts:
         X = np.array([[r, 0.0]])
         M = np.array([[0.0, 1.0]])  # purely tangential covector
         want = (r / np.sinh(r)) ** 2
-        _, tang, _ = nc.radial_geometry(np.array([r]))
-        assert tang[0] == pytest.approx(want, rel=1e-12)
-        assert _radial_quad(X, M, tang)[0] == pytest.approx(want, rel=1e-12)
+        _, wgw, _ = nc.geometry(np.array([r]), M)
+        assert wgw[0] == pytest.approx(want, rel=1e-12)
+        assert _split_quad(nc, X, M)[1][0] == pytest.approx(want, rel=1e-12)
 
     def test_geometry_routes_by_chart_kind(self):
+        """One call on both kinds: on S^3 the closed form at the origin and
+        the ode tables off centre agree; an ode chart takes one covector
+        per ray of its bundle and nothing else."""
         ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.7))
-        with pytest.raises(InvalidSpec):
-            build_normal_chart(ch, np.zeros(3), 1.0).ray_tables(np.array([0.5]))
+        closed = build_normal_chart(ch, np.zeros(3), 1.0)
         dirs = np.eye(3)
         nc = build_normal_chart(
             ch, np.array([0.3, 0.0, 0.0]), 0.5, dirs=dirs, r_samples=32
         )
+        r = np.array([0.2, 0.45])
+        w = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.0, 1.0, 0.0]])
+        want = closed.geometry(r, w[:, None, :])
+        got = nc.geometry(r, w[:, None, :])
+        assert got[0].shape == got[1].shape == got[2].shape == (3, 2)
+        for g, f in zip(got, want):
+            assert np.allclose(g, f, rtol=1e-6, atol=0)
         with pytest.raises(InvalidSpec):
-            nc.radial_geometry(np.array([0.2]))
+            nc.geometry(r, w[:2, None, :])
 
     def test_ode_matches_closed_form_off_center(self):
         """Shooting from a non-origin sphere point reproduces the
@@ -431,13 +458,16 @@ class TestNormalCharts:
             ch, np.array([0.3, -0.2, 0.1]), 1.2, dirs=dirs, r_samples=270
         )
         r = np.linspace(0.05, 1.15, 7)
-        tab = nc.ray_tables(r, want_sc=True)
-        want = (np.sin(r) / r) ** 2
-        assert np.abs(tab.dens - want[None, :]).max() < 1e-9
-        assert np.abs(tab.sc - 6.0).max() < 1e-8
+        w = rng.normal(size=(8, 3))
+        w -= np.einsum("di,di->d", w, dirs)[:, None] * dirs  # orthogonal to d
+        dens, wgw, sc = nc.geometry(r, w[:, None, :])
+        assert np.abs(dens - ((np.sin(r) / r) ** 2)[None, :]).max() < 1e-9
+        assert np.abs(sc - 6.0).max() < 1e-8
+        want = ((r / np.sin(r)) ** 2)[None, :] * (w**2).sum(axis=1)[:, None]
+        assert np.abs(wgw - want).max() < 1e-9
         P = dirs[:, None, :, None] * dirs[:, None, None, :]
         want = P + ((r / np.sin(r)) ** 2)[None, :, None, None] * (np.eye(3) - P)
-        assert np.abs(tab.ginv - want).max() < 1e-9
+        assert np.abs(_full_table(nc, r)[1] - want).max() < 1e-9
 
     def test_ode_flat_chart_is_exact(self):
         ch = make_chart(ModelSpec("flat", 2, halfwidth=3.0))
@@ -447,8 +477,7 @@ class TestNormalCharts:
         nc = _ode_normal_chart(
             ch, np.array([0.2, 0.1]), 1.0, dirs, r_samples=20, rtol=1e-10
         )
-        tab = nc.ray_tables(np.array([0.3, 0.8]))
-        assert np.abs(tab.dens - 1.0).max() < 1e-10
+        assert np.abs(_density(nc, np.array([0.3, 0.8])) - 1.0).max() < 1e-10
 
     def test_conformal_ode_density_positive_and_smooth(self):
         spec = ModelSpec(
@@ -460,9 +489,9 @@ class TestNormalCharts:
         ch = make_chart(spec)
         dirs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-1.0, 0, 0]])
         nc = build_normal_chart(ch, np.zeros(3), 0.9, dirs=dirs, r_samples=128)
-        tab = nc.ray_tables(np.linspace(0.0, 0.9, 20))
-        assert tab.dens.min() > 0
-        assert np.abs(tab.dens[:, 0] - 1.0).max() < 1e-10
+        dens = _density(nc, np.linspace(0.0, 0.9, 20))
+        assert dens.min() > 0
+        assert np.abs(dens[:, 0] - 1.0).max() < 1e-10
 
     def test_ray_tables_converge_under_refinement(self, conformal_chart):
         """The c06 chart's tables at off-grid radii barely move when the
@@ -470,13 +499,13 @@ class TestNormalCharts:
         dirs, _ = sphere_rule(3, 16)
         r = np.linspace(0.013, 0.887, 23)
         tabs = [
-            build_normal_chart(
+            _full_table(build_normal_chart(
                 conformal_chart, np.zeros(3), 0.9, dirs=dirs, r_samples=rs
-            ).ray_tables(r)
+            ), r)
             for rs in (384, 1536)
         ]
-        assert np.abs(tabs[0].dens - tabs[1].dens).max() < 1e-11
-        assert np.abs(tabs[0].ginv - tabs[1].ginv).max() < 1e-11
+        assert np.abs(tabs[0][0] - tabs[1][0]).max() < 1e-11
+        assert np.abs(tabs[0][1] - tabs[1][1]).max() < 1e-11
 
     def test_ode_build_memory(self, conformal_chart):
         """The c06 chart with the benchmark's 512 rays and the default 384
@@ -508,7 +537,7 @@ class TestNormalCharts:
         p = np.array([0.3, 0.0, 0.0])
         if r0 < np.pi / 2:
             nc = build_normal_chart(ch, p, r0, dirs=dirs, r_samples=166)
-            assert nc.ray_tables(np.array([r0])).dens.min() > 0
+            assert _density(nc, np.array([r0])).min() > 0
         else:
             with pytest.raises(JacobianSingular):
                 build_normal_chart(ch, p, r0, dirs=dirs, r_samples=166)
@@ -569,7 +598,7 @@ class TestDensitySeries:
             conformal_chart, np.zeros(3), 0.5, dirs=y[None, :], r_samples=128
         )
         r = np.array([0.05, 0.1, 0.2, 0.3])
-        dens = nc.ray_tables(r).dens[0]
+        dens = _density(nc, r)[0]
         pred = (
             1.0
             + np.einsum("ij,i,j->", ds.order2, y, y) * r**2

@@ -24,6 +24,7 @@ from curvex.functionals import (
     TestFunction,
     _eval_once,
     _hermite_nodes,
+    _nodes,
     ball_volume,
     bishop_gromov_ratio,
     build_test_function,
@@ -41,6 +42,7 @@ from curvex.moments import (
     moment_quartic,
     sphere_area,
 )
+from oracles import eta2_pointwise
 
 
 @pytest.fixture(scope="module")
@@ -222,13 +224,25 @@ class TestSphereFunctionals:
         assert vh == pytest.approx(vr, abs=1e-11)
 
 
+def _dense_sums(tf, t, X, rho, W, dens, ginv, sc):
+    """The four sums from pointwise eta^2 and grad eta^2 at the points X
+    with a given density, full inverse metric and Sc at each point."""
+    n = X.shape[-1]
+    eta2, geta2 = eta2_pointwise(tf, X, t)
+    M = geta2 / (2.0 * eta2)[:, None] - X / (4.0 * t)
+    base = eta2 * dens
+    logu2 = np.log(eta2) - (n / 2.0) * np.log(4 * np.pi * t) - rho**2
+    Q = np.einsum("mi,mij,mj->m", M, ginv, M)
+    return [W @ base, W @ (base * logu2), W @ (base * Q), W @ (base * sc)]
+
+
 class TestKernelOracle:
-    """The radial kernel against a dense evaluation of the same integrals:
-    product Gauss-Hermite nodes built here, the density sqrt(det g) and
-    M^T g^{-1} M from the chart's metric (chart coordinates are normal
+    """The scalar ray kernel against a dense evaluation of the same
+    integrals: eta^2 and its gradient pointwise, the density sqrt(det g)
+    and M^T g^{-1} M from the chart's metric (chart coordinates are normal
     coordinates at the origin).  A diagonal profile a runs the folded
-    grid, a general one the full grid; the dense oracle always uses the
-    full grid."""
+    Hermite grid, a general one the full grid; the dense oracle always
+    uses the full grid, built here."""
 
     CASES = [("space_form", 4, 1.0), ("space_form", 3, -1.0), ("flat", 3, 0.0)]
 
@@ -263,16 +277,72 @@ class TestKernelOracle:
         Z = np.array(list(itertools.product(z1, repeat=n)))
         W = np.prod(list(itertools.product(w1, repeat=n)), axis=1) / np.pi ** (n / 2)
         X = 2.0 * np.sqrt(t) * Z
-        eta2, geta2 = tf.eta2_with_grad(X, t)
+        eta2 = eta2_pointwise(tf, X, t)[0]
         assert np.any((eta2 < 1.0) & (eta2 > 1e-300))  # nodes on the cutoff ramp
         g = ch.metric(X)
-        M = geta2 / (2.0 * eta2)[:, None] - X / (4.0 * t)
-        base = eta2 * np.sqrt(np.linalg.det(g))
-        logu2 = np.log(eta2) - (n / 2.0) * np.log(4 * np.pi * t) - (Z**2).sum(1)
-        Q = np.einsum("mi,mij,mj->m", M, np.linalg.inv(g), M)
-        want = [W @ base, W @ (base * logu2), W @ (base * Q)]
-        assert got[:3] == pytest.approx(want, rel=1e-12)
+        want = _dense_sums(tf, t, X, np.linalg.norm(Z, axis=1), W,
+                           np.sqrt(np.linalg.det(g)), np.linalg.inv(g), 0.0)
+        assert got[:3] == pytest.approx(want[:3], rel=1e-12)
         assert got[3] == pytest.approx(n * (n - 1) * K * want[0], rel=1e-12)
+
+    @pytest.mark.parametrize("K", [1.0, -1.0])
+    def test_radial_nodes_match_dense_metric(self, K):
+        """radial_sphere rays on S^3(1) and H^3(-1), non-diagonal a."""
+        ch = make_chart(ModelSpec("space_form", 3, K=K))
+        r_s = 0.95 * float(ch.domain.hi[0])
+        nc = build_normal_chart(ch, np.zeros(3), r_s)
+        a = np.random.default_rng(9).normal(scale=0.1, size=(3, 3))
+        tf = TestFunction(nc, a + a.T, 0.3, r_s)
+        t, order = 0.01, 10
+        quad = QuadratureSpec(rule="radial_sphere", order=order)
+        got = _eval_once(tf, t, quad, order)
+        s2t = 2.0 * np.sqrt(t)
+        dirs, rho, W = _nodes("radial_sphere", 3, order, quad,
+                              c=min(quad.c_trunc, r_s / s2t),
+                              kinks=(r_s / (2.0 * s2t), r_s / s2t))
+        assert got[4] == W.size
+        X = (s2t * rho[:, None] * dirs).reshape(-1, 3)  # (nd * nr, 3)
+        rho = np.broadcast_to(rho, W.shape).ravel()
+        eta2 = eta2_pointwise(tf, X, t)[0]
+        assert np.any((eta2 < 1.0) & (eta2 > 1e-300))  # nodes on the cutoff ramp
+        g = ch.metric(X)
+        want = _dense_sums(tf, t, X, rho, W.ravel(),
+                           np.sqrt(np.linalg.det(g)), np.linalg.inv(g), 6.0 * K)
+        assert got[:4] == pytest.approx(want, rel=1e-12)
+
+    def test_ode_chart_matches_full_table(self):
+        """On the c06 conformal chart the scalar form kappa^2 + beta^2
+        w.g~^{-1}w against M.g~^{-1}.M from the chart's full table (density,
+        all of g~^{-1}) at the same nodes; they differ by the Gauss-lemma
+        residual of the table."""
+        ch = make_chart(ModelSpec(
+            "conformal_flat", 3,
+            perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
+            halfwidth=1.5,
+        ))
+        quad = QuadratureSpec(rule="radial_sphere", order=16)
+        nc = prepare_normal_chart(ch, np.zeros(3), 0.9, quad)
+        # a large profile and t near its bound (r_s / c_trunc)^2 make the
+        # tangential term, and with it the curvature in w.g~^{-1}w, show:
+        # reading that term off the flat metric moves the sum by 4e-7
+        a = np.array([[1.2, 0.4, -0.2], [0.4, 0.8, 0.28], [-0.2, 0.28, 1.6]])
+        tf = TestFunction(nc, a, 0.2, 0.9)
+        t = 0.006
+        got = _eval_once(tf, t, quad, 16)
+        s2t = 2.0 * np.sqrt(t)
+        dirs, rho, W = _nodes("radial_sphere", 3, 16, quad,
+                              c=min(quad.c_trunc, 0.9 / s2t),
+                              kinks=(0.9 / (2.0 * s2t), 0.9 / s2t), nchart=nc)
+        r = s2t * rho
+        tab = nc._table(r).swapaxes(0, 1)  # (nd, nr, 1 + n^2 + n)
+        sc = nc.geometry(r, np.zeros_like(dirs))[2]
+        X = (r[:, None] * dirs).reshape(-1, 3)
+        want = _dense_sums(
+            tf, t, X, np.broadcast_to(rho, W.shape).ravel(), W.ravel(),
+            tab[..., 0].ravel(), tab[..., 1:10].reshape(-1, 3, 3), sc.ravel(),
+        )
+        assert got[:4] == pytest.approx(want, rel=1e-9)
+        assert got[:4] != pytest.approx(want, rel=1e-14)  # not the same route
 
 
 class TestGuards:
@@ -285,6 +355,18 @@ class TestGuards:
         # the headline rule; a negative drop would refine instead
         with pytest.raises(ConfigInvalid, match="err_drop"):
             QuadratureSpec(rule="hermite", order=order, err_drop=err_drop)
+
+    def test_hermite_grid_limited_to_four_dimensions(self):
+        """The shared node builder refuses the product grid at n = 5
+        (order^5 nodes, 1e8 at the default order) before building it."""
+        G = lambda X: np.ones(X.shape[0])
+        with pytest.raises(ConfigInvalid, match="n <= 4"):
+            gaussian_integral(5, 0.01, G, QuadratureSpec(), rule="hermite")
+        ch = make_chart(ModelSpec("space_form", 5, K=1.0))
+        nc = build_normal_chart(ch, np.zeros(5), 0.5)
+        tf = TestFunction(nc, np.zeros((5, 5)), 0.0, 0.5)
+        with pytest.raises(ConfigInvalid, match="n <= 4"):
+            eval_L(tf, 1e-4, QuadratureSpec(rule="hermite"))
 
     def test_err_drop_limits_accepted(self):
         assert QuadratureSpec(order=8, err_drop=6).err_drop == 6

@@ -21,6 +21,7 @@ from curvex.isoperimetry import (
     iso_profile_radius,
     symmetrize,
 )
+from oracles import eta2_pointwise
 
 
 @pytest.fixture(scope="module")
@@ -253,10 +254,10 @@ class TestGuards:
 
 
 def _u_and_slopes_pointwise(tf, t, X, r, dirs_rep):
-    """u, du/dr and |grad u|^2 through eta2_with_grad on full coordinate
-    arrays: the formula symmetrize used before the ray form."""
+    """u, du/dr and |grad u|^2 from pointwise eta^2 and grad eta^2 on full
+    coordinate arrays."""
     n = tf.nchart.n
-    eta2, geta2 = tf.eta2_with_grad(X, t, r)
+    eta2, geta2 = eta2_pointwise(tf, X, t, r)
     h2 = (4 * np.pi * t) ** (-n / 2.0) * np.exp(-r * r / (4 * t))
     u = np.sqrt(h2 * eta2)
     mvec = geta2 / (2.0 * eta2)[:, None] - X / (4.0 * t)
@@ -310,8 +311,9 @@ class TestRayForm:
 
     def test_grid_covers_ramp_and_clamp(self, case):
         tf, dirs, r = case
-        eta2, _ = tf.eta2_with_grad(
-            (dirs[:, None, :] * r[:, :, None]).reshape(-1, 3), self.T, r.ravel()
+        eta2, _ = eta2_pointwise(
+            tf, (dirs[:, None, :] * r[:, :, None]).reshape(-1, 3), self.T,
+            r.ravel(),
         )
         clamped = eta2 <= tf.scale**2 * 1e-300
         ramp = (r.ravel() > 0.5 * tf.r_s) & ~clamped
@@ -326,16 +328,13 @@ class TestRayForm:
 
     def test_clamped_points_have_zero_gradient(self, case):
         tf, dirs, r = case
-        ad = dirs @ tf.a
-        q = np.einsum("di,di->d", dirs, ad)[:, None]
-        p = np.einsum("di,di->d", ad, ad)[:, None]
-        val, d_dr, tang = tf.eta2_on_rays(q, p, r, self.T)
+        q = np.einsum("di,di->d", dirs, dirs @ tf.a)[:, None]
+        val, kappa, beta2 = tf.eta2_with_grad(q, r, self.T)
         clamped = val <= tf.scale**2 * 1e-300
         assert clamped.any()
-        assert np.all(d_dr[clamped] == 0.0) and np.all(tang[clamped] == 0.0)
-        np.testing.assert_array_equal(
-            tf.eta2_on_rays(q, None, r, self.T, grad=False), val
-        )
+        # grad eta^2 = 0 leaves M = -x/4t
+        assert np.all(kappa[clamped] == -r[clamped] / (4.0 * self.T))
+        assert np.all(beta2[clamped] == 0.0)
 
     def test_slope_matches_finite_difference(self, case):
         tf, dirs, r = case
