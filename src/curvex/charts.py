@@ -27,8 +27,9 @@ equation together with its variational (Jacobi) system along a fixed bundle
 of rays, since that is the shape the radial-spherical quadrature consumes.
 An 'ode' chart keeps one radius-major table, built once at the sample
 radii, a block of radii at a time, with cofactor determinants and inverses
-for n <= 3: density, g~^{-1} and exp point for every ray, under one cubic
-spline in r, so reading it at the quadrature radii inverts nothing.  The
+for n <= 3: density and g~^{-1} for every ray, under one not-a-knot cubic
+spline in r, so reading it at the quadrature radii inverts nothing; the
+exp points are kept only on the grid of its scalar-curvature spline.  The
 build raises JacobianSingular where det(J/r) changes sign (a conjugate
 point) and QuadratureNotConverged where the Gauss lemma g~^{-1} y = y fails
 by more than 1e-8.  Both kinds answer one call, NormalChart.geometry(r, w)
@@ -44,9 +45,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import solve_ivp
-from scipy.interpolate import make_interp_spline
 
+from ._numerics import CubicSpline, dopri45
 from ._spaceform import sn_over_r
 from .errors import (
     DifferentiationUnstable,
@@ -609,6 +609,19 @@ def _frame(g):
 _ROT = np.array([1, 2, 0]), np.array([2, 0, 1])  # i+1, i+2 mod 3
 
 
+def _det(a):
+    """det a for a stack (..., n, n): expansion along the first row for
+    n <= 3, LAPACK above; the same value _det_inv returns."""
+    n = a.shape[-1]
+    if n > 3:
+        return np.linalg.det(a)
+    if n == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    i1, i2 = _ROT
+    cof0 = a[..., 1, i1] * a[..., 2, i2] - a[..., 1, i2] * a[..., 2, i1]
+    return np.einsum("...j,...j->...", a[..., 0, :], cof0)
+
+
 def _det_inv(a):
     """(det a, a^{-1}) for a stack (..., n, n) of matrices: the cofactors
     over the determinant for n <= 3, LAPACK above."""
@@ -793,7 +806,8 @@ class NormalChart:
         self.rule_key = None  # (n, order, seed) of the sphere rule behind dirs
         self.nfev = 0  # right-hand-side calls of the geodesic shooting (ode)
         self.gauss_residual = None  # largest |g~^{-1} y - y| in the table (ode)
-        self._table = None  # spline in r of (nd, 1 + n^2 + n): dens, g~^-1, exp
+        self._table = None  # spline in r of (nd, 1 + n^2): density, g~^-1
+        self._sc_pts = None  # exp points (_SC_RADII, nd, n) on the Sc grid
         self._sc_spline = None
 
     def geometry(self, r, w):
@@ -817,15 +831,14 @@ class NormalChart:
             if w.size != nd * n:
                 raise InvalidSpec(f"ode chart takes one covector per ray ({nd})")
             rq = np.minimum(r, self.radius)  # beyond r0 the cutoff is zero
-            tab = self._table(rq)  # (nr, nd, 1 + n^2 + n)
+            tab = self._table(rq)  # (nr, nd, 1 + n^2)
             w = w.reshape(nd, n)
             ww = (w[:, :, None] * w[:, None, :]).reshape(nd, n * n)
-            wgw = np.einsum("rdk,dk->dr", tab[..., 1 : 1 + n * n], ww)
+            wgw = np.einsum("rdk,dk->dr", tab[..., 1:], ww)
             if self._sc_spline is None:  # Sc at the exp points, once per chart
-                rg = np.linspace(0.0, self.radius, 65)
-                pts = self._table(rg)[..., -n:].reshape(-1, n)
-                sc = scalar_curvature_batch(self.chart, pts).reshape(rg.size, nd)
-                self._sc_spline = make_interp_spline(rg, sc, k=3, axis=0)
+                rg = np.linspace(0.0, self.radius, _SC_RADII)
+                sc = scalar_curvature_batch(self.chart, self._sc_pts.reshape(-1, n))
+                self._sc_spline = CubicSpline(rg, sc.reshape(rg.size, nd))
             return tab[..., 0].T, wgw, self._sc_spline(rq).T
         w2 = np.einsum("...i,...i->...", w, w)
         if self.kind == "flat":
@@ -835,6 +848,7 @@ class NormalChart:
 
 
 _TABLE_BLOCK = 32  # sample radii per block of the ode table build
+_SC_RADII = 65  # radii of the lazily built Sc spline of an ode chart
 _GAUSS_TOL = 1e-8  # largest |g~^{-1} y - y| an ode table may carry
 
 
@@ -874,14 +888,7 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
         return np.concatenate([v.ravel(), acc.ravel(), Jp.ravel(), Jpp.ravel()])
 
     r_grid = np.linspace(0.0, r0, r_samples)
-    sol = solve_ivp(
-        rhs, (0.0, r0), y0, method="RK45", rtol=rtol, atol=1e-12, t_eval=r_grid
-    )
-    if not sol.success:
-        raise GeodesicLeftDomain(f"geodesic integration failed: {sol.message}")
-    nfev = int(sol.nfev)
-    y = sol.y.T  # radius-major: (nt, state)
-    del sol
+    y, nfev = dopri45(rhs, y0, r_grid, rtol, 1e-12)  # radius-major (nt, state)
     nt = y.shape[0]
 
     if not chart.domain.contains(y[:, sl_g].reshape(-1, n)).all():
@@ -889,9 +896,9 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
             "a geodesic left the chart domain before reaching the requested radius"
         )
 
-    # one table per sample radius and ray: density, g~^{-1}, exp point,
-    # filled a block of radii at a time
-    tab = np.empty((nt, nd, 1 + n * n + n))
+    # one table per sample radius and ray: density and g~^{-1}, filled a
+    # block of radii at a time
+    tab = np.empty((nt, nd, 1 + n * n))
     gauss = 0.0
     for lo in range(0, nt, _TABLE_BLOCK):
         blk = slice(lo, lo + _TABLE_BLOCK)
@@ -902,7 +909,7 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
         Jr = Jr / np.where(r > 0, r, 1.0)[:, None, None, None]
         if lo == 0:
             Jr[0] = E
-        if np.any(_det_inv(Jr)[0] <= 0):
+        if np.any(_det(Jr) <= 0):
             raise JacobianSingular(
                 "exp-map Jacobian changes sign: the normal radius crosses a "
                 "conjugate point"
@@ -913,8 +920,7 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
         resid = ginv @ dirs[:, :, None] - dirs[:, :, None]
         gauss = max(gauss, float(np.abs(resid).max()))
         tab[blk, :, 0] = np.sqrt(det)
-        tab[blk, :, 1 : 1 + n * n] = ginv.reshape(-1, nd, n * n)
-        tab[blk, :, 1 + n * n :] = pts
+        tab[blk, :, 1:] = ginv.reshape(-1, nd, n * n)
     if gauss > _GAUSS_TOL:
         raise QuadratureNotConverged(
             f"Gauss-lemma residual {gauss:.2e} of the ode tables exceeds "
@@ -925,7 +931,11 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
     nc.dirs = dirs
     nc.nfev = nfev
     nc.gauss_residual = gauss
-    nc._table = make_interp_spline(r_grid, tab, k=3, axis=0)
+    # exp points on the Sc grid, from a spline through the sampled ones
+    exp_pts = CubicSpline(r_grid, y[:, sl_g].reshape(nt, nd, n))
+    nc._sc_pts = exp_pts(np.linspace(0.0, r0, _SC_RADII))
+    del y, pts, exp_pts  # pts is a view of y
+    nc._table = CubicSpline(r_grid, tab)
     return nc
 
 

@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_chebyu, roots_legendre
 
+from ._numerics import gauss_chebyu, gauss_legendre, read_only
 from ._spaceform import ball_volume_K
 from .charts import NormalChart
 from .errors import (
@@ -219,14 +219,9 @@ def build_test_function(
 # node construction
 
 
-def _read_only(*arrays):
-    """The arrays, write-protected: a cached rule is shared by every caller."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@lru_cache(maxsize=32)
+# one expansion's main and error rules, for two dimensions: a full n = 4
+# order-40 grid alone is 137 MB
+@lru_cache(maxsize=4)
 def _hermite_nodes(n: int, order: int, fold: bool = False):
     """Product Gauss-Hermite nodes z = |z| d as unit directions d (the
     zero node gets d = 0), radii |z| and weights.
@@ -247,7 +242,7 @@ def _hermite_nodes(n: int, order: int, fold: bool = False):
     )
     zn = np.sqrt(np.einsum("mi,mi->m", zs, zs))
     zs /= np.where(zn > 0.0, zn, 1.0)[:, None]
-    return _read_only(zs, zn, ws / np.pi ** (n / 2.0))
+    return read_only(zs, zn, ws / np.pi ** (n / 2.0))
 
 
 @lru_cache(maxsize=64)
@@ -263,7 +258,7 @@ def sphere_rule(n: int, order: int, seed: int = 1234):
         dirs = np.stack([np.cos(th), np.sin(th)], -1)
         wts = np.full(m, 2 * np.pi / m)
     elif n == 3:
-        u, wu = roots_legendre(order)
+        u, wu = gauss_legendre(order)
         m = 2 * order
         th = 2 * np.pi * np.arange(m) / m
         s = np.sqrt(1 - u**2)
@@ -277,8 +272,8 @@ def sphere_rule(n: int, order: int, seed: int = 1234):
         )
         wts = np.outer(wu, np.full(m, 2 * np.pi / m)).ravel()
     elif n == 4:
-        v, wv = roots_chebyu(order)  # weight sqrt(1-v^2) on [-1,1]
-        u, wu = roots_legendre(order)
+        v, wv = gauss_chebyu(order)  # weight sqrt(1-v^2) on [-1,1]
+        u, wu = gauss_legendre(order)
         m = 2 * order
         th = 2 * np.pi * np.arange(m) / m
         sv = np.sqrt(1 - v**2)
@@ -299,13 +294,13 @@ def sphere_rule(n: int, order: int, seed: int = 1234):
         dirs = rng.normal(size=(count, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         wts = np.full(count, sphere_area(n) / count)
-    return _read_only(dirs, wts)
+    return read_only(dirs, wts)
 
 
 def _radial_nodes(order: int, c: float, kinks=()):
     """Gauss-Legendre nodes on [0, c] split at 3.0 and at each kink."""
     brk = sorted({0.0, min(3.0, c), c} | {k for k in kinks if 0.0 < k < c})
-    x1, w1 = roots_legendre(order)
+    x1, w1 = gauss_legendre(order)
     nodes, wts = [], []
     for a, b in zip(brk[:-1], brk[1:]):
         nodes.append(0.5 * (b - a) * x1 + 0.5 * (a + b))
@@ -526,7 +521,7 @@ def ball_volume(nchart: NormalChart, r: float, order: int = 64) -> float:
         raise ConfigInvalid("radius must be positive")
     if r > nchart.radius * (1 + 1e-12):
         raise SupportTooLarge("ball radius exceeds the normal chart radius")
-    x1, w1 = roots_legendre(order)
+    x1, w1 = gauss_legendre(order)
     rho = 0.5 * r * (x1 + 1.0)
     wr = 0.5 * r * w1
     n = nchart.n

@@ -43,9 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import roots_legendre
 
+from ._numerics import CubicSpline, gauss_legendre
 from ._spaceform import ball_volume_K, sphere_area_K
 from .errors import (
     ConfigInvalid,
@@ -138,12 +137,9 @@ class _SquareRadiusSpline:
         self._s = CubicSpline(r**2, u)
 
     def __call__(self, r, nu: int = 0):
-        rho = np.asarray(r, dtype=float) ** 2
-        if nu == 0:
-            return self._s(rho)
-        if nu == 1:
-            return self._s(rho, 1) * 2.0 * np.asarray(r, dtype=float)
-        raise ValueError("only values and first derivatives are available")
+        r = np.asarray(r, dtype=float)
+        out = self._s(r**2, nu)  # raises beyond first derivatives
+        return out * 2.0 * r if nu == 1 else out
 
 
 @dataclass
@@ -294,7 +290,7 @@ def symmetrize(
     # symmetrized side: composite Gauss rule per spline interval, so the
     # piecewise-cubic profile is integrated essentially exactly
     spl = profile.spline()
-    x1, w1 = roots_legendre(5)
+    x1, w1 = gauss_legendre(5)
     lo, hi = r_prof[:-1], r_prof[1:]
     half = 0.5 * (hi - lo)
     rr = (lo[:, None] + half[:, None] * (x1[None, :] + 1.0)).ravel()

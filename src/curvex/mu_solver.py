@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import roots_legendre
 
+from ._numerics import Tridiagonal, gauss_legendre
 from ._spaceform import sphere_area_K
 from .errors import ConfigInvalid, GammaOutOfRange, OutOfDomain
 from .functionals import cutoff
@@ -62,7 +61,7 @@ class RadialDomain:
         self.r = np.linspace(0.0, self.R, self.m)
         h = self.r[1] - self.r[0]
         # two-point Gauss nodes per cell, weight = space-form area element
-        x2, w2 = roots_legendre(2)
+        x2, w2 = gauss_legendre(2)
         mid = 0.5 * (self.r[:-1] + self.r[1:])
         self.rq = (mid[:, None] + 0.5 * h * x2[None, :]).ravel()
         self.wq = (0.5 * h * w2[None, :] * np.ones((self.m - 1, 1))).ravel()
@@ -179,7 +178,7 @@ def _witness_profile(dom: RadialDomain, t: float) -> np.ndarray:
 
 
 def _precondition_factor(dom: RadialDomain, t: float):
-    """Banded Cholesky-ready form of 8t * stiffness + 2 * mass."""
+    """LU factors of the tridiagonal 8t * stiffness + 2 * mass."""
     m, h = dom.m, dom.h
     w = dom.cell_weight
     # stiffness tridiagonal
@@ -196,11 +195,7 @@ def _precondition_factor(dom: RadialDomain, t: float):
     A_off += np.bincount(idx, weights=mq * th * (1 - th), minlength=m)[:-1]
     P_diag = 8 * t * diag + 2 * A_diag
     P_off = 8 * t * off + 2 * A_off
-    ab = np.zeros((3, m))
-    ab[0, 1:] = P_off
-    ab[1] = P_diag
-    ab[2, :-1] = P_off
-    return ab
+    return Tridiagonal(P_off, P_diag, P_off)
 
 
 def mu_ball(
@@ -245,7 +240,7 @@ def mu_ball(
     if want_witness:
         witness = _entropy_value(dom, _witness_profile(dom, t), t)
 
-    ab = _precondition_factor(dom, t)
+    precond = _precondition_factor(dom, t)
     W = _entropy_value(dom, f, t)
     step = 1.0
     clamped = 0
@@ -264,7 +259,7 @@ def mu_ball(
             converged = True
             break
 
-        d = solve_banded((1, 1), ab, res)
+        d = precond.solve(res)
         d[-1] = 0.0
         slope = float(np.dot(res, d))
         # Armijo backtracking on the constrained objective

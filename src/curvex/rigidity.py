@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .charts import MetricChart, build_normal_chart, curvature_at
 from .errors import ConfigInvalid
@@ -77,23 +76,42 @@ def space_form_residuals(curv: CurvatureData, K: float) -> dict:
     return out
 
 
+def _sphere_area(nchart, r: float) -> float:
+    """Area of the geodesic sphere of radius r on a closed-form chart,
+    whose density is radial: sphere_area(n) * density(r) * r^(n-1)."""
+    dens = nchart.geometry(r, np.zeros(nchart.n))[0]
+    return float(sphere_area(nchart.n) * dens * r ** (nchart.n - 1))
+
+
+def _ball_radius(nchart, volume: float, r_max: float) -> float:
+    """Radius of the geodesic ball of the given volume inside (0, r_max]:
+    a few bisections, then Newton with V' = area, as iso_profile_radius
+    does on the model."""
+    lo, hi = 0.0, r_max
+    for _ in range(6):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ball_volume(nchart, mid) < volume else (lo, mid)
+    r = 0.5 * (lo + hi)
+    for _ in range(8):
+        step = (ball_volume(nchart, r) - volume) / _sphere_area(nchart, r)
+        r = min(max(r - step, lo), hi)
+        if abs(step) <= 1e-15 * r:
+            break
+    return r
+
+
 def isoperimetric_probe(nchart, K: float, volume: float) -> dict:
     """Measured geodesic-sphere area minus the model profile at equal
-    volume.  Zero margin is the rigidity signature.  The density of a
-    closed-form normal chart is radial, so the area of the geodesic sphere
-    of radius r is sphere_area(n) * density(r) * r^(n-1)."""
+    volume.  Zero margin is the rigidity signature.  Closed-form charts
+    only: their density is radial."""
     r_max = nchart.radius * 0.98
     v_max = ball_volume(nchart, r_max)
     if volume >= v_max:
         raise ConfigInvalid(
             f"probe volume {volume} exceeds the chart ball {v_max}"
         )
-    r = brentq(
-        lambda rr: ball_volume(nchart, rr) - volume, 1e-8 * r_max, r_max,
-        xtol=1e-14, rtol=1e-14,
-    )
-    dens = nchart.geometry(r, np.zeros(nchart.n))[0]
-    area = float(sphere_area(nchart.n) * dens * r ** (nchart.n - 1))
+    r = _ball_radius(nchart, volume, r_max)
+    area = _sphere_area(nchart, r)
     model = iso_profile(nchart.n, K, volume)
     return {
         "radius": float(r),

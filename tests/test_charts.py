@@ -25,6 +25,7 @@ from curvex.charts import (
     MetricChart,
     _GenericCurvature,
     _JetEngine,
+    _det,
     _det_inv,
 )
 from curvex.errors import (
@@ -509,9 +510,10 @@ class TestNormalCharts:
 
     def test_ode_build_memory(self, conformal_chart):
         """The c06 chart with the benchmark's 512 rays and the default 384
-        radii: one (radii, rays, 1 + n^2 + n) table, filled a block of
-        radii at a time, keeps the build peak and what the chart holds
-        afterwards bounded."""
+        radii: the integrator writes the sampled states straight into one
+        radius-major array, the (radii, rays, 1 + n^2) table is filled a
+        block of radii at a time, and the build peaks at 84 MB (bound: that
+        plus 25 %); what the chart holds afterwards stays bounded."""
         dirs, _ = sphere_rule(3, 16)
         tracemalloc.start()
         try:
@@ -520,7 +522,7 @@ class TestNormalCharts:
         finally:
             tracemalloc.stop()
         assert nc.kind == "ode"
-        assert peak < 150e6, f"peak {peak / 1e6:.0f} MB"
+        assert peak < 105e6, f"peak {peak / 1e6:.0f} MB"
         assert held < 40e6, f"held {held / 1e6:.0f} MB"
 
     @pytest.mark.parametrize("r0", [1.4, 1.65])
@@ -572,6 +574,15 @@ class TestDetInv:
         want = np.linalg.inv(a)
         scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
         assert np.all(np.abs(inv - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_determinant_alone(self, n):
+        """The conjugate-point check's determinant: the one _det_inv
+        returns, bit for bit, and LAPACK's above n = 3."""
+        rng = np.random.default_rng(13)
+        a = np.eye(n) + 0.25 * rng.normal(size=(4, 50, n, n))
+        want = np.linalg.det(a) if n > 3 else _det_inv(a)[0]
+        assert np.array_equal(_det(a), want)
 
 
 class TestDensitySeries:

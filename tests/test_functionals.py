@@ -113,6 +113,14 @@ class TestSphereRule:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
+    def test_hermite_cache_holds_four_grids(self):
+        """One expansion's main and error rules for two dimensions stay
+        cached; a sweep over more grids does not pile them up."""
+        for n, order in [(2, 6), (2, 8), (3, 6), (3, 8), (2, 10), (3, 10)]:
+            _hermite_nodes(n, order, True)
+        info = _hermite_nodes.cache_info()
+        assert info.maxsize == 4 and info.currsize <= 4
+
 
 class TestMomentBridge:
     """The quadrature engine must reproduce the closed-form moments."""
