@@ -49,11 +49,7 @@ def _sweep(b, cp, inv):
     ex = (slice(None),) * 2 + (None,) * (b.ndim - 2)
     cp = cp[ex]
     x = b * inv[ex]
-    if x.ndim > 2:  # wide right-hand sides: contiguous row slabs add faster
-        for j in range(1, x.shape[1]):
-            x[:, j] += x[:, j - 1]
-    else:
-        np.cumsum(x, axis=1, out=x)
+    np.cumsum(x, axis=1, out=x)
     x *= cp
     for k in range(1, x.shape[0]):
         x[k, -1] += cp[k, -1] * x[k - 1, -1]
@@ -158,13 +154,8 @@ class CubicSpline:
             raise ValueError("only values and first derivatives are available")
         w = np.stack(w, -1)  # against the rows y_i, s_i, y_i+1, s_i+1
         ys = self._ys.reshape(self._x.size, 2, -1)
-        if ys.shape[2] >= 256:  # wide rows: read each point's 4 rows in place
-            out = np.empty((xs.size, ys.shape[2]))
-            for q, k in enumerate(i):
-                np.dot(w[q], ys[k : k + 2].reshape(4, -1), out=out[q])
-        else:
-            g = ys[np.stack([i, i + 1], -1)].reshape(xs.size, 4, -1)
-            out = (w[:, None, :] @ g)[:, 0]
+        g = ys[np.stack([i, i + 1], -1)].reshape(xs.size, 4, -1)
+        out = (w[:, None, :] @ g)[:, 0]
         return out.reshape(xq.shape + self._ys.shape[2:])
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import MetricChart, build_normal_chart, curvature_at
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, NonPositiveVolume, QuadratureNotConverged
 from .functionals import ball_volume
 from .isoperimetry import iso_profile
 from .moments import sphere_area
@@ -84,20 +84,26 @@ def _sphere_area(nchart, r: float) -> float:
 
 
 def _ball_radius(nchart, volume: float, r_max: float) -> float:
-    """Radius of the geodesic ball of the given volume inside (0, r_max]:
-    a few bisections, then Newton with V' = area, as iso_profile_radius
-    does on the model."""
+    """Radius of the geodesic ball of the given volume inside (0, r_max].
+
+    Newton on log V against log r, with V' = area: one step solves V ~ r^n
+    exactly, so small balls converge as fast as large ones.  Every
+    evaluation narrows a bracket, and a step that leaves it bisects."""
+    if not volume > 0:
+        raise NonPositiveVolume("volume must be positive")
     lo, hi = 0.0, r_max
-    for _ in range(6):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if ball_volume(nchart, mid) < volume else (lo, mid)
-    r = 0.5 * (lo + hi)
-    for _ in range(8):
-        step = (ball_volume(nchart, r) - volume) / _sphere_area(nchart, r)
-        r = min(max(r - step, lo), hi)
-        if abs(step) <= 1e-15 * r:
-            break
-    return r
+    r = 0.5 * r_max
+    for _ in range(64):
+        v = ball_volume(nchart, r)
+        lo, hi = (r, hi) if v < volume else (lo, r)
+        step = np.log(v / volume) * v / (r * _sphere_area(nchart, r))
+        if abs(step) <= 1e-14:
+            return r * np.exp(-step)
+        r_new = r * np.exp(-step)
+        r = r_new if lo < r_new < hi else 0.5 * (lo + hi)
+    raise QuadratureNotConverged(
+        f"no ball radius of volume {volume} found within 64 Newton steps"
+    )
 
 
 def isoperimetric_probe(nchart, K: float, volume: float) -> dict:

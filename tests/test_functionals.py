@@ -342,7 +342,7 @@ class TestKernelOracle:
                               c=min(quad.c_trunc, 0.9 / s2t),
                               kinks=(0.9 / (2.0 * s2t), 0.9 / s2t), nchart=nc)
         r = s2t * rho
-        tab = nc._table(r).swapaxes(0, 1)  # (nd, nr, 1 + n^2 + n)
+        tab = nc._table(r).swapaxes(0, 1)  # (nd, nr, 1 + n^2)
         sc = nc.geometry(r, np.zeros_like(dirs))[2]
         X = (r[:, None] * dirs).reshape(-1, 3)
         want = _dense_sums(

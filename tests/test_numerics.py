@@ -27,9 +27,9 @@ from curvex._numerics import (
     gauss_legendre,
 )
 from curvex.charts import PROFILES
-from curvex.errors import GeodesicLeftDomain
+from curvex.errors import GeodesicLeftDomain, NonPositiveVolume
 from curvex.functionals import ball_volume, sphere_rule
-from curvex.rigidity import _ball_radius
+from curvex.rigidity import _ball_radius, isoperimetric_probe
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -211,6 +211,28 @@ class TestProbeRadius:
                           r_max, xtol=1e-14, rtol=1e-14)
             got = _ball_radius(nc, volume, r_max)
             assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("frac", [1e-12, 1e-30])
+    def test_tiny_volume(self, frac):
+        """Far below r_max the flat ball V = 4 pi r^3 / 3 still resolves."""
+        nc = build_normal_chart(make_chart(ModelSpec("flat", 3, halfwidth=2.0)),
+                                np.zeros(3), 1.8)
+        r_max = 0.98 * nc.radius
+        volume = frac * ball_volume(nc, r_max)
+        got = _ball_radius(nc, volume, r_max)
+        assert got == pytest.approx((3 * volume / (4 * np.pi)) ** (1 / 3),
+                                    rel=1e-13)
+        if frac > 1e-20:  # inside brentq's bracket [1e-8 r_max, r_max]
+            want = brentq(lambda r: ball_volume(nc, r) - volume, 1e-8 * r_max,
+                          r_max, xtol=1e-14, rtol=1e-14)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("volume", [0.0, -1.0])
+    def test_nonpositive_volume_raises(self, volume):
+        nc = build_normal_chart(make_chart(ModelSpec("flat", 3, halfwidth=2.0)),
+                                np.zeros(3), 1.8)
+        with pytest.raises(NonPositiveVolume):
+            isoperimetric_probe(nc, 0.0, volume)
 
 
 def test_runtime_paths_load_no_scipy():
