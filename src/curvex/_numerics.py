@@ -1,6 +1,7 @@
 """Numerical building blocks on numpy alone.
 
-Gauss-Legendre and Gauss-Chebyshev (second kind) rules, a factored
+Gauss-Legendre and Gauss-Chebyshev (second kind) rules, ball volumes and
+the radius of a given volume from a sphere-area function, a factored
 tridiagonal solver, a not-a-knot cubic spline along axis 0 and the
 Dormand-Prince 5(4) integrator with its quartic dense output (Dormand &
 Prince, J. Comput. Appl. Math. 6, 1980; step control and initial step as
@@ -14,10 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GeodesicLeftDomain
+from .errors import GeodesicLeftDomain, NonPositiveVolume, QuadratureNotConverged
 
-__all__ = ["read_only", "gauss_legendre", "gauss_chebyu", "Tridiagonal",
-           "CubicSpline", "dopri45"]
+__all__ = ["read_only", "gauss_legendre", "gauss_chebyu", "shell_volume",
+           "shell_radius", "Tridiagonal", "CubicSpline", "dopri45"]
 
 
 def read_only(*arrays):
@@ -38,6 +39,57 @@ def gauss_chebyu(m: int):
     cos(k pi/(m+1)) (ascending), weights pi/(m+1) sin^2(k pi/(m+1))."""
     th = np.arange(m, 0, -1) * (np.pi / (m + 1))
     return np.cos(th), np.pi / (m + 1) * np.sin(th) ** 2
+
+
+_SHELL_NODES = 64  # Gauss-Legendre nodes of every ball-volume integral
+
+
+def shell_volume(shell, r):
+    """Volume of the ball of radius r (any shape) whose geodesic sphere of
+    radius s has area shell(s): the integral of shell over [0, r] by one
+    64-node Gauss-Legendre rule, exact to rounding for the smooth areas
+    of normal charts."""
+    x, w = gauss_legendre(_SHELL_NODES)
+    half = 0.5 * np.asarray(r, dtype=float)[..., None]
+    return np.sum(w * shell(half * (x + 1.0)), axis=-1) * half[..., 0]
+
+
+def shell_radius(shell, volume, r, hi):
+    """Radius of the ball of each given volume inside (0, hi], starting
+    from r (both broadcast against volume), as shell_volume measures it.
+
+    Newton on log V against log r, with V' = shell: one step solves
+    V ~ r^n exactly, so tiny balls converge as fast as large ones.  Every
+    evaluation narrows a bracket, and a step that leaves it (or a volume
+    that overflows) bisects.  An element stops when its step falls to
+    1e-14 or its bracket to rounding: near the total volume of a sphere
+    the radius is ill-conditioned and Newton alone stalls."""
+    shape = np.shape(volume)
+    v = np.asarray(volume, dtype=float).ravel()
+    if not np.all(v > 0):
+        raise NonPositiveVolume("volume must be positive")
+    r, hi = (np.broadcast_to(a, shape).astype(float).ravel() for a in (r, hi))
+    lo = np.zeros(v.size)
+    live = np.arange(v.size)
+    for _ in range(64):
+        rl, vl = r[live], v[live]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vol = shell_volume(shell, rl)
+            step = np.log(vol / vl) * vol / (rl * shell(rl))
+        below = vol < vl
+        lo[live] = np.where(below, rl, lo[live])
+        hi[live] = np.where(below, hi[live], rl)
+        r_new = rl * np.exp(-step)
+        done = np.abs(step) <= 1e-14
+        inside = (lo[live] < r_new) & (r_new < hi[live])
+        r[live] = np.where(done | inside, r_new, 0.5 * (lo[live] + hi[live]))
+        done |= hi[live] - lo[live] <= 4e-16 * hi[live]
+        live = live[~done]
+        if not live.size:
+            return r.reshape(shape)
+    raise QuadratureNotConverged(
+        f"no ball radius of volume {v[live[0]]} found within 64 Newton steps"
+    )
 
 
 def _sweep(b, cp, inv):
@@ -157,6 +209,14 @@ class CubicSpline:
         g = ys[np.stack([i, i + 1], -1)].reshape(xs.size, 4, -1)
         out = (w[:, None, :] @ g)[:, 0]
         return out.reshape(xq.shape + self._ys.shape[2:])
+
+    def column(self, k: int) -> "CubicSpline":
+        """The interpolant of y[..., k] alone: the same knots, values and
+        slopes, with no new solve."""
+        out = object.__new__(CubicSpline)
+        out._x, out._dx = self._x, self._dx
+        out._ys = np.ascontiguousarray(self._ys[..., k])
+        return out
 
 
 # Dormand-Prince 5(4): nodes, stages, 5th-order weights, error weights and

@@ -2,16 +2,18 @@
 
 sn_K is the warped radius: sin(sqrt(K) r)/sqrt(K) for K > 0, r for K = 0,
 sinh(sqrt(-K) r)/sqrt(-K) for K < 0.  Ball volumes integrate the sphere
-area element n omega_n sn_K^{n-1}; a fixed Gauss-Legendre rule is accurate
-to machine precision for the radii this package touches.
+area n omega_n sn_K^{n-1} with the Gauss-Legendre rule every ball volume
+shares (`_numerics.shell_volume`), accurate to machine precision for the
+radii this package touches.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gamma, pi
 
 import numpy as np
+
+from ._numerics import shell_volume
 
 __all__ = [
     "omega_n",
@@ -58,23 +60,7 @@ def sphere_area_K(n: int, K: float, r):
     return n * omega_n(n) * sn(K, r) ** (n - 1)
 
 
-@lru_cache(maxsize=None)
-def _gl_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def ball_volume_K(n: int, K: float, r, order: int = 96):
+def ball_volume_K(n: int, K: float, r):
     """Volume of the geodesic ball of radius r in M^n_K (vectorized in r)."""
-    r = np.asarray(r, dtype=float)
-    if K == 0:
-        out = omega_n(n) * r**n
-        return out if out.ndim else float(out)
-    x, w = _gl_rule(order)
-    # map [-1,1] -> [0,r] per radius
-    rr = r[..., None]
-    nodes = 0.5 * rr * (x + 1.0)
-    vals = sn(K, nodes) ** (n - 1)
-    integral = 0.5 * rr[..., 0] * np.sum(w * vals, axis=-1)
-    out = n * omega_n(n) * integral
+    out = shell_volume(lambda s: sphere_area_K(n, K, s), r)
     return out if out.ndim else float(out)

@@ -34,7 +34,11 @@ build raises JacobianSingular where det(J/r) changes sign (a conjugate
 point) and QuadratureNotConverged where the Gauss lemma g~^{-1} y = y fails
 by more than 1e-8.  Both kinds answer one call, NormalChart.geometry(r, w)
 -> (density, w.g~^{-1}w, Sc) for covectors w orthogonal to the ray: with
-the Gauss lemma that is all the geometry a radial kernel needs.
+the Gauss lemma that is all the geometry a radial kernel needs.  Ball
+volumes, sphere areas and the radius of a given volume all come from a
+second call, NormalChart.shell(r), the area of the geodesic sphere.  An
+'ode' chart carries the weights of the sphere rule its rays came from, so
+that area is a weighted sum over the bundle.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ._numerics import CubicSpline, dopri45
-from ._spaceform import sn_over_r
+from ._spaceform import sn_over_r, sphere_area_K
 from .errors import (
     DifferentiationUnstable,
     DimensionMismatch,
@@ -68,6 +72,7 @@ __all__ = [
     "make_chart",
     "curvature_at",
     "scalar_curvature_batch",
+    "closed_form_center",
     "build_normal_chart",
     "density_series",
     "DensitySeries",
@@ -790,9 +795,10 @@ class NormalChart:
     """Geodesic normal coordinates at a center point.
 
     kind 'flat' and 'space_form' get all their geometry from the geodesic
-    radius; kind 'ode' carries spline tables along a fixed direction
-    bundle and only serves the radial-spherical node layout.  Both answer
-    the one geometry call.
+    radius (flat space as K = 0); kind 'ode' carries spline tables along
+    a fixed direction bundle, with the weights of the sphere rule behind
+    it, and only serves the radial-spherical node layout.  Both answer the
+    geometry call and the shell call.
     """
 
     def __init__(self, chart, center, radius, kind, K=0.0):
@@ -802,11 +808,12 @@ class NormalChart:
         self.kind = kind
         self.K = K
         self.n = chart.n
-        self.dirs = None
-        self.rule_key = None  # (n, order, seed) of the sphere rule behind dirs
+        self.dirs = None  # ray directions (nd, n) of an ode chart
+        self.weights = None  # their sphere-rule weights (nd,), summing to the area
         self.nfev = 0  # right-hand-side calls of the geodesic shooting (ode)
         self.gauss_residual = None  # largest |g~^{-1} y - y| in the table (ode)
         self._table = None  # spline in r of (nd, 1 + n^2): density, g~^-1
+        self._density = None  # the table's density column alone, built lazily
         self._sc_pts = None  # exp points (_SC_RADII, nd, n) on the Sc grid
         self._sc_spline = None
 
@@ -817,12 +824,12 @@ class NormalChart:
         By the Gauss lemma g~^{-1} d = d, so these three scalars are all a
         radial kernel needs.  The leading axes of w (..., n) broadcast
         against r: points (m, n) against r (m,), or rays (nd, 1, n) against
-        radii (nr,).  On M^n_K the density is (sn_K(r)/r)^{n-1} and g~^{-1}
-        = P + (r/sn_K(r))^2 (I - P) with P the radial projector, so w.g~^{-1}w
-        = (r/sn_K(r))^2 |w|^2 and Sc is a constant.  An ode chart takes one
-        covector per ray of its bundle, evaluates its spline at the radii
-        and contracts the g~^{-1} block with w (x) w; its outputs are
-        (nd, nr).
+        radii (nr,).  On M^n_K (flat space as K = 0) the density is
+        (sn_K(r)/r)^{n-1} and g~^{-1} = P + (r/sn_K(r))^2 (I - P) with P the
+        radial projector, so w.g~^{-1}w = (r/sn_K(r))^2 |w|^2 and Sc is a
+        constant.  An ode chart takes one covector per ray of its bundle,
+        evaluates its spline at the radii and contracts the g~^{-1} block
+        with w (x) w; its outputs are (nd, nr).
         """
         r = np.asarray(r, dtype=float)
         n = self.n
@@ -840,11 +847,24 @@ class NormalChart:
                 sc = scalar_curvature_batch(self.chart, self._sc_pts.reshape(-1, n))
                 self._sc_spline = CubicSpline(rg, sc.reshape(rg.size, nd))
             return tab[..., 0].T, wgw, self._sc_spline(rq).T
-        w2 = np.einsum("...i,...i->...", w, w)
-        if self.kind == "flat":
-            return np.ones_like(r), w2, 0.0
         s = sn_over_r(self.K, r)
+        w2 = np.einsum("...i,...i->...", w, w)
         return s ** (n - 1), w2 / s**2, n * (n - 1) * self.K
+
+    def shell(self, r):
+        """Area of the geodesic sphere of radius r (any shape).
+
+        On M^n_K it is sphere_area_K(n, K, r).  An ode chart sums
+        density_d(r) r^(n-1) over its rays with the sphere-rule weights,
+        from the density column of its table alone (a tenth of the table at
+        n = 3); the Sc spline stays unbuilt."""
+        if self.kind != "ode":
+            return sphere_area_K(self.n, self.K, r)
+        r = np.asarray(r, dtype=float)
+        if self._density is None:
+            self._density = self._table.column(0)
+        dens = self._density(np.minimum(r, self.radius).ravel())
+        return (dens @ self.weights).reshape(r.shape) * r ** (self.n - 1)
 
 
 _TABLE_BLOCK = 32  # sample radii per block of the ode table build
@@ -852,8 +872,11 @@ _SC_RADII = 65  # radii of the lazily built Sc spline of an ode chart
 _GAUSS_TOL = 1e-8  # largest |g~^{-1} y - y| an ode table may carry
 
 
-def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
+def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol):
     n = chart.n
+    dirs, weights = (np.asarray(a, dtype=float) for a in rule)
+    if dirs.ndim != 2 or dirs.shape[1] != n or weights.shape != dirs.shape[:1]:
+        raise InvalidSpec("a sphere rule is directions (nd, n) and weights (nd,)")
     nd = dirs.shape[0]
     g0 = chart.metric(p[None, :])[0]
     E = _frame(g0[None, :, :])[0]
@@ -928,7 +951,7 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
         )
 
     nc = NormalChart(chart, p, r0, "ode", K=chart.K)
-    nc.dirs = dirs
+    nc.dirs, nc.weights = dirs, weights
     nc.nfev = nfev
     nc.gauss_residual = gauss
     # exp points on the Sc grid, from a spline through the sampled ones
@@ -939,19 +962,29 @@ def _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol):
     return nc
 
 
+def closed_form_center(chart: MetricChart, p) -> bool:
+    """Whether the normal chart at p has a closed form: flat charts
+    anywhere, space forms at the chart origin."""
+    return chart.kind == "flat" or (
+        chart.kind == "space_form" and np.allclose(p, 0.0)
+    )
+
+
 def build_normal_chart(
     chart: MetricChart,
     p,
     r0: float,
-    dirs=None,
+    rule=None,
     r_samples: int = 384,
     rtol: float = 1e-10,
 ) -> NormalChart:
     """Normal coordinates of radius r0 at p.
 
     Flat charts and space forms centered at the chart origin return closed
-    forms.  Anything else shoots geodesics along `dirs` (required) and
-    tabulates density and pulled-back metric along each ray.  Two checks
+    forms.  Anything else needs `rule`, a sphere rule (directions (nd, n)
+    and weights (nd,), as `sphere_rule` returns them): it shoots geodesics
+    along the directions, tabulates density and pulled-back metric along
+    each ray and keeps the weights for its sphere areas.  Two checks
     guard the tables: det(J/r) changing sign on some ray raises
     JacobianSingular (a conjugate point of even multiplicity, where det J
     only touches zero, as off-centre on S^3, is not seen; on the catalog
@@ -966,24 +999,19 @@ def build_normal_chart(
     if r0 <= 0:
         raise InvalidSpec("normal radius must be positive")
 
-    if chart.kind == "flat":
-        if chart.domain.boundary_distance(p) < r0:
-            raise OutOfDomain("normal ball leaves the chart domain")
-        return NormalChart(chart, p, r0, "flat", K=0.0)
-
-    if chart.kind == "space_form" and np.allclose(p, 0.0):
-        if chart.K > 0 and r0 >= 0.995 * np.pi / np.sqrt(chart.K):
+    if closed_form_center(chart, p):
+        K = chart.K  # 0 on flat charts
+        if K > 0 and r0 >= 0.995 * np.pi / np.sqrt(K):
             raise InvalidSpec("normal radius reaches the cut locus")
         # geodesic spheres are coordinate spheres here, so the inscribed
         # box ball is the honest bound for every sign of K
-        if r0 > chart.domain.boundary_distance(np.zeros(chart.n)):
+        if r0 > chart.domain.boundary_distance(p):
             raise OutOfDomain("normal ball leaves the chart domain")
-        return NormalChart(chart, p, r0, "space_form", K=chart.K)
+        return NormalChart(chart, p, r0, chart.kind, K=K)
 
-    if dirs is None:
-        raise InvalidSpec("generic normal charts need a direction bundle")
-    dirs = np.asarray(dirs, dtype=float)
-    return _ode_normal_chart(chart, p, r0, dirs, r_samples, rtol)
+    if rule is None:
+        raise InvalidSpec("generic normal charts need a sphere rule")
+    return _ode_normal_chart(chart, p, r0, rule, r_samples, rtol)
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def _volume(cfg, seed):
     r_hi = float(sec.get("r_max", 0.8 * r0))
     points = int(sec.get("points", 12))
     radii = np.linspace(r_hi / points, r_hi, points)
-    vols = np.array([ball_volume(nc, float(r)) for r in radii])
+    vols = ball_volume(nc, radii)
     fit = fit_volume_series(radii, vols, chart.n)
     curv = curvature_at(chart, np.zeros(chart.n), want_hessian=True)
     r2_pred, r4_pred = predict_volume(curv)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._spaceform import omega_n
-from .charts import MetricChart, build_normal_chart
+from .charts import MetricChart, build_normal_chart, closed_form_center
 from .errors import ConfigInvalid, IllConditionedFit, NoiseDominates
 from .functionals import (
     QuadratureSpec,
@@ -203,18 +203,14 @@ def extract_series(
 
 
 def prepare_normal_chart(chart: MetricChart, p, r_s: float, quad: QuadratureSpec):
-    """Normal chart at p of radius r_s; generic charts get the direction
-    bundle of the radial-spherical rule so the two stay aligned."""
+    """Normal chart at p of radius r_s; an ode chart is shot along the
+    radial-spherical rule of quad, so the two stay aligned."""
     p = np.asarray(p, dtype=float)
-    closed_form = chart.kind == "flat" or (
-        chart.kind == "space_form" and np.allclose(p, 0.0)
-    )
-    if closed_form:
+    if closed_form_center(chart, p):
         return build_normal_chart(chart, p, r_s)
-    dirs, _ = sphere_rule(chart.n, quad.order, quad.seed)
-    nc = build_normal_chart(chart, p, r_s, dirs=dirs)
-    nc.rule_key = (chart.n, quad.order, quad.seed)
-    return nc
+    return build_normal_chart(
+        chart, p, r_s, rule=sphere_rule(chart.n, quad.order, quad.seed)
+    )
 
 
 @dataclass

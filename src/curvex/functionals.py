@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._numerics import gauss_chebyu, gauss_legendre, read_only
+from ._numerics import gauss_chebyu, gauss_legendre, read_only, shell_volume
 from ._spaceform import ball_volume_K
 from .charts import NormalChart
 from .errors import (
@@ -308,17 +308,6 @@ def _radial_nodes(order: int, c: float, kinks=()):
     return np.concatenate(nodes), np.concatenate(wts)
 
 
-def _ray_rule(nc: NormalChart, key):
-    """sphere_rule(*key), checked against the ode chart's direction bundle."""
-    dirs, wd = sphere_rule(*key)
-    if nc.dirs.shape != dirs.shape or not np.array_equal(nc.dirs, dirs):
-        raise ConfigInvalid(
-            "normal chart direction bundle does not match the sphere rule; "
-            "build it with sphere_rule(n, order, seed) directions"
-        )
-    return dirs, wd
-
-
 def _nodes(rule, n, order, quad, c, kinks=(), fold=False, nchart=None):
     """Unit directions d, z-radii rho and weights of one rule; the weights
     carry the Gaussian factor and the pi^{-n/2} normalization.
@@ -343,8 +332,7 @@ def _nodes(rule, n, order, quad, c, kinks=(), fold=False, nchart=None):
     if nchart is not None and nchart.kind == "ode":
         # the angular rule is pinned at chart build time; order changes
         # (including the error-estimate drop) only refine the radial part
-        key = nchart.rule_key or (n, quad.order, quad.seed)
-        dirs, wd = _ray_rule(nchart, key)
+        dirs, wd = nchart.dirs, nchart.weights
     else:
         dirs, wd = sphere_rule(n, order, quad.seed)
     radial_w = wr * rho ** (n - 1) * np.exp(-(rho**2))
@@ -515,33 +503,19 @@ def gaussian_integral(
     return hi, abs(hi - lo)
 
 
-def ball_volume(nchart: NormalChart, r: float, order: int = 64) -> float:
-    """Riemannian volume of the geodesic ball of radius r at the center."""
-    if r <= 0:
+def ball_volume(nchart: NormalChart, r):
+    """Riemannian volume of the geodesic ball of radius r at the center
+    (vectorized in r): the integral of the chart's sphere areas."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0):
         raise ConfigInvalid("radius must be positive")
-    if r > nchart.radius * (1 + 1e-12):
+    if np.any(r > nchart.radius * (1 + 1e-12)):
         raise SupportTooLarge("ball radius exceeds the normal chart radius")
-    x1, w1 = gauss_legendre(order)
-    rho = 0.5 * r * (x1 + 1.0)
-    wr = 0.5 * r * w1
-    n = nchart.n
-    if nchart.kind == "ode":
-        if nchart.rule_key is None:
-            raise ConfigInvalid(
-                "ball_volume on an ode normal chart needs the sphere rule "
-                "behind its directions; build it with prepare_normal_chart"
-            )
-        _, wd = _ray_rule(nchart, nchart.rule_key)
-    else:  # the density is radial: one direction carrying the sphere area
-        wd = np.array([sphere_area(n)])
-    dens = nchart.geometry(rho, np.zeros((wd.size, 1, n)))[0]
-    dens = np.broadcast_to(dens, (wd.size, rho.size))
-    return float(wd @ (dens @ (wr * rho ** (n - 1))))
+    out = shell_volume(nchart.shell, r)
+    return out if out.ndim else float(out)
 
 
 def bishop_gromov_ratio(nchart: NormalChart, radii, K: float) -> np.ndarray:
     """Volume of B(p, r) divided by the space-form ball volume at each r."""
     radii = np.asarray(radii, dtype=float)
-    vols = np.array([ball_volume(nchart, float(r)) for r in radii])
-    ref = ball_volume_K(nchart.n, K, radii)
-    return vols / ref
+    return ball_volume(nchart, radii) / ball_volume_K(nchart.n, K, radii)

@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import CubicSpline, gauss_legendre
-from ._spaceform import ball_volume_K, sphere_area_K
+from ._numerics import CubicSpline, gauss_legendre, shell_radius
+from ._spaceform import ball_volume_K, omega_n, sphere_area_K
 from .errors import (
     ConfigInvalid,
     LevelSetDegenerate,
@@ -71,53 +71,38 @@ _NEWTON_FAIL = 1e-10
 _SEED_BLOCK = 256  # rays per block of the 2048-radius seed grid
 
 
-def iso_profile_radius(n: int, K: float, beta, tol: float = 1e-12):
+def iso_profile_radius(n: int, K: float, beta):
     """Radius of the ball of volume beta in the space form M^n_K.
 
-    beta may be an array: every element runs the same bracket, bisection
-    and Newton polish, and a converged element stops updating.  A scalar
-    in gives a float out."""
+    beta may be an array, solved element by element in one vectorized
+    Newton run (`_numerics.shell_radius`); a scalar in gives a float out.
+    V_K <= V_0 for K > 0, so the flat radius (beta/omega_n)^(1/n) starts
+    the run from below the root inside (0, pi/sqrt(K)).  For K <= 0,
+    V_K >= V_0 bounds the root by the flat radius, and for K < 0 the last
+    1/k of the radius (k = sqrt(-K)) alone holds at least
+    n omega_n sn_K(r - 1/k)^(n-1) / k; the run starts from the smaller
+    bound."""
     b = np.asarray(beta, dtype=float)
-    scalar = b.ndim == 0
-    b = np.atleast_1d(b)
     if np.any(b <= 0):
         raise NonPositiveVolume("volume must be positive")
+    r = (b / omega_n(n)) ** (1.0 / n)
     if K > 0:
-        r_top = np.pi / np.sqrt(K)
-        total = float(ball_volume_K(n, K, r_top))
-        if np.any(b >= total * (1 - 1e-14)):
+        hi = np.pi / np.sqrt(K)
+        total = ball_volume_K(n, K, hi)
+        if np.any(b >= total):
             raise VolumeTooLarge(
                 f"volume {b.max()} reaches the total volume {total} of the sphere"
             )
-        r_hi = np.full(b.shape, r_top)
     else:
-        r_hi = np.ones(b.shape)
-        short = ball_volume_K(n, K, r_hi) < b
-        while short.any():
-            r_hi[short] *= 2.0
-            if r_hi.max() > 1e6:
-                raise VolumeTooLarge("volume out of representable range")
-            short[short] = ball_volume_K(n, K, r_hi[short]) < b[short]
-    r_lo = np.zeros(b.shape)
-    # bisect to a decent bracket, then polish with Newton (V' = area)
-    for _ in range(60):
-        mid = 0.5 * (r_lo + r_hi)
-        below = ball_volume_K(n, K, mid) < b
-        r_lo = np.where(below, mid, r_lo)
-        r_hi = np.where(below, r_hi, mid)
-    r = 0.5 * (r_lo + r_hi)
-    live = np.arange(b.size)
-    for _ in range(8):
-        f = ball_volume_K(n, K, r[live]) - b[live]
-        a = sphere_area_K(n, K, r[live])
-        ok = a != 0
-        live = live[ok]
-        step = f[ok] / a[ok]
-        r[live] = np.clip(r[live] - step, r_lo[live], r_hi[live])
-        live = live[np.abs(step) >= tol * np.maximum(1.0, r[live])]
-        if live.size == 0:
-            break
-    return float(r[0]) if scalar else r
+        if K < 0 and n > 1:
+            k = np.sqrt(-K)
+            sn_top = (k * b / (n * omega_n(n))) ** (1.0 / (n - 1))
+            r = np.minimum(r, (1.0 + np.arcsinh(k * sn_top)) / k)
+        if np.any(r > 1e6):
+            raise VolumeTooLarge("volume out of representable range")
+        hi = r
+    r = shell_radius(lambda s: sphere_area_K(n, K, s), b, r, hi)
+    return float(r) if r.ndim == 0 else r
 
 
 def iso_profile(n: int, K: float, beta):
@@ -197,13 +182,13 @@ def symmetrize(
     K: float = 0.0,
     levels: int = 512,
     order: int = 32,
-    quad: QuadratureSpec | None = None,
 ) -> SymmetrizationResult:
     """Radial rearrangement of the test function onto M^n_K.
 
     Works on flat normal charts (where the polar geometry is exact).  The
     level ladder runs geometrically from max * (1 - 1e-3) down to
-    max * 1e-6 with at least 64 rungs.
+    max * 1e-6 with at least 64 rungs.  The sweep and the original-side
+    functionals share one radial-spherical rule of the given order.
     """
     nc = tf.nchart
     if nc.kind != "flat":
@@ -213,7 +198,7 @@ def symmetrize(
     if levels < 64:
         raise ConfigInvalid("need at least 64 ladder levels")
     n = nc.n
-    quad = quad or QuadratureSpec(rule="radial_sphere", order=order)
+    quad = QuadratureSpec(rule="radial_sphere", order=order)
 
     dirs, wd = sphere_rule(n, order, quad.seed)
     nd = dirs.shape[0]

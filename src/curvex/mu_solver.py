@@ -134,14 +134,12 @@ class MuResult:
     converged: bool
     kkt_residual: float
     clamped: int
-    witness_value: float | None = None
+    witness_value: float  # the objective at the curvature-matched candidate
     meta: dict = field(default_factory=dict)
 
     @property
-    def witness_ok(self) -> bool | None:
+    def witness_ok(self) -> bool:
         """Minimum must not exceed the value of the explicit candidate."""
-        if self.witness_value is None:
-            return None
         slack = 1e-9 * max(1.0, abs(self.witness_value))
         return self.value <= self.witness_value + slack
 
@@ -208,13 +206,12 @@ def mu_ball(
     init: str = "witness",
     max_iter: int = 100_000,
     tol: float = 1e-8,
-    want_witness: bool = True,
 ) -> MuResult:
     """Minimize the time-t entropy functional over radial unit-mass
     profiles on the geodesic K-ball of radius R, Dirichlet at the rim.
 
-    init is one of 'witness' (curvature-matched Gaussian), 'gaussian'
-    (plain truncated Gaussian) or 'uniform'.  The minimum carries an
+    init is 'witness' (the curvature-matched Gaussian whose value is also
+    reported as witness_value) or 'uniform'.  The minimum carries an
     O(per_width^-2) positive discretization bias; raise per_width when
     the target value is itself O(t^2) small.
     """
@@ -224,21 +221,14 @@ def mu_ball(
         dom = RadialDomain(n=n, K=K, R=R, m=m)
     r = dom.r
 
+    witness_f = _witness_profile(dom, t)
     if init == "witness":
-        f = _witness_profile(dom, t)
-    elif init == "gaussian":
-        f = np.exp(-(r**2) / (8 * t))
-        f[-1] = 0.0
-        f = _normalize(dom, f)
+        f = witness_f
     elif init == "uniform":
-        f = 1.0 - (r / R) ** 2
-        f = _normalize(dom, f)
+        f = _normalize(dom, 1.0 - (r / R) ** 2)
     else:
         raise ConfigInvalid(f"unknown init {init!r}")
-
-    witness = None
-    if want_witness:
-        witness = _entropy_value(dom, _witness_profile(dom, t), t)
+    witness = _entropy_value(dom, witness_f, t)
 
     precond = _precondition_factor(dom, t)
     W = _entropy_value(dom, f, t)

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._numerics import shell_radius
 from .charts import MetricChart, build_normal_chart, curvature_at
-from .errors import ConfigInvalid, NonPositiveVolume, QuadratureNotConverged
+from .errors import ConfigInvalid
 from .functionals import ball_volume
 from .isoperimetry import iso_profile
-from .moments import sphere_area
 from .tensor_core import CurvatureData, norm_sq, weyl_decompose
 
 __all__ = [
@@ -76,51 +76,21 @@ def space_form_residuals(curv: CurvatureData, K: float) -> dict:
     return out
 
 
-def _sphere_area(nchart, r: float) -> float:
-    """Area of the geodesic sphere of radius r on a closed-form chart,
-    whose density is radial: sphere_area(n) * density(r) * r^(n-1)."""
-    dens = nchart.geometry(r, np.zeros(nchart.n))[0]
-    return float(sphere_area(nchart.n) * dens * r ** (nchart.n - 1))
-
-
-def _ball_radius(nchart, volume: float, r_max: float) -> float:
-    """Radius of the geodesic ball of the given volume inside (0, r_max].
-
-    Newton on log V against log r, with V' = area: one step solves V ~ r^n
-    exactly, so small balls converge as fast as large ones.  Every
-    evaluation narrows a bracket, and a step that leaves it bisects."""
-    if not volume > 0:
-        raise NonPositiveVolume("volume must be positive")
-    lo, hi = 0.0, r_max
-    r = 0.5 * r_max
-    for _ in range(64):
-        v = ball_volume(nchart, r)
-        lo, hi = (r, hi) if v < volume else (lo, r)
-        step = np.log(v / volume) * v / (r * _sphere_area(nchart, r))
-        if abs(step) <= 1e-14:
-            return r * np.exp(-step)
-        r_new = r * np.exp(-step)
-        r = r_new if lo < r_new < hi else 0.5 * (lo + hi)
-    raise QuadratureNotConverged(
-        f"no ball radius of volume {volume} found within 64 Newton steps"
-    )
-
-
 def isoperimetric_probe(nchart, K: float, volume: float) -> dict:
     """Measured geodesic-sphere area minus the model profile at equal
-    volume.  Zero margin is the rigidity signature.  Closed-form charts
-    only: their density is radial."""
+    volume.  Zero margin is the rigidity signature.  Volume, radius and
+    area all come from the chart's sphere areas, on every chart kind."""
     r_max = nchart.radius * 0.98
     v_max = ball_volume(nchart, r_max)
     if volume >= v_max:
         raise ConfigInvalid(
             f"probe volume {volume} exceeds the chart ball {v_max}"
         )
-    r = _ball_radius(nchart, volume, r_max)
-    area = _sphere_area(nchart, r)
+    r = float(shell_radius(nchart.shell, volume, 0.5 * r_max, r_max))
+    area = float(nchart.shell(r))
     model = iso_profile(nchart.n, K, volume)
     return {
-        "radius": float(r),
+        "radius": r,
         "area": area,
         "model_area": model,
         "margin": area - model,

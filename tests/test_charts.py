@@ -35,6 +35,7 @@ from curvex.errors import (
     QuadratureNotConverged,
 )
 from curvex.functionals import sphere_rule
+from curvex.moments import sphere_area
 from curvex.tensor_core import e_functional, v_tensor
 
 
@@ -261,7 +262,7 @@ class TestChristoffelRoutes:
         tabs = []
         for profile in (PROFILES[name], _plain(name)):
             ch = _conformal(profile, eps=0.2)
-            nc = build_normal_chart(ch, np.zeros(3), 0.8, dirs=dirs,
+            nc = build_normal_chart(ch, np.zeros(3), 0.8, rule=_rule(dirs),
                                     r_samples=96)
             tabs.append(_full_table(nc, r))
         (dens, ginv), (dens_fd, ginv_fd) = tabs
@@ -330,6 +331,12 @@ class TestRicciContraction:
         assert np.abs(rc - rc_want).max() <= 1e-12 * np.abs(rc_want).max()
         assert np.abs(sc - sc_want).max() <= 1e-12 * np.abs(sc_want).max()
         assert np.abs(sc_want).max() > 0.1  # the check is not vacuous
+
+
+def _rule(dirs):
+    """Directions with equal weights summing to the sphere area: enough
+    for the tests that read only the ray tables."""
+    return dirs, np.full(len(dirs), sphere_area(dirs.shape[1]) / len(dirs))
 
 
 def _full_table(nc, r):
@@ -435,7 +442,7 @@ class TestNormalCharts:
         closed = build_normal_chart(ch, np.zeros(3), 1.0)
         dirs = np.eye(3)
         nc = build_normal_chart(
-            ch, np.array([0.3, 0.0, 0.0]), 0.5, dirs=dirs, r_samples=32
+            ch, np.array([0.3, 0.0, 0.0]), 0.5, rule=_rule(dirs), r_samples=32
         )
         r = np.array([0.2, 0.45])
         w = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.0, 1.0, 0.0]])
@@ -456,7 +463,7 @@ class TestNormalCharts:
         dirs = rng.normal(size=(8, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         nc = build_normal_chart(
-            ch, np.array([0.3, -0.2, 0.1]), 1.2, dirs=dirs, r_samples=270
+            ch, np.array([0.3, -0.2, 0.1]), 1.2, rule=_rule(dirs), r_samples=270
         )
         r = np.linspace(0.05, 1.15, 7)
         w = rng.normal(size=(8, 3))
@@ -476,7 +483,7 @@ class TestNormalCharts:
         from curvex.charts import _ode_normal_chart
 
         nc = _ode_normal_chart(
-            ch, np.array([0.2, 0.1]), 1.0, dirs, r_samples=20, rtol=1e-10
+            ch, np.array([0.2, 0.1]), 1.0, _rule(dirs), r_samples=20, rtol=1e-10
         )
         assert np.abs(_density(nc, np.array([0.3, 0.8])) - 1.0).max() < 1e-10
 
@@ -489,7 +496,8 @@ class TestNormalCharts:
         )
         ch = make_chart(spec)
         dirs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-1.0, 0, 0]])
-        nc = build_normal_chart(ch, np.zeros(3), 0.9, dirs=dirs, r_samples=128)
+        nc = build_normal_chart(ch, np.zeros(3), 0.9, rule=_rule(dirs),
+                                r_samples=128)
         dens = _density(nc, np.linspace(0.0, 0.9, 20))
         assert dens.min() > 0
         assert np.abs(dens[:, 0] - 1.0).max() < 1e-10
@@ -497,11 +505,11 @@ class TestNormalCharts:
     def test_ray_tables_converge_under_refinement(self, conformal_chart):
         """The c06 chart's tables at off-grid radii barely move when the
         sample radii are refined fourfold."""
-        dirs, _ = sphere_rule(3, 16)
         r = np.linspace(0.013, 0.887, 23)
         tabs = [
             _full_table(build_normal_chart(
-                conformal_chart, np.zeros(3), 0.9, dirs=dirs, r_samples=rs
+                conformal_chart, np.zeros(3), 0.9, rule=sphere_rule(3, 16),
+                r_samples=rs
             ), r)
             for rs in (384, 1536)
         ]
@@ -514,10 +522,10 @@ class TestNormalCharts:
         radius-major array, the (radii, rays, 1 + n^2) table is filled a
         block of radii at a time, and the build peaks at 84 MB (bound: that
         plus 25 %); what the chart holds afterwards stays bounded."""
-        dirs, _ = sphere_rule(3, 16)
+        rule = sphere_rule(3, 16)
         tracemalloc.start()
         try:
-            nc = build_normal_chart(conformal_chart, np.zeros(3), 0.9, dirs=dirs)
+            nc = build_normal_chart(conformal_chart, np.zeros(3), 0.9, rule=rule)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -538,22 +546,22 @@ class TestNormalCharts:
         dirs = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         p = np.array([0.3, 0.0, 0.0])
         if r0 < np.pi / 2:
-            nc = build_normal_chart(ch, p, r0, dirs=dirs, r_samples=166)
+            nc = build_normal_chart(ch, p, r0, rule=_rule(dirs), r_samples=166)
             assert _density(nc, np.array([r0])).min() > 0
         else:
             with pytest.raises(JacobianSingular):
-                build_normal_chart(ch, p, r0, dirs=dirs, r_samples=166)
+                build_normal_chart(ch, p, r0, rule=_rule(dirs), r_samples=166)
 
     def test_gauss_lemma_residual(self, conformal_chart):
         """g~^{-1} y = y along every ray of a normal chart: the c06 chart
         records a small residual at the default rtol and raises once a
         loose rtol leaves it above 1e-8."""
-        dirs, _ = sphere_rule(3, 8)
-        nc = build_normal_chart(conformal_chart, np.zeros(3), 0.9, dirs=dirs)
+        rule = sphere_rule(3, 8)
+        nc = build_normal_chart(conformal_chart, np.zeros(3), 0.9, rule=rule)
         assert 0 < nc.gauss_residual < 1e-9
         with pytest.raises(QuadratureNotConverged):
             build_normal_chart(
-                conformal_chart, np.zeros(3), 0.9, dirs=dirs, rtol=1e-6
+                conformal_chart, np.zeros(3), 0.9, rule=rule, rtol=1e-6
             )
 
     def test_normal_ball_must_fit(self):
@@ -606,7 +614,8 @@ class TestDensitySeries:
         y = np.array([1.0, 0.0, 0.0])
         # frame at 0 is exp(-f(0)) I = I, so ray direction is the x-axis
         nc = build_normal_chart(
-            conformal_chart, np.zeros(3), 0.5, dirs=y[None, :], r_samples=128
+            conformal_chart, np.zeros(3), 0.5, rule=_rule(y[None, :]),
+            r_samples=128
         )
         r = np.array([0.05, 0.1, 0.2, 0.3])
         dens = _density(nc, r)[0]

@@ -11,10 +11,11 @@ from curvex import (
     make_chart,
 )
 from curvex.charts import PROFILES
-from curvex.expansion import prepare_normal_chart
-from curvex._spaceform import ball_volume_K
+from curvex.expansion import predict_volume, prepare_normal_chart
+from curvex._spaceform import ball_volume_K, sphere_area_K
 from curvex.errors import (
     ConfigInvalid,
+    InvalidSpec,
     PositivityWarning,
     SupportTooLarge,
     TimeTooLarge,
@@ -42,6 +43,7 @@ from curvex.moments import (
     moment_quartic,
     sphere_area,
 )
+from curvex.rigidity import isoperimetric_probe
 from oracles import eta2_pointwise
 
 
@@ -451,23 +453,34 @@ class TestBallVolume:
 
     def test_ode_chart_needs_its_sphere_rule(self):
         """A flat ode chart (conformal factor 0) gives the Euclidean volume
-        once the sphere rule behind its directions is known, and only then."""
+        under the weights of the sphere rule it was shot along; a generic
+        chart without a rule, or with weights that do not match its
+        directions, is refused."""
         ch = make_chart(ModelSpec(
             "conformal_flat", 3,
             perturbation=Perturbation(0.0, PROFILES["quartic_bump"]),
         ))
-        dirs, _ = sphere_rule(3, 8)
-        nc = build_normal_chart(ch, np.array([0.2, 0.1, -0.3]), 0.5,
-                                dirs=dirs, r_samples=32)
-        with pytest.raises(ConfigInvalid):
-            ball_volume(nc, 0.4)
-        nc.rule_key = (3, 10, 1234)
-        with pytest.raises(ConfigInvalid):
-            ball_volume(nc, 0.4)
-        nc.rule_key = (3, 8, 1234)
+        p = np.array([0.2, 0.1, -0.3])
+        dirs, wts = sphere_rule(3, 8)
+        with pytest.raises(InvalidSpec):
+            build_normal_chart(ch, p, 0.5, r_samples=32)
+        with pytest.raises(InvalidSpec):
+            build_normal_chart(ch, p, 0.5, rule=(dirs, wts[1:]), r_samples=32)
+        nc = build_normal_chart(ch, p, 0.5, rule=(dirs, wts), r_samples=32)
         for r in (0.2, 0.4, 0.5):
             assert ball_volume(nc, r) == pytest.approx(
                 4.0 * np.pi / 3.0 * r**3, rel=1e-12
+            )
+
+    def test_vector_radii_match_scalar_calls(self, s3_ode):
+        radii = np.array([0.3, 0.7, 1.0])
+        s3 = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
+        for nc in (s3_ode, build_normal_chart(s3, np.zeros(3), 1.7)):
+            got = ball_volume(nc, radii)
+            assert got.shape == radii.shape
+            np.testing.assert_allclose(
+                got, [ball_volume(nc, float(r)) for r in radii],
+                rtol=1e-15, atol=0,
             )
 
     def test_bishop_gromov_sphere_constant(self):
@@ -481,3 +494,85 @@ class TestBallVolume:
         nc = build_normal_chart(ch, np.zeros(3), 2.5)
         ratio = bishop_gromov_ratio(nc, np.linspace(0.2, 2.4, 8), -1.0)
         assert np.all(np.diff(ratio) < 0)
+
+
+@pytest.fixture(scope="module")
+def s3_ode():
+    """Off-centre S^3 normal chart from geodesic shooting along the order-16
+    radial-spherical rule (512 rays)."""
+    ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
+    nc = prepare_normal_chart(ch, np.array([0.3, -0.2, 0.1]), 1.0,
+                              QuadratureSpec(rule="radial_sphere", order=16))
+    assert nc.kind == "ode"
+    return nc
+
+
+@pytest.fixture
+def conformal_c06():
+    """The c06 conformal chart (quartic bump, eps 0.05) at the origin, shot
+    along the order-16 rule (512 rays) to r_s = 0.9; built per test, since
+    the test below checks what a fresh chart has built."""
+    ch = make_chart(ModelSpec(
+        "conformal_flat", 3,
+        perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
+        halfwidth=1.5,
+    ))
+    return prepare_normal_chart(ch, np.zeros(3), 0.9,
+                                QuadratureSpec(rule="radial_sphere", order=16))
+
+
+class TestShell:
+    """NormalChart.shell(r), the area of the geodesic sphere, behind every
+    ball volume, probe radius and probe area."""
+
+    def test_ode_chart_matches_sphere_area(self, s3_ode):
+        r = np.linspace(0.0, 1.0, 41)
+        np.testing.assert_allclose(s3_ode.shell(r), 4 * np.pi * np.sin(r) ** 2,
+                                   rtol=0, atol=1e-9)
+        assert s3_ode.shell(r.reshape(1, 41, 1)).shape == (1, 41, 1)
+
+    def test_probe_closes_on_ode_chart(self, s3_ode):
+        """The sphere is its own model: the probe margin vanishes."""
+        v_max = ball_volume(s3_ode, 0.98)
+        for frac in (0.1, 0.5, 0.9):
+            probe = isoperimetric_probe(s3_ode, 1.0, frac * v_max)
+            assert abs(probe["margin"]) <= 1e-8 * probe["model_area"]
+
+    @pytest.mark.parametrize("kind,n,K", [
+        ("flat", 2, 0.0), ("flat", 3, 0.0), ("space_form", 3, 1.0),
+        ("space_form", 4, 1.0), ("space_form", 3, -1.0),
+    ])
+    def test_closed_form_is_sphere_area_K(self, kind, n, K):
+        ch = make_chart(ModelSpec(kind, n, K=K))
+        nc = build_normal_chart(ch, np.zeros(n), 0.9 * float(ch.domain.hi[0]))
+        r = np.linspace(0.0, nc.radius, 17).reshape(-1, 1)
+        assert np.array_equal(nc.shell(r), sphere_area_K(n, K, r))
+        assert nc.shell(0.5) == sphere_area_K(n, K, 0.5)
+
+    def test_anisotropic_ode_chart_follows_gray(self):
+        """Off the centre of the c06 conformal chart the density depends on
+        the direction, so the sphere-rule weights matter: ball volumes
+        follow Gray's expansion through r^4 (expansion.predict_volume) up to
+        a residual below 5e-3 r^6 (measured 7e-4 r^6; equal weights leave
+        2 r^6 at r = 0.05)."""
+        ch = make_chart(ModelSpec(
+            "conformal_flat", 3,
+            perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
+            halfwidth=1.5,
+        ))
+        p = np.array([0.2, -0.1, 0.15])
+        r2, r4 = predict_volume(curvature_at(ch, p, want_hessian=True))
+        nc = prepare_normal_chart(ch, p, 0.6,
+                                  QuadratureSpec(rule="radial_sphere", order=8))
+        r = np.array([0.05, 0.1, 0.2, 0.3])
+        ratio = ball_volume(nc, r) / (4.0 * np.pi / 3.0 * r**3) - 1.0
+        assert np.all(np.abs(ratio - r2 * r**2 - r4 * r**4) < 5e-3 * r**6)
+
+    def test_volume_and_probe_leave_sc_unbuilt(self, conformal_c06):
+        """Ball volumes and probes read the density column alone: the Sc
+        spline of an ode chart (scalar curvature at 65 x 512 exp points) is
+        not built for them."""
+        v = ball_volume(conformal_c06, 0.8)
+        assert conformal_c06._sc_spline is None
+        isoperimetric_probe(conformal_c06, 0.0, 0.5 * v)
+        assert conformal_c06._sc_spline is None

@@ -81,6 +81,17 @@ class TestIsoProfile:
         beta = float(ball_volume_K(3, -1.0, 5.0))
         assert abs(iso_profile_radius(3, -1.0, beta) - 5.0) < 1e-9
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_hyperbolic_huge_volume(self, n):
+        """Volumes far beyond the flat ball of radius 1e6 still resolve on
+        H^n: the radius is bounded by 1 + asinh(sn bound), so no sn_K
+        overflows on the way (RuntimeWarnings fail the suite)."""
+        for r0 in (30.0, 600.0 / (n - 1)):
+            beta = float(ball_volume_K(n, -1.0, r0))
+            assert iso_profile_radius(n, -1.0, beta) == pytest.approx(
+                r0, rel=1e-13
+            )
+
     def test_profile_value_is_sphere_area(self):
         beta = float(ball_volume_K(3, 1.0, 0.8))
         assert abs(

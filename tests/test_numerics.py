@@ -25,11 +25,14 @@ from curvex._numerics import (
     dopri45,
     gauss_chebyu,
     gauss_legendre,
+    shell_radius,
 )
+from curvex._spaceform import ball_volume_K, sphere_area_K
 from curvex.charts import PROFILES
 from curvex.errors import GeodesicLeftDomain, NonPositiveVolume
 from curvex.functionals import ball_volume, sphere_rule
-from curvex.rigidity import _ball_radius, isoperimetric_probe
+from curvex.isoperimetry import iso_profile_radius
+from curvex.rigidity import isoperimetric_probe
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -128,6 +131,19 @@ class TestCubicSpline:
         u = np.concatenate([[1.0], levels])
         self._check(rho, u, np.linspace(0.0, 1.05 * np.sqrt(rho[-1]), 301) ** 2)
 
+    def test_column_is_the_tables_own_column(self):
+        """column(k) evaluates to the table's column k bit for bit, values
+        and slopes, and against scipy fitted to that column alone."""
+        rng = np.random.default_rng(6)
+        x = np.linspace(0.0, 0.9, 96)
+        y = np.cos(3.0 * x)[:, None, None] * rng.normal(size=(1, 16, 10))
+        full = CubicSpline(x, y)
+        xq = rng.uniform(0.0, 0.9, 41)
+        for k in (0, 4):
+            for nu in (0, 1):
+                assert np.array_equal(full.column(k)(xq, nu), full(xq, nu)[..., k])
+        self._check(x, y[..., 0], xq)
+
     def test_scalar_query_and_limits(self):
         x = np.linspace(0.0, 1.0, 8)
         spl = CubicSpline(x, x**3)
@@ -174,8 +190,8 @@ class TestDormandPrince:
 
         monkeypatch.setattr(charts, "dopri45", recording)
         ch = make_chart(spec)
-        dirs, _ = sphere_rule(3, 8)
-        nc = build_normal_chart(ch, np.zeros(3), 0.9, dirs=dirs, r_samples=192)
+        nc = build_normal_chart(ch, np.zeros(3), 0.9, rule=sphere_rule(3, 8),
+                                r_samples=192)
         (fun, y0, t_out, rtol, atol, got, nfev), = seen
         sol = solve_ivp(fun, (t_out[0], t_out[-1]), y0, method="RK45",
                         rtol=rtol, atol=atol, t_eval=t_out)
@@ -198,6 +214,9 @@ class TestDormandPrince:
 
 
 class TestProbeRadius:
+    """The one radius-of-a-volume solver, shell_radius, behind
+    isoperimetric_probe on normal charts and iso_profile_radius on M^n_K."""
+
     @pytest.mark.parametrize("n,K", [(3, 1.0), (3, -1.0), (3, 0.0), (5, 1.0)])
     def test_matches_brentq(self, n, K):
         hw = 1.0 if K > 0 else 2.0
@@ -209,7 +228,7 @@ class TestProbeRadius:
             volume = frac * ball_volume(nc, r_max)
             want = brentq(lambda r: ball_volume(nc, r) - volume, 1e-8 * r_max,
                           r_max, xtol=1e-14, rtol=1e-14)
-            got = _ball_radius(nc, volume, r_max)
+            got = shell_radius(nc.shell, volume, 0.5 * r_max, r_max)
             assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("frac", [1e-12, 1e-30])
@@ -219,7 +238,7 @@ class TestProbeRadius:
                                 np.zeros(3), 1.8)
         r_max = 0.98 * nc.radius
         volume = frac * ball_volume(nc, r_max)
-        got = _ball_radius(nc, volume, r_max)
+        got = shell_radius(nc.shell, volume, 0.5 * r_max, r_max)
         assert got == pytest.approx((3 * volume / (4 * np.pi)) ** (1 / 3),
                                     rel=1e-13)
         if frac > 1e-20:  # inside brentq's bracket [1e-8 r_max, r_max]
@@ -232,7 +251,42 @@ class TestProbeRadius:
         nc = build_normal_chart(make_chart(ModelSpec("flat", 3, halfwidth=2.0)),
                                 np.zeros(3), 1.8)
         with pytest.raises(NonPositiveVolume):
+            shell_radius(nc.shell, volume, 0.9, 1.8)
+        with pytest.raises(NonPositiveVolume):
             isoperimetric_probe(nc, 0.0, volume)
+
+    @pytest.mark.parametrize("n,top", [(2, 0.9999), (3, 0.9999), (4, 0.9999),
+                                       (5, 0.999)])
+    def test_sphere_up_to_its_total_volume(self, n, top):
+        """On the unit n-sphere, at volumes up to that of the ball of radius
+        0.9999 pi, the radius comes back within 1e-8, or within what one
+        volume spacing allows where the radius is ill-conditioned: near pi
+        one ulp of the volume moves it by ulp(V)/area, 5.8e-6 for n = 4 at
+        0.9999 pi.  The volume of the returned radius matches to rounding
+        either way, and nothing raises.  For n = 5, where Newton alone
+        stalls on the rounding of V at some of these radii, the range stops
+        at 0.999 pi: above it the volumes round to the total, which raises
+        VolumeTooLarge."""
+        want = np.pi * np.concatenate([np.linspace(0.01, 0.9, 30, endpoint=False),
+                                       np.linspace(0.9, top, 400)])
+        volumes = ball_volume_K(n, 1.0, want)
+        got = iso_profile_radius(n, 1.0, volumes)
+        spacing = np.spacing(ball_volume_K(n, 1.0, np.pi))
+        bound = np.maximum(1e-8, 4 * spacing / sphere_area_K(n, 1.0, want))
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.abs(got - want)[want < 0.99 * np.pi].max() < 1e-8
+        np.testing.assert_allclose(ball_volume_K(n, 1.0, got), volumes,
+                                   rtol=0, atol=4 * spacing)
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    def test_vector_equals_scalar_calls(self, K):
+        """Each element runs its own Newton steps: a vector of volumes gives
+        bit for bit what one call per volume gives."""
+        top = 0.9999 * np.pi if K > 0 else 4.0
+        volumes = ball_volume_K(4, K, np.linspace(0.01, top, 41))
+        got = iso_profile_radius(4, K, volumes)
+        one_by_one = [iso_profile_radius(4, K, float(v)) for v in volumes]
+        assert np.array_equal(got, one_by_one)
 
 
 def test_runtime_paths_load_no_scipy():
@@ -256,7 +310,7 @@ def test_runtime_paths_load_no_scipy():
                       quad=QuadratureSpec(rule="hermite", order=12))
         run_expansion(s3, np.zeros(3), r_s=0.8, quad=QuadratureSpec(order=10))
         s2r = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
-        nc = build_normal_chart(s2r, np.zeros(3), 0.9, dirs=sphere_rule(3, 8)[0],
+        nc = build_normal_chart(s2r, np.zeros(3), 0.9, rule=sphere_rule(3, 8),
                                 r_samples=96)
         nc.geometry(np.linspace(0.0, 0.9, 7), np.zeros((nc.dirs.shape[0], 1, 3)))
         flat = make_chart(ModelSpec("flat", 3, halfwidth=2.0))
