@@ -29,6 +29,7 @@ from .functionals import (
     build_test_function,
     eval_L_normalized,
     eval_W_normalized,
+    resolve_rule,
     sphere_rule,
 )
 from .tensor_core import CurvatureData, norm_sq
@@ -268,6 +269,7 @@ def run_expansion(
         values[i], errors[i], count = evaluate(tf, float(t), quad)
         nodes += count
     fit = extract_series(ts, values, errors, expected_c2_scale)
+    rule, fold = resolve_rule(tf, quad)
     return ExpansionResult(
         ts=ts,
         values=values,
@@ -279,7 +281,8 @@ def run_expansion(
             "mode": mode if isinstance(mode, str) else "explicit",
             "alpha": tf.alpha,
             "r_s": r_s,
-            "rule": quad.rule,
+            "rule": rule,
+            "fold": fold,
             "order": quad.order,
             "nodes": nodes,
             "normal_chart": nc.kind,

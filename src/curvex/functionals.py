@@ -26,11 +26,16 @@ one: g~^{ij} M_i M_j = kappa^2 + beta^2 w.g~^{-1}w.  So each node needs
 eta^2, kappa and beta^2 from the test function (one kernel) and density,
 w.g~^{-1}w and Sc from the normal chart (one geometry call).
 
-When a has no off-diagonal entries the integrand is even in every
-coordinate, so the product Hermite grid is folded onto the orthant z >= 0:
-order^n nodes become ceil(order/2)^n, with doubled weights off the zero
-node.  A non-diagonal a, and gaussian_integral with its arbitrary G, keep
-the full grid.
+When a has no off-diagonal entries and the normal chart is closed-form
+(flat, or a space form at its origin) the integrand is even in every
+coordinate, so the nodes are folded onto the orthant z >= 0
+(resolve_rule).  The product Hermite grid goes from order^n nodes to
+ceil(order/2)^n, with doubled weights off the zero node.  The
+radial-spherical product rule (n <= 4) folds each 1-D factor by node
+index: 2 o^2 directions on S^2 become ceil(o/2) (floor(o/2) + 1) and
+2 o^3 on S^3 become ceil(o/2)^2 (floor(o/2) + 1).  A non-diagonal a, an ode
+chart (its geometry depends on the direction), Monte Carlo and
+gaussian_integral with its arbitrary G keep the full rule.
 """
 
 from __future__ import annotations
@@ -245,56 +250,77 @@ def _hermite_nodes(n: int, order: int, fold: bool = False):
     return read_only(zs, zn, ws / np.pi ** (n / 2.0))
 
 
+def _half_rule(x, w):
+    """A 1-D rule symmetric about 0 (nodes ascending) folded onto x >= 0
+    by node index: the upper half keeps its nodes and doubles their
+    weights, except the middle node of an odd count, which stays single.
+    The index, not the sign, decides: cos(pi/2) is 6.1e-17, not 0."""
+    m = x.size
+    wf = 2.0 * w[m // 2 :]
+    if m % 2:
+        wf[0] = w[m // 2]
+    return x[m // 2 :], wf
+
+
+def _azimuth(m: int, fold: bool):
+    """Trapezoid rule at the angles 2 pi k / m (m even): cosines, sines
+    and weights.  fold keeps the quadrant 4k <= m, where the reflections
+    of both axes leave 2 copies of k = 0 and of 4k = m and 4 of every
+    other angle."""
+    k = np.arange(m // 4 + 1 if fold else m)
+    th = 2 * np.pi * k / m
+    mult = np.where((k == 0) | (4 * k == m), 2.0, 4.0) if fold else np.ones(m)
+    return np.cos(th), np.sin(th), mult * (2 * np.pi / m)
+
+
+@lru_cache(maxsize=64)
+def _sphere_nodes(n: int, order: int, fold: bool):
+    """The product rule on S^{n-1}, n = 2, 3, 4, from its 1-D factors:
+    directions and weights summing to the sphere's area.
+
+    Polar factors run outermost first, each giving the next coordinate
+    from the last (n = 4 Gauss-Chebyshev of the second kind for x4, n >= 3
+    Gauss-Legendre for x3), and the azimuth takes x1, x2 on what their
+    sines leave.  fold folds every factor onto its nonnegative half by
+    node index (`_half_rule`, `_azimuth`): the rule on the orthant, exact
+    on the functions even in every coordinate."""
+    coords, sines, wts = [], np.ones(1), np.ones(1)
+    for gauss in (gauss_chebyu, gauss_legendre)[4 - n :]:
+        u, wu = gauss(order)
+        if fold:
+            u, wu = _half_rule(u, wu)
+        coords = [np.repeat(x, u.size) for x in coords]
+        coords.append(np.outer(sines, u).ravel())
+        sines = np.outer(sines, np.sqrt(1 - u**2)).ravel()
+        wts = np.outer(wts, wu).ravel()
+    c, s, wa = _azimuth(max(4 * order, 16) if n == 2 else 2 * order, fold)
+    coords = [np.repeat(x, c.size) for x in coords]
+    dirs = np.stack(
+        [np.outer(sines, c).ravel(), np.outer(sines, s).ravel(), *coords[::-1]],
+        -1,
+    )
+    return read_only(dirs, np.outer(wts, wa).ravel())
+
+
 @lru_cache(maxsize=64)
 def sphere_rule(n: int, order: int, seed: int = 1234):
     """Quadrature on S^{n-1}: directions and weights summing to its area.
 
     n=2 trapezoid, n=3 Gauss-Legendre x trapezoid, n=4 Gauss-Chebyshev
-    (second kind) x Gauss-Legendre x trapezoid, n>=5 seeded Monte Carlo.
+    (second kind) x Gauss-Legendre x trapezoid (Stroud, Approximate
+    Calculation of Multiple Integrals, 1971), n>=5 seeded Monte Carlo.
+    This is the full rule.  The radial-spherical nodes of a closed-form
+    normal chart with a diagonal profile a take the same product rule
+    folded onto the orthant (n <= 4, about 1/2^n of the directions);
+    an ode chart's bundle, and Monte Carlo directions, never fold.
     """
-    if n == 2:
-        m = max(4 * order, 16)
-        th = 2 * np.pi * np.arange(m) / m
-        dirs = np.stack([np.cos(th), np.sin(th)], -1)
-        wts = np.full(m, 2 * np.pi / m)
-    elif n == 3:
-        u, wu = gauss_legendre(order)
-        m = 2 * order
-        th = 2 * np.pi * np.arange(m) / m
-        s = np.sqrt(1 - u**2)
-        dirs = np.stack(
-            [
-                np.outer(s, np.cos(th)).ravel(),
-                np.outer(s, np.sin(th)).ravel(),
-                np.outer(u, np.ones(m)).ravel(),
-            ],
-            -1,
-        )
-        wts = np.outer(wu, np.full(m, 2 * np.pi / m)).ravel()
-    elif n == 4:
-        v, wv = gauss_chebyu(order)  # weight sqrt(1-v^2) on [-1,1]
-        u, wu = gauss_legendre(order)
-        m = 2 * order
-        th = 2 * np.pi * np.arange(m) / m
-        sv = np.sqrt(1 - v**2)
-        su = np.sqrt(1 - u**2)
-        dirs = np.stack(
-            [
-                np.einsum("a,b,c->abc", sv, su, np.cos(th)).ravel(),
-                np.einsum("a,b,c->abc", sv, su, np.sin(th)).ravel(),
-                np.einsum("a,b,c->abc", sv, u, np.ones(m)).ravel(),
-                np.einsum("a,b,c->abc", v, np.ones(order), np.ones(m)).ravel(),
-            ],
-            -1,
-        )
-        wts = np.einsum("a,b,c->abc", wv, wu, np.full(m, 2 * np.pi / m)).ravel()
-    else:
-        rng = np.random.default_rng(seed)
-        count = max(20_000, 200 * order * order)
-        dirs = rng.normal(size=(count, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        wts = np.full(count, sphere_area(n) / count)
-    return read_only(dirs, wts)
+    if n <= 4:
+        return _sphere_nodes(n, order, False)
+    rng = np.random.default_rng(seed)
+    count = max(20_000, 200 * order * order)
+    dirs = rng.normal(size=(count, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return read_only(dirs, np.full(count, sphere_area(n) / count))
 
 
 def _radial_nodes(order: int, c: float, kinks=()):
@@ -314,8 +340,9 @@ def _nodes(rule, n, order, quad, c, kinks=(), fold=False, nchart=None):
 
     hermite and mc lay m nodes out as d (m, n), rho (m,), weights (m,);
     radial_sphere as rays d (nd, 1, n) times radii rho (nr,) on [0, c]
-    split at the kinks, weights (nd, nr).  On an ode nchart the rays are
-    the chart's own bundle."""
+    split at the kinks, weights (nd, nr).  fold takes the hermite grid and
+    the radial_sphere directions on the orthant (see resolve_rule).  On an
+    ode nchart the rays are the chart's own bundle."""
     if rule == "hermite":
         if n > 4:  # order^n nodes: 1e8 at the default order and n = 5
             raise ConfigInvalid("product Hermite grids are limited to n <= 4")
@@ -333,11 +360,37 @@ def _nodes(rule, n, order, quad, c, kinks=(), fold=False, nchart=None):
         # the angular rule is pinned at chart build time; order changes
         # (including the error-estimate drop) only refine the radial part
         dirs, wd = nchart.dirs, nchart.weights
+    elif fold:
+        dirs, wd = _sphere_nodes(n, order, True)
     else:
         dirs, wd = sphere_rule(n, order, quad.seed)
     radial_w = wr * rho ** (n - 1) * np.exp(-(rho**2))
     wts = wd[:, None] * radial_w[None, :] / np.pi ** (n / 2.0)
     return dirs[:, None, :], rho, wts
+
+
+def resolve_rule(tf: TestFunction, quad: QuadratureSpec):
+    """The rule quad runs on tf's chart ('auto' resolved: radial_sphere on
+    ode charts and for n <= 4, mc beyond) and whether its nodes fold onto
+    the orthant.
+
+    A diagonal a makes every integrand even in each coordinate when the
+    geometry depends on |x| alone (eta^2 and its gradient enter through
+    |x|^2, x.a.x and |a x|^2), so mirror nodes give identical values.
+    That holds on closed-form charts, where the hermite grid and the
+    radial_sphere product rule (n <= 4) fold.  An ode chart keeps its own
+    bundle, since its geometry depends on the direction, and Monte Carlo
+    nodes never fold."""
+    nc = tf.nchart
+    rule = quad.rule
+    if rule == "auto":
+        rule = "radial_sphere" if nc.kind == "ode" or nc.n <= 4 else "mc"
+    elif nc.kind == "ode" and rule != "radial_sphere":
+        raise ConfigInvalid("ode normal charts support only the radial_sphere rule")
+    foldable = rule == "hermite" or (
+        rule == "radial_sphere" and nc.kind != "ode" and nc.n <= 4
+    )
+    return rule, foldable and not np.any(tf.a - np.diag(np.diagonal(tf.a)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +417,10 @@ def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int):
     eta^2 (kappa^2 + beta^2 w.g~^{-1}w)."""
     nc = tf.nchart
     n = nc.n
-    rule = quad.rule
-    if rule == "auto":
-        rule = "radial_sphere" if nc.kind == "ode" or n <= 4 else "mc"
-    elif nc.kind == "ode" and rule != "radial_sphere":
-        raise ConfigInvalid("ode normal charts support only the radial_sphere rule")
+    # hermite and radial_sphere nodes fold onto the orthant for a diagonal
+    # a on closed-form charts; ode bundles and mc nodes never do
+    rule, fold = resolve_rule(tf, quad)
     s2t = 2.0 * np.sqrt(t)
-    # Hermite never runs on ode charts, so the geometry depends on |x|
-    # alone; a diagonal a then makes every integrand even in each
-    # coordinate (eta^2 and its gradient enter through |x|^2, x.a.x and
-    # |a x|^2), and mirror nodes give identical values
-    fold = not np.any(tf.a - np.diag(np.diagonal(tf.a)))
     dirs, rho, wts = _nodes(
         rule, n, order, quad,
         c=min(quad.c_trunc, tf.r_s / s2t),  # integrand vanishes past support

@@ -36,6 +36,12 @@ and grad u = u (kappa d + beta w) with w = a d - q d orthogonal to d and
 eta^2 is floored and its gradient zeroed where it is clamped: kappa =
 -r/4t and beta^2 = 0 there.  The seed grid needs only u; it is evaluated
 a block of rays at a time, each block on the radii of the whole grid.
+
+The rays are the directions of the radial-spherical rule that integrates
+the original side, from the same builder.  For a diagonal a, q and p are
+even in every coordinate and that rule is folded onto the orthant
+(functionals.resolve_rule): at order 32 on S^2 the sweep runs on 272
+rays instead of 2,048.
 """
 
 from __future__ import annotations
@@ -52,7 +58,14 @@ from .errors import (
     NonPositiveVolume,
     VolumeTooLarge,
 )
-from .functionals import QuadratureSpec, TestFunction, eval_components, sphere_rule
+from .functionals import (
+    QuadratureSpec,
+    TestFunction,
+    _sphere_nodes,
+    eval_components,
+    resolve_rule,
+    sphere_rule,
+)
 
 __all__ = [
     "iso_profile",
@@ -188,7 +201,8 @@ def symmetrize(
     Works on flat normal charts (where the polar geometry is exact).  The
     level ladder runs geometrically from max * (1 - 1e-3) down to
     max * 1e-6 with at least 64 rungs.  The sweep and the original-side
-    functionals share one radial-spherical rule of the given order.
+    functionals share one radial-spherical rule of the given order, folded
+    onto the orthant when a is diagonal (meta["fold"]).
     """
     nc = tf.nchart
     if nc.kind != "flat":
@@ -200,7 +214,13 @@ def symmetrize(
     n = nc.n
     quad = QuadratureSpec(rule="radial_sphere", order=order)
 
-    dirs, wd = sphere_rule(n, order, quad.seed)
+    # the sweep runs on the rays of the original side's rule, folded onto
+    # the orthant for a diagonal a
+    fold = resolve_rule(tf, quad)[1]
+    if fold:
+        dirs, wd = _sphere_nodes(n, order, True)
+    else:
+        dirs, wd = sphere_rule(n, order, quad.seed)
     nd = dirs.shape[0]
     r_max = tf.r_s
     m = 2048
@@ -303,6 +323,6 @@ def symmetrize(
         dirichlet_original=comp.dirichlet,
         dirichlet_symmetrized=dir_sym,
         meta={"t": t, "levels": levels, "order": order, "rays": nd,
-              "seed_radii": m, "newton_steps": steps,
+              "fold": fold, "seed_radii": m, "newton_steps": steps,
               "crossing_residual": resid},
     )

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._numerics import shell_radius
-from .charts import MetricChart, build_normal_chart, curvature_at
+from .charts import MetricChart, curvature_at
 from .errors import ConfigInvalid
-from .functionals import ball_volume
+from .expansion import prepare_normal_chart
+from .functionals import QuadratureSpec, ball_volume
 from .isoperimetry import iso_profile
 from .tensor_core import CurvatureData, norm_sq, weyl_decompose
 
@@ -97,6 +98,11 @@ def isoperimetric_probe(nchart, K: float, volume: float) -> dict:
     }
 
 
+# the sphere rule an ode centre chart is shot along; closed-form charts
+# ignore it
+_PROBE_QUAD = QuadratureSpec(rule="radial_sphere", order=16)
+
+
 def _sample_points(chart: MetricChart, npoints: int, seed: int):
     hw = float(np.min(chart.domain.hi))
     rng = np.random.default_rng(seed)
@@ -118,7 +124,11 @@ def assess_rigidity(
     seed: int = 1234,
 ) -> RigidityReport:
     """Run the full battery at sampled points plus isoperimetric probes
-    around the center; fold the margins into a verdict."""
+    around the center; fold the margins into a verdict.
+
+    The centre chart is closed-form where one exists and otherwise shot
+    along the order-16 radial-spherical sphere rule, so every catalog
+    chart gets its probes."""
     n = chart.n
     if points is None:
         points = _sample_points(chart, npoints, seed)
@@ -165,7 +175,7 @@ def assess_rigidity(
         probe_radius = 0.7 * float(np.min(chart.domain.hi))
         if K > 0:
             probe_radius = min(probe_radius, 0.9 * np.pi / np.sqrt(K))
-    nc = build_normal_chart(chart, np.zeros(n), r0=probe_radius)
+    nc = prepare_normal_chart(chart, np.zeros(n), probe_radius, _PROBE_QUAD)
     v_ref = ball_volume(nc, probe_radius * 0.95)
     for frac in probe_fracs:
         probe = isoperimetric_probe(nc, K, frac * v_ref)

@@ -116,6 +116,9 @@ class TestRuns:
         doc = json.loads((tmp_path / "expand_L.json").read_text())
         assert abs(doc["result"]["fitted"]["c1"]) < 1e-5
         assert doc["result"]["meta"]["normal_chart"] == "flat"
+        # a = Rc/3 = 0 is diagonal on the closed-form flat chart
+        assert doc["result"]["meta"]["rule"] == "radial_sphere"
+        assert doc["result"]["meta"]["fold"] is True
         lines = (tmp_path / "expand_L.csv").read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "t"
         assert len(lines) == 7  # header + 6 time points
@@ -160,7 +163,12 @@ class TestDeterminism:
         raw = (d1 / "symmetrize.json").read_bytes()
         assert raw == (d2 / "symmetrize.json").read_bytes()
         meta = json.loads(raw)["result"]["meta"]
-        assert meta["rays"] == 2 * 16 * 16 and meta["seed_radii"] == 2048
+        # a diagonal a folds the order-16 S^2 rule onto the orthant: o/2
+        # Legendre nodes u >= 0 times the o/2 + 1 azimuths 4k <= 2o
+        o = 16
+        assert meta["fold"] is True
+        assert meta["rays"] == (o // 2) * (o // 2 + 1)
+        assert meta["seed_radii"] == 2048
         assert 1 <= meta["newton_steps"] <= 4
         assert meta["crossing_residual"] <= 1e-13
 

@@ -134,13 +134,16 @@ class TestRuns:
         assert res.meta["normal_chart"] == "space_form"
         assert "nfev" not in res.meta and "rays" not in res.meta
         assert "gauss_residual" not in res.meta
-        # orders 24 and 18: 2 o^2 directions x o radii per segment, with
+        # orders 24 and 18: a = Rc/3 is diagonal, so the 2 o^2 directions
+        # fold onto the orthant, o/2 Legendre nodes u >= 0 times the
+        # o/2 + 1 azimuths 4k <= 2o, each times o radii per segment, with
         # segments [0, 3], [3, 10] and a split at the inner cutoff kink
         # r_s / (4 sqrt t) where it falls below the truncation radius 10
+        assert res.meta["rule"] == "radial_sphere" and res.meta["fold"] is True
         segs = 2 + (1.7 / (4.0 * np.sqrt(res.ts)) < 10.0)
         assert segs.tolist() == [2] * 7 + [3] * 3
         assert res.meta["nodes"] == sum(
-            2 * o**3 * int(k) for k in segs for o in (24, 18)
+            o * (o // 2) * (o // 2 + 1) * int(k) for k in segs for o in (24, 18)
         )
 
     @pytest.mark.filterwarnings("ignore::curvex.errors.PositivityWarning")
@@ -197,6 +200,9 @@ class TestRuns:
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=0.05)
         assert res.meta["normal_chart"] == "ode"
         assert res.meta["christoffel"] == "closed_form"
+        # a = Rc/3 is diagonal at the bump's centre, but an ode chart's
+        # geometry depends on the direction: its bundle never folds
+        assert res.meta["rule"] == "radial_sphere" and res.meta["fold"] is False
         assert res.meta["rays"] == 512 and res.meta["nfev"] > 0
         assert res.meta["nodes"] > 0 and res.meta["nodes"] % 512 == 0
         assert 0 < res.meta["gauss_residual"] < 1e-9
@@ -278,6 +284,34 @@ class TestHermiteFold:
         assert np.all(np.isfinite(res.errors))
         # the order-19 rule keeps its zero node: 10 half nodes per axis
         assert res.meta["nodes"] == 10 * (12**3 + 10**3)
+
+
+class TestRuleRecord:
+    """meta["rule"] is the rule that ran, with 'auto' resolved, and
+    meta["fold"] says whether its nodes were folded onto the orthant."""
+
+    A_OFF = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05], [0.0, -0.05, 0.1]])
+
+    @pytest.mark.parametrize(
+        "n,kind,mode,quad,rule,fold",
+        [
+            (4, "space_form", "optimal_a", QuadratureSpec(order=16),
+             "radial_sphere", True),
+            (3, "space_form", A_OFF, QuadratureSpec(order=16),
+             "radial_sphere", False),
+            (3, "space_form", "optimal_a",
+             QuadratureSpec(rule="hermite", order=16), "hermite", True),
+            (5, "flat", "zero", QuadratureSpec(order=8, mc_samples=4000),
+             "mc", False),
+        ],
+        ids=["auto-folded", "auto-off-diagonal", "hermite", "auto-mc"],
+    )
+    def test_resolved_rule_and_fold(self, n, kind, mode, quad, rule, fold):
+        ch = make_chart(ModelSpec(kind, n, K=float(kind == "space_form")))
+        res = run_expansion(ch, np.zeros(n), functional="W", mode=mode,
+                            r_s=1.0, quad=quad)
+        assert res.meta["rule"] == rule
+        assert res.meta["fold"] is fold
 
 
 class TestVolumeFit:

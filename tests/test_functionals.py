@@ -26,6 +26,7 @@ from curvex.functionals import (
     _eval_once,
     _hermite_nodes,
     _nodes,
+    _sphere_nodes,
     ball_volume,
     bishop_gromov_ratio,
     build_test_function,
@@ -42,6 +43,7 @@ from curvex.moments import (
     moment_quadratic,
     moment_quartic,
     sphere_area,
+    sphere_monomial,
 )
 from curvex.rigidity import isoperimetric_probe
 from oracles import eta2_pointwise
@@ -77,7 +79,61 @@ class TestCutoff:
             assert abs(d2) < 1.0
 
 
+def _even_monomial_integrals(dirs, wts, deg):
+    """Exponents k (even, |k| <= deg) and the rule's integrals of the
+    monomials y^k, as one product of a left block of coordinates against
+    a right block, a chunk of directions at a time."""
+    n = dirs.shape[1]
+    split, half = (n + 1) // 2, deg // 2
+
+    def exps(m):
+        return np.array([k for k in itertools.product(range(half + 1), repeat=m)
+                         if sum(k) <= half]).reshape(-1, m)
+
+    left, right = exps(split), exps(n - split)
+    out = 0.0
+    for lo in range(0, dirs.shape[0], 2048):
+        # y_i^(2j) as (directions, j, i)
+        pw = dirs[lo : lo + 2048, None, :] ** (2 * np.arange(half + 1))[:, None]
+        L = np.prod(pw[:, left, np.arange(split)], axis=-1)
+        R = np.prod(pw[:, right, split + np.arange(n - split)], axis=-1)
+        out = out + L.T @ (R * wts[lo : lo + 2048, None])
+    keep = left.sum(1)[:, None] + right.sum(1)[None, :] <= half
+    k = np.concatenate(
+        [np.broadcast_to(left[:, None], keep.shape + (split,)),
+         np.broadcast_to(right[None], keep.shape + (n - split,))], axis=-1
+    )
+    return 2 * k[keep], out[keep]
+
+
 class TestSphereRule:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("order", [8, 9, 16, 24])
+    def test_folded_rule_is_exact_on_even_monomials(self, n, order):
+        """The rule folded onto the orthant integrates every even monomial
+        up to the rule's degree as the full rule does and, for n = 3 and 4,
+        as the closed form.  |y^k| <= 1, so the sphere's area sets the
+        scale.  n = 4 at order 9 holds the Chebyshev node cos(pi/2) =
+        6.1e-17, which a fold by sign instead of by index mis-weights."""
+        full, folded = sphere_rule(n, order), _sphere_nodes(n, order, True)
+        # azimuths 4k <= m of m = max(4 o, 16) (n = 2) or 2 o (n >= 3),
+        # times ceil(o/2) nodes u >= 0 per polar factor
+        m = max(4 * order, 16) if n == 2 else 2 * order
+        polar = ((order + 1) // 2) ** (n - 2)
+        assert folded[0].shape == (polar * (m // 4 + 1), n)
+        assert full[0].shape == (order ** (n - 2) * m, n)
+        assert np.allclose(np.linalg.norm(folded[0], axis=1), 1.0)
+        assert np.all(folded[0] >= 0.0)
+        deg = m - 1 if n == 2 else 2 * order - 1
+        k, want = _even_monomial_integrals(*full, deg)
+        k_f, got = _even_monomial_integrals(*folded, deg)
+        assert np.array_equal(k, k_f)
+        area = sphere_area(n)
+        assert np.max(np.abs(got - want)) <= 1e-14 * area
+        if n >= 3:
+            exact = np.array([sphere_monomial(n, tuple(e)) for e in k])
+            assert np.max(np.abs(got - exact)) <= 1e-14 * area
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_total_weight_is_area(self, n):
         dirs, wts = sphere_rule(n, 16)
@@ -353,6 +409,36 @@ class TestKernelOracle:
         )
         assert got[:4] == pytest.approx(want, rel=1e-9)
         assert got[:4] != pytest.approx(want, rel=1e-14)  # not the same route
+
+
+class TestRadialFold:
+    """A diagonal profile a on a closed-form chart runs the radial-spherical
+    rule folded onto the orthant; a rotated profile R D R^T keeps the full
+    rule.  The flat chart is rotation invariant, so both give the same
+    functionals: an oracle for the fold that does not use it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rotated_profile_matches_folded_diagonal(self, n):
+        ch = make_chart(ModelSpec("flat", n, halfwidth=2.0))
+        nc = build_normal_chart(ch, np.zeros(n), 1.5)
+        D = np.diag([0.3, -0.1, 0.05, 0.15][:n])
+        R = np.linalg.qr(np.random.default_rng(3).normal(size=(n, n)))[0]
+        order = 16
+        quad = QuadratureSpec(rule="radial_sphere", order=order)
+        diag = TestFunction(nc, D, 0.2, 1.5)
+        rot = TestFunction(nc, R @ D @ R.T, 0.2, 1.5)
+        for t in (0.004, 0.02):
+            got = eval_components(diag, t, quad)
+            want = eval_components(rot, t, quad)
+            # the fold keeps one direction in about 2^n
+            assert 2 ** (n - 1) * got.nodes < want.nodes
+            for name in ("mass", "entropy", "dirichlet"):
+                # rounding apart (measured up to 9e-16 relative), well
+                # inside the order-(o - 6) error estimates (3e-10 to 9e-8)
+                assert getattr(got, name) == pytest.approx(
+                    getattr(want, name), rel=1e-13)
+                assert abs(getattr(got, name) - getattr(want, name)) <= (
+                    got.errs[name])
 
 
 class TestGuards:

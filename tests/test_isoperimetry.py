@@ -369,7 +369,12 @@ class TestRayForm:
 class TestNewtonCrossings:
     def test_run_record(self, aniso_result):
         meta = aniso_result.meta
-        assert meta["rays"] == 2048 and meta["seed_radii"] == 2048
+        # the folded order-32 S^2 rule of the diagonal a: o/2 Legendre
+        # nodes u >= 0 times the o/2 + 1 azimuths 4k <= 2o
+        o = 32
+        assert meta["fold"] is True
+        assert meta["rays"] == (o // 2) * (o // 2 + 1)
+        assert meta["seed_radii"] == 2048
         assert 1 <= meta["newton_steps"] <= 4
         assert meta["crossing_residual"] <= 1e-13
 

@@ -137,6 +137,52 @@ class TestVerdicts:
         assert len(laps) == rep.meta["npoints"]
         assert all(abs(c.margin) < 1e-9 for c in laps)
 
+    def test_sphere_line_against_flat_model(self):
+        """S^2 x R is not a closed-form chart, so the centre chart is shot
+        by geodesics.  Sc = 2 >= 0 holds but the traceless Ricci part does
+        not vanish, and geodesic balls have less area than flat balls of
+        the same volume (margins about -0.36, -0.92, -1.60)."""
+        ch = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
+        rep = assess_rigidity(ch, K=0.0)
+        assert rep.verdict == "inconclusive"
+        assert rep.scalar_margin == pytest.approx(2.0, abs=1e-6)
+        assert all(c.margin > 0.1 for c in rep.named("traceless_rc_sq"))
+        iso = [c.margin for c in rep.named("isoperimetric")]
+        assert len(iso) == 3 and all(m < 0 for m in iso)
+        assert iso[0] > iso[1] > iso[2]  # the deficit grows with volume
+
+    @pytest.mark.parametrize("K,probe_K", [(1.0, 1.0), (1.0, 0.5),
+                                           (-1.0, -1.0), (0.0, 1.0)])
+    def test_closed_form_probes_match_quadrature(self, K, probe_K):
+        """Closed-form charts ignore the probe's sphere rule.  Oracle: the
+        areas 4 pi sn_K(r)^2 of both 3-dimensional space forms at the
+        radii where scipy's quad volume reaches each probe volume."""
+        from scipy.integrate import quad
+        from scipy.optimize import brentq
+
+        def sn(k, r):
+            if k == 0.0:
+                return r
+            s = np.sqrt(abs(k))
+            return (np.sin(s * r) if k > 0 else np.sinh(s * r)) / s
+
+        def area_at_volume(k, v):
+            vol = lambda r: quad(lambda x: 4 * np.pi * sn(k, x) ** 2, 0, r,
+                                 epsabs=0, epsrel=2e-14)[0]
+            r = brentq(lambda r: vol(r) - v, 1e-3, 3.0, xtol=1e-15, rtol=1e-15)
+            return 4 * np.pi * sn(k, r) ** 2
+
+        kind = "flat" if K == 0.0 else "space_form"
+        ch = make_chart(ModelSpec(kind, 3, K=K, halfwidth=1.5))
+        rep = assess_rigidity(ch, K=probe_K)
+        r_ref = 0.95 * rep.meta["probe_radius"]
+        v_ref = quad(lambda x: 4 * np.pi * sn(K, x) ** 2, 0, r_ref,
+                     epsabs=0, epsrel=2e-14)[0]
+        for frac, check in zip((0.25, 0.5, 0.75), rep.named("isoperimetric")):
+            v = frac * v_ref
+            want = area_at_volume(K, v) - area_at_volume(probe_K, v)
+            assert abs(check.margin - want) <= 1e-12 * check.detail["model_area"]
+
     def test_named_filter_and_meta(self, flat_chart):
         rep = assess_rigidity(flat_chart, K=0.0, npoints=3)
         assert len(rep.named("scalar_bound")) == 3
