@@ -37,6 +37,13 @@ def report(name, G, closed):
 
 r2 = lambda X: np.einsum("mi,mi->m", X, X)
 
+
+def quartic(X):
+    """lam_ijkl x_i x_j x_k x_l as a quadratic form in the pair tensor x_i x_j."""
+    P = (X[:, :, None] * X[:, None, :]).reshape(len(X), n * n)
+    return ((P @ lam.reshape(n * n, n * n)) * P).sum(axis=1)
+
+
 print(f"n = {n}, t = {t}, Gaussian weight of variance 2t per coordinate\n")
 report("radial |x|^2/t", lambda X: r2(X) / t, moment_radial(w))
 report(
@@ -51,12 +58,12 @@ report(
 )
 report(
     "quartic lambda",
-    lambda X: np.einsum("mi,mj,mk,ml,ijkl->m", X, X, X, X, lam),
+    quartic,
     moment_quartic(w, lam),
 )
 report(
     "quartic lambda, wtd",
-    lambda X: np.einsum("mi,mj,mk,ml,ijkl->m", X, X, X, X, lam) * r2(X) / t,
+    lambda X: quartic(X) * r2(X) / t,
     moment_quartic(w, lam, weighted=True),
 )
 

@@ -114,20 +114,30 @@ class Tridiagonal:
     and super-diagonals lower (m-1), diag (m), upper (m-1), for repeated
     solves with right-hand sides (m, ...).  Both triangular sweeps are
     first-order recurrences with fixed coefficients, run in as few blocks
-    as keep the running products of the coefficients within 1e+-250."""
+    as keep the running products of the coefficients within 1e+-250.
+
+    pivots (read-only) is the diagonal of U.  For a symmetric matrix the
+    factors are its LDL^T with D = diag(pivots), so by Sylvester's law the
+    count of negative pivots is the count of negative eigenvalues.  A zero
+    or non-finite pivot raises ValueError."""
 
     def __init__(self, lower, diag, upper):
         up = np.asarray(upper, dtype=float)
         piv, mult = [float(diag[0])], []
-        for lo_i, up_i, d in zip(map(float, lower), up.tolist(),
-                                 map(float, diag[1:])):
-            mult.append(lo_i / piv[-1])
-            piv.append(d - mult[-1] * up_i)
-        self._piv = np.array(piv)
-        m = self.m = self._piv.size
+        try:
+            for lo_i, up_i, d in zip(map(float, lower), up.tolist(),
+                                     map(float, diag[1:])):
+                mult.append(lo_i / piv[-1])
+                piv.append(d - mult[-1] * up_i)
+        except ZeroDivisionError:  # piv[-1] is zero, rejected below
+            pass
+        (self.pivots,) = read_only(np.array(piv))
+        if not np.all(np.isfinite(self.pivots) & (self.pivots != 0.0)):
+            raise ValueError("tridiagonal matrix with a zero or non-finite pivot")
+        m = self.m = self.pivots.size
         # z_i = b_i - mult_i z_{i-1}, then x_i = z_i / piv_i - (upper_i /
         # piv_i) x_{i+1} on the reversed rows
-        coef = [-np.array(mult), -(up / self._piv[:-1])[::-1]]
+        coef = [-np.array(mult), -(up / self.pivots[:-1])[::-1]]
         if not all(np.all(c) for c in coef):
             raise ValueError("tridiagonal matrix with a zero off-diagonal")
         worst = max([1.0] + [float(np.abs(np.log10(np.abs(c))).max())
@@ -149,7 +159,7 @@ class Tridiagonal:
         flat = x.reshape((-1,) + trail)
         flat[:m] = b
         z = _sweep(x, *self._sweeps[0]).reshape(flat.shape)[m - 1 :: -1]
-        flat[:m] = z / self._piv[::-1].reshape((-1,) + (1,) * len(trail))
+        flat[:m] = z / self.pivots[::-1].reshape((-1,) + (1,) * len(trail))
         del z
         return _sweep(x, *self._sweeps[1]).reshape(flat.shape)[m - 1 :: -1]
 

@@ -10,10 +10,16 @@ error.  Consequence worth stating: on the flat model the discrete
 minimum cannot dip below zero by more than that quadrature error, since
 every discrete candidate is an admissible continuum test function.
 
-The minimizer follows a projected gradient flow on the unit-mass sphere,
-preconditioned by the (shifted) quadratic part of the energy, with an
-Armijo line search.  mu_bound_report then fits the small-time behaviour
-mu(t) ~ -q t^2 and exposes the curvature bound it implies.
+The minimizer is found by projected Newton on the KKT system of the
+unit-mass constraint (Nocedal & Wright, Numerical Optimization, ch. 16),
+started from the curvature-matched witness profile.  The Hessian of the
+Lagrangian is tridiagonal; one LDL^T factorization per step solves for
+the residual and for the constraint gradient c, and its pivots certify
+the step: by Sylvester and Haynsworth the bordered KKT matrix has exactly
+one nonpositive eigenvalue if and only if the Hessian is positive on the
+tangent space {c}^perp of the unit-mass sphere, so a converged result is
+a strict local minimum.  mu_bound_report then fits the small-time
+behaviour mu(t) ~ -q t^2 and exposes the curvature bound it implies.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_NEWTON_CAP = 50  # Newton steps; the tests converge in at most 8
 
 
 @dataclass
@@ -115,6 +122,20 @@ class RadialDomain:
         fq2 = self.at_quad(f) ** 2
         return float(np.dot(self.mq, fq2 * np.log(np.maximum(fq2, _TINY))))
 
+    def p1_matrix(self, stiff: float, wq: np.ndarray):
+        """Diagonal and off-diagonal of the symmetric tridiagonal matrix of
+        the quadratic form stiff * dirichlet(f) + sum_q mq wq f(q)^2: the
+        stiffness and the P1 mass weighted by wq at the Gauss points."""
+        th, idx, mw = self.theta, self.idx, self.mq * wq
+        k = stiff * self.cell_weight / self.h**2
+        diag = np.bincount(idx, weights=mw * (1.0 - th) ** 2, minlength=self.m)
+        diag += np.bincount(idx + 1, weights=mw * th**2, minlength=self.m)
+        diag[:-1] += k
+        diag[1:] += k
+        off = np.bincount(idx, weights=mw * th * (1.0 - th),
+                          minlength=self.m - 1) - k
+        return diag, off
+
     def entropy_grad(self, f: np.ndarray) -> np.ndarray:
         fq = self.at_quad(f)
         fq2 = np.maximum(fq**2, _TINY)
@@ -133,7 +154,6 @@ class MuResult:
     iterations: int
     converged: bool
     kkt_residual: float
-    clamped: int
     witness_value: float  # the objective at the curvature-matched candidate
     meta: dict = field(default_factory=dict)
 
@@ -175,27 +195,6 @@ def _witness_profile(dom: RadialDomain, t: float) -> np.ndarray:
     return _normalize(dom, f)
 
 
-def _precondition_factor(dom: RadialDomain, t: float):
-    """LU factors of the tridiagonal 8t * stiffness + 2 * mass."""
-    m, h = dom.m, dom.h
-    w = dom.cell_weight
-    # stiffness tridiagonal
-    diag = np.zeros(m)
-    off = np.zeros(m - 1)
-    diag[:-1] += w / h**2
-    diag[1:] += w / h**2
-    off -= w / h**2
-    A_diag = np.zeros(m)
-    A_off = np.zeros(m - 1)
-    th, mq, idx = dom.theta, dom.mq, dom.idx
-    A_diag += np.bincount(idx, weights=mq * (1 - th) ** 2, minlength=m)
-    A_diag += np.bincount(idx + 1, weights=mq * th**2, minlength=m)
-    A_off += np.bincount(idx, weights=mq * th * (1 - th), minlength=m)[:-1]
-    P_diag = 8 * t * diag + 2 * A_diag
-    P_off = 8 * t * off + 2 * A_off
-    return Tridiagonal(P_off, P_diag, P_off)
-
-
 def mu_ball(
     n: int,
     K: float,
@@ -203,89 +202,71 @@ def mu_ball(
     t: float,
     m: int | None = None,
     per_width: int = 32,
-    init: str = "witness",
-    max_iter: int = 100_000,
     tol: float = 1e-8,
 ) -> MuResult:
     """Minimize the time-t entropy functional over radial unit-mass
     profiles on the geodesic K-ball of radius R, Dirichlet at the rim.
 
-    init is 'witness' (the curvature-matched Gaussian whose value is also
-    reported as witness_value) or 'uniform'.  The minimum carries an
-    O(per_width^-2) positive discretization bias; raise per_width when
-    the target value is itself O(t^2) small.
+    Projected Newton on the KKT system, started from the curvature-matched
+    Gaussian whose value is reported as witness_value.  converged means
+    that at the returned profile the KKT residual is below tol (relative
+    to the gradient) and the Hessian is certified positive on the tangent
+    space of the unit-mass sphere; otherwise the value is still the
+    objective of an admissible profile, an upper bound.  The minimum
+    carries an O(per_width^-2) positive discretization bias; raise
+    per_width when the target value is itself O(t^2) small.
     """
     if m is None:
         dom = RadialDomain.for_time(n, K, R, t, per_width=per_width)
     else:
         dom = RadialDomain(n=n, K=K, R=R, m=m)
-    r = dom.r
 
-    witness_f = _witness_profile(dom, t)
-    if init == "witness":
-        f = witness_f
-    elif init == "uniform":
-        f = _normalize(dom, 1.0 - (r / R) ** 2)
-    else:
-        raise ConfigInvalid(f"unknown init {init!r}")
-    witness = _entropy_value(dom, witness_f, t)
-
-    precond = _precondition_factor(dom, t)
-    W = _entropy_value(dom, f, t)
-    step = 1.0
-    clamped = 0
-    converged = False
-    res_rms = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
+    f = _witness_profile(dom, t)
+    witness = _entropy_value(dom, f, t)
+    converged = False  # until a certified iterate passes the KKT test
+    for it in range(1, _NEWTON_CAP + 1):
         g = _entropy_gradient(dom, f, t)
-        Af2 = dom.mass_grad(f)  # = 2 A f at unit mass
-        lam = 0.5 * float(np.dot(f, g))
-        res = g - lam * Af2
-        res[-1] = 0.0  # Dirichlet node carries no degree of freedom
-        res_rms = float(np.sqrt(np.mean(res**2)))
+        lam = 0.5 * float(np.dot(f, g))  # f.(2 A f) = 2 at unit mass
+        # constraint gradient 2 A f and KKT residual on the free nodes:
+        # the Dirichlet node is not an unknown
+        c = dom.mass_grad(f)[:-1]
+        res = g[:-1] - lam * c
+        res_rms = float(np.sqrt(np.sum(res**2) / dom.m))  # rim residual 0
         gscale = max(1.0, float(np.sqrt(np.mean(g**2))))
-        if res_rms < tol * gscale:
-            converged = True
+        # Hessian of the Lagrangian on the free nodes: 8t stiffness minus
+        # the P1 mass weighted by 2 log f^2 + 6 + 2 lam
+        fq2 = np.maximum(dom.at_quad(f) ** 2, _TINY)
+        diag, off = dom.p1_matrix(8.0 * t, -2.0 * np.log(fq2) - 6.0 - 2.0 * lam)
+        try:
+            tri = Tridiagonal(off[:-1], diag[:-1], off[:-1])
+        except ValueError:  # a zero pivot or off-diagonal: no certified step
             break
-
-        d = precond.solve(res)
-        d[-1] = 0.0
-        slope = float(np.dot(res, d))
-        # Armijo backtracking on the constrained objective
-        accepted = False
-        for _ in range(40):
-            trial = f - step * d
-            neg = trial < 0
-            if np.any(neg):
-                clamped += int(neg.sum())
-                trial = np.where(neg, 0.0, trial)
-            trial[-1] = 0.0
-            trial = _normalize(dom, trial)
-            W_trial = _entropy_value(dom, trial, t)
-            if W_trial <= W - 1e-4 * step * slope:
-                f, W = trial, W_trial
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        x1, x2 = tri.solve(np.stack([res, c], axis=1)).T
+        cx2 = float(np.dot(c, x2))
+        # Haynsworth: the bordered KKT matrix has the inertia of H plus
+        # the sign of -c.H^-1 c; exactly one nonpositive eigenvalue in all
+        # means H is positive on the tangent space {c}^perp
+        if int(np.sum(tri.pivots < 0)) + (cx2 >= 0) != 1:
             break
-        step = min(step * 1.3, 1e3)
+        converged = res_rms < tol * gscale
+        if converged or it == _NEWTON_CAP:
+            break
+        step = x1 - (float(np.dot(c, x1)) / cx2) * x2  # c.step = 0
+        f = _normalize(dom, np.maximum(f - np.append(step, 0.0), 0.0))
 
     return MuResult(
-        value=W,
+        value=_entropy_value(dom, f, t),
         t=t,
         n=n,
         K=K,
         R=R,
-        r=r,
+        r=dom.r,
         f=f,
         iterations=it,
         converged=converged,
         kkt_residual=res_rms,
-        clamped=clamped,
         witness_value=witness,
-        meta={"m": dom.m, "init": init},
+        meta={"m": dom.m},
     )
 
 

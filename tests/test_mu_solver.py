@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from curvex import mu_solver
 from curvex.errors import ConfigInvalid, GammaOutOfRange, OutOfDomain
 from curvex.mu_solver import (
     MuBoundReport,
     RadialDomain,
+    _entropy_gradient,
+    _entropy_value,
+    _normalize,
     mu_ball,
     mu_bound_report,
     mu_curve,
@@ -89,14 +94,97 @@ class TestFlatBall:
         other = mu_ball(3, 0.0, 1.0, 0.0025)
         assert abs(other.value - result.value) < 1e-3 * abs(result.value) + 1e-9
 
-    def test_uniform_init_reaches_same_value(self, result):
-        other = mu_ball(3, 0.0, 2.0, 0.01, init="uniform")
-        assert other.converged
-        assert abs(other.value - result.value) < 1e-6
 
-    def test_bad_init_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            mu_ball(3, 0.0, 2.0, 0.01, init="bogus")
+class TestGlobalOracle:
+    """On coarse meshes scipy's SLSQP, started from the uniform profile
+    1 - (r/R)^2, minimizes the same discrete W under the same unit-mass
+    constraint and bounds f >= 0: an independent global route to the
+    minimum that Newton reaches from the witness."""
+
+    @pytest.mark.parametrize("n, K, R, m, t", [
+        (3, 0.0, 1.0, 48, 0.02),
+        (3, 1.0, 2.0, 64, 0.05),
+        (3, -1.0, 1.5, 64, 0.03),
+    ])
+    def test_matches_slsqp_from_uniform(self, n, K, R, m, t):
+        dom = RadialDomain(n=n, K=K, R=R, m=m)
+
+        def full(x):  # the Dirichlet rim node stays zero
+            return np.append(x, 0.0)
+
+        sol = minimize(
+            lambda x: _entropy_value(dom, full(x), t),
+            _normalize(dom, 1.0 - (dom.r / R) ** 2)[:-1],
+            jac=lambda x: _entropy_gradient(dom, full(x), t)[:-1],
+            method="SLSQP",
+            bounds=[(0.0, None)] * (m - 1),
+            constraints=[{
+                "type": "eq",
+                "fun": lambda x: dom.mass(full(x)) - 1.0,
+                "jac": lambda x: dom.mass_grad(full(x))[:-1],
+            }],
+            options={"ftol": 1e-15, "maxiter": 1000},
+        )
+        assert sol.success
+        res = mu_ball(n, K, R, t, m=m)
+        assert res.converged and res.witness_ok
+        assert abs(res.value - sol.fun) < 1e-12
+
+
+# every mu_ball call of the tier-1 suite: (args, keywords)
+SUITE_CALLS = [
+    ((3, 0.0, 2.0, 0.01), {}),
+    ((3, 0.0, 1.0, 0.0025), {}),
+    ((3, 0.0, 2.0, 0.005), {}),
+    ((3, 0.0, 1.0, 0.00125), {}),
+    ((3, -1.0, 3.0, 0.02), {}),
+    ((3, 1.0, np.pi - 0.05, 0.01), {"per_width": 64}),
+    ((3, 1.0, np.pi - 0.05, 0.02), {"per_width": 64}),
+    ((3, 1.0, np.pi - 0.05, 0.04), {"per_width": 64}),
+    ((3, 0.0, 1.0, 0.02), {"m": 48}),
+    ((3, 1.0, 2.0, 0.05), {"m": 64}),
+    ((3, -1.0, 1.5, 0.03), {"m": 64}),
+    ((3, 0.0, 1.0, 0.01), {"m": 256}),
+]
+
+# converged values of the preconditioned projected-gradient flow that
+# mu_ball used before Newton (KKT residual below 1e-8)
+FLOW_VALUES = [
+    ((3, 0.0, 2.0, 0.01), {}, 3.571271358238093e-05),
+    ((3, 0.0, 1.0, 0.0025), {}, 3.57127136245694e-05),
+    ((3, -1.0, 3.0, 0.02), {}, -0.0007222514332684282),
+    ((3, 1.0, np.pi - 0.05, 0.01), {"per_width": 64}, -0.00019676486157310658),
+    ((3, 1.0, np.pi - 0.05, 0.02), {"per_width": 64}, -0.0008332539217300594),
+    ((3, 1.0, np.pi - 0.05, 0.04), {"per_width": 64}, -0.0035452048589819096),
+]
+
+
+class TestNewton:
+    @pytest.mark.parametrize("args, kw", SUITE_CALLS)
+    def test_few_certified_steps(self, args, kw):
+        res = mu_ball(*args, **kw)
+        assert res.converged and res.witness_ok
+        assert res.iterations <= 8
+
+    def test_coarse_flat_mesh_converges(self):
+        # the gradient flow ran its 100,000 iterations here and stopped
+        # unconverged, its Armijo test comparing values of W below W's
+        # own rounding
+        res = mu_ball(3, 0.0, 1.0, 0.01, m=256)
+        assert res.converged
+        assert res.iterations <= 8
+        assert res.kkt_residual < 1e-8
+
+    @pytest.mark.parametrize("args, kw, value", FLOW_VALUES)
+    def test_same_minimum_as_gradient_flow(self, args, kw, value):
+        assert abs(mu_ball(*args, **kw).value - value) < 1e-10
+
+    def test_step_cap_reports_unconverged(self, monkeypatch):
+        monkeypatch.setattr(mu_solver, "_NEWTON_CAP", 1)
+        res = mu_ball(3, -1.0, 3.0, 0.02)
+        assert not res.converged
+        assert res.iterations == 1
+        assert res.value == res.witness_value  # still an admissible bound
 
 
 class TestSphereCurve:

@@ -73,34 +73,63 @@ class TestTridiagonal:
         assert got.shape == b.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_mu_preconditioner(self):
-        """The constant preconditioner of mu_ball on the unit 3-sphere,
-        factored once and applied to several right-hand sides."""
-        from curvex.mu_solver import RadialDomain, _precondition_factor
+    def test_mu_newton_hessian(self):
+        """The Hessian of mu_ball's Lagrangian, assembled as a tridiagonal
+        on the free nodes, is the finite-difference Jacobian of the KKT
+        residual g - lam c, and its factors solve like solve_banded."""
+        from curvex.mu_solver import RadialDomain, _entropy_gradient
 
-        dom = RadialDomain.for_time(3, 1.0, np.pi - 0.05, 0.01, per_width=64)
-        tri = _precondition_factor(dom, 0.01)
-        diag, off = _assemble_preconditioner(dom, 0.01)
-        ab = _banded(off, diag, off)
+        t = 0.01
+        dom = RadialDomain(n=3, K=1.0, R=np.pi - 0.05, m=256)
         rng = np.random.default_rng(3)
+        f = 0.5 + 0.1 * rng.standard_normal(dom.m)
+        f[-1] = 0.0
+        lam = 0.5 * float(np.dot(f, _entropy_gradient(dom, f, t)))
+
+        def kkt(f):
+            return (_entropy_gradient(dom, f, t) - lam * dom.mass_grad(f))[:-1]
+
+        eps = 1e-6
+        jac = np.empty((dom.m - 1, dom.m - 1))
+        for j in range(dom.m - 1):
+            e = np.zeros(dom.m)
+            e[j] = eps
+            jac[:, j] = (kkt(f + e) - kkt(f - e)) / (2 * eps)
+        wq = -2.0 * np.log(dom.at_quad(f) ** 2) - 6.0 - 2.0 * lam
+        diag, off = dom.p1_matrix(8.0 * t, wq)
+        diag, off = diag[:-1], off[:-1]
+        hess = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.abs(hess - jac).max() <= 1e-6 * np.abs(jac).max()
+
+        tri = Tridiagonal(off, diag, off)
+        ab = _banded(off, diag, off)
         for _ in range(3):
-            b = rng.normal(size=dom.m)
+            b = rng.normal(size=dom.m - 1)
             want = solve_banded((1, 1), ab, b)
             assert np.abs(tri.solve(b) - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("m", [8, 200, 1000])
+    @pytest.mark.parametrize("negative", [0, 1, 3])
+    def test_pivots_give_inertia(self, m, negative):
+        """Sylvester: the negative pivots of the LDL^T factors of a
+        symmetric tridiagonal count its negative eigenvalues."""
+        rng = np.random.default_rng(m + negative)
+        diag = rng.uniform(-1.0, 1.0, m)
+        off = rng.uniform(-1.0, 1.0, m - 1)
+        ev = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        # shift the spectrum to put exactly `negative` eigenvalues below 0
+        diag -= 0.5 * (ev[negative - 1] + ev[negative]) if negative else ev[0] - 0.1
+        mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert int(np.sum(np.linalg.eigvalsh(mat) <= 0)) == negative
+        pivots = Tridiagonal(off, diag, off).pivots
+        assert int(np.sum(pivots <= 0)) == negative
+        assert not pivots.flags.writeable
 
-def _assemble_preconditioner(dom, t):
-    """8t * stiffness + 2 * mass of the P1 elements, written out."""
-    m, h, w = dom.m, dom.h, dom.cell_weight
-    diag = np.zeros(m)
-    diag[:-1] += 8 * t * w / h**2
-    diag[1:] += 8 * t * w / h**2
-    off = -8 * t * w / h**2
-    th, mq, idx = dom.theta, dom.mq, dom.idx
-    diag += 2 * np.bincount(idx, weights=mq * (1 - th) ** 2, minlength=m)
-    diag += 2 * np.bincount(idx + 1, weights=mq * th**2, minlength=m)
-    off = off + 2 * np.bincount(idx, weights=mq * th * (1 - th), minlength=m)[:-1]
-    return diag, off
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError):
+            Tridiagonal([1.0], [1.0, 1.0], [1.0])  # second pivot 0
+        with pytest.raises(ValueError):
+            Tridiagonal([1.0], [0.0, 1.0], [1.0])  # first pivot 0
 
 
 class TestCubicSpline:
