@@ -114,23 +114,19 @@ class Tridiagonal:
     and super-diagonals lower (m-1), diag (m), upper (m-1), for repeated
     solves with right-hand sides (m, ...).  Both triangular sweeps are
     first-order recurrences with fixed coefficients, run in as few blocks
-    as keep the running products of the coefficients within 1e+-250.
-
-    pivots (read-only) is the diagonal of U.  For a symmetric matrix the
-    factors are its LDL^T with D = diag(pivots), so by Sylvester's law the
-    count of negative pivots is the count of negative eigenvalues.  A zero
-    or non-finite pivot raises ValueError."""
+    as keep the running products of the coefficients within 1e+-250.  The
+    read-only pivots, the diagonal of U, are the D of the LDL^T of a
+    symmetric matrix: as many negative as it has negative eigenvalues
+    (Sylvester).  A zero or non-finite pivot raises ValueError."""
 
     def __init__(self, lower, diag, upper):
-        up = np.asarray(upper, dtype=float)
-        piv, mult = [float(diag[0])], []
-        try:
-            for lo_i, up_i, d in zip(map(float, lower), up.tolist(),
-                                     map(float, diag[1:])):
+        lo, diag, up = (np.asarray(a, dtype=float) for a in (lower, diag, upper))
+        piv, mult = [diag[0]], []
+        # numpy scalars: a zero pivot gives inf or nan, rejected below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo_i, up_i, d in zip(lo, up, diag[1:]):
                 mult.append(lo_i / piv[-1])
                 piv.append(d - mult[-1] * up_i)
-        except ZeroDivisionError:  # piv[-1] is zero, rejected below
-            pass
         (self.pivots,) = read_only(np.array(piv))
         if not np.all(np.isfinite(self.pivots) & (self.pivots != 0.0)):
             raise ValueError("tridiagonal matrix with a zero or non-finite pivot")

@@ -11,15 +11,13 @@ minimum cannot dip below zero by more than that quadrature error, since
 every discrete candidate is an admissible continuum test function.
 
 The minimizer is found by projected Newton on the KKT system of the
-unit-mass constraint (Nocedal & Wright, Numerical Optimization, ch. 16),
-started from the curvature-matched witness profile.  The Hessian of the
-Lagrangian is tridiagonal; one LDL^T factorization per step solves for
-the residual and for the constraint gradient c, and its pivots certify
-the step: by Sylvester and Haynsworth the bordered KKT matrix has exactly
-one nonpositive eigenvalue if and only if the Hessian is positive on the
-tangent space {c}^perp of the unit-mass sphere, so a converged result is
-a strict local minimum.  mu_bound_report then fits the small-time
-behaviour mu(t) ~ -q t^2 and exposes the curvature bound it implies.
+unit-mass constraint (Nocedal & Wright, Numerical Optimization, ch. 16
+and 19) from the witness profile: one LDL^T factorization of the
+tridiagonal Hessian per step, whose pivots certify it positive on the
+tangent space of the unit-mass sphere (Sylvester, Haynsworth), shifted by
+multiples of the mass until the step is certified and does not raise W.
+mu_bound_report then fits the small-time behaviour
+mu(t) ~ -q t^2 and exposes the curvature bound it implies.
 """
 
 from __future__ import annotations
@@ -44,7 +42,10 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-_NEWTON_CAP = 50  # Newton steps; the tests converge in at most 8
+_NEWTON_CAP = 50  # Newton steps; the tests converge in at most 9
+# Hessian shifts, in units of the P1 mass, tried in turn at each step
+_SHIFTS = (0.0,) + tuple(10.0 ** np.arange(13))
+_ROUNDING = 1e-14  # relative rise of W a step may make; W rounds at 2e-15
 
 
 @dataclass
@@ -192,7 +193,27 @@ def _witness_profile(dom: RadialDomain, t: float) -> np.ndarray:
         eta2
     )
     f[-1] = 0.0
-    return _normalize(dom, f)
+    # scaled by its peak first: where the quadratic factor is clamped on
+    # the whole ball f is of order sqrt(_TINY) and its mass underflows
+    return _normalize(dom, f / f.max())
+
+
+def _newton_step(dom: RadialDomain, stiff: float, wq: np.ndarray,
+                 res: np.ndarray, c: np.ndarray):
+    """x1 - (c.x1 / c.x2) x2 for x1, x2 = H^-1 (res, c), H = p1_matrix on
+    the free nodes; None unless H is certified positive on {c}^perp."""
+    diag, off = dom.p1_matrix(stiff, wq)
+    try:
+        tri = Tridiagonal(off[:-1], diag[:-1], off[:-1])
+    except ValueError:  # a zero pivot or off-diagonal
+        return None
+    x1, x2 = tri.solve(np.stack([res, c], axis=1)).T
+    cx2 = float(np.dot(c, x2))
+    # Haynsworth: the bordered KKT matrix has the inertia of H and of
+    # -c.H^-1 c; one nonpositive eigenvalue in all iff H > 0 on {c}^perp
+    if int(np.sum(tri.pivots < 0)) + (cx2 >= 0) != 1:
+        return None
+    return x1 - (float(np.dot(c, x1)) / cx2) * x2
 
 
 def mu_ball(
@@ -207,14 +228,12 @@ def mu_ball(
     """Minimize the time-t entropy functional over radial unit-mass
     profiles on the geodesic K-ball of radius R, Dirichlet at the rim.
 
-    Projected Newton on the KKT system, started from the curvature-matched
-    Gaussian whose value is reported as witness_value.  converged means
-    that at the returned profile the KKT residual is below tol (relative
-    to the gradient) and the Hessian is certified positive on the tangent
-    space of the unit-mass sphere; otherwise the value is still the
-    objective of an admissible profile, an upper bound.  The minimum
-    carries an O(per_width^-2) positive discretization bias; raise
-    per_width when the target value is itself O(t^2) small.
+    converged means that at the returned profile the KKT residual is
+    below tol (relative to the gradient) and the unshifted Hessian is
+    certified; otherwise value is the lowest W reached from the witness
+    (witness_value), still an upper bound.  The minimum carries an
+    O(per_width^-2) positive discretization bias; raise per_width when the
+    target value is itself O(t^2) small.
     """
     if m is None:
         dom = RadialDomain.for_time(n, K, R, t, per_width=per_width)
@@ -222,7 +241,7 @@ def mu_ball(
         dom = RadialDomain(n=n, K=K, R=R, m=m)
 
     f = _witness_profile(dom, t)
-    witness = _entropy_value(dom, f, t)
+    witness = value = _entropy_value(dom, f, t)
     converged = False  # until a certified iterate passes the KKT test
     for it in range(1, _NEWTON_CAP + 1):
         g = _entropy_gradient(dom, f, t)
@@ -233,39 +252,30 @@ def mu_ball(
         res = g[:-1] - lam * c
         res_rms = float(np.sqrt(np.sum(res**2) / dom.m))  # rim residual 0
         gscale = max(1.0, float(np.sqrt(np.mean(g**2))))
-        # Hessian of the Lagrangian on the free nodes: 8t stiffness minus
-        # the P1 mass weighted by 2 log f^2 + 6 + 2 lam
+        # Hessian of the Lagrangian: 8t stiffness minus the P1 mass
+        # weighted by 2 log f^2 + 6 + 2 lam
         fq2 = np.maximum(dom.at_quad(f) ** 2, _TINY)
-        diag, off = dom.p1_matrix(8.0 * t, -2.0 * np.log(fq2) - 6.0 - 2.0 * lam)
-        try:
-            tri = Tridiagonal(off[:-1], diag[:-1], off[:-1])
-        except ValueError:  # a zero pivot or off-diagonal: no certified step
+        wq = -2.0 * np.log(fq2) - 6.0 - 2.0 * lam
+        for shift in _SHIFTS:
+            step = _newton_step(dom, 8.0 * t, wq + shift, res, c)
+            if step is None:
+                continue
+            if shift == 0.0 and res_rms < tol * gscale:
+                converged = True
+                break
+            trial = _normalize(dom, np.maximum(f - np.append(step, 0.0), 0.0))
+            trial_value = _entropy_value(dom, trial, t)
+            if trial_value <= value + _ROUNDING * max(1.0, abs(value)):
+                break
+        else:  # no shift gives a certified descent step
             break
-        x1, x2 = tri.solve(np.stack([res, c], axis=1)).T
-        cx2 = float(np.dot(c, x2))
-        # Haynsworth: the bordered KKT matrix has the inertia of H plus
-        # the sign of -c.H^-1 c; exactly one nonpositive eigenvalue in all
-        # means H is positive on the tangent space {c}^perp
-        if int(np.sum(tri.pivots < 0)) + (cx2 >= 0) != 1:
-            break
-        converged = res_rms < tol * gscale
         if converged or it == _NEWTON_CAP:
             break
-        step = x1 - (float(np.dot(c, x1)) / cx2) * x2  # c.step = 0
-        f = _normalize(dom, np.maximum(f - np.append(step, 0.0), 0.0))
+        f, value = trial, trial_value
 
     return MuResult(
-        value=_entropy_value(dom, f, t),
-        t=t,
-        n=n,
-        K=K,
-        R=R,
-        r=dom.r,
-        f=f,
-        iterations=it,
-        converged=converged,
-        kkt_residual=res_rms,
-        witness_value=witness,
+        value=value, t=t, n=n, K=K, R=R, r=dom.r, f=f, iterations=it,
+        converged=converged, kkt_residual=res_rms, witness_value=witness,
         meta={"m": dom.m},
     )
 

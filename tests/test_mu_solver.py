@@ -105,6 +105,10 @@ class TestGlobalOracle:
         (3, 0.0, 1.0, 48, 0.02),
         (3, 1.0, 2.0, 64, 0.05),
         (3, -1.0, 1.5, 64, 0.03),
+        # witnesses clamped to zero on part of the ball, or on all of it
+        (4, 4.0, 1.4, 64, 0.2),
+        (5, 4.0, 1.4, 64, 0.2),
+        (5, 2.0, 1.5, 64, 0.7),
     ])
     def test_matches_slsqp_from_uniform(self, n, K, R, m, t):
         dom = RadialDomain(n=n, K=K, R=R, m=m)
@@ -131,7 +135,8 @@ class TestGlobalOracle:
         assert abs(res.value - sol.fun) < 1e-12
 
 
-# every mu_ball call of the tier-1 suite: (args, keywords)
+# every mu_ball call of the tier-1 suite from a witness profile that is
+# nowhere clamped to zero: (args, keywords)
 SUITE_CALLS = [
     ((3, 0.0, 2.0, 0.01), {}),
     ((3, 0.0, 1.0, 0.0025), {}),
@@ -156,7 +161,13 @@ FLOW_VALUES = [
     ((3, 1.0, np.pi - 0.05, 0.01), {"per_width": 64}, -0.00019676486157310658),
     ((3, 1.0, np.pi - 0.05, 0.02), {"per_width": 64}, -0.0008332539217300594),
     ((3, 1.0, np.pi - 0.05, 0.04), {"per_width": 64}, -0.0035452048589819096),
+    ((4, 4.0, 1.4, 0.2), {}, 4.74309913224052),
+    ((5, 4.0, 1.4, 0.2), {}, 8.934228549165402),
 ]
+
+# strong curvature at large t: 1 + a r^2 + alpha t <= 0 clamps the witness
+# to zero near the centre, or on the whole ball for the last
+CLAMPED_WITNESS = [(4, 4.0, 1.4, 0.2), (5, 4.0, 1.4, 0.2), (5, 2.0, 1.5, 0.7)]
 
 
 class TestNewton:
@@ -185,6 +196,38 @@ class TestNewton:
         assert not res.converged
         assert res.iterations == 1
         assert res.value == res.witness_value  # still an admissible bound
+        assert res.witness_ok
+
+    @pytest.mark.parametrize("args", CLAMPED_WITNESS)
+    def test_clamped_witness_converges(self, args):
+        # pure Newton steps from these witnesses are not all certified
+        # descent steps; the mass-shifted ones carry the run
+        res = mu_ball(*args)
+        assert res.converged and res.witness_ok
+        assert res.iterations <= 12
+        dom = RadialDomain(*args[:3], m=res.meta["m"])
+        assert abs(dom.mass(res.f) - 1.0) < 1e-12
+
+    def test_witness_has_unit_mass_when_clamped_everywhere(self):
+        # the quadratic factor is clamped on the whole ball, so the raw
+        # witness is of order sqrt(1e-300) and its mass underflows
+        n, K, R, t = CLAMPED_WITNESS[-1]
+        dom = RadialDomain.for_time(n, K, R, t)
+        f = mu_solver._witness_profile(dom, t)
+        assert abs(dom.mass(f) - 1.0) < 1e-12
+
+    def test_unshifted_newton_stops_at_its_best_profile(self, monkeypatch):
+        # without shifts no step from this witness is a certified descent
+        # step past the first few: the run stops unconverged, at a unit
+        # mass profile whose W is the reported value, below the witness
+        monkeypatch.setattr(mu_solver, "_SHIFTS", (0.0,))
+        n, K, R, t = CLAMPED_WITNESS[0]
+        res = mu_ball(n, K, R, t)
+        assert not res.converged
+        assert res.witness_ok and res.value < res.witness_value
+        dom = RadialDomain(n, K, R, m=res.meta["m"])
+        assert abs(dom.mass(res.f) - 1.0) < 1e-12
+        assert res.value == _entropy_value(dom, res.f, t)
 
 
 class TestSphereCurve:
