@@ -1,7 +1,7 @@
 """Numerical building blocks on numpy alone.
 
-Gauss-Legendre and Gauss-Chebyshev (second kind) rules, ball volumes and
-the radius of a given volume from a sphere-area function, a factored
+Gauss-Legendre and Gauss-Gegenbauer rules, ball volumes and the radius
+of a given volume from a sphere-area function, a factored
 tridiagonal solver, a not-a-knot cubic spline along axis 0 and the
 Dormand-Prince 5(4) integrator with its quartic dense output (Dormand &
 Prince, J. Comput. Appl. Math. 6, 1980; step control and initial step as
@@ -12,12 +12,13 @@ each against an independent implementation.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gamma, pi, sqrt
 
 import numpy as np
 
 from .errors import GeodesicLeftDomain, NonPositiveVolume, QuadratureNotConverged
 
-__all__ = ["read_only", "gauss_legendre", "gauss_chebyu", "shell_volume",
+__all__ = ["read_only", "gauss_legendre", "gauss_gegenbauer", "shell_volume",
            "shell_radius", "Tridiagonal", "CubicSpline", "dopri45"]
 
 
@@ -34,11 +35,25 @@ def gauss_legendre(m: int):
     return read_only(*np.polynomial.legendre.leggauss(m))
 
 
-def gauss_chebyu(m: int):
-    """m-point Gauss rule for the weight sqrt(1 - v^2) on [-1, 1]: nodes
-    cos(k pi/(m+1)) (ascending), weights pi/(m+1) sin^2(k pi/(m+1))."""
-    th = np.arange(m, 0, -1) * (np.pi / (m + 1))
-    return np.cos(th), np.pi / (m + 1) * np.sin(th) ** 2
+@lru_cache(maxsize=32)
+def gauss_gegenbauer(m: int, lam: float):
+    """m-point Gauss rule for the weight (1 - v^2)^(lam - 1/2) on [-1, 1]:
+    nodes (ascending) and weights.  lam = 1/2 is gauss_legendre, lam = 1
+    the Chebyshev-U closed form, nodes cos(k pi/(m+1)) and weights
+    pi/(m+1) sin^2(k pi/(m+1)); otherwise the eigenvalues of the Jacobi
+    matrix and the total mass times the squared first components of the
+    eigenvectors (Golub & Welsch, Math. Comp. 23, 1969)."""
+    if lam == 0.5:
+        return gauss_legendre(m)
+    if lam == 1.0:
+        th = np.arange(m, 0, -1) * (np.pi / (m + 1))
+        return read_only(np.cos(th), np.pi / (m + 1) * np.sin(th) ** 2)
+    k = np.arange(1, m)
+    off = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = sqrt(pi) * gamma(lam + 0.5) / gamma(lam + 1.0) * v[0] ** 2
+    # the rule is symmetric: average each node with its mirror's
+    return read_only(0.5 * (x - x[::-1]), 0.5 * (w + w[::-1]))
 
 
 _SHELL_NODES = 64  # Gauss-Legendre nodes of every ball-volume integral

@@ -982,7 +982,8 @@ def build_normal_chart(
 
     Flat charts and space forms centered at the chart origin return closed
     forms.  Anything else needs `rule`, a sphere rule (directions (nd, n)
-    and weights (nd,), as `sphere_rule` returns them): it shoots geodesics
+    and weights (nd,), as the product rule `sphere_rule(n, order)` returns
+    them in every dimension, at most 2^15 directions): it shoots geodesics
     along the directions, tabulates density and pulled-back metric along
     each ray and keeps the weights for its sphere areas.  Two checks
     guard the tables: det(J/r) changing sign on some ray raises

@@ -76,16 +76,12 @@ def _chart_from(cfg: configparser.ConfigParser):
     return make_chart(spec)
 
 
-def _quad_from(cfg: configparser.ConfigParser, seed_override):
+def _quad_from(cfg: configparser.ConfigParser):
     sec = cfg["quadrature"] if cfg.has_section("quadrature") else {}
-    seed = int(sec.get("seed", 1234))
-    if seed_override is not None:
-        seed = seed_override
     return QuadratureSpec(
         rule=sec.get("rule", "auto"),
         order=int(sec.get("order", 40)),
         c_trunc=float(sec.get("c_trunc", 10.0)),
-        seed=seed,
     )
 
 
@@ -93,10 +89,10 @@ def _close(measured: float, target: float, rtol: float, atol: float) -> bool:
     return abs(measured - target) <= atol + rtol * abs(target)
 
 
-def _expand(cfg, seed, functional: str):
+def _expand(cfg, functional: str):
     sec = cfg["experiment"]
     chart = _chart_from(cfg)
-    quad = _quad_from(cfg, seed)
+    quad = _quad_from(cfg)
     r_s = float(sec.get("r_s", 1.0))
     alpha = sec.get("alpha", "normalized")
     if alpha not in ("normalized", "auto"):
@@ -338,7 +334,7 @@ def _moments_selftest(cfg, seed):
     t = float(sec.get("t", 0.05))
     trials = int(sec.get("trials", 10))
     rng = np.random.default_rng(seed if seed is not None else 1234)
-    quad = _quad_from(cfg, seed)
+    quad = _quad_from(cfg)
     worst = 0.0
     for _ in range(trials):
         A = rng.standard_normal((n, n))
@@ -359,8 +355,8 @@ def _moments_selftest(cfg, seed):
 
 
 EXPERIMENTS = {
-    "expand_L": lambda cfg, seed: _expand(cfg, seed, "L"),
-    "expand_W": lambda cfg, seed: _expand(cfg, seed, "W"),
+    "expand_L": lambda cfg, seed: _expand(cfg, "L"),
+    "expand_W": lambda cfg, seed: _expand(cfg, "W"),
     "volume": _volume,
     "isoprofile": _isoprofile,
     "symmetrize": _symmetrize,

@@ -209,9 +209,7 @@ def prepare_normal_chart(chart: MetricChart, p, r_s: float, quad: QuadratureSpec
     p = np.asarray(p, dtype=float)
     if closed_form_center(chart, p):
         return build_normal_chart(chart, p, r_s)
-    return build_normal_chart(
-        chart, p, r_s, rule=sphere_rule(chart.n, quad.order, quad.seed)
-    )
+    return build_normal_chart(chart, p, r_s, rule=sphere_rule(chart.n, quad.order))
 
 
 @dataclass
@@ -287,9 +285,12 @@ def run_expansion(
             "nodes": nodes,
             "normal_chart": nc.kind,
             "christoffel": chart.christoffel_route,
+            # the directions that ran, after the limit and the fold (an ode
+            # chart was shot along the full rule, its bundle)
+            **({"rays": len(sphere_rule(nc.n, quad.order, fold)[0])}
+               if rule == "radial_sphere" else {}),
             **(
-                {"rays": int(nc.dirs.shape[0]), "nfev": nc.nfev,
-                 "gauss_residual": nc.gauss_residual}
+                {"nfev": nc.nfev, "gauss_residual": nc.gauss_residual}
                 if nc.kind == "ode" else {}
             ),
         },

@@ -8,10 +8,10 @@ against u^2 times the Riemannian volume density.
 
 The substitution x = 2 sqrt(t) z turns each of them into
 pi^{-n/2} * integral of exp(-|z|^2) G(z), which the engine computes with
-product Gauss-Hermite quadrature, a radial-times-sphere rule with segment
-splits at the cutoff kinks, or seeded Monte Carlo for n = 5, 6.  One node
-builder serves every rule: unit directions d, z-radii and weights, laid
-out as m points or as nd rays times nr radii.
+product Gauss-Hermite quadrature (n <= 4) or, in every n, a radial rule
+with segment splits at the cutoff kinks times one product sphere rule
+(sphere_rule).  One node builder serves every rule: unit directions d,
+z-radii and weights, laid out as m points or as nd rays times nr radii.
 
 The Dirichlet integrand is |grad u|^2 = u^2 g~^{ij} M_i M_j with the
 covector M = grad eta^2 / (2 eta^2) - x/4t.  Along x = r d, with
@@ -31,11 +31,10 @@ When a has no off-diagonal entries and the normal chart is closed-form
 coordinate, so the nodes are folded onto the orthant z >= 0
 (resolve_rule).  The product Hermite grid goes from order^n nodes to
 ceil(order/2)^n, with doubled weights off the zero node.  The
-radial-spherical product rule (n <= 4) folds each 1-D factor by node
-index: 2 o^2 directions on S^2 become ceil(o/2) (floor(o/2) + 1) and
-2 o^3 on S^3 become ceil(o/2)^2 (floor(o/2) + 1).  A non-diagonal a, an ode
-chart (its geometry depends on the direction), Monte Carlo and
-gaussian_integral with its arbitrary G keep the full rule.
+radial-spherical product rule folds each 1-D factor by node index: the
+2 o^(n-1) directions on S^(n-1) become ceil(o/2)^(n-2) (floor(o/2) + 1).
+A non-diagonal a, an ode chart (its geometry depends on the direction)
+and gaussian_integral with its arbitrary G keep the full rule.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._numerics import gauss_chebyu, gauss_legendre, read_only, shell_volume
+from ._numerics import gauss_gegenbauer, gauss_legendre, read_only, shell_volume
 from ._spaceform import ball_volume_K
 from .charts import NormalChart
 from .errors import (
@@ -56,7 +55,6 @@ from .errors import (
     SupportTooLarge,
     TimeTooLarge,
 )
-from .moments import sphere_area
 from .tensor_core import CurvatureData
 
 __all__ = [
@@ -81,16 +79,18 @@ ETA_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    rule: str = "auto"  # auto | hermite | radial_sphere | mc
+    rule: str = "auto"  # auto (= radial_sphere) | hermite | radial_sphere
     order: int = 40
     c_trunc: float = 10.0
-    mc_samples: int = 1_000_000
-    seed: int = 1234
+    mc_samples: int = 1_000_000  # draws of gaussian_integral(rule="mc")
+    seed: int = 1234  # and their seed
     err_drop: int = 6  # order decrement used for the error estimate
 
     def __post_init__(self):
-        if self.rule not in ("auto", "hermite", "radial_sphere", "mc"):
+        if self.rule not in ("auto", "hermite", "radial_sphere"):
             raise ConfigInvalid(f"unknown quadrature rule {self.rule!r}")
+        if self.mc_samples < 2:  # the error estimate draws half of them
+            raise ConfigInvalid("mc_samples below 2")
         if self.order < 8:
             raise ConfigInvalid("quadrature order below 8")
         if not 1 <= self.err_drop <= self.order - 2:
@@ -273,54 +273,48 @@ def _azimuth(m: int, fold: bool):
     return np.cos(th), np.sin(th), mult * (2 * np.pi / m)
 
 
+# directions of a full sphere rule at most: o <= 128 on S^2, 25 on S^3,
+# 11 on S^4, 6 on S^5 (the radial order is never cut)
+_MAX_DIRECTIONS = 2**15
+
+
 @lru_cache(maxsize=64)
-def _sphere_nodes(n: int, order: int, fold: bool):
-    """The product rule on S^{n-1}, n = 2, 3, 4, from its 1-D factors:
-    directions and weights summing to the sphere's area.
+def sphere_rule(n: int, order: int, fold: bool = False):
+    """The product rule on S^{n-1} in hyperspherical coordinates (Stroud,
+    Approximate Calculation of Multiple Integrals, 1971): directions and
+    weights summing to the sphere's area, exact to degree 2 o - 1.
 
     Polar factors run outermost first, each giving the next coordinate
-    from the last (n = 4 Gauss-Chebyshev of the second kind for x4, n >= 3
-    Gauss-Legendre for x3), and the azimuth takes x1, x2 on what their
-    sines leave.  fold folds every factor onto its nonnegative half by
-    node index (`_half_rule`, `_azimuth`): the rule on the orthant, exact
-    on the functions even in every coordinate."""
+    x_m, m = n, ..., 3, from the last: o-point Gauss-Gegenbauer for the
+    weight (1 - v^2)^((m-3)/2).  The trapezoid azimuth takes x1, x2 on
+    what their sines leave, at 2 o angles (max(4 o, 16) on S^1).  o is
+    order, lowered until the full rule holds at most _MAX_DIRECTIONS.
+    fold folds every factor onto its nonnegative half by node index
+    (`_half_rule`, `_azimuth`): the rule on the orthant, exact on the
+    functions even in every coordinate."""
+
+    def azimuths(o):
+        return max(4 * o, 16) if n == 2 else 2 * o
+
+    o = order
+    while o ** (n - 2) * azimuths(o) > _MAX_DIRECTIONS:
+        o -= 1
     coords, sines, wts = [], np.ones(1), np.ones(1)
-    for gauss in (gauss_chebyu, gauss_legendre)[4 - n :]:
-        u, wu = gauss(order)
+    for m in range(n, 2, -1):
+        u, wu = gauss_gegenbauer(o, (m - 2) / 2)
         if fold:
             u, wu = _half_rule(u, wu)
         coords = [np.repeat(x, u.size) for x in coords]
         coords.append(np.outer(sines, u).ravel())
         sines = np.outer(sines, np.sqrt(1 - u**2)).ravel()
         wts = np.outer(wts, wu).ravel()
-    c, s, wa = _azimuth(max(4 * order, 16) if n == 2 else 2 * order, fold)
+    c, s, wa = _azimuth(azimuths(o), fold)
     coords = [np.repeat(x, c.size) for x in coords]
     dirs = np.stack(
         [np.outer(sines, c).ravel(), np.outer(sines, s).ravel(), *coords[::-1]],
         -1,
     )
     return read_only(dirs, np.outer(wts, wa).ravel())
-
-
-@lru_cache(maxsize=64)
-def sphere_rule(n: int, order: int, seed: int = 1234):
-    """Quadrature on S^{n-1}: directions and weights summing to its area.
-
-    n=2 trapezoid, n=3 Gauss-Legendre x trapezoid, n=4 Gauss-Chebyshev
-    (second kind) x Gauss-Legendre x trapezoid (Stroud, Approximate
-    Calculation of Multiple Integrals, 1971), n>=5 seeded Monte Carlo.
-    This is the full rule.  The radial-spherical nodes of a closed-form
-    normal chart with a diagonal profile a take the same product rule
-    folded onto the orthant (n <= 4, about 1/2^n of the directions);
-    an ode chart's bundle, and Monte Carlo directions, never fold.
-    """
-    if n <= 4:
-        return _sphere_nodes(n, order, False)
-    rng = np.random.default_rng(seed)
-    count = max(20_000, 200 * order * order)
-    dirs = rng.normal(size=(count, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return read_only(dirs, np.full(count, sphere_area(n) / count))
 
 
 def _radial_nodes(order: int, c: float, kinks=()):
@@ -334,11 +328,11 @@ def _radial_nodes(order: int, c: float, kinks=()):
     return np.concatenate(nodes), np.concatenate(wts)
 
 
-def _nodes(rule, n, order, quad, c, kinks=(), fold=False, nchart=None):
+def _nodes(rule, n, order, c, kinks=(), fold=False, nchart=None):
     """Unit directions d, z-radii rho and weights of one rule; the weights
     carry the Gaussian factor and the pi^{-n/2} normalization.
 
-    hermite and mc lay m nodes out as d (m, n), rho (m,), weights (m,);
+    hermite lays m nodes out as d (m, n), rho (m,), weights (m,);
     radial_sphere as rays d (nd, 1, n) times radii rho (nr,) on [0, c]
     split at the kinks, weights (nd, nr).  fold takes the hermite grid and
     the radial_sphere directions on the orthant (see resolve_rule).  On an
@@ -347,12 +341,6 @@ def _nodes(rule, n, order, quad, c, kinks=(), fold=False, nchart=None):
         if n > 4:  # order^n nodes: 1e8 at the default order and n = 5
             raise ConfigInvalid("product Hermite grids are limited to n <= 4")
         return _hermite_nodes(n, order, fold)
-    if rule == "mc":
-        rng = np.random.default_rng(quad.seed)
-        count = quad.mc_samples if order >= quad.order else quad.mc_samples // 2
-        Z = rng.normal(scale=np.sqrt(0.5), size=(count, n))
-        rho = np.linalg.norm(Z, axis=1)
-        return Z / rho[:, None], rho, np.full(count, 1.0 / count)
     if rule != "radial_sphere":
         raise ConfigInvalid(f"unknown rule {rule!r}")
     rho, wr = _radial_nodes(order, c, kinks)
@@ -360,37 +348,29 @@ def _nodes(rule, n, order, quad, c, kinks=(), fold=False, nchart=None):
         # the angular rule is pinned at chart build time; order changes
         # (including the error-estimate drop) only refine the radial part
         dirs, wd = nchart.dirs, nchart.weights
-    elif fold:
-        dirs, wd = _sphere_nodes(n, order, True)
     else:
-        dirs, wd = sphere_rule(n, order, quad.seed)
+        dirs, wd = sphere_rule(n, order, fold)
     radial_w = wr * rho ** (n - 1) * np.exp(-(rho**2))
     wts = wd[:, None] * radial_w[None, :] / np.pi ** (n / 2.0)
     return dirs[:, None, :], rho, wts
 
 
 def resolve_rule(tf: TestFunction, quad: QuadratureSpec):
-    """The rule quad runs on tf's chart ('auto' resolved: radial_sphere on
-    ode charts and for n <= 4, mc beyond) and whether its nodes fold onto
-    the orthant.
+    """The rule quad runs on tf's chart ('auto' resolved to radial_sphere)
+    and whether its nodes fold onto the orthant.
 
     A diagonal a makes every integrand even in each coordinate when the
     geometry depends on |x| alone (eta^2 and its gradient enter through
     |x|^2, x.a.x and |a x|^2), so mirror nodes give identical values.
     That holds on closed-form charts, where the hermite grid and the
-    radial_sphere product rule (n <= 4) fold.  An ode chart keeps its own
-    bundle, since its geometry depends on the direction, and Monte Carlo
-    nodes never fold."""
+    radial_sphere product rule fold.  An ode chart keeps its own bundle,
+    since its geometry depends on the direction."""
     nc = tf.nchart
-    rule = quad.rule
-    if rule == "auto":
-        rule = "radial_sphere" if nc.kind == "ode" or nc.n <= 4 else "mc"
-    elif nc.kind == "ode" and rule != "radial_sphere":
+    rule = "radial_sphere" if quad.rule == "auto" else quad.rule
+    if nc.kind == "ode" and rule != "radial_sphere":
         raise ConfigInvalid("ode normal charts support only the radial_sphere rule")
-    foldable = rule == "hermite" or (
-        rule == "radial_sphere" and nc.kind != "ode" and nc.n <= 4
-    )
-    return rule, foldable and not np.any(tf.a - np.diag(np.diagonal(tf.a)))
+    diagonal = not np.any(tf.a - np.diag(np.diagonal(tf.a)))
+    return rule, diagonal and nc.kind != "ode"
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +398,11 @@ def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int):
     nc = tf.nchart
     n = nc.n
     # hermite and radial_sphere nodes fold onto the orthant for a diagonal
-    # a on closed-form charts; ode bundles and mc nodes never do
+    # a on closed-form charts; ode bundles never do
     rule, fold = resolve_rule(tf, quad)
     s2t = 2.0 * np.sqrt(t)
     dirs, rho, wts = _nodes(
-        rule, n, order, quad,
+        rule, n, order,
         c=min(quad.c_trunc, tf.r_s / s2t),  # integrand vanishes past support
         kinks=(tf.r_s / (2.0 * s2t), tf.r_s / s2t),  # cutoff corners in z
         fold=fold, nchart=nc,
@@ -535,14 +515,21 @@ def gaussian_integral(
     """pi^{-n/2} integral of exp(-|z|^2) G(x) dz with x = 2 sqrt(t) z.
 
     Equivalently the integral of the heat-kernel weight H^2 against G on
-    flat space.  G maps (m, n) points to (m,) values.  Returns (value,
-    error estimate)."""
-    rule = rule or ("hermite" if n <= 4 else "mc")
+    flat space.  G maps (m, n) points to (m,) values.  rule defaults to
+    hermite for n <= 4 and radial_sphere beyond; "mc" opts into seeded
+    Monte Carlo.  Returns (value, error estimate)."""
+    rule = rule or ("hermite" if n <= 4 else "radial_sphere")
 
     def once(order):
-        dirs, rho, W = _nodes(rule, n, order, quad, quad.c_trunc)
-        X = (2.0 * np.sqrt(t) * rho)[..., None] * dirs
-        return float(np.dot(W.ravel(), np.asarray(G(X.reshape(-1, n)))))
+        if rule == "mc":
+            count = quad.mc_samples if order >= quad.order else quad.mc_samples // 2
+            rng = np.random.default_rng(quad.seed)
+            X = np.sqrt(2.0 * t) * rng.standard_normal((count, n))
+            W = np.full(count, 1.0 / count)
+        else:
+            dirs, rho, W = _nodes(rule, n, order, quad.c_trunc)
+            X = ((2.0 * np.sqrt(t) * rho)[..., None] * dirs).reshape(-1, n)
+        return float(np.dot(W.ravel(), np.asarray(G(X))))
 
     hi = once(quad.order)
     lo = once(quad.order - quad.err_drop)

@@ -61,7 +61,6 @@ from .errors import (
 from .functionals import (
     QuadratureSpec,
     TestFunction,
-    _sphere_nodes,
     eval_components,
     resolve_rule,
     sphere_rule,
@@ -217,10 +216,7 @@ def symmetrize(
     # the sweep runs on the rays of the original side's rule, folded onto
     # the orthant for a diagonal a
     fold = resolve_rule(tf, quad)[1]
-    if fold:
-        dirs, wd = _sphere_nodes(n, order, True)
-    else:
-        dirs, wd = sphere_rule(n, order, quad.seed)
+    dirs, wd = sphere_rule(n, order, fold)
     nd = dirs.shape[0]
     r_max = tf.r_s
     m = 2048

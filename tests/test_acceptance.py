@@ -111,8 +111,11 @@ def test_c01_gaussian_moments_match_quadrature():
                 def quadr(X, A=A):
                     return np.einsum("mi,ij,mj->m", X, A, X)
 
-                def quart(X, lam=lam):
-                    return np.einsum("mi,mj,mk,ml,ijkl->m", X, X, X, X, lam)
+                def quart(X, lam=lam.reshape(n * n, n * n)):
+                    # lam_ijkl x_i x_j x_k x_l as a quadratic form in the
+                    # pair tensor x_i x_j
+                    P = (X[:, :, None] * X[:, None, :]).reshape(len(X), -1)
+                    return np.einsum("mp,mp->m", P @ lam, P)
 
                 def wgt(X, t=t):
                     return np.einsum("mi,mi->m", X, X) / t

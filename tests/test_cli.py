@@ -106,6 +106,19 @@ class TestRuns:
         doc = json.loads((tmp_path / "moments_selftest.json").read_text())
         assert doc["result"]["worst_relative_error"] < 1e-10
 
+    def test_moments_selftest_n5(self, tmp_path):
+        """At n = 5 the moments run on the radial-spherical product rule."""
+        cfg = _write(tmp_path, "c.ini", MOMENTS_CFG.replace("n = 3", "n = 5")
+                     .replace("trials = 5", "trials = 2"))
+        code = main(
+            ["moments_selftest", "--config", cfg, "--out", str(tmp_path),
+             "--no-timestamp"]
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "moments_selftest.json").read_text())
+        assert doc["result"]["n"] == 5 and doc["result"]["tolerance"] == 1e-10
+        assert doc["result"]["worst_relative_error"] < 1e-10
+
     def test_expand_flat(self, tmp_path):
         cfg = _write(tmp_path, "c.ini", EXPAND_FLAT)
         code = main(

@@ -1,9 +1,17 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
 
 from curvex import ModelSpec, Perturbation, curvature_at, make_chart, norm_sq
 from curvex.charts import PROFILES, MetricChart
-from curvex.errors import ConfigInvalid, IllConditionedFit, NoiseDominates
+from curvex.errors import (
+    ConfigInvalid,
+    IllConditionedFit,
+    NoiseDominates,
+    PositivityWarning,
+)
 from curvex.expansion import (
     extract_series,
     fit_volume_series,
@@ -132,8 +140,8 @@ class TestRuns:
         assert res.fit.c1 == pytest.approx(res.predicted.c1, rel=5e-3)
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=5e-2)
         assert res.meta["normal_chart"] == "space_form"
-        assert "nfev" not in res.meta and "rays" not in res.meta
-        assert "gauss_residual" not in res.meta
+        assert "nfev" not in res.meta and "gauss_residual" not in res.meta
+        assert res.meta["rays"] == 12 * 13  # the folded order-24 rule
         # orders 24 and 18: a = Rc/3 is diagonal, so the 2 o^2 directions
         # fold onto the orthant, o/2 Legendre nodes u >= 0 times the
         # o/2 + 1 azimuths 4k <= 2o, each times o radii per segment, with
@@ -301,10 +309,10 @@ class TestRuleRecord:
              "radial_sphere", False),
             (3, "space_form", "optimal_a",
              QuadratureSpec(rule="hermite", order=16), "hermite", True),
-            (5, "flat", "zero", QuadratureSpec(order=8, mc_samples=4000),
-             "mc", False),
+            (5, "flat", "zero", QuadratureSpec(order=8), "radial_sphere",
+             True),
         ],
-        ids=["auto-folded", "auto-off-diagonal", "hermite", "auto-mc"],
+        ids=["auto-folded", "auto-off-diagonal", "hermite", "auto-n5"],
     )
     def test_resolved_rule_and_fold(self, n, kind, mode, quad, rule, fold):
         ch = make_chart(ModelSpec(kind, n, K=float(kind == "space_form")))
@@ -312,6 +320,33 @@ class TestRuleRecord:
                             r_s=1.0, quad=quad)
         assert res.meta["rule"] == rule
         assert res.meta["fold"] is fold
+
+
+class TestEveryDimension:
+    """The default QuadratureSpec (auto, order 40) runs the product sphere
+    rule in every dimension; above n = 4 it is cut to 2^15 directions."""
+
+    @pytest.mark.parametrize(
+        "n,K,rays",
+        # folded polar orders 11 (n = 5) and 6 (n = 6): ceil(o/2)^(n-2)
+        # polar nodes times o/2 + 1 azimuths
+        [(5, 1.0, 6**3 * 6), (6, 1.0, 3**4 * 4), (5, -1.0, 6**3 * 6),
+         (6, -1.0, 3**4 * 4)],
+        ids=["S5", "S6", "H5", "H6"],
+    )
+    def test_default_rule_fits_the_prediction(self, n, K, rays):
+        ch = make_chart(ModelSpec("space_form", n, K=K))
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            # on H^n the profile a = -(n-1)/3 reaches zero inside r_s = 1.2
+            warnings.simplefilter("ignore", PositivityWarning)
+            res = run_expansion(ch, np.zeros(n), functional="L", r_s=1.2)
+        elapsed = time.perf_counter() - start
+        assert res.meta["rule"] == "radial_sphere"
+        assert res.meta["order"] == 40 and res.meta["rays"] == rays
+        assert res.fit.c1 == pytest.approx(res.predicted.c1, rel=5e-3)
+        assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=5e-2)
+        assert elapsed < 2.0, f"expansion took {elapsed:.2f}s"
 
 
 class TestVolumeFit:

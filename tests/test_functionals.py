@@ -26,7 +26,6 @@ from curvex.functionals import (
     _eval_once,
     _hermite_nodes,
     _nodes,
-    _sphere_nodes,
     ball_volume,
     bishop_gromov_ratio,
     build_test_function,
@@ -79,12 +78,12 @@ class TestCutoff:
             assert abs(d2) < 1.0
 
 
-def _even_monomial_integrals(dirs, wts, deg):
-    """Exponents k (even, |k| <= deg) and the rule's integrals of the
-    monomials y^k, as one product of a left block of coordinates against
-    a right block, a chunk of directions at a time."""
+def _monomial_integrals(dirs, wts, deg, step=2):
+    """Exponents k (multiples of step, |k| <= deg) and the rule's integrals
+    of the monomials y^k, as one product of a left block of coordinates
+    against a right block, a chunk of directions at a time."""
     n = dirs.shape[1]
-    split, half = (n + 1) // 2, deg // 2
+    split, half = (n + 1) // 2, deg // step
 
     def exps(m):
         return np.array([k for k in itertools.product(range(half + 1), repeat=m)
@@ -93,8 +92,8 @@ def _even_monomial_integrals(dirs, wts, deg):
     left, right = exps(split), exps(n - split)
     out = 0.0
     for lo in range(0, dirs.shape[0], 2048):
-        # y_i^(2j) as (directions, j, i)
-        pw = dirs[lo : lo + 2048, None, :] ** (2 * np.arange(half + 1))[:, None]
+        # y_i^(step j) as (directions, j, i)
+        pw = dirs[lo : lo + 2048, None, :] ** (step * np.arange(half + 1))[:, None]
         L = np.prod(pw[:, left, np.arange(split)], axis=-1)
         R = np.prod(pw[:, right, split + np.arange(n - split)], axis=-1)
         out = out + L.T @ (R * wts[lo : lo + 2048, None])
@@ -103,44 +102,89 @@ def _even_monomial_integrals(dirs, wts, deg):
         [np.broadcast_to(left[:, None], keep.shape + (split,)),
          np.broadcast_to(right[None], keep.shape + (n - split,))], axis=-1
     )
-    return 2 * k[keep], out[keep]
+    return step * k[keep], out[keep]
+
+
+def _azimuths(n, o):
+    return max(4 * o, 16) if n == 2 else 2 * o
 
 
 class TestSphereRule:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("order", [8, 9, 16, 24])
-    def test_folded_rule_is_exact_on_even_monomials(self, n, order):
+    @pytest.mark.parametrize(
+        "n,order,o",
+        [pytest.param(n, order, o, id=f"{order}-{n}") for n, order, o in
+         [(n, order, order) for n in (2, 3, 4) for order in (8, 9, 16, 24)]
+         + [(4, 40, 25), (5, 8, 8), (5, 9, 9), (5, 16, 11), (6, 5, 5),
+            (6, 10, 6)]],
+    )
+    def test_folded_rule_is_exact_on_even_monomials(self, n, order, o):
         """The rule folded onto the orthant integrates every even monomial
-        up to the rule's degree as the full rule does and, for n = 3 and 4,
-        as the closed form.  |y^k| <= 1, so the sphere's area sets the
-        scale.  n = 4 at order 9 holds the Chebyshev node cos(pi/2) =
-        6.1e-17, which a fold by sign instead of by index mis-weights."""
-        full, folded = sphere_rule(n, order), _sphere_nodes(n, order, True)
+        up to the rule's degree as the full rule does and as the closed
+        form.  o is the polar order left by the 2^15-direction limit.
+        |y^k| <= 1, so the sphere's area sets the scale.  n = 4 at order 9
+        holds the Chebyshev node cos(pi/2) = 6.1e-17, which a fold by sign
+        instead of by index mis-weights."""
+        full, folded = sphere_rule(n, order), sphere_rule(n, order, True)
         # azimuths 4k <= m of m = max(4 o, 16) (n = 2) or 2 o (n >= 3),
         # times ceil(o/2) nodes u >= 0 per polar factor
-        m = max(4 * order, 16) if n == 2 else 2 * order
-        polar = ((order + 1) // 2) ** (n - 2)
+        m = _azimuths(n, o)
+        polar = ((o + 1) // 2) ** (n - 2)
         assert folded[0].shape == (polar * (m // 4 + 1), n)
-        assert full[0].shape == (order ** (n - 2) * m, n)
+        assert full[0].shape == (o ** (n - 2) * m, n) and m * o ** (n - 2) <= 2**15
         assert np.allclose(np.linalg.norm(folded[0], axis=1), 1.0)
         assert np.all(folded[0] >= 0.0)
-        deg = m - 1 if n == 2 else 2 * order - 1
-        k, want = _even_monomial_integrals(*full, deg)
-        k_f, got = _even_monomial_integrals(*folded, deg)
+        deg = m - 1 if n == 2 else 2 * o - 1
+        k, want = _monomial_integrals(*full, deg)
+        k_f, got = _monomial_integrals(*folded, deg)
         assert np.array_equal(k, k_f)
         area = sphere_area(n)
         assert np.max(np.abs(got - want)) <= 1e-14 * area
-        if n >= 3:
-            exact = np.array([sphere_monomial(n, tuple(e)) for e in k])
-            assert np.max(np.abs(got - exact)) <= 1e-14 * area
+        exact = np.array([sphere_monomial(n, tuple(e)) for e in k])
+        assert np.max(np.abs(got - exact)) <= 1e-14 * area
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "n,order,o", [(2, 8, 8), (3, 16, 16), (4, 9, 9), (5, 6, 6), (6, 10, 6)]
+    )
+    def test_full_rule_is_exact_on_every_monomial(self, n, order, o):
+        """The full rule integrates every monomial up to its degree, odd
+        ones (zero on the sphere) included, as the closed form."""
+        deg = _azimuths(n, o) - 1 if n == 2 else 2 * o - 1
+        k, got = _monomial_integrals(*sphere_rule(n, order), deg, step=1)
+        exact = np.array([sphere_monomial(n, tuple(e)) for e in k])
+        assert np.max(np.abs(got - exact)) <= 1e-14 * sphere_area(n)
+
+    def test_limit_costs_no_accuracy(self, monkeypatch):
+        """With a non-diagonal a, the functionals on the rule cut to 2^15
+        directions equal those on the full product rule (131,072 directions
+        on S^4 at order 16, 200,000 on S^5 at order 10)."""
+        import curvex.functionals as F
+
+        t = 1.0 / 256  # r_s / 2 sqrt(t) = 6: two radial panels
+        for n, order in [(5, 16), (6, 10)]:
+            nc = build_normal_chart(
+                make_chart(ModelSpec("space_form", n, K=1.0)), np.zeros(n), 0.75
+            )
+            a = np.random.default_rng(5).normal(scale=0.1, size=(n, n))
+            tf = TestFunction(nc, a + a.T, 0.2, 0.75)
+            quad = QuadratureSpec(order=order)
+            cut = eval_components(tf, t, quad, want_err=False)
+            with monkeypatch.context() as mp:
+                mp.setattr(F, "_MAX_DIRECTIONS", 2**40)
+                F.sphere_rule.cache_clear()
+                full = eval_components(tf, t, quad, want_err=False)
+                F.sphere_rule.cache_clear()
+            assert full.nodes > 4 * cut.nodes
+            for name in ("mass", "entropy", "dirichlet", "sc_integral"):
+                assert getattr(cut, name) == pytest.approx(
+                    getattr(full, name), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_total_weight_is_area(self, n):
         dirs, wts = sphere_rule(n, 16)
         assert wts.sum() == pytest.approx(sphere_area(n), rel=1e-12)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_quadratic_monomial(self, n):
         from curvex.moments import sphere_monomial
 
@@ -150,17 +194,11 @@ class TestSphereRule:
         k[0] = 2
         assert got == pytest.approx(sphere_monomial(n, tuple(k)), rel=1e-12)
 
-    def test_mc_rule_seeded(self):
-        d1, w1 = sphere_rule(5, 16, seed=7)
-        d2, w2 = sphere_rule(5, 16, seed=7)
-        assert np.array_equal(d1, d2)
-        assert w1.sum() == pytest.approx(sphere_area(5), rel=1e-12)
-
     @pytest.mark.parametrize(
         "rule",
-        [lambda: sphere_rule(3, 8), lambda: _hermite_nodes(2, 6),
-         lambda: _hermite_nodes(2, 7, True)],
-        ids=["sphere_rule", "hermite", "hermite_folded"],
+        [lambda: sphere_rule(3, 8), lambda: sphere_rule(5, 7, True),
+         lambda: _hermite_nodes(2, 6), lambda: _hermite_nodes(2, 7, True)],
+        ids=["sphere_rule", "sphere_rule_folded", "hermite", "hermite_folded"],
     )
     def test_cached_rules_are_read_only(self, rule):
         """Every caller of a cached rule gets the same arrays, so none may
@@ -218,6 +256,18 @@ class TestMomentBridge:
         G = lambda X: np.einsum("mi,ij,mj->m", X, A, X)
         val, err = gaussian_integral(n, t, G, q, rule="mc")
         assert val == pytest.approx(moment_quadratic(w, A), rel=0.02)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_default_rule_above_four_dimensions(self, n):
+        """Above n = 4 gaussian_integral runs the radial-spherical product
+        rule, exact on quadratic moments."""
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(n, n))
+        A = 0.5 * (A + A.T)
+        G = lambda X: np.einsum("mi,ij,mj->m", X, A, X)
+        val, _ = gaussian_integral(n, 0.05, G, QuadratureSpec(order=24))
+        want = moment_quadratic(GaussianWeight(n, 0.05), A)
+        assert val == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 class TestFlatExactness:
@@ -363,7 +413,7 @@ class TestKernelOracle:
         quad = QuadratureSpec(rule="radial_sphere", order=order)
         got = _eval_once(tf, t, quad, order)
         s2t = 2.0 * np.sqrt(t)
-        dirs, rho, W = _nodes("radial_sphere", 3, order, quad,
+        dirs, rho, W = _nodes("radial_sphere", 3, order,
                               c=min(quad.c_trunc, r_s / s2t),
                               kinks=(r_s / (2.0 * s2t), r_s / s2t))
         assert got[4] == W.size
@@ -396,7 +446,7 @@ class TestKernelOracle:
         t = 0.006
         got = _eval_once(tf, t, quad, 16)
         s2t = 2.0 * np.sqrt(t)
-        dirs, rho, W = _nodes("radial_sphere", 3, 16, quad,
+        dirs, rho, W = _nodes("radial_sphere", 3, 16,
                               c=min(quad.c_trunc, 0.9 / s2t),
                               kinks=(0.9 / (2.0 * s2t), 0.9 / s2t), nchart=nc)
         r = s2t * rho
@@ -463,6 +513,17 @@ class TestGuards:
         tf = TestFunction(nc, np.zeros((5, 5)), 0.0, 0.5)
         with pytest.raises(ConfigInvalid, match="n <= 4"):
             eval_L(tf, 1e-4, QuadratureSpec(rule="hermite"))
+
+    @pytest.mark.parametrize(
+        "kw", [{"rule": "mc"}, {"mc_samples": 1}, {"mc_samples": 0},
+               {"mc_samples": -5}],
+        ids=["mc_rule", "one_sample", "no_samples", "negative_samples"],
+    )
+    def test_bad_quadrature_spec(self, kw):
+        """Monte Carlo is not a rule of the series path, and the explicit
+        gaussian_integral opt-in needs a draw for its error estimate."""
+        with pytest.raises(ConfigInvalid):
+            QuadratureSpec(**kw)
 
     def test_err_drop_limits_accepted(self):
         assert QuadratureSpec(order=8, err_drop=6).err_drop == 6

@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline as ScipyCubicSpline
 from scipy.interpolate import make_interp_spline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
-from scipy.special import roots_chebyu, roots_legendre
+from scipy.special import roots_chebyu, roots_jacobi, roots_legendre
 
 import curvex.charts as charts
 from curvex import ModelSpec, Perturbation, build_normal_chart, make_chart
@@ -23,7 +23,7 @@ from curvex._numerics import (
     CubicSpline,
     Tridiagonal,
     dopri45,
-    gauss_chebyu,
+    gauss_gegenbauer,
     gauss_legendre,
     shell_radius,
 )
@@ -47,10 +47,30 @@ class TestGaussRules:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16, 24, 32, 40, 64])
     def test_chebyshev_second_kind(self, m):
-        x, w = gauss_chebyu(m)
+        x, w = gauss_gegenbauer(m, 1.0)
         xs, ws = roots_chebyu(m)
         assert np.abs(x - xs).max() <= 1e-15
         assert np.abs(w - ws).max() <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11, 16, 24, 32, 40, 64])
+    @pytest.mark.parametrize("lam", [1.5, 2.0])
+    def test_gegenbauer_golub_welsch(self, m, lam):
+        """The polar factors of S^4 and S^5, from the Jacobi matrix."""
+        x, w = gauss_gegenbauer(m, lam)
+        xs, ws = roots_jacobi(m, lam - 0.5, lam - 0.5)
+        assert np.abs(x - xs).max() <= 1e-15
+        assert np.abs(w - ws).max() <= 1e-14 * ws.sum()
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    def test_gegenbauer_special_cases_are_cached_rules(self):
+        """lam = 1/2 is the Legendre rule itself; every rule is cached and
+        read-only."""
+        assert all(a is b for a, b in zip(gauss_gegenbauer(8, 0.5),
+                                          gauss_legendre(8)))
+        for lam in (1.0, 1.5):
+            x, w = gauss_gegenbauer(8, lam)
+            assert x is gauss_gegenbauer(8, lam)[0]
+            assert not x.flags.writeable and not w.flags.writeable
 
 
 def _banded(lower, diag, upper):
@@ -319,8 +339,9 @@ class TestProbeRadius:
 
 
 def test_runtime_paths_load_no_scipy():
-    """A fresh interpreter runs a Hermite and an auto expansion, the S^2xR
-    ode chart, symmetrize, mu_ball and assess_rigidity without loading scipy."""
+    """A fresh interpreter runs a Hermite and an auto expansion, an auto
+    expansion at n = 5 (Golub-Welsch polar factors), the S^2xR ode chart,
+    symmetrize, mu_ball and assess_rigidity without loading scipy."""
     script = textwrap.dedent(
         """
         import sys
@@ -338,6 +359,8 @@ def test_runtime_paths_load_no_scipy():
         run_expansion(s3, np.zeros(3), r_s=0.8,
                       quad=QuadratureSpec(rule="hermite", order=12))
         run_expansion(s3, np.zeros(3), r_s=0.8, quad=QuadratureSpec(order=10))
+        s5 = make_chart(ModelSpec("space_form", 5, K=1.0))
+        run_expansion(s5, np.zeros(5), r_s=1.2, quad=QuadratureSpec(order=10))
         s2r = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
         nc = build_normal_chart(s2r, np.zeros(3), 0.9, rule=sphere_rule(3, 8),
                                 r_samples=96)
