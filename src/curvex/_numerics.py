@@ -274,17 +274,19 @@ def _rms(v):
     return np.linalg.norm(v) / v.size**0.5
 
 
-def dopri45(fun, y0, t_out, rtol: float, atol: float):
+def dopri45(fun, y0, t_out, rtol: float, atol: float, keep: int | None = None):
     """Integrate y' = fun(t, y) over [t_out[0], t_out[-1]] (ascending)
     with adaptive Dormand-Prince 5(4) steps.
 
     Step control: RMS error norm against atol + rtol max(|y|, |y_new|),
     safety 0.9, step factors within [0.2, 10] and at most 1 right after a
-    rejection; the first step from the Hairer-Norsett-Wanner rule.  Returns
-    the states at t_out, one row each, from every step's quartic dense
-    output, and the number of right-hand-side calls.  A step size that collapses
-    below ten float spacings of t raises GeodesicLeftDomain (the solver
-    shoots geodesics)."""
+    rejection; the first step from the Hairer-Norsett-Wanner rule.  The
+    steps do not depend on t_out beyond its ends.  Returns the leading
+    `keep` components (all when None) of the states at t_out, one row
+    each, from every step's quartic dense output, and the number of
+    right-hand-side calls.  A step size that collapses below ten float
+    spacings of t raises GeodesicLeftDomain (the solver shoots
+    geodesics)."""
     t, tb = float(t_out[0]), float(t_out[-1])
     y = np.asarray(y0, dtype=float)
     f = fun(t, y)
@@ -301,7 +303,8 @@ def dopri45(fun, y0, t_out, rtol: float, atol: float):
     h_abs = min(100 * h0, h1, span)
     nfev = 2
 
-    out = np.empty((t_out.size, y.size))
+    keep = y.size if keep is None else keep
+    out = np.empty((t_out.size, keep))
     K = np.empty((7, y.size))
     done = 0  # rows of out written
     while t < tb:
@@ -338,9 +341,9 @@ def dopri45(fun, y0, t_out, rtol: float, atol: float):
             x = (t_out[done:stop] - t) / h
             p = np.cumprod(np.tile(x[:, None], (1, 4)), axis=1)
             rows = out[done:stop]
-            np.dot(p, _DP_P.T.dot(K), out=rows)
+            np.dot(p, _DP_P.T.dot(K[:, :keep]), out=rows)
             rows *= h
-            rows += y
+            rows += y[:keep]
             done = stop
         t, y, f = t_new, y_new, f_new
     return out, nfev

@@ -27,16 +27,23 @@ equation together with its variational (Jacobi) system along a fixed bundle
 of rays, since that is the shape the radial-spherical quadrature consumes.
 An 'ode' chart keeps one radius-major table, built once at the sample
 radii, a block of radii at a time, with cofactor determinants and inverses
-for n <= 3: density and g~^{-1} for every ray, under one not-a-knot cubic
-spline in r, so reading it at the quadrature radii inverts nothing; the
-exp points are kept only on the grid of its scalar-curvature spline.  The
-build raises JacobianSingular where det(J/r) changes sign (a conjugate
-point) and QuadratureNotConverged where the Gauss lemma g~^{-1} y = y fails
-by more than 1e-8.  Both kinds answer one call, NormalChart.geometry(r, w)
--> (density, w.g~^{-1}w, Sc) for covectors w orthogonal to the ray: with
-the Gauss lemma that is all the geometry a radial kernel needs.  Ball
+for n <= 3.  Per ray it holds the density and, in an orthonormal basis B_d
+of the plane orthogonal to the ray d, the n(n-1)/2 upper entries of
+B_d^T g~^{-1} B_d (off-diagonal ones doubled; 4 columns in all at n = 3),
+under one not-a-knot cubic spline in r, so reading it at the quadrature
+radii inverts nothing.  The integrator samples only the exp points and the
+Jacobi fields, at the table radii and at the radii of the scalar-curvature
+grid together (its steps do not depend on where it samples); the exp
+points are kept only on that grid, and Sc is evaluated there the first
+time it is asked for.  The build raises JacobianSingular where det(J/r)
+changes sign (a conjugate point) and QuadratureNotConverged where the Gauss
+lemma g~^{-1} y = y, checked on the full g~^{-1}, fails by more than 1e-8.
+Both kinds answer one call, NormalChart.geometry(r, w) -> (density,
+w.g~^{-1}w) for covectors w orthogonal to the ray: with the Gauss lemma
+that is all the metric a radial kernel needs.  A second call,
+NormalChart.scalar(r), gives Sc, which only the W-functional reads.  Ball
 volumes, sphere areas and the radius of a given volume all come from a
-second call, NormalChart.shell(r), the area of the geodesic sphere.  An
+third call, NormalChart.shell(r), the area of the geodesic sphere.  An
 'ode' chart carries the weights of the sphere rule its rays came from, so
 that area is a weighted sum over the bundle.
 """
@@ -798,7 +805,7 @@ class NormalChart:
     radius (flat space as K = 0); kind 'ode' carries spline tables along
     a fixed direction bundle, with the weights of the sphere rule behind
     it, and only serves the radial-spherical node layout.  Both answer the
-    geometry call and the shell call.
+    geometry, scalar and shell calls.
     """
 
     def __init__(self, chart, center, radius, kind, K=0.0):
@@ -812,24 +819,27 @@ class NormalChart:
         self.weights = None  # their sphere-rule weights (nd,), summing to the area
         self.nfev = 0  # right-hand-side calls of the geodesic shooting (ode)
         self.gauss_residual = None  # largest |g~^{-1} y - y| in the table (ode)
-        self._table = None  # spline in r of (nd, 1 + n^2): density, g~^-1
+        self._basis = None  # orthonormal bases B_d (nd, n, n-1) of d^perp (ode)
+        # spline in r of (nd, 1 + n(n-1)/2): density, the upper entries of
+        # B_d^T g~^{-1} B_d with the off-diagonal ones doubled (ode)
+        self._table = None
         self._density = None  # the table's density column alone, built lazily
         self._sc_pts = None  # exp points (_SC_RADII, nd, n) on the Sc grid
         self._sc_spline = None
 
     def geometry(self, r, w):
-        """(density, w.g~^{-1}w, Sc) at x = r d for covectors w orthogonal
-        to d.
+        """(density, w.g~^{-1}w) at x = r d for covectors w orthogonal to d.
 
-        By the Gauss lemma g~^{-1} d = d, so these three scalars are all a
-        radial kernel needs.  The leading axes of w (..., n) broadcast
-        against r: points (m, n) against r (m,), or rays (nd, 1, n) against
-        radii (nr,).  On M^n_K (flat space as K = 0) the density is
-        (sn_K(r)/r)^{n-1} and g~^{-1} = P + (r/sn_K(r))^2 (I - P) with P the
-        radial projector, so w.g~^{-1}w = (r/sn_K(r))^2 |w|^2 and Sc is a
-        constant.  An ode chart takes one covector per ray of its bundle,
-        evaluates its spline at the radii and contracts the g~^{-1} block
-        with w (x) w; its outputs are (nd, nr).
+        By the Gauss lemma g~^{-1} d = d, so these two scalars are all the
+        metric a radial kernel needs.  The leading axes of w (..., n)
+        broadcast against r: points (m, n) against r (m,), or rays
+        (nd, 1, n) against radii (nr,).  On M^n_K (flat space as K = 0) the
+        density is (sn_K(r)/r)^{n-1} and g~^{-1} = P + (r/sn_K(r))^2 (I - P)
+        with P the radial projector, so w.g~^{-1}w = (r/sn_K(r))^2 |w|^2.
+        An ode chart takes one covector per ray of its bundle, writes it as
+        w = B_d c with c = B_d^T w, evaluates its spline at the radii and
+        contracts the tangential block with the products c_i c_j, i <= j;
+        its outputs are (nd, nr).
         """
         r = np.asarray(r, dtype=float)
         n = self.n
@@ -837,27 +847,36 @@ class NormalChart:
             nd = self.dirs.shape[0]
             if w.size != nd * n:
                 raise InvalidSpec(f"ode chart takes one covector per ray ({nd})")
-            rq = np.minimum(r, self.radius)  # beyond r0 the cutoff is zero
-            tab = self._table(rq)  # (nr, nd, 1 + n^2)
-            w = w.reshape(nd, n)
-            ww = (w[:, :, None] * w[:, None, :]).reshape(nd, n * n)
-            wgw = np.einsum("rdk,dk->dr", tab[..., 1:], ww)
-            if self._sc_spline is None:  # Sc at the exp points, once per chart
-                rg = np.linspace(0.0, self.radius, _SC_RADII)
-                sc = scalar_curvature_batch(self.chart, self._sc_pts.reshape(-1, n))
-                self._sc_spline = CubicSpline(rg, sc.reshape(rg.size, nd))
-            return tab[..., 0].T, wgw, self._sc_spline(rq).T
+            # beyond r0 the cutoff is zero
+            tab = self._table(np.minimum(r, self.radius))  # (nr, nd, 1 + n(n-1)/2)
+            c = np.einsum("dk,dkj->dj", w.reshape(nd, n), self._basis)
+            i, j = np.triu_indices(n - 1)
+            wgw = np.einsum("rdk,dk->dr", tab[..., 1:], c[:, i] * c[:, j])
+            return tab[..., 0].T, wgw
         s = sn_over_r(self.K, r)
         w2 = np.einsum("...i,...i->...", w, w)
-        return s ** (n - 1), w2 / s**2, n * (n - 1) * self.K
+        return s ** (n - 1), w2 / s**2
+
+    def scalar(self, r):
+        """Scalar curvature at x = r d: the constant n(n-1)K on M^n_K, and
+        (nd, nr) on an ode chart, from a spline in r through Sc at its
+        _SC_RADII x nd exp points, built on the first call (only the
+        W-functional reads Sc)."""
+        if self.kind != "ode":
+            return self.n * (self.n - 1) * self.K
+        if self._sc_spline is None:
+            rg = np.linspace(0.0, self.radius, _SC_RADII)
+            sc = scalar_curvature_batch(self.chart, self._sc_pts.reshape(-1, self.n))
+            self._sc_spline = CubicSpline(rg, sc.reshape(rg.size, -1))
+        return self._sc_spline(np.minimum(r, self.radius)).T
 
     def shell(self, r):
         """Area of the geodesic sphere of radius r (any shape).
 
         On M^n_K it is sphere_area_K(n, K, r).  An ode chart sums
         density_d(r) r^(n-1) over its rays with the sphere-rule weights,
-        from the density column of its table alone (a tenth of the table at
-        n = 3); the Sc spline stays unbuilt."""
+        from the density column of its table alone (a quarter of the table
+        at n = 3); the Sc spline stays unbuilt."""
         if self.kind != "ode":
             return sphere_area_K(self.n, self.K, r)
         r = np.asarray(r, dtype=float)
@@ -882,22 +901,24 @@ def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol):
     E = _frame(g0[None, :, :])[0]
 
     v0 = dirs @ E.T  # initial velocities, unit in g(p)
+    # state (x, J, v, J'): the table reads x and J alone, which lead
     y0 = np.concatenate(
         [
             np.broadcast_to(p, (nd, n)).ravel(),
-            v0.ravel(),
             np.zeros(nd * n * n),
+            v0.ravel(),
             np.broadcast_to(E, (nd, n, n)).ravel(),
         ]
     )
 
-    sl_g = slice(0, nd * n)
-    sl_v = slice(nd * n, 2 * nd * n)
-    sl_J = slice(2 * nd * n, 2 * nd * n + nd * n * n)
-    sl_Jp = slice(2 * nd * n + nd * n * n, 2 * nd * n + 2 * nd * n * n)
+    nx, nxj = nd * n, nd * n + nd * n * n
+    sl_x = slice(0, nx)
+    sl_J = slice(nx, nxj)
+    sl_v = slice(nxj, nxj + nx)
+    sl_Jp = slice(nxj + nx, None)
 
     def rhs(s, y):
-        x = y[sl_g].reshape(nd, n)
+        x = y[sl_x].reshape(nd, n)
         v = y[sl_v].reshape(nd, n)
         J = y[sl_J].reshape(nd, n, n)
         Jp = y[sl_Jp].reshape(nd, n, n)
@@ -908,27 +929,47 @@ def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol):
         dvv = dgam.reshape(nd, -1, n) @ v[:, :, None]
         dvv = (dvv.reshape(nd, -1, n) @ v[:, :, None]).reshape(nd, n, n)
         Jpp = -(dvv.transpose(0, 2, 1) @ J) - 2.0 * (gv @ Jp)
-        return np.concatenate([v.ravel(), acc.ravel(), Jp.ravel(), Jpp.ravel()])
+        return np.concatenate([v.ravel(), Jp.ravel(), acc.ravel(), Jpp.ravel()])
 
+    # the steps do not depend on the sample radii, so the table radii and
+    # the radii of the Sc spline are sampled together, x and J alone
     r_grid = np.linspace(0.0, r0, r_samples)
-    y, nfev = dopri45(rhs, y0, r_grid, rtol, 1e-12)  # radius-major (nt, state)
-    nt = y.shape[0]
+    r_out, row = np.unique(
+        np.concatenate([r_grid, np.linspace(0.0, r0, _SC_RADII)]),
+        return_inverse=True,
+    )
+    y, nfev = dopri45(rhs, y0, r_out, rtol, 1e-12, keep=nxj)  # radius-major
+    nt = r_grid.size
+    row_tab, row_sc = row[:nt], row[nt:]
 
-    if not chart.domain.contains(y[:, sl_g].reshape(-1, n)).all():
+    if not chart.domain.contains(y[:, sl_x].reshape(-1, n)).all():
         raise GeodesicLeftDomain(
             "a geodesic left the chart domain before reaching the requested radius"
         )
 
-    # one table per sample radius and ray: density and g~^{-1}, filled a
-    # block of radii at a time
-    tab = np.empty((nt, nd, 1 + n * n))
+    # an orthonormal basis B_d of d^perp per ray: the unit eigenvectors of
+    # I - d d^T for its eigenvalue 1, which eigh sorts after the 0 of d
+    basis = np.linalg.eigh(np.eye(n) - dirs[:, :, None] * dirs[:, None, :])[1]
+    basis = basis[..., 1:]
+    # b_i (x) b_j + b_j (x) b_i for the columns i <= j of B_d, halved for
+    # i = j: against the symmetric g~^{-1} it gives the upper entries of
+    # B_d^T g~^{-1} B_d with the off-diagonal ones doubled, one product per ray
+    i, j = np.triu_indices(n - 1)
+    pairs = basis[:, :, None, i] * basis[:, None, :, j]
+    pairs = (pairs + pairs.swapaxes(1, 2)) * np.where(i == j, 0.5, 1.0)
+    pairs = pairs.reshape(nd, n * n, i.size)
+
+    # one table per sample radius and ray: density and the tangential block
+    # of g~^{-1}, filled a block of radii at a time
+    tab = np.empty((nt, nd, 1 + i.size))
     gauss = 0.0
     for lo in range(0, nt, _TABLE_BLOCK):
         blk = slice(lo, lo + _TABLE_BLOCK)
-        pts = y[blk, sl_g].reshape(-1, nd, n)
+        ys = y[row_tab[blk]]
+        pts = ys[:, sl_x].reshape(-1, nd, n)
         # Jacobian of exp at r*y is J(r)/r; at r=0 it is the frame itself
         r = r_grid[blk]
-        Jr = y[blk, sl_J].reshape(-1, nd, n, n)
+        Jr = ys[:, sl_J].reshape(-1, nd, n, n)
         Jr = Jr / np.where(r > 0, r, 1.0)[:, None, None, None]
         if lo == 0:
             Jr[0] = E
@@ -943,7 +984,8 @@ def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol):
         resid = ginv @ dirs[:, :, None] - dirs[:, :, None]
         gauss = max(gauss, float(np.abs(resid).max()))
         tab[blk, :, 0] = np.sqrt(det)
-        tab[blk, :, 1:] = ginv.reshape(-1, nd, n * n)
+        tan = ginv.reshape(-1, nd, n * n).swapaxes(0, 1) @ pairs  # ray-major
+        tab[blk, :, 1:] = tan.swapaxes(0, 1)
     if gauss > _GAUSS_TOL:
         raise QuadratureNotConverged(
             f"Gauss-lemma residual {gauss:.2e} of the ode tables exceeds "
@@ -954,10 +996,9 @@ def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol):
     nc.dirs, nc.weights = dirs, weights
     nc.nfev = nfev
     nc.gauss_residual = gauss
-    # exp points on the Sc grid, from a spline through the sampled ones
-    exp_pts = CubicSpline(r_grid, y[:, sl_g].reshape(nt, nd, n))
-    nc._sc_pts = exp_pts(np.linspace(0.0, r0, _SC_RADII))
-    del y, pts, exp_pts  # pts is a view of y
+    nc._basis = basis
+    nc._sc_pts = y[row_sc, sl_x].reshape(_SC_RADII, nd, n)
+    del y, ys, pts  # ys is a copy, pts a view of it
     nc._table = CubicSpline(r_grid, tab)
     return nc
 
@@ -984,8 +1025,9 @@ def build_normal_chart(
     forms.  Anything else needs `rule`, a sphere rule (directions (nd, n)
     and weights (nd,), as the product rule `sphere_rule(n, order)` returns
     them in every dimension, at most 2^15 directions): it shoots geodesics
-    along the directions, tabulates density and pulled-back metric along
-    each ray and keeps the weights for its sphere areas.  Two checks
+    along the directions, tabulates the density and the tangential block of
+    the inverse pulled-back metric along each ray and keeps the weights for
+    its sphere areas.  Two checks
     guard the tables: det(J/r) changing sign on some ray raises
     JacobianSingular (a conjugate point of even multiplicity, where det J
     only touches zero, as off-centre on S^3, is not seen; on the catalog

@@ -78,6 +78,11 @@ def _chart_from(cfg: configparser.ConfigParser):
 
 def _quad_from(cfg: configparser.ConfigParser):
     sec = cfg["quadrature"] if cfg.has_section("quadrature") else {}
+    unknown = sorted(set(sec) - {"rule", "order", "c_trunc"})
+    if unknown:
+        raise ConfigInvalid(
+            f"unknown [quadrature] keys {unknown}: only rule, order and c_trunc"
+        )
     return QuadratureSpec(
         rule=sec.get("rule", "auto"),
         order=int(sec.get("order", 40)),

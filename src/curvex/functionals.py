@@ -23,8 +23,11 @@ w = a d - q d is orthogonal to d, so
 
 The Gauss lemma g~^{-1} d = d removes the cross term and fixes the radial
 one: g~^{ij} M_i M_j = kappa^2 + beta^2 w.g~^{-1}w.  So each node needs
-eta^2, kappa and beta^2 from the test function (one kernel) and density,
-w.g~^{-1}w and Sc from the normal chart (one geometry call).
+eta^2, kappa and beta^2 from the test function (one kernel) and density
+and w.g~^{-1}w from the normal chart (one geometry call).  Only the
+W-functional adds t times the Sc integral; it alone reads Sc
+(NormalChart.scalar), which on an ode chart costs curvature evaluations
+at every exp point of its Sc grid.
 
 When a has no off-diagonal entries and the normal chart is closed-form
 (flat, or a space form at its origin) the integrand is even in every
@@ -385,16 +388,18 @@ class Components:
     mass: float
     entropy: float
     dirichlet: float
-    sc_integral: float
+    sc_integral: float | None  # None unless asked for (want_sc)
     errs: dict = field(default_factory=dict)
     nodes: int = 0  # nodes evaluated, error-estimate rule included
 
 
-def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int):
-    """The four sums over the nodes x = 2 sqrt(t) rho d of one rule, and
-    the node count.  Per node the kernel gives eta^2, kappa and beta^2,
-    the chart density, w.g~^{-1}w and Sc, and the Dirichlet integrand is
-    eta^2 (kappa^2 + beta^2 w.g~^{-1}w)."""
+def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int,
+               want_sc: bool = True):
+    """The four sums over the nodes x = 2 sqrt(t) rho d of one rule (the
+    Sc integral None unless want_sc), and the node count.  Per node the
+    kernel gives eta^2, kappa and beta^2, the chart density and
+    w.g~^{-1}w, and the Dirichlet integrand is eta^2 (kappa^2 + beta^2
+    w.g~^{-1}w)."""
     nc = tf.nchart
     n = nc.n
     # hermite and radial_sphere nodes fold onto the orthant for a diagonal
@@ -411,22 +416,23 @@ def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int):
     ad = dirs @ tf.a
     q = np.einsum("...i,...i->...", dirs, ad)
     eta2, kappa, beta2 = tf.eta2_with_grad(q, r, t)
-    dens, wgw, sc = nc.geometry(r, ad - q[..., None] * dirs)
+    dens, wgw = nc.geometry(r, ad - q[..., None] * dirs)
     base = eta2 * dens
     logu2 = np.log(eta2) - (n / 2.0) * np.log(4 * np.pi * t) - rho * rho
     mass = float(np.vdot(wts, base))
     entropy = float(np.vdot(wts, base * logu2))
     dirichlet = float(np.vdot(wts, base * (kappa * kappa + beta2 * wgw)))
-    sc_integral = float(np.vdot(wts, base * sc))
+    sc_integral = float(np.vdot(wts, base * nc.scalar(r))) if want_sc else None
     return mass, entropy, dirichlet, sc_integral, wts.size
 
 
 def eval_components(
     tf: TestFunction, t: float, quad: QuadratureSpec = QuadratureSpec(),
-    want_err: bool = True,
+    want_err: bool = True, want_sc: bool = True,
 ) -> Components:
-    """Mass, entropy, Dirichlet energy and scalar-curvature integral of u^2
-    at time t, with error estimates from an order-dropped re-evaluation."""
+    """Mass, entropy, Dirichlet energy and, when want_sc, the
+    scalar-curvature integral of u^2 at time t (None otherwise), with
+    error estimates from an order-dropped re-evaluation."""
     if t <= 0:
         raise ConfigInvalid("t must be positive")
     if t > (tf.r_s / quad.c_trunc) ** 2:
@@ -434,16 +440,17 @@ def eval_components(
             f"t={t} too large for support {tf.r_s} at truncation {quad.c_trunc}: "
             "the Gaussian no longer fits inside the cutoff"
         )
-    hi = _eval_once(tf, t, quad, quad.order)
+    hi = _eval_once(tf, t, quad, quad.order, want_sc)
     if hi[0] <= 0:
         raise QuadratureNotConverged("mass came out nonpositive")
     errs, nodes = {}, hi[4]
     if want_err:
-        lo = _eval_once(tf, t, quad, quad.order - quad.err_drop)
+        lo = _eval_once(tf, t, quad, quad.order - quad.err_drop, want_sc)
         for name, a, b in zip(
             ("mass", "entropy", "dirichlet", "sc_integral"), hi, lo
         ):
-            errs[name] = abs(a - b)
+            if a is not None:
+                errs[name] = abs(a - b)
         nodes += lo[4]
     return Components(t, *hi[:4], errs, nodes)
 
@@ -474,13 +481,13 @@ def _L_err(comp: Components, n: int) -> float:
 def eval_L(tf, t, quad=QuadratureSpec(), want_err=True):
     """Log-Sobolev-type deficit of u at time t: (value, error estimate,
     nodes evaluated)."""
-    comp = eval_components(tf, t, quad, want_err)
+    comp = eval_components(tf, t, quad, want_err, want_sc=False)
     return _L_of(comp, tf.nchart.n), _L_err(comp, tf.nchart.n), comp.nodes
 
 
 def eval_L_normalized(tf, t, quad=QuadratureSpec(), want_err=True):
     """Deficit of the unit-mass rescaling u / sqrt(mass), as eval_L."""
-    comp = eval_components(tf, t, quad, want_err)
+    comp = eval_components(tf, t, quad, want_err, want_sc=False)
     n = tf.nchart.n
     val = _L_of(comp, n) / comp.mass
     err = (_L_err(comp, n) + abs(val) * comp.errs.get("mass", 0.0)) / comp.mass
@@ -490,7 +497,7 @@ def eval_L_normalized(tf, t, quad=QuadratureSpec(), want_err=True):
 def eval_W_normalized(tf, t, quad=QuadratureSpec(), want_err=True):
     """Entropy functional (deficit plus t times the curvature integral) of
     the unit-mass rescaling, as eval_L."""
-    comp = eval_components(tf, t, quad, want_err)
+    comp = eval_components(tf, t, quad, want_err, want_sc=True)
     n = tf.nchart.n
     val = (_L_of(comp, n) + t * comp.sc_integral) / comp.mass
     err = (
@@ -516,9 +523,13 @@ def gaussian_integral(
 
     Equivalently the integral of the heat-kernel weight H^2 against G on
     flat space.  G maps (m, n) points to (m,) values.  rule defaults to
-    hermite for n <= 4 and radial_sphere beyond; "mc" opts into seeded
-    Monte Carlo.  Returns (value, error estimate)."""
-    rule = rule or ("hermite" if n <= 4 else "radial_sphere")
+    quad.rule, and quad.rule 'auto' to hermite for n <= 4 and
+    radial_sphere beyond; "mc" opts into seeded Monte Carlo.  Returns
+    (value, error estimate)."""
+    if rule is None:
+        rule = quad.rule
+        if rule == "auto":
+            rule = "hermite" if n <= 4 else "radial_sphere"
 
     def once(order):
         if rule == "mc":

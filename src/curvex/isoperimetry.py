@@ -286,7 +286,7 @@ def symmetrize(
     profile = RadialProfile(n=n, K=K, r=r_prof, u=u_prof)
 
     # original-side functionals from the quadrature engine
-    comp = eval_components(tf, t, quad, want_err=False)
+    comp = eval_components(tf, t, quad, want_err=False, want_sc=False)
 
     # symmetrized side: composite Gauss rule per spline interval, so the
     # piecewise-cubic profile is integrated essentially exactly

@@ -19,6 +19,8 @@ from curvex import (
     norm_sq,
     scalar_curvature_batch,
 )
+from curvex import charts
+from curvex._numerics import CubicSpline
 from curvex.charts import (
     PROFILES,
     Box,
@@ -37,6 +39,7 @@ from curvex.errors import (
 from curvex.functionals import sphere_rule
 from curvex.moments import sphere_area
 from curvex.tensor_core import e_functional, v_tensor
+from oracles import recorded
 
 
 @pytest.fixture(scope="module")
@@ -264,10 +267,10 @@ class TestChristoffelRoutes:
             ch = _conformal(profile, eps=0.2)
             nc = build_normal_chart(ch, np.zeros(3), 0.8, rule=_rule(dirs),
                                     r_samples=96)
-            tabs.append(_full_table(nc, r))
-        (dens, ginv), (dens_fd, ginv_fd) = tabs
+            tabs.append(_tangential_table(nc, r))
+        (dens, tan), (dens_fd, tan_fd) = tabs
         assert np.abs(dens - dens_fd).max() < 1e-8
-        assert np.abs(ginv - ginv_fd).max() < 1e-8
+        assert np.abs(tan - tan_fd).max() < 1e-8
         assert np.abs(dens - 1.0).max() > 1e-3  # the metric is curved
 
     def test_closed_form_curvature_matches_finite_differences(self):
@@ -339,13 +342,28 @@ def _rule(dirs):
     return dirs, np.full(len(dirs), sphere_area(dirs.shape[1]) / len(dirs))
 
 
-def _full_table(nc, r):
-    """Density (nd, nr) and the whole g~^{-1} (nd, nr, n, n) from an ode
-    chart's spline, for oracles that need more than NormalChart.geometry
-    contracts out of it."""
-    n = nc.n
+def _tangential_table(nc, r):
+    """Density (nd, nr) and the tangential block B_d^T g~^{-1} B_d
+    (nd, nr, n-1, n-1) from an ode chart's spline, for oracles that need
+    more than NormalChart.geometry contracts out of it.  The table holds
+    the upper entries with the off-diagonal ones doubled."""
+    m = nc.n - 1
     tab = nc._table(r).swapaxes(0, 1)
-    return tab[..., 0], tab[..., 1 : 1 + n * n].reshape(*tab.shape[:2], n, n)
+    i, j = np.triu_indices(m)
+    tan = np.empty(tab.shape[:2] + (m, m))
+    tan[..., i, j] = tab[..., 1:] / np.where(i == j, 1.0, 2.0)
+    tan[..., j, i] = tan[..., i, j]
+    return tab[..., 0], tan
+
+
+def _tangential(nc, ginv):
+    """B_d^T g~^{-1} B_d of full inverse metrics (nd, nr, n, n) in the ode
+    chart's own bases B_d, which must be orthonormal and orthogonal to the
+    rays."""
+    B = nc._basis
+    assert np.allclose(B.swapaxes(-1, -2) @ B, np.eye(nc.n - 1), rtol=0, atol=1e-15)
+    assert np.abs(np.einsum("di,dij->dj", nc.dirs, B)).max() < 1e-15
+    return B[:, None].swapaxes(-1, -2) @ ginv @ B[:, None]
 
 
 def _density(nc, r):
@@ -361,8 +379,8 @@ def _split_quad(nc, X, M):
     r = np.linalg.norm(X, axis=1)
     d = X / r[:, None]
     k = np.einsum("mi,mi->m", d, M)
-    dens, wgw, sc = nc.geometry(r, M - k[:, None] * d)
-    return dens, k**2 + wgw, sc
+    dens, wgw = nc.geometry(r, M - k[:, None] * d)
+    return dens, k**2 + wgw, nc.scalar(r)
 
 
 class TestRadialGeometryOracle:
@@ -419,9 +437,9 @@ class TestNormalCharts:
         nc = build_normal_chart(ch, np.zeros(3), 1.5)
         r = np.array([0.5, 1.0, 1.4])
         want = (np.sin(r) / r) ** 2
-        dens, _, sc = nc.geometry(r, np.zeros(3))
+        dens, _ = nc.geometry(r, np.zeros(3))
         assert np.allclose(dens, want, rtol=1e-12)
-        assert sc == 6.0
+        assert nc.scalar(r) == 6.0
 
     def test_hyperbolic_tangential_inverse(self):
         ch = make_chart(ModelSpec("space_form", 2, K=-1.0))
@@ -430,14 +448,14 @@ class TestNormalCharts:
         X = np.array([[r, 0.0]])
         M = np.array([[0.0, 1.0]])  # purely tangential covector
         want = (r / np.sinh(r)) ** 2
-        _, wgw, _ = nc.geometry(np.array([r]), M)
+        _, wgw = nc.geometry(np.array([r]), M)
         assert wgw[0] == pytest.approx(want, rel=1e-12)
         assert _split_quad(nc, X, M)[1][0] == pytest.approx(want, rel=1e-12)
 
     def test_geometry_routes_by_chart_kind(self):
-        """One call on both kinds: on S^3 the closed form at the origin and
-        the ode tables off centre agree; an ode chart takes one covector
-        per ray of its bundle and nothing else."""
+        """One call on both kinds, and one for Sc: on S^3 the closed form at
+        the origin and the ode tables off centre agree; an ode chart takes
+        one covector per ray of its bundle and nothing else."""
         ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.7))
         closed = build_normal_chart(ch, np.zeros(3), 1.0)
         dirs = np.eye(3)
@@ -446,8 +464,8 @@ class TestNormalCharts:
         )
         r = np.array([0.2, 0.45])
         w = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.0, 1.0, 0.0]])
-        want = closed.geometry(r, w[:, None, :])
-        got = nc.geometry(r, w[:, None, :])
+        want = (*closed.geometry(r, w[:, None, :]), closed.scalar(r))
+        got = (*nc.geometry(r, w[:, None, :]), nc.scalar(r))
         assert got[0].shape == got[1].shape == got[2].shape == (3, 2)
         for g, f in zip(got, want):
             assert np.allclose(g, f, rtol=1e-6, atol=0)
@@ -457,7 +475,8 @@ class TestNormalCharts:
     def test_ode_matches_closed_form_off_center(self):
         """Shooting from a non-origin sphere point reproduces the
         center-independent density (sin r / r)^2 and inverse metric
-        P + (r / sin r)^2 (I - P), P the radial projector."""
+        P + (r / sin r)^2 (I - P), P the radial projector, whose tangential
+        block B_d^T g~^{-1} B_d the table holds."""
         ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
         rng = np.random.default_rng(0)
         dirs = rng.normal(size=(8, 3))
@@ -468,14 +487,15 @@ class TestNormalCharts:
         r = np.linspace(0.05, 1.15, 7)
         w = rng.normal(size=(8, 3))
         w -= np.einsum("di,di->d", w, dirs)[:, None] * dirs  # orthogonal to d
-        dens, wgw, sc = nc.geometry(r, w[:, None, :])
+        dens, wgw = nc.geometry(r, w[:, None, :])
         assert np.abs(dens - ((np.sin(r) / r) ** 2)[None, :]).max() < 1e-9
-        assert np.abs(sc - 6.0).max() < 1e-8
+        assert np.abs(nc.scalar(r) - 6.0).max() < 1e-8
         want = ((r / np.sin(r)) ** 2)[None, :] * (w**2).sum(axis=1)[:, None]
         assert np.abs(wgw - want).max() < 1e-9
         P = dirs[:, None, :, None] * dirs[:, None, None, :]
         want = P + ((r / np.sin(r)) ** 2)[None, :, None, None] * (np.eye(3) - P)
-        assert np.abs(_full_table(nc, r)[1] - want).max() < 1e-9
+        got = _tangential_table(nc, r)[1]
+        assert np.abs(got - _tangential(nc, want)).max() < 1e-9
 
     def test_ode_flat_chart_is_exact(self):
         ch = make_chart(ModelSpec("flat", 2, halfwidth=3.0))
@@ -507,7 +527,7 @@ class TestNormalCharts:
         sample radii are refined fourfold."""
         r = np.linspace(0.013, 0.887, 23)
         tabs = [
-            _full_table(build_normal_chart(
+            _tangential_table(build_normal_chart(
                 conformal_chart, np.zeros(3), 0.9, rule=sphere_rule(3, 16),
                 r_samples=rs
             ), r)
@@ -518,10 +538,11 @@ class TestNormalCharts:
 
     def test_ode_build_memory(self, conformal_chart):
         """The c06 chart with the benchmark's 512 rays and the default 384
-        radii: the integrator writes the sampled states straight into one
-        radius-major array, the (radii, rays, 1 + n^2) table is filled a
-        block of radii at a time, and the build peaks at 84 MB (bound: that
-        plus 25 %); what the chart holds afterwards stays bounded."""
+        radii: the integrator writes only x and J of the sampled states
+        straight into one radius-major array, the (radii, rays, 1 + n(n-1)/2)
+        table is filled a block of radii at a time, and the build peaks at
+        40 MB (bound: that plus 25 %); what the chart holds afterwards,
+        13.5 MB, stays bounded likewise."""
         rule = sphere_rule(3, 16)
         tracemalloc.start()
         try:
@@ -530,8 +551,32 @@ class TestNormalCharts:
         finally:
             tracemalloc.stop()
         assert nc.kind == "ode"
-        assert peak < 105e6, f"peak {peak / 1e6:.0f} MB"
-        assert held < 40e6, f"held {held / 1e6:.0f} MB"
+        assert peak < 50e6, f"peak {peak / 1e6:.0f} MB"
+        assert held < 17e6, f"held {held / 1e6:.0f} MB"
+
+    @pytest.mark.parametrize("which", ["c06", "S3_off_centre"])
+    def test_sc_points_match_spline_through_table_radii(
+        self, which, conformal_chart, monkeypatch
+    ):
+        """The exp points of the Sc grid, read off the integrator's dense
+        output, against a not-a-knot spline through the exp points at the
+        384 table radii of the same shooting, evaluated on the Sc grid."""
+        if which == "c06":
+            ch, p, r0 = conformal_chart, np.zeros(3), 0.9
+        else:
+            ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
+            p, r0 = np.array([0.3, -0.2, 0.1]), 1.0
+        shots = recorded(monkeypatch, charts, "dopri45")
+        nc = build_normal_chart(ch, p, r0, rule=sphere_rule(3, 16))
+        ((_, _, t_out, _, _), _, (states, _)), = shots
+        r_grid = np.linspace(0.0, r0, 384)
+        at_grid = np.searchsorted(t_out, r_grid)
+        assert np.array_equal(t_out[at_grid], r_grid)
+        nd = nc.dirs.shape[0]
+        spline = CubicSpline(r_grid, states[at_grid, : nd * 3].reshape(-1, nd, 3))
+        want = spline(np.linspace(0.0, r0, nc._sc_pts.shape[0]))
+        assert np.abs(nc._sc_pts - want).max() < 1e-9
+        assert np.abs(nc._sc_pts - p).max() > 0.5 * r0  # the points move
 
     @pytest.mark.parametrize("r0", [1.4, 1.65])
     def test_conjugate_point_raises(self, r0):

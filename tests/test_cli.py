@@ -5,6 +5,7 @@ import json
 import pytest
 
 from curvex.cli import main
+from oracles import recorded
 
 
 def _write(tmp_path, name: str, text: str) -> str:
@@ -103,6 +104,23 @@ class TestRuns:
              "--no-timestamp"]
         )
         assert code == 0
+        doc = json.loads((tmp_path / "moments_selftest.json").read_text())
+        assert doc["result"]["worst_relative_error"] < 1e-10
+
+    def test_moments_selftest_quadrature_rule(self, tmp_path, monkeypatch):
+        """[quadrature] rule = radial_sphere runs the radial-spherical rule
+        at n = 3, where the default would be the Hermite grid."""
+        import curvex.functionals as F
+
+        calls = recorded(monkeypatch, F, "_nodes")
+        cfg = _write(tmp_path, "c.ini", MOMENTS_CFG
+                     + "\n[quadrature]\nrule = radial_sphere\norder = 24\n")
+        code = main(
+            ["moments_selftest", "--config", cfg, "--out", str(tmp_path),
+             "--no-timestamp"]
+        )
+        assert code == 0
+        assert {args[0] for args, _, _ in calls} == {"radial_sphere"}
         doc = json.loads((tmp_path / "moments_selftest.json").read_text())
         assert doc["result"]["worst_relative_error"] < 1e-10
 
@@ -231,6 +249,17 @@ class TestExitCodes:
         )
         assert main(["rigidity", "--config", cfg, "--out",
                      str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("line", ["ordr = 12", "seed = 3"],
+                             ids=["misspelt_order", "removed_seed"])
+    def test_unknown_quadrature_key_is_1(self, tmp_path, capsys, line):
+        """A [quadrature] key other than rule, order and c_trunc is an error,
+        not a silent run at the defaults."""
+        cfg = _write(tmp_path, "c.ini", MOMENTS_CFG + f"\n[quadrature]\n{line}\n")
+        code = main(["moments_selftest", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "moments_selftest.json").exists()
 
     def test_unknown_experiment_rejected(self, tmp_path):
         cfg = _write(tmp_path, "c.ini", ISO_CFG)

@@ -9,9 +9,12 @@ from curvex import (
     build_normal_chart,
     curvature_at,
     make_chart,
+    scalar_curvature_batch,
 )
+from curvex import charts
 from curvex.charts import PROFILES
-from curvex.expansion import predict_volume, prepare_normal_chart
+from curvex import expansion
+from curvex.expansion import predict_volume, prepare_normal_chart, run_expansion
 from curvex._spaceform import ball_volume_K, sphere_area_K
 from curvex.errors import (
     ConfigInvalid,
@@ -45,7 +48,7 @@ from curvex.moments import (
     sphere_monomial,
 )
 from curvex.rigidity import isoperimetric_probe
-from oracles import eta2_pointwise
+from oracles import eta2_pointwise, full_ode_table, recorded
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +260,22 @@ class TestMomentBridge:
         val, err = gaussian_integral(n, t, G, q, rule="mc")
         assert val == pytest.approx(moment_quadratic(w, A), rel=0.02)
 
+    @pytest.mark.parametrize("rule,runs", [("radial_sphere", "radial_sphere"),
+                                           ("hermite", "hermite"),
+                                           ("auto", "hermite")])
+    def test_rule_from_quadrature_spec(self, rule, runs, monkeypatch):
+        """With no rule argument gaussian_integral runs quad.rule; 'auto'
+        keeps the default by n (hermite for n <= 4)."""
+        import curvex.functionals as F
+
+        calls = recorded(monkeypatch, F, "_nodes")
+        A = np.diag([1.0, -0.5, 0.25])
+        G = lambda X: np.einsum("mi,ij,mj->m", X, A, X)
+        val, _ = gaussian_integral(3, 0.05, G, QuadratureSpec(rule=rule, order=24))
+        assert {args[0] for args, _, _ in calls} == {runs}
+        want = moment_quadratic(GaussianWeight(3, 0.05), A)
+        assert val == pytest.approx(want, rel=1e-12, abs=1e-14)
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_default_rule_above_four_dimensions(self, n):
         """Above n = 4 gaussian_integral runs the radial-spherical product
@@ -426,18 +445,22 @@ class TestKernelOracle:
                            np.sqrt(np.linalg.det(g)), np.linalg.inv(g), 6.0 * K)
         assert got[:4] == pytest.approx(want, rel=1e-12)
 
-    def test_ode_chart_matches_full_table(self):
+    def test_ode_chart_matches_full_table(self, monkeypatch):
         """On the c06 conformal chart the scalar form kappa^2 + beta^2
-        w.g~^{-1}w against M.g~^{-1}.M from the chart's full table (density,
-        all of g~^{-1}) at the same nodes; they differ by the Gauss-lemma
-        residual of the table."""
+        w.g~^{-1}w against M.g~^{-1}.M from a full table (density, all of
+        g~^{-1}) rebuilt from the chart's own shooting, at the same nodes;
+        they differ by the Gauss-lemma residual of the table."""
         ch = make_chart(ModelSpec(
             "conformal_flat", 3,
             perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
             halfwidth=1.5,
         ))
         quad = QuadratureSpec(rule="radial_sphere", order=16)
+        shots = recorded(monkeypatch, charts, "dopri45")
         nc = prepare_normal_chart(ch, np.zeros(3), 0.9, quad)
+        ((_, _, t_out, _, _), _, (states, _)), = shots
+        full = full_ode_table(ch, nc.dirs.shape[0], np.linspace(0.0, 0.9, 384),
+                              t_out, states)
         # a large profile and t near its bound (r_s / c_trunc)^2 make the
         # tangential term, and with it the curvature in w.g~^{-1}w, show:
         # reading that term off the flat metric moves the sum by 4e-7
@@ -450,8 +473,8 @@ class TestKernelOracle:
                               c=min(quad.c_trunc, 0.9 / s2t),
                               kinks=(0.9 / (2.0 * s2t), 0.9 / s2t), nchart=nc)
         r = s2t * rho
-        tab = nc._table(r).swapaxes(0, 1)  # (nd, nr, 1 + n^2)
-        sc = nc.geometry(r, np.zeros_like(dirs))[2]
+        tab = full(r).swapaxes(0, 1)  # (nd, nr, 1 + n^2)
+        sc = nc.scalar(r)
         X = (r[:, None] * dirs).reshape(-1, 3)
         want = _dense_sums(
             tf, t, X, np.broadcast_to(rho, W.shape).ravel(), W.ravel(),
@@ -715,11 +738,36 @@ class TestShell:
         ratio = ball_volume(nc, r) / (4.0 * np.pi / 3.0 * r**3) - 1.0
         assert np.all(np.abs(ratio - r2 * r**2 - r4 * r**4) < 5e-3 * r**6)
 
-    def test_volume_and_probe_leave_sc_unbuilt(self, conformal_c06):
-        """Ball volumes and probes read the density column alone: the Sc
-        spline of an ode chart (scalar curvature at 65 x 512 exp points) is
-        not built for them."""
+    def test_only_W_builds_sc(self, conformal_c06, monkeypatch):
+        """Ball volumes and probes read the density column alone and the
+        L-functional reads no Sc: the Sc spline of an ode chart (scalar
+        curvature at 65 x 512 exp points) is not built for them.  W builds
+        it from the scalar curvature at those exp points and adds t times
+        the Sc integral to the same deficit."""
         v = ball_volume(conformal_c06, 0.8)
         assert conformal_c06._sc_spline is None
         isoperimetric_probe(conformal_c06, 0.0, 0.5 * v)
         assert conformal_c06._sc_spline is None
+
+        built = recorded(monkeypatch, expansion, "prepare_normal_chart")
+        ch, quad = conformal_c06.chart, QuadratureSpec(rule="radial_sphere", order=16)
+        res_L = run_expansion(ch, np.zeros(3), "L", r_s=0.9, quad=quad)
+        res_W = run_expansion(ch, np.zeros(3), "W", r_s=0.9, quad=quad)
+        (_, _, nc_L), (_, _, nc_W) = built
+        assert nc_L._sc_spline is None and nc_W._sc_spline is not None
+        rg = np.linspace(0.0, 0.9, nc_W._sc_pts.shape[0])
+        sc = scalar_curvature_batch(ch, nc_W._sc_pts.reshape(-1, 3))
+        np.testing.assert_allclose(nc_W.scalar(rg), sc.reshape(rg.size, -1).T,
+                                   rtol=1e-14, atol=0)
+        assert np.ptp(sc) > 0.1  # Sc varies over the ball
+        tf = build_test_function(nc_W, curvature_at(ch, np.zeros(3)), r_s=0.9)
+        assert np.array_equal(res_L.ts, res_W.ts)
+        for t, l_val, w_val in zip(res_L.ts, res_L.values, res_W.values):
+            comp = eval_components(tf, float(t), quad, want_err=False)
+            assert w_val - l_val == pytest.approx(
+                t * comp.sc_integral / comp.mass, rel=1e-10)
+            skip = eval_components(tf, float(t), quad, want_err=False,
+                                   want_sc=False)
+            assert skip.sc_integral is None
+            assert (skip.mass, skip.entropy, skip.dirichlet) == (
+                comp.mass, comp.entropy, comp.dirichlet)

@@ -219,11 +219,30 @@ class TestDormandPrince:
         assert nfev == sol.nfev
         assert np.abs(got - sol.y.T).max() <= 1e-12
 
+    def test_steps_do_not_depend_on_the_sample_points(self):
+        """Extra output times change neither the steps (the same
+        right-hand-side calls) nor the states at the shared times; keep
+        returns the leading components of the same rows.  The quartic
+        dense output is one BLAS product per step over the rows that step
+        holds, whose rounding may depend on their count: 1 ulp apart."""
+        t_out = np.linspace(0.0, 7.0, 50)
+        y0 = np.array([1.0, 0.0])
+        want, nfev = dopri45(_oscillator, y0, t_out, 1e-8, 1e-10)
+        extra = np.random.default_rng(4).uniform(0.0, 7.0, 37)
+        t_all, row = np.unique(np.concatenate([t_out, np.linspace(0.0, 7.0, 13),
+                                               extra]), return_inverse=True)
+        got, nfev_all = dopri45(_oscillator, y0, t_all, 1e-8, 1e-10)
+        assert nfev_all == nfev and t_all.size > t_out.size + 40
+        ulp = np.spacing(np.abs(want).max())
+        assert np.abs(got[row[: t_out.size]] - want).max() <= ulp
+        lead, _ = dopri45(_oscillator, y0, t_all, 1e-8, 1e-10, keep=1)
+        assert np.abs(lead - got[:, :1]).max() <= ulp
+
     @pytest.mark.parametrize("which", ["conformal", "sphere_line"])
     def test_chart_shooting_matches_solve_ivp(self, which, monkeypatch):
         """The geodesic and Jacobi system of an ode chart build, integrated
         again by solve_ivp: the same right-hand-side calls and the same
-        table at every sample radius."""
+        sampled leading components (x and J) at every sample radius."""
         spec = (
             ModelSpec("conformal_flat", 3,
                       perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
@@ -232,20 +251,21 @@ class TestDormandPrince:
         )
         seen = []
 
-        def recording(fun, y0, t_out, rtol, atol):
-            out = dopri45(fun, y0, t_out, rtol, atol)
-            seen.append((fun, y0.copy(), t_out, rtol, atol) + out)
+        def recording(fun, y0, t_out, rtol, atol, keep=None):
+            out = dopri45(fun, y0, t_out, rtol, atol, keep)
+            seen.append((fun, y0.copy(), t_out, rtol, atol, keep) + out)
             return out
 
         monkeypatch.setattr(charts, "dopri45", recording)
         ch = make_chart(spec)
         nc = build_normal_chart(ch, np.zeros(3), 0.9, rule=sphere_rule(3, 8),
                                 r_samples=192)
-        (fun, y0, t_out, rtol, atol, got, nfev), = seen
+        (fun, y0, t_out, rtol, atol, keep, got, nfev), = seen
         sol = solve_ivp(fun, (t_out[0], t_out[-1]), y0, method="RK45",
                         rtol=rtol, atol=atol, t_eval=t_out)
         assert sol.success and nfev == sol.nfev == nc.nfev
-        assert np.abs(got - sol.y.T).max() <= 1e-12 * np.abs(got).max()
+        assert got.shape == (t_out.size, keep) and keep < y0.size
+        assert np.abs(got - sol.y.T[:, :keep]).max() <= 1e-12 * np.abs(got).max()
 
     def test_collapsing_step_raises(self):
         """y' = y^2 blows up at t = 1: the step size collapses there, where
