@@ -13,13 +13,13 @@ from curvex import (
     ModelSpec,
     Perturbation,
     build_normal_chart,
+    charts,
     curvature_at,
     density_series,
     make_chart,
     norm_sq,
     scalar_curvature_batch,
 )
-from curvex import charts
 from curvex._numerics import CubicSpline
 from curvex.charts import (
     PROFILES,

@@ -11,9 +11,8 @@ from curvex import (
     make_chart,
     scalar_curvature_batch,
 )
-from curvex import charts
+from curvex import charts, expansion
 from curvex.charts import PROFILES
-from curvex import expansion
 from curvex.expansion import predict_volume, prepare_normal_chart, run_expansion
 from curvex._spaceform import ball_volume_K, sphere_area_K
 from curvex.errors import (
@@ -738,7 +737,7 @@ class TestShell:
         ratio = ball_volume(nc, r) / (4.0 * np.pi / 3.0 * r**3) - 1.0
         assert np.all(np.abs(ratio - r2 * r**2 - r4 * r**4) < 5e-3 * r**6)
 
-    def test_only_W_builds_sc(self, conformal_c06, monkeypatch):
+    def test_volume_and_probe_leave_sc_unbuilt(self, conformal_c06, monkeypatch):
         """Ball volumes and probes read the density column alone and the
         L-functional reads no Sc: the Sc spline of an ode chart (scalar
         curvature at 65 x 512 exp points) is not built for them.  W builds
