@@ -1,12 +1,12 @@
 """Numerical building blocks on numpy alone.
 
-Gauss-Legendre and Gauss-Gegenbauer rules, ball volumes and the radius
-of a given volume from a sphere-area function, a factored
-tridiagonal solver, a not-a-knot cubic spline along axis 0 and the
-Dormand-Prince 5(4) integrator with its quartic dense output (Dormand &
-Prince, J. Comput. Appl. Math. 6, 1980; step control and initial step as
-in Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4).  The tests check
-each against an independent implementation.
+Gauss-Legendre and Gauss-Gegenbauer rules, ball volumes, one bracketed
+Newton loop (radii of given volumes, level crossings in isoperimetry), a
+factored tridiagonal solver, a not-a-knot cubic spline along axis 0 and
+the Dormand-Prince 5(4) integrator with its quartic dense output (Dormand
+& Prince, J. Comput. Appl. Math. 6, 1980; step control and initial step
+as in Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4).  The tests
+check each against an independent implementation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GeodesicLeftDomain, NonPositiveVolume, QuadratureNotConverged
 
 __all__ = ["read_only", "gauss_legendre", "gauss_gegenbauer", "shell_volume",
-           "shell_radius", "Tridiagonal", "CubicSpline", "dopri45"]
+           "bracketed_newton", "shell_radius", "Tridiagonal", "CubicSpline", "dopri45"]
 
 
 def read_only(*arrays):
@@ -69,42 +69,62 @@ def shell_volume(shell, r):
     return np.sum(w * shell(half * (x + 1.0)), axis=-1) * half[..., 0]
 
 
+_NEWTON_CAP = 64  # evaluations of every bracketed Newton run
+
+
+def bracketed_newton(newton, x, lo, hi):
+    """Safeguarded Newton on each element of x (1-D) inside lo < root < hi.
+    newton(x_live, live) gives the iterates of the live elements (live
+    indexes x), whether each lies below its root (narrowing the bracket
+    from below, else from above) and whether each has converged.  A
+    converged element takes its iterate, any other only inside its
+    bracket, else it bisects; a bracket down to rounding stops it too.
+    Returns x, the elements live after _NEWTON_CAP evaluations and the
+    number of evaluations."""
+    x = np.array(x, dtype=float)
+    live, xl = np.arange(x.size), x.copy()
+    lo, hi = (np.broadcast_to(a, x.shape).astype(float) for a in (lo, hi))
+    for steps in range(1, _NEWTON_CAP + 1):
+        x_new, below, done = newton(xl, live)
+        lo, hi = np.where(below, xl, lo), np.where(below, hi, xl)
+        inside = (lo < x_new) & (x_new < hi)
+        xl = np.where(done | inside, x_new, 0.5 * (lo + hi))
+        done |= hi - lo <= 4e-16 * hi
+        x[live[done]] = xl[done]
+        live, xl, lo, hi = (a[~done] for a in (live, xl, lo, hi))
+        if not live.size:
+            break
+    x[live] = xl
+    return x, live, steps
+
+
 def shell_radius(shell, volume, r, hi):
     """Radius of the ball of each given volume inside (0, hi], starting
     from r (both broadcast against volume), as shell_volume measures it.
 
     Newton on log V against log r, with V' = shell: one step solves
-    V ~ r^n exactly, so tiny balls converge as fast as large ones.  Every
-    evaluation narrows a bracket, and a step that leaves it (or a volume
-    that overflows) bisects.  An element stops when its step falls to
-    1e-14 or its bracket to rounding: near the total volume of a sphere
-    the radius is ill-conditioned and Newton alone stalls."""
+    V ~ r^n exactly, so tiny balls converge as fast as large ones.  A step
+    that leaves the bracket (or a volume that overflows) bisects
+    (bracketed_newton).  An element stops at a step of 1e-14 or at a
+    bracket shrunk to rounding: near the total volume of a sphere the
+    radius is ill-conditioned and Newton alone stalls."""
     shape = np.shape(volume)
     v = np.asarray(volume, dtype=float).ravel()
     if not np.all(v > 0):
         raise NonPositiveVolume("volume must be positive")
-    r, hi = (np.broadcast_to(a, shape).astype(float).ravel() for a in (r, hi))
-    lo = np.zeros(v.size)
-    live = np.arange(v.size)
-    for _ in range(64):
-        rl, vl = r[live], v[live]
+    r, hi = (np.broadcast_to(a, shape).ravel() for a in (r, hi))
+
+    def newton(rl, live):
         with np.errstate(over="ignore", invalid="ignore"):
             vol = shell_volume(shell, rl)
-            step = np.log(vol / vl) * vol / (rl * shell(rl))
-        below = vol < vl
-        lo[live] = np.where(below, rl, lo[live])
-        hi[live] = np.where(below, hi[live], rl)
-        r_new = rl * np.exp(-step)
-        done = np.abs(step) <= 1e-14
-        inside = (lo[live] < r_new) & (r_new < hi[live])
-        r[live] = np.where(done | inside, r_new, 0.5 * (lo[live] + hi[live]))
-        done |= hi[live] - lo[live] <= 4e-16 * hi[live]
-        live = live[~done]
-        if not live.size:
-            return r.reshape(shape)
-    raise QuadratureNotConverged(
-        f"no ball radius of volume {v[live[0]]} found within 64 Newton steps"
-    )
+            step = np.log(vol / v[live]) * vol / (rl * shell(rl))
+        return rl * np.exp(-step), vol < v[live], np.abs(step) <= 1e-14
+
+    r, live, _ = bracketed_newton(newton, r, 0.0, hi)
+    if live.size:
+        raise QuadratureNotConverged(f"no ball radius of volume {v[live[0]]} "
+                                     f"found within {_NEWTON_CAP} Newton steps")
+    return r.reshape(shape)
 
 
 def _sweep(b, cp, inv):

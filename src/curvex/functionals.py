@@ -53,6 +53,7 @@ from ._spaceform import ball_volume_K
 from .charts import NormalChart
 from .errors import (
     ConfigInvalid,
+    LevelSetDegenerate,
     PositivityWarning,
     QuadratureNotConverged,
     SupportTooLarge,
@@ -78,16 +79,18 @@ __all__ = [
 ]
 
 ETA_FLOOR = 1e-300
+ERR_DROP = 6  # order decrement of the error-estimate rule
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    rule: str = "auto"  # auto (= radial_sphere) | hermite | radial_sphere
+    # auto | hermite | radial_sphere; auto is radial_sphere for the
+    # functionals, and gaussian_integral takes it as hermite for n <= 4
+    rule: str = "auto"
     order: int = 40
     c_trunc: float = 10.0
     mc_samples: int = 1_000_000  # draws of gaussian_integral(rule="mc")
     seed: int = 1234  # and their seed
-    err_drop: int = 6  # order decrement used for the error estimate
 
     def __post_init__(self):
         if self.rule not in ("auto", "hermite", "radial_sphere"):
@@ -96,10 +99,6 @@ class QuadratureSpec:
             raise ConfigInvalid("mc_samples below 2")
         if self.order < 8:
             raise ConfigInvalid("quadrature order below 8")
-        if not 1 <= self.err_drop <= self.order - 2:
-            raise ConfigInvalid(
-                f"err_drop {self.err_drop} outside [1, order - 2 = {self.order - 2}]"
-            )
         if self.c_trunc <= 3.0:
             raise ConfigInvalid("truncation radius must exceed 3")
 
@@ -426,26 +425,48 @@ def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int,
     return mass, entropy, dirichlet, sc_integral, wts.size
 
 
+def check_time(tf: TestFunction, t: float, c_trunc: float,
+               monotone: bool = False):
+    """Checks, in this order, that t > 0, when monotone that u is radially
+    nonincreasing from a live apex (LevelSetDegenerate), and that the
+    Gaussian fits inside the cutoff, t <= (r_s / c_trunc)^2.
+
+    Along x = r d, with q = d.a.d and P = 1 + alpha t + q r^2,
+    d log u^2/dr = cut'/(r_s cut) + r (4 t q - P) / (2 t P), where
+    cut' <= 0, cut = 1 on [0, r_s/2] and eta^2 is clamped (u decays with
+    the Gaussian) where P <= 0.  Since q <= lambda_max(a), with equality
+    along the top eigenvector, the test is exact: 1 + alpha t > 0 and
+    4 t lambda_max(a) <= 1 + alpha t."""
+    if t <= 0:
+        raise ConfigInvalid("t must be positive")
+    if monotone:
+        p0, lam = 1.0 + tf.alpha * t, float(np.linalg.eigvalsh(tf.a)[-1])
+        if p0 <= 0 or 4.0 * t * lam > p0:
+            raise LevelSetDegenerate(
+                f"u is not radially nonincreasing from a live apex: 1 + alpha t "
+                f"= {p0:.6g} must be positive and at least 4 t lambda_max(a) = "
+                f"{4.0 * t * lam:.6g}; the level sets are not star-shaped")
+    if t > (tf.r_s / c_trunc) ** 2:
+        raise TimeTooLarge(
+            f"t={t} too large for support {tf.r_s} at truncation {c_trunc}: "
+            "the Gaussian no longer fits inside the cutoff"
+        )
+
+
 def eval_components(
     tf: TestFunction, t: float, quad: QuadratureSpec = QuadratureSpec(),
     want_err: bool = True, want_sc: bool = True,
 ) -> Components:
     """Mass, entropy, Dirichlet energy and, when want_sc, the
     scalar-curvature integral of u^2 at time t (None otherwise), with
-    error estimates from an order-dropped re-evaluation."""
-    if t <= 0:
-        raise ConfigInvalid("t must be positive")
-    if t > (tf.r_s / quad.c_trunc) ** 2:
-        raise TimeTooLarge(
-            f"t={t} too large for support {tf.r_s} at truncation {quad.c_trunc}: "
-            "the Gaussian no longer fits inside the cutoff"
-        )
+    error estimates from a re-evaluation at order - ERR_DROP."""
+    check_time(tf, t, quad.c_trunc)
     hi = _eval_once(tf, t, quad, quad.order, want_sc)
     if hi[0] <= 0:
         raise QuadratureNotConverged("mass came out nonpositive")
     errs, nodes = {}, hi[4]
     if want_err:
-        lo = _eval_once(tf, t, quad, quad.order - quad.err_drop, want_sc)
+        lo = _eval_once(tf, t, quad, quad.order - ERR_DROP, want_sc)
         for name, a, b in zip(
             ("mass", "entropy", "dirichlet", "sc_integral"), hi, lo
         ):
@@ -543,7 +564,7 @@ def gaussian_integral(
         return float(np.dot(W.ravel(), np.asarray(G(X))))
 
     hi = once(quad.order)
-    lo = once(quad.order - quad.err_drop)
+    lo = once(quad.order - ERR_DROP)
     return hi, abs(hi - lo)
 
 

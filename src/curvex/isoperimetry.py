@@ -18,28 +18,17 @@ evaluated at r = r_y(s); the first is exactly -dV/ds by the coarea
 formula, which the tests cross-check against finite differences of the
 volume ladder.
 
-On the flat chart the sweep works from two scalars per direction,
-q = d.a.d and p = |a d|^2, and never forms coordinate arrays.  Along
-x = r d, with c = cut(r/r_s), P = 1 + alpha t + q r^2, S = scale^2 and
-u^2 = (4 pi t)^{-n/2} exp(-r^2/4t) eta^2, the functionals kernel gives
-
-  eta^2   = S c P
-  kappa   = d eta^2/dr / (2 eta^2) - r/4t = (c'/r_s) / (2c) + r q / P - r/4t
-  beta^2  = r^2 / P^2
-
-and grad u = u (kappa d + beta w) with w = a d - q d orthogonal to d and
-|w|^2 = p - q^2, so
-
-  du/dr       = u kappa
-  |grad u|^2  = u^2 (kappa^2 + beta^2 (p - q^2)).
-
-eta^2 is floored and its gradient zeroed where it is clamped: kappa =
--r/4t and beta^2 = 0 there.  The seed grid needs only u; it is evaluated
-a block of rays at a time, each block on the radii of the whole grid.
+No radius grid is sampled: each r_y(s) comes from Newton on log u in r^2
+(_numerics.bracketed_newton) with slope kappa from the kernel, from the
+Gaussian crossing sqrt(8 t log(u_max/s)) and inside [0, r_s].  At the
+converged radii the kernel and NormalChart.geometry give du/dr = u kappa
+and |grad u|^2 = u^2 (kappa^2 + beta^2 w.g~^{-1}w).  Each level is
+crossed once per ray: u is radially nonincreasing, which
+functionals.check_time tests exactly beforehand.
 
 The rays are the directions of the radial-spherical rule that integrates
-the original side, from the same builder.  For a diagonal a, q and p are
-even in every coordinate and that rule is folded onto the orthant
+the original side, from the same builder.  For a diagonal a, u is even
+in every coordinate and that rule is folded onto the orthant
 (functionals.resolve_rule): at order 32 on S^2 the sweep runs on 272
 rays instead of 2,048.
 """
@@ -50,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import CubicSpline, gauss_legendre, shell_radius
+from ._numerics import CubicSpline, bracketed_newton, gauss_legendre, shell_radius
 from ._spaceform import ball_volume_K, omega_n, sphere_area_K
 from .errors import (
     ConfigInvalid,
@@ -61,6 +50,7 @@ from .errors import (
 from .functionals import (
     QuadratureSpec,
     TestFunction,
+    check_time,
     eval_components,
     resolve_rule,
     sphere_rule,
@@ -75,12 +65,9 @@ __all__ = [
 ]
 
 
-# Newton on the level crossings stops once max |u(r) - s| / s is at most
-# _NEWTON_TOL; after _NEWTON_CAP steps a residual above _NEWTON_FAIL raises
+# a crossing stops at |log(u/s)| <= _NEWTON_TOL; |u/s - 1| > _NEWTON_FAIL raises
 _NEWTON_TOL = 1e-13
-_NEWTON_CAP = 4
 _NEWTON_FAIL = 1e-10
-_SEED_BLOCK = 256  # rays per block of the 2048-radius seed grid
 
 
 def iso_profile_radius(n: int, K: float, beta):
@@ -175,17 +162,16 @@ class SymmetrizationResult:
         return self.coarea * self.grad_integral - self.area_original**2
 
 
-def _heat2(n: int, t: float, r):
-    """(4 pi t)^{-n/2} exp(-r^2/4t), the factor with u^2 = _heat2 eta^2."""
-    return (4 * np.pi * t) ** (-n / 2.0) * np.exp(-r * r / (4 * t))
-
-
-def _u_on_rays(tf: TestFunction, t: float, q, p, r):
-    """u, du/dr and |grad u|^2 along rays x = r d with q = d.a.d and
-    p = |a d|^2 per direction.  Flat-chart normal coordinates only."""
+def _u_on_rays(tf: TestFunction, t: float, dirs, r):
+    """u, du/dr, |grad u|^2 and the chart density at x = r d, directions
+    dirs (nd, n) and radii r (nd, nr), from the kernel and the geometry."""
+    ad = dirs @ tf.a
+    q = np.einsum("di,di->d", dirs, ad)[:, None]
     eta2, kappa, beta2 = tf.eta2_with_grad(q, r, t)
-    u = np.sqrt(_heat2(tf.nchart.n, t, r) * eta2)
-    return u, u * kappa, u * u * (kappa * kappa + beta2 * (p - q * q))
+    dens, wgw = tf.nchart.geometry(r, (ad - q * dirs)[:, None, :])
+    h2 = (4 * np.pi * t) ** (-tf.nchart.n / 2.0) * np.exp(-r * r / (4 * t))
+    u = np.sqrt(h2 * eta2)
+    return u, u * kappa, u * u * (kappa * kappa + beta2 * wgw), dens
 
 
 def symmetrize(
@@ -197,73 +183,61 @@ def symmetrize(
 ) -> SymmetrizationResult:
     """Radial rearrangement of the test function onto M^n_K.
 
-    Works on flat normal charts (where the polar geometry is exact).  The
-    level ladder runs geometrically from max * (1 - 1e-3) down to
-    max * 1e-6 with at least 64 rungs.  The sweep and the original-side
-    functionals share one radial-spherical rule of the given order, folded
-    onto the orthant when a is diagonal (meta["fold"]).
+    Works on flat normal charts (a ray holds volume r^n/n there) for t > 0,
+    u radially nonincreasing and t <= (r_s/10)^2 (functionals.check_time).
+    The level ladder runs geometrically from max * (1 - 1e-3) down to max
+    * 1e-6 with at least 64 rungs.  The sweep and the original side share
+    one radial-spherical rule, folded when a is diagonal (meta["fold"]).
     """
-    nc = tf.nchart
-    if nc.kind != "flat":
+    if tf.nchart.kind != "flat":
         raise ConfigInvalid(
             "symmetrization is implemented for flat normal charts"
         )
     if levels < 64:
         raise ConfigInvalid("need at least 64 ladder levels")
-    n = nc.n
     quad = QuadratureSpec(rule="radial_sphere", order=order)
+    check_time(tf, t, quad.c_trunc, monotone=True)
+    n = tf.nchart.n
 
     # the sweep runs on the rays of the original side's rule, folded onto
     # the orthant for a diagonal a
     fold = resolve_rule(tf, quad)[1]
     dirs, wd = sphere_rule(n, order, fold)
     nd = dirs.shape[0]
-    r_max = tf.r_s
-    m = 2048
-    rg = np.linspace(0.0, r_max, m)
+    q = np.einsum("di,di->d", dirs, dirs @ tf.a)
 
-    ad = dirs @ tf.a
-    q = np.einsum("di,di->d", dirs, ad)[:, None]
-    p = np.einsum("di,di->d", ad, ad)[:, None]
+    # u at the apex, the same on every ray
+    u_max = float(_u_on_rays(tf, t, dirs[:1], np.zeros((1, 1)))[0][0, 0])
+    s_ladder = np.geomspace(u_max * (1.0 - 1e-3), u_max * 1e-6, levels)
 
-    # the seed grid needs u alone; u at the apex is the same on every ray
-    h2 = _heat2(n, t, rg)
-    u_max = float(np.sqrt(h2[0] * tf.eta2_with_grad(q[0], 0.0, t)[0][0]))
-    top = u_max * (1.0 - 1e-3)
-    bottom = u_max * 1e-6
-    s_ladder = np.geomspace(top, bottom, levels)
+    # level crossings, one per (ray, level), flattened: Newton on
+    # f = log(u/s) = log_h + (log eta^2)/2 - r^2/8t - log s
+    log_s = np.log(s_ladder)
+    r0 = np.minimum(np.sqrt(8.0 * t * (np.log(u_max) - log_s)), tf.r_s)
+    q_flat, log_s = np.repeat(q, levels), np.tile(log_s, nd)
+    log_h = -0.25 * n * np.log(4 * np.pi * t)
 
-    # level-crossing radii: monotone interp seed on the seed grid, a block
-    # of rays at a time, then Newton with the analytic radial slope until
-    # the relative residual in u is negligible
-    r_cross = np.empty((nd, levels))
-    for lo in range(0, nd, _SEED_BLOCK):
-        U = np.sqrt(h2 * tf.eta2_with_grad(q[lo : lo + _SEED_BLOCK], rg, t)[0])
-        if np.any(np.diff(U, axis=1) > 1e-12 * U[:, :1]):
-            raise LevelSetDegenerate(
-                "u is not radially decreasing along some ray; the level sets "
-                "are not star-shaped and the radial ladder breaks down"
-            )
-        for d, u in enumerate(U, lo):
-            r_cross[d] = np.interp(-s_ladder, -u, rg)
-    steps = 0
-    while True:
-        uc, duc, gsqc = _u_on_rays(tf, t, q, p, r_cross)
-        resid = float(np.max(np.abs(uc - s_ladder) / s_ladder))
-        if resid <= _NEWTON_TOL or steps == _NEWTON_CAP:
-            break
-        step = (uc - s_ladder) / np.minimum(duc, -1e-300)
-        r_cross = np.clip(r_cross - step, 0.0, r_max)
-        steps += 1
+    def newton(r, live):
+        eta2, kappa, _ = tf.eta2_with_grad(q_flat[live], r, t)
+        f = log_h + 0.5 * np.log(eta2) - r * r / (8.0 * t) - log_s[live]
+        # step in r^2 (df/d(r^2) = kappa/2r); kappa = 0 at r = 0 bisects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_new = np.sqrt(r * (r - 2.0 * f / kappa))
+        return r_new, f > 0.0, np.abs(f) <= _NEWTON_TOL
+
+    r_cross, stuck, steps = bracketed_newton(newton, np.tile(r0, nd), 0.0, tf.r_s)
+    r_cross = r_cross.reshape(nd, levels)
+    uc, duc, gsqc, dens = _u_on_rays(tf, t, dirs, r_cross)
+    resid = float(np.max(np.abs(uc - s_ladder) / s_ladder))
     if resid > _NEWTON_FAIL:
         raise LevelSetDegenerate(
             f"level crossings did not converge: relative residual {resid:.2e} "
-            f"after {steps} Newton steps"
+            f"with {stuck.size} crossings open after {steps} Newton steps"
         )
 
     slope = np.maximum(-duc, 1e-300)
     gnorm = np.sqrt(gsqc)
-    shell = r_cross ** (n - 1)  # flat density is 1
+    shell = dens * r_cross ** (n - 1)
 
     coarea = np.einsum("d,dl->l", wd, shell / slope)  # -dV/ds
     area_orig = np.einsum("d,dl->l", wd, gnorm * shell / slope)
@@ -319,6 +293,6 @@ def symmetrize(
         dirichlet_original=comp.dirichlet,
         dirichlet_symmetrized=dir_sym,
         meta={"t": t, "levels": levels, "order": order, "rays": nd,
-              "fold": fold, "seed_radii": m, "newton_steps": steps,
+              "fold": fold, "newton_steps": steps,
               "crossing_residual": resid},
     )

@@ -199,8 +199,8 @@ class TestDeterminism:
         o = 16
         assert meta["fold"] is True
         assert meta["rays"] == (o // 2) * (o // 2 + 1)
-        assert meta["seed_radii"] == 2048
-        assert 1 <= meta["newton_steps"] <= 4
+        # Newton evaluations from the Gaussian crossing (5 measured)
+        assert 2 <= meta["newton_steps"] <= 5
         assert meta["crossing_residual"] <= 1e-13
 
     def test_timestamp_present_by_default(self, tmp_path):

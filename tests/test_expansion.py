@@ -285,13 +285,14 @@ class TestHermiteFold:
         ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
         res = run_expansion(
             ch, np.zeros(3), functional="L", r_s=1.7,
-            quad=QuadratureSpec(rule="hermite", order=24, err_drop=5),
+            quad=QuadratureSpec(rule="hermite", order=25),
         )
         assert res.fit.c1 == pytest.approx(-6.0, rel=5e-3)
         assert res.fit.c2 == pytest.approx(-2.0, rel=5e-2)
         assert np.all(np.isfinite(res.errors))
-        # the order-19 rule keeps its zero node: 10 half nodes per axis
-        assert res.meta["nodes"] == 10 * (12**3 + 10**3)
+        # the odd order-25 rule and its order-19 error rule keep their
+        # zero nodes: 13 and 10 half nodes per axis
+        assert res.meta["nodes"] == 10 * (13**3 + 10**3)
 
 
 class TestRuleRecord:

@@ -514,16 +514,6 @@ class TestRadialFold:
 
 
 class TestGuards:
-    @pytest.mark.parametrize(
-        "order,err_drop", [(8, 8), (24, 0), (24, -4)],
-        ids=["drop_to_zero", "zero_drop", "negative_drop"],
-    )
-    def test_err_drop_out_of_range(self, order, err_drop):
-        # the lower rule needs order - err_drop >= 2 and must differ from
-        # the headline rule; a negative drop would refine instead
-        with pytest.raises(ConfigInvalid, match="err_drop"):
-            QuadratureSpec(rule="hermite", order=order, err_drop=err_drop)
-
     def test_hermite_grid_limited_to_four_dimensions(self):
         """The shared node builder refuses the product grid at n = 5
         (order^5 nodes, 1e8 at the default order) before building it."""
@@ -546,10 +536,6 @@ class TestGuards:
         gaussian_integral opt-in needs a draw for its error estimate."""
         with pytest.raises(ConfigInvalid):
             QuadratureSpec(**kw)
-
-    def test_err_drop_limits_accepted(self):
-        assert QuadratureSpec(order=8, err_drop=6).err_drop == 6
-        assert QuadratureSpec(order=8, err_drop=1).err_drop == 1
 
     def test_time_too_large(self, s3_setup):
         _, nc, cv = s3_setup

@@ -19,9 +19,11 @@ from scipy.special import roots_chebyu, roots_jacobi, roots_legendre
 
 import curvex.charts as charts
 from curvex import ModelSpec, Perturbation, build_normal_chart, make_chart
+import curvex._numerics as numerics
 from curvex._numerics import (
     CubicSpline,
     Tridiagonal,
+    bracketed_newton,
     dopri45,
     gauss_gegenbauer,
     gauss_legendre,
@@ -29,7 +31,11 @@ from curvex._numerics import (
 )
 from curvex._spaceform import ball_volume_K, sphere_area_K
 from curvex.charts import PROFILES
-from curvex.errors import GeodesicLeftDomain, NonPositiveVolume
+from curvex.errors import (
+    GeodesicLeftDomain,
+    NonPositiveVolume,
+    QuadratureNotConverged,
+)
 from curvex.functionals import ball_volume, sphere_rule
 from curvex.isoperimetry import iso_profile_radius
 from curvex.rigidity import isoperimetric_probe
@@ -280,6 +286,39 @@ class TestDormandPrince:
             with pytest.raises(GeodesicLeftDomain):
                 dopri45(blowup, np.array([1.0]), np.linspace(0.0, 2.0, 9),
                         1e-10, 1e-12)
+
+
+class TestBracketedNewton:
+    """The one safeguarded Newton loop, on x^3 = c in (0, 2 c + 1): plain
+    Newton from x = 0 steps to infinity, so the bracket must catch it."""
+
+    @staticmethod
+    def _cube_root(c, start):
+        def newton(x, live):
+            f = x**3 - c[live]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_new = x - f / (3 * x * x)
+            return x_new, f < 0, np.abs(f) <= 1e-15 * c[live]
+
+        return bracketed_newton(newton, start, 0.0, 2 * c + 1)
+
+    def test_matches_cbrt(self):
+        c = np.geomspace(1e-6, 1e6, 200)
+        x, live, steps = self._cube_root(c, np.zeros(c.size))
+        assert live.size == 0 and steps < 64
+        np.testing.assert_allclose(x, np.cbrt(c), rtol=1e-14, atol=0)
+
+    def test_cap_reports_open_elements(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_NEWTON_CAP", 3)
+        c = np.array([8.0, 1e6])
+        x, live, steps = self._cube_root(c, np.array([2.0, 0.0]))
+        # 2 is the root of 8 at the first evaluation; 1e6 needs more
+        assert steps == 3 and list(live) == [1]
+        assert x[0] == 2.0
+        # shell_radius reports its open elements as its own error
+        monkeypatch.setattr(numerics, "_NEWTON_CAP", 1)
+        with pytest.raises(QuadratureNotConverged, match="1 Newton steps"):
+            shell_radius(lambda r: 4 * np.pi * r**2, 1.0, 0.1, 2.0)
 
 
 class TestProbeRadius:
