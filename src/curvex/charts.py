@@ -3,18 +3,18 @@
 A chart is a smooth map from an axis-aligned box to symmetric positive
 matrices.  The catalog covers flat space, space forms in normal
 coordinates, a sphere-times-line product, and conformal perturbations of
-flat space.  Curvature comes from an analytic callback when the geometry
-is homogeneous, otherwise from the chart's Christoffel symbols and their
-first derivatives (the higher invariants nest central differences of the
-resulting scalar and Ricci fields).
+flat space.  The first three are homogeneous: each is one direct sum of
+space-form blocks in normal coordinates (_block_geometry) and carries one
+constant curvature package (MetricChart.curvature).  On other charts it
+comes from the Christoffel symbols and their first derivatives (the higher
+invariants nest central differences of the scalar and Ricci fields).
 
 Every chart has one geometry call, christoffel(pts) -> (g, g^{-1}, Gamma,
-dGamma), and the route behind it follows from the input: space forms and
-the sphere-times-line product (a space form times a flat line) get the
-closed form of a space form in normal coordinates, conformal charts whose
-profile carries its derivatives (the PROFILES entries) their own closed
-form, and every other chart (flat space, custom metrics, plain-callable
-profiles) Richardson-extrapolated central differences of the metric map.
+dGamma), and the route behind it follows from the input: direct sums of
+space forms get their blocks' closed forms, conformal charts whose profile
+carries its derivatives (the PROFILES entries) their own closed form, and
+every other chart (custom metrics, plain-callable profiles)
+Richardson-extrapolated central differences of the metric map.
 Geodesic shooting and the curvature fields both go through it.
 
 Sign convention: R_ijij = K on a space form of curvature K, so
@@ -162,7 +162,8 @@ class Perturbation:
 
 @dataclass
 class ModelSpec:
-    kind: str  # flat | space_form | product_sphere_line | conformal_flat
+    kind: str  # flat | space_form | product_sphere_line | conformal_flat;
+    # the first three are direct sums of space-form blocks (_block_geometry)
     n: int
     K: float = 0.0
     perturbation: Perturbation | None = None
@@ -184,8 +185,7 @@ class MetricChart:
     metric: Callable  # (m, n) -> (m, n, n), vectorized
     kind: str = "custom"
     K: float = 0.0
-    curvature_callback: Callable | None = None  # x -> CurvatureData
-    constant_sc: float | None = None
+    curvature: CurvatureData | None = None  # constant, on homogeneous charts
     christoffel: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -230,10 +230,54 @@ def _space_form_metric(n: int, K: float):
     return metric
 
 
+def _block_geometry(blocks):
+    """(metric, christoffel, curvature) of the direct sum of space forms
+    M^{n_b}_{K_b}, blocks = [(n_b, K_b), ...] in coordinate order: a curved
+    block in normal coordinates, a flat one the identity with zero
+    Christoffels.  The curvature is the blocks' space_form_curvature summed
+    directly, the same at every point."""
+    n = sum(nb for nb, _ in blocks)
+    rm, rc, sc = np.zeros((n,) * 4), np.zeros((n, n)), 0.0
+    curved, start = [], 0
+    for nb, Kb in blocks:
+        b = slice(start, start + nb)
+        start += nb
+        if Kb == 0:
+            continue
+        cb = space_form_curvature(nb, Kb)
+        rm[b, b, b, b], rc[b, b] = cb.rm, cb.rc
+        sc += cb.sc
+        curved.append((b, _space_form_metric(nb, Kb), _space_form_christoffel(nb, Kb)))
+    curv = CurvatureData(n, rm, rc, sc, np.zeros(n), 0.0,
+                         hess_rc=np.zeros((n,) * 4), grad_rc=np.zeros((n,) * 3))
+    eye = np.eye(n)
+
+    def metric(X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        g = np.broadcast_to(eye, (X.shape[0], n, n)).copy()
+        for b, block_metric, _ in curved:
+            g[:, b, b] = block_metric(X[:, b])
+        return g
+
+    def christoffel(X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        m = X.shape[0]
+        g = np.broadcast_to(eye, (m, n, n)).copy()
+        ginv = g.copy()
+        gam, dgam = np.zeros((m, n, n, n)), np.zeros((m, n, n, n, n))
+        for b, _, block_christoffel in curved:
+            g[:, b, b], ginv[:, b, b], gam[:, b, b, b], dgam[:, b, b, b, b] = (
+                block_christoffel(X[:, b])
+            )
+        return g, ginv, gam, dgam
+
+    return metric, christoffel, curv
+
+
 def make_chart(spec: ModelSpec) -> MetricChart:
     """Build a catalog chart.  Positive-definiteness is spot-checked by
-    sampling the domain; a sphere chart must fit strictly inside the cut
-    locus, which bounds its halfwidth."""
+    sampling the domain; each sphere block must fit strictly inside its
+    cut locus, which bounds the halfwidth."""
     if not (2 <= spec.n <= MAX_DIM):
         raise InvalidSpec(f"n={spec.n} outside 2..{MAX_DIM}")
     hw = spec.halfwidth if spec.halfwidth is not None else _default_halfwidth(spec)
@@ -242,81 +286,25 @@ def make_chart(spec: ModelSpec) -> MetricChart:
     n = spec.n
     box = Box.cube(n, hw)
 
-    if spec.kind == "flat":
-        eye = np.eye(n)
+    if spec.kind == "product_sphere_line" and (spec.K == 0 or n < 3):
+        raise InvalidSpec("product chart needs n >= 3 and K != 0 in the sphere")
+    K = 0.0 if spec.kind == "flat" else spec.K
+    blocks = {
+        "flat": [(n, 0.0)],
+        "space_form": [(n, K)],
+        "product_sphere_line": [(2, K), (n - 2, 0.0)],
+    }.get(spec.kind)
 
-        def metric(X):
-            X = np.atleast_2d(X)
-            return np.broadcast_to(eye, (X.shape[0], n, n)).copy()
-
-        chart = MetricChart(
-            n, box, metric, kind="flat", K=0.0,
-            curvature_callback=lambda x: space_form_curvature(n, 0.0),
-            constant_sc=0.0,
-        )
-
-    elif spec.kind == "space_form":
-        if spec.K > 0 and hw * np.sqrt(n) >= np.pi / np.sqrt(spec.K):
-            raise InvalidSpec(
-                "space form chart leaves the injectivity ball: "
-                f"halfwidth*sqrt(n)={hw*np.sqrt(n):.3f} >= pi/sqrt(K)"
-            )
-        chart = MetricChart(
-            n, box, _space_form_metric(n, spec.K), kind="space_form", K=spec.K,
-            curvature_callback=lambda x: space_form_curvature(n, spec.K),
-            constant_sc=n * (n - 1) * spec.K,
-            christoffel=_space_form_christoffel(n, spec.K),
-        )
-
-    elif spec.kind == "product_sphere_line":
-        if spec.K == 0:
-            raise InvalidSpec("product chart needs K != 0 in the sphere factor")
-        if n < 3:
-            raise InvalidSpec("product chart needs n >= 3")
-        if spec.K > 0 and hw * np.sqrt(2.0) >= np.pi / np.sqrt(spec.K):
-            raise InvalidSpec("sphere factor leaves its injectivity ball")
-        sphere_metric = _space_form_metric(2, spec.K)
-        K = spec.K
-
-        def metric(X):
-            X = np.atleast_2d(X)
-            m = X.shape[0]
-            g = np.zeros((m, n, n))
-            g[:, :2, :2] = sphere_metric(X[:, :2])
-            idx = np.arange(2, n)
-            g[:, idx, idx] = 1.0
-            return g
-
-        sphere_christoffel = _space_form_christoffel(2, K)
-
-        def christoffel(X):
-            # the line factor is flat: the sphere's geometry in the top-left
-            X = np.atleast_2d(X)
-            m = X.shape[0]
-            g2, ginv2, gam2, dgam2 = sphere_christoffel(X[:, :2])
-            g = np.broadcast_to(np.eye(n), (m, n, n)).copy()
-            ginv = g.copy()
-            g[:, :2, :2], ginv[:, :2, :2] = g2, ginv2
-            gam = np.zeros((m, n, n, n))
-            gam[:, :2, :2, :2] = gam2
-            dgam = np.zeros((m, n, n, n, n))
-            dgam[:, :2, :2, :2, :2] = dgam2
-            return g, ginv, gam, dgam
-
-        P = np.zeros((n, n))
-        P[0, 0] = P[1, 1] = 1.0
-        rm = K * (
-            np.einsum("ik,jl->ijkl", P, P) - np.einsum("il,jk->ijkl", P, P)
-        )
-        curv = CurvatureData.from_rm(
-            rm, grad_sc=np.zeros(n), lap_sc=0.0,
-            hess_rc=np.zeros((n,) * 4), grad_rc=np.zeros((n,) * 3),
-        )
-        chart = MetricChart(
-            n, box, metric, kind="product_sphere_line", K=spec.K,
-            curvature_callback=lambda x: curv, constant_sc=2 * K,
-            christoffel=christoffel,
-        )
+    if blocks is not None:
+        for nb, Kb in blocks:
+            if Kb > 0 and hw * np.sqrt(nb) >= np.pi / np.sqrt(Kb):
+                raise InvalidSpec(
+                    f"the M^{nb}_{Kb:g} block leaves its injectivity ball: "
+                    f"halfwidth*sqrt({nb})={hw*np.sqrt(nb):.3f} >= pi/sqrt(K)"
+                )
+        metric, christoffel, curv = _block_geometry(blocks)
+        chart = MetricChart(n, box, metric, kind=spec.kind, K=K,
+                            curvature=curv, christoffel=christoffel)
 
     elif spec.kind == "conformal_flat":
         pert = spec.perturbation
@@ -662,8 +650,8 @@ def _sym_project(rm):
 
 
 class _GenericCurvature:
-    """Curvature fields of a chart without an analytic callback, from its
-    Christoffel symbols."""
+    """Curvature fields of a chart without a constant curvature package,
+    from its Christoffel symbols."""
 
     def __init__(self, chart: MetricChart):
         self.chart = chart
@@ -712,17 +700,17 @@ def curvature_at(
 ) -> CurvatureData:
     """Full curvature package at a point, in an orthonormal frame.
 
-    Uses the chart's analytic callback when present.  The generic path
-    needs room for nested stencils, so x must sit a few differencing steps
-    away from the domain boundary.
+    A homogeneous chart returns its constant `curvature`.  The generic
+    path needs room for nested stencils, so x must sit a few differencing
+    steps away from the domain boundary.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (chart.n,):
         raise DimensionMismatch(f"point has shape {x.shape}, chart has n={chart.n}")
     if not chart.domain.contains(x[None, :])[0]:
         raise OutOfDomain(f"point {x} outside chart domain")
-    if chart.curvature_callback is not None:
-        return chart.curvature_callback(x)
+    if chart.curvature is not None:
+        return chart.curvature
 
     gc = _GenericCurvature(chart)
     h1 = gc.h
@@ -787,10 +775,8 @@ def curvature_at(
 def scalar_curvature_batch(chart: MetricChart, pts) -> np.ndarray:
     """Scalar curvature at many points; vectorized, frame-free."""
     pts = np.atleast_2d(pts)
-    if chart.constant_sc is not None:
-        return np.full(pts.shape[0], chart.constant_sc)
-    if chart.curvature_callback is not None:
-        return np.array([chart.curvature_callback(p).sc for p in pts])
+    if chart.curvature is not None:
+        return np.full(pts.shape[0], chart.curvature.sc)
     return _GenericCurvature(chart).sc_batch(pts)
 
 

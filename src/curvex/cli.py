@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._spaceform import ball_volume_K, sphere_area_K
+from ._spaceform import sphere_area_K
 from .charts import (
     PROFILES,
     ModelSpec,
@@ -37,9 +37,8 @@ from .charts import (
 from .errors import ConfigInvalid, CurvexError
 from .expansion import (
     fit_volume_series,
-    predict_L,
     predict_volume,
-    predict_W,
+    prepare_normal_chart,
     run_expansion,
 )
 from .functionals import QuadratureSpec, ball_volume, build_test_function
@@ -165,7 +164,8 @@ def _volume(cfg, seed):
     sec = cfg["experiment"]
     chart = _chart_from(cfg)
     r0 = float(sec.get("chart_radius", 0.9))
-    nc = build_normal_chart(chart, np.zeros(chart.n), r0=r0)
+    # an ode chart is shot along the radial-spherical rule of [quadrature]
+    nc = prepare_normal_chart(chart, np.zeros(chart.n), r0, _quad_from(cfg))
     r_hi = float(sec.get("r_max", 0.8 * r0))
     points = int(sec.get("points", 12))
     radii = np.linspace(r_hi / points, r_hi, points)
@@ -215,10 +215,9 @@ def _symmetrize(cfg, seed):
     nc = build_normal_chart(
         chart, np.zeros(chart.n), r0=float(sec.get("chart_radius", 1.6))
     )
-    a_raw = sec.get("a", "0 0 0")
-    a = np.diag(_floats(a_raw)) if a_raw != "optimal" else "optimal_a"
     tf = build_test_function(
-        nc, None, mode=a, alpha=float(sec.get("alpha", 0.0)),
+        nc, None, mode=np.diag(_floats(sec.get("a", "0 " * chart.n))),
+        alpha=float(sec.get("alpha", 0.0)),
         r_s=float(sec.get("r_s", 1.2)),
     )
     res = symmetrize(

@@ -65,9 +65,12 @@ __all__ = [
 ]
 
 
-# a crossing stops at |log(u/s)| <= _NEWTON_TOL; |u/s - 1| > _NEWTON_FAIL raises
+# a crossing stops at |log(u/s)| <= _NEWTON_TOL; |u/s - 1| raises above
+# _NEWTON_FAIL, or above 4 eps |du/dr| r / s where one float spacing in r
+# moves u by more (steep where eta^2 falls to its zero)
 _NEWTON_TOL = 1e-13
 _NEWTON_FAIL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 def iso_profile_radius(n: int, K: float, beta):
@@ -228,10 +231,14 @@ def symmetrize(
     r_cross, stuck, steps = bracketed_newton(newton, np.tile(r0, nd), 0.0, tf.r_s)
     r_cross = r_cross.reshape(nd, levels)
     uc, duc, gsqc, dens = _u_on_rays(tf, t, dirs, r_cross)
-    resid = float(np.max(np.abs(uc - s_ladder) / s_ladder))
-    if resid > _NEWTON_FAIL:
+    rel = np.abs(uc - s_ladder) / s_ladder
+    bound = np.maximum(_NEWTON_FAIL, 4.0 * _EPS * np.abs(duc) * r_cross / s_ladder)
+    resid = float(rel.max())
+    if np.any(rel > bound):
+        worst = np.argmax(rel / bound)
         raise LevelSetDegenerate(
-            f"level crossings did not converge: relative residual {resid:.2e} "
+            f"level crossings did not converge: relative residual "
+            f"{rel.flat[worst]:.2e} against its bound {bound.flat[worst]:.2e} "
             f"with {stuck.size} crossings open after {steps} Newton steps"
         )
 

@@ -74,6 +74,12 @@ class TestCatalog:
         with pytest.raises(InvalidSpec):
             make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=2.0))
 
+    def test_product_sphere_block_respects_cut_locus(self):
+        # one check per curved block: hw * sqrt(2) < pi / sqrt(K)
+        make_chart(ModelSpec("product_sphere_line", 3, K=1.0, halfwidth=2.2))
+        with pytest.raises(InvalidSpec):
+            make_chart(ModelSpec("product_sphere_line", 3, K=1.0, halfwidth=2.25))
+
     def test_product_chart(self):
         ch = make_chart(ModelSpec("product_sphere_line", 4, K=2.0))
         c = curvature_at(ch, np.zeros(4))
@@ -101,20 +107,28 @@ class TestCatalog:
 class TestGenericCurvature:
     """Finite differences against the frozen sympy oracle."""
 
-    def test_space_form_generic_path_matches_callback(self):
-        # same metric with the callback stripped exercises the FD machinery
-        ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.7))
-        ch_fd = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.7))
-        ch_fd.curvature_callback = None
-        ch_fd.constant_sc = None
-        p = np.array([0.4, -0.3, 0.2])
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec("space_form", 3, K=1.0, halfwidth=1.7),
+         ModelSpec("product_sphere_line", 3, K=1.0),
+         ModelSpec("product_sphere_line", 4, K=-1.0)],
+        ids=lambda s: f"{s.kind}-n{s.n}-K{s.K:+.0f}",
+    )
+    def test_space_form_generic_path_matches_callback(self, spec):
+        # the same chart with its curvature package stripped exercises the
+        # FD machinery, a second route to the direct-sum Rm of the products
+        want = make_chart(spec).curvature
+        ch_fd = make_chart(spec)
+        ch_fd.curvature = None
+        p = np.array([0.4, -0.3, 0.2, 0.1])[: spec.n]
         c = curvature_at(ch_fd, p, want_hessian=True)
-        assert c.sc == pytest.approx(6.0, abs=1e-7)
-        assert np.allclose(c.rc, 2 * np.eye(3), atol=1e-7)
-        assert norm_sq(c.rm) == pytest.approx(12.0, abs=1e-6)
+        assert c.sc == pytest.approx(want.sc, abs=1e-7)
+        assert np.abs(c.rc - want.rc).max() < 1e-7
+        assert np.abs(c.rm - want.rm).max() < 1e-6
+        assert norm_sq(want.rm) >= 4.0  # the check is not vacuous
         assert abs(c.lap_sc) < 2e-4
         assert np.abs(c.grad_sc).max() < 1e-6
-        # curvature of a space form is parallel
+        # curvature of a direct sum of space forms is parallel
         assert np.abs(c.grad_rc).max() < 1e-4
         assert np.abs(c.hess_rc).max() < 2e-2
 
@@ -241,14 +255,24 @@ class TestChristoffelRoutes:
         assert dgam[0, 0, 1, 0, 1] == pytest.approx(-spec.K / 3.0, rel=1e-14)
         assert np.abs(dgam).max() > 0.3  # the check is not vacuous
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_flat_closed_form_is_exact(self, n):
+        """Flat space is the K = 0 direct sum: exactly the identity and
+        exactly zero Christoffels, bit for bit, across the box."""
+        ch = make_chart(ModelSpec("flat", n))
+        pts = np.random.default_rng(n).uniform(-3.0, 3.0, size=(2000, n))
+        g, ginv, gam, dgam = ch.christoffel(pts)
+        eye = np.broadcast_to(np.eye(n), (2000, n, n))
+        assert np.array_equal(g, eye) and np.array_equal(ginv, eye)
+        assert np.array_equal(ch.metric(pts), eye)
+        assert not gam.any() and not dgam.any()
+
     def test_route_is_picked_from_the_input(self):
         assert _conformal(_plain("quartic_bump")).christoffel_route == (
             "finite_difference"
         )
-        assert make_chart(ModelSpec("flat", 2)).christoffel_route == (
-            "finite_difference"
-        )
         for spec in (
+            ModelSpec("flat", 2),
             ModelSpec("product_sphere_line", 3, K=1.0),
             ModelSpec("space_form", 3, K=-1.0),
         ):

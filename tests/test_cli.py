@@ -56,6 +56,19 @@ rule = radial_sphere
 order = 16
 """
 
+VOLUME_SPHERE_LINE = """
+[chart]
+kind = product_sphere_line
+n = 3
+K = 1.0
+
+[experiment]
+chart_radius = 0.9
+
+[quadrature]
+order = 16
+"""
+
 
 SYM_CFG = """
 [chart]
@@ -153,6 +166,29 @@ class TestRuns:
         lines = (tmp_path / "expand_L.csv").read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "t"
         assert len(lines) == 7  # header + 6 time points
+
+    def test_volume_on_ode_chart(self, tmp_path):
+        """The S^2 x R chart has no closed-form normal chart: volume shoots
+        it along the [quadrature] rule and fits r2 and r4 within their
+        default 1 % and 5 % of the curvature prediction."""
+        cfg = _write(tmp_path, "c.ini", VOLUME_SPHERE_LINE)
+        code = main(
+            ["volume", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]
+        )
+        assert code == 0
+        res = json.loads((tmp_path / "volume.json").read_text())["result"]
+        assert res["pass"] is True
+        assert res["predicted"]["r2"] == pytest.approx(-2.0 / 30.0)  # -Sc/6(n+2)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_symmetrize_default_a_fits_n(self, tmp_path, n):
+        """Without an `a` key, a = 0 in the chart's own dimension."""
+        text = SYM_CFG.replace("n = 3", f"n = {n}").replace("a = 0.3 -0.1 0.05\n", "")
+        cfg = _write(tmp_path, "c.ini", text)
+        code = main(
+            ["symmetrize", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]
+        )
+        assert code == 0
 
     def test_mu_small(self, tmp_path):
         cfg = _write(

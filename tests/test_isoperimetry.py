@@ -210,6 +210,20 @@ class TestSymmetrizeAnisotropic:
         assert np.median(rel) < 2e-3
         assert rel[2:-2].max() < 2e-2
 
+    def test_crossings_on_the_eta2_cliff(self, flat_chart):
+        """Near the zero of eta^2 one float spacing in r moves u by more
+        than 1e-10 of itself, so those crossings are held to
+        4 eps |du/dr| r / s instead, and the sweep runs (it raised at a
+        fixed 1e-10).  The ladder still matches the r_bar balls, as c08
+        checks."""
+        tf = TestFunction(flat_chart, np.diag([0.1, -0.3, -2.0]), alpha=0.0,
+                          r_s=1.2)
+        res = symmetrize(tf, t=0.012, K=0.0, levels=64, order=16)
+        assert res.meta["crossing_residual"] > 1e-10  # the cliff is reached
+        assert np.all(np.diff(res.volumes) > 0)
+        ball = (4.0 * np.pi / 3.0) * res.r_bar**3
+        assert np.max(np.abs(ball / res.volumes - 1.0)) < 1e-9
+
     def test_levels_descend(self, aniso_result):
         assert np.all(np.diff(aniso_result.levels) < 0)
         top = aniso_result.levels[0]
