@@ -29,15 +29,19 @@ W-functional adds t times the Sc integral; it alone reads Sc
 (NormalChart.scalar), which on an ode chart costs curvature evaluations
 at every exp point of its Sc grid.
 
-When a has no off-diagonal entries and the normal chart is closed-form
-(flat, or a space form at its origin) the integrand is even in every
-coordinate, so the nodes are folded onto the orthant z >= 0
-(resolve_rule).  The product Hermite grid goes from order^n nodes to
-ceil(order/2)^n, with doubled weights off the zero node.  The
-radial-spherical product rule folds each 1-D factor by node index: the
-2 o^(n-1) directions on S^(n-1) become ceil(o/2)^(n-2) (floor(o/2) + 1).
-A non-diagonal a, an ode chart (its geometry depends on the direction)
-and gaussian_integral with its arbitrary G keep the full rule.
+When a has no off-diagonal entries and the normal chart's geometry is
+even in every coordinate (NormalChart.mirror_even) the integrand is too,
+so the nodes are folded onto the orthant z >= 0 (resolve_rule).  The
+closed forms (flat, or a space form at its origin) always are; an ode
+chart is when its bundle was folded, shot at the origin of a mirror-even
+chart (charts.MetricChart.mirror_even).  The product Hermite grid goes
+from order^n nodes to ceil(order/2)^n, with doubled weights off the zero
+node.  The radial-spherical product rule folds each 1-D factor by node
+index: the 2 o^(n-1) directions on S^(n-1) become ceil(o/2)^(n-2)
+(floor(o/2) + 1).  A non-diagonal a, an ode chart shot along the full
+rule (off the origin, or on a chart without the mirror symmetry) and
+gaussian_integral with its arbitrary G keep the full rule; a non-diagonal
+a on a folded bundle is refused.
 """
 
 from __future__ import annotations
@@ -103,10 +107,27 @@ class QuadratureSpec:
             raise ConfigInvalid("truncation radius must exceed 3")
 
 
-def _cutoff_pair(s):
-    """cutoff and cutoff_prime at s, both from one clipped ramp variable."""
-    w = np.clip(2.0 * np.asarray(s, dtype=float) - 1.0, 0.0, 1.0)
+# arrays from this size up evaluate the smoothstep beyond s = 1/2 alone;
+# below it the masking costs more than the polynomial it skips
+_PLATEAU_MASK_MIN = 1024
+
+
+def _smoothstep_pair(s):
+    w = np.clip(2.0 * s - 1.0, 0.0, 1.0)
     return 1.0 - w**3 * (10.0 - 15.0 * w + 6.0 * w * w), -60.0 * (w * (1.0 - w)) ** 2
+
+
+def _cutoff_pair(s):
+    """cutoff and cutoff_prime at s, both from one clipped ramp variable.
+    On the plateau s <= 1/2 they are exactly 1 and -0, which large arrays
+    fill in without evaluating the smoothstep there."""
+    s = np.asarray(s, dtype=float)
+    if s.size < _PLATEAU_MASK_MIN:
+        return _smoothstep_pair(s)
+    cut, dcut = np.ones(s.shape), np.full(s.shape, -0.0)
+    outer = ~(s <= 0.5)  # NaN takes the smoothstep too
+    cut[outer], dcut[outer] = _smoothstep_pair(s[outer])
+    return cut, dcut
 
 
 def cutoff(s):
@@ -174,6 +195,30 @@ class TestFunction:
         return val, kappa, beta2
 
 
+def profile_matrix(n: int, curv: CurvatureData | None,
+                   mode: str | np.ndarray) -> np.ndarray:
+    """The matrix a of build_test_function's mode: Ricci/3 at the center
+    for 'optimal_a' (needs curv), zero for 'zero', an explicit matrix as
+    is."""
+    if not isinstance(mode, str):
+        return np.asarray(mode, dtype=float)
+    if mode == "optimal_a":
+        if curv is None:
+            raise ConfigInvalid("optimal_a needs curvature data at the center")
+        return curv.rc / 3.0
+    if mode == "zero":
+        return np.zeros((n, n))
+    raise ConfigInvalid(f"unknown test-function mode {mode!r}")
+
+
+def is_diagonal(a) -> bool:
+    """Whether a is square with no off-diagonal entries: then x.a.x is
+    even in every coordinate."""
+    a = np.asarray(a)
+    return a.ndim == 2 and a.shape[0] == a.shape[1] and bool(
+        np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)))
+
+
 def build_test_function(
     nchart: NormalChart,
     curv: CurvatureData | None = None,
@@ -189,18 +234,7 @@ def build_test_function(
     'normalized' means -Sc/3 (needs curv).  A quadratic profile that can
     reach zero inside the support triggers PositivityWarning.
     """
-    n = nchart.n
-    if isinstance(mode, str):
-        if mode == "optimal_a":
-            if curv is None:
-                raise ConfigInvalid("optimal_a needs curvature data at the center")
-            a = curv.rc / 3.0
-        elif mode == "zero":
-            a = np.zeros((n, n))
-        else:
-            raise ConfigInvalid(f"unknown test-function mode {mode!r}")
-    else:
-        a = np.asarray(mode, dtype=float)
+    a = profile_matrix(nchart.n, curv, mode)
     if isinstance(alpha, str):
         if alpha == "normalized":
             if curv is None:
@@ -338,7 +372,7 @@ def _nodes(rule, n, order, c, kinks=(), fold=False, nchart=None):
     radial_sphere as rays d (nd, 1, n) times radii rho (nr,) on [0, c]
     split at the kinks, weights (nd, nr).  fold takes the hermite grid and
     the radial_sphere directions on the orthant (see resolve_rule).  On an
-    ode nchart the rays are the chart's own bundle."""
+    ode nchart the rays are the chart's own bundle, folded or not."""
     if rule == "hermite":
         if n > 4:  # order^n nodes: 1e8 at the default order and n = 5
             raise ConfigInvalid("product Hermite grids are limited to n <= 4")
@@ -362,17 +396,26 @@ def resolve_rule(tf: TestFunction, quad: QuadratureSpec):
     and whether its nodes fold onto the orthant.
 
     A diagonal a makes every integrand even in each coordinate when the
-    geometry depends on |x| alone (eta^2 and its gradient enter through
-    |x|^2, x.a.x and |a x|^2), so mirror nodes give identical values.
-    That holds on closed-form charts, where the hermite grid and the
-    radial_sphere product rule fold.  An ode chart keeps its own bundle,
-    since its geometry depends on the direction."""
+    normal chart is mirror-even (eta^2 and its gradient enter through
+    |x|^2, x.a.x and |a x|^2), so mirror nodes give identical values.  One
+    rule serves every chart: fold when a is diagonal and
+    NormalChart.mirror_even holds.  A closed-form chart always is, and
+    there the hermite grid and the radial_sphere product rule fold; an ode
+    chart is when its bundle is folded, and its nodes are that bundle.  A
+    folded bundle covers the orthant alone, so a non-diagonal a there
+    raises ConfigInvalid (prepare_normal_chart shoots the full bundle for
+    one)."""
     nc = tf.nchart
     rule = "radial_sphere" if quad.rule == "auto" else quad.rule
     if nc.kind == "ode" and rule != "radial_sphere":
         raise ConfigInvalid("ode normal charts support only the radial_sphere rule")
-    diagonal = not np.any(tf.a - np.diag(np.diagonal(tf.a)))
-    return rule, diagonal and nc.kind != "ode"
+    diagonal = is_diagonal(tf.a)
+    if nc.folded and not diagonal:
+        raise ConfigInvalid(
+            "a non-diagonal a needs the full ray bundle; this normal chart "
+            "holds the orthant alone"
+        )
+    return rule, diagonal and nc.mirror_even
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +444,8 @@ def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int,
     w.g~^{-1}w)."""
     nc = tf.nchart
     n = nc.n
-    # hermite and radial_sphere nodes fold onto the orthant for a diagonal
-    # a on closed-form charts; ode bundles never do
+    # the nodes fold onto the orthant for a diagonal a on a mirror-even
+    # chart; an ode chart's are its own bundle, folded or not
     rule, fold = resolve_rule(tf, quad)
     s2t = 2.0 * np.sqrt(t)
     dirs, rho, wts = _nodes(

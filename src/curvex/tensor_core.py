@@ -136,16 +136,6 @@ class CurvatureData:
         if abs(np.trace(self.rc) - self.sc) > 1e-8 * scale:
             raise InvalidSpec("sc is not the trace of rc")
 
-    @classmethod
-    def from_rm(cls, rm, grad_sc=None, lap_sc=0.0, hess_rc=None, grad_rc=None):
-        rm = np.asarray(rm, dtype=float)
-        n = rm.shape[0]
-        rc = np.einsum("isjs->ij", rm)
-        sc = float(np.trace(rc))
-        if grad_sc is None:
-            grad_sc = np.zeros(n)
-        return cls(n, rm, rc, sc, grad_sc, lap_sc, hess_rc, grad_rc)
-
 
 def _arr(x):
     return x.entries if hasattr(x, "entries") else np.asarray(x, dtype=float)

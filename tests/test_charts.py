@@ -561,8 +561,8 @@ class TestNormalCharts:
         assert np.abs(tabs[0][1] - tabs[1][1]).max() < 1e-11
 
     def test_ode_build_memory(self, conformal_chart):
-        """The c06 chart with the benchmark's 512 rays and the default 384
-        radii: the integrator writes only x and J of the sampled states
+        """The c06 chart with the full order-16 bundle (512 rays) and the
+        default 384 radii: the integrator writes only x and J of the sampled states
         straight into one radius-major array, the (radii, rays, 1 + n(n-1)/2)
         table is filled a block of radii at a time, and the build peaks at
         40 MB (bound: that plus 25 %); what the chart holds afterwards,
@@ -637,6 +637,79 @@ class TestNormalCharts:
         ch = make_chart(ModelSpec("flat", 2, halfwidth=1.0))
         with pytest.raises(OutOfDomain):
             build_normal_chart(ch, np.array([0.8, 0.0]), 0.5)
+
+
+_MIRROR_EVEN = (
+    [ModelSpec("flat", n) for n in (2, 3, 5)]
+    + [ModelSpec("space_form", n, K=K) for n in (2, 3, 4, 5) for K in (1.0, -1.0)]
+    + [ModelSpec("product_sphere_line", n, K=1.0) for n in (3, 4)]
+    + [ModelSpec("conformal_flat", 3, halfwidth=1.5,
+                 perturbation=Perturbation(0.05, PROFILES[name], name))
+       for name in sorted(PROFILES)]
+)
+
+
+class TestMirrorEven:
+    """make_chart marks the charts whose metric is even in each coordinate
+    about the origin (MetricChart.mirror_even), the condition for shooting
+    a folded ray bundle there.  The oracle is the metric map itself:
+    g(S x) = S g(x) S for every coordinate reflection S."""
+
+    @staticmethod
+    def _mirror_defect(ch, samples=200):
+        """Largest |g(S x) - S g(x) S| over the coordinate reflections S
+        at random points of the box, relative to the largest |g|."""
+        rng = np.random.default_rng(17)
+        X = rng.uniform(ch.domain.lo, ch.domain.hi, size=(samples, ch.n))
+        g = ch.metric(X)
+        worst = 0.0
+        for k in range(ch.n):
+            S = np.ones(ch.n)
+            S[k] = -1.0
+            gS = ch.metric(X * S)
+            worst = max(worst, float(np.abs(gS - S[:, None] * g * S).max()))
+        return worst / float(np.abs(g).max())
+
+    @pytest.mark.parametrize(
+        "spec", _MIRROR_EVEN,
+        ids=lambda s: f"{s.kind}-n{s.n}-K{s.K:+.0f}"
+        + (f"-{s.perturbation.name}" if s.perturbation else ""),
+    )
+    def test_marked_charts_are_even(self, spec):
+        ch = make_chart(spec)
+        assert ch.mirror_even
+        assert np.array_equal(ch.domain.lo, -ch.domain.hi)
+        assert self._mirror_defect(ch) <= 1e-15
+
+    def test_unmarked_charts(self):
+        """A plain-callable profile carries no symmetry make_chart can
+        read, radial or not, and a hand-built MetricChart none either.  The
+        non-radial profile is indeed not even."""
+        skew = _conformal(lambda X: X[:, 0] + X[:, 1] ** 2, eps=0.2)
+        assert not skew.mirror_even
+        assert self._mirror_defect(skew) > 1e-2
+        assert not _conformal(_plain("quartic_bump")).mirror_even
+        cat = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
+        assert not MetricChart(3, cat.domain, cat.metric).mirror_even
+        with pytest.raises(AttributeError):
+            cat.mirror_even = False
+
+    def test_fold_needs_the_origin_of_a_marked_chart(self, conformal_chart):
+        rule = sphere_rule(3, 8, True)
+        nc = build_normal_chart(conformal_chart, np.zeros(3), 0.5, rule=rule,
+                                fold=True, r_samples=32)
+        assert nc.folded and nc.mirror_even
+        with pytest.raises(InvalidSpec):
+            build_normal_chart(conformal_chart, np.array([0.1, 0.0, 0.0]),
+                               0.5, rule=rule, fold=True, r_samples=32)
+        cat = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
+        with pytest.raises(InvalidSpec):
+            build_normal_chart(MetricChart(3, cat.domain, cat.metric),
+                               np.zeros(3), 0.5, rule=rule, fold=True,
+                               r_samples=32)
+        full = build_normal_chart(conformal_chart, np.zeros(3), 0.5,
+                                  rule=sphere_rule(3, 8), r_samples=32)
+        assert not full.folded and not full.mirror_even
 
 
 class TestDetInv:

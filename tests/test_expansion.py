@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from curvex import ModelSpec, Perturbation, curvature_at, make_chart, norm_sq
-from curvex.charts import PROFILES, MetricChart
+from curvex.charts import PROFILES, MetricChart, build_normal_chart
 from curvex.errors import (
     ConfigInvalid,
     IllConditionedFit,
@@ -20,9 +20,15 @@ from curvex.expansion import (
     predict_scalar_term,
     predict_volume,
     predict_W,
+    prepare_normal_chart,
     run_expansion,
 )
-from curvex.functionals import QuadratureSpec
+from curvex.functionals import (
+    QuadratureSpec,
+    build_test_function,
+    eval_L_normalized,
+    sphere_rule,
+)
 from curvex.tensor_core import space_form_curvature
 
 
@@ -208,11 +214,11 @@ class TestRuns:
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=0.05)
         assert res.meta["normal_chart"] == "ode"
         assert res.meta["christoffel"] == "closed_form"
-        # a = Rc/3 is diagonal at the bump's centre, but an ode chart's
-        # geometry depends on the direction: its bundle never folds
-        assert res.meta["rule"] == "radial_sphere" and res.meta["fold"] is False
-        assert res.meta["rays"] == 512 and res.meta["nfev"] > 0
-        assert res.meta["nodes"] > 0 and res.meta["nodes"] % 512 == 0
+        # a = Rc/3 is diagonal at the centre of a radial profile, so the
+        # bundle is shot on the orthant: 72 of the rule's 512 rays
+        assert res.meta["rule"] == "radial_sphere" and res.meta["fold"] is True
+        assert res.meta["rays"] == 72 and res.meta["nfev"] > 0
+        assert res.meta["nodes"] > 0 and res.meta["nodes"] % 72 == 0
         assert 0 < res.meta["gauss_residual"] < 1e-9
 
     def test_sphere_line_ode_route(self):
@@ -239,7 +245,9 @@ class TestRuns:
         assert res.fit.c1 == pytest.approx(-2.0, rel=1e-3)
         assert res.meta["christoffel"] == "finite_difference"
         assert res.meta["normal_chart"] == "ode"
-        assert res.meta["rays"] > 0 and res.meta["nfev"] > 0
+        # a hand-built chart carries no mirror symmetry: the full bundle
+        assert not ch.mirror_even and res.meta["fold"] is False
+        assert res.meta["rays"] == 512 and res.meta["nfev"] > 0
 
     def test_profile_mismatch_direction(self):
         """Moving a away from Ricci/3 must shift the entropy-functional c2
@@ -321,6 +329,47 @@ class TestRuleRecord:
                             r_s=1.0, quad=quad)
         assert res.meta["rule"] == rule
         assert res.meta["fold"] is fold
+
+
+class TestOdeFold:
+    """At the centre of the c06 conformal chart the ode bundle is folded
+    for a diagonal a and shot in full for any other."""
+
+    A_OFF = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05], [0.0, -0.05, 0.1]])
+    QUAD = QuadratureSpec(rule="radial_sphere", order=16)
+
+    @pytest.fixture(scope="class")
+    def c06(self):
+        ch = make_chart(ModelSpec(
+            "conformal_flat", 3, halfwidth=1.5,
+            perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
+        ))
+        return ch, curvature_at(ch, np.zeros(3))
+
+    def test_non_diagonal_a_runs_the_full_bundle(self, c06):
+        """The values equal, bit for bit, those of the full order-16
+        bundle built by hand and evaluated at the same times."""
+        ch, cv = c06
+        res = run_expansion(ch, np.zeros(3), "L", mode=self.A_OFF, r_s=0.9,
+                            quad=self.QUAD, curv=cv, t_points=4)
+        assert res.meta["fold"] is False and res.meta["rays"] == 512
+        nc = build_normal_chart(ch, np.zeros(3), 0.9, rule=sphere_rule(3, 16))
+        tf = build_test_function(nc, cv, mode=self.A_OFF, r_s=0.9)
+        want = [eval_L_normalized(tf, float(t), self.QUAD)[0] for t in res.ts]
+        assert np.array_equal(res.values, want)
+
+    def test_folded_bundle_refuses_non_diagonal_a(self, c06):
+        ch, cv = c06
+        nc = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD)
+        assert nc.folded and nc.dirs.shape[0] == 72
+        tf = build_test_function(nc, cv, mode=self.A_OFF, r_s=0.9)
+        with pytest.raises(ConfigInvalid):
+            eval_L_normalized(tf, 1e-3, self.QUAD)
+        # a diagonal a runs on it, and off the centre nothing folds
+        eval_L_normalized(build_test_function(nc, cv, r_s=0.9), 1e-3, self.QUAD)
+        off = prepare_normal_chart(ch, np.array([0.1, 0.0, 0.0]), 0.5,
+                                   QuadratureSpec(rule="radial_sphere", order=8))
+        assert not off.folded and off.dirs.shape[0] == 128
 
 
 class TestEveryDimension:

@@ -72,6 +72,21 @@ class TestCutoff:
         fd = (cutoff(s + h) - cutoff(s - h)) / (2 * h)
         assert np.allclose(cutoff_prime(s), fd, atol=1e-8)
 
+    @pytest.mark.parametrize("m", [101, 4001])
+    def test_plateau_is_the_smoothstep_bit_for_bit(self, m):
+        """Large arrays run the smoothstep only beyond s = 1/2 and fill
+        the plateau with 1 and -0: the same bits as the smoothstep formula
+        taken at every point, the plateau edge and NaN included."""
+        s = np.concatenate([np.linspace(-0.1, 1.2, m),
+                            [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                             np.nan]])
+        w = np.clip(2.0 * s - 1.0, 0.0, 1.0)
+        want = (1.0 - w**3 * (10.0 - 15.0 * w + 6.0 * w * w),
+                -60.0 * (w * (1.0 - w)) ** 2)
+        for got, ref in zip((cutoff(s), cutoff_prime(s)), want):
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
     def test_c2_smoothness_at_corners(self):
         # second difference stays bounded across the corners
         for s0 in (0.5, 1.0):
@@ -455,15 +470,17 @@ class TestKernelOracle:
             halfwidth=1.5,
         ))
         quad = QuadratureSpec(rule="radial_sphere", order=16)
+        # a large profile and t near its bound (r_s / c_trunc)^2 make the
+        # tangential term, and with it the curvature in w.g~^{-1}w, show:
+        # reading that term off the flat metric moves the sum by 4e-7; a
+        # non-diagonal a needs the full bundle
+        a = np.array([[1.2, 0.4, -0.2], [0.4, 0.8, 0.28], [-0.2, 0.28, 1.6]])
         shots = recorded(monkeypatch, charts, "dopri45")
-        nc = prepare_normal_chart(ch, np.zeros(3), 0.9, quad)
+        nc = prepare_normal_chart(ch, np.zeros(3), 0.9, quad, a=a)
+        assert not nc.folded and nc.dirs.shape[0] == 512
         ((_, _, t_out, _, _), _, (states, _)), = shots
         full = full_ode_table(ch, nc.dirs.shape[0], np.linspace(0.0, 0.9, 384),
                               t_out, states)
-        # a large profile and t near its bound (r_s / c_trunc)^2 make the
-        # tangential term, and with it the curvature in w.g~^{-1}w, show:
-        # reading that term off the flat metric moves the sum by 4e-7
-        a = np.array([[1.2, 0.4, -0.2], [0.4, 0.8, 0.28], [-0.2, 0.28, 1.6]])
         tf = TestFunction(nc, a, 0.2, 0.9)
         t = 0.006
         got = _eval_once(tf, t, quad, 16)
@@ -481,6 +498,63 @@ class TestKernelOracle:
         )
         assert got[:4] == pytest.approx(want, rel=1e-9)
         assert got[:4] != pytest.approx(want, rel=1e-14)  # not the same route
+
+
+class TestFoldedBundle:
+    """An ode chart shot at the origin of a mirror-even chart along the
+    orthant of its rule against the same chart shot along the full rule.
+    The rays the fold leaves out are reflections of the ones it keeps, so
+    the two agree to the integration tolerance."""
+
+    @pytest.mark.parametrize("which", ["c06", "S2xR"])
+    def test_matches_full_bundle(self, which):
+        spec = (ModelSpec("conformal_flat", 3, halfwidth=1.5,
+                          perturbation=Perturbation(0.05, PROFILES["quartic_bump"]))
+                if which == "c06" else ModelSpec("product_sphere_line", 3, K=1.0))
+        ch = make_chart(spec)
+        full, folded = (
+            build_normal_chart(ch, np.zeros(3), 0.9,
+                               rule=sphere_rule(3, 16, fold), fold=fold)
+            for fold in (False, True)
+        )
+        assert (full.dirs.shape[0], folded.dirs.shape[0]) == (512, 72)
+        assert folded.folded and not full.folded
+        assert folded.nfev == full.nfev
+        r = np.linspace(0.05, 0.9, 18)
+        np.testing.assert_allclose(folded.shell(r), full.shell(r),
+                                   rtol=1e-10, atol=0)
+        curv = curvature_at(ch, np.zeros(3))
+        quad = QuadratureSpec(rule="radial_sphere", order=16)
+        for t in (2e-4, 5e-4, 1.1e-3):
+            got, want = (
+                eval_L_normalized(build_test_function(nc, curv, r_s=0.9), t,
+                                  quad)[0]
+                for nc in (folded, full)
+            )
+            assert abs(got - want) <= 1e-11
+
+    def test_matches_full_bundle_n4(self):
+        """S^2 x R^2 at order 8: 80 rays against 1,024.  Measured: shells
+        within 3.2e-15 relative and L within 8.9e-15 absolute; the bounds
+        are 1e-13 for both."""
+        ch = make_chart(ModelSpec("product_sphere_line", 4, K=1.0))
+        full, folded = (
+            build_normal_chart(ch, np.zeros(4), 0.6, r_samples=96,
+                               rule=sphere_rule(4, 8, fold), fold=fold)
+            for fold in (False, True)
+        )
+        assert (full.dirs.shape[0], folded.dirs.shape[0]) == (1024, 80)
+        r = np.linspace(0.05, 0.6, 12)
+        np.testing.assert_allclose(folded.shell(r), full.shell(r),
+                                   rtol=1e-13, atol=0)
+        curv = curvature_at(ch, np.zeros(4))
+        quad = QuadratureSpec(rule="radial_sphere", order=8)
+        got, want = (
+            eval_L_normalized(build_test_function(nc, curv, r_s=0.6), 4e-4,
+                              quad)[0]
+            for nc in (folded, full)
+        )
+        assert abs(got - want) <= 1e-13
 
 
 class TestRadialFold:
@@ -665,7 +739,8 @@ def s3_ode():
 @pytest.fixture
 def conformal_c06():
     """The c06 conformal chart (quartic bump, eps 0.05) at the origin, shot
-    along the order-16 rule (512 rays) to r_s = 0.9; built per test, since
+    along the orthant of the order-16 rule (72 rays) to r_s = 0.9; built
+    per test, since
     the test below checks what a fresh chart has built."""
     ch = make_chart(ModelSpec(
         "conformal_flat", 3,
@@ -726,7 +801,7 @@ class TestShell:
     def test_volume_and_probe_leave_sc_unbuilt(self, conformal_c06, monkeypatch):
         """Ball volumes and probes read the density column alone and the
         L-functional reads no Sc: the Sc spline of an ode chart (scalar
-        curvature at 65 x 512 exp points) is not built for them.  W builds
+        curvature at 65 x 72 exp points) is not built for them.  W builds
         it from the scalar curvature at those exp points and adds t times
         the Sc integral to the same deficit."""
         v = ball_volume(conformal_c06, 0.8)

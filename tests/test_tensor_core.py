@@ -247,12 +247,6 @@ class TestCurvatureData:
                 grad_sc=np.zeros(3), lap_sc=0.0,
             )
 
-    def test_from_rm(self):
-        rng = np.random.default_rng(10)
-        rm = random_curvature(rng, 4)
-        c = CurvatureData.from_rm(rm, grad_sc=np.zeros(4), lap_sc=0.0)
-        assert c.sc == pytest.approx(np.einsum("ijij->", rm))
-
     def test_sym2_outer(self):
         a = np.eye(2)
         b = np.array([[0.0, 1.0], [1.0, 2.0]])
