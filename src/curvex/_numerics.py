@@ -1,12 +1,13 @@
 """Numerical building blocks on numpy alone.
 
-Gauss-Legendre and Gauss-Gegenbauer rules, ball volumes, one bracketed
-Newton loop (radii of given volumes, level crossings in isoperimetry), a
-factored tridiagonal solver, a not-a-knot cubic spline along axis 0 and
-the Dormand-Prince 5(4) integrator with its quartic dense output (Dormand
-& Prince, J. Comput. Appl. Math. 6, 1980; step control and initial step
-as in Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4).  The tests
-check each against an independent implementation.
+Gauss-Legendre and Gauss-Gegenbauer rules, the one composite
+Gauss-Legendre builder of every piecewise radial rule, ball volumes, one
+bracketed Newton loop (radii of given volumes, level crossings in
+isoperimetry), a factored tridiagonal solver, a not-a-knot cubic spline
+along axis 0 and the Dormand-Prince 5(4) integrator with its quartic
+dense output (Dormand & Prince, J. Comput. Appl. Math. 6, 1980; step
+control and initial step as in Hairer, Norsett & Wanner, Solving ODEs I,
+Sec. II.4).  The tests check each against an independent implementation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from .errors import GeodesicLeftDomain, NonPositiveVolume, QuadratureNotConverged
 
-__all__ = ["read_only", "gauss_legendre", "gauss_gegenbauer", "shell_volume",
+__all__ = ["read_only", "gauss_legendre", "gauss_gegenbauer",
+           "composite_gauss_legendre", "shell_volume",
            "bracketed_newton", "shell_radius", "Tridiagonal", "CubicSpline", "dopri45"]
 
 
@@ -54,6 +56,16 @@ def gauss_gegenbauer(m: int, lam: float):
     w = sqrt(pi) * gamma(lam + 0.5) / gamma(lam + 1.0) * v[0] ** 2
     # the rule is symmetric: average each node with its mirror's
     return read_only(0.5 * (x - x[::-1]), 0.5 * (w + w[::-1]))
+
+
+def composite_gauss_legendre(breaks, m: int):
+    """The m-point Gauss-Legendre rule on each interval between
+    consecutive break points (ascending): nodes and weights, interval by
+    interval, exact to degree 2 m - 1 on each."""
+    x, w = gauss_legendre(m)
+    b = np.asarray(breaks, dtype=float)
+    half = 0.5 * np.diff(b)[:, None]
+    return (half * x + 0.5 * (b[:-1] + b[1:])[:, None]).ravel(), (half * w).ravel()
 
 
 _SHELL_NODES = 64  # Gauss-Legendre nodes of every ball-volume integral
@@ -250,14 +262,6 @@ class CubicSpline:
         g = ys[np.stack([i, i + 1], -1)].reshape(xs.size, 4, -1)
         out = (w[:, None, :] @ g)[:, 0]
         return out.reshape(xq.shape + self._ys.shape[2:])
-
-    def column(self, k: int) -> "CubicSpline":
-        """The interpolant of y[..., k] alone: the same knots, values and
-        slopes, with no new solve."""
-        out = object.__new__(CubicSpline)
-        out._x, out._dx = self._x, self._dx
-        out._ys = np.ascontiguousarray(self._ys[..., k])
-        return out
 
 
 # Dormand-Prince 5(4): nodes, stages, 5th-order weights, error weights and

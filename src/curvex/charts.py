@@ -51,8 +51,8 @@ NormalChart.scalar(r), gives Sc, which only the W-functional reads.  Ball
 volumes, sphere areas and the radius of a given volume all come from a
 third call, NormalChart.shell(r), the area of the geodesic sphere.  An
 'ode' chart carries the weights of the sphere rule its rays came from, so
-that area is a weighted sum over the bundle, folded or not (the density
-is even on a folded one).
+that area is a weighted sum over the bundle of the density column of its
+one table spline, folded or not (the density is even on a folded one).
 """
 
 from __future__ import annotations
@@ -829,7 +829,6 @@ class NormalChart:
         # spline in r of (nd, 1 + n(n-1)/2): density, the upper entries of
         # B_d^T g~^{-1} B_d with the off-diagonal ones doubled (ode)
         self._table = None
-        self._density = None  # the table's density column alone, built lazily
         self._sc_pts = None  # exp points (_SC_RADII, nd, n) on the Sc grid
         self._sc_spline = None
 
@@ -887,14 +886,12 @@ class NormalChart:
 
         On M^n_K it is sphere_area_K(n, K, r).  An ode chart sums
         density_d(r) r^(n-1) over its rays with the sphere-rule weights,
-        from the density column of its table alone (a quarter of the table
-        at n = 3); the Sc spline stays unbuilt."""
+        the density read from its one table spline; the Sc spline stays
+        unbuilt."""
         if self.kind != "ode":
             return sphere_area_K(self.n, self.K, r)
         r = np.asarray(r, dtype=float)
-        if self._density is None:
-            self._density = self._table.column(0)
-        dens = self._density(np.minimum(r, self.radius).ravel())
+        dens = self._table(np.minimum(r, self.radius).ravel())[..., 0]
         return (dens @ self.weights).reshape(r.shape) * r ** (self.n - 1)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._spaceform import omega_n
-from .charts import MetricChart, build_normal_chart, closed_form_center
+from .charts import MetricChart, build_normal_chart, closed_form_center, curvature_at
 from .errors import ConfigInvalid, IllConditionedFit, NoiseDominates
 from .functionals import (
     QuadratureSpec,
@@ -31,6 +31,7 @@ from .functionals import (
     eval_W_normalized,
     is_diagonal,
     profile_matrix,
+    ray_bundle,
     resolve_rule,
     sphere_rule,
 )
@@ -58,7 +59,7 @@ class SeriesPrediction:
     c2: float
 
 
-def _profile_terms(curv: CurvatureData, a, alpha: float):
+def _profile_terms(curv: CurvatureData, a):
     a = np.asarray(a, dtype=float)
     tr_a = float(np.trace(a))
     mis = norm_sq(a - curv.rc / 3.0)  # quadratic-profile mismatch
@@ -67,7 +68,7 @@ def _profile_terms(curv: CurvatureData, a, alpha: float):
 
 def predict_L(curv: CurvatureData, a, alpha: float) -> SeriesPrediction:
     """Coefficients of the normalized deficit through second order."""
-    tr_a, mis = _profile_terms(curv, a, alpha)
+    tr_a, mis = _profile_terms(curv, a)
     c2 = -(
         curv.lap_sc
         - curv.sc**2 / 3.0
@@ -81,7 +82,7 @@ def predict_L(curv: CurvatureData, a, alpha: float) -> SeriesPrediction:
 
 def predict_scalar_term(curv: CurvatureData, a, alpha: float) -> SeriesPrediction:
     """Coefficients of t * (normalized curvature average)."""
-    tr_a, _ = _profile_terms(curv, a, alpha)
+    tr_a, _ = _profile_terms(curv, a)
     c2 = (
         curv.lap_sc
         - curv.sc**2 / 3.0
@@ -243,7 +244,6 @@ def run_expansion(
     r_s: float | None = None,
     t_max: float | None = None,
     t_points: int = 10,
-    t_factor: float = 2**-0.5,
     quad: QuadratureSpec = QuadratureSpec(),
     curv: CurvatureData | None = None,
     expected_c2_scale: float | None = None,
@@ -253,8 +253,6 @@ def run_expansion(
     t_max defaults to r_s^2 / 720, which keeps the cutoff region about
     6.7 sigma out, so truncation never pollutes the fit.
     """
-    from .charts import curvature_at
-
     if functional not in ("L", "W"):
         raise ConfigInvalid("functional must be 'L' or 'W'")
     p = np.asarray(p, dtype=float)
@@ -270,7 +268,7 @@ def run_expansion(
     pred = (predict_L if functional == "L" else predict_W)(
         curv, tf.a, tf.alpha
     )
-    ts = make_tgrid(t_max, t_points, t_factor)
+    ts = make_tgrid(t_max, t_points)
     evaluate = eval_L_normalized if functional == "L" else eval_W_normalized
     values = np.empty_like(ts)
     errors = np.empty_like(ts)
@@ -297,10 +295,8 @@ def run_expansion(
             "nodes": nodes,
             "normal_chart": nc.kind,
             "christoffel": chart.christoffel_route,
-            # the directions that ran, after the limit and the fold: an ode
-            # chart's own bundle
-            **({"rays": len(nc.dirs if nc.kind == "ode"
-                            else sphere_rule(nc.n, quad.order, fold)[0])}
+            # the directions that ran, after the limit and the fold
+            **({"rays": len(ray_bundle(nc.n, quad.order, fold, nc)[0])}
                if rule == "radial_sphere" else {}),
             **(
                 {"nfev": nc.nfev, "gauss_residual": nc.gauss_residual}

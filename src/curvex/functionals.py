@@ -9,9 +9,10 @@ against u^2 times the Riemannian volume density.
 The substitution x = 2 sqrt(t) z turns each of them into
 pi^{-n/2} * integral of exp(-|z|^2) G(z), which the engine computes with
 product Gauss-Hermite quadrature (n <= 4) or, in every n, a radial rule
-with segment splits at the cutoff kinks times one product sphere rule
-(sphere_rule).  One node builder serves every rule: unit directions d,
-z-radii and weights, laid out as m points or as nd rays times nr radii.
+with segment splits at the cutoff kinks (composite_gauss_legendre) times
+the rays of ray_bundle: an ode chart's own, else one sphere_rule.  One
+node builder serves every rule: unit directions d, z-radii and weights,
+laid out as m points or as nd rays times nr radii.
 
 The Dirichlet integrand is |grad u|^2 = u^2 g~^{ij} M_i M_j with the
 covector M = grad eta^2 / (2 eta^2) - x/4t.  Along x = r d, with
@@ -24,7 +25,8 @@ w = a d - q d is orthogonal to d, so
 The Gauss lemma g~^{-1} d = d removes the cross term and fixes the radial
 one: g~^{ij} M_i M_j = kappa^2 + beta^2 w.g~^{-1}w.  So each node needs
 eta^2, kappa and beta^2 from the test function (one kernel) and density
-and w.g~^{-1}w from the normal chart (one geometry call).  Only the
+and w.g~^{-1}w from the normal chart (one geometry call), which one ray
+evaluator, TestFunction.on_rays, makes together.  Only the
 W-functional adds t times the Sc integral; it alone reads Sc
 (NormalChart.scalar), which on an ode chart costs curvature evaluations
 at every exp point of its Sc grid.
@@ -34,10 +36,10 @@ even in every coordinate (NormalChart.mirror_even) the integrand is too,
 so the nodes are folded onto the orthant z >= 0 (resolve_rule).  The
 closed forms (flat, or a space form at its origin) always are; an ode
 chart is when its bundle was folded, shot at the origin of a mirror-even
-chart (charts.MetricChart.mirror_even).  The product Hermite grid goes
-from order^n nodes to ceil(order/2)^n, with doubled weights off the zero
-node.  The radial-spherical product rule folds each 1-D factor by node
-index: the 2 o^(n-1) directions on S^(n-1) become ceil(o/2)^(n-2)
+chart (charts.MetricChart.mirror_even).  Both product rules fold each
+1-D factor by node index (_half_rule): the Hermite grid goes from order^n
+nodes to ceil(order/2)^n, with doubled weights off the zero node, and the
+2 o^(n-1) directions on S^(n-1) of the sphere rule become ceil(o/2)^(n-2)
 (floor(o/2) + 1).  A non-diagonal a, an ode chart shot along the full
 rule (off the origin, or on a chart without the mirror symmetry) and
 gaussian_integral with its arbitrary G keep the full rule; a non-diagonal
@@ -52,7 +54,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._numerics import gauss_gegenbauer, gauss_legendre, read_only, shell_volume
+from ._numerics import (composite_gauss_legendre, gauss_gegenbauer, read_only,
+                        shell_volume)
 from ._spaceform import ball_volume_K
 from .charts import NormalChart
 from .errors import (
@@ -156,11 +159,8 @@ class TestFunction:
     scale: float = 1.0
 
     def __post_init__(self):
-        n = self.nchart.n
-        self.a = np.asarray(self.a, dtype=float)
-        if self.a.shape != (n, n):
-            raise ConfigInvalid(f"a has shape {self.a.shape}, chart has n={n}")
-        self.a = 0.5 * (self.a + self.a.T)
+        a = profile_matrix(self.nchart.n, None, self.a)
+        self.a = 0.5 * (a + a.T)
         if self.r_s <= 0:
             raise ConfigInvalid("support radius must be positive")
         if self.r_s > self.nchart.radius * (1 + 1e-12):
@@ -194,14 +194,28 @@ class TestFunction:
         val *= self.scale**2
         return val, kappa, beta2
 
+    def on_rays(self, dirs, r, t: float):
+        """(eta^2, kappa, beta^2, density, w.g~^{-1}w) at x = r d from the
+        kernel and the chart's geometry call: unit directions (m, n)
+        against radii (m,), or rays (nd, 1, n) against radii (nr,), on a
+        closed-form chart also (nd, nr)."""
+        ad = dirs @ self.a
+        q = np.einsum("...i,...i->...", dirs, ad)
+        eta2, kappa, beta2 = self.eta2_with_grad(q, r, t)
+        dens, wgw = self.nchart.geometry(r, ad - q[..., None] * dirs)
+        return eta2, kappa, beta2, dens, wgw
+
 
 def profile_matrix(n: int, curv: CurvatureData | None,
                    mode: str | np.ndarray) -> np.ndarray:
     """The matrix a of build_test_function's mode: Ricci/3 at the center
     for 'optimal_a' (needs curv), zero for 'zero', an explicit matrix as
-    is."""
+    is, which must be (n, n) (ConfigInvalid otherwise)."""
     if not isinstance(mode, str):
-        return np.asarray(mode, dtype=float)
+        a = np.asarray(mode, dtype=float)
+        if a.shape != (n, n):
+            raise ConfigInvalid(f"a has shape {a.shape}, chart has n={n}")
+        return a
     if mode == "optimal_a":
         if curv is None:
             raise ConfigInvalid("optimal_a needs curvature data at the center")
@@ -267,13 +281,12 @@ def _hermite_nodes(n: int, order: int, fold: bool = False):
     """Product Gauss-Hermite nodes z = |z| d as unit directions d (the
     zero node gets d = 0), radii |z| and weights.
 
-    fold builds the grid from the half rule z >= 0 on every axis, each
-    positive node carrying its mirror's weight; it integrates exactly the
-    functions even in every coordinate."""
+    fold builds the grid from the half rule z >= 0 on every axis
+    (_half_rule), each positive node carrying its mirror's weight; it
+    integrates exactly the functions even in every coordinate."""
     z1, w1 = np.polynomial.hermite.hermgauss(order)  # symmetric: z1 == -z1[::-1]
     if fold:
-        half = z1 >= 0.0
-        z1, w1 = z1[half], np.where(z1[half] > 0.0, 2.0 * w1[half], w1[half])
+        z1, w1 = _half_rule(z1, w1)
     zs = np.stack(
         [g.ravel() for g in np.meshgrid(*([z1] * n), indexing="ij")], axis=-1
     )
@@ -356,12 +369,16 @@ def sphere_rule(n: int, order: int, fold: bool = False):
 def _radial_nodes(order: int, c: float, kinks=()):
     """Gauss-Legendre nodes on [0, c] split at 3.0 and at each kink."""
     brk = sorted({0.0, min(3.0, c), c} | {k for k in kinks if 0.0 < k < c})
-    x1, w1 = gauss_legendre(order)
-    nodes, wts = [], []
-    for a, b in zip(brk[:-1], brk[1:]):
-        nodes.append(0.5 * (b - a) * x1 + 0.5 * (a + b))
-        wts.append(0.5 * (b - a) * w1)
-    return np.concatenate(nodes), np.concatenate(wts)
+    return composite_gauss_legendre(brk, order)
+
+
+def ray_bundle(n: int, order: int, fold: bool = False, nchart=None):
+    """Directions (nd, n) and weights (nd,) of a radial rule's rays: an
+    ode nchart's own bundle, pinned when it was shot (order then refines
+    the radii alone), else sphere_rule(n, order, fold)."""
+    if nchart is not None and nchart.kind == "ode":
+        return nchart.dirs, nchart.weights
+    return sphere_rule(n, order, fold)
 
 
 def _nodes(rule, n, order, c, kinks=(), fold=False, nchart=None):
@@ -380,12 +397,7 @@ def _nodes(rule, n, order, c, kinks=(), fold=False, nchart=None):
     if rule != "radial_sphere":
         raise ConfigInvalid(f"unknown rule {rule!r}")
     rho, wr = _radial_nodes(order, c, kinks)
-    if nchart is not None and nchart.kind == "ode":
-        # the angular rule is pinned at chart build time; order changes
-        # (including the error-estimate drop) only refine the radial part
-        dirs, wd = nchart.dirs, nchart.weights
-    else:
-        dirs, wd = sphere_rule(n, order, fold)
+    dirs, wd = ray_bundle(n, order, fold, nchart)
     radial_w = wr * rho ** (n - 1) * np.exp(-(rho**2))
     wts = wd[:, None] * radial_w[None, :] / np.pi ** (n / 2.0)
     return dirs[:, None, :], rho, wts
@@ -438,14 +450,13 @@ class Components:
 def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int,
                want_sc: bool = True):
     """The four sums over the nodes x = 2 sqrt(t) rho d of one rule (the
-    Sc integral None unless want_sc), and the node count.  Per node the
-    kernel gives eta^2, kappa and beta^2, the chart density and
-    w.g~^{-1}w, and the Dirichlet integrand is eta^2 (kappa^2 + beta^2
-    w.g~^{-1}w)."""
+    Sc integral None unless want_sc), and the node count.  Per node
+    TestFunction.on_rays gives eta^2, kappa, beta^2, the chart density
+    and w.g~^{-1}w, and the Dirichlet integrand is eta^2 (kappa^2 +
+    beta^2 w.g~^{-1}w)."""
     nc = tf.nchart
     n = nc.n
-    # the nodes fold onto the orthant for a diagonal a on a mirror-even
-    # chart; an ode chart's are its own bundle, folded or not
+    # folded onto the orthant for a diagonal a on a mirror-even chart
     rule, fold = resolve_rule(tf, quad)
     s2t = 2.0 * np.sqrt(t)
     dirs, rho, wts = _nodes(
@@ -455,10 +466,7 @@ def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int,
         fold=fold, nchart=nc,
     )
     r = s2t * rho
-    ad = dirs @ tf.a
-    q = np.einsum("...i,...i->...", dirs, ad)
-    eta2, kappa, beta2 = tf.eta2_with_grad(q, r, t)
-    dens, wgw = nc.geometry(r, ad - q[..., None] * dirs)
+    eta2, kappa, beta2, dens, wgw = tf.on_rays(dirs, r, t)
     base = eta2 * dens
     logu2 = np.log(eta2) - (n / 2.0) * np.log(4 * np.pi * t) - rho * rho
     mass = float(np.vdot(wts, base))
@@ -542,26 +550,26 @@ def _L_err(comp: Components, n: int) -> float:
     )
 
 
-def eval_L(tf, t, quad=QuadratureSpec(), want_err=True):
+def eval_L(tf, t, quad=QuadratureSpec()):
     """Log-Sobolev-type deficit of u at time t: (value, error estimate,
     nodes evaluated)."""
-    comp = eval_components(tf, t, quad, want_err, want_sc=False)
+    comp = eval_components(tf, t, quad, want_sc=False)
     return _L_of(comp, tf.nchart.n), _L_err(comp, tf.nchart.n), comp.nodes
 
 
-def eval_L_normalized(tf, t, quad=QuadratureSpec(), want_err=True):
+def eval_L_normalized(tf, t, quad=QuadratureSpec()):
     """Deficit of the unit-mass rescaling u / sqrt(mass), as eval_L."""
-    comp = eval_components(tf, t, quad, want_err, want_sc=False)
+    comp = eval_components(tf, t, quad, want_sc=False)
     n = tf.nchart.n
     val = _L_of(comp, n) / comp.mass
     err = (_L_err(comp, n) + abs(val) * comp.errs.get("mass", 0.0)) / comp.mass
     return val, err, comp.nodes
 
 
-def eval_W_normalized(tf, t, quad=QuadratureSpec(), want_err=True):
+def eval_W_normalized(tf, t, quad=QuadratureSpec()):
     """Entropy functional (deficit plus t times the curvature integral) of
     the unit-mass rescaling, as eval_L."""
-    comp = eval_components(tf, t, quad, want_err, want_sc=True)
+    comp = eval_components(tf, t, quad, want_sc=True)
     n = tf.nchart.n
     val = (_L_of(comp, n) + t * comp.sc_integral) / comp.mass
     err = (

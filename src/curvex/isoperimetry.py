@@ -21,16 +21,17 @@ volume ladder.
 No radius grid is sampled: each r_y(s) comes from Newton on log u in r^2
 (_numerics.bracketed_newton) with slope kappa from the kernel, from the
 Gaussian crossing sqrt(8 t log(u_max/s)) and inside [0, r_s].  At the
-converged radii the kernel and NormalChart.geometry give du/dr = u kappa
-and |grad u|^2 = u^2 (kappa^2 + beta^2 w.g~^{-1}w).  Each level is
-crossed once per ray: u is radially nonincreasing, which
+converged radii the ray evaluator of the functionals
+(TestFunction.on_rays: the kernel and NormalChart.geometry) gives
+du/dr = u kappa and |grad u|^2 = u^2 (kappa^2 + beta^2 w.g~^{-1}w).
+Each level is crossed once per ray: u is radially nonincreasing, which
 functionals.check_time tests exactly beforehand.
 
-The rays are the directions of the radial-spherical rule that integrates
-the original side, from the same builder.  For a diagonal a, u is even
-in every coordinate and that rule is folded onto the orthant
-(functionals.resolve_rule): at order 32 on S^2 the sweep runs on 272
-rays instead of 2,048.
+The rays are those of the radial-spherical rule that integrates the
+original side, from the same accessor (functionals.ray_bundle).  For a
+diagonal a, u is even in every coordinate and that rule is folded onto
+the orthant (functionals.resolve_rule): at order 32 on S^2 the sweep runs
+on 272 rays instead of 2,048.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import CubicSpline, bracketed_newton, gauss_legendre, shell_radius
+from ._numerics import (CubicSpline, bracketed_newton, composite_gauss_legendre,
+                        shell_radius)
 from ._spaceform import ball_volume_K, omega_n, sphere_area_K
 from .errors import (
     ConfigInvalid,
@@ -52,8 +54,8 @@ from .functionals import (
     TestFunction,
     check_time,
     eval_components,
+    ray_bundle,
     resolve_rule,
-    sphere_rule,
 )
 
 __all__ = [
@@ -167,11 +169,8 @@ class SymmetrizationResult:
 
 def _u_on_rays(tf: TestFunction, t: float, dirs, r):
     """u, du/dr, |grad u|^2 and the chart density at x = r d, directions
-    dirs (nd, n) and radii r (nd, nr), from the kernel and the geometry."""
-    ad = dirs @ tf.a
-    q = np.einsum("di,di->d", dirs, ad)[:, None]
-    eta2, kappa, beta2 = tf.eta2_with_grad(q, r, t)
-    dens, wgw = tf.nchart.geometry(r, (ad - q * dirs)[:, None, :])
+    dirs (nd, n) and radii r (nd, nr), from TestFunction.on_rays."""
+    eta2, kappa, beta2, dens, wgw = tf.on_rays(dirs[:, None, :], r, t)
     h2 = (4 * np.pi * t) ** (-tf.nchart.n / 2.0) * np.exp(-r * r / (4 * t))
     u = np.sqrt(h2 * eta2)
     return u, u * kappa, u * u * (kappa * kappa + beta2 * wgw), dens
@@ -205,7 +204,7 @@ def symmetrize(
     # the sweep runs on the rays of the original side's rule, folded onto
     # the orthant for a diagonal a
     fold = resolve_rule(tf, quad)[1]
-    dirs, wd = sphere_rule(n, order, fold)
+    dirs, wd = ray_bundle(n, order, fold, tf.nchart)
     nd = dirs.shape[0]
     q = np.einsum("di,di->d", dirs, dirs @ tf.a)
 
@@ -272,11 +271,7 @@ def symmetrize(
     # symmetrized side: composite Gauss rule per spline interval, so the
     # piecewise-cubic profile is integrated essentially exactly
     spl = profile.spline()
-    x1, w1 = gauss_legendre(5)
-    lo, hi = r_prof[:-1], r_prof[1:]
-    half = 0.5 * (hi - lo)
-    rr = (lo[:, None] + half[:, None] * (x1[None, :] + 1.0)).ravel()
-    ww = (half[:, None] * w1[None, :]).ravel()
+    rr, ww = composite_gauss_legendre(r_prof, 5)
     ubar = np.maximum(spl(rr), 1e-300)
     dubar = spl(rr, 1)
     aK = sphere_area_K(n, K, rr)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import Tridiagonal, gauss_legendre
+from ._numerics import Tridiagonal, composite_gauss_legendre
 from ._spaceform import sphere_area_K
 from .errors import ConfigInvalid, GammaOutOfRange, OutOfDomain
 from .functionals import cutoff
@@ -46,6 +46,7 @@ _NEWTON_CAP = 50  # Newton steps; the tests converge in at most 9
 # Hessian shifts, in units of the P1 mass, tried in turn at each step
 _SHIFTS = (0.0,) + tuple(10.0 ** np.arange(13))
 _ROUNDING = 1e-14  # relative rise of W a step may make; W rounds at 2e-15
+_KKT_TOL = 1e-8  # KKT residual of a converged profile, relative to the gradient
 
 
 @dataclass
@@ -69,10 +70,7 @@ class RadialDomain:
         self.r = np.linspace(0.0, self.R, self.m)
         h = self.r[1] - self.r[0]
         # two-point Gauss nodes per cell, weight = space-form area element
-        x2, w2 = gauss_legendre(2)
-        mid = 0.5 * (self.r[:-1] + self.r[1:])
-        self.rq = (mid[:, None] + 0.5 * h * x2[None, :]).ravel()
-        self.wq = (0.5 * h * w2[None, :] * np.ones((self.m - 1, 1))).ravel()
+        self.rq, self.wq = composite_gauss_legendre(self.r, 2)
         self.mq = self.wq * sphere_area_K(self.n, self.K, self.rq)
         self.theta = ((self.rq.reshape(-1, 2) - self.r[:-1, None]) / h).ravel()
         self.idx = np.repeat(np.arange(self.m - 1), 2)
@@ -223,13 +221,12 @@ def mu_ball(
     t: float,
     m: int | None = None,
     per_width: int = 32,
-    tol: float = 1e-8,
 ) -> MuResult:
     """Minimize the time-t entropy functional over radial unit-mass
     profiles on the geodesic K-ball of radius R, Dirichlet at the rim.
 
     converged means that at the returned profile the KKT residual is
-    below tol (relative to the gradient) and the unshifted Hessian is
+    below _KKT_TOL (relative to the gradient) and the unshifted Hessian is
     certified; otherwise value is the lowest W reached from the witness
     (witness_value), still an upper bound.  The minimum carries an
     O(per_width^-2) positive discretization bias; raise per_width when the
@@ -260,7 +257,7 @@ def mu_ball(
             step = _newton_step(dom, 8.0 * t, wq + shift, res, c)
             if step is None:
                 continue
-            if shift == 0.0 and res_rms < tol * gscale:
+            if shift == 0.0 and res_rms < _KKT_TOL * gscale:
                 converged = True
                 break
             trial = _normalize(dom, np.maximum(f - np.append(step, 0.0), 0.0))

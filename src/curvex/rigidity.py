@@ -101,6 +101,7 @@ def isoperimetric_probe(nchart, K: float, volume: float) -> dict:
 # the sphere rule an ode centre chart is shot along; closed-form charts
 # ignore it
 _PROBE_QUAD = QuadratureSpec(rule="radial_sphere", order=16)
+_PROBE_FRACS = (0.25, 0.5, 0.75)
 
 
 def _sample_points(chart: MetricChart, npoints: int, seed: int):
@@ -117,8 +118,6 @@ def assess_rigidity(
     K: float,
     points=None,
     npoints: int = 5,
-    probe_fracs=(0.25, 0.5, 0.75),
-    probe_radius: float | None = None,
     tol: float = 1e-6,
     extended: bool = False,
     seed: int = 1234,
@@ -128,7 +127,8 @@ def assess_rigidity(
 
     The centre chart is closed-form where one exists and otherwise shot
     along the order-16 radial-spherical sphere rule, so every catalog
-    chart gets its probes."""
+    chart gets its probes: 1/4, 1/2 and 3/4 of the ball of 0.95 times
+    meta["probe_radius"], 0.7 box halfwidths and below 0.9 pi/sqrt(K)."""
     n = chart.n
     if points is None:
         points = _sample_points(chart, npoints, seed)
@@ -171,13 +171,12 @@ def assess_rigidity(
     scalar_margin = float(min(margins))
 
     # isoperimetric probes at the center
-    if probe_radius is None:
-        probe_radius = 0.7 * float(np.min(chart.domain.hi))
-        if K > 0:
-            probe_radius = min(probe_radius, 0.9 * np.pi / np.sqrt(K))
+    probe_radius = 0.7 * float(np.min(chart.domain.hi))
+    if K > 0:
+        probe_radius = min(probe_radius, 0.9 * np.pi / np.sqrt(K))
     nc = prepare_normal_chart(chart, np.zeros(n), probe_radius, _PROBE_QUAD)
     v_ref = ball_volume(nc, probe_radius * 0.95)
-    for frac in probe_fracs:
+    for frac in _PROBE_FRACS:
         probe = isoperimetric_probe(nc, K, frac * v_ref)
         rel = probe["margin"] / max(probe["model_area"], 1e-300)
         checks.append(

@@ -37,6 +37,7 @@ from curvex.functionals import (
     eval_L,
     eval_L_normalized,
     gaussian_integral,
+    profile_matrix,
     sphere_rule,
 )
 from curvex.moments import (
@@ -225,6 +226,20 @@ class TestSphereRule:
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    @pytest.mark.parametrize("order", [24, 25, 40])
+    def test_hermite_fold_keeps_the_sign_based_fold(self, order):
+        """Folding by node index (_half_rule) gives, bit for bit, the grid
+        of the sign-based fold: keep z >= 0, double the weights of z > 0."""
+        z1, w1 = np.polynomial.hermite.hermgauss(order)
+        keep = z1 >= 0.0
+        z1, w1 = z1[keep], np.where(z1[keep] > 0.0, 2.0 * w1[keep], w1[keep])
+        Z = np.array(list(itertools.product(z1, repeat=2)))
+        W = np.prod(list(itertools.product(w1, repeat=2)), axis=1) / np.pi
+        zn = np.sqrt(np.einsum("mi,mi->m", Z, Z))
+        dirs, rho, wts = _hermite_nodes(2, order, True)
+        assert np.array_equal(rho, zn) and np.array_equal(wts, W)
+        assert np.array_equal(dirs, Z / np.where(zn > 0.0, zn, 1.0)[:, None])
 
     def test_hermite_cache_holds_four_grids(self):
         """One expansion's main and error rules for two dimensions stay
@@ -500,6 +515,81 @@ class TestKernelOracle:
         assert got[:4] != pytest.approx(want, rel=1e-14)  # not the same route
 
 
+class TestRayEvaluator:
+    """TestFunction.on_rays, the one evaluator of the kernel and the
+    chart geometry, against eta^2 and its gradient pointwise
+    (oracles.eta2_pointwise) and the chart's metric g at the points: on
+    these charts the chart coordinates are normal coordinates at the
+    origin, so the density is sqrt(det g) and the tangential term
+    beta^2 w.g~^{-1}w is M_perp.g^{-1}.M_perp, M_perp the part of the
+    covector M = grad eta^2 / (2 eta^2) - x/4t orthogonal to the ray,
+    whose radial part is kappa."""
+
+    T = 0.004
+    A_OFF = np.array([[0.6, 0.3, -0.2], [0.3, -0.4, 0.25], [-0.2, 0.25, 0.9]])
+    A_DIAG = np.diag([0.6, -0.4, 0.9])
+
+    @staticmethod
+    def _compare(tf, t, X, got, rtol):
+        r = np.linalg.norm(X, axis=1)
+        d = X / np.where(r > 0.0, r, 1.0)[:, None]
+        eta2, geta2 = eta2_pointwise(tf, X, t, r)
+        M = geta2 / (2.0 * eta2)[:, None] - X / (4.0 * t)
+        kappa = np.einsum("mi,mi->m", M, d)
+        perp = M - kappa[:, None] * d
+        g = tf.nchart.chart.metric(X)
+        tang = np.einsum("mi,mij,mj->m", perp, np.linalg.inv(g), perp)
+        eta2_r, kappa_r, beta2_r, dens_r, wgw_r = (
+            np.broadcast_to(v, got[0].shape).ravel() for v in got)
+        live = eta2 > 1e-300
+        assert live.sum() > 0.5 * live.size and not live.all()  # ramp and clamp
+        # eta^2 and kappa lose digits where the profile cancels to zero
+        np.testing.assert_allclose(eta2_r, eta2, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(kappa_r, kappa, rtol=1e-11,
+                                   atol=1e-13 * np.abs(kappa).max())
+        np.testing.assert_allclose(beta2_r * wgw_r, tang, rtol=rtol,
+                                   atol=rtol * np.abs(tang).max())
+        np.testing.assert_allclose(dens_r, np.sqrt(np.linalg.det(g)),
+                                   rtol=rtol, atol=0)
+
+    @pytest.fixture(scope="class")
+    def sphere(self):
+        ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
+        return build_normal_chart(ch, np.zeros(3), 1.7)
+
+    def test_points_on_closed_form_chart(self, sphere):
+        """The Hermite layout: points (m, n) against radii (m,)."""
+        tf = TestFunction(sphere, self.A_OFF, 0.3, 0.5)
+        dirs, rho, _ = _hermite_nodes(3, 10)
+        r = 2.0 * np.sqrt(self.T) * rho
+        got = tf.on_rays(dirs, r, self.T)
+        self._compare(tf, self.T, r[:, None] * dirs, got, 1e-12)
+
+    def test_rays_on_closed_form_chart(self, sphere):
+        """The ray layout: rays (nd, 1, n) against radii (nr,)."""
+        tf = TestFunction(sphere, self.A_OFF, 0.3, 1.2)
+        dirs = sphere_rule(3, 8)[0][:, None, :]
+        r = np.linspace(0.0, 1.5, 31)
+        got = tf.on_rays(dirs, r, self.T)
+        self._compare(tf, self.T, (r[:, None] * dirs).reshape(-1, 3), got, 1e-12)
+
+    @pytest.mark.parametrize("fold", [False, True], ids=["full", "folded"])
+    def test_rays_on_ode_chart(self, fold):
+        """The bundle of an S^2 x R ode chart, shot in full for a
+        non-diagonal a and on the orthant for a diagonal one; the geometry
+        comes from its spline tables."""
+        ch = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
+        a = self.A_DIAG if fold else self.A_OFF
+        nc = prepare_normal_chart(ch, np.zeros(3), 1.4,
+                                  QuadratureSpec(rule="radial_sphere", order=8), a=a)
+        assert nc.kind == "ode" and nc.folded is fold
+        tf = TestFunction(nc, a, 0.3, 1.2)
+        dirs = nc.dirs[:, None, :]
+        r = np.linspace(0.0, 1.4, 31)
+        got = tf.on_rays(dirs, r, self.T)
+        self._compare(tf, self.T, (r[:, None] * dirs).reshape(-1, 3), got, 1e-10)
+
+
 class TestFoldedBundle:
     """An ode chart shot at the origin of a mirror-even chart along the
     orthant of its rule against the same chart shot along the full rule.
@@ -626,6 +716,23 @@ class TestGuards:
         _, nc, _ = s3_setup
         with pytest.warns(PositivityWarning):
             build_test_function(nc, mode=-2.0 * np.eye(3), alpha=0.0, r_s=1.5)
+
+    def test_explicit_profile_of_the_wrong_shape(self, monkeypatch):
+        """profile_matrix refuses an explicit mode that is not (n, n), so
+        run_expansion raises before it shoots an ode chart for it."""
+        for mode in (np.ones((3, 3, 1)), np.ones((2, 2)), np.ones(3)):
+            with pytest.raises(ConfigInvalid, match="shape"):
+                profile_matrix(3, None, mode)
+        ch = make_chart(ModelSpec(
+            "conformal_flat", 3,
+            perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
+            halfwidth=1.5,
+        ))
+        built = recorded(monkeypatch, expansion, "prepare_normal_chart")
+        with pytest.raises(ConfigInvalid, match="shape"):
+            run_expansion(ch, np.zeros(3), "L", mode=np.ones((3, 3, 1)), r_s=0.9,
+                          quad=QuadratureSpec(rule="radial_sphere", order=16))
+        assert built == []
 
     def test_bad_alpha_mode(self, s3_setup):
         _, nc, _ = s3_setup
@@ -761,6 +868,18 @@ class TestShell:
                                    rtol=0, atol=1e-9)
         assert s3_ode.shell(r.reshape(1, 41, 1)).shape == (1, 41, 1)
 
+    @pytest.mark.parametrize("which", ["s3_ode", "conformal_c06"],
+                             ids=["full", "folded"])
+    def test_ode_shell_sums_the_table_density(self, which, request):
+        """shell(r) is sum_d w_d density_d(r) r^(n-1) with the density of
+        the chart's one table, as the geometry call reads it (clamped at
+        the chart radius), on a full and a folded bundle."""
+        nc = request.getfixturevalue(which)
+        r = np.linspace(0.0, 1.1 * nc.radius, 24).reshape(4, 6)
+        dens, _ = nc.geometry(r.ravel(), np.zeros((nc.dirs.shape[0], 1, 3)))
+        want = (dens.T @ nc.weights).reshape(r.shape) * r**2
+        np.testing.assert_allclose(nc.shell(r), want, rtol=1e-15, atol=0)
+
     def test_probe_closes_on_ode_chart(self, s3_ode):
         """The sphere is its own model: the probe margin vanishes."""
         v_max = ball_volume(s3_ode, 0.98)
@@ -799,7 +918,7 @@ class TestShell:
         assert np.all(np.abs(ratio - r2 * r**2 - r4 * r**4) < 5e-3 * r**6)
 
     def test_volume_and_probe_leave_sc_unbuilt(self, conformal_c06, monkeypatch):
-        """Ball volumes and probes read the density column alone and the
+        """Ball volumes and probes read the density from the table and the
         L-functional reads no Sc: the Sc spline of an ode chart (scalar
         curvature at 65 x 72 exp points) is not built for them.  W builds
         it from the scalar curvature at those exp points and adds t times

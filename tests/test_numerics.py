@@ -24,6 +24,7 @@ from curvex._numerics import (
     CubicSpline,
     Tridiagonal,
     bracketed_newton,
+    composite_gauss_legendre,
     dopri45,
     gauss_gegenbauer,
     gauss_legendre,
@@ -36,7 +37,7 @@ from curvex.errors import (
     NonPositiveVolume,
     QuadratureNotConverged,
 )
-from curvex.functionals import ball_volume, sphere_rule
+from curvex.functionals import _radial_nodes, ball_volume, sphere_rule
 from curvex.isoperimetry import iso_profile_radius
 from curvex.rigidity import isoperimetric_probe
 
@@ -77,6 +78,35 @@ class TestGaussRules:
             x, w = gauss_gegenbauer(8, lam)
             assert x is gauss_gegenbauer(8, lam)[0]
             assert not x.flags.writeable and not w.flags.writeable
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_composite_is_exact_to_degree_2m_minus_1(self, m):
+        """On random break points every cell's share of a random
+        polynomial of degree 2m - 1 is its antiderivative's increment."""
+        rng = np.random.default_rng(m)
+        brk = np.sort(rng.uniform(-1.5, 1.5, 9))
+        c = rng.normal(size=2 * m)
+        x, w = composite_gauss_legendre(brk, m)
+        assert x.shape == w.shape == (8 * m,)
+        cells = (w * np.polynomial.polynomial.polyval(x, c)).reshape(8, m).sum(axis=1)
+        want = np.diff(np.polynomial.polynomial.polyval(
+            brk, np.polynomial.polynomial.polyint(c)))
+        np.testing.assert_allclose(cells, want, rtol=0, atol=1e-14 * np.abs(c).sum())
+
+    @pytest.mark.parametrize("order,c,kinks", [
+        (40, 10.0, (2.1, 4.2)), (24, 2.5, (1.25, 2.5)), (16, 10.0, (30.0, 60.0)),
+        (34, 7.3, ()),
+    ])
+    def test_composite_reproduces_the_per_cell_loop(self, order, c, kinks):
+        """The radial nodes of the functionals equal, bit for bit, the
+        per-interval loop they were built with before the shared builder."""
+        brk = sorted({0.0, min(3.0, c), c} | {k for k in kinks if 0.0 < k < c})
+        x1, w1 = gauss_legendre(order)
+        nodes = [0.5 * (b - a) * x1 + 0.5 * (a + b) for a, b in zip(brk[:-1], brk[1:])]
+        wts = [0.5 * (b - a) * w1 for a, b in zip(brk[:-1], brk[1:])]
+        x, w = _radial_nodes(order, c, kinks)
+        assert np.array_equal(x, np.concatenate(nodes))
+        assert np.array_equal(w, np.concatenate(wts))
 
 
 def _banded(lower, diag, upper):
@@ -185,19 +215,6 @@ class TestCubicSpline:
         rho = np.concatenate([[0.0], -0.04 * np.log(levels)])
         u = np.concatenate([[1.0], levels])
         self._check(rho, u, np.linspace(0.0, 1.05 * np.sqrt(rho[-1]), 301) ** 2)
-
-    def test_column_is_the_tables_own_column(self):
-        """column(k) evaluates to the table's column k bit for bit, values
-        and slopes, and against scipy fitted to that column alone."""
-        rng = np.random.default_rng(6)
-        x = np.linspace(0.0, 0.9, 96)
-        y = np.cos(3.0 * x)[:, None, None] * rng.normal(size=(1, 16, 10))
-        full = CubicSpline(x, y)
-        xq = rng.uniform(0.0, 0.9, 41)
-        for k in (0, 4):
-            for nu in (0, 1):
-                assert np.array_equal(full.column(k)(xq, nu), full(xq, nu)[..., k])
-        self._check(x, y[..., 0], xq)
 
     def test_scalar_query_and_limits(self):
         x = np.linspace(0.0, 1.0, 8)
