@@ -111,11 +111,9 @@ class Box:
     def cube(cls, n: int, halfwidth: float):
         return cls(-halfwidth * np.ones(n), halfwidth * np.ones(n))
 
-    def contains(self, pts, margin: float = 0.0) -> np.ndarray:
+    def contains(self, pts) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        return np.all(
-            (pts >= self.lo + margin) & (pts <= self.hi - margin), axis=-1
-        )
+        return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
 
     def boundary_distance(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -858,6 +856,10 @@ class NormalChart:
             nd = self.dirs.shape[0]
             if w.size != nd * n:
                 raise InvalidSpec(f"ode chart takes one covector per ray ({nd})")
+            if r.ndim != 1:
+                raise InvalidSpec(
+                    f"ode chart takes one radius vector (nr,) for all its rays, "
+                    f"not shape {r.shape}")
             # beyond r0 the cutoff is zero
             tab = self._table(np.minimum(r, self.radius))  # (nr, nd, 1 + n(n-1)/2)
             c = np.einsum("dk,dkj->dj", w.reshape(nd, n), self._basis)

@@ -43,7 +43,7 @@ from .expansion import (
 )
 from .functionals import QuadratureSpec, ball_volume, build_test_function
 from .isoperimetry import iso_profile_radius, symmetrize
-from .mu_solver import mu_bound_report, mu_curve, rm_bound_from_mu
+from .mu_solver import mu_bound_report, mu_curve
 from .rigidity import assess_rigidity
 
 
@@ -282,9 +282,8 @@ def _mu(cfg, seed):
         ok = ok and rep.satisfied
     if "gamma" in sec:
         gamma = float(sec["gamma"])
-        Q_used = rep.Q if rep.Q is not None else rep.q_envelope
         payload["gamma"] = gamma
-        payload["rm_bound"] = rm_bound_from_mu(Q_used, gamma)
+        payload["rm_bound"] = rep.rm_bound(gamma)
     payload["pass"] = bool(ok)
     rows = [
         ("t", "mu", "iterations", "kkt_residual", "witness"),
@@ -421,10 +420,7 @@ def main(argv=None) -> int:
         print(f"{args.experiment}: {'pass' if passed else 'FAIL'} "
               f"-> {json_path}")
         return 0 if passed else 2
-    except CurvexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (CurvexError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

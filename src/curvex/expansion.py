@@ -113,13 +113,12 @@ def predict_volume(curv: CurvatureData) -> tuple[float, float]:
     return r2, r4
 
 
-def make_tgrid(t_max: float, points: int = 10, factor: float = 2**-0.5):
-    """Geometric time grid descending from t_max, returned ascending."""
-    if not (0 < factor < 1):
-        raise ConfigInvalid("grid factor must lie in (0, 1)")
+def make_tgrid(t_max: float, points: int = 10):
+    """Geometric time grid descending from t_max by factors 2^-1/2,
+    returned ascending."""
     if points < 4:
         raise ConfigInvalid("need at least 4 grid points")
-    ts = t_max * factor ** np.arange(points)
+    ts = t_max * (2**-0.5) ** np.arange(points)
     return ts[::-1].copy()
 
 
@@ -246,7 +245,6 @@ def run_expansion(
     t_points: int = 10,
     quad: QuadratureSpec = QuadratureSpec(),
     curv: CurvatureData | None = None,
-    expected_c2_scale: float | None = None,
 ) -> ExpansionResult:
     """Evaluate the normalized functional on a geometric grid and fit.
 
@@ -276,7 +274,7 @@ def run_expansion(
     for i, t in enumerate(ts):
         values[i], errors[i], count = evaluate(tf, float(t), quad)
         nodes += count
-    fit = extract_series(ts, values, errors, expected_c2_scale)
+    fit = extract_series(ts, values, errors)
     rule, fold = resolve_rule(tf, quad)
     return ExpansionResult(
         ts=ts,

@@ -14,7 +14,7 @@ from math import gamma, pi
 import numpy as np
 
 from .errors import DimensionMismatch
-from .tensor_core import MAX_DIM, e_functional, _arr
+from .tensor_core import MAX_DIM, e_functional
 
 __all__ = [
     "GaussianWeight",
@@ -49,7 +49,7 @@ def moment_quadratic(w: GaussianWeight, A, weighted: bool = False) -> float:
 
     Unweighted value is 2 tr(A) t; the weighted one is 4 (n+2) tr(A) t.
     """
-    A = _arr(A)
+    A = np.asarray(A, dtype=float)
     if A.shape != (w.n, w.n):
         raise DimensionMismatch(f"matrix shape {A.shape} vs n={w.n}")
     tr = float(np.trace(A))
@@ -64,7 +64,7 @@ def moment_quartic(w: GaussianWeight, lam, weighted: bool = False) -> float:
     Values are 4 E(lam) t^2 and 8 (n+4) E(lam) t^2, with E the pair-trace
     functional from tensor_core.
     """
-    lam = _arr(lam)
+    lam = np.asarray(lam, dtype=float)
     if lam.shape != (w.n,) * 4:
         raise DimensionMismatch(f"tensor shape {lam.shape} vs n={w.n}")
     e = e_functional(lam)

@@ -47,6 +47,7 @@ _NEWTON_CAP = 50  # Newton steps; the tests converge in at most 9
 _SHIFTS = (0.0,) + tuple(10.0 ** np.arange(13))
 _ROUNDING = 1e-14  # relative rise of W a step may make; W rounds at 2e-15
 _KKT_TOL = 1e-8  # KKT residual of a converged profile, relative to the gradient
+_BOUND_TOL = 1e-9  # slack of mu_bound_report's test mu >= -Q t^2
 
 
 @dataclass
@@ -302,8 +303,7 @@ class MuBoundReport:
         return rm_bound_from_mu(Q, gamma)
 
 
-def mu_bound_report(ts, mus, Q: float | None = None,
-                    tol: float = 1e-9) -> MuBoundReport:
+def mu_bound_report(ts, mus, Q: float | None = None) -> MuBoundReport:
     """Fit mu(t) ~ -q t^2 on the smallest half of the time grid and test
     the lower-bound hypothesis mu >= -Q t^2 when Q is supplied."""
     ts = np.asarray(ts, dtype=float)
@@ -323,7 +323,7 @@ def mu_bound_report(ts, mus, Q: float | None = None,
     envelope = float(np.maximum(-mus / ts**2, 0.0).max())
     satisfied = None
     if Q is not None:
-        satisfied = bool(np.all(mus >= -Q * ts**2 - tol))
+        satisfied = bool(np.all(mus >= -Q * ts**2 - _BOUND_TOL))
     return MuBoundReport(
         ts=ts, mus=mus, q_fit=q, q_stderr=stderr,
         q_envelope=envelope, Q=Q, satisfied=satisfied,

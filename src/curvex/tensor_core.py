@@ -8,7 +8,7 @@ curvature K, which makes rc_ij = sum_s rm_isjs and sc = n(n-1)K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +17,9 @@ from .errors import DimensionMismatch, DimensionTooSmall, InvalidSpec, MissingFi
 MAX_DIM = 6
 
 __all__ = [
-    "Sym2",
-    "Tensor4",
-    "AlgebraicCurvature",
     "CurvatureData",
     "norm_sq",
     "e_functional",
-    "sym2_outer",
     "kulkarni_nomizu",
     "v_tensor",
     "weyl_decompose",
@@ -41,60 +37,6 @@ def _as_float_array(entries, shape):
 def _check_dim(n: int):
     if not (1 <= n <= MAX_DIM):
         raise DimensionMismatch(f"dimension {n} outside supported range 1..{MAX_DIM}")
-
-
-@dataclass
-class Sym2:
-    """Symmetric bilinear form (entries validated on construction)."""
-
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        _check_dim(self.n)
-        self.entries = _as_float_array(self.entries, (self.n, self.n))
-        scale = max(1.0, float(np.abs(self.entries).max()))
-        if np.abs(self.entries - self.entries.T).max() > 1e-12 * scale:
-            raise InvalidSpec("entries are not symmetric")
-        self.entries = 0.5 * (self.entries + self.entries.T)
-
-
-@dataclass
-class Tensor4:
-    """Rank-4 tensor with no symmetry assumptions."""
-
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        _check_dim(self.n)
-        self.entries = _as_float_array(self.entries, (self.n,) * 4)
-
-
-@dataclass
-class AlgebraicCurvature(Tensor4):
-    """Rank-4 tensor with full curvature symmetries, checked at 1e-14.
-
-    Required: antisymmetry in (0,1) and (2,3), symmetry under pair
-    exchange, and the first Bianchi identity on the last three slots.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        e = self.entries
-        scale = max(1.0, float(np.abs(e).max()))
-        tol = 1e-14 * scale
-        checks = {
-            "antisymmetry (0,1)": np.abs(e + e.transpose(1, 0, 2, 3)).max(),
-            "antisymmetry (2,3)": np.abs(e + e.transpose(0, 1, 3, 2)).max(),
-            "pair exchange": np.abs(e - e.transpose(2, 3, 0, 1)).max(),
-            "first Bianchi": np.abs(
-                e + e.transpose(0, 2, 3, 1) + e.transpose(0, 3, 1, 2)
-            ).max(),
-        }
-        bad = {k: v for k, v in checks.items() if v > tol}
-        if bad:
-            raise InvalidSpec(f"curvature symmetries violated: {bad}")
 
 
 @dataclass
@@ -137,13 +79,9 @@ class CurvatureData:
             raise InvalidSpec("sc is not the trace of rc")
 
 
-def _arr(x):
-    return x.entries if hasattr(x, "entries") else np.asarray(x, dtype=float)
-
-
 def norm_sq(x) -> float:
     """Frobenius norm squared, any rank."""
-    a = _arr(x)
+    a = np.asarray(x, dtype=float)
     return float(np.sum(a * a))
 
 
@@ -153,15 +91,10 @@ def e_functional(lam) -> float:
     This is the contraction a fourth-order monomial picks up against an
     isotropic (Gaussian or spherical) measure; see the moments module.
     """
-    a = _arr(lam)
+    a = np.asarray(lam, dtype=float)
     return float(
         np.einsum("iijj->", a) + np.einsum("ijij->", a) + np.einsum("ijji->", a)
     )
-
-
-def sym2_outer(a, b) -> np.ndarray:
-    """Plain outer product (a (x) b)_ijkl = a_ij b_kl."""
-    return np.einsum("ij,kl->ijkl", _arr(a), _arr(b))
 
 
 def kulkarni_nomizu(h, k) -> np.ndarray:
@@ -170,8 +103,8 @@ def kulkarni_nomizu(h, k) -> np.ndarray:
     Symmetric in its arguments and lands in the algebraic curvature space
     whenever h, k are symmetric.
     """
-    h = _arr(h)
-    k = _arr(k)
+    h = np.asarray(h, dtype=float)
+    k = np.asarray(k, dtype=float)
     out = (
         np.einsum("ik,jl->ijkl", h, k)
         + np.einsum("jl,ik->ijkl", h, k)
@@ -206,7 +139,7 @@ def weyl_decompose(rm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (scalar_part, traceless_ricci_part, weyl); the three are
     mutually orthogonal and sum to the input.  Needs n >= 3.
     """
-    a = _arr(rm)
+    a = np.asarray(rm, dtype=float)
     n = a.shape[0]
     if n < 3:
         raise DimensionTooSmall("decomposition needs n >= 3")

@@ -66,3 +66,21 @@ def full_ode_table(chart, nd, r_grid, t_out, states):
         [np.sqrt(np.linalg.det(gt))[..., None],
          np.linalg.inv(gt).reshape(*gt.shape[:2], n * n)], axis=-1)
     return make_interp_spline(r_grid, tab, k=3, axis=0)
+
+
+def curvature_symmetry_violations(rm, rtol=1e-14):
+    """The symmetries of an algebraic curvature tensor that rm breaks,
+    {name: largest defect}, empty when it has them all to rtol times
+    max(1, max|rm|): antisymmetry in (0,1) and in (2,3), symmetry under
+    pair exchange, and the first Bianchi identity on the last three slots."""
+    e = np.asarray(rm, dtype=float)
+    tol = rtol * max(1.0, float(np.abs(e).max()))
+    defects = {
+        "antisymmetry (0,1)": np.abs(e + e.transpose(1, 0, 2, 3)).max(),
+        "antisymmetry (2,3)": np.abs(e + e.transpose(0, 1, 3, 2)).max(),
+        "pair exchange": np.abs(e - e.transpose(2, 3, 0, 1)).max(),
+        "first Bianchi": np.abs(
+            e + e.transpose(0, 2, 3, 1) + e.transpose(0, 3, 1, 2)
+        ).max(),
+    }
+    return {k: v for k, v in defects.items() if v > tol}

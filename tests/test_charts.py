@@ -496,6 +496,20 @@ class TestNormalCharts:
         with pytest.raises(InvalidSpec):
             nc.geometry(r, w[:2, None, :])
 
+    @pytest.mark.parametrize("shape", [(3, 2), ()], ids=["per_ray", "scalar"])
+    def test_ode_geometry_takes_one_radius_vector(self, shape, monkeypatch):
+        """Radii with one row per ray, as symmetrize's crossings are, or a
+        bare scalar are refused with InvalidSpec before the table is read."""
+        ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.7))
+        nc = build_normal_chart(
+            ch, np.array([0.3, 0.0, 0.0]), 0.5, rule=_rule(np.eye(3)),
+            r_samples=32,
+        )
+        reads = recorded(monkeypatch, nc, "_table")
+        with pytest.raises(InvalidSpec, match="one radius vector"):
+            nc.geometry(np.full(shape, 0.2), np.ones((3, 1, 3)))
+        assert reads == []
+
     def test_ode_matches_closed_form_off_center(self):
         """Shooting from a non-origin sphere point reproduces the
         center-independent density (sin r / r)^2 and inverse metric

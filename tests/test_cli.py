@@ -5,6 +5,7 @@ import json
 import pytest
 
 from curvex.cli import main
+from curvex.mu_solver import rm_bound_from_mu
 from oracles import recorded
 
 
@@ -80,6 +81,15 @@ halfwidth = 2.0
 a = 0.3 -0.1 0.05
 levels = 512
 order = 16
+"""
+
+MU_GAMMA_CFG = """
+[experiment]
+n = 3
+K = 1.0
+R = 1.0
+ts = 0.01 0.02
+gamma = 0.1
 """
 
 
@@ -202,6 +212,17 @@ class TestRuns:
         doc = json.loads((tmp_path / "mu.json").read_text())
         assert doc["result"]["all_converged"] is True
 
+    @pytest.mark.parametrize("q_line", ["", "Q = 3.5\n"], ids=["envelope", "Q"])
+    def test_mu_rm_bound(self, tmp_path, q_line):
+        """gamma reports MuBoundReport.rm_bound: Q when given, else the
+        envelope of -mu/t^2 (positive on the unit 3-sphere at these t)."""
+        cfg = _write(tmp_path, "c.ini", MU_GAMMA_CFG + q_line)
+        main(["mu", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"])
+        res = json.loads((tmp_path / "mu.json").read_text())["result"]
+        Q = res.get("Q", res["q_envelope"])
+        assert Q > 0 and res["gamma"] == 0.1
+        assert res["rm_bound"] == rm_bound_from_mu(Q, 0.1)
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -296,6 +317,13 @@ class TestExitCodes:
         assert code == 1
         assert line.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "moments_selftest.json").exists()
+
+    def test_gamma_out_of_range_is_1(self, tmp_path):
+        """|Rm|^2 <= Q / (1/6 - gamma) degenerates from gamma = 1/6 on."""
+        cfg = _write(tmp_path, "c.ini",
+                     MU_GAMMA_CFG.replace("gamma = 0.1", "gamma = 0.2"))
+        assert main(["mu", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "mu.json").exists()
 
     def test_unknown_experiment_rejected(self, tmp_path):
         cfg = _write(tmp_path, "c.ini", ISO_CFG)

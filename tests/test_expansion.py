@@ -87,8 +87,6 @@ class TestGrid:
     def test_guards(self):
         with pytest.raises(ConfigInvalid):
             make_tgrid(1e-3, points=3)
-        with pytest.raises(ConfigInvalid):
-            make_tgrid(1e-3, factor=1.5)
 
 
 class TestExtraction:

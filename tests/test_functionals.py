@@ -261,7 +261,7 @@ class TestMomentBridge:
         A = 0.5 * (A + A.T)
         w = GaussianWeight(n, t)
         G = lambda X: np.einsum("mi,ij,mj->m", X, A, X)
-        val, _ = gaussian_integral(n, t, G, QuadratureSpec(order=24), rule=rule)
+        val, _ = gaussian_integral(n, t, G, QuadratureSpec(rule=rule, order=24))
         assert val == pytest.approx(moment_quadratic(w, A), rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("rule", ["hermite", "radial_sphere"])
@@ -275,26 +275,17 @@ class TestMomentBridge:
             q = np.einsum("mi,mj,mk,ml,ijkl->m", X, X, X, X, lam)
             return q * np.einsum("mi,mi->m", X, X) / t
 
-        val, _ = gaussian_integral(n, t, G, QuadratureSpec(order=24), rule=rule)
+        val, _ = gaussian_integral(n, t, G, QuadratureSpec(rule=rule, order=24))
         assert val == pytest.approx(
             moment_quartic(w, lam, weighted=True), rel=1e-11
         )
-
-    def test_mc_rule_statistical(self):
-        n, t = 5, 0.02
-        A = np.eye(n)
-        w = GaussianWeight(n, t)
-        q = QuadratureSpec(order=16, mc_samples=200_000, seed=3)
-        G = lambda X: np.einsum("mi,ij,mj->m", X, A, X)
-        val, err = gaussian_integral(n, t, G, q, rule="mc")
-        assert val == pytest.approx(moment_quadratic(w, A), rel=0.02)
 
     @pytest.mark.parametrize("rule,runs", [("radial_sphere", "radial_sphere"),
                                            ("hermite", "hermite"),
                                            ("auto", "hermite")])
     def test_rule_from_quadrature_spec(self, rule, runs, monkeypatch):
-        """With no rule argument gaussian_integral runs quad.rule; 'auto'
-        keeps the default by n (hermite for n <= 4)."""
+        """gaussian_integral runs quad.rule; 'auto' keeps the default by n
+        (hermite for n <= 4)."""
         import curvex.functionals as F
 
         calls = recorded(monkeypatch, F, "_nodes")
@@ -683,7 +674,7 @@ class TestGuards:
         (order^5 nodes, 1e8 at the default order) before building it."""
         G = lambda X: np.ones(X.shape[0])
         with pytest.raises(ConfigInvalid, match="n <= 4"):
-            gaussian_integral(5, 0.01, G, QuadratureSpec(), rule="hermite")
+            gaussian_integral(5, 0.01, G, QuadratureSpec(rule="hermite"))
         ch = make_chart(ModelSpec("space_form", 5, K=1.0))
         nc = build_normal_chart(ch, np.zeros(5), 0.5)
         tf = TestFunction(nc, np.zeros((5, 5)), 0.0, 0.5)
@@ -691,13 +682,13 @@ class TestGuards:
             eval_L(tf, 1e-4, QuadratureSpec(rule="hermite"))
 
     @pytest.mark.parametrize(
-        "kw", [{"rule": "mc"}, {"mc_samples": 1}, {"mc_samples": 0},
-               {"mc_samples": -5}],
-        ids=["mc_rule", "one_sample", "no_samples", "negative_samples"],
+        "kw", [{"rule": "mc"}, {"order": 7}, {"c_trunc": 3.0}],
+        ids=["mc_rule", "order_below_8", "c_trunc_3"],
     )
     def test_bad_quadrature_spec(self, kw):
-        """Monte Carlo is not a rule of the series path, and the explicit
-        gaussian_integral opt-in needs a draw for its error estimate."""
+        """Monte Carlo is not a quadrature rule; the error estimate runs at
+        order - 6, and a truncation radius of 3 cuts the Gaussian too
+        early."""
         with pytest.raises(ConfigInvalid):
             QuadratureSpec(**kw)
 

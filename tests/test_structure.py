@@ -2,7 +2,7 @@
 in curvex._numerics alone (composite_gauss_legendre serves every
 piecewise radial rule), and the normal chart's geometry is read by the one
 ray evaluator, TestFunction.on_rays, so a second implementation cannot
-creep back unnoticed."""
+creep back unnoticed; no quadrature draws random nodes."""
 
 import ast
 from pathlib import Path
@@ -38,3 +38,14 @@ def test_gauss_legendre_is_built_in_numerics_alone():
 
 def test_geometry_is_read_by_the_ray_evaluator_alone():
     assert _callers("geometry") == [("functionals.py", "TestFunction.on_rays")]
+
+
+def test_random_draws_stay_out_of_the_quadrature():
+    """Every rule is deterministic: the only random generators seed the
+    positive-definiteness probe, the rigidity sample points and the CLI's
+    moment self-test matrices."""
+    assert sorted(_callers("default_rng")) == [
+        ("charts.py", "_check_positive_definite"),
+        ("cli.py", "_moments_selftest"),
+        ("rigidity.py", "_sample_points"),
+    ]

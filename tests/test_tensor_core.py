@@ -3,17 +3,15 @@ import pytest
 
 from curvex.errors import DimensionTooSmall, InvalidSpec, MissingField
 from curvex.tensor_core import (
-    AlgebraicCurvature,
     CurvatureData,
-    Sym2,
     e_functional,
     kulkarni_nomizu,
     norm_sq,
     space_form_curvature,
-    sym2_outer,
     v_tensor,
     weyl_decompose,
 )
+from oracles import curvature_symmetry_violations
 
 
 def random_sym(rng, n):
@@ -33,25 +31,14 @@ def random_curvature(rng, n, with_weyl=True):
     return rm
 
 
-class TestSym2:
-    def test_symmetrizes_small_noise(self):
-        a = np.eye(3)
-        a[0, 1] = 1e-14
-        s = Sym2(3, a)
-        assert np.allclose(s.entries, s.entries.T)
-
-    def test_rejects_asymmetric(self):
-        a = np.eye(3)
-        a[0, 1] = 0.5
-        with pytest.raises(InvalidSpec):
-            Sym2(3, a)
-
-
 class TestAlgebraicCurvature:
+    """The symmetry oracle accepts Kulkarni-Nomizu products and names the
+    identity a broken tensor fails."""
+
     def test_accepts_kn_product(self):
         rng = np.random.default_rng(3)
         rm = kulkarni_nomizu(random_sym(rng, 4), random_sym(rng, 4))
-        AlgebraicCurvature(4, rm)
+        assert curvature_symmetry_violations(rm) == {}
 
     def test_rejects_broken_bianchi(self):
         # a Levi-Civita component keeps both antisymmetries and pair
@@ -65,16 +52,26 @@ class TestAlgebraicCurvature:
         for p in permutations(range(4)):
             sgn = np.linalg.det(np.eye(4)[list(p)])
             eps[p] = sgn
-        with pytest.raises(InvalidSpec):
-            AlgebraicCurvature(4, rm + 0.3 * eps)
+        assert set(curvature_symmetry_violations(rm + 0.3 * eps)) == {
+            "first Bianchi"}
 
     def test_rejects_broken_antisymmetry(self):
         rng = np.random.default_rng(14)
         rm = kulkarni_nomizu(random_sym(rng, 3), random_sym(rng, 3))
         bad = rm.copy()
         bad[0, 0, 1, 2] += 1.0
-        with pytest.raises(InvalidSpec):
-            AlgebraicCurvature(3, bad)
+        assert "antisymmetry (0,1)" in curvature_symmetry_violations(bad)
+
+    def test_rejects_broken_pair_exchange(self):
+        # A_ij B_kl with A, B antisymmetric keeps both antisymmetries but
+        # not the exchange of the pairs
+        rng = np.random.default_rng(15)
+        A, B = (rng.normal(size=(3, 3)) for _ in range(2))
+        A, B = A - A.T, B - B.T
+        bad = np.einsum("ij,kl->ijkl", A, B)
+        found = curvature_symmetry_violations(bad)
+        assert "pair exchange" in found
+        assert not {"antisymmetry (0,1)", "antisymmetry (2,3)"} & set(found)
 
 
 class TestSpaceForm:
@@ -246,11 +243,3 @@ class TestCurvatureData:
                 n=3, rm=c.rm, rc=c.rc + 0.5 * np.eye(3), sc=c.sc,
                 grad_sc=np.zeros(3), lap_sc=0.0,
             )
-
-    def test_sym2_outer(self):
-        a = np.eye(2)
-        b = np.array([[0.0, 1.0], [1.0, 2.0]])
-        s = sym2_outer(a, b)
-        assert s.shape == (2, 2, 2, 2)
-        assert s[0, 0, 1, 1] == pytest.approx(2.0)
-        assert s[0, 1, 1, 1] == pytest.approx(0.0)
