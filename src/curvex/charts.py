@@ -25,13 +25,18 @@ space forms centered at the chart origin use closed forms in the geodesic
 radius alone; everything else ('ode' charts) integrates the geodesic
 equation together with its variational (Jacobi) system along a fixed bundle
 of rays, since that is the shape the radial-spherical quadrature consumes.
-make_chart marks the charts whose metric and box are even in each
-coordinate about the origin (MetricChart.mirror_even: the direct sums of
-space forms, and conformal charts whose profile is a RadialProfile).  At
-that origin the geodesic along a mirrored direction is the mirrored
-geodesic, so the bundle may be folded onto the orthant of its rule, whose
-weights count the mirror images: 72 rays instead of 512 at n = 3 and order
-16.  An 'ode' chart keeps one radius-major table, built once at the sample
+make_chart marks each chart with one ordered symmetry of its metric about
+the origin of its cube box (MetricChart.symmetry, a Symmetry: NONE <
+MIRROR < ROTATION).  A single space-form block (flat, space_form) and a
+conformal chart whose profile is a RadialProfile are rotation invariant,
+a direct sum of several blocks (product_sphere_line) only even in each
+coordinate, and a plain-callable profile or a hand-built chart carry no
+mark.  At that origin the geodesic along a mirrored or rotated direction
+is the mirrored or rotated geodesic, so the bundle may be folded, its
+weights counting the rays each ray stands for: onto the orthant of its
+rule on a mirror-even chart (72 rays instead of 512 at n = 3 and order
+16), onto one ray carrying the whole sphere area on a rotation-invariant
+one.  An 'ode' chart keeps one radius-major table, built once at the sample
 radii, a block of radii at a time, with cofactor determinants and inverses
 for n <= 3.  Per ray it holds the density and, in an orthonormal basis B_d
 of the plane orthogonal to the ray d, the n(n-1)/2 upper entries of
@@ -52,12 +57,14 @@ volumes, sphere areas and the radius of a given volume all come from a
 third call, NormalChart.shell(r), the area of the geodesic sphere.  An
 'ode' chart carries the weights of the sphere rule its rays came from, so
 that area is a weighted sum over the bundle of the density column of its
-one table spline, folded or not (the density is even on a folded one).
+one table spline, folded or not (the density is even on an orthant
+bundle, the same on every ray of a one-ray one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import IntEnum
 from math import factorial
 from typing import Callable
 
@@ -79,6 +86,7 @@ from .tensor_core import MAX_DIM, CurvatureData, space_form_curvature
 
 __all__ = [
     "Box",
+    "Symmetry",
     "Perturbation",
     "ModelSpec",
     "MetricChart",
@@ -87,6 +95,7 @@ __all__ = [
     "curvature_at",
     "scalar_curvature_batch",
     "closed_form_center",
+    "center_symmetry",
     "build_normal_chart",
     "density_series",
     "DensitySeries",
@@ -118,6 +127,22 @@ class Box:
     def boundary_distance(self, x) -> float:
         x = np.asarray(x, dtype=float)
         return float(min((x - self.lo).min(), (self.hi - x).min()))
+
+
+class Symmetry(IntEnum):
+    """The symmetry of a geometry about a centre, ordered: NONE < MIRROR
+    (every coordinate reflection) < ROTATION (every rotation).  It is how
+    far a radial rule's rays may fold (`fold`): onto the orthant of the
+    sphere rule for MIRROR, onto one ray for ROTATION."""
+
+    NONE = 0
+    MIRROR = 1
+    ROTATION = 2
+
+    @property
+    def fold(self) -> str:
+        """The fold's name in run records: none, orthant or radial."""
+        return ("none", "orthant", "radial")[self]
 
 
 class RadialProfile:
@@ -192,19 +217,21 @@ class MetricChart:
     K: float = 0.0
     curvature: CurvatureData | None = None  # constant, on homogeneous charts
     christoffel: Callable | None = field(default=None, repr=False)
-    # set by make_chart alone; see mirror_even
-    _mirror_even: bool = field(default=False, init=False, repr=False)
+    # set by make_chart alone; see symmetry
+    _symmetry: Symmetry = field(default=Symmetry.NONE, init=False, repr=False)
 
     def __post_init__(self):
         if self.christoffel is None:
             self.christoffel = _JetEngine(self).gamma
 
     @property
-    def mirror_even(self) -> bool:
-        """Whether g(S x) = S g(x) S for every coordinate reflection S on a
-        box symmetric about the origin, so that a normal chart there may
-        shoot the orthant of its ray bundle alone (build_normal_chart)."""
-        return self._mirror_even
+    def symmetry(self) -> Symmetry:
+        """The symmetry of the metric about the origin of a box symmetric
+        about it: MIRROR when g(S x) = S g(x) S for every coordinate
+        reflection S, ROTATION when g(R x) = R g(x) R^T for every rotation
+        R.  A normal chart at the origin may shoot the matching fold of its
+        ray bundle alone (build_normal_chart)."""
+        return self._symmetry
 
     @property
     def christoffel_route(self) -> str:
@@ -344,9 +371,13 @@ def make_chart(spec: ModelSpec) -> MetricChart:
         raise InvalidSpec(f"unknown chart kind {spec.kind!r}")
 
     _check_positive_definite(chart)
-    # the space-form blocks depend on |x_b| alone and a RadialProfile on
-    # |x|, and the box is a cube about the origin
-    chart._mirror_even = blocks is not None or isinstance(pert.profile, RadialProfile)
+    # one space-form block and a RadialProfile are rotation invariant about
+    # the origin, a direct sum of blocks only mirror even (each block on its
+    # own coordinates), and the box is a cube about the origin
+    if blocks is not None:
+        chart._symmetry = Symmetry.ROTATION if len(blocks) == 1 else Symmetry.MIRROR
+    elif isinstance(pert.profile, RadialProfile):
+        chart._symmetry = Symmetry.ROTATION
     return chart
 
 
@@ -820,7 +851,10 @@ class NormalChart:
         self.n = chart.n
         self.dirs = None  # ray directions (nd, n) of an ode chart
         self.weights = None  # their sphere-rule weights (nd,), summing to the area
-        self.folded = False  # the bundle is the orthant of its rule (ode)
+        # how far the nodes fold: rotation on the closed forms, which depend
+        # on the radius alone; on an ode chart the fold its bundle was shot
+        # at (build_normal_chart), which pins it
+        self.symmetry = Symmetry.NONE if kind == "ode" else Symmetry.ROTATION
         self.nfev = 0  # right-hand-side calls of the geodesic shooting (ode)
         self.gauss_residual = None  # largest |g~^{-1} y - y| in the table (ode)
         self._basis = None  # orthonormal bases B_d (nd, n, n-1) of d^perp (ode)
@@ -829,12 +863,6 @@ class NormalChart:
         self._table = None
         self._sc_pts = None  # exp points (_SC_RADII, nd, n) on the Sc grid
         self._sc_spline = None
-
-    @property
-    def mirror_even(self) -> bool:
-        """Whether mirror nodes see the same geometry: on the closed forms,
-        which depend on the radius alone, and on a folded ode chart."""
-        return self.kind != "ode" or self.folded
 
     def geometry(self, r, w):
         """(density, w.g~^{-1}w) at x = r d for covectors w orthogonal to d.
@@ -1022,6 +1050,15 @@ def closed_form_center(chart: MetricChart, p) -> bool:
     )
 
 
+def center_symmetry(chart: MetricChart, p) -> Symmetry:
+    """The symmetry of the geometry about p: rotation at a closed-form
+    centre, the chart's mark (MetricChart.symmetry) at its exact origin,
+    none elsewhere."""
+    if closed_form_center(chart, p):
+        return Symmetry.ROTATION
+    return Symmetry.NONE if np.any(p) else chart.symmetry
+
+
 def build_normal_chart(
     chart: MetricChart,
     p,
@@ -1029,7 +1066,7 @@ def build_normal_chart(
     rule=None,
     r_samples: int = 384,
     rtol: float = 1e-10,
-    fold: bool = False,
+    fold: Symmetry | bool = Symmetry.NONE,
 ) -> NormalChart:
     """Normal coordinates of radius r0 at p.
 
@@ -1039,18 +1076,23 @@ def build_normal_chart(
     them in every dimension, at most 2^15 directions): it shoots geodesics
     along the directions, tabulates the density and the tangential block of
     the inverse pulled-back metric along each ray and keeps the weights for
-    its sphere areas.  fold says that the rule covers the orthant alone
-    (`sphere_rule(n, order, fold=True)`), its weights counting the mirror
-    images of each ray; that needs p at the origin of a mirror-even chart
-    (MetricChart.mirror_even), where those images are the geodesics shot
-    along the mirrored directions, and raises InvalidSpec elsewhere.
+    its sphere areas.  fold says how far the rule is folded, its weights
+    counting the rays each ray stands for: Symmetry.MIRROR (or True) for
+    the orthant of a sphere rule (`sphere_rule(n, order, fold=True)`),
+    Symmetry.ROTATION for one ray carrying the whole sphere area
+    (`functionals.ray_bundle`).  It needs p at the origin of a chart of at
+    least that symmetry (center_symmetry), where the rays left out are the
+    mirrored or rotated images of the geodesics shot, and raises
+    InvalidSpec elsewhere.  The one ray lies along a coordinate axis,
+    where the cube box is nearest, so its domain check covers every ray
+    it stands for.
 
     Two checks guard the tables: det(J/r) changing sign on some ray raises
     JacobianSingular (a conjugate point of even multiplicity, where det J
     only touches zero, as off-centre on S^3, is not seen; on the catalog
     charts the domain check stops such geodesics first), and a Gauss-lemma
     residual |g~^{-1} y - y| above 1e-8 raises QuadratureNotConverged;
-    the mirror rays of a folded bundle are reflections of rays checked.
+    the rays a folded bundle leaves out are images of rays checked.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (chart.n,):
@@ -1072,12 +1114,14 @@ def build_normal_chart(
 
     if rule is None:
         raise InvalidSpec("generic normal charts need a sphere rule")
-    if fold and not (chart.mirror_even and not np.any(p)):
+    fold = Symmetry(fold)
+    if fold > center_symmetry(chart, p):
         raise InvalidSpec(
-            "a folded bundle needs the origin of a mirror-even chart"
+            f"a bundle with the {fold.fold} fold needs the origin of a chart "
+            f"with {fold.name.lower()} symmetry"
         )
     nc = _ode_normal_chart(chart, p, r0, rule, r_samples, rtol)
-    nc.folded = fold
+    nc.symmetry = fold
     return nc
 
 

@@ -22,18 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._spaceform import omega_n
-from .charts import MetricChart, build_normal_chart, closed_form_center, curvature_at
+from .charts import (MetricChart, build_normal_chart, center_symmetry,
+                     closed_form_center, curvature_at)
 from .errors import ConfigInvalid, IllConditionedFit, NoiseDominates
 from .functionals import (
     QuadratureSpec,
     build_test_function,
     eval_L_normalized,
     eval_W_normalized,
-    is_diagonal,
+    fold_level,
     profile_matrix,
     ray_bundle,
     resolve_rule,
-    sphere_rule,
 )
 from .tensor_core import CurvatureData, norm_sq
 
@@ -210,17 +210,18 @@ def prepare_normal_chart(chart: MetricChart, p, r_s: float, quad: QuadratureSpec
     """Normal chart at p of radius r_s; an ode chart is shot along the
     radial-spherical rule of quad, so the two stay aligned.
 
-    At the origin of a mirror-even chart the rule is folded onto the
-    orthant (72 rays instead of 512 at n = 3, order 16) unless a, the
-    test function's profile matrix, has off-diagonal entries; a = None
-    stands for no test function (volumes, shells, probes)."""
+    The rule folds as far as a, the test function's profile matrix, and
+    the chart's symmetry about p allow (functionals.fold_level): at the
+    origin of a rotation-invariant chart one ray for a = lambda I, the
+    orthant (72 rays instead of 512 at n = 3, order 16) for a diagonal a
+    or on a mirror-even chart, the full rule otherwise.  a = None stands
+    for no test function (volumes, shells, probes)."""
     p = np.asarray(p, dtype=float)
     if closed_form_center(chart, p):
         return build_normal_chart(chart, p, r_s)
-    fold = (chart.mirror_even and not np.any(p)
-            and (a is None or is_diagonal(a)))
+    fold = fold_level(a, center_symmetry(chart, p))
     return build_normal_chart(chart, p, r_s, fold=fold,
-                              rule=sphere_rule(chart.n, quad.order, fold))
+                              rule=ray_bundle(chart.n, quad.order, fold))
 
 
 @dataclass
@@ -288,7 +289,7 @@ def run_expansion(
             "alpha": tf.alpha,
             "r_s": r_s,
             "rule": rule,
-            "fold": fold,
+            "fold": fold.fold,
             "order": quad.order,
             "nodes": nodes,
             "normal_chart": nc.kind,

@@ -31,19 +31,27 @@ W-functional adds t times the Sc integral; it alone reads Sc
 (NormalChart.scalar), which on an ode chart costs curvature evaluations
 at every exp point of its Sc grid.
 
-When a has no off-diagonal entries and the normal chart's geometry is
-even in every coordinate (NormalChart.mirror_even) the integrand is too,
-so the nodes are folded onto the orthant z >= 0 (resolve_rule).  The
-closed forms (flat, or a space form at its origin) always are; an ode
-chart is when its bundle was folded, shot at the origin of a mirror-even
-chart (charts.MetricChart.mirror_even).  Both product rules fold each
-1-D factor by node index (_half_rule): the Hermite grid goes from order^n
-nodes to ceil(order/2)^n, with doubled weights off the zero node, and the
-2 o^(n-1) directions on S^(n-1) of the sphere rule become ceil(o/2)^(n-2)
-(floor(o/2) + 1).  A non-diagonal a, an ode chart shot along the full
-rule (off the origin, or on a chart without the mirror symmetry) and
-gaussian_integral with its arbitrary G keep the full rule; a non-diagonal
-a on a folded bundle is refused.
+The nodes fold as far as a and the normal chart's symmetry about the
+centre (NormalChart.symmetry) allow; one function, fold_level, decides,
+for the nodes (resolve_rule) and for the bundle an ode chart is shot
+along.  When a has no off-diagonal entries and the geometry is even in
+every coordinate the integrand is too, so the nodes fold onto the orthant
+z >= 0.  Both product rules fold each 1-D factor by node index
+(_half_rule): the Hermite grid goes from order^n nodes to ceil(order/2)^n,
+with doubled weights off the zero node, and the 2 o^(n-1) directions on
+S^(n-1) of the sphere rule become ceil(o/2)^(n-2) (floor(o/2) + 1).  When
+a is exactly lambda I and the geometry is rotation invariant, q = d.a.d
+= lambda and w = 0 on every ray and the density depends on r alone, so
+every ray of the sphere rule carries the same values: its rays fold onto
+one, e_1, weighted by the sphere's area (the rule integrates constants
+exactly, so the sum is the same quadrature).  The Hermite grid keeps its
+orthant fold there.  The closed forms (flat, or a space form at its
+origin) are rotation invariant; an ode chart holds the fold its bundle
+was shot with (at the origin of a chart marked charts.Symmetry.MIRROR or
+ROTATION, charts.MetricChart.symmetry).  A non-diagonal a, an ode chart
+shot along the full rule (off the origin, or on a chart without a mark)
+and gaussian_integral with its arbitrary G keep the full rule; an a that
+allows less than a folded bundle holds is refused.
 """
 
 from __future__ import annotations
@@ -56,8 +64,8 @@ import numpy as np
 
 from ._numerics import (composite_gauss_legendre, gauss_gegenbauer, read_only,
                         shell_volume)
-from ._spaceform import ball_volume_K
-from .charts import NormalChart
+from ._spaceform import ball_volume_K, sphere_area_K
+from .charts import NormalChart, Symmetry
 from .errors import (
     ConfigInvalid,
     LevelSetDegenerate,
@@ -232,6 +240,37 @@ def is_diagonal(a) -> bool:
         np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)))
 
 
+def is_isotropic(a) -> bool:
+    """Whether a is square and exactly lambda I: then q = d.a.d = lambda
+    and w = a d - q d = 0 along every ray d, whatever its direction."""
+    a = np.asarray(a)
+    return a.ndim == 2 and a.shape[0] == a.shape[1] > 0 and bool(
+        np.array_equal(a, a[0, 0] * np.eye(len(a))))
+
+
+def fold_level(a, symmetry: Symmetry, pinned: bool = False) -> Symmetry:
+    """How far a radial rule's rays fold for the profile matrix a on a
+    geometry of the given symmetry about the centre: the one fold policy,
+    for the nodes (resolve_rule) and for the bundle an ode chart is shot
+    along (expansion.prepare_normal_chart).
+
+    An exactly isotropic a (is_isotropic) keeps every integrand radial, a
+    diagonal one even in every coordinate, any other neither; a = None,
+    no test function, keeps whatever the geometry has.  The fold is the
+    lower of that and symmetry.  pinned says the rays were shot at
+    symmetry already (an ode chart): an a that allows less raises
+    ConfigInvalid instead of integrating part of the sphere."""
+    allowed = (Symmetry.ROTATION if a is None or is_isotropic(a)
+               else Symmetry.MIRROR if is_diagonal(a) else Symmetry.NONE)
+    if pinned and allowed < symmetry:
+        raise ConfigInvalid(
+            f"this normal chart holds the {symmetry.fold} fold of its ray "
+            f"bundle, and a allows the {allowed.fold} fold at most; "
+            "prepare_normal_chart(..., a=a) shoots the bundle a needs"
+        )
+    return min(allowed, symmetry)
+
+
 def build_test_function(
     nchart: NormalChart,
     curv: CurvatureData | None = None,
@@ -371,28 +410,40 @@ def _radial_nodes(order: int, c: float, kinks=()):
     return composite_gauss_legendre(brk, order)
 
 
-def ray_bundle(n: int, order: int, fold: bool = False, nchart=None):
+@lru_cache(maxsize=8)
+def _one_ray(n: int):
+    """The radial fold of every sphere rule: the direction e_1 carrying
+    the whole area |S^{n-1}|, exact on the functions constant on the
+    sphere."""
+    return read_only(np.eye(1, n), np.array([sphere_area_K(n, 0.0, 1.0)]))
+
+
+def ray_bundle(n: int, order: int, fold: Symmetry = Symmetry.NONE, nchart=None):
     """Directions (nd, n) and weights (nd,) of a radial rule's rays: an
     ode nchart's own bundle, pinned when it was shot (order then refines
-    the radii alone), else sphere_rule(n, order, fold)."""
+    the radii alone), else the fold of sphere_rule(n, order): all of it,
+    its orthant (Symmetry.MIRROR) or one ray (Symmetry.ROTATION)."""
     if nchart is not None and nchart.kind == "ode":
         return nchart.dirs, nchart.weights
-    return sphere_rule(n, order, fold)
+    if fold == Symmetry.ROTATION:
+        return _one_ray(n)
+    return sphere_rule(n, order, fold == Symmetry.MIRROR)
 
 
-def _nodes(rule, n, order, c, kinks=(), fold=False, nchart=None):
+def _nodes(rule, n, order, c, kinks=(), fold=Symmetry.NONE, nchart=None):
     """Unit directions d, z-radii rho and weights of one rule; the weights
     carry the Gaussian factor and the pi^{-n/2} normalization.
 
     hermite lays m nodes out as d (m, n), rho (m,), weights (m,);
     radial_sphere as rays d (nd, 1, n) times radii rho (nr,) on [0, c]
-    split at the kinks, weights (nd, nr).  fold takes the hermite grid and
-    the radial_sphere directions on the orthant (see resolve_rule).  On an
-    ode nchart the rays are the chart's own bundle, folded or not."""
+    split at the kinks, weights (nd, nr).  Any fold takes the hermite grid
+    onto the orthant, and the radial_sphere directions onto ray_bundle's
+    fold (see resolve_rule).  On an ode nchart the rays are the chart's
+    own bundle, folded or not."""
     if rule == "hermite":
         if n > 4:  # order^n nodes: 1e8 at the default order and n = 5
             raise ConfigInvalid("product Hermite grids are limited to n <= 4")
-        return _hermite_nodes(n, order, fold)
+        return _hermite_nodes(n, order, fold != Symmetry.NONE)
     if rule != "radial_sphere":
         raise ConfigInvalid(f"unknown rule {rule!r}")
     rho, wr = _radial_nodes(order, c, kinks)
@@ -404,29 +455,25 @@ def _nodes(rule, n, order, c, kinks=(), fold=False, nchart=None):
 
 def resolve_rule(tf: TestFunction, quad: QuadratureSpec):
     """The rule quad runs on tf's chart ('auto' resolved to radial_sphere)
-    and whether its nodes fold onto the orthant.
+    and how far its nodes fold (a Symmetry).
 
-    A diagonal a makes every integrand even in each coordinate when the
-    normal chart is mirror-even (eta^2 and its gradient enter through
-    |x|^2, x.a.x and |a x|^2), so mirror nodes give identical values.  One
-    rule serves every chart: fold when a is diagonal and
-    NormalChart.mirror_even holds.  A closed-form chart always is, and
-    there the hermite grid and the radial_sphere product rule fold; an ode
-    chart is when its bundle is folded, and its nodes are that bundle.  A
-    folded bundle covers the orthant alone, so a non-diagonal a there
-    raises ConfigInvalid (prepare_normal_chart shoots the full bundle for
-    one)."""
+    eta^2 and its gradient enter through |x|^2, x.a.x and |a x|^2, so on a
+    geometry with the normal chart's symmetry (NormalChart.symmetry) a
+    diagonal a gives mirror nodes identical values and a = lambda I every
+    node at one radius: fold_level decides.  A closed-form chart is
+    rotation invariant; there the radial_sphere rule folds to what a
+    allows and the hermite grid onto the orthant at most.  An ode chart's
+    nodes are its bundle, pinned at the fold it was shot with, so an a
+    that allows less raises ConfigInvalid (prepare_normal_chart shoots the
+    bundle a needs)."""
     nc = tf.nchart
     rule = "radial_sphere" if quad.rule == "auto" else quad.rule
     if nc.kind == "ode" and rule != "radial_sphere":
         raise ConfigInvalid("ode normal charts support only the radial_sphere rule")
-    diagonal = is_diagonal(tf.a)
-    if nc.folded and not diagonal:
-        raise ConfigInvalid(
-            "a non-diagonal a needs the full ray bundle; this normal chart "
-            "holds the orthant alone"
-        )
-    return rule, diagonal and nc.mirror_even
+    fold = fold_level(tf.a, nc.symmetry, pinned=nc.kind == "ode")
+    if rule == "hermite":
+        fold = min(fold, Symmetry.MIRROR)
+    return rule, fold
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +502,7 @@ def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int,
     beta^2 w.g~^{-1}w)."""
     nc = tf.nchart
     n = nc.n
-    # folded onto the orthant for a diagonal a on a mirror-even chart
+    # folded onto the orthant for a diagonal a, onto one ray for lambda I
     rule, fold = resolve_rule(tf, quad)
     s2t = 2.0 * np.sqrt(t)
     dirs, rho, wts = _nodes(

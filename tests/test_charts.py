@@ -25,6 +25,7 @@ from curvex.charts import (
     PROFILES,
     Box,
     MetricChart,
+    Symmetry,
     _GenericCurvature,
     _JetEngine,
     _det,
@@ -664,10 +665,12 @@ _MIRROR_EVEN = (
 
 
 class TestMirrorEven:
-    """make_chart marks the charts whose metric is even in each coordinate
-    about the origin (MetricChart.mirror_even), the condition for shooting
-    a folded ray bundle there.  The oracle is the metric map itself:
-    g(S x) = S g(x) S for every coordinate reflection S."""
+    """make_chart marks the symmetry of each chart's metric about the
+    origin (MetricChart.symmetry), the condition for shooting a folded ray
+    bundle there: MIRROR when it is even in each coordinate, ROTATION when
+    it is rotation invariant too.  The oracle is the metric map itself:
+    g(S x) = S g(x) S for every coordinate reflection S, and g(R x) =
+    R g(x) R^T for rotations R."""
 
     @staticmethod
     def _mirror_defect(ch, samples=200):
@@ -691,28 +694,61 @@ class TestMirrorEven:
     )
     def test_marked_charts_are_even(self, spec):
         ch = make_chart(spec)
-        assert ch.mirror_even
+        assert ch.symmetry >= Symmetry.MIRROR
         assert np.array_equal(ch.domain.lo, -ch.domain.hi)
         assert self._mirror_defect(ch) <= 1e-15
+
+    @staticmethod
+    def _rotation_defect(ch, samples=200):
+        """Largest |g(R x) - R g(x) R^T| over random rotations R at random
+        points of the box's inscribed ball, relative to the largest |g|."""
+        rng = np.random.default_rng(19)
+        hw = float(ch.domain.hi[0])
+        X = rng.normal(size=(samples, ch.n))
+        X *= hw * rng.uniform(0.0, 1.0, (samples, 1)) / np.linalg.norm(
+            X, axis=1, keepdims=True)
+        g = ch.metric(X)
+        worst = 0.0
+        for _ in range(4):
+            R = np.linalg.qr(rng.normal(size=(ch.n, ch.n)))[0]
+            gR = ch.metric(X @ R.T)
+            worst = max(worst, float(np.abs(gR - R @ g @ R.T).max()))
+        return worst / float(np.abs(g).max())
+
+    @pytest.mark.parametrize(
+        "spec", _MIRROR_EVEN,
+        ids=lambda s: f"{s.kind}-n{s.n}-K{s.K:+.0f}"
+        + (f"-{s.perturbation.name}" if s.perturbation else ""),
+    )
+    def test_rotation_marks(self, spec):
+        """One space-form block or a radial profile is marked rotation
+        invariant; the sphere-line products are not, and only mirror even."""
+        ch = make_chart(spec)
+        if spec.kind == "product_sphere_line":
+            assert ch.symmetry == Symmetry.MIRROR
+            assert self._rotation_defect(ch) > 1e-2
+        else:
+            assert ch.symmetry == Symmetry.ROTATION
+            assert self._rotation_defect(ch) <= 1e-14
 
     def test_unmarked_charts(self):
         """A plain-callable profile carries no symmetry make_chart can
         read, radial or not, and a hand-built MetricChart none either.  The
         non-radial profile is indeed not even."""
         skew = _conformal(lambda X: X[:, 0] + X[:, 1] ** 2, eps=0.2)
-        assert not skew.mirror_even
+        assert skew.symmetry == Symmetry.NONE
         assert self._mirror_defect(skew) > 1e-2
-        assert not _conformal(_plain("quartic_bump")).mirror_even
+        assert _conformal(_plain("quartic_bump")).symmetry == Symmetry.NONE
         cat = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
-        assert not MetricChart(3, cat.domain, cat.metric).mirror_even
+        assert MetricChart(3, cat.domain, cat.metric).symmetry == Symmetry.NONE
         with pytest.raises(AttributeError):
-            cat.mirror_even = False
+            cat.symmetry = Symmetry.NONE
 
     def test_fold_needs_the_origin_of_a_marked_chart(self, conformal_chart):
         rule = sphere_rule(3, 8, True)
         nc = build_normal_chart(conformal_chart, np.zeros(3), 0.5, rule=rule,
                                 fold=True, r_samples=32)
-        assert nc.folded and nc.mirror_even
+        assert nc.symmetry == Symmetry.MIRROR
         with pytest.raises(InvalidSpec):
             build_normal_chart(conformal_chart, np.array([0.1, 0.0, 0.0]),
                                0.5, rule=rule, fold=True, r_samples=32)
@@ -721,9 +757,18 @@ class TestMirrorEven:
             build_normal_chart(MetricChart(3, cat.domain, cat.metric),
                                np.zeros(3), 0.5, rule=rule, fold=True,
                                r_samples=32)
+        # one ray needs a rotation-invariant centre: the radial profile's
+        # origin, not the mirror-even product's
+        ray = (np.eye(1, 3), np.array([4.0 * np.pi]))
+        one = build_normal_chart(conformal_chart, np.zeros(3), 0.5, rule=ray,
+                                 fold=Symmetry.ROTATION, r_samples=32)
+        assert one.symmetry == Symmetry.ROTATION and one.dirs.shape == (1, 3)
+        with pytest.raises(InvalidSpec):
+            build_normal_chart(cat, np.zeros(3), 0.5, rule=ray,
+                               fold=Symmetry.ROTATION, r_samples=32)
         full = build_normal_chart(conformal_chart, np.zeros(3), 0.5,
                                   rule=sphere_rule(3, 8), r_samples=32)
-        assert not full.folded and not full.mirror_even
+        assert full.symmetry == Symmetry.NONE
 
 
 class TestDetInv:

@@ -170,9 +170,10 @@ class TestRuns:
         doc = json.loads((tmp_path / "expand_L.json").read_text())
         assert abs(doc["result"]["fitted"]["c1"]) < 1e-5
         assert doc["result"]["meta"]["normal_chart"] == "flat"
-        # a = Rc/3 = 0 is diagonal on the closed-form flat chart
+        # a = Rc/3 = 0 is isotropic on the closed-form flat chart: one ray
         assert doc["result"]["meta"]["rule"] == "radial_sphere"
-        assert doc["result"]["meta"]["fold"] is True
+        assert doc["result"]["meta"]["fold"] == "radial"
+        assert doc["result"]["meta"]["rays"] == 1
         lines = (tmp_path / "expand_L.csv").read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "t"
         assert len(lines) == 7  # header + 6 time points
@@ -254,7 +255,7 @@ class TestDeterminism:
         # a diagonal a folds the order-16 S^2 rule onto the orthant: o/2
         # Legendre nodes u >= 0 times the o/2 + 1 azimuths 4k <= 2o
         o = 16
-        assert meta["fold"] is True
+        assert meta["fold"] == "orthant"
         assert meta["rays"] == (o // 2) * (o // 2 + 1)
         # Newton evaluations from the Gaussian crossing (5 measured)
         assert 2 <= meta["newton_steps"] <= 5

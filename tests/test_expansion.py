@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from curvex import ModelSpec, Perturbation, curvature_at, make_chart, norm_sq
-from curvex.charts import PROFILES, MetricChart, build_normal_chart
+from curvex.charts import PROFILES, MetricChart, Symmetry, build_normal_chart
 from curvex.errors import (
     ConfigInvalid,
     IllConditionedFit,
@@ -145,18 +145,16 @@ class TestRuns:
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=5e-2)
         assert res.meta["normal_chart"] == "space_form"
         assert "nfev" not in res.meta and "gauss_residual" not in res.meta
-        assert res.meta["rays"] == 12 * 13  # the folded order-24 rule
-        # orders 24 and 18: a = Rc/3 is diagonal, so the 2 o^2 directions
-        # fold onto the orthant, o/2 Legendre nodes u >= 0 times the
-        # o/2 + 1 azimuths 4k <= 2o, each times o radii per segment, with
-        # segments [0, 3], [3, 10] and a split at the inner cutoff kink
-        # r_s / (4 sqrt t) where it falls below the truncation radius 10
-        assert res.meta["rule"] == "radial_sphere" and res.meta["fold"] is True
+        # orders 24 and 18: a = Rc/3 = (2/3) I, so every integrand is
+        # radial and the 2 o^2 directions fold onto one ray, times o radii
+        # per segment, with segments [0, 3], [3, 10] and a split at the
+        # inner cutoff kink r_s / (4 sqrt t) where it falls below the
+        # truncation radius 10
+        assert res.meta["rays"] == 1
+        assert res.meta["rule"] == "radial_sphere" and res.meta["fold"] == "radial"
         segs = 2 + (1.7 / (4.0 * np.sqrt(res.ts)) < 10.0)
         assert segs.tolist() == [2] * 7 + [3] * 3
-        assert res.meta["nodes"] == sum(
-            o * (o // 2) * (o // 2 + 1) * int(k) for k in segs for o in (24, 18)
-        )
+        assert res.meta["nodes"] == sum(o * int(k) for k in segs for o in (24, 18))
 
     @pytest.mark.filterwarnings("ignore::curvex.errors.PositivityWarning")
     def test_hyperbolic_n2(self):
@@ -212,11 +210,13 @@ class TestRuns:
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=0.05)
         assert res.meta["normal_chart"] == "ode"
         assert res.meta["christoffel"] == "closed_form"
-        # a = Rc/3 is diagonal at the centre of a radial profile, so the
-        # bundle is shot on the orthant: 72 of the rule's 512 rays
-        assert res.meta["rule"] == "radial_sphere" and res.meta["fold"] is True
-        assert res.meta["rays"] == 72 and res.meta["nfev"] > 0
-        assert res.meta["nodes"] > 0 and res.meta["nodes"] % 72 == 0
+        # a = Rc/3 = -(2/15) I at the centre of a radial profile, so one
+        # ray of the rule's 512 is shot and stands for all of them
+        assert res.meta["rule"] == "radial_sphere" and res.meta["fold"] == "radial"
+        assert res.meta["rays"] == 1 and res.meta["nfev"] > 0
+        # orders 16 and 10 on 2 segments, 3 where r_s / (4 sqrt t) < 10
+        segs = 2 + (0.9 / (4.0 * np.sqrt(res.ts)) < 10.0)
+        assert res.meta["nodes"] == sum(o * int(k) for k in segs for o in (16, 10))
         assert 0 < res.meta["gauss_residual"] < 1e-9
 
     def test_sphere_line_ode_route(self):
@@ -243,8 +243,8 @@ class TestRuns:
         assert res.fit.c1 == pytest.approx(-2.0, rel=1e-3)
         assert res.meta["christoffel"] == "finite_difference"
         assert res.meta["normal_chart"] == "ode"
-        # a hand-built chart carries no mirror symmetry: the full bundle
-        assert not ch.mirror_even and res.meta["fold"] is False
+        # a hand-built chart carries no symmetry mark: the full bundle
+        assert ch.symmetry == Symmetry.NONE and res.meta["fold"] == "none"
         assert res.meta["rays"] == 512 and res.meta["nfev"] > 0
 
     def test_profile_mismatch_direction(self):
@@ -303,37 +303,47 @@ class TestHermiteFold:
 
 class TestRuleRecord:
     """meta["rule"] is the rule that ran, with 'auto' resolved, and
-    meta["fold"] says whether its nodes were folded onto the orthant."""
+    meta["fold"] names how far its nodes were folded: none, onto the
+    orthant, or onto one ray (radial).  The Hermite grid folds onto the
+    orthant at most."""
 
     A_OFF = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05], [0.0, -0.05, 0.1]])
 
     @pytest.mark.parametrize(
-        "n,kind,mode,quad,rule,fold",
+        "n,kind,mode,quad,rule,fold,rays",
         [
             (4, "space_form", "optimal_a", QuadratureSpec(order=16),
-             "radial_sphere", True),
+             "radial_sphere", "radial", 1),
             (3, "space_form", A_OFF, QuadratureSpec(order=16),
-             "radial_sphere", False),
+             "radial_sphere", "none", 2 * 16**2),
             (3, "space_form", "optimal_a",
-             QuadratureSpec(rule="hermite", order=16), "hermite", True),
+             QuadratureSpec(rule="hermite", order=16), "hermite", "orthant",
+             None),
             (5, "flat", "zero", QuadratureSpec(order=8), "radial_sphere",
-             True),
+             "radial", 1),
+            (3, "space_form", np.diag([0.3, -0.1, 0.05]),
+             QuadratureSpec(order=16), "radial_sphere", "orthant", 8 * 9),
         ],
-        ids=["auto-folded", "auto-off-diagonal", "hermite", "auto-n5"],
+        ids=["auto-folded", "auto-off-diagonal", "hermite", "auto-n5",
+             "auto-orthant"],
     )
-    def test_resolved_rule_and_fold(self, n, kind, mode, quad, rule, fold):
+    def test_resolved_rule_and_fold(self, n, kind, mode, quad, rule, fold,
+                                    rays):
         ch = make_chart(ModelSpec(kind, n, K=float(kind == "space_form")))
         res = run_expansion(ch, np.zeros(n), functional="W", mode=mode,
                             r_s=1.0, quad=quad)
         assert res.meta["rule"] == rule
-        assert res.meta["fold"] is fold
+        assert res.meta["fold"] == fold
+        assert res.meta.get("rays") == rays
 
 
 class TestOdeFold:
-    """At the centre of the c06 conformal chart the ode bundle is folded
-    for a diagonal a and shot in full for any other."""
+    """At the centre of the c06 conformal chart the ode bundle is one ray
+    for a = lambda I, the orthant for another diagonal a, and shot in full
+    for any other."""
 
     A_OFF = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05], [0.0, -0.05, 0.1]])
+    A_DIAG = np.diag([0.3, -0.1, 0.05])
     QUAD = QuadratureSpec(rule="radial_sphere", order=16)
 
     @pytest.fixture(scope="class")
@@ -350,7 +360,7 @@ class TestOdeFold:
         ch, cv = c06
         res = run_expansion(ch, np.zeros(3), "L", mode=self.A_OFF, r_s=0.9,
                             quad=self.QUAD, curv=cv, t_points=4)
-        assert res.meta["fold"] is False and res.meta["rays"] == 512
+        assert res.meta["fold"] == "none" and res.meta["rays"] == 512
         nc = build_normal_chart(ch, np.zeros(3), 0.9, rule=sphere_rule(3, 16))
         tf = build_test_function(nc, cv, mode=self.A_OFF, r_s=0.9)
         want = [eval_L_normalized(tf, float(t), self.QUAD)[0] for t in res.ts]
@@ -358,37 +368,46 @@ class TestOdeFold:
 
     def test_folded_bundle_refuses_non_diagonal_a(self, c06):
         ch, cv = c06
-        nc = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD)
-        assert nc.folded and nc.dirs.shape[0] == 72
+        nc = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD, a=self.A_DIAG)
+        assert nc.symmetry == Symmetry.MIRROR and nc.dirs.shape[0] == 72
         tf = build_test_function(nc, cv, mode=self.A_OFF, r_s=0.9)
         with pytest.raises(ConfigInvalid):
             eval_L_normalized(tf, 1e-3, self.QUAD)
-        # a diagonal a runs on it, and off the centre nothing folds
-        eval_L_normalized(build_test_function(nc, cv, r_s=0.9), 1e-3, self.QUAD)
+        # a diagonal a runs on it, lambda I too, and off the centre
+        # nothing folds
+        for mode in (self.A_DIAG, "optimal_a"):
+            tf = build_test_function(nc, cv, mode=mode, r_s=0.9)
+            eval_L_normalized(tf, 1e-3, self.QUAD)
         off = prepare_normal_chart(ch, np.array([0.1, 0.0, 0.0]), 0.5,
                                    QuadratureSpec(rule="radial_sphere", order=8))
-        assert not off.folded and off.dirs.shape[0] == 128
+        assert off.symmetry == Symmetry.NONE and off.dirs.shape[0] == 128
 
 
 class TestEveryDimension:
     """The default QuadratureSpec (auto, order 40) runs the product sphere
-    rule in every dimension; above n = 4 it is cut to 2^15 directions."""
+    rule in every dimension; above n = 4 it is cut to 2^15 directions.
+    a = Rc/3 = lambda I folds it onto one ray; a diagonal a with unequal
+    entries (the S5 and H6 orthant cases) keeps its orthant."""
 
     @pytest.mark.parametrize(
-        "n,K,rays",
+        "n,K,shift,rays",
         # folded polar orders 11 (n = 5) and 6 (n = 6): ceil(o/2)^(n-2)
         # polar nodes times o/2 + 1 azimuths
-        [(5, 1.0, 6**3 * 6), (6, 1.0, 3**4 * 4), (5, -1.0, 6**3 * 6),
-         (6, -1.0, 3**4 * 4)],
-        ids=["S5", "S6", "H5", "H6"],
+        [(5, 1.0, 0.0, 1), (6, 1.0, 0.0, 1), (5, -1.0, 0.0, 1),
+         (6, -1.0, 0.0, 1), (5, 1.0, 0.1, 6**3 * 6), (6, -1.0, 0.1, 3**4 * 4)],
+        ids=["S5", "S6", "H5", "H6", "S5-orthant", "H6-orthant"],
     )
-    def test_default_rule_fits_the_prediction(self, n, K, rays):
+    def test_default_rule_fits_the_prediction(self, n, K, shift, rays):
         ch = make_chart(ModelSpec("space_form", n, K=K))
+        # a traceless diagonal shift of Rc/3 moves c2 by 4 |shift|^2
+        a = space_form_curvature(n, K).rc / 3.0 + shift * np.diag(
+            np.linspace(-1.0, 1.0, n))
         start = time.perf_counter()
         with warnings.catch_warnings():
             # on H^n the profile a = -(n-1)/3 reaches zero inside r_s = 1.2
             warnings.simplefilter("ignore", PositivityWarning)
-            res = run_expansion(ch, np.zeros(n), functional="L", r_s=1.2)
+            res = run_expansion(ch, np.zeros(n), functional="L", mode=a,
+                                r_s=1.2)
         elapsed = time.perf_counter() - start
         assert res.meta["rule"] == "radial_sphere"
         assert res.meta["order"] == 40 and res.meta["rays"] == rays

@@ -12,7 +12,7 @@ from curvex import (
     scalar_curvature_batch,
 )
 from curvex import charts, expansion
-from curvex.charts import PROFILES
+from curvex.charts import PROFILES, Symmetry
 from curvex.expansion import predict_volume, prepare_normal_chart, run_expansion
 from curvex._spaceform import ball_volume_K, sphere_area_K
 from curvex.errors import (
@@ -483,7 +483,7 @@ class TestKernelOracle:
         a = np.array([[1.2, 0.4, -0.2], [0.4, 0.8, 0.28], [-0.2, 0.28, 1.6]])
         shots = recorded(monkeypatch, charts, "dopri45")
         nc = prepare_normal_chart(ch, np.zeros(3), 0.9, quad, a=a)
-        assert not nc.folded and nc.dirs.shape[0] == 512
+        assert nc.symmetry == Symmetry.NONE and nc.dirs.shape[0] == 512
         ((_, _, t_out, _, _), _, (states, _)), = shots
         full = full_ode_table(ch, nc.dirs.shape[0], np.linspace(0.0, 0.9, 384),
                               t_out, states)
@@ -573,7 +573,8 @@ class TestRayEvaluator:
         a = self.A_DIAG if fold else self.A_OFF
         nc = prepare_normal_chart(ch, np.zeros(3), 1.4,
                                   QuadratureSpec(rule="radial_sphere", order=8), a=a)
-        assert nc.kind == "ode" and nc.folded is fold
+        assert nc.kind == "ode"
+        assert nc.symmetry == (Symmetry.MIRROR if fold else Symmetry.NONE)
         tf = TestFunction(nc, a, 0.3, 1.2)
         dirs = nc.dirs[:, None, :]
         r = np.linspace(0.0, 1.4, 31)
@@ -599,7 +600,8 @@ class TestFoldedBundle:
             for fold in (False, True)
         )
         assert (full.dirs.shape[0], folded.dirs.shape[0]) == (512, 72)
-        assert folded.folded and not full.folded
+        assert folded.symmetry == Symmetry.MIRROR
+        assert full.symmetry == Symmetry.NONE
         assert folded.nfev == full.nfev
         r = np.linspace(0.05, 0.9, 18)
         np.testing.assert_allclose(folded.shell(r), full.shell(r),
