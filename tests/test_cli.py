@@ -193,13 +193,16 @@ class TestRuns:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_symmetrize_default_a_fits_n(self, tmp_path, n):
-        """Without an `a` key, a = 0 in the chart's own dimension."""
+        """Without an `a` key, a = 0 in the chart's own dimension: u is
+        radial, so the sweep and the original side run on one ray."""
         text = SYM_CFG.replace("n = 3", f"n = {n}").replace("a = 0.3 -0.1 0.05\n", "")
         cfg = _write(tmp_path, "c.ini", text)
         code = main(
             ["symmetrize", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]
         )
         assert code == 0
+        meta = json.loads((tmp_path / "symmetrize.json").read_text())["result"]["meta"]
+        assert meta["fold"] == "radial" and meta["rays"] == 1
 
     def test_mu_small(self, tmp_path):
         cfg = _write(

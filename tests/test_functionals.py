@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curvex import (
+    MetricChart,
     ModelSpec,
     Perturbation,
     build_normal_chart,
@@ -23,11 +24,14 @@ from curvex.errors import (
     TimeTooLarge,
 )
 from curvex.functionals import (
+    Components,
     QuadratureSpec,
     TestFunction,
+    _L_of,
     _eval_once,
     _hermite_nodes,
     _nodes,
+    _radial_nodes,
     ball_volume,
     bishop_gromov_ratio,
     build_test_function,
@@ -36,6 +40,7 @@ from curvex.functionals import (
     eval_components,
     eval_L,
     eval_L_normalized,
+    eval_W_normalized,
     gaussian_integral,
     profile_matrix,
     sphere_rule,
@@ -47,6 +52,7 @@ from curvex.moments import (
     sphere_area,
     sphere_monomial,
 )
+from curvex.isoperimetry import symmetrize
 from curvex.rigidity import isoperimetric_probe
 from oracles import eta2_pointwise, full_ode_table, recorded
 
@@ -670,6 +676,199 @@ class TestRadialFold:
                     got.errs[name])
 
 
+def _orthant_sums(tf, t, quad, order):
+    """The four sums of one rule over the orthant of the sphere rule,
+    sphere_rule(n, order, True), through the ray evaluator: the radial
+    fold's oracle, with the engine's radial nodes and every direction of
+    the orthant evaluated on its own.  Returns Components (no errors) and
+    the number of directions."""
+    n = tf.nchart.n
+    s2t = 2.0 * np.sqrt(t)
+    rho, wr = _radial_nodes(order, min(quad.c_trunc, tf.r_s / s2t),
+                            (tf.r_s / (2.0 * s2t), tf.r_s / s2t))
+    dirs, wd = sphere_rule(n, order, True)
+    W = np.outer(wd, wr * rho ** (n - 1) * np.exp(-rho**2)) / np.pi ** (n / 2)
+    r = s2t * rho
+    eta2, kappa, beta2, dens, wgw = tf.on_rays(dirs[:, None, :], r, t)
+    base = W * eta2 * dens
+    logu2 = np.log(eta2) - (n / 2) * np.log(4 * np.pi * t) - rho**2
+    comp = Components(t, base.sum(), (base * logu2).sum(),
+                      (base * (kappa**2 + beta2 * wgw)).sum(),
+                      (base * tf.nchart.scalar(r)).sum())
+    return comp, dirs.shape[0]
+
+
+class TestOneRay:
+    """a = lambda I on a closed-form chart (rotation invariant) runs the
+    radial_sphere rule on one ray weighted by the sphere's area; the
+    oracle sums the same rule's orthant ray by ray (_orthant_sums).
+
+    Measured: the four sums agree within 4.4e-16 relative.  The
+    normalized L and W cancel terms of size 10 down to 1e-2 and 1e-7, so
+    they agree only absolutely, within 1.8e-15 (bound 1e-13)."""
+
+    CASES = [("space_form", 3, 1.0, 1.7), ("space_form", 3, -1.0, 1.1),
+             ("space_form", 4, 1.0, 1.45)]
+
+    @staticmethod
+    def _check(tf, t, order):
+        quad = QuadratureSpec(order=order)
+        got = eval_components(tf, t, quad, want_err=False)
+        want, nd = _orthant_sums(tf, t, quad, order)
+        assert nd > 1
+        for name in ("mass", "entropy", "dirichlet", "sc_integral"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                       rel=1e-13, abs=0)
+        n = tf.nchart.n
+        L = _L_of(want, n) / want.mass
+        W = (_L_of(want, n) + t * want.sc_integral) / want.mass
+        assert abs(eval_L_normalized(tf, t, quad)[0] - L) <= 1e-13
+        assert abs(eval_W_normalized(tf, t, quad)[0] - W) <= 1e-13
+        return got
+
+    @pytest.mark.parametrize("order", [16, 24])
+    @pytest.mark.parametrize("kind,n,K,r_s", CASES,
+                             ids=["S3", "H3", "S4"])
+    def test_space_form_matches_orthant(self, kind, n, K, r_s, order):
+        ch = make_chart(ModelSpec(kind, n, K=K))
+        nc = build_normal_chart(ch, np.zeros(n), r_s)
+        tf = build_test_function(nc, curvature_at(ch, np.zeros(n)), r_s=r_s)
+        for t in (r_s**2 / 720, r_s**2 / 5760):
+            got = self._check(tf, t, order)
+            # one ray: the radial nodes of one direction
+            s2t = 2.0 * np.sqrt(t)
+            rho = _radial_nodes(order, min(10.0, r_s / s2t),
+                                (r_s / (2.0 * s2t), r_s / s2t))[0]
+            assert got.nodes == rho.size
+
+    @pytest.mark.parametrize("order", [16, 24])
+    def test_flat_n5_zero_profile(self, order):
+        ch = make_chart(ModelSpec("flat", 5))
+        nc = build_normal_chart(ch, np.zeros(5), 1.2)
+        tf = build_test_function(nc, None, mode="zero", alpha=0.0, r_s=1.2)
+        for t in (2e-3, 2.5e-4):
+            self._check(tf, t, order)
+
+    def test_symmetrize_matches_orthant(self):
+        """symmetrize with a = 0 on flat n = 3 runs on one ray.  The oracle
+        crosses each level on every ray of the order-16 orthant by
+        bisection on u, to the last bit, and sums the flat volumes
+        r^3/3; its mass is the orthant sum.  Measured: volumes within
+        1.7e-13 relative, masses equal."""
+        ch = make_chart(ModelSpec("flat", 3, halfwidth=2.0))
+        nc = build_normal_chart(ch, np.zeros(3), 1.6)
+        tf = build_test_function(nc, None, mode="zero", alpha=0.0, r_s=1.2)
+        t, order = 0.01, 16
+        res = symmetrize(tf, t=t, K=0.0, levels=64, order=order)
+        assert res.meta["fold"] == "radial" and res.meta["rays"] == 1
+
+        dirs, wd = sphere_rule(3, order, True)
+        levels = res.levels
+        D = np.repeat(dirs, levels.size, axis=0)
+        log_s = np.tile(np.log(levels), dirs.shape[0])
+        log_h = -0.75 * np.log(4 * np.pi * t)
+        lo, hi = np.zeros(log_s.size), np.full(log_s.size, tf.r_s)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not np.any((mid > lo) & (mid < hi)):
+                break
+            eta2 = tf.on_rays(D, mid, t)[0]
+            above = log_h + 0.5 * np.log(eta2) - mid**2 / (8 * t) > log_s
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        r = (0.5 * (lo + hi)).reshape(dirs.shape[0], levels.size)
+        volumes = wd @ (r**3 / 3.0)
+        np.testing.assert_allclose(res.volumes, volumes, rtol=1e-12, atol=0)
+        want = _orthant_sums(tf, t, QuadratureSpec(rule="radial_sphere",
+                                                   order=order), order)[0]
+        assert res.mass_original == pytest.approx(want.mass, rel=1e-12, abs=0)
+
+
+
+class TestOneRayBundle:
+    """At the origin of the c06 conformal chart (a RadialProfile, so
+    rotation invariant) prepare_normal_chart shoots one ray for a = None
+    or lambda I.  The oracle is the orthant bundle of the same order-16
+    rule, 72 rays, built by hand: by symmetry every one of its rays
+    carries the one ray's density and, in any orthonormal basis of the
+    ray's orthogonal plane, the same multiple of the identity as
+    tangential block of g~^{-1}.
+
+    Measured: density and shells within 4.2e-10 relative, the tangential
+    block within 1.4e-10 absolute (bounds 1e-9)."""
+
+    QUAD = QuadratureSpec(rule="radial_sphere", order=16)
+
+    @pytest.fixture(scope="class")
+    def c06(self):
+        ch = make_chart(ModelSpec(
+            "conformal_flat", 3, halfwidth=1.5,
+            perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
+        ))
+        cv = curvature_at(ch, np.zeros(3))
+        one = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD, a=cv.rc / 3)
+        orthant = build_normal_chart(ch, np.zeros(3), 0.9,
+                                     rule=sphere_rule(3, 16, True), fold=True)
+        return ch, cv, one, orthant
+
+    @staticmethod
+    def _planes(dirs):
+        """Per ray d an orthonormal pair u1, u2 spanning d's orthogonal
+        plane (n = 3), away from the nearest axis."""
+        e = np.eye(3)[np.argmin(np.abs(dirs), axis=1)]
+        u1 = np.cross(dirs, e)
+        u1 /= np.linalg.norm(u1, axis=1, keepdims=True)
+        return u1, np.cross(dirs, u1)
+
+    def test_tables_match_the_orthant_bundle(self, c06):
+        ch, _, one, orthant = c06
+        assert one.dirs.shape == (1, 3) and orthant.dirs.shape == (72, 3)
+        assert one.symmetry == Symmetry.ROTATION
+        assert one.weights.sum() == pytest.approx(4.0 * np.pi, rel=1e-15)
+        assert 0 < one.gauss_residual < 1e-8
+        r = np.linspace(0.05, 0.9, 18)
+        dens1, _ = one.geometry(r, np.zeros((1, 1, 3)))
+        dens, _ = orthant.geometry(r, np.zeros((72, 1, 3)))
+        np.testing.assert_allclose(dens, np.broadcast_to(dens1, dens.shape),
+                                   rtol=1e-9, atol=0)
+        np.testing.assert_allclose(one.shell(r), orthant.shell(r),
+                                   rtol=1e-9, atol=0)
+        (v1,), (v2,) = self._planes(one.dirs)
+        u1, u2 = self._planes(orthant.dirs)
+        for w1, w in ((v1, u1), (v2, u2), ((v1 + v2) / np.sqrt(2),
+                                            (u1 + u2) / np.sqrt(2))):
+            block1 = one.geometry(r, w1[None, None, :])[1]
+            block = orthant.geometry(r, w[:, None, :])[1]
+            np.testing.assert_allclose(
+                block, np.broadcast_to(block1, block.shape), rtol=0, atol=1e-9)
+
+    def test_other_profiles_need_more_rays(self, c06):
+        """A diagonal a with unequal entries is refused on the one-ray
+        chart and gets the orthant from prepare_normal_chart."""
+        ch, cv, one, _ = c06
+        a = np.diag([0.3, -0.1, 0.05])
+        tf = build_test_function(one, cv, mode=a, r_s=0.9)
+        with pytest.raises(ConfigInvalid):
+            eval_L_normalized(tf, 1e-3, self.QUAD)
+        nc = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD, a=a)
+        assert nc.symmetry == Symmetry.MIRROR and nc.dirs.shape[0] == 72
+        # no test function (volumes, probes) takes the one ray too
+        none = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD)
+        assert none.dirs.shape[0] == 1
+
+    def test_sphere_line_keeps_its_bundles(self):
+        """S^2 x R is only mirror even: a = Rc/3 = diag(1/3, 1/3, 0) and
+        no test function both shoot the orthant, 72 rays; the same metric
+        in a hand-built chart carries no mark and shoots all 512."""
+        cat = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
+        a = curvature_at(cat, np.zeros(3)).rc / 3
+        for mode in (a, None):
+            nc = prepare_normal_chart(cat, np.zeros(3), 0.9, self.QUAD, a=mode)
+            assert nc.symmetry == Symmetry.MIRROR and nc.dirs.shape[0] == 72
+        bare = MetricChart(3, cat.domain, cat.metric)
+        nc = prepare_normal_chart(bare, np.zeros(3), 0.9, self.QUAD, a=a)
+        assert nc.symmetry == Symmetry.NONE and nc.dirs.shape[0] == 512
+
+
 class TestGuards:
     def test_hermite_grid_limited_to_four_dimensions(self):
         """The shared node builder refuses the product grid at n = 5
@@ -836,19 +1035,31 @@ def s3_ode():
     return nc
 
 
-@pytest.fixture
-def conformal_c06():
-    """The c06 conformal chart (quartic bump, eps 0.05) at the origin, shot
-    along the orthant of the order-16 rule (72 rays) to r_s = 0.9; built
-    per test, since
-    the test below checks what a fresh chart has built."""
+def _c06_normal_chart(a=None):
     ch = make_chart(ModelSpec(
         "conformal_flat", 3,
         perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
         halfwidth=1.5,
     ))
     return prepare_normal_chart(ch, np.zeros(3), 0.9,
-                                QuadratureSpec(rule="radial_sphere", order=16))
+                                QuadratureSpec(rule="radial_sphere", order=16),
+                                a=a)
+
+
+@pytest.fixture
+def conformal_c06():
+    """The c06 conformal chart (quartic bump, eps 0.05) at the origin to
+    r_s = 0.9, shot along one ray of the order-16 rule: its profile is
+    rotation invariant and no test function asks for more; built per
+    test, since the test below checks what a fresh chart has built."""
+    return _c06_normal_chart()
+
+
+@pytest.fixture
+def conformal_c06_orthant():
+    """The same chart shot along the orthant of the rule (72 rays), as a
+    diagonal a with unequal entries asks for."""
+    return _c06_normal_chart(np.diag([0.3, -0.1, 0.05]))
 
 
 class TestShell:
@@ -861,12 +1072,13 @@ class TestShell:
                                    rtol=0, atol=1e-9)
         assert s3_ode.shell(r.reshape(1, 41, 1)).shape == (1, 41, 1)
 
-    @pytest.mark.parametrize("which", ["s3_ode", "conformal_c06"],
-                             ids=["full", "folded"])
+    @pytest.mark.parametrize(
+        "which", ["s3_ode", "conformal_c06_orthant", "conformal_c06"],
+        ids=["full", "folded", "one_ray"])
     def test_ode_shell_sums_the_table_density(self, which, request):
         """shell(r) is sum_d w_d density_d(r) r^(n-1) with the density of
         the chart's one table, as the geometry call reads it (clamped at
-        the chart radius), on a full and a folded bundle."""
+        the chart radius), on a full bundle, an orthant and one ray."""
         nc = request.getfixturevalue(which)
         r = np.linspace(0.0, 1.1 * nc.radius, 24).reshape(4, 6)
         dens, _ = nc.geometry(r.ravel(), np.zeros((nc.dirs.shape[0], 1, 3)))
@@ -913,7 +1125,7 @@ class TestShell:
     def test_volume_and_probe_leave_sc_unbuilt(self, conformal_c06, monkeypatch):
         """Ball volumes and probes read the density from the table and the
         L-functional reads no Sc: the Sc spline of an ode chart (scalar
-        curvature at 65 x 72 exp points) is not built for them.  W builds
+        curvature at the 65 exp points of its one ray) is not built for them.  W builds
         it from the scalar curvature at those exp points and adds t times
         the Sc integral to the same deficit."""
         v = ball_volume(conformal_c06, 0.8)

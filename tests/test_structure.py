@@ -2,7 +2,8 @@
 in curvex._numerics alone (composite_gauss_legendre serves every
 piecewise radial rule), and the normal chart's geometry is read by the one
 ray evaluator, TestFunction.on_rays, so a second implementation cannot
-creep back unnoticed; no quadrature draws random nodes."""
+creep back unnoticed; no quadrature draws random nodes; one function
+decides how far a rule folds."""
 
 import ast
 from pathlib import Path
@@ -48,4 +49,17 @@ def test_random_draws_stay_out_of_the_quadrature():
         ("charts.py", "_check_positive_definite"),
         ("cli.py", "_moments_selftest"),
         ("rigidity.py", "_sample_points"),
+    ]
+
+
+def test_one_fold_policy():
+    """How far a rule folds is decided in one place: the tests of the
+    profile matrix a, diagonal and exactly lambda I, are called by
+    functionals.fold_level alone, which resolve_rule and
+    prepare_normal_chart both call."""
+    for name in ("is_diagonal", "is_isotropic"):
+        assert _callers(name) == [("functionals.py", "fold_level")]
+    assert sorted(_callers("fold_level")) == [
+        ("expansion.py", "prepare_normal_chart"),
+        ("functionals.py", "resolve_rule"),
     ]
