@@ -1,6 +1,6 @@
 """Numerical building blocks on numpy alone.
 
-Gauss-Legendre and Gauss-Gegenbauer rules, the one composite
+Gauss-Legendre, Gauss-Gegenbauer and Gauss-Jacobi rules, the one composite
 Gauss-Legendre builder of every piecewise radial rule, ball volumes, one
 bracketed Newton loop (radii of given volumes, level crossings in
 isoperimetry), a factored tridiagonal solver, a not-a-knot cubic spline
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GeodesicLeftDomain, NonPositiveVolume, QuadratureNotConverged
 
-__all__ = ["read_only", "gauss_legendre", "gauss_gegenbauer",
+__all__ = ["read_only", "gauss_legendre", "gauss_gegenbauer", "gauss_jacobi",
            "composite_gauss_legendre", "shell_volume",
            "bracketed_newton", "shell_radius", "Tridiagonal", "CubicSpline", "dopri45"]
 
@@ -37,14 +37,22 @@ def gauss_legendre(m: int):
     return read_only(*np.polynomial.legendre.leggauss(m))
 
 
+def _golub_welsch(diag, off, mass: float):
+    """Nodes (ascending) and weights of the Gauss rule whose orthonormal
+    polynomials have the recurrence coefficients diag (m) and off (m - 1):
+    the eigenvalues of the symmetric tridiagonal Jacobi matrix, and the
+    total mass of the weight times the squared first components of its
+    unit eigenvectors (Golub & Welsch, Math. Comp. 23, 1969)."""
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, mass * v[0] ** 2
+
+
 @lru_cache(maxsize=32)
 def gauss_gegenbauer(m: int, lam: float):
     """m-point Gauss rule for the weight (1 - v^2)^(lam - 1/2) on [-1, 1]:
     nodes (ascending) and weights.  lam = 1/2 is gauss_legendre, lam = 1
     the Chebyshev-U closed form, nodes cos(k pi/(m+1)) and weights
-    pi/(m+1) sin^2(k pi/(m+1)); otherwise the eigenvalues of the Jacobi
-    matrix and the total mass times the squared first components of the
-    eigenvectors (Golub & Welsch, Math. Comp. 23, 1969)."""
+    pi/(m+1) sin^2(k pi/(m+1)); otherwise _golub_welsch."""
     if lam == 0.5:
         return gauss_legendre(m)
     if lam == 1.0:
@@ -52,10 +60,29 @@ def gauss_gegenbauer(m: int, lam: float):
         return read_only(np.cos(th), np.pi / (m + 1) * np.sin(th) ** 2)
     k = np.arange(1, m)
     off = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
-    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    w = sqrt(pi) * gamma(lam + 0.5) / gamma(lam + 1.0) * v[0] ** 2
+    x, w = _golub_welsch(np.zeros(m), off,
+                         sqrt(pi) * gamma(lam + 0.5) / gamma(lam + 1.0))
     # the rule is symmetric: average each node with its mirror's
     return read_only(0.5 * (x - x[::-1]), 0.5 * (w + w[::-1]))
+
+
+@lru_cache(maxsize=32)
+def gauss_jacobi(m: int, alpha: float, beta: float):
+    """m-point Gauss rule for the weight (1 - x)^alpha (1 + x)^beta on
+    [-1, 1], alpha, beta > -1: nodes (ascending) and weights, from the
+    three-term recurrence of the Jacobi polynomials (_golub_welsch).  The
+    terms that cancel to 0/0 at alpha + beta = 0 or -1 are cancelled."""
+    ab = alpha + beta
+    k = np.arange(1, m)
+    s = 2 * k + ab
+    diag = np.empty(m)
+    diag[0] = (beta - alpha) / (ab + 2)
+    diag[1:] = (beta * beta - alpha * alpha) / (s * (s + 2))
+    off2 = 4 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1) * (s - 1))
+    if m > 1:  # at k = 1, k + ab and s - 1 are both 1 + ab
+        off2[0] = 4 * (1 + alpha) * (1 + beta) / ((2 + ab) ** 2 * (3 + ab))
+    mass = 2 ** (ab + 1) * gamma(alpha + 1) * gamma(beta + 1) / gamma(ab + 2)
+    return read_only(*_golub_welsch(diag, np.sqrt(off2), mass))
 
 
 def composite_gauss_legendre(breaks, m: int):

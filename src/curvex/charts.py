@@ -25,17 +25,20 @@ space forms centered at the chart origin use closed forms in the geodesic
 radius alone; everything else ('ode' charts) integrates the geodesic
 equation together with its variational (Jacobi) system along a fixed bundle
 of rays, since that is the shape the radial-spherical quadrature consumes.
-make_chart marks each chart with one ordered symmetry of its metric about
-the origin of its cube box (MetricChart.symmetry, a Symmetry: NONE <
-MIRROR < ROTATION).  A single space-form block (flat, space_form) and a
-conformal chart whose profile is a RadialProfile are rotation invariant,
-a direct sum of several blocks (product_sphere_line) only even in each
-coordinate, and a plain-callable profile or a hand-built chart carry no
-mark.  At that origin the geodesic along a mirrored or rotated direction
-is the mirrored or rotated geodesic, so the bundle may be folded, its
-weights counting the rays each ray stands for: onto the orthant of its
-rule on a mirror-even chart (72 rays instead of 512 at n = 3 and order
-16), onto one ray carrying the whole sphere area on a rotation-invariant
+make_chart marks each chart with the symmetry of its metric about the
+origin of its cube box (MetricChart.symmetry): a partition of the
+coordinates into blocks whose block group O(n_1) x ... x O(n_k), each
+factor acting on its own block, leaves the metric invariant, or None.  A
+single space-form block (flat, space_form) and a conformal chart whose
+profile is a RadialProfile are one block, a direct sum of space forms
+(product_sphere_line) its blocks' coordinates ({0, 1}, {2} on S^2 x R),
+and a plain-callable profile or a hand-built chart carry None.  At that
+origin the geodesic along an image of a direction under the group is the
+image of its geodesic, so the bundle may be the orbit rule of the group
+(functionals.ray_bundle) or of any subgroup, its weights counting the rays
+each ray stands for: 8 rays instead of 512 on S^2 x R at order 16, the
+orthant of the rule for singleton blocks, and one ray carrying the whole
+sphere area when all coordinates form
 one.  An 'ode' chart keeps one radius-major table, built once at the sample
 radii, a block of radii at a time, with cofactor determinants and inverses
 for n <= 3.  Per ray it holds the density and, in an orthonormal basis B_d
@@ -57,14 +60,13 @@ volumes, sphere areas and the radius of a given volume all come from a
 third call, NormalChart.shell(r), the area of the geodesic sphere.  An
 'ode' chart carries the weights of the sphere rule its rays came from, so
 that area is a weighted sum over the bundle of the density column of its
-one table spline, folded or not (the density is even on an orthant
-bundle, the same on every ray of a one-ray one).
+one table spline, folded or not (the density is the same on every ray
+of an orbit).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import IntEnum
 from math import factorial
 from typing import Callable
 
@@ -86,7 +88,10 @@ from .tensor_core import MAX_DIM, CurvatureData, space_form_curvature
 
 __all__ = [
     "Box",
-    "Symmetry",
+    "Partition",
+    "partition",
+    "refines",
+    "common_refinement",
     "Perturbation",
     "ModelSpec",
     "MetricChart",
@@ -129,20 +134,38 @@ class Box:
         return float(min((x - self.lo).min(), (self.hi - x).min()))
 
 
-class Symmetry(IntEnum):
-    """The symmetry of a geometry about a centre, ordered: NONE < MIRROR
-    (every coordinate reflection) < ROTATION (every rotation).  It is how
-    far a radial rule's rays may fold (`fold`): onto the orthant of the
-    sphere rule for MIRROR, onto one ray for ROTATION."""
+# A partition of the coordinates 0..n-1 into blocks, each sorted, in the
+# order of their first coordinates.  A geometry invariant under the block
+# group O(n_1) x ... x O(n_k), each factor acting on its block's
+# coordinates, has that symmetry; None stands for no symmetry.
+Partition = tuple[tuple[int, ...], ...]
 
-    NONE = 0
-    MIRROR = 1
-    ROTATION = 2
 
-    @property
-    def fold(self) -> str:
-        """The fold's name in run records: none, orthant or radial."""
-        return ("none", "orthant", "radial")[self]
+def partition(blocks, n: int) -> Partition:
+    """blocks as a Partition of 0..n-1; InvalidSpec if they are not one."""
+    try:
+        part = tuple(sorted(tuple(sorted(int(i) for i in b)) for b in blocks))
+    except TypeError as exc:
+        raise InvalidSpec(f"{blocks!r} is not a list of blocks") from exc
+    if sorted(i for b in part for i in b) != list(range(n)) or () in part:
+        raise InvalidSpec(f"{blocks!r} is not a partition of the {n} coordinates")
+    return part
+
+
+def refines(fine: Partition, coarse: Partition) -> bool:
+    """Whether every block of fine lies inside one block of coarse: then
+    the block group of fine is a subgroup of coarse's."""
+    home = {i: b for b in coarse for i in b}
+    return all(set(b) <= set(home[b[0]]) for b in fine)
+
+
+def common_refinement(p: Partition | None, q: Partition | None):
+    """The coarsest partition refining both (its block group is the
+    intersection of theirs); None if either is None."""
+    if p is None or q is None:
+        return None
+    return tuple(sorted(tuple(i for i in a if i in b)
+                        for a in p for b in q if set(a) & set(b)))
 
 
 class RadialProfile:
@@ -218,19 +241,20 @@ class MetricChart:
     curvature: CurvatureData | None = None  # constant, on homogeneous charts
     christoffel: Callable | None = field(default=None, repr=False)
     # set by make_chart alone; see symmetry
-    _symmetry: Symmetry = field(default=Symmetry.NONE, init=False, repr=False)
+    _symmetry: Partition | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.christoffel is None:
             self.christoffel = _JetEngine(self).gamma
 
     @property
-    def symmetry(self) -> Symmetry:
+    def symmetry(self) -> Partition | None:
         """The symmetry of the metric about the origin of a box symmetric
-        about it: MIRROR when g(S x) = S g(x) S for every coordinate
-        reflection S, ROTATION when g(R x) = R g(x) R^T for every rotation
-        R.  A normal chart at the origin may shoot the matching fold of its
-        ray bundle alone (build_normal_chart)."""
+        about it: a partition of the coordinates into blocks such that
+        g(R x) = R g(x) R^T for every R of the block group (each factor an
+        orthogonal map of its block's coordinates), or None.  A
+        normal chart at the origin may shoot the orbit rule of any
+        refinement of it alone (build_normal_chart)."""
         return self._symmetry
 
     @property
@@ -272,16 +296,19 @@ def _space_form_metric(n: int, K: float):
 
 
 def _block_geometry(blocks):
-    """(metric, christoffel, curvature) of the direct sum of space forms
-    M^{n_b}_{K_b}, blocks = [(n_b, K_b), ...] in coordinate order: a curved
-    block in normal coordinates, a flat one the identity with zero
-    Christoffels.  The curvature is the blocks' space_form_curvature summed
-    directly, the same at every point."""
+    """(metric, christoffel, curvature, symmetry) of the direct sum of
+    space forms M^{n_b}_{K_b}, blocks = [(n_b, K_b), ...] in coordinate
+    order: a curved block in normal coordinates, a flat one the identity
+    with zero Christoffels.  The curvature is the blocks' space_form_curvature
+    summed directly, the same at every point; each block is rotation
+    invariant about the origin on its own coordinates, so the symmetry is
+    the partition into the blocks' coordinates."""
     n = sum(nb for nb, _ in blocks)
     rm, rc, sc = np.zeros((n,) * 4), np.zeros((n, n)), 0.0
-    curved, start = [], 0
+    curved, parts, start = [], [], 0
     for nb, Kb in blocks:
         b = slice(start, start + nb)
+        parts.append(tuple(range(start, start + nb)))
         start += nb
         if Kb == 0:
             continue
@@ -312,7 +339,7 @@ def _block_geometry(blocks):
             )
         return g, ginv, gam, dgam
 
-    return metric, christoffel, curv
+    return metric, christoffel, curv, tuple(parts)
 
 
 def make_chart(spec: ModelSpec) -> MetricChart:
@@ -343,7 +370,7 @@ def make_chart(spec: ModelSpec) -> MetricChart:
                     f"the M^{nb}_{Kb:g} block leaves its injectivity ball: "
                     f"halfwidth*sqrt({nb})={hw*np.sqrt(nb):.3f} >= pi/sqrt(K)"
                 )
-        metric, christoffel, curv = _block_geometry(blocks)
+        metric, christoffel, curv, symmetry = _block_geometry(blocks)
         chart = MetricChart(n, box, metric, kind=spec.kind, K=K,
                             curvature=curv, christoffel=christoffel)
 
@@ -371,13 +398,12 @@ def make_chart(spec: ModelSpec) -> MetricChart:
         raise InvalidSpec(f"unknown chart kind {spec.kind!r}")
 
     _check_positive_definite(chart)
-    # one space-form block and a RadialProfile are rotation invariant about
-    # the origin, a direct sum of blocks only mirror even (each block on its
-    # own coordinates), and the box is a cube about the origin
+    # a direct sum of space forms is invariant under its blocks' group, a
+    # RadialProfile under all of O(n), and the box is a cube about the origin
     if blocks is not None:
-        chart._symmetry = Symmetry.ROTATION if len(blocks) == 1 else Symmetry.MIRROR
+        chart._symmetry = symmetry
     elif isinstance(pert.profile, RadialProfile):
-        chart._symmetry = Symmetry.ROTATION
+        chart._symmetry = (tuple(range(n)),)
     return chart
 
 
@@ -851,10 +877,10 @@ class NormalChart:
         self.n = chart.n
         self.dirs = None  # ray directions (nd, n) of an ode chart
         self.weights = None  # their sphere-rule weights (nd,), summing to the area
-        # how far the nodes fold: rotation on the closed forms, which depend
-        # on the radius alone; on an ode chart the fold its bundle was shot
-        # at (build_normal_chart), which pins it
-        self.symmetry = Symmetry.NONE if kind == "ode" else Symmetry.ROTATION
+        # the partition the nodes may fold onto: one block on the closed
+        # forms, which depend on the radius alone; on an ode chart the fold
+        # its bundle was shot with (build_normal_chart), which pins it
+        self.symmetry = None if kind == "ode" else (tuple(range(self.n)),)
         self.nfev = 0  # right-hand-side calls of the geodesic shooting (ode)
         self.gauss_residual = None  # largest |g~^{-1} y - y| in the table (ode)
         self._basis = None  # orthonormal bases B_d (nd, n, n-1) of d^perp (ode)
@@ -1050,13 +1076,13 @@ def closed_form_center(chart: MetricChart, p) -> bool:
     )
 
 
-def center_symmetry(chart: MetricChart, p) -> Symmetry:
-    """The symmetry of the geometry about p: rotation at a closed-form
-    centre, the chart's mark (MetricChart.symmetry) at its exact origin,
-    none elsewhere."""
+def center_symmetry(chart: MetricChart, p) -> Partition | None:
+    """The symmetry of the geometry about p: one block (every rotation) at
+    a closed-form centre, the chart's partition (MetricChart.symmetry) at
+    its exact origin, None elsewhere."""
     if closed_form_center(chart, p):
-        return Symmetry.ROTATION
-    return Symmetry.NONE if np.any(p) else chart.symmetry
+        return (tuple(range(chart.n)),)
+    return None if np.any(p) else chart.symmetry
 
 
 def build_normal_chart(
@@ -1066,7 +1092,7 @@ def build_normal_chart(
     rule=None,
     r_samples: int = 384,
     rtol: float = 1e-10,
-    fold: Symmetry | bool = Symmetry.NONE,
+    fold: Partition | None = None,
 ) -> NormalChart:
     """Normal coordinates of radius r0 at p.
 
@@ -1076,16 +1102,17 @@ def build_normal_chart(
     them in every dimension, at most 2^15 directions): it shoots geodesics
     along the directions, tabulates the density and the tangential block of
     the inverse pulled-back metric along each ray and keeps the weights for
-    its sphere areas.  fold says how far the rule is folded, its weights
-    counting the rays each ray stands for: Symmetry.MIRROR (or True) for
-    the orthant of a sphere rule (`sphere_rule(n, order, fold=True)`),
-    Symmetry.ROTATION for one ray carrying the whole sphere area
-    (`functionals.ray_bundle`).  It needs p at the origin of a chart of at
-    least that symmetry (center_symmetry), where the rays left out are the
-    mirrored or rotated images of the geodesics shot, and raises
-    InvalidSpec elsewhere.  The one ray lies along a coordinate axis,
-    where the cube box is nearest, so its domain check covers every ray
-    it stands for.
+    its sphere areas.  fold, a partition of the coordinates, says the rule
+    is the orbit rule of that block group (`functionals.ray_bundle`), its
+    weights counting the rays each ray stands for: all singletons give the
+    orthant of a sphere rule (`sphere_rule(n, order, fold=True)`), one
+    block a single ray carrying the whole sphere area.  It needs p at the
+    origin of a chart whose partition the fold refines (center_symmetry),
+    where the rays left out are the images of the geodesics shot under the
+    block group, and raises InvalidSpec elsewhere.  The orbit rule puts
+    each block's share of a ray on the block's first coordinate axis,
+    where the cube box is nearest, so the domain check covers every ray a
+    ray stands for.
 
     Two checks guard the tables: det(J/r) changing sign on some ray raises
     JacobianSingular (a conjugate point of even multiplicity, where det J
@@ -1114,12 +1141,14 @@ def build_normal_chart(
 
     if rule is None:
         raise InvalidSpec("generic normal charts need a sphere rule")
-    fold = Symmetry(fold)
-    if fold > center_symmetry(chart, p):
-        raise InvalidSpec(
-            f"a bundle with the {fold.fold} fold needs the origin of a chart "
-            f"with {fold.name.lower()} symmetry"
-        )
+    if fold is not None:
+        fold = partition(fold, chart.n)
+        held = center_symmetry(chart, p)
+        if held is None or not refines(fold, held):
+            raise InvalidSpec(
+                f"a bundle folded onto the blocks {fold} needs the origin of "
+                f"a chart whose symmetry they refine, not {held}"
+            )
     nc = _ode_normal_chart(chart, p, r0, rule, r_samples, rtol)
     nc.symmetry = fold
     return nc

@@ -1,15 +1,17 @@
 """Small-time series: predicted coefficients and least-squares extraction.
 
-For the normalized deficit of the standard test function the expansion is
-value = c1 * t + c2 * t^2 + o(t^2) with
+For the normalized deficit L(u)/M(u) of the standard test function the
+expansion is value = c1 * t + c2 * t^2 + o(t^2) with
 
   c1 = -Sc
-  c2 = -( lap Sc - Sc^2/3 + 2 tr(a) Sc + alpha Sc
-          + |Rm|^2 / 6 - 4 |a - Rc/3|^2 )
+  c2 = -( lap Sc + |Rm|^2 / 6 - 4 |a - Rc/3|^2 )
 
-all evaluated at the center.  The curvature-average term contributes
-Sc * t + (lap Sc - Sc^2/3 + 2 tr(a) Sc + alpha Sc) * t^2, so the entropy
-functional keeps only the quadratic -( |Rm|^2/6 - 4 |a - Rc/3|^2 ) * t^2.
+all evaluated at the center.  The raw deficit L(u) = M (c1 t + c2 t^2)
+differs at t^2 by Sc m1, the mass being M = 1 + m1 t + O(t^2) with
+m1 = 2 tr(a) + alpha - Sc/3; alpha enters no normalized coefficient.  The
+normalized curvature average contributes Sc * t + lap Sc * t^2, so the
+entropy functional keeps only the quadratic
+-( |Rm|^2/6 - 4 |a - Rc/3|^2 ) * t^2.
 Extraction fits values on a geometric time grid by weighted least squares,
 reports the smallest-half refit as the headline and the full-vs-half drift
 as a systematic error.
@@ -59,37 +61,21 @@ class SeriesPrediction:
     c2: float
 
 
-def _profile_terms(curv: CurvatureData, a):
-    a = np.asarray(a, dtype=float)
-    tr_a = float(np.trace(a))
-    mis = norm_sq(a - curv.rc / 3.0)  # quadratic-profile mismatch
-    return tr_a, mis
-
-
 def predict_L(curv: CurvatureData, a, alpha: float) -> SeriesPrediction:
-    """Coefficients of the normalized deficit through second order."""
-    tr_a, mis = _profile_terms(curv, a)
-    c2 = -(
-        curv.lap_sc
-        - curv.sc**2 / 3.0
-        + 2.0 * tr_a * curv.sc
-        + alpha * curv.sc
-        + norm_sq(curv.rm) / 6.0
-        - 4.0 * mis
-    )
+    """Coefficients of the normalized deficit L(u)/M(u) through second
+    order, what run_expansion fits.  alpha enters no coefficient: L is
+    2-homogeneous in u, so 1 + alpha t only rescales a to a/(1 + alpha t),
+    a change of order t^2 in the profile."""
+    mis = norm_sq(np.asarray(a, dtype=float) - curv.rc / 3.0)  # profile mismatch
+    c2 = -(curv.lap_sc + norm_sq(curv.rm) / 6.0 - 4.0 * mis)
     return SeriesPrediction(c1=-curv.sc, c2=c2)
 
 
 def predict_scalar_term(curv: CurvatureData, a, alpha: float) -> SeriesPrediction:
-    """Coefficients of t * (normalized curvature average)."""
-    tr_a, _ = _profile_terms(curv, a)
-    c2 = (
-        curv.lap_sc
-        - curv.sc**2 / 3.0
-        + 2.0 * tr_a * curv.sc
-        + alpha * curv.sc
-    )
-    return SeriesPrediction(c1=curv.sc, c2=c2)
+    """Coefficients of t * (the average of Sc against u^2 over its mass):
+    the normalized weight has second moments 2 t I, so the average is
+    Sc + lap Sc t + O(t^2), whatever a and alpha."""
+    return SeriesPrediction(c1=curv.sc, c2=curv.lap_sc)
 
 
 def predict_W(curv: CurvatureData, a, alpha: float) -> SeriesPrediction:
@@ -211,11 +197,12 @@ def prepare_normal_chart(chart: MetricChart, p, r_s: float, quad: QuadratureSpec
     radial-spherical rule of quad, so the two stay aligned.
 
     The rule folds as far as a, the test function's profile matrix, and
-    the chart's symmetry about p allow (functionals.fold_level): at the
-    origin of a rotation-invariant chart one ray for a = lambda I, the
-    orthant (72 rays instead of 512 at n = 3, order 16) for a diagonal a
-    or on a mirror-even chart, the full rule otherwise.  a = None stands
-    for no test function (volumes, shells, probes)."""
+    the chart's symmetry about p allow (functionals.fold_level), onto the
+    orbit rule of the common refinement of their partitions: at n = 3 and
+    order 16, one ray for a = lambda I on a rotation-invariant chart, 8
+    instead of 512 for a = Rc/3 on S^2 x R, the orthant's 72 for a
+    diagonal a with distinct entries, the full rule for any other a.
+    a = None stands for no test function (volumes, shells, probes)."""
     p = np.asarray(p, dtype=float)
     if closed_form_center(chart, p):
         return build_normal_chart(chart, p, r_s)
@@ -289,7 +276,7 @@ def run_expansion(
             "alpha": tf.alpha,
             "r_s": r_s,
             "rule": rule,
-            "fold": fold.fold,
+            "fold": None if fold is None else [list(b) for b in fold],
             "order": quad.order,
             "nodes": nodes,
             "normal_chart": nc.kind,

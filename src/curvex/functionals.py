@@ -32,23 +32,27 @@ W-functional adds t times the Sc integral; it alone reads Sc
 at every exp point of its Sc grid.
 
 The nodes fold as far as a and the normal chart's symmetry about the
-centre (NormalChart.symmetry) allow; one function, fold_level, decides,
-for the nodes (resolve_rule) and for the bundle an ode chart is shot
-along.  When a has no off-diagonal entries and the geometry is even in
-every coordinate the integrand is too, so the nodes fold onto the orthant
-z >= 0.  Both product rules fold each 1-D factor by node index
-(_half_rule): the Hermite grid goes from order^n nodes to ceil(order/2)^n,
-with doubled weights off the zero node, and the 2 o^(n-1) directions on
-S^(n-1) of the sphere rule become ceil(o/2)^(n-2) (floor(o/2) + 1).  When
-a is exactly lambda I and the geometry is rotation invariant, q = d.a.d
-= lambda and w = 0 on every ray and the density depends on r alone, so
-every ray of the sphere rule carries the same values: its rays fold onto
-one, e_1, weighted by the sphere's area (the rule integrates constants
-exactly, so the sum is the same quadrature).  The Hermite grid keeps its
-orthant fold there.  The closed forms (flat, or a space form at its
-origin) are rotation invariant; an ode chart holds the fold its bundle
-was shot with (at the origin of a chart marked charts.Symmetry.MIRROR or
-ROTATION, charts.MetricChart.symmetry).  A non-diagonal a, an ode chart
+centre (NormalChart.symmetry, a partition of the coordinates into blocks)
+allow; one function, fold_level, decides, for the nodes (resolve_rule)
+and for the bundle an ode chart is shot along.  A diagonal a whose equal
+entries fall into the blocks of a partition (a = lambda I: one block)
+leaves q = d.a.d and |a d|^2 invariant under its block group O(n_1) x
+... x O(n_k), each factor acting on its own block's coordinates; on a
+geometry invariant under that group too, the integrand is constant on
+every orbit, so the rays fold onto the orbit space, the positive part of
+S^(k-1) (orbit_rule): a hyperspherical product of one factor per block,
+Gauss-Gegenbauer halved by node index for a singleton, Gauss-Jacobi in
+the squared block radius for a larger block, each with ceil(o/2) nodes,
+exact to the full rule's degree.  n singletons give the orthant of the
+sphere rule, ceil(o/2)^(n-2) (floor(o/2) + 1) directions instead of
+2 o^(n-1); S^2 x R's blocks {0, 1}, {2} give ceil(o/2); one block gives
+one ray, e_1, weighted by the sphere's area.  The Hermite grid folds each
+1-D factor onto its half (_half_rule), order^n nodes down to
+ceil(order/2)^n with doubled weights off the zero node, and folds no
+further: any fold gives it the orthant.  The closed forms (flat, or a
+space form at its origin) are one block; an ode chart holds the fold its
+bundle was shot with (at the origin of a chart marked with a partition
+it refines, charts.MetricChart.symmetry).  A non-diagonal a, an ode chart
 shot along the full rule (off the origin, or on a chart without a mark)
 and gaussian_integral with its arbitrary G keep the full rule; an a that
 allows less than a folded bundle holds is refused.
@@ -62,10 +66,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._numerics import (composite_gauss_legendre, gauss_gegenbauer, read_only,
-                        shell_volume)
+from ._numerics import (composite_gauss_legendre, gauss_gegenbauer, gauss_jacobi,
+                        read_only, shell_volume)
 from ._spaceform import ball_volume_K, sphere_area_K
-from .charts import NormalChart, Symmetry
+from .charts import NormalChart, Partition, common_refinement
 from .errors import (
     ConfigInvalid,
     LevelSetDegenerate,
@@ -89,6 +93,7 @@ __all__ = [
     "eval_W_normalized",
     "gaussian_integral",
     "sphere_rule",
+    "orbit_rule",
     "ball_volume",
     "bishop_gromov_ratio",
 ]
@@ -240,35 +245,45 @@ def is_diagonal(a) -> bool:
         np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)))
 
 
-def is_isotropic(a) -> bool:
-    """Whether a is square and exactly lambda I: then q = d.a.d = lambda
-    and w = a d - q d = 0 along every ray d, whatever its direction."""
-    a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] > 0 and bool(
-        np.array_equal(a, a[0, 0] * np.eye(len(a))))
+def _equal_entries(a) -> Partition:
+    """The partition of the coordinates into the sets of equal diagonal
+    entries of a, which need not be contiguous: for a diagonal a, q = d.a.d
+    and |a d|^2 are invariant under the block group of the partition."""
+    d = np.diagonal(a).tolist()
+    blocks = {}
+    for i, x in enumerate(d):
+        # keyed by the first equal entry: list.index tests identity first,
+        # so a NaN, equal to nothing, finds itself
+        blocks.setdefault(d.index(x), []).append(i)
+    return tuple(map(tuple, blocks.values()))
 
 
-def fold_level(a, symmetry: Symmetry, pinned: bool = False) -> Symmetry:
-    """How far a radial rule's rays fold for the profile matrix a on a
-    geometry of the given symmetry about the centre: the one fold policy,
-    for the nodes (resolve_rule) and for the bundle an ode chart is shot
-    along (expansion.prepare_normal_chart).
+def fold_level(a, symmetry: Partition | None,
+               pinned: bool = False) -> Partition | None:
+    """The partition a radial rule's rays fold onto (ray_bundle's orbit
+    rule) for the profile matrix a on a geometry of the given symmetry
+    about the centre, or None for the full rule: the one fold policy, for
+    the nodes (resolve_rule) and for the bundle an ode chart is shot along
+    (expansion.prepare_normal_chart).
 
-    An exactly isotropic a (is_isotropic) keeps every integrand radial, a
-    diagonal one even in every coordinate, any other neither; a = None,
-    no test function, keeps whatever the geometry has.  The fold is the
-    lower of that and symmetry.  pinned says the rays were shot at
-    symmetry already (an ode chart): an a that allows less raises
+    A diagonal a keeps every integrand invariant under the block group of
+    its sets of equal entries (_equal_entries; a = lambda I is one block),
+    and any other a folds nothing; a = None, no test function, keeps
+    whatever the geometry has.  The fold is the common refinement
+    of that and symmetry.  pinned says the rays were shot on the orbit rule
+    of symmetry already (an ode chart): an a that allows less raises
     ConfigInvalid instead of integrating part of the sphere."""
-    allowed = (Symmetry.ROTATION if a is None or is_isotropic(a)
-               else Symmetry.MIRROR if is_diagonal(a) else Symmetry.NONE)
-    if pinned and allowed < symmetry:
+    if a is None:
+        return symmetry
+    allowed = _equal_entries(a) if is_diagonal(a) else None
+    fold = common_refinement(symmetry, allowed)
+    if pinned and fold != symmetry:
         raise ConfigInvalid(
-            f"this normal chart holds the {symmetry.fold} fold of its ray "
-            f"bundle, and a allows the {allowed.fold} fold at most; "
+            f"this normal chart holds a ray bundle folded onto the blocks "
+            f"{symmetry}, and a allows the blocks {allowed} at most; "
             "prepare_normal_chart(..., a=a) shoots the bundle a needs"
         )
-    return min(allowed, symmetry)
+    return fold
 
 
 def build_test_function(
@@ -365,20 +380,48 @@ def _azimuth(m: int, fold: bool):
 _MAX_DIRECTIONS = 2**15
 
 
-@lru_cache(maxsize=64)
 def sphere_rule(n: int, order: int, fold: bool = False):
     """The product rule on S^{n-1} in hyperspherical coordinates (Stroud,
     Approximate Calculation of Multiple Integrals, 1971): directions and
-    weights summing to the sphere's area, exact to degree 2 o - 1.
+    weights summing to the sphere's area, exact to degree 2 o - 1, o being
+    order lowered until the full rule holds at most _MAX_DIRECTIONS.
 
-    Polar factors run outermost first, each giving the next coordinate
-    x_m, m = n, ..., 3, from the last: o-point Gauss-Gegenbauer for the
-    weight (1 - v^2)^((m-3)/2).  The trapezoid azimuth takes x1, x2 on
-    what their sines leave, at 2 o angles (max(4 o, 16) on S^1).  o is
-    order, lowered until the full rule holds at most _MAX_DIRECTIONS.
-    fold folds every factor onto its nonnegative half by node index
-    (`_half_rule`, `_azimuth`): the rule on the orthant, exact on the
-    functions even in every coordinate."""
+    It is orbit_rule on n singleton blocks.  fold folds every factor onto
+    its nonnegative half by node index (`_half_rule`, `_azimuth`): the rule
+    on the orthant, exact on the functions even in every coordinate."""
+    return orbit_rule(order, tuple((i,) for i in range(n)), fold)
+
+
+@lru_cache(maxsize=64)
+def orbit_rule(order: int, blocks: Partition, fold: bool = True):
+    """The rule of sphere_rule(n, order) for the functions invariant under
+    the block group O(n_1) x ... x O(n_k) of the partition blocks, on its
+    orbit space: directions and weights summing to |S^{n-1}|, exact on
+    those functions to the full rule's degree 2 o - 1.
+
+    A point of S^{n-1} is (s_1 y_1, ..., s_k y_k) with s on the positive
+    part of S^{k-1} and y_b on S^{n_b - 1}; an invariant function depends
+    on s alone, and its integral carries the weight prod_b s_b^(n_b - 1)
+    |S^{n_b - 1}|.  Hyperspherical factors peel s_k, s_(k-1), ... off,
+    outermost first, each as u times what the sines left so far, with N'
+    the dimension of the blocks before it:
+      * a singleton: the o-point Gauss-Gegenbauer rule for the weight
+        (1 - u^2)^((N' - 2)/2) on [-1, 1], halved by node index when fold
+        (_half_rule doubles |S^0| = 2 into its weights; fold=False, the
+        full rule of sphere_rule, keeps it whole);
+      * a block of two or more: u^2 = v from the ceil(o/2)-point
+        Gauss-Jacobi rule for v^((n_b - 2)/2) (1 - v)^((N' - 2)/2) on
+        [0, 1], exact to degree o - 1 in v as the invariant integrands of
+        degree 2 o - 1 need, its weights times |S^{n_b - 1}| / 2.
+    Two leading singletons share the trapezoid azimuth of sphere_rule,
+    folded onto its quadrant when fold, at 2 o angles (max(4 o, 16) on
+    S^1); otherwise s_2 takes a factor too and s_1 is what is left, its
+    weight |S^{n_1 - 1}|.  Each s_b goes on its block's first coordinate,
+    the block's other coordinates stay zero.  n singletons thus give the
+    product rule (its orthant when fold) and one block the direction e_1
+    carrying the whole area."""
+    n = sum(map(len, blocks))
+    sizes = [len(b) for b in blocks]
 
     def azimuths(o):
         return max(4 * o, 16) if n == 2 else 2 * o
@@ -386,22 +429,37 @@ def sphere_rule(n: int, order: int, fold: bool = False):
     o = order
     while o ** (n - 2) * azimuths(o) > _MAX_DIRECTIONS:
         o -= 1
-    coords, sines, wts = [], np.ones(1), np.ones(1)
-    for m in range(n, 2, -1):
-        u, wu = gauss_gegenbauer(o, (m - 2) / 2)
-        if fold:
-            u, wu = _half_rule(u, wu)
-        coords = [np.repeat(x, u.size) for x in coords]
-        coords.append(np.outer(sines, u).ravel())
-        sines = np.outer(sines, np.sqrt(1 - u**2)).ravel()
+    pair = sizes[:2] == [1, 1]
+    radii, sines, wts = [], np.ones(1), np.ones(1)
+    for b in range(len(blocks) - 1, 1 if pair else 0, -1):
+        inner = sum(sizes[:b])
+        if sizes[b] == 1:
+            u, wu = gauss_gegenbauer(o, (inner - 1) / 2)
+            if fold:
+                u, wu = _half_rule(u, wu)
+            rest = np.sqrt(1 - u**2)
+        else:
+            x, wx = gauss_jacobi(-(-o // 2), (inner - 2) / 2, (sizes[b] - 2) / 2)
+            u, rest = np.sqrt(0.5 + 0.5 * x), np.sqrt(0.5 - 0.5 * x)
+            # v = (1 + x)/2 carries 2^-(alpha + beta + 1), u du = dv/2
+            area = sphere_area_K(sizes[b], 0.0, 1.0)
+            wu = wx * (area / 2.0 ** ((inner + sizes[b]) / 2))
+        radii = [np.repeat(r, u.size) for r in radii]
+        radii.append(np.outer(sines, u).ravel())
+        sines = np.outer(sines, rest).ravel()
         wts = np.outer(wts, wu).ravel()
-    c, s, wa = _azimuth(azimuths(o), fold)
-    coords = [np.repeat(x, c.size) for x in coords]
-    dirs = np.stack(
-        [np.outer(sines, c).ravel(), np.outer(sines, s).ravel(), *coords[::-1]],
-        -1,
-    )
-    return read_only(dirs, np.outer(wts, wa).ravel())
+    if pair:
+        c, si, wa = _azimuth(azimuths(o), fold)
+        radii = [np.repeat(r, c.size) for r in radii]
+        radii += [np.outer(sines, si).ravel(), np.outer(sines, c).ravel()]
+        wts = np.outer(wts, wa).ravel()
+    else:
+        radii.append(sines)
+        wts = wts * (2.0 if sizes[0] == 1 else sphere_area_K(sizes[0], 0.0, 1.0))
+    dirs = np.zeros((wts.size, n))
+    for block, r in zip(blocks, radii[::-1]):
+        dirs[:, block[0]] = r
+    return read_only(dirs, wts)
 
 
 def _radial_nodes(order: int, c: float, kinks=()):
@@ -410,27 +468,20 @@ def _radial_nodes(order: int, c: float, kinks=()):
     return composite_gauss_legendre(brk, order)
 
 
-@lru_cache(maxsize=8)
-def _one_ray(n: int):
-    """The radial fold of every sphere rule: the direction e_1 carrying
-    the whole area |S^{n-1}|, exact on the functions constant on the
-    sphere."""
-    return read_only(np.eye(1, n), np.array([sphere_area_K(n, 0.0, 1.0)]))
-
-
-def ray_bundle(n: int, order: int, fold: Symmetry = Symmetry.NONE, nchart=None):
+def ray_bundle(n: int, order: int, fold: Partition | None = None, nchart=None):
     """Directions (nd, n) and weights (nd,) of a radial rule's rays: an
     ode nchart's own bundle, pinned when it was shot (order then refines
-    the radii alone), else the fold of sphere_rule(n, order): all of it,
-    its orthant (Symmetry.MIRROR) or one ray (Symmetry.ROTATION)."""
+    the radii alone), else sphere_rule(n, order) for fold None and the
+    orbit rule of the partition fold otherwise (n singletons: the
+    orthant; one block: one ray)."""
     if nchart is not None and nchart.kind == "ode":
         return nchart.dirs, nchart.weights
-    if fold == Symmetry.ROTATION:
-        return _one_ray(n)
-    return sphere_rule(n, order, fold == Symmetry.MIRROR)
+    if fold is None:
+        return sphere_rule(n, order)
+    return orbit_rule(order, fold)
 
 
-def _nodes(rule, n, order, c, kinks=(), fold=Symmetry.NONE, nchart=None):
+def _nodes(rule, n, order, c, kinks=(), fold=None, nchart=None):
     """Unit directions d, z-radii rho and weights of one rule; the weights
     carry the Gaussian factor and the pi^{-n/2} normalization.
 
@@ -438,12 +489,12 @@ def _nodes(rule, n, order, c, kinks=(), fold=Symmetry.NONE, nchart=None):
     radial_sphere as rays d (nd, 1, n) times radii rho (nr,) on [0, c]
     split at the kinks, weights (nd, nr).  Any fold takes the hermite grid
     onto the orthant, and the radial_sphere directions onto ray_bundle's
-    fold (see resolve_rule).  On an ode nchart the rays are the chart's
-    own bundle, folded or not."""
+    orbit rule (see resolve_rule).  On an ode nchart the rays are the
+    chart's own bundle, folded or not."""
     if rule == "hermite":
         if n > 4:  # order^n nodes: 1e8 at the default order and n = 5
             raise ConfigInvalid("product Hermite grids are limited to n <= 4")
-        return _hermite_nodes(n, order, fold != Symmetry.NONE)
+        return _hermite_nodes(n, order, fold is not None)
     if rule != "radial_sphere":
         raise ConfigInvalid(f"unknown rule {rule!r}")
     rho, wr = _radial_nodes(order, c, kinks)
@@ -455,24 +506,24 @@ def _nodes(rule, n, order, c, kinks=(), fold=Symmetry.NONE, nchart=None):
 
 def resolve_rule(tf: TestFunction, quad: QuadratureSpec):
     """The rule quad runs on tf's chart ('auto' resolved to radial_sphere)
-    and how far its nodes fold (a Symmetry).
+    and the partition its nodes fold onto (None: no fold).
 
     eta^2 and its gradient enter through |x|^2, x.a.x and |a x|^2, so on a
     geometry with the normal chart's symmetry (NormalChart.symmetry) a
-    diagonal a gives mirror nodes identical values and a = lambda I every
-    node at one radius: fold_level decides.  A closed-form chart is
-    rotation invariant; there the radial_sphere rule folds to what a
-    allows and the hermite grid onto the orthant at most.  An ode chart's
-    nodes are its bundle, pinned at the fold it was shot with, so an a
-    that allows less raises ConfigInvalid (prepare_normal_chart shoots the
-    bundle a needs)."""
+    diagonal a gives the nodes of one orbit of the block group of its
+    equal entries identical values: fold_level decides.  A closed-form
+    chart is rotation invariant; there the radial_sphere rule folds to
+    what a allows and the hermite grid onto the orthant (n singletons) at
+    most.  An ode chart's nodes are its bundle, pinned at the fold it was
+    shot with, so an a that allows less raises ConfigInvalid
+    (prepare_normal_chart shoots the bundle a needs)."""
     nc = tf.nchart
     rule = "radial_sphere" if quad.rule == "auto" else quad.rule
     if nc.kind == "ode" and rule != "radial_sphere":
         raise ConfigInvalid("ode normal charts support only the radial_sphere rule")
     fold = fold_level(tf.a, nc.symmetry, pinned=nc.kind == "ode")
-    if rule == "hermite":
-        fold = min(fold, Symmetry.MIRROR)
+    if rule == "hermite" and fold is not None:
+        fold = tuple((i,) for i in range(nc.n))
     return rule, fold
 
 

@@ -29,11 +29,11 @@ functionals.check_time tests exactly beforehand.
 
 The rays are those of the radial-spherical rule that integrates the
 original side, from the same accessor (functionals.ray_bundle), folded as
-functionals.resolve_rule decides.  For a diagonal a, u is even in every
-coordinate and that rule is folded onto the orthant: at order 32 on S^2
-the sweep runs on 272 rays instead of 2,048.  For a = lambda I (a = 0,
-the CLI default, included) u is radial and the sweep runs on one ray
-carrying the whole sphere area.
+functionals.resolve_rule decides: onto the orbit rule of the sets of
+equal entries of a diagonal a, whose block group leaves u invariant.  At
+order 32 on S^2 distinct entries give the orthant, 272 rays instead of
+2,048; a = lambda I (a = 0, the CLI default, included) makes u radial
+and the sweep runs on one ray carrying the whole sphere area.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ def symmetrize(
     u radially nonincreasing and t <= (r_s/10)^2 (functionals.check_time).
     The level ladder runs geometrically from max * (1 - 1e-3) down to max
     * 1e-6 with at least 64 rungs.  The sweep and the original side share
-    one radial-spherical rule, folded onto the orthant when a is diagonal
-    and onto one ray when a = lambda I (meta["fold"]).
+    one radial-spherical rule, folded onto the orbit rule of the sets of
+    equal entries of a diagonal a (meta["fold"] lists them).
     """
     if tf.nchart.kind != "flat":
         raise ConfigInvalid(
@@ -205,7 +205,7 @@ def symmetrize(
     n = tf.nchart.n
 
     # the sweep runs on the rays of the original side's rule, folded onto
-    # the orthant for a diagonal a and onto one ray for lambda I
+    # the orbit rule of a diagonal a's equal entries
     fold = resolve_rule(tf, quad)[1]
     dirs, wd = ray_bundle(n, order, fold, tf.nchart)
     nd = dirs.shape[0]
@@ -298,6 +298,7 @@ def symmetrize(
         dirichlet_original=comp.dirichlet,
         dirichlet_symmetrized=dir_sym,
         meta={"t": t, "levels": levels, "order": order, "rays": nd,
-              "fold": fold.fold, "newton_steps": steps,
+              "fold": None if fold is None else [list(b) for b in fold],
+              "newton_steps": steps,
               "crossing_residual": resid},
     )

@@ -25,7 +25,6 @@ from curvex.charts import (
     PROFILES,
     Box,
     MetricChart,
-    Symmetry,
     _GenericCurvature,
     _JetEngine,
     _det,
@@ -667,10 +666,10 @@ _MIRROR_EVEN = (
 class TestMirrorEven:
     """make_chart marks the symmetry of each chart's metric about the
     origin (MetricChart.symmetry), the condition for shooting a folded ray
-    bundle there: MIRROR when it is even in each coordinate, ROTATION when
-    it is rotation invariant too.  The oracle is the metric map itself:
-    g(S x) = S g(x) S for every coordinate reflection S, and g(R x) =
-    R g(x) R^T for rotations R."""
+    bundle there: a partition of the coordinates into blocks whose block
+    group leaves the metric invariant.  The oracle is the metric map
+    itself: g(R x) = R g(x) R^T for coordinate reflections R and for
+    random orthogonal maps R of the block group."""
 
     @staticmethod
     def _mirror_defect(ch, samples=200):
@@ -687,21 +686,11 @@ class TestMirrorEven:
             worst = max(worst, float(np.abs(gS - S[:, None] * g * S).max()))
         return worst / float(np.abs(g).max())
 
-    @pytest.mark.parametrize(
-        "spec", _MIRROR_EVEN,
-        ids=lambda s: f"{s.kind}-n{s.n}-K{s.K:+.0f}"
-        + (f"-{s.perturbation.name}" if s.perturbation else ""),
-    )
-    def test_marked_charts_are_even(self, spec):
-        ch = make_chart(spec)
-        assert ch.symmetry >= Symmetry.MIRROR
-        assert np.array_equal(ch.domain.lo, -ch.domain.hi)
-        assert self._mirror_defect(ch) <= 1e-15
-
     @staticmethod
-    def _rotation_defect(ch, samples=200):
-        """Largest |g(R x) - R g(x) R^T| over random rotations R at random
-        points of the box's inscribed ball, relative to the largest |g|."""
+    def _rotation_defect(ch, blocks, samples=200):
+        """Largest |g(R x) - R g(x) R^T| over random orthogonal maps R of
+        the block group of blocks at random points of the box's inscribed
+        ball, relative to the largest |g|."""
         rng = np.random.default_rng(19)
         hw = float(ch.domain.hi[0])
         X = rng.normal(size=(samples, ch.n))
@@ -710,7 +699,9 @@ class TestMirrorEven:
         g = ch.metric(X)
         worst = 0.0
         for _ in range(4):
-            R = np.linalg.qr(rng.normal(size=(ch.n, ch.n)))[0]
+            R = np.zeros((ch.n, ch.n))
+            for b in blocks:
+                R[np.ix_(b, b)] = np.linalg.qr(rng.normal(size=(len(b),) * 2))[0]
             gR = ch.metric(X @ R.T)
             worst = max(worst, float(np.abs(gR - R @ g @ R.T).max()))
         return worst / float(np.abs(g).max())
@@ -720,55 +711,79 @@ class TestMirrorEven:
         ids=lambda s: f"{s.kind}-n{s.n}-K{s.K:+.0f}"
         + (f"-{s.perturbation.name}" if s.perturbation else ""),
     )
-    def test_rotation_marks(self, spec):
-        """One space-form block or a radial profile is marked rotation
-        invariant; the sphere-line products are not, and only mirror even."""
+    def test_marked_charts_are_even(self, spec):
         ch = make_chart(spec)
+        assert ch.symmetry is not None
+        assert np.array_equal(ch.domain.lo, -ch.domain.hi)
+        assert self._mirror_defect(ch) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "spec", _MIRROR_EVEN,
+        ids=lambda s: f"{s.kind}-n{s.n}-K{s.K:+.0f}"
+        + (f"-{s.perturbation.name}" if s.perturbation else ""),
+    )
+    def test_rotation_marks(self, spec):
+        """One space-form block or a radial profile is marked as one
+        block; a sphere-line product as its blocks, {0, 1} and the line's
+        coordinates, and it is not invariant under all of O(n)."""
+        ch = make_chart(spec)
+        whole = (tuple(range(spec.n)),)
         if spec.kind == "product_sphere_line":
-            assert ch.symmetry == Symmetry.MIRROR
-            assert self._rotation_defect(ch) > 1e-2
+            assert ch.symmetry == ((0, 1), tuple(range(2, spec.n)))
+            assert self._rotation_defect(ch, whole) > 1e-2
         else:
-            assert ch.symmetry == Symmetry.ROTATION
-            assert self._rotation_defect(ch) <= 1e-14
+            assert ch.symmetry == whole
+        assert self._rotation_defect(ch, ch.symmetry) <= 1e-14
 
     def test_unmarked_charts(self):
         """A plain-callable profile carries no symmetry make_chart can
         read, radial or not, and a hand-built MetricChart none either.  The
         non-radial profile is indeed not even."""
         skew = _conformal(lambda X: X[:, 0] + X[:, 1] ** 2, eps=0.2)
-        assert skew.symmetry == Symmetry.NONE
+        assert skew.symmetry is None
         assert self._mirror_defect(skew) > 1e-2
-        assert _conformal(_plain("quartic_bump")).symmetry == Symmetry.NONE
+        assert _conformal(_plain("quartic_bump")).symmetry is None
         cat = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
-        assert MetricChart(3, cat.domain, cat.metric).symmetry == Symmetry.NONE
+        assert MetricChart(3, cat.domain, cat.metric).symmetry is None
         with pytest.raises(AttributeError):
-            cat.symmetry = Symmetry.NONE
+            cat.symmetry = None
 
     def test_fold_needs_the_origin_of_a_marked_chart(self, conformal_chart):
+        orthant = ((0,), (1,), (2,))
         rule = sphere_rule(3, 8, True)
         nc = build_normal_chart(conformal_chart, np.zeros(3), 0.5, rule=rule,
-                                fold=True, r_samples=32)
-        assert nc.symmetry == Symmetry.MIRROR
+                                fold=orthant, r_samples=32)
+        assert nc.symmetry == orthant
         with pytest.raises(InvalidSpec):
             build_normal_chart(conformal_chart, np.array([0.1, 0.0, 0.0]),
-                               0.5, rule=rule, fold=True, r_samples=32)
+                               0.5, rule=rule, fold=orthant, r_samples=32)
         cat = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
         with pytest.raises(InvalidSpec):
             build_normal_chart(MetricChart(3, cat.domain, cat.metric),
-                               np.zeros(3), 0.5, rule=rule, fold=True,
+                               np.zeros(3), 0.5, rule=rule, fold=orthant,
                                r_samples=32)
-        # one ray needs a rotation-invariant centre: the radial profile's
-        # origin, not the mirror-even product's
+        # one ray needs one block: the radial profile's origin, not the
+        # sphere-line product's, whose own blocks are accepted, in any
+        # order, and no partition its blocks do not refine
         ray = (np.eye(1, 3), np.array([4.0 * np.pi]))
         one = build_normal_chart(conformal_chart, np.zeros(3), 0.5, rule=ray,
-                                 fold=Symmetry.ROTATION, r_samples=32)
-        assert one.symmetry == Symmetry.ROTATION and one.dirs.shape == (1, 3)
+                                 fold=[[2, 0, 1]], r_samples=32)
+        assert one.symmetry == ((0, 1, 2),) and one.dirs.shape == (1, 3)
         with pytest.raises(InvalidSpec):
             build_normal_chart(cat, np.zeros(3), 0.5, rule=ray,
-                               fold=Symmetry.ROTATION, r_samples=32)
+                               fold=((0, 1, 2),), r_samples=32)
+        blocks = build_normal_chart(cat, np.zeros(3), 0.5, rule=rule,
+                                    fold=[(2,), (1, 0)], r_samples=32)
+        assert blocks.symmetry == ((0, 1), (2,))
+        # True, the former spelling of the orthant, is no partition
+        for bad in (((0,), (1, 2)), ((0, 2), (1,)), ((0, 1),), ((0, 1), (1, 2)),
+                    True):
+            with pytest.raises(InvalidSpec):
+                build_normal_chart(cat, np.zeros(3), 0.5, rule=rule, fold=bad,
+                                   r_samples=32)
         full = build_normal_chart(conformal_chart, np.zeros(3), 0.5,
                                   rule=sphere_rule(3, 8), r_samples=32)
-        assert full.symmetry == Symmetry.NONE
+        assert full.symmetry is None
 
 
 class TestDetInv:

@@ -71,6 +71,38 @@ order = 16
 """
 
 
+EXPAND_SPHERE_LINE = """
+[chart]
+kind = product_sphere_line
+n = 3
+K = 1.0
+
+[experiment]
+r_s = 0.9
+
+[quadrature]
+rule = radial_sphere
+order = 16
+"""
+
+EXPAND_S3_ZERO = """
+[chart]
+kind = space_form
+n = 3
+K = 1.0
+halfwidth = 1.75
+
+[experiment]
+r_s = 1.7
+mode = zero
+alpha = -2.0
+
+[quadrature]
+rule = radial_sphere
+order = 16
+"""
+
+
 SYM_CFG = """
 [chart]
 kind = flat
@@ -172,11 +204,34 @@ class TestRuns:
         assert doc["result"]["meta"]["normal_chart"] == "flat"
         # a = Rc/3 = 0 is isotropic on the closed-form flat chart: one ray
         assert doc["result"]["meta"]["rule"] == "radial_sphere"
-        assert doc["result"]["meta"]["fold"] == "radial"
+        assert doc["result"]["meta"]["fold"] == [[0, 1, 2]]
         assert doc["result"]["meta"]["rays"] == 1
         lines = (tmp_path / "expand_L.csv").read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "t"
         assert len(lines) == 7  # header + 6 time points
+
+    def test_expand_zero_profile_passes(self, tmp_path):
+        """a = 0 on S^3: the fit and the prediction are both those of the
+        mass-normalized deficit, c2 = -(|Rm|^2/6 - 4 |Rc/3|^2) = 10/3."""
+        cfg = _write(tmp_path, "c.ini", EXPAND_S3_ZERO)
+        assert main(["expand_L", "--config", cfg, "--out", str(tmp_path),
+                     "--no-timestamp"]) == 0
+        res = json.loads((tmp_path / "expand_L.json").read_text())["result"]
+        assert res["pass"] is True
+        assert res["predicted"]["c2"] == pytest.approx(10.0 / 3.0, rel=1e-14)
+
+    def test_expand_records_the_block_fold(self, tmp_path):
+        """S^2 x R folds onto the orbit rule of its blocks {0, 1}, {2}:
+        meta["fold"] lists them, and reruns write the same bytes."""
+        cfg = _write(tmp_path, "c.ini", EXPAND_SPHERE_LINE)
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        for d in (d1, d2):
+            assert main(["expand_L", "--config", cfg, "--out", str(d),
+                         "--no-timestamp"]) == 0
+        raw = (d1 / "expand_L.json").read_bytes()
+        assert raw == (d2 / "expand_L.json").read_bytes()
+        meta = json.loads(raw)["result"]["meta"]
+        assert meta["fold"] == [[0, 1], [2]] and meta["rays"] == 8
 
     def test_volume_on_ode_chart(self, tmp_path):
         """The S^2 x R chart has no closed-form normal chart: volume shoots
@@ -202,7 +257,7 @@ class TestRuns:
         )
         assert code == 0
         meta = json.loads((tmp_path / "symmetrize.json").read_text())["result"]["meta"]
-        assert meta["fold"] == "radial" and meta["rays"] == 1
+        assert meta["fold"] == [list(range(n))] and meta["rays"] == 1
 
     def test_mu_small(self, tmp_path):
         cfg = _write(
@@ -258,7 +313,7 @@ class TestDeterminism:
         # a diagonal a folds the order-16 S^2 rule onto the orthant: o/2
         # Legendre nodes u >= 0 times the o/2 + 1 azimuths 4k <= 2o
         o = 16
-        assert meta["fold"] == "orthant"
+        assert meta["fold"] == [[0], [1], [2]]
         assert meta["rays"] == (o // 2) * (o // 2 + 1)
         # Newton evaluations from the Gaussian crossing (5 measured)
         assert 2 <= meta["newton_steps"] <= 5

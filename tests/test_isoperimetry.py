@@ -482,7 +482,7 @@ class TestNewtonCrossings:
         # the folded order-32 S^2 rule of the diagonal a: o/2 Legendre
         # nodes u >= 0 times the o/2 + 1 azimuths 4k <= 2o
         o = 32
-        assert meta["fold"] == "orthant"
+        assert meta["fold"] == [[0], [1], [2]]
         assert meta["rays"] == (o // 2) * (o // 2 + 1)
         # Newton evaluations from the Gaussian crossing, the last one
         # confirming the crossings still open (5 measured, 4 on c08)

@@ -27,6 +27,7 @@ from curvex._numerics import (
     composite_gauss_legendre,
     dopri45,
     gauss_gegenbauer,
+    gauss_jacobi,
     gauss_legendre,
     shell_radius,
 )
@@ -68,6 +69,24 @@ class TestGaussRules:
         assert np.abs(x - xs).max() <= 1e-15
         assert np.abs(w - ws).max() <= 1e-14 * ws.sum()
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 20])
+    @pytest.mark.parametrize("alpha,beta", [
+        (0.0, 0.0), (-0.5, 0.0), (0.0, -0.5), (0.5, 0.5), (-0.5, 1.0),
+        (1.0, 0.0), (1.5, 0.5), (2.0, 1.0), (0.3, -0.7)])
+    def test_jacobi_golub_welsch(self, m, alpha, beta):
+        """The block factors of the orbit rules, (alpha, beta) = ((N' -
+        2)/2, (n_b - 2)/2), and a few others, against scipy.  Where an
+        exponent is negative both sides lose digits at the singular end:
+        against a 40-digit Golub-Welsch (mpmath) at m = 20, nodes within
+        1.2e-15 here and 2.2e-16 in scipy, weights within 5.5e-15 of their
+        sum here and 7.0e-14 in scipy."""
+        x, w = gauss_jacobi(m, alpha, beta)
+        xs, ws = roots_jacobi(m, alpha, beta)
+        singular = min(alpha, beta) < 0
+        assert np.abs(x - xs).max() <= (2e-15 if singular else 1e-15)
+        assert np.abs(w - ws).max() <= (1e-13 if singular else 1e-14) * ws.sum()
+        assert not x.flags.writeable and not w.flags.writeable
 
     def test_gegenbauer_special_cases_are_cached_rules(self):
         """lam = 1/2 is the Legendre rule itself; every rule is cached and
@@ -416,8 +435,10 @@ class TestProbeRadius:
 
 def test_runtime_paths_load_no_scipy():
     """A fresh interpreter runs a Hermite and an auto expansion, an auto
-    expansion at n = 5 (Golub-Welsch polar factors), the S^2xR ode chart,
-    symmetrize, mu_ball and assess_rigidity without loading scipy."""
+    expansion at n = 5 (Golub-Welsch polar factors), the S^2xR ode chart
+    and its expansion on the orbit rule, the orbit rule of S^2 x R^2
+    (a Gauss-Jacobi factor), symmetrize, mu_ball and assess_rigidity
+    without loading scipy."""
     script = textwrap.dedent(
         """
         import sys
@@ -428,7 +449,7 @@ def test_runtime_paths_load_no_scipy():
                             build_normal_chart, build_test_function, make_chart,
                             mu_ball, run_expansion, symmetrize)
         from curvex.errors import PositivityWarning
-        from curvex.functionals import sphere_rule
+        from curvex.functionals import orbit_rule, sphere_rule
 
         warnings.simplefilter("ignore", PositivityWarning)
         s3 = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.0))
@@ -441,6 +462,9 @@ def test_runtime_paths_load_no_scipy():
         nc = build_normal_chart(s2r, np.zeros(3), 0.9, rule=sphere_rule(3, 8),
                                 r_samples=96)
         nc.geometry(np.linspace(0.0, 0.9, 7), np.zeros((nc.dirs.shape[0], 1, 3)))
+        run_expansion(s2r, np.zeros(3), r_s=0.9,
+                      quad=QuadratureSpec(rule="radial_sphere", order=10))
+        orbit_rule(10, ((0, 1), (2, 3)))
         flat = make_chart(ModelSpec("flat", 3, halfwidth=2.0))
         tf = build_test_function(build_normal_chart(flat, np.zeros(3), 1.6),
                                  mode=np.diag([0.3, -0.1, 0.05]), alpha=0.0,
