@@ -20,29 +20,33 @@ Geodesic shooting and the curvature fields both go through it.
 Sign convention: R_ijij = K on a space form of curvature K, so
 rc_ij = sum_s rm_isjs and sc = n(n-1)K.
 
-Normal charts wrap the exponential map at a center point.  Flat charts and
-space forms centered at the chart origin use closed forms in the geodesic
-radius alone; everything else ('ode' charts) integrates the geodesic
-equation together with its variational (Jacobi) system along a fixed bundle
-of rays, since that is the shape the radial-spherical quadrature consumes.
-make_chart marks each chart with the symmetry of its metric about the
-origin of its cube box (MetricChart.symmetry): a partition of the
-coordinates into blocks whose block group O(n_1) x ... x O(n_k), each
-factor acting on its own block, leaves the metric invariant, or None.  A
-single space-form block (flat, space_form) and a conformal chart whose
-profile is a RadialProfile are one block, a direct sum of space forms
-(product_sphere_line) its blocks' coordinates ({0, 1}, {2} on S^2 x R),
-and a plain-callable profile or a hand-built chart carry None.  At that
-origin the geodesic along an image of a direction under the group is the
-image of its geodesic, so the bundle may be the orbit rule of the group
-(functionals.ray_bundle) or of any subgroup, its weights counting the rays
-each ray stands for: 8 rays instead of 512 on S^2 x R at order 16, the
-orthant of the rule for singleton blocks, and one ray carrying the whole
-sphere area when all coordinates form
-one.  An 'ode' chart keeps one radius-major table, built once at the sample
-radii, a block of radii at a time, with cofactor determinants and inverses
-for n <= 3.  Per ray it holds the density and, in an orthonormal basis B_d
-of the plane orthogonal to the ray d, the n(n-1)/2 upper entries of
+Normal charts wrap the exponential map at a center point.  make_chart
+records a warp f (MetricChart.warp) where the metric reads dr^2 +
+f(r)^2 g_{S^{n-1}} in geodesic polar coordinates about the origin of its
+box (Petersen, Riemannian Geometry, 3rd ed., 2016): f = r on flat space
+(about every point), f = sn_K on a space form, and on a conformal chart
+with a RadialProfile the f of its straight rays.  A 'warped' normal chart
+at such a centre reads all its geometry from f; every other centre ('ode'
+charts: S^2 x R, off-centre points, hand-built charts) integrates the
+geodesic equation together with its variational (Jacobi) system along a
+fixed bundle of rays, since that is the shape the radial-spherical
+quadrature consumes.  make_chart also marks each chart with the symmetry
+of its metric about the origin of its cube box (MetricChart.symmetry): a
+partition of the coordinates into blocks whose block group O(n_1) x ...
+x O(n_k), each factor acting on its own block, leaves the metric
+invariant, or None.  A single space-form block (flat, space_form) and a
+conformal chart whose profile is a RadialProfile are one block, a direct
+sum of space forms (product_sphere_line) its blocks' coordinates ({0, 1},
+{2} on S^2 x R), and a plain-callable profile or a hand-built chart carry
+None.  At that origin the geodesic along an image of a direction under
+the group is the image of its geodesic, so an ode bundle may be the orbit
+rule of the group (functionals.ray_bundle) or of any subgroup, its
+weights counting the rays each ray stands for: 8 rays instead of 512 on
+S^2 x R at order 16, the orthant of the rule for singleton blocks.  An
+'ode' chart keeps one radius-major table, built once at the sample radii,
+a block of radii at a time, with cofactor determinants and inverses for
+n <= 3.  Per ray it holds the density and, in an orthonormal basis B_d of
+the plane orthogonal to the ray d, the n(n-1)/2 upper entries of
 B_d^T g~^{-1} B_d (off-diagonal ones doubled; 4 columns in all at n = 3),
 under one not-a-knot cubic spline in r, so reading it at the quadrature
 radii inverts nothing.  The integrator samples only the exp points and the
@@ -57,11 +61,9 @@ w.g~^{-1}w) for covectors w orthogonal to the ray: with the Gauss lemma
 that is all the metric a radial kernel needs.  A second call,
 NormalChart.scalar(r), gives Sc, which only the W-functional reads.  Ball
 volumes, sphere areas and the radius of a given volume all come from a
-third call, NormalChart.shell(r), the area of the geodesic sphere.  An
-'ode' chart carries the weights of the sphere rule its rays came from, so
-that area is a weighted sum over the bundle of the density column of its
-one table spline, folded or not (the density is the same on every ray
-of an orbit).
+third call, NormalChart.shell(r), the area of the geodesic sphere: on an
+'ode' chart a sum over the bundle, under the weights of the sphere rule
+its rays came from, of the density column of its one table spline.
 """
 
 from __future__ import annotations
@@ -73,8 +75,9 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._numerics import CubicSpline, dopri45
-from ._spaceform import sn_over_r, sphere_area_K
+from ._numerics import (CubicSpline, bracketed_newton, composite_gauss_legendre,
+                        dopri45)
+from ._spaceform import omega_n, sn, sn_over_r
 from .errors import (
     DifferentiationUnstable,
     DimensionMismatch,
@@ -99,7 +102,6 @@ __all__ = [
     "make_chart",
     "curvature_at",
     "scalar_curvature_batch",
-    "closed_form_center",
     "center_symmetry",
     "build_normal_chart",
     "density_series",
@@ -240,8 +242,9 @@ class MetricChart:
     K: float = 0.0
     curvature: CurvatureData | None = None  # constant, on homogeneous charts
     christoffel: Callable | None = field(default=None, repr=False)
-    # set by make_chart alone; see symmetry
+    # set by make_chart alone; see symmetry and warp
     _symmetry: Partition | None = field(default=None, init=False, repr=False)
+    _warp: _Warp | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.christoffel is None:
@@ -256,6 +259,13 @@ class MetricChart:
         normal chart at the origin may shoot the orbit rule of any
         refinement of it alone (build_normal_chart)."""
         return self._symmetry
+
+    @property
+    def warp(self) -> _Warp | None:
+        """The warp f of the metric dr^2 + f(r)^2 g_{S^{n-1}} about the
+        origin (about every point on flat space), or None: the one
+        geometry of a warped normal chart (build_normal_chart)."""
+        return self._warp
 
     @property
     def christoffel_route(self) -> str:
@@ -402,8 +412,11 @@ def make_chart(spec: ModelSpec) -> MetricChart:
     # RadialProfile under all of O(n), and the box is a cube about the origin
     if blocks is not None:
         chart._symmetry = symmetry
+        if len(blocks) == 1:
+            chart._warp = _SpaceFormWarp(n, K)
     elif isinstance(pert.profile, RadialProfile):
         chart._symmetry = (tuple(range(n)),)
+        chart._warp = _ConformalWarp(n, pert.eps, pert.profile, hw)
     return chart
 
 
@@ -858,28 +871,131 @@ def scalar_curvature_batch(chart: MetricChart, pts) -> np.ndarray:
 # normal charts
 
 
+class _Warp:
+    """The warp f of a metric dr^2 + f(r)^2 g_{S^{n-1}} in geodesic polar
+    coordinates about a centre, as a normal chart reads it at geodesic
+    radii r (any shape): rho(r), the coordinate radius of the geodesic
+    sphere of radius r, f(r), f(r)/r (1 at r = 0) and Sc(r).  anywhere
+    says the chart is its own normal chart about every point (flat
+    space), not only about its origin."""
+
+    anywhere = False
+
+
+class _SpaceFormWarp(_Warp):
+    """f = sn_K on M^n_K, flat space as K = 0: the chart's coordinates are
+    normal coordinates at its origin (at every point when K = 0), so rho
+    is r, which must stay short of the cut locus, and Sc = n(n-1)K."""
+
+    def __init__(self, n: int, K: float):
+        self.n, self.K = n, K
+        self.anywhere = K == 0
+
+    def rho(self, r):
+        if self.K > 0 and np.max(r) >= 0.995 * np.pi / np.sqrt(self.K):
+            raise InvalidSpec("normal radius reaches the cut locus")
+        return r
+
+    def f(self, r):
+        return sn(self.K, r)
+
+    def f_over_r(self, r):
+        return sn_over_r(self.K, r)
+
+    def scalar(self, r):
+        return self.n * (self.n - 1) * self.K
+
+
+_ARC_NODES = 24  # Gauss-Legendre nodes of each arc-length integral
+_ARC_RTOL = 1e-13  # relative Newton step at which rho(r) has converged
+
+
+class _ConformalWarp(_Warp):
+    """f of the conformal chart e^{2 eps phi(|x|^2)} delta about its
+    origin, phi a RadialProfile: the rays are straight, the unit-speed
+    geodesic along d is rho(r) d, where rho inverts the arc length
+    r(rho) = int_0^rho e^{eps phi(u^2)} du (one _ARC_NODES-point
+    Gauss-Legendre rule on [0, rho], bracketed Newton with slope
+    e^{eps phi(rho^2)}), and f = rho e^{eps phi(rho^2)}.  The scalar
+    curvature of e^{2u} delta with u = eps phi(rho^2) is
+      -e^{-2 eps phi} (n-1) [8 eps (phi' + rho^2 phi'')
+                             + 4 (n-2) eps phi' (1 + eps rho^2 phi')],
+    phi and its derivatives at rho^2: the warped form of it subtracts
+    f'^2 from 1, which cancels at small r (-1.19968 at r = 1e-6 on c06
+    against -1.2).  reach is the coordinate radius of the box, top its
+    arc length."""
+
+    def __init__(self, n: int, eps: float, profile: RadialProfile, reach: float):
+        self.n, self.eps, self.profile, self.reach = n, eps, profile, reach
+        self._x, self._w = composite_gauss_legendre([0.0, 1.0], _ARC_NODES)
+        self.top = float(self.arc(reach))
+
+    def _stretch(self, s):
+        """e^{eps phi(s)}, the speed of the ray at rho^2 = s."""
+        return np.exp(self.eps * self.profile.phi(s))
+
+    def arc(self, rho):
+        rho = np.asarray(rho, dtype=float)
+        u = rho[..., None] * self._x
+        return rho * (self._stretch(u * u) @ self._w)
+
+    def rho(self, r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r > self.top):
+            raise OutOfDomain("the geodesic sphere leaves the chart domain")
+        target = r.ravel()
+
+        def newton(x, live):
+            step = (self.arc(x) - target[live]) / self._stretch(x * x)
+            return x - step, step < 0, np.abs(step) <= _ARC_RTOL * x
+
+        guess = np.minimum(target / self._stretch(0.0), self.reach)
+        x, live, _ = bracketed_newton(newton, guess, 0.0, self.reach)
+        if live.size:
+            raise QuadratureNotConverged(
+                f"no coordinate radius of arc length {target[live[0]]} found")
+        return x.reshape(r.shape)
+
+    def f(self, r):
+        rho = self.rho(r)
+        return rho * self._stretch(rho * rho)
+
+    def f_over_r(self, r):
+        r = np.asarray(r, dtype=float)
+        return np.divide(self.f(r), r, out=np.ones(r.shape), where=r > 0)
+
+    def scalar(self, r):
+        s = self.rho(r) ** 2
+        e, n, p = self.eps, self.n, self.profile
+        d1 = p.dphi(s)
+        return -(n - 1) * np.exp(-2.0 * e * p.phi(s)) * (
+            8.0 * e * (d1 + s * p.d2phi(s))
+            + 4.0 * (n - 2) * e * d1 * (1.0 + e * s * d1))
+
+
 class NormalChart:
     """Geodesic normal coordinates at a center point.
 
-    kind 'flat' and 'space_form' get all their geometry from the geodesic
-    radius (flat space as K = 0); kind 'ode' carries spline tables along
+    kind 'warped' gets all its geometry from the warp f of the chart at
+    the centre (MetricChart.warp); kind 'ode' carries spline tables along
     a fixed direction bundle, with the weights of the sphere rule behind
     it, and only serves the radial-spherical node layout.  Both answer the
     geometry, scalar and shell calls.
     """
 
-    def __init__(self, chart, center, radius, kind, K=0.0):
+    def __init__(self, chart, center, radius, kind, warp=None):
         self.chart = chart
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
         self.kind = kind
-        self.K = K
+        self.warp = warp  # the warp a 'warped' chart reads
         self.n = chart.n
         self.dirs = None  # ray directions (nd, n) of an ode chart
         self.weights = None  # their sphere-rule weights (nd,), summing to the area
-        # the partition the nodes may fold onto: one block on the closed
-        # forms, which depend on the radius alone; on an ode chart the fold
-        # its bundle was shot with (build_normal_chart), which pins it
+        # the partition the nodes may fold onto: one block on a warped
+        # chart, whose geometry depends on the radius alone; on an ode
+        # chart the fold its bundle was shot with (build_normal_chart),
+        # which pins it
         self.symmetry = None if kind == "ode" else (tuple(range(self.n)),)
         self.nfev = 0  # right-hand-side calls of the geodesic shooting (ode)
         self.gauss_residual = None  # largest |g~^{-1} y - y| in the table (ode)
@@ -896,13 +1012,13 @@ class NormalChart:
         By the Gauss lemma g~^{-1} d = d, so these two scalars are all the
         metric a radial kernel needs.  The leading axes of w (..., n)
         broadcast against r: points (m, n) against r (m,), or rays
-        (nd, 1, n) against radii (nr,).  On M^n_K (flat space as K = 0) the
-        density is (sn_K(r)/r)^{n-1} and g~^{-1} = P + (r/sn_K(r))^2 (I - P)
-        with P the radial projector, so w.g~^{-1}w = (r/sn_K(r))^2 |w|^2.
-        An ode chart takes one covector per ray of its bundle, writes it as
-        w = B_d c with c = B_d^T w, evaluates its spline at the radii and
-        contracts the tangential block with the products c_i c_j, i <= j;
-        its outputs are (nd, nr).
+        (nd, 1, n) against radii (nr,).  On a warped chart the density is
+        (f(r)/r)^{n-1} and g~^{-1} = P + (r/f(r))^2 (I - P) with P the
+        radial projector, so w.g~^{-1}w = (r/f(r))^2 |w|^2.  An ode chart
+        takes one covector per ray of its bundle, writes it as w = B_d c
+        with c = B_d^T w, evaluates its spline at the radii and contracts
+        the tangential block with the products c_i c_j, i <= j; its
+        outputs are (nd, nr).
         """
         r = np.asarray(r, dtype=float)
         n = self.n
@@ -920,17 +1036,17 @@ class NormalChart:
             i, j = np.triu_indices(n - 1)
             wgw = np.einsum("rdk,dk->dr", tab[..., 1:], c[:, i] * c[:, j])
             return tab[..., 0].T, wgw
-        s = sn_over_r(self.K, r)
+        s = self.warp.f_over_r(r)
         w2 = np.einsum("...i,...i->...", w, w)
         return s ** (n - 1), w2 / s**2
 
     def scalar(self, r):
-        """Scalar curvature at x = r d: the constant n(n-1)K on M^n_K, and
-        (nd, nr) on an ode chart, from a spline in r through Sc at its
-        _SC_RADII x nd exp points, built on the first call (only the
-        W-functional reads Sc)."""
+        """Scalar curvature at x = r d: the warp's on a warped chart (the
+        constant n(n-1)K on M^n_K), and (nd, nr) on an ode chart, from a
+        spline in r through Sc at its _SC_RADII x nd exp points, built on
+        the first call (only the W-functional reads Sc)."""
         if self.kind != "ode":
-            return self.n * (self.n - 1) * self.K
+            return self.warp.scalar(r)
         if self._sc_spline is None:
             rg = np.linspace(0.0, self.radius, _SC_RADII)
             sc = scalar_curvature_batch(self.chart, self._sc_pts.reshape(-1, self.n))
@@ -940,12 +1056,12 @@ class NormalChart:
     def shell(self, r):
         """Area of the geodesic sphere of radius r (any shape).
 
-        On M^n_K it is sphere_area_K(n, K, r).  An ode chart sums
+        On a warped chart it is |S^{n-1}| f(r)^{n-1}.  An ode chart sums
         density_d(r) r^(n-1) over its rays with the sphere-rule weights,
         the density read from its one table spline; the Sc spline stays
         unbuilt."""
         if self.kind != "ode":
-            return sphere_area_K(self.n, self.K, r)
+            return self.n * omega_n(self.n) * self.warp.f(r) ** (self.n - 1)
         r = np.asarray(r, dtype=float)
         dens = self._table(np.minimum(r, self.radius).ravel())[..., 0]
         return (dens @ self.weights).reshape(r.shape) * r ** (self.n - 1)
@@ -1057,7 +1173,7 @@ def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol):
             f"{_GAUSS_TOL:.0e}; tighten rtol"
         )
 
-    nc = NormalChart(chart, p, r0, "ode", K=chart.K)
+    nc = NormalChart(chart, p, r0, "ode")
     nc.dirs, nc.weights = dirs, weights
     nc.nfev = nfev
     nc.gauss_residual = gauss
@@ -1068,19 +1184,18 @@ def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol):
     return nc
 
 
-def closed_form_center(chart: MetricChart, p) -> bool:
-    """Whether the normal chart at p has a closed form: flat charts
-    anywhere, space forms at the chart origin."""
-    return chart.kind == "flat" or (
-        chart.kind == "space_form" and np.allclose(p, 0.0)
-    )
+def _centre_warp(chart: MetricChart, p) -> _Warp | None:
+    """The chart's warp if p is a warped centre: any point of flat space,
+    the exact origin of the other warped charts; None elsewhere."""
+    warp = chart.warp
+    return warp if warp is not None and (warp.anywhere or not np.any(p)) else None
 
 
 def center_symmetry(chart: MetricChart, p) -> Partition | None:
     """The symmetry of the geometry about p: one block (every rotation) at
-    a closed-form centre, the chart's partition (MetricChart.symmetry) at
-    its exact origin, None elsewhere."""
-    if closed_form_center(chart, p):
+    a warped centre, the chart's partition (MetricChart.symmetry) at its
+    exact origin, None elsewhere."""
+    if _centre_warp(chart, p) is not None:
         return (tuple(range(chart.n)),)
     return None if np.any(p) else chart.symmetry
 
@@ -1096,30 +1211,35 @@ def build_normal_chart(
 ) -> NormalChart:
     """Normal coordinates of radius r0 at p.
 
-    Flat charts and space forms centered at the chart origin return closed
-    forms.  Anything else needs `rule`, a sphere rule (directions (nd, n)
-    and weights (nd,), as the product rule `sphere_rule(n, order)` returns
-    them in every dimension, at most 2^15 directions): it shoots geodesics
-    along the directions, tabulates the density and the tangential block of
-    the inverse pulled-back metric along each ray and keeps the weights for
-    its sphere areas.  fold, a partition of the coordinates, says the rule
-    is the orbit rule of that block group (`functionals.ray_bundle`), its
-    weights counting the rays each ray stands for: all singletons give the
-    orthant of a sphere rule (`sphere_rule(n, order, fold=True)`), one
-    block a single ray carrying the whole sphere area.  It needs p at the
-    origin of a chart whose partition the fold refines (center_symmetry),
-    where the rays left out are the images of the geodesics shot under the
-    block group, and raises InvalidSpec elsewhere.  The orbit rule puts
-    each block's share of a ray on the block's first coordinate axis,
-    where the cube box is nearest, so the domain check covers every ray a
-    ray stands for.
+    At a warped centre (MetricChart.warp: flat space anywhere, a space
+    form or a conformal chart with a RadialProfile at its exact origin) it
+    returns the 'warped' chart of that f, whatever rule and fold say: its
+    geometry depends on the radius alone.  Every other centre needs
+    `rule`, a sphere rule (directions (nd, n) and weights (nd,), as the
+    product rule `sphere_rule(n, order)` returns them in every dimension,
+    at most 2^15 directions): it shoots geodesics along the directions,
+    tabulates the density and the tangential block of the inverse
+    pulled-back metric along each ray and keeps the weights for its
+    sphere areas.  fold, a partition of the coordinates, says the rule is
+    the orbit rule of that block group (`functionals.ray_bundle`), its
+    weights counting the rays each ray stands for: all singletons give
+    the orthant of a sphere rule (`sphere_rule(n, order, fold=True)`).  It
+    needs p at the origin of a chart whose partition the fold refines
+    (center_symmetry), where the rays left out are the images of the
+    geodesics shot under the block group, and raises InvalidSpec
+    elsewhere.  The orbit rule puts each block's share of a ray on the
+    block's first coordinate axis, where the cube box is nearest, so the
+    domain check covers every ray a ray stands for.
 
-    Two checks guard the tables: det(J/r) changing sign on some ray raises
-    JacobianSingular (a conjugate point of even multiplicity, where det J
-    only touches zero, as off-centre on S^3, is not seen; on the catalog
-    charts the domain check stops such geodesics first), and a Gauss-lemma
-    residual |g~^{-1} y - y| above 1e-8 raises QuadratureNotConverged;
-    the rays a folded bundle leaves out are images of rays checked.
+    A warped chart raises InvalidSpec where r0 reaches the cut locus of a
+    sphere and OutOfDomain where the coordinate radius rho(r0) of its
+    geodesic sphere leaves the box.  Two checks guard the ode tables:
+    det(J/r) changing sign on some ray raises JacobianSingular (a
+    conjugate point of even multiplicity, where det J only touches zero,
+    as off-centre on S^3, is not seen; on the catalog charts the domain
+    check stops such geodesics first), and a Gauss-lemma residual
+    |g~^{-1} y - y| above 1e-8 raises QuadratureNotConverged; the rays a
+    folded bundle leaves out are images of rays checked.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (chart.n,):
@@ -1128,19 +1248,6 @@ def build_normal_chart(
         raise OutOfDomain("center outside chart domain")
     if r0 <= 0:
         raise InvalidSpec("normal radius must be positive")
-
-    if closed_form_center(chart, p):
-        K = chart.K  # 0 on flat charts
-        if K > 0 and r0 >= 0.995 * np.pi / np.sqrt(K):
-            raise InvalidSpec("normal radius reaches the cut locus")
-        # geodesic spheres are coordinate spheres here, so the inscribed
-        # box ball is the honest bound for every sign of K
-        if r0 > chart.domain.boundary_distance(p):
-            raise OutOfDomain("normal ball leaves the chart domain")
-        return NormalChart(chart, p, r0, chart.kind, K=K)
-
-    if rule is None:
-        raise InvalidSpec("generic normal charts need a sphere rule")
     if fold is not None:
         fold = partition(fold, chart.n)
         held = center_symmetry(chart, p)
@@ -1149,6 +1256,17 @@ def build_normal_chart(
                 f"a bundle folded onto the blocks {fold} needs the origin of "
                 f"a chart whose symmetry they refine, not {held}"
             )
+
+    warp = _centre_warp(chart, p)
+    if warp is not None:
+        # geodesic spheres are coordinate spheres here, so the inscribed
+        # box ball is the honest bound
+        if warp.rho(r0) > chart.domain.boundary_distance(p):
+            raise OutOfDomain("normal ball leaves the chart domain")
+        return NormalChart(chart, p, r0, "warped", warp=warp)
+
+    if rule is None:
+        raise InvalidSpec("generic normal charts need a sphere rule")
     nc = _ode_normal_chart(chart, p, r0, rule, r_samples, rtol)
     nc.symmetry = fold
     return nc

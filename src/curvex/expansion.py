@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._spaceform import omega_n
-from .charts import (MetricChart, build_normal_chart, center_symmetry,
-                     closed_form_center, curvature_at)
+from .charts import MetricChart, build_normal_chart, center_symmetry, curvature_at
 from .errors import ConfigInvalid, IllConditionedFit, NoiseDominates
 from .functionals import (
     QuadratureSpec,
@@ -61,28 +60,28 @@ class SeriesPrediction:
     c2: float
 
 
-def predict_L(curv: CurvatureData, a, alpha: float) -> SeriesPrediction:
+def predict_L(curv: CurvatureData, a) -> SeriesPrediction:
     """Coefficients of the normalized deficit L(u)/M(u) through second
-    order, what run_expansion fits.  alpha enters no coefficient: L is
-    2-homogeneous in u, so 1 + alpha t only rescales a to a/(1 + alpha t),
-    a change of order t^2 in the profile."""
+    order, what run_expansion fits.  The profile's alpha enters no
+    coefficient: L is 2-homogeneous in u, so 1 + alpha t only rescales a
+    to a/(1 + alpha t), a change of order t^2 in the profile."""
     mis = norm_sq(np.asarray(a, dtype=float) - curv.rc / 3.0)  # profile mismatch
     c2 = -(curv.lap_sc + norm_sq(curv.rm) / 6.0 - 4.0 * mis)
     return SeriesPrediction(c1=-curv.sc, c2=c2)
 
 
-def predict_scalar_term(curv: CurvatureData, a, alpha: float) -> SeriesPrediction:
+def predict_scalar_term(curv: CurvatureData, a) -> SeriesPrediction:
     """Coefficients of t * (the average of Sc against u^2 over its mass):
     the normalized weight has second moments 2 t I, so the average is
     Sc + lap Sc t + O(t^2), whatever a and alpha."""
     return SeriesPrediction(c1=curv.sc, c2=curv.lap_sc)
 
 
-def predict_W(curv: CurvatureData, a, alpha: float) -> SeriesPrediction:
+def predict_W(curv: CurvatureData, a) -> SeriesPrediction:
     """Entropy functional: the linear terms cancel and the quadratic keeps
     only the curvature-norm and profile-mismatch pieces."""
-    L = predict_L(curv, a, alpha)
-    s = predict_scalar_term(curv, a, alpha)
+    L = predict_L(curv, a)
+    s = predict_scalar_term(curv, a)
     return SeriesPrediction(c1=L.c1 + s.c1, c2=L.c2 + s.c2)
 
 
@@ -193,19 +192,18 @@ def extract_series(
 
 def prepare_normal_chart(chart: MetricChart, p, r_s: float, quad: QuadratureSpec,
                          a=None):
-    """Normal chart at p of radius r_s; an ode chart is shot along the
+    """Normal chart at p of radius r_s: the warped chart at a warped
+    centre (build_normal_chart), else an ode chart shot along the
     radial-spherical rule of quad, so the two stay aligned.
 
-    The rule folds as far as a, the test function's profile matrix, and
+    That rule folds as far as a, the test function's profile matrix, and
     the chart's symmetry about p allow (functionals.fold_level), onto the
     orbit rule of the common refinement of their partitions: at n = 3 and
-    order 16, one ray for a = lambda I on a rotation-invariant chart, 8
-    instead of 512 for a = Rc/3 on S^2 x R, the orthant's 72 for a
-    diagonal a with distinct entries, the full rule for any other a.
-    a = None stands for no test function (volumes, shells, probes)."""
+    order 16, 8 rays instead of 512 for a = Rc/3 on S^2 x R, the
+    orthant's 72 for a diagonal a with distinct entries, the full rule for
+    any other a.  a = None stands for no test function (volumes, shells,
+    probes)."""
     p = np.asarray(p, dtype=float)
-    if closed_form_center(chart, p):
-        return build_normal_chart(chart, p, r_s)
     fold = fold_level(a, center_symmetry(chart, p))
     return build_normal_chart(chart, p, r_s, fold=fold,
                               rule=ray_bundle(chart.n, quad.order, fold))
@@ -251,9 +249,7 @@ def run_expansion(
     nc = prepare_normal_chart(chart, p, r_s, quad,
                               a=profile_matrix(chart.n, curv, mode))
     tf = build_test_function(nc, curv, mode=mode, alpha=alpha, r_s=r_s)
-    pred = (predict_L if functional == "L" else predict_W)(
-        curv, tf.a, tf.alpha
-    )
+    pred = (predict_L if functional == "L" else predict_W)(curv, tf.a)
     ts = make_tgrid(t_max, t_points)
     evaluate = eval_L_normalized if functional == "L" else eval_W_normalized
     values = np.empty_like(ts)

@@ -29,7 +29,8 @@ and w.g~^{-1}w from the normal chart (one geometry call), which one ray
 evaluator, TestFunction.on_rays, makes together.  Only the
 W-functional adds t times the Sc integral; it alone reads Sc
 (NormalChart.scalar), which on an ode chart costs curvature evaluations
-at every exp point of its Sc grid.
+at every exp point of its Sc grid and on a warped chart comes from its
+warp.
 
 The nodes fold as far as a and the normal chart's symmetry about the
 centre (NormalChart.symmetry, a partition of the coordinates into blocks)
@@ -49,12 +50,14 @@ sphere rule, ceil(o/2)^(n-2) (floor(o/2) + 1) directions instead of
 one ray, e_1, weighted by the sphere's area.  The Hermite grid folds each
 1-D factor onto its half (_half_rule), order^n nodes down to
 ceil(order/2)^n with doubled weights off the zero node, and folds no
-further: any fold gives it the orthant.  The closed forms (flat, or a
-space form at its origin) are one block; an ode chart holds the fold its
-bundle was shot with (at the origin of a chart marked with a partition
-it refines, charts.MetricChart.symmetry).  A non-diagonal a, an ode chart
-shot along the full rule (off the origin, or on a chart without a mark)
-and gaussian_integral with its arbitrary G keep the full rule; an a that
+further: any fold gives it the orthant.  A warped normal chart (flat
+space, a space form or a radial conformal chart at its centre) is one
+block, and its geometry needs no rays of its own, so its nodes fold by a
+alone; an ode chart holds the fold its bundle was shot with (at the
+origin of a chart marked with a partition it refines,
+charts.MetricChart.symmetry).  A non-diagonal a, an ode chart shot along
+the full rule (off the origin, or on a chart without a mark) and
+gaussian_integral with its arbitrary G keep the full rule; an a that
 allows less than a folded bundle holds is refused.
 """
 
@@ -210,7 +213,7 @@ class TestFunction:
         """(eta^2, kappa, beta^2, density, w.g~^{-1}w) at x = r d from the
         kernel and the chart's geometry call: unit directions (m, n)
         against radii (m,), or rays (nd, 1, n) against radii (nr,), on a
-        closed-form chart also (nd, nr)."""
+        warped chart also (nd, nr)."""
         ad = dirs @ self.a
         q = np.einsum("...i,...i->...", dirs, ad)
         eta2, kappa, beta2 = self.eta2_with_grad(q, r, t)
@@ -511,7 +514,7 @@ def resolve_rule(tf: TestFunction, quad: QuadratureSpec):
     eta^2 and its gradient enter through |x|^2, x.a.x and |a x|^2, so on a
     geometry with the normal chart's symmetry (NormalChart.symmetry) a
     diagonal a gives the nodes of one orbit of the block group of its
-    equal entries identical values: fold_level decides.  A closed-form
+    equal entries identical values: fold_level decides.  A warped
     chart is rotation invariant; there the radial_sphere rule folds to
     what a allows and the hermite grid onto the orthant (n singletons) at
     most.  An ode chart's nodes are its bundle, pinned at the fold it was
@@ -545,16 +548,15 @@ class Components:
 
 
 def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int,
-               want_sc: bool = True):
-    """The four sums over the nodes x = 2 sqrt(t) rho d of one rule (the
-    Sc integral None unless want_sc), and the node count.  Per node
+               rule: str, fold: Partition | None, want_sc: bool = True):
+    """The four sums over the nodes x = 2 sqrt(t) rho d of the rule
+    resolve_rule gave, folded onto fold, at this order (the Sc integral
+    None unless want_sc), and the node count.  Per node
     TestFunction.on_rays gives eta^2, kappa, beta^2, the chart density
     and w.g~^{-1}w, and the Dirichlet integrand is eta^2 (kappa^2 +
     beta^2 w.g~^{-1}w)."""
     nc = tf.nchart
     n = nc.n
-    # folded onto the orthant for a diagonal a, onto one ray for lambda I
-    rule, fold = resolve_rule(tf, quad)
     s2t = 2.0 * np.sqrt(t)
     dirs, rho, wts = _nodes(
         rule, n, order,
@@ -607,14 +609,17 @@ def eval_components(
 ) -> Components:
     """Mass, entropy, Dirichlet energy and, when want_sc, the
     scalar-curvature integral of u^2 at time t (None otherwise), with
-    error estimates from a re-evaluation at order - ERR_DROP."""
+    error estimates from a re-evaluation at order - ERR_DROP; both runs
+    share one resolved rule and fold."""
     check_time(tf, t, quad.c_trunc)
-    hi = _eval_once(tf, t, quad, quad.order, want_sc)
+    # folded onto the orthant for a diagonal a, onto one ray for lambda I
+    rule, fold = resolve_rule(tf, quad)
+    hi = _eval_once(tf, t, quad, quad.order, rule, fold, want_sc)
     if hi[0] <= 0:
         raise QuadratureNotConverged("mass came out nonpositive")
     errs, nodes = {}, hi[4]
     if want_err:
-        lo = _eval_once(tf, t, quad, quad.order - ERR_DROP, want_sc)
+        lo = _eval_once(tf, t, quad, quad.order - ERR_DROP, rule, fold, want_sc)
         for name, a, b in zip(
             ("mass", "entropy", "dirichlet", "sc_integral"), hi, lo
         ):

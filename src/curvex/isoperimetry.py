@@ -194,7 +194,7 @@ def symmetrize(
     one radial-spherical rule, folded onto the orbit rule of the sets of
     equal entries of a diagonal a (meta["fold"] lists them).
     """
-    if tf.nchart.kind != "flat":
+    if tf.nchart.chart.kind != "flat":
         raise ConfigInvalid(
             "symmetrization is implemented for flat normal charts"
         )

@@ -84,3 +84,34 @@ def curvature_symmetry_violations(rm, rtol=1e-14):
         ).max(),
     }
     return {k: v for k, v in defects.items() if v > tol}
+
+
+def shooting_chart(chart, mark=None):
+    """chart's metric and Christoffel symbols in a hand-built MetricChart.
+    It carries no warp, so its normal charts are shot at every centre:
+    the shooting route a warped chart's geometry is checked against.  mark,
+    a partition, stands in for the symmetry mark make_chart gives the
+    catalog chart, so that a bundle may be folded at the origin."""
+    from curvex.charts import MetricChart
+
+    bare = MetricChart(chart.n, chart.domain, chart.metric,
+                       christoffel=chart.christoffel)
+    bare._symmetry = mark
+    return bare
+
+
+def conformal_warp(eps, phi, rho, dps=30):
+    """(r, f) of the conformal chart e^{2 eps phi(|x|^2)} delta at the
+    coordinate radii rho, by mpmath at dps digits: the arc length
+    r = int_0^rho e^{eps phi(u^2)} du by tanh-sinh quadrature, and
+    f = rho e^{eps phi(rho^2)}.  phi maps an mpmath number to one."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        eps = mpmath.mpf(eps)
+        out = []
+        for x in rho:
+            x = mpmath.mpf(float(x))
+            r = mpmath.quad(lambda u: mpmath.exp(eps * phi(u * u)), [0, x])
+            out.append((float(r), float(x * mpmath.exp(eps * phi(x * x)))))
+    return np.array(out).T

@@ -6,18 +6,21 @@ the exact curvature of g = exp(2f) delta, f = (|x|^2 + |x|^4) / 20, n=3."""
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from curvex import (
     ModelSpec,
     Perturbation,
+    QuadratureSpec,
     build_normal_chart,
     charts,
     curvature_at,
     density_series,
     make_chart,
     norm_sq,
+    run_expansion,
     scalar_curvature_batch,
 )
 from curvex._numerics import CubicSpline
@@ -39,7 +42,7 @@ from curvex.errors import (
 from curvex.functionals import sphere_rule
 from curvex.moments import sphere_area
 from curvex.tensor_core import e_functional, v_tensor
-from oracles import recorded
+from oracles import conformal_warp, recorded, shooting_chart
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,14 @@ def conformal_chart():
         halfwidth=1.5,
     )
     return make_chart(spec)
+
+
+@pytest.fixture(scope="module")
+def conformal_shot(conformal_chart):
+    """The c06 metric and closed-form Christoffels in a hand-built chart,
+    marked rotation invariant: no warp, so its normal charts are shot
+    (the catalog chart's origin is a warped centre)."""
+    return shooting_chart(conformal_chart, mark=((0, 1, 2),))
 
 
 class TestCatalog:
@@ -281,14 +292,16 @@ class TestChristoffelRoutes:
     @pytest.mark.parametrize("name", sorted(PROFILES))
     def test_plain_callable_reproduces_closed_form_rays(self, name):
         """Geodesic shooting through the finite-difference route lands on
-        the closed-form route's ray tables."""
+        the closed-form route's ray tables (both shot: the catalog chart's
+        origin is a warped centre, so its Christoffels go into a
+        hand-built chart)."""
         rng = np.random.default_rng(3)
         dirs = rng.normal(size=(6, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         r = np.linspace(0.0, 0.8, 9)
         tabs = []
         for profile in (PROFILES[name], _plain(name)):
-            ch = _conformal(profile, eps=0.2)
+            ch = shooting_chart(_conformal(profile, eps=0.2))
             nc = build_normal_chart(ch, np.zeros(3), 0.8, rule=_rule(dirs),
                                     r_samples=96)
             tabs.append(_tangential_table(nc, r))
@@ -545,14 +558,8 @@ class TestNormalCharts:
         )
         assert np.abs(_density(nc, np.array([0.3, 0.8])) - 1.0).max() < 1e-10
 
-    def test_conformal_ode_density_positive_and_smooth(self):
-        spec = ModelSpec(
-            "conformal_flat",
-            3,
-            perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
-            halfwidth=1.5,
-        )
-        ch = make_chart(spec)
+    def test_conformal_ode_density_positive_and_smooth(self, conformal_shot):
+        ch = conformal_shot
         dirs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-1.0, 0, 0]])
         nc = build_normal_chart(ch, np.zeros(3), 0.9, rule=_rule(dirs),
                                 r_samples=128)
@@ -560,13 +567,13 @@ class TestNormalCharts:
         assert dens.min() > 0
         assert np.abs(dens[:, 0] - 1.0).max() < 1e-10
 
-    def test_ray_tables_converge_under_refinement(self, conformal_chart):
-        """The c06 chart's tables at off-grid radii barely move when the
-        sample radii are refined fourfold."""
+    def test_ray_tables_converge_under_refinement(self, conformal_shot):
+        """The c06 chart's shot tables at off-grid radii barely move when
+        the sample radii are refined fourfold."""
         r = np.linspace(0.013, 0.887, 23)
         tabs = [
             _tangential_table(build_normal_chart(
-                conformal_chart, np.zeros(3), 0.9, rule=sphere_rule(3, 16),
+                conformal_shot, np.zeros(3), 0.9, rule=sphere_rule(3, 16),
                 r_samples=rs
             ), r)
             for rs in (384, 1536)
@@ -574,8 +581,8 @@ class TestNormalCharts:
         assert np.abs(tabs[0][0] - tabs[1][0]).max() < 1e-11
         assert np.abs(tabs[0][1] - tabs[1][1]).max() < 1e-11
 
-    def test_ode_build_memory(self, conformal_chart):
-        """The c06 chart with the full order-16 bundle (512 rays) and the
+    def test_ode_build_memory(self, conformal_shot):
+        """The c06 metric shot along the full order-16 bundle (512 rays), the
         default 384 radii: the integrator writes only x and J of the sampled states
         straight into one radius-major array, the (radii, rays, 1 + n(n-1)/2)
         table is filled a block of radii at a time, and the build peaks at
@@ -584,7 +591,7 @@ class TestNormalCharts:
         rule = sphere_rule(3, 16)
         tracemalloc.start()
         try:
-            nc = build_normal_chart(conformal_chart, np.zeros(3), 0.9, rule=rule)
+            nc = build_normal_chart(conformal_shot, np.zeros(3), 0.9, rule=rule)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -594,13 +601,13 @@ class TestNormalCharts:
 
     @pytest.mark.parametrize("which", ["c06", "S3_off_centre"])
     def test_sc_points_match_spline_through_table_radii(
-        self, which, conformal_chart, monkeypatch
+        self, which, conformal_shot, monkeypatch
     ):
         """The exp points of the Sc grid, read off the integrator's dense
         output, against a not-a-knot spline through the exp points at the
         384 table radii of the same shooting, evaluated on the Sc grid."""
         if which == "c06":
-            ch, p, r0 = conformal_chart, np.zeros(3), 0.9
+            ch, p, r0 = conformal_shot, np.zeros(3), 0.9
         else:
             ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
             p, r0 = np.array([0.3, -0.2, 0.1]), 1.0
@@ -635,22 +642,98 @@ class TestNormalCharts:
             with pytest.raises(JacobianSingular):
                 build_normal_chart(ch, p, r0, rule=_rule(dirs), r_samples=166)
 
-    def test_gauss_lemma_residual(self, conformal_chart):
-        """g~^{-1} y = y along every ray of a normal chart: the c06 chart
-        records a small residual at the default rtol and raises once a
-        loose rtol leaves it above 1e-8."""
+    def test_gauss_lemma_residual(self, conformal_shot):
+        """g~^{-1} y = y along every ray of a normal chart: the shot c06
+        chart records a small residual at the default rtol and raises once
+        a loose rtol leaves it above 1e-8."""
         rule = sphere_rule(3, 8)
-        nc = build_normal_chart(conformal_chart, np.zeros(3), 0.9, rule=rule)
+        nc = build_normal_chart(conformal_shot, np.zeros(3), 0.9, rule=rule)
         assert 0 < nc.gauss_residual < 1e-9
         with pytest.raises(QuadratureNotConverged):
             build_normal_chart(
-                conformal_chart, np.zeros(3), 0.9, rule=rule, rtol=1e-6
+                conformal_shot, np.zeros(3), 0.9, rule=rule, rtol=1e-6
             )
 
     def test_normal_ball_must_fit(self):
         ch = make_chart(ModelSpec("flat", 2, halfwidth=1.0))
         with pytest.raises(OutOfDomain):
             build_normal_chart(ch, np.array([0.8, 0.0]), 0.5)
+
+
+class TestWarpedChart:
+    """The warped normal chart of a conformal chart with a RadialProfile at
+    its origin: the warp f against an independent mpmath route
+    (oracles.conformal_warp: tanh-sinh arc lengths at 30 digits) and its
+    Sc against the chart's own curvature route, scalar_curvature_batch at
+    the exp points rho(r) e_1.  Measured: rho, f and the arc length within
+    4.5e-16, Sc within 1.5e-15 relative (bounds 1e-13 and 1e-12)."""
+
+    RHO = np.array([0.0, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.2, 1.5])
+    PHI = {  # the PROFILES entries in mpmath
+        "quartic_bump": lambda s: s + s * s,
+        "gaussian_bump": lambda s: mpmath.exp(-s / mpmath.mpf("0.5625")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    @pytest.mark.parametrize("eps", [0.05, -0.2])
+    def test_warp_matches_mpmath(self, name, eps):
+        warp = _conformal(PROFILES[name], eps=eps).warp
+        r, f = conformal_warp(eps, self.PHI[name], self.RHO)
+        np.testing.assert_allclose(warp.rho(r), self.RHO, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(warp.arc(self.RHO), r, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(warp.f(r), f, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_scalar_matches_the_curvature_route(self, name):
+        ch = _conformal(PROFILES[name])
+        nc = build_normal_chart(ch, np.zeros(3), 1.2)
+        r = np.array([0.0, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.2])
+        x = nc.warp.rho(r)[:, None] * np.eye(1, 3)
+        want = scalar_curvature_batch(ch, x)
+        np.testing.assert_allclose(nc.scalar(r), want, rtol=1e-12, atol=0)
+        assert np.ptp(want) > 0.1  # Sc varies over the ball
+        if name == "quartic_bump":  # Sc(0) = -24 eps phi'(0) = -1.2 on c06
+            assert nc.scalar(1e-6) == pytest.approx(-1.2, rel=1e-10)
+
+    def test_origin_is_exact(self):
+        """At r = 0 the density is 1, w.g~^{-1}w is |w|^2 and f/r is taken
+        as its limit, without a 0/0 (the suite turns RuntimeWarning into an
+        error)."""
+        nc = build_normal_chart(_conformal(PROFILES["gaussian_bump"]),
+                                np.zeros(3), 0.9)
+        dens, wgw = nc.geometry(np.zeros(2), np.array([[0.0, 1.0, 2.0]] * 2))
+        assert dens.tolist() == [1.0, 1.0] and wgw.tolist() == [5.0, 5.0]
+        assert nc.shell(0.0) == 0.0
+
+    @pytest.mark.parametrize("eps", [0.05, -0.2])
+    def test_box_check_reads_the_coordinate_radius(self, eps):
+        """The normal ball fits when rho(r0), not r0, stays inside the box:
+        with eps > 0 a geodesic radius beyond the box halfwidth still fits,
+        with eps < 0 one short of it may not."""
+        ch = _conformal(PROFILES["quartic_bump"], eps=eps)
+        hw = float(ch.domain.hi[0])
+        top = ch.warp.top
+        assert top == float(ch.warp.arc(hw)) and (top > hw) == (eps > 0)
+        nc = build_normal_chart(ch, np.zeros(3), top * (1.0 - 1e-12))
+        assert nc.kind == "warped" and nc.warp.rho(nc.radius) <= hw
+        with pytest.raises(OutOfDomain):
+            build_normal_chart(ch, np.zeros(3), top * (1.0 + 1e-12))
+
+    def test_refined_inversion_keeps_c06(self, monkeypatch):
+        """c06's fitted c2 moves by 1e-3 when its geometry moves by 1e-10,
+        so the inversion is held at rounding: doubling the Gauss-Legendre
+        nodes of the arc length and tightening the Newton step a
+        hundredfold move it by less than 1e-5 (measured 3.5e-8)."""
+        def c2():
+            ch = _conformal(PROFILES["quartic_bump"])
+            return run_expansion(ch, np.zeros(3), "L", r_s=0.9, quad=QuadratureSpec(
+                rule="radial_sphere", order=16)).fit.c2
+
+        base = c2()
+        monkeypatch.setattr(charts, "_ARC_NODES", 2 * charts._ARC_NODES)
+        monkeypatch.setattr(charts, "_ARC_RTOL", 1e-2 * charts._ARC_RTOL)
+        assert c2() == pytest.approx(base, abs=1e-5)
+        assert base == pytest.approx(23.3102, abs=1e-4)
 
 
 _MIRROR_EVEN = (
@@ -748,15 +831,23 @@ class TestMirrorEven:
         with pytest.raises(AttributeError):
             cat.symmetry = None
 
-    def test_fold_needs_the_origin_of_a_marked_chart(self, conformal_chart):
+    def test_fold_needs_the_origin_of_a_marked_chart(self, conformal_chart,
+                                                     conformal_shot):
+        """Shot on a hand-built chart with c06's mark; the catalog chart's
+        origin is a warped centre, which takes any fold and shoots
+        nothing."""
         orthant = ((0,), (1,), (2,))
         rule = sphere_rule(3, 8, True)
-        nc = build_normal_chart(conformal_chart, np.zeros(3), 0.5, rule=rule,
+        nc = build_normal_chart(conformal_shot, np.zeros(3), 0.5, rule=rule,
                                 fold=orthant, r_samples=32)
         assert nc.symmetry == orthant
-        with pytest.raises(InvalidSpec):
-            build_normal_chart(conformal_chart, np.array([0.1, 0.0, 0.0]),
-                               0.5, rule=rule, fold=orthant, r_samples=32)
+        warped = build_normal_chart(conformal_chart, np.zeros(3), 0.5, rule=rule,
+                                    fold=orthant, r_samples=32)
+        assert warped.kind == "warped" and warped.symmetry == ((0, 1, 2),)
+        for ch in (conformal_shot, conformal_chart):
+            with pytest.raises(InvalidSpec):
+                build_normal_chart(ch, np.array([0.1, 0.0, 0.0]),
+                                   0.5, rule=rule, fold=orthant, r_samples=32)
         cat = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
         with pytest.raises(InvalidSpec):
             build_normal_chart(MetricChart(3, cat.domain, cat.metric),
@@ -766,7 +857,7 @@ class TestMirrorEven:
         # sphere-line product's, whose own blocks are accepted, in any
         # order, and no partition its blocks do not refine
         ray = (np.eye(1, 3), np.array([4.0 * np.pi]))
-        one = build_normal_chart(conformal_chart, np.zeros(3), 0.5, rule=ray,
+        one = build_normal_chart(conformal_shot, np.zeros(3), 0.5, rule=ray,
                                  fold=[[2, 0, 1]], r_samples=32)
         assert one.symmetry == ((0, 1, 2),) and one.dirs.shape == (1, 3)
         with pytest.raises(InvalidSpec):
@@ -781,7 +872,7 @@ class TestMirrorEven:
             with pytest.raises(InvalidSpec):
                 build_normal_chart(cat, np.zeros(3), 0.5, rule=rule, fold=bad,
                                    r_samples=32)
-        full = build_normal_chart(conformal_chart, np.zeros(3), 0.5,
+        full = build_normal_chart(conformal_shot, np.zeros(3), 0.5,
                                   rule=sphere_rule(3, 8), r_samples=32)
         assert full.symmetry is None
 
@@ -822,29 +913,29 @@ class TestDensitySeries:
         # (sin r/r)^2 = 1 - r^2/3 + 2 r^4/45 - ...; direction (1,0,0)
         assert ds.order4[0, 0, 0, 0] == pytest.approx(2.0 / 45.0)
 
-    def test_numeric_density_matches_series(self, conformal_chart):
-        """ODE-computed density along a ray agrees with the jet prediction
-        through fourth order."""
+    def test_numeric_density_matches_series(self, conformal_chart,
+                                            conformal_shot):
+        """The density along a ray, from the warp and from the ODE,
+        agrees with the jet prediction through fourth order."""
         c = curvature_at(conformal_chart, np.zeros(3), want_hessian=True)
         ds = density_series(c)
         y = np.array([1.0, 0.0, 0.0])
-        # frame at 0 is exp(-f(0)) I = I, so ray direction is the x-axis
-        nc = build_normal_chart(
-            conformal_chart, np.zeros(3), 0.5, rule=_rule(y[None, :]),
-            r_samples=128
-        )
         r = np.array([0.05, 0.1, 0.2, 0.3])
-        dens = _density(nc, r)[0]
         pred = (
             1.0
             + np.einsum("ij,i,j->", ds.order2, y, y) * r**2
             + np.einsum("kij,i,j,k->", ds.order3, y, y, y) * r**3
             + np.einsum("ijkl,i,j,k,l->", ds.order4, y, y, y, y) * r**4
         )
-        err = np.abs(dens - pred)
-        assert err[0] < 5e-8  # r = 0.05: remainder is O(r^5)
-        assert err[1] < 1e-6
-        assert err[3] < 5e-4
+        for ch, kind in ((conformal_chart, "warped"), (conformal_shot, "ode")):
+            # frame at 0 is exp(-f(0)) I = I, so ray direction is the x-axis
+            nc = build_normal_chart(ch, np.zeros(3), 0.5,
+                                    rule=_rule(y[None, :]), r_samples=128)
+            assert nc.kind == kind
+            err = np.abs(np.atleast_2d(_density(nc, r))[0] - pred)
+            assert err[0] < 5e-8  # r = 0.05: remainder is O(r^5)
+            assert err[1] < 1e-6
+            assert err[3] < 5e-4
 
     def test_ev_from_chart_matches_algebraic_identity(self, conformal_chart):
         c = curvature_at(conformal_chart, np.zeros(3), want_hessian=True)

@@ -201,8 +201,9 @@ class TestRuns:
         assert code == 0
         doc = json.loads((tmp_path / "expand_L.json").read_text())
         assert abs(doc["result"]["fitted"]["c1"]) < 1e-5
-        assert doc["result"]["meta"]["normal_chart"] == "flat"
-        # a = Rc/3 = 0 is isotropic on the closed-form flat chart: one ray
+        assert doc["result"]["meta"]["normal_chart"] == "warped"
+        assert "nfev" not in doc["result"]["meta"]
+        # a = Rc/3 = 0 is isotropic on the warped flat chart: one ray
         assert doc["result"]["meta"]["rule"] == "radial_sphere"
         assert doc["result"]["meta"]["fold"] == [[0, 1, 2]]
         assert doc["result"]["meta"]["rays"] == 1

@@ -30,6 +30,7 @@ from curvex.functionals import (
     sphere_rule,
 )
 from curvex.tensor_core import space_form_curvature
+from oracles import shooting_chart
 
 
 class TestPredictions:
@@ -40,31 +41,31 @@ class TestPredictions:
         self.a_opt = self.cv.rc / 3.0
 
     def test_deficit_optimal(self):
-        p = predict_L(self.cv, self.a_opt, -2.0)
+        p = predict_L(self.cv, self.a_opt)
         assert p.c1 == pytest.approx(-6.0)
         # lap Sc = 0 and |Rm|^2/6 = 2 with no mismatch penalty
         assert p.c2 == pytest.approx(-2.0)
 
     def test_deficit_zero_profile(self):
-        p = predict_L(self.cv, np.zeros((3, 3)), 0.0)
+        p = predict_L(self.cv, np.zeros((3, 3)))
         # the normalized deficit: -(0 + 2 - 4 * |Rc/3|^2), |Rc/3|^2 = 4/3
         assert p.c2 == pytest.approx(-(2 - 16.0 / 3.0))
 
     def test_entropy_functional_optimal(self):
-        p = predict_W(self.cv, self.a_opt, -2.0)
+        p = predict_W(self.cv, self.a_opt)
         assert p.c1 == pytest.approx(0.0)
         assert p.c2 == pytest.approx(-2.0)
 
     def test_entropy_functional_zero_profile(self):
-        p = predict_W(self.cv, np.zeros((3, 3)), -2.0)
+        p = predict_W(self.cv, np.zeros((3, 3)))
         # c2 = -(|Rm|^2/6 - 4 |Rc/3|^2) = -(2 - 16/3) = 10/3
         assert p.c2 == pytest.approx(10.0 / 3.0)
 
     def test_curvature_average_series(self):
         """On a space form the normalized average of Sc is Sc exactly, so
-        t times it has c2 = lap Sc = 0, whatever a and alpha."""
-        for a, alpha in ((self.a_opt, 0.0), (np.zeros((3, 3)), -2.0)):
-            p = predict_scalar_term(self.cv, a, alpha)
+        t times it has c2 = lap Sc = 0, whatever a."""
+        for a in (self.a_opt, np.zeros((3, 3))):
+            p = predict_scalar_term(self.cv, a)
             assert p.c1 == pytest.approx(6.0)
             assert p.c2 == 0.0
 
@@ -75,7 +76,7 @@ class TestPredictions:
 
     def test_flat_all_zero(self):
         cv = space_form_curvature(4, 0.0)
-        p = predict_L(cv, np.zeros((4, 4)), 0.0)
+        p = predict_L(cv, np.zeros((4, 4)))
         assert p.c1 == 0.0 and p.c2 == 0.0
 
 
@@ -177,7 +178,7 @@ class TestRuns:
         )
         assert res.fit.c1 == pytest.approx(res.predicted.c1, rel=5e-3)
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=5e-2)
-        assert res.meta["normal_chart"] == "space_form"
+        assert res.meta["normal_chart"] == "warped"
         assert "nfev" not in res.meta and "gauss_residual" not in res.meta
         # orders 24 and 18: a = Rc/3 = (2/3) I, so every integrand is
         # radial and the 2 o^2 directions fold onto one ray, times o radii
@@ -223,8 +224,10 @@ class TestRuns:
         assert abs(res.fit.c2) < 1e-4
 
     def test_conformal_ode_route(self):
-        """End-to-end geodesic-shooting route on a perturbed metric; the
-        quadratic coefficient must track lap Sc at the center."""
+        """End-to-end run on a perturbed metric, whose centre is warped:
+        nothing is shot, and the quadratic coefficient must track lap Sc
+        at the center.  Measured: c2 = 23.31019 against the prediction
+        23.32000 (4.2e-4 relative)."""
         spec = ModelSpec(
             "conformal_flat",
             3,
@@ -242,18 +245,18 @@ class TestRuns:
             curv=cv,
         )
         assert res.fit.c1 == pytest.approx(1.2, rel=1e-3)
-        assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=0.05)
-        assert res.meta["normal_chart"] == "ode"
+        assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=1e-3)
+        assert res.meta["normal_chart"] == "warped"
         assert res.meta["christoffel"] == "closed_form"
         # a = Rc/3 = -(2/15) I at the centre of a radial profile, so one
-        # ray of the rule's 512 is shot and stands for all of them
+        # ray of the rule's 512 stands for all of them
         assert res.meta["rule"] == "radial_sphere"
         assert res.meta["fold"] == [[0, 1, 2]]
-        assert res.meta["rays"] == 1 and res.meta["nfev"] > 0
+        assert res.meta["rays"] == 1
+        assert "nfev" not in res.meta and "gauss_residual" not in res.meta
         # orders 16 and 10 on 2 segments, 3 where r_s / (4 sqrt t) < 10
         segs = 2 + (0.9 / (4.0 * np.sqrt(res.ts)) < 10.0)
         assert res.meta["nodes"] == sum(o * int(k) for k in segs for o in (16, 10))
-        assert 0 < res.meta["gauss_residual"] < 1e-9
 
     def test_sphere_line_ode_route(self):
         """Geodesic shooting through the finite-difference Christoffel
@@ -380,9 +383,10 @@ class TestRuleRecord:
 
 
 class TestOdeFold:
-    """At the centre of the c06 conformal chart the ode bundle is one ray
-    for a = lambda I, the orthant for another diagonal a, and shot in full
-    for any other."""
+    """At the centre of the c06 conformal metric, shot in a hand-built
+    chart with its mark (the catalog chart's centre is warped), the ode
+    bundle is one ray for a = lambda I, the orthant for another diagonal
+    a, and shot in full for any other."""
 
     A_OFF = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05], [0.0, -0.05, 0.1]])
     A_DIAG = np.diag([0.3, -0.1, 0.05])
@@ -394,7 +398,7 @@ class TestOdeFold:
             "conformal_flat", 3, halfwidth=1.5,
             perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
         ))
-        return ch, curvature_at(ch, np.zeros(3))
+        return shooting_chart(ch, mark=ch.symmetry), curvature_at(ch, np.zeros(3))
 
     def test_non_diagonal_a_runs_the_full_bundle(self, c06):
         """The values equal, bit for bit, those of the full order-16
@@ -403,6 +407,7 @@ class TestOdeFold:
         res = run_expansion(ch, np.zeros(3), "L", mode=self.A_OFF, r_s=0.9,
                             quad=self.QUAD, curv=cv, t_points=4)
         assert res.meta["fold"] is None and res.meta["rays"] == 512
+        assert res.meta["normal_chart"] == "ode"
         nc = build_normal_chart(ch, np.zeros(3), 0.9, rule=sphere_rule(3, 16))
         tf = build_test_function(nc, cv, mode=self.A_OFF, r_s=0.9)
         want = [eval_L_normalized(tf, float(t), self.QUAD)[0] for t in res.ts]

@@ -14,7 +14,7 @@ from curvex import (
     make_chart,
     scalar_curvature_batch,
 )
-from curvex import charts, expansion
+from curvex import charts, expansion, functionals
 from curvex.charts import PROFILES
 from curvex.expansion import predict_volume, prepare_normal_chart, run_expansion
 from curvex._spaceform import ball_volume_K, sphere_area_K
@@ -47,6 +47,7 @@ from curvex.functionals import (
     orbit_rule,
     profile_matrix,
     ray_bundle,
+    resolve_rule,
     sphere_rule,
 )
 from curvex.moments import (
@@ -58,7 +59,7 @@ from curvex.moments import (
 )
 from curvex.isoperimetry import symmetrize
 from curvex.rigidity import isoperimetric_probe
-from oracles import eta2_pointwise, full_ode_table, recorded
+from oracles import eta2_pointwise, full_ode_table, recorded, shooting_chart
 
 
 @pytest.fixture(scope="module")
@@ -528,7 +529,8 @@ class TestKernelOracle:
             a = curvature_at(ch, np.zeros(n)).rc / 3.0
         tf = TestFunction(nc, a, 0.3, r_s)
         t = 0.01
-        got = _eval_once(tf, t, QuadratureSpec(rule="hermite", order=order), order)
+        quad = QuadratureSpec(rule="hermite", order=order)
+        got = _eval_once(tf, t, quad, order, *resolve_rule(tf, quad))
         # a silent fall back to the full grid would show in the count
         folded = profile != "random"
         assert got[4] == ((order + 1) // 2 if folded else order) ** n
@@ -555,7 +557,7 @@ class TestKernelOracle:
         tf = TestFunction(nc, a + a.T, 0.3, r_s)
         t, order = 0.01, 10
         quad = QuadratureSpec(rule="radial_sphere", order=order)
-        got = _eval_once(tf, t, quad, order)
+        got = _eval_once(tf, t, quad, order, *resolve_rule(tf, quad))
         s2t = 2.0 * np.sqrt(t)
         dirs, rho, W = _nodes("radial_sphere", 3, order,
                               c=min(quad.c_trunc, r_s / s2t),
@@ -571,15 +573,16 @@ class TestKernelOracle:
         assert got[:4] == pytest.approx(want, rel=1e-12)
 
     def test_ode_chart_matches_full_table(self, monkeypatch):
-        """On the c06 conformal chart the scalar form kappa^2 + beta^2
-        w.g~^{-1}w against M.g~^{-1}.M from a full table (density, all of
-        g~^{-1}) rebuilt from the chart's own shooting, at the same nodes;
-        they differ by the Gauss-lemma residual of the table."""
-        ch = make_chart(ModelSpec(
+        """On the c06 conformal metric, shot in a hand-built chart, the
+        scalar form kappa^2 + beta^2 w.g~^{-1}w against M.g~^{-1}.M from a
+        full table (density, all of g~^{-1}) rebuilt from the chart's own
+        shooting, at the same nodes; they differ by the Gauss-lemma
+        residual of the table."""
+        ch = shooting_chart(make_chart(ModelSpec(
             "conformal_flat", 3,
             perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
             halfwidth=1.5,
-        ))
+        )))
         quad = QuadratureSpec(rule="radial_sphere", order=16)
         # a large profile and t near its bound (r_s / c_trunc)^2 make the
         # tangential term, and with it the curvature in w.g~^{-1}w, show:
@@ -594,7 +597,7 @@ class TestKernelOracle:
                               t_out, states)
         tf = TestFunction(nc, a, 0.2, 0.9)
         t = 0.006
-        got = _eval_once(tf, t, quad, 16)
+        got = _eval_once(tf, t, quad, 16, *resolve_rule(tf, quad))
         s2t = 2.0 * np.sqrt(t)
         dirs, rho, W = _nodes("radial_sphere", 3, 16,
                               c=min(quad.c_trunc, 0.9 / s2t),
@@ -691,7 +694,9 @@ class TestFoldedBundle:
     """An ode chart shot at the origin of a mirror-even chart along the
     orthant of its rule against the same chart shot along the full rule.
     The rays the fold leaves out are reflections of the ones it keeps, so
-    the two agree to the integration tolerance."""
+    the two agree to the integration tolerance.  The c06 metric is shot in
+    a hand-built chart with its mark, since its catalog chart is warped
+    at the origin."""
 
     @pytest.mark.parametrize("which", ["c06", "S2xR"])
     def test_matches_full_bundle(self, which):
@@ -699,6 +704,8 @@ class TestFoldedBundle:
                           perturbation=Perturbation(0.05, PROFILES["quartic_bump"]))
                 if which == "c06" else ModelSpec("product_sphere_line", 3, K=1.0))
         ch = make_chart(spec)
+        if which == "c06":
+            ch = shooting_chart(ch, mark=ch.symmetry)
         full, folded = (
             build_normal_chart(ch, np.zeros(3), 0.9,
                                rule=sphere_rule(3, 16, fold),
@@ -888,17 +895,19 @@ class TestOneRay:
 
 class TestOneRayBundle:
     """At the origin of the c06 conformal chart (a RadialProfile, so
-    rotation invariant) prepare_normal_chart shoots one ray for a = None
-    or lambda I.  The oracle is the orthant bundle of the same order-16
-    rule, 72 rays, built by hand: by symmetry every one of its rays
-    carries the one ray's density and, in any orthonormal basis of the
-    ray's orthogonal plane, the same multiple of the identity as
-    tangential block of g~^{-1}.
+    rotation invariant) prepare_normal_chart returns the warped chart for
+    every a and shoots nothing.  The oracle is the orthant bundle of the
+    order-16 rule, 72 rays, shot by hand on the same metric: by symmetry
+    every one of its rays carries the warped density and, in any
+    orthonormal basis of the ray's orthogonal plane, the same multiple
+    (r/f)^2 of the identity as tangential block of g~^{-1}.
 
     Measured: density and shells within 4.2e-10 relative, the tangential
-    block within 1.4e-10 absolute (bounds 1e-9)."""
+    block within 1.4e-10 absolute (bounds 1e-9), the shot table's own
+    error."""
 
     QUAD = QuadratureSpec(rule="radial_sphere", order=16)
+    A_OFF = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05], [0.0, -0.05, 0.1]])
 
     @pytest.fixture(scope="class")
     def c06(self):
@@ -908,7 +917,8 @@ class TestOneRayBundle:
         ))
         cv = curvature_at(ch, np.zeros(3))
         one = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD, a=cv.rc / 3)
-        orthant = build_normal_chart(ch, np.zeros(3), 0.9,
+        orthant = build_normal_chart(shooting_chart(ch, mark=ch.symmetry),
+                                     np.zeros(3), 0.9,
                                      rule=sphere_rule(3, 16, True),
                                      fold=((0,), (1,), (2,)))
         return ch, cv, one, orthant
@@ -924,10 +934,9 @@ class TestOneRayBundle:
 
     def test_tables_match_the_orthant_bundle(self, c06):
         ch, _, one, orthant = c06
-        assert one.dirs.shape == (1, 3) and orthant.dirs.shape == (72, 3)
+        assert one.kind == "warped" and one.dirs is None
+        assert orthant.kind == "ode" and orthant.dirs.shape == (72, 3)
         assert one.symmetry == ((0, 1, 2),)
-        assert one.weights.sum() == pytest.approx(4.0 * np.pi, rel=1e-15)
-        assert 0 < one.gauss_residual < 1e-8
         r = np.linspace(0.05, 0.9, 18)
         dens1, _ = one.geometry(r, np.zeros((1, 1, 3)))
         dens, _ = orthant.geometry(r, np.zeros((72, 1, 3)))
@@ -935,7 +944,7 @@ class TestOneRayBundle:
                                    rtol=1e-9, atol=0)
         np.testing.assert_allclose(one.shell(r), orthant.shell(r),
                                    rtol=1e-9, atol=0)
-        (v1,), (v2,) = self._planes(one.dirs)
+        (v1,), (v2,) = self._planes(np.eye(1, 3))
         u1, u2 = self._planes(orthant.dirs)
         for w1, w in ((v1, u1), (v2, u2), ((v1 + v2) / np.sqrt(2),
                                             (u1 + u2) / np.sqrt(2))):
@@ -945,18 +954,21 @@ class TestOneRayBundle:
                 block, np.broadcast_to(block1, block.shape), rtol=0, atol=1e-9)
 
     def test_other_profiles_need_more_rays(self, c06):
-        """A diagonal a with unequal entries is refused on the one-ray
-        chart and gets the orthant from prepare_normal_chart."""
+        """Every a runs on the warped chart, its nodes folded by a alone:
+        a diagonal a with unequal entries onto the orthant, a non-diagonal
+        one not at all.  prepare_normal_chart shoots for neither, nor for
+        no test function (volumes, probes)."""
         ch, cv, one, _ = c06
-        a = np.diag([0.3, -0.1, 0.05])
-        tf = build_test_function(one, cv, mode=a, r_s=0.9)
-        with pytest.raises(ConfigInvalid):
-            eval_L_normalized(tf, 1e-3, self.QUAD)
-        nc = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD, a=a)
-        assert nc.symmetry == ((0,), (1,), (2,)) and nc.dirs.shape[0] == 72
-        # no test function (volumes, probes) takes the one ray too
+        for a, fold, rays in ((np.diag([0.3, -0.1, 0.05]), ((0,), (1,), (2,)),
+                               72), (self.A_OFF, None, 512)):
+            nc = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD, a=a)
+            assert nc.kind == "warped" and nc.nfev == 0
+            tf = build_test_function(one, cv, mode=a, r_s=0.9)
+            assert resolve_rule(tf, self.QUAD) == ("radial_sphere", fold)
+            assert ray_bundle(3, 16, fold)[0].shape[0] == rays
+            assert np.isfinite(eval_L_normalized(tf, 1e-3, self.QUAD)[0])
         none = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD)
-        assert none.dirs.shape[0] == 1
+        assert none.kind == "warped"
 
     def test_sphere_line_keeps_its_bundles(self):
         """S^2 x R is invariant under O(2) x O(1): a = Rc/3 = diag(1/3,
@@ -975,6 +987,24 @@ class TestOneRayBundle:
         bare = MetricChart(3, cat.domain, cat.metric)
         nc = prepare_normal_chart(bare, np.zeros(3), 0.9, self.QUAD, a=a)
         assert nc.symmetry is None and nc.dirs.shape[0] == 512
+
+
+def test_one_fold_per_evaluation(s3_setup, monkeypatch):
+    """eval_components resolves its rule and fold once and runs both the
+    main and the error-estimate rule on them: one fold_level call per
+    evaluation, so a default 10-point run_expansion makes 10 of them in
+    its evaluations and one more for its run record (the normal chart's
+    fold is decided in curvex.expansion)."""
+    ch, nc, cv = s3_setup
+    calls = recorded(monkeypatch, functionals, "fold_level")
+    for mode in ("optimal_a", np.diag([0.3, -0.1, 0.05])):
+        tf = build_test_function(nc, cv, mode=mode, r_s=1.0)
+        comp = eval_components(tf, 1e-3, QuadratureSpec(order=16))
+        assert len(calls) == 1 and comp.errs
+        calls.clear()
+    run_expansion(ch, np.zeros(3), "W", r_s=1.0,
+                  quad=QuadratureSpec(order=16), curv=cv)
+    assert len(calls) == 11
 
 
 class TestGuards:
@@ -1144,11 +1174,14 @@ def s3_ode():
 
 
 def _c06_normal_chart(a=None):
+    """The c06 metric shot in a hand-built chart with its mark: the
+    catalog chart's origin is warped."""
     ch = make_chart(ModelSpec(
         "conformal_flat", 3,
         perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
         halfwidth=1.5,
     ))
+    ch = shooting_chart(ch, mark=ch.symmetry)
     return prepare_normal_chart(ch, np.zeros(3), 0.9,
                                 QuadratureSpec(rule="radial_sphere", order=16),
                                 a=a)
@@ -1156,7 +1189,7 @@ def _c06_normal_chart(a=None):
 
 @pytest.fixture
 def conformal_c06():
-    """The c06 conformal chart (quartic bump, eps 0.05) at the origin to
+    """The c06 conformal metric (quartic bump, eps 0.05) at the origin to
     r_s = 0.9, shot along one ray of the order-16 rule: its profile is
     rotation invariant and no test function asks for more; built per
     test, since the test below checks what a fresh chart has built."""

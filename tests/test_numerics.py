@@ -41,6 +41,7 @@ from curvex.errors import (
 from curvex.functionals import _radial_nodes, ball_volume, sphere_rule
 from curvex.isoperimetry import iso_profile_radius
 from curvex.rigidity import isoperimetric_probe
+from oracles import shooting_chart
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -300,6 +301,8 @@ class TestDormandPrince:
 
         monkeypatch.setattr(charts, "dopri45", recording)
         ch = make_chart(spec)
+        if which == "conformal":  # its origin is a warped centre: shoot it by hand
+            ch = shooting_chart(ch)
         nc = build_normal_chart(ch, np.zeros(3), 0.9, rule=sphere_rule(3, 8),
                                 r_samples=192)
         (fun, y0, t_out, rtol, atol, keep, got, nfev), = seen
@@ -437,17 +440,20 @@ def test_runtime_paths_load_no_scipy():
     """A fresh interpreter runs a Hermite and an auto expansion, an auto
     expansion at n = 5 (Golub-Welsch polar factors), the S^2xR ode chart
     and its expansion on the orbit rule, the orbit rule of S^2 x R^2
-    (a Gauss-Jacobi factor), symmetrize, mu_ball and assess_rigidity
-    without loading scipy."""
+    (a Gauss-Jacobi factor), the warped c06 chart's L and W expansions
+    (its arc-length inversion), symmetrize, mu_ball and assess_rigidity
+    without loading scipy or mpmath, which only the tests use."""
     script = textwrap.dedent(
         """
         import sys
         import warnings
         import numpy as np
         import curvex
-        from curvex import (ModelSpec, QuadratureSpec, assess_rigidity,
-                            build_normal_chart, build_test_function, make_chart,
-                            mu_ball, run_expansion, symmetrize)
+        from curvex import (ModelSpec, Perturbation, QuadratureSpec,
+                            assess_rigidity, build_normal_chart,
+                            build_test_function, make_chart, mu_ball,
+                            run_expansion, symmetrize)
+        from curvex.charts import PROFILES
         from curvex.errors import PositivityWarning
         from curvex.functionals import orbit_rule, sphere_rule
 
@@ -465,6 +471,12 @@ def test_runtime_paths_load_no_scipy():
         run_expansion(s2r, np.zeros(3), r_s=0.9,
                       quad=QuadratureSpec(rule="radial_sphere", order=10))
         orbit_rule(10, ((0, 1), (2, 3)))
+        c06 = make_chart(ModelSpec(
+            "conformal_flat", 3, halfwidth=1.5,
+            perturbation=Perturbation(0.05, PROFILES["quartic_bump"])))
+        for functional in ("L", "W"):
+            run_expansion(c06, np.zeros(3), functional, r_s=0.9,
+                          quad=QuadratureSpec(order=10))
         flat = make_chart(ModelSpec("flat", 3, halfwidth=2.0))
         tf = build_test_function(build_normal_chart(flat, np.zeros(3), 1.6),
                                  mode=np.diag([0.3, -0.1, 0.05]), alpha=0.0,
@@ -472,7 +484,8 @@ def test_runtime_paths_load_no_scipy():
         symmetrize(tf, t=0.01, levels=64, order=12)
         mu_ball(3, 0.0, 2.0, 0.01)
         assess_rigidity(s3, 1.0, npoints=2)
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print(sorted(m for m in sys.modules
+                     if m.split(".")[0] in ("scipy", "mpmath")))
         """
     )
     out = subprocess.run(

@@ -4,7 +4,9 @@ piecewise radial rule), and the normal chart's geometry is read by the one
 ray evaluator, TestFunction.on_rays, so a second implementation cannot
 creep back unnoticed; no quadrature draws random nodes; one function
 decides how far a rule folds; one Golub-Welsch routine builds every
-non-closed-form Gauss rule."""
+non-closed-form Gauss rule; normal charts come in two kinds, warped and
+ode, and no normal-chart code tells flat space from a space form by
+name."""
 
 import ast
 from pathlib import Path
@@ -12,9 +14,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "curvex"
 
 
-def _callers(name):
-    """(module file, enclosing class and function names) of every call of
-    a function or method called `name` in the curvex sources."""
+def _found(match):
+    """(module file, enclosing class and function names, node) of every
+    node of the curvex sources' syntax trees that match accepts."""
     found = []
 
     def visit(node, scope, file):
@@ -22,15 +24,21 @@ def _callers(name):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            if isinstance(child, ast.Call):
-                f = child.func
-                if getattr(f, "attr", getattr(f, "id", None)) == name:
-                    found.append((file, ".".join(inner)))
+            if match(child):
+                found.append((file, ".".join(inner), child))
             visit(child, inner, file)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), (), path.name)
     return found
+
+
+def _callers(name):
+    """(module file, enclosing class and function names) of every call of
+    a function or method called `name` in the curvex sources."""
+    calls = _found(lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "attr", getattr(node.func, "id", None)) == name)
+    return [(file, scope) for file, scope, _ in calls]
 
 
 def test_gauss_legendre_is_built_in_numerics_alone():
@@ -111,3 +119,75 @@ def test_gegenbauer_bits_survive_the_shared_routine():
             got, want = gauss_gegenbauer(m, lam), _gegenbauer_as_built_alone(m, lam)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
+
+
+def _kind_comparisons():
+    """(module file, enclosing scope, compared expression) of every
+    comparison in the curvex sources with the chart kind names "flat" or
+    "space_form"."""
+    def names_a_kind(node):
+        return isinstance(node, ast.Constant) and node.value in ("flat", "space_form")
+
+    found = _found(lambda node: isinstance(node, ast.Compare) and any(
+        map(names_a_kind, [node.left, *node.comparators])))
+    return [(file, scope, ast.unparse(next(
+        x for x in [node.left, *node.comparators] if not names_a_kind(x))))
+        for file, scope, node in found]
+
+
+def test_no_normal_chart_code_names_flat_or_space_form():
+    """Only make_chart's catalog reads the kind names, from the ModelSpec,
+    and symmetrize its chart's flatness, from MetricChart.kind; warped
+    centres are found from the warp (MetricChart.warp), and
+    closed_form_center is gone."""
+    assert sorted(_kind_comparisons()) == [
+        ("charts.py", "_default_halfwidth", "spec.kind"),
+        ("charts.py", "_default_halfwidth", "spec.kind"),
+        ("charts.py", "make_chart", "spec.kind"),
+        ("isoperimetry.py", "symmetrize", "tf.nchart.chart.kind"),
+    ]
+    import curvex.charts as charts
+
+    assert not hasattr(charts, "closed_form_center")
+    flat = charts.make_chart(charts.ModelSpec("flat", 2))
+    nc = charts.build_normal_chart(flat, [0.5, 0.0], 1.0)
+    assert nc.kind == "warped" and not hasattr(nc, "K")
+
+
+def test_normal_charts_are_warped_or_ode():
+    """Every NormalChart the sources build is of kind 'warped' or 'ode'."""
+    built = _found(lambda node: isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "NormalChart")
+    assert sorted(node.args[3].value for _, _, node in built) == ["ode", "warped"]
+
+
+def test_symmetrize_refuses_every_chart_but_flat():
+    """symmetrize reads flatness from MetricChart.kind: a warped space form
+    or conformal chart and an ode chart are refused with ConfigInvalid
+    before any level is crossed, flat space runs."""
+    import numpy as np
+    import pytest
+
+    from curvex import (ModelSpec, Perturbation, QuadratureSpec,
+                        build_test_function, make_chart, symmetrize)
+    from curvex.charts import PROFILES
+    from curvex.errors import ConfigInvalid
+    from curvex.expansion import prepare_normal_chart
+
+    specs = [
+        ModelSpec("space_form", 3, K=1.0),
+        ModelSpec("space_form", 3, K=0.0),
+        ModelSpec("conformal_flat", 3, halfwidth=1.5,
+                  perturbation=Perturbation(0.05, PROFILES["quartic_bump"])),
+        ModelSpec("product_sphere_line", 3, K=1.0),
+    ]
+    quad = QuadratureSpec(rule="radial_sphere", order=8)
+    for spec in specs:
+        nc = prepare_normal_chart(make_chart(spec), np.zeros(3), 0.6, quad)
+        tf = build_test_function(nc, mode="zero", alpha=0.0, r_s=0.6)
+        with pytest.raises(ConfigInvalid, match="flat"):
+            symmetrize(tf, t=0.001, levels=64, order=8)
+    flat = prepare_normal_chart(make_chart(ModelSpec("flat", 3)), np.zeros(3),
+                                0.6, quad)
+    tf = build_test_function(flat, mode="zero", alpha=0.0, r_s=0.6)
+    assert symmetrize(tf, t=0.001, levels=64, order=8).mass_original > 0
