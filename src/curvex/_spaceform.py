@@ -25,7 +25,10 @@ __all__ = [
 
 
 def omega_n(n: int) -> float:
-    """Volume of the unit ball in R^n."""
+    """Volume of the unit ball in R^n: 2 for n = 1, where the gamma
+    quotient rounds to 1.9999999999999998."""
+    if n == 1:
+        return 2.0
     return pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
 
 

@@ -76,7 +76,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ._numerics import (CubicSpline, bracketed_newton, composite_gauss_legendre,
-                        dopri45)
+                        dopri45, read_only)
 from ._spaceform import omega_n, sn, sn_over_r
 from .errors import (
     DifferentiationUnstable,
@@ -923,12 +923,15 @@ class _ConformalWarp(_Warp):
     phi and its derivatives at rho^2: the warped form of it subtracts
     f'^2 from 1, which cancels at small r (-1.19968 at r = 1e-6 on c06
     against -1.2).  reach is the coordinate radius of the box, top its
-    arc length."""
+    arc length.  rho keeps its last radii and their inversion, so one
+    evaluation's geometry and Sc calls, which pass the same radii, invert
+    them once."""
 
     def __init__(self, n: int, eps: float, profile: RadialProfile, reach: float):
         self.n, self.eps, self.profile, self.reach = n, eps, profile, reach
         self._x, self._w = composite_gauss_legendre([0.0, 1.0], _ARC_NODES)
         self.top = float(self.arc(reach))
+        self._last = None  # (shape and bytes of the last radii, their rho)
 
     def _stretch(self, s):
         """e^{eps phi(s)}, the speed of the ray at rho^2 = s."""
@@ -941,6 +944,9 @@ class _ConformalWarp(_Warp):
 
     def rho(self, r):
         r = np.asarray(r, dtype=float)
+        key = (r.shape, r.tobytes())
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
         if np.any(r > self.top):
             raise OutOfDomain("the geodesic sphere leaves the chart domain")
         target = r.ravel()
@@ -954,7 +960,9 @@ class _ConformalWarp(_Warp):
         if live.size:
             raise QuadratureNotConverged(
                 f"no coordinate radius of arc length {target[live[0]]} found")
-        return x.reshape(r.shape)
+        x = read_only(x.reshape(r.shape))[0]
+        self._last = (key, x)
+        return x
 
     def f(self, r):
         rho = self.rho(r)

@@ -70,7 +70,7 @@ def predict_L(curv: CurvatureData, a) -> SeriesPrediction:
     return SeriesPrediction(c1=-curv.sc, c2=c2)
 
 
-def predict_scalar_term(curv: CurvatureData, a) -> SeriesPrediction:
+def predict_scalar_term(curv: CurvatureData) -> SeriesPrediction:
     """Coefficients of t * (the average of Sc against u^2 over its mass):
     the normalized weight has second moments 2 t I, so the average is
     Sc + lap Sc t + O(t^2), whatever a and alpha."""
@@ -81,7 +81,7 @@ def predict_W(curv: CurvatureData, a) -> SeriesPrediction:
     """Entropy functional: the linear terms cancel and the quadratic keeps
     only the curvature-norm and profile-mismatch pieces."""
     L = predict_L(curv, a)
-    s = predict_scalar_term(curv, a)
+    s = predict_scalar_term(curv)
     return SeriesPrediction(c1=L.c1 + s.c1, c2=L.c2 + s.c2)
 
 

@@ -719,6 +719,30 @@ class TestWarpedChart:
         with pytest.raises(OutOfDomain):
             build_normal_chart(ch, np.zeros(3), top * (1.0 + 1e-12))
 
+    def test_one_inversion_per_evaluation(self, monkeypatch):
+        """rho keeps its last radii, so a W run on c06 inverts once for the
+        box check and once per evaluation (ten times, main and error rule),
+        not again for Sc: 21 inversions instead of 41, with the values of
+        a warp that inverts at every call, bit for bit."""
+        def run():
+            calls = recorded(monkeypatch, charts, "bracketed_newton")
+            res = run_expansion(
+                _conformal(PROFILES["quartic_bump"]), np.zeros(3), "W", r_s=0.9,
+                quad=QuadratureSpec(rule="radial_sphere", order=16))
+            return res.values, len(calls)
+
+        values, inversions = run()
+        assert inversions == 21
+        rho = charts._ConformalWarp.rho
+
+        def forgetful(self, r):
+            self._last = None
+            return rho(self, r)
+
+        monkeypatch.setattr(charts._ConformalWarp, "rho", forgetful)
+        again, inversions = run()
+        assert inversions == 41 and again.tobytes() == values.tobytes()
+
     def test_refined_inversion_keeps_c06(self, monkeypatch):
         """c06's fitted c2 moves by 1e-3 when its geometry moves by 1e-10,
         so the inversion is held at rounding: doubling the Gauss-Legendre

@@ -63,11 +63,10 @@ class TestPredictions:
 
     def test_curvature_average_series(self):
         """On a space form the normalized average of Sc is Sc exactly, so
-        t times it has c2 = lap Sc = 0, whatever a."""
-        for a in (self.a_opt, np.zeros((3, 3))):
-            p = predict_scalar_term(self.cv, a)
-            assert p.c1 == pytest.approx(6.0)
-            assert p.c2 == 0.0
+        t times it has c2 = lap Sc = 0; the profile a enters neither."""
+        p = predict_scalar_term(self.cv)
+        assert p.c1 == pytest.approx(6.0)
+        assert p.c2 == 0.0
 
     def test_volume_sphere(self):
         r2, r4 = predict_volume(self.cv)
@@ -312,8 +311,9 @@ class TestRuns:
 
 class TestHermiteFold:
     """Space forms at the origin take a = Rc/3, a multiple of the identity,
-    so run_expansion evaluates the product Hermite grid folded onto the
-    orthant z >= 0."""
+    so run_expansion evaluates the product Hermite grid folded onto one
+    block: the nondecreasing index tuples of the half rule z >= 0,
+    C(ceil(order/2) + n - 1, n) nodes."""
 
     def test_s4_order24_node_count(self):
         ch = make_chart(ModelSpec("space_form", 4, K=1.0))
@@ -323,8 +323,9 @@ class TestHermiteFold:
         )
         assert res.fit.c1 == pytest.approx(-12.0, rel=5e-3)
         assert res.fit.c2 == pytest.approx(-4.0, rel=5e-2)
-        # 12^4 + 9^4 per time against 24^4 + 18^4 on the full grid
-        assert res.meta["nodes"] == 10 * (12**4 + 9**4) == 272_970
+        # C(15, 4) + C(12, 4) per time against 24^4 + 18^4 on the full grid
+        assert res.meta["fold"] == [[0, 1, 2, 3]]
+        assert res.meta["nodes"] == 10 * (1365 + 495) == 18_600
 
     def test_odd_err_drop_folds_the_zero_node(self):
         ch = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
@@ -336,8 +337,9 @@ class TestHermiteFold:
         assert res.fit.c2 == pytest.approx(-2.0, rel=5e-2)
         assert np.all(np.isfinite(res.errors))
         # the odd order-25 rule and its order-19 error rule keep their
-        # zero nodes: 13 and 10 half nodes per axis
-        assert res.meta["nodes"] == 10 * (13**3 + 10**3)
+        # zero nodes: 13 and 10 half nodes per axis, C(15, 3) and C(12, 3)
+        # nondecreasing triples
+        assert res.meta["nodes"] == 10 * (455 + 220) == 6_750
 
 
 class TestRuleRecord:
@@ -345,7 +347,7 @@ class TestRuleRecord:
     meta["fold"] lists the blocks of the partition its nodes were folded
     onto (None: not folded): one block is one ray, singletons the orthant,
     and the sets of equal entries of a diagonal a need not be contiguous.
-    The Hermite grid folds onto the orthant at most."""
+    The Hermite grid folds onto the same partition as the rays."""
 
     A_OFF = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05], [0.0, -0.05, 0.1]])
 
@@ -358,7 +360,7 @@ class TestRuleRecord:
              "radial_sphere", None, 2 * 16**2),
             (3, "space_form", "optimal_a",
              QuadratureSpec(rule="hermite", order=16), "hermite",
-             [[0], [1], [2]], None),
+             [[0, 1, 2]], None),
             (5, "flat", "zero", QuadratureSpec(order=8), "radial_sphere",
              [[0, 1, 2, 3, 4]], 1),
             (3, "space_form", np.diag([0.3, -0.1, 0.05]),

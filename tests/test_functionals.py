@@ -17,7 +17,7 @@ from curvex import (
 from curvex import charts, expansion, functionals
 from curvex.charts import PROFILES
 from curvex.expansion import predict_volume, prepare_normal_chart, run_expansion
-from curvex._spaceform import ball_volume_K, sphere_area_K
+from curvex._spaceform import ball_volume_K, sn, sphere_area_K
 from curvex.errors import (
     ConfigInvalid,
     InvalidSpec,
@@ -226,7 +226,7 @@ class TestSphereRule:
     @pytest.mark.parametrize(
         "rule",
         [lambda: sphere_rule(3, 8), lambda: sphere_rule(5, 7, True),
-         lambda: _hermite_nodes(2, 6), lambda: _hermite_nodes(2, 7, True)],
+         lambda: _hermite_nodes(2, 6), lambda: _hermite_nodes(2, 7, ((0, 1),))],
         ids=["sphere_rule", "sphere_rule_folded", "hermite", "hermite_folded"],
     )
     def test_cached_rules_are_read_only(self, rule):
@@ -240,23 +240,26 @@ class TestSphereRule:
 
     @pytest.mark.parametrize("order", [24, 25, 40])
     def test_hermite_fold_keeps_the_sign_based_fold(self, order):
-        """Folding by node index (_half_rule) gives, bit for bit, the grid
-        of the sign-based fold: keep z >= 0, double the weights of z > 0."""
+        """Folding onto n singleton blocks by node index (_half_rule) gives,
+        bit for bit, the grid of the sign-based fold: keep z >= 0, double
+        the weights of z > 0, take the product grid."""
         z1, w1 = np.polynomial.hermite.hermgauss(order)
         keep = z1 >= 0.0
         z1, w1 = z1[keep], np.where(z1[keep] > 0.0, 2.0 * w1[keep], w1[keep])
-        Z = np.array(list(itertools.product(z1, repeat=2)))
-        W = np.prod(list(itertools.product(w1, repeat=2)), axis=1) / np.pi
-        zn = np.sqrt(np.einsum("mi,mi->m", Z, Z))
-        dirs, rho, wts = _hermite_nodes(2, order, True)
-        assert np.array_equal(rho, zn) and np.array_equal(wts, W)
-        assert np.array_equal(dirs, Z / np.where(zn > 0.0, zn, 1.0)[:, None])
+        for n in (2, 3, 4):
+            Z = np.array(list(itertools.product(z1, repeat=n)))
+            W = (np.prod(list(itertools.product(w1, repeat=n)), axis=1)
+                 / np.pi ** (n / 2))
+            zn = np.sqrt(np.einsum("mi,mi->m", Z, Z))
+            dirs, rho, wts = _hermite_nodes(n, order, tuple((i,) for i in range(n)))
+            assert np.array_equal(rho, zn) and np.array_equal(wts, W)
+            assert np.array_equal(dirs, Z / np.where(zn > 0.0, zn, 1.0)[:, None])
 
     def test_hermite_cache_holds_four_grids(self):
         """One expansion's main and error rules for two dimensions stay
         cached; a sweep over more grids does not pile them up."""
         for n, order in [(2, 6), (2, 8), (3, 6), (3, 8), (2, 10), (3, 10)]:
-            _hermite_nodes(n, order, True)
+            _hermite_nodes(n, order, (tuple(range(n)),))
         info = _hermite_nodes.cache_info()
         assert info.maxsize == 4 and info.currsize <= 4
 
@@ -335,6 +338,21 @@ class TestOrbitRule:
             assert dirs.tobytes() == np.eye(1, n).tobytes()
             assert wts.tobytes() == np.array([sphere_area_K(n, 0.0, 1.0)]).tobytes()
 
+    def test_leading_singleton_takes_the_s0_area(self, monkeypatch):
+        """A leading singleton block, not paired with a second, carries
+        |S^0| from sphere_area_K, exactly 2."""
+        import curvex.functionals as F
+
+        calls = recorded(monkeypatch, F, "sphere_area_K")
+        F.orbit_rule.cache_clear()
+        try:
+            _, wts = orbit_rule(8, ((0,), (1, 2)))
+        finally:
+            F.orbit_rule.cache_clear()
+        assert [(args, out) for args, _, out in calls if args[0] == 1] == [
+            ((1, 0.0, 1.0), 2.0)]
+        assert wts.sum() == pytest.approx(4.0 * np.pi, rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("blocks", [((0, 1), (2, 3)), ((0, 2, 4), (1, 3)),
                                         ((0, 1, 2), (3, 4, 5))],
                              ids=["01|23", "024|13", "012|345"])
@@ -354,6 +372,102 @@ class TestOrbitRule:
             dirs, got = orbit_rule(o, blocks)
             np.testing.assert_allclose(dirs, want, rtol=0, atol=1e-15)
             np.testing.assert_allclose(got, wts, rtol=0, atol=1e-14 * wts.sum())
+
+
+@pytest.mark.parametrize("K", [1.0, 0.0, -1.0])
+def test_s0_area_is_two(K):
+    """|S^0| = 2 exactly at every K and radius, where the gamma quotient
+    of omega_1 rounds to 1.9999999999999998; every n >= 2 keeps the gamma
+    formula bit for bit."""
+    r = np.array([0.1, 0.5, 1.0, 1.3])
+    assert sphere_area_K(1, K, 0.7) == 2.0
+    assert sphere_area_K(1, K, r).tolist() == [2.0] * 4
+    for n in range(2, 7):
+        omega = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+        assert sphere_area_K(n, K, r).tobytes() == (
+            n * omega * sn(K, r) ** (n - 1)).tobytes()
+
+
+class TestFoldedHermiteGrid:
+    """_hermite_nodes folded onto a partition: each block keeps the
+    nondecreasing index tuples of the half rule, weighted by the number of
+    their distinct permutations, and the blocks combine as a product.
+    Checked against the closed-form block moments and against the full
+    and orthant grids in run_expansion; TestSphereRule checks n singletons
+    against the sign-based orthant fold bit for bit."""
+
+    @pytest.mark.parametrize(
+        "blocks", [b for b in _PARTITIONS if sum(map(len, b)) <= 4],
+        ids=lambda b: "|".join("".join(map(str, x)) for x in b))
+    @pytest.mark.parametrize("order", [7, 8, 11])
+    def test_exact_on_block_moments(self, blocks, order):
+        """pi^(-n/2) times the Gaussian integral of prod_b |z_b|^(2 k_b)
+        is Gamma(K + n/2) / (2 pi^(n/2)) times _block_moment, K = sum k_b;
+        every k with K <= order - 1 keeps each coordinate's degree within
+        the 1-D rule's 2 order - 1.  Measured within 4.5e-15 relative
+        (bound 1e-13).  The node count is prod_b C(ceil(order/2) + n_b - 1,
+        n_b)."""
+        n, h = sum(map(len, blocks)), (order + 1) // 2
+        dirs, rho, wts = _hermite_nodes(n, order, blocks)
+        assert wts.size == math.prod(math.comb(h + len(b) - 1, len(b))
+                                     for b in blocks)
+        z = dirs * rho[:, None]
+        radii2 = np.stack([np.sum(z[:, b] ** 2, axis=1) for b in blocks], -1)
+        for k in itertools.product(range(order), repeat=len(blocks)):
+            if sum(k) <= order - 1:
+                got = wts @ np.prod(radii2 ** np.array(k), axis=1)
+                want = (_block_moment(blocks, k) * math.gamma(sum(k) + n / 2)
+                        / (2.0 * math.pi ** (n / 2)))
+                assert got == pytest.approx(want, rel=1e-13, abs=0), k
+
+    @staticmethod
+    def _unfolded(monkeypatch, to=None):
+        """Build every folded Hermite grid on the partition to(n) instead
+        of the fold asked for (to None: the full grid)."""
+        nodes = functionals._hermite_nodes
+        monkeypatch.setattr(functionals, "_hermite_nodes",
+                            lambda n, order, fold=None: nodes(
+                                n, order, fold and to and to(n)))
+
+    @pytest.mark.parametrize("n,K,r_s,order,nodes",
+                             [(4, 1.0, 1.45, 24, 18_600),
+                              (3, -1.0, 1.1, 40, 25_090)],
+                             ids=["S4-hermite24", "H3-hermite40"])
+    def test_one_block_matches_the_full_grid(self, monkeypatch, n, K, r_s,
+                                            order, nodes):
+        """The benchmark's Hermite cases, a = Rc/3 = lambda I: the values
+        on one block equal those on the full grid, the same sum regrouped.
+        Measured 1.1e-11 (S^4) and 4.0e-12 (H^3) relative, bound 1e-10."""
+        ch = make_chart(ModelSpec("space_form", n, K=K))
+        quad = QuadratureSpec(rule="hermite", order=order)
+        folded = run_expansion(ch, np.zeros(n), "L", r_s=r_s, quad=quad)
+        assert folded.meta["fold"] == [list(range(n))]
+        assert folded.meta["nodes"] == nodes
+        with monkeypatch.context() as mp:
+            self._unfolded(mp)
+            full = run_expansion(ch, np.zeros(n), "L", r_s=r_s, quad=quad)
+        assert full.meta["nodes"] == 10 * (order**n + (order - 6) ** n)
+        np.testing.assert_allclose(folded.values, full.values, rtol=1e-10, atol=0)
+
+    def test_two_blocks_match_the_orthant(self, monkeypatch):
+        """Metamorphic: on S^3 a = diag(0.3, 0.05, 0.3) folds onto the
+        blocks {0, 2}, {1}, and gives the values of the same a on the
+        orthant grid, measured within 6.0e-12 relative (bound 1e-10).  L,
+        not W: W's terms cancel to order t^2, so its values carry the
+        rounding of the O(1) sums at every fold."""
+        ch = make_chart(ModelSpec("space_form", 3, K=1.0))
+        a = np.diag([0.3, 0.05, 0.3])
+        quad = QuadratureSpec(rule="hermite", order=24)
+        blocks = run_expansion(ch, np.zeros(3), "L", mode=a, r_s=1.0, quad=quad)
+        assert blocks.meta["fold"] == [[0, 2], [1]]
+        assert blocks.meta["nodes"] == 10 * (78 * 12 + 45 * 9)
+        with monkeypatch.context() as mp:
+            self._unfolded(mp, to=lambda n: tuple((i,) for i in range(n)))
+            orthant = run_expansion(ch, np.zeros(3), "L", mode=a, r_s=1.0,
+                                    quad=quad)
+        assert orthant.meta["nodes"] == 10 * (12**3 + 9**3)
+        np.testing.assert_allclose(blocks.values, orthant.values, rtol=1e-10,
+                                   atol=0)
 
 
 class TestMomentBridge:
@@ -501,9 +615,10 @@ class TestKernelOracle:
     """The scalar ray kernel against a dense evaluation of the same
     integrals: eta^2 and its gradient pointwise, the density sqrt(det g)
     and M^T g^{-1} M from the chart's metric (chart coordinates are normal
-    coordinates at the origin).  A diagonal profile a runs the folded
-    Hermite grid, a general one the full grid; the dense oracle always
-    uses the full grid, built here."""
+    coordinates at the origin).  A diagonal profile a runs the Hermite
+    grid folded onto its sets of equal entries (a = Rc/3 = lambda I on a
+    space form: one block), a general one the full grid; the dense oracle
+    always uses the full grid, built here."""
 
     CASES = [("space_form", 4, 1.0), ("space_form", 3, -1.0), ("flat", 3, 0.0)]
 
@@ -532,8 +647,9 @@ class TestKernelOracle:
         quad = QuadratureSpec(rule="hermite", order=order)
         got = _eval_once(tf, t, quad, order, *resolve_rule(tf, quad))
         # a silent fall back to the full grid would show in the count
-        folded = profile != "random"
-        assert got[4] == ((order + 1) // 2 if folded else order) ** n
+        h = (order + 1) // 2
+        assert got[4] == {"random": order**n, "diag": h**n,
+                          "rc3": math.comb(h + n - 1, n)}[profile]
 
         z1, w1 = np.polynomial.hermite.hermgauss(order)
         Z = np.array(list(itertools.product(z1, repeat=n)))

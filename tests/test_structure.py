@@ -191,3 +191,16 @@ def test_symmetrize_refuses_every_chart_but_flat():
                                 0.6, quad)
     tf = build_test_function(flat, mode="zero", alpha=0.0, r_s=0.6)
     assert symmetrize(tf, t=0.001, levels=64, order=8).mass_original > 0
+
+
+def test_both_rules_fold_onto_one_partition():
+    """resolve_rule returns fold_level's partition for every rule: no
+    branch reads the rule's name to change the fold."""
+    (fn,) = [node for file, _, node in _found(
+        lambda n: isinstance(n, ast.FunctionDef) and n.name == "resolve_rule")
+        if file == "functionals.py"]
+    assert "hermite" not in {n.value for n in ast.walk(fn)
+                             if isinstance(n, ast.Constant)}
+    (ret,) = [n for n in ast.walk(fn) if isinstance(n, ast.Return)]
+    fold = ret.value.elts[1]
+    assert isinstance(fold, ast.Call) and fold.func.id == "fold_level"
