@@ -1,10 +1,9 @@
 """Small-time series of the normalized log-Sobolev deficit.
 
 A Gaussian-profile test function with quadratic correction a = Rc(p)/3
-and time-linear correction alpha = -Sc(p)/3 is integrated over a normal
-chart at p.  As t -> 0 the normalized deficit behaves like
-c1 t + c2 t^2 with c1 = -Sc(p) and a c2 that combines lap Sc, |Rm|^2,
-and the mismatch of a from Ricci/3.  The script runs flat space (both
+is integrated over a normal chart at p.  As t -> 0 the normalized
+deficit behaves like c1 t + c2 t^2 with c1 = -Sc(p) and a c2 that
+combines lap Sc, |Rm|^2, and the mismatch of a from Ricci/3.  The script runs flat space (both
 coefficients vanish) and the unit 3-sphere, then prints the fitted
 coefficients next to the curvature-based predictions.
 """

@@ -9,7 +9,7 @@ rigidity, moments_selftest.  Configuration is INI-style with [chart],
 serialized) and, where a table is natural, <experiment>.csv.
 
 Exit status: 0 on success, 2 when the experiment ran but a configured
-tolerance or expectation failed, 1 on errors.
+tolerance or expectation failed, 1 on errors, unknown config keys too.
 """
 
 from __future__ import annotations
@@ -51,8 +51,17 @@ def _floats(raw: str) -> list[float]:
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
+def _known(sec, keys: str):
+    """sec; ConfigInvalid on a key not among the space-separated keys."""
+    unknown = sorted(set(sec) - set(keys.lower().split()))
+    if unknown:
+        raise ConfigInvalid(f"unknown [{sec.name}] keys {unknown}: only {keys}")
+    return sec
+
+
 def _chart_from(cfg: configparser.ConfigParser):
-    sec = cfg["chart"] if cfg.has_section("chart") else {}
+    sec = _known(cfg["chart"] if cfg.has_section("chart") else {},
+                 "kind n K halfwidth eps profile")
     kind = sec.get("kind", "flat")
     n = int(sec.get("n", 3))
     K = float(sec.get("K", 0.0))
@@ -76,12 +85,8 @@ def _chart_from(cfg: configparser.ConfigParser):
 
 
 def _quad_from(cfg: configparser.ConfigParser):
-    sec = cfg["quadrature"] if cfg.has_section("quadrature") else {}
-    unknown = sorted(set(sec) - {"rule", "order", "c_trunc"})
-    if unknown:
-        raise ConfigInvalid(
-            f"unknown [quadrature] keys {unknown}: only rule, order and c_trunc"
-        )
+    sec = _known(cfg["quadrature"] if cfg.has_section("quadrature") else {},
+                 "rule order c_trunc")
     return QuadratureSpec(
         rule=sec.get("rule", "auto"),
         order=int(sec.get("order", 40)),
@@ -94,15 +99,11 @@ def _close(measured: float, target: float, rtol: float, atol: float) -> bool:
 
 
 def _expand(cfg, functional: str):
-    sec = cfg["experiment"]
+    sec = _known(cfg["experiment"], "r_s mode t_max t_points c1_rtol c1_atol "
+                 "c2_rtol c2_atol")
     chart = _chart_from(cfg)
     quad = _quad_from(cfg)
     r_s = float(sec.get("r_s", 1.0))
-    alpha = sec.get("alpha", "normalized")
-    if alpha not in ("normalized", "auto"):
-        alpha = float(alpha)
-    elif alpha == "auto":
-        alpha = "normalized"
     mode = sec.get("mode", "optimal_a")
     t_max_raw = sec.get("t_max", "auto")
     t_max = None if t_max_raw == "auto" else float(t_max_raw)
@@ -112,7 +113,6 @@ def _expand(cfg, functional: str):
         np.zeros(chart.n),
         functional=functional,
         mode=mode,
-        alpha=alpha,
         r_s=r_s,
         t_max=t_max,
         t_points=int(sec.get("t_points", 10)),
@@ -161,7 +161,8 @@ def _expand(cfg, functional: str):
 
 
 def _volume(cfg, seed):
-    sec = cfg["experiment"]
+    sec = _known(cfg["experiment"], "chart_radius r_max points r2_rtol r2_atol "
+                 "r4_rtol r4_atol")
     chart = _chart_from(cfg)
     r0 = float(sec.get("chart_radius", 0.9))
     # an ode chart is shot along the radial-spherical rule of [quadrature]
@@ -171,7 +172,7 @@ def _volume(cfg, seed):
     radii = np.linspace(r_hi / points, r_hi, points)
     vols = ball_volume(nc, radii)
     fit = fit_volume_series(radii, vols, chart.n)
-    curv = curvature_at(chart, np.zeros(chart.n), want_hessian=True)
+    curv = curvature_at(chart, np.zeros(chart.n), want_hessian=False)
     r2_pred, r4_pred = predict_volume(curv)
     r2_ok = _close(fit.c1, r2_pred, float(sec.get("r2_rtol", 0.01)),
                    float(sec.get("r2_atol", 1e-9)))
@@ -188,7 +189,7 @@ def _volume(cfg, seed):
 
 
 def _isoprofile(cfg, seed):
-    sec = cfg["experiment"]
+    sec = _known(cfg["experiment"], "n K betas")
     n = int(sec.get("n", 3))
     K = float(sec.get("K", 0.0))
     betas = _floats(sec.get("betas", "0.5 1.0 2.0"))
@@ -210,7 +211,8 @@ def _isoprofile(cfg, seed):
 
 
 def _symmetrize(cfg, seed):
-    sec = cfg["experiment"]
+    sec = _known(cfg["experiment"], "chart_radius a alpha r_s t K levels order "
+                 "mass_tol")
     chart = _chart_from(cfg)
     nc = build_normal_chart(
         chart, np.zeros(chart.n), r0=float(sec.get("chart_radius", 1.6))
@@ -254,7 +256,7 @@ def _symmetrize(cfg, seed):
 
 
 def _mu(cfg, seed):
-    sec = cfg["experiment"]
+    sec = _known(cfg["experiment"], "n K R ts per_width Q gamma")
     n = int(sec.get("n", 3))
     K = float(sec.get("K", 0.0))
     R = float(sec.get("R", 2.0))
@@ -296,7 +298,7 @@ def _mu(cfg, seed):
 
 
 def _rigidity(cfg, seed):
-    sec = cfg["experiment"]
+    sec = _known(cfg["experiment"], "K npoints tol extended expect")
     chart = _chart_from(cfg)
     rep = assess_rigidity(
         chart,
@@ -332,7 +334,8 @@ def _moments_selftest(cfg, seed):
     from .functionals import gaussian_integral
     from .moments import GaussianWeight, moment_quadratic
 
-    sec = cfg["experiment"] if cfg.has_section("experiment") else {}
+    sec = _known(cfg["experiment"] if cfg.has_section("experiment") else {},
+                 "n t trials tol")
     n = int(sec.get("n", 3))
     t = float(sec.get("t", 0.05))
     trials = int(sec.get("trials", 10))

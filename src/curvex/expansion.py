@@ -8,10 +8,11 @@ expansion is value = c1 * t + c2 * t^2 + o(t^2) with
 
 all evaluated at the center.  The raw deficit L(u) = M (c1 t + c2 t^2)
 differs at t^2 by Sc m1, the mass being M = 1 + m1 t + O(t^2) with
-m1 = 2 tr(a) + alpha - Sc/3; alpha enters no normalized coefficient.  The
-normalized curvature average contributes Sc * t + lap Sc * t^2, so the
-entropy functional keeps only the quadratic
--( |Rm|^2/6 - 4 |a - Rc/3|^2 ) * t^2.
+m1 = 2 tr(a) - Sc/3.  The profile is 1 + x.a.x: L, M and the Sc integral
+are 2-homogeneous in u, so a shift alpha t would only turn a into
+a/(1 + alpha t) in L/M and W/M.  The normalized curvature average
+contributes Sc * t + lap Sc * t^2, so the entropy functional keeps only
+the quadratic -( |Rm|^2/6 - 4 |a - Rc/3|^2 ) * t^2.
 Extraction fits values on a geometric time grid by weighted least squares,
 reports the smallest-half refit as the headline and the full-vs-half drift
 as a systematic error.
@@ -62,9 +63,10 @@ class SeriesPrediction:
 
 def predict_L(curv: CurvatureData, a) -> SeriesPrediction:
     """Coefficients of the normalized deficit L(u)/M(u) through second
-    order, what run_expansion fits.  The profile's alpha enters no
-    coefficient: L is 2-homogeneous in u, so 1 + alpha t only rescales a
-    to a/(1 + alpha t), a change of order t^2 in the profile."""
+    order, what run_expansion fits.  A time shift alpha t of the profile
+    enters no coefficient: L is 2-homogeneous in u, so 1 + x.a.x + alpha t
+    gives the L/M of 1 + x.a.x/(1 + alpha t), a change of order t^2 in
+    the profile."""
     mis = norm_sq(np.asarray(a, dtype=float) - curv.rc / 3.0)  # profile mismatch
     c2 = -(curv.lap_sc + norm_sq(curv.rm) / 6.0 - 4.0 * mis)
     return SeriesPrediction(c1=-curv.sc, c2=c2)
@@ -73,7 +75,7 @@ def predict_L(curv: CurvatureData, a) -> SeriesPrediction:
 def predict_scalar_term(curv: CurvatureData) -> SeriesPrediction:
     """Coefficients of t * (the average of Sc against u^2 over its mass):
     the normalized weight has second moments 2 t I, so the average is
-    Sc + lap Sc t + O(t^2), whatever a and alpha."""
+    Sc + lap Sc t + O(t^2), whatever a."""
     return SeriesPrediction(c1=curv.sc, c2=curv.lap_sc)
 
 
@@ -225,7 +227,6 @@ def run_expansion(
     p,
     functional: str = "L",
     mode="optimal_a",
-    alpha="normalized",
     r_s: float | None = None,
     t_max: float | None = None,
     t_points: int = 10,
@@ -241,14 +242,14 @@ def run_expansion(
         raise ConfigInvalid("functional must be 'L' or 'W'")
     p = np.asarray(p, dtype=float)
     if curv is None:
-        curv = curvature_at(chart, p)
+        curv = curvature_at(chart, p, want_hessian=False)
     if r_s is None:
         raise ConfigInvalid("r_s is required")
     if t_max is None:
         t_max = r_s**2 / 720.0
     nc = prepare_normal_chart(chart, p, r_s, quad,
                               a=profile_matrix(chart.n, curv, mode))
-    tf = build_test_function(nc, curv, mode=mode, alpha=alpha, r_s=r_s)
+    tf = build_test_function(nc, curv, mode=mode, r_s=r_s)
     pred = (predict_L if functional == "L" else predict_W)(curv, tf.a)
     ts = make_tgrid(t_max, t_points)
     evaluate = eval_L_normalized if functional == "L" else eval_W_normalized
@@ -269,7 +270,6 @@ def run_expansion(
         functional=functional,
         meta={
             "mode": mode if isinstance(mode, str) else "explicit",
-            "alpha": tf.alpha,
             "r_s": r_s,
             "rule": rule,
             "fold": None if fold is None else [list(b) for b in fold],

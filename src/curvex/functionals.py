@@ -72,6 +72,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
+from numbers import Real
 
 import numpy as np
 
@@ -299,27 +300,20 @@ def build_test_function(
     nchart: NormalChart,
     curv: CurvatureData | None = None,
     mode: str | np.ndarray = "optimal_a",
-    alpha: str | float = "normalized",
+    alpha: float = 0.0,
     r_s: float | None = None,
     scale: float = 1.0,
 ) -> TestFunction:
     """Standard test-function configurations.
 
     mode 'optimal_a' takes a = Ricci/3 at the center (needs curv),
-    'zero' takes a = 0; an explicit matrix is used as is.  alpha
-    'normalized' means -Sc/3 (needs curv).  A quadratic profile that can
-    reach zero inside the support triggers PositivityWarning.
+    'zero' takes a = 0; an explicit matrix is used as is.  alpha must be
+    a number.  A quadratic profile that can reach zero inside the support
+    triggers PositivityWarning.
     """
     a = profile_matrix(nchart.n, curv, mode)
-    if isinstance(alpha, str):
-        if alpha == "normalized":
-            if curv is None:
-                raise ConfigInvalid("normalized alpha needs curvature data")
-            alpha_val = -curv.sc / 3.0
-        else:
-            raise ConfigInvalid(f"unknown alpha mode {alpha!r}")
-    else:
-        alpha_val = float(alpha)
+    if not isinstance(alpha, Real):
+        raise ConfigInvalid(f"alpha must be a number, not {alpha!r}")
     if r_s is None:
         r_s = nchart.radius
     lam_min = float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
@@ -329,7 +323,7 @@ def build_test_function(
             "values will be clamped",
             PositivityWarning,
         )
-    return TestFunction(nchart, a, alpha_val, r_s, scale)
+    return TestFunction(nchart, a, float(alpha), r_s, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +579,13 @@ def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int,
     )
     r = s2t * rho
     eta2, kappa, beta2, dens, wgw = tf.on_rays(dirs, r, t)
-    base = eta2 * dens
+    # ndarray.sum, not a BLAS dot, whose last bits depend on the thread count
+    wb = wts * eta2 * dens
     logu2 = np.log(eta2) - (n / 2.0) * np.log(4 * np.pi * t) - rho * rho
-    mass = float(np.vdot(wts, base))
-    entropy = float(np.vdot(wts, base * logu2))
-    dirichlet = float(np.vdot(wts, base * (kappa * kappa + beta2 * wgw)))
-    sc_integral = float(np.vdot(wts, base * nc.scalar(r))) if want_sc else None
+    mass = float(wb.sum())
+    entropy = float((wb * logu2).sum())
+    dirichlet = float((wb * (kappa * kappa + beta2 * wgw)).sum())
+    sc_integral = float((wb * nc.scalar(r)).sum()) if want_sc else None
     return mass, entropy, dirichlet, sc_integral, wts.size
 
 
@@ -719,7 +714,7 @@ def gaussian_integral(n: int, t: float, G, quad: QuadratureSpec = QuadratureSpec
     def once(order):
         dirs, rho, W = _nodes(rule, n, order, quad.c_trunc)
         X = ((2.0 * np.sqrt(t) * rho)[..., None] * dirs).reshape(-1, n)
-        return float(np.dot(W.ravel(), np.asarray(G(X))))
+        return float((W.ravel() * np.asarray(G(X))).sum())  # as in _eval_once
 
     hi = once(quad.order)
     lo = once(quad.order - ERR_DROP)

@@ -169,7 +169,7 @@ def test_c02_quartic_contraction_identity():
 
 def test_c03_flat_series_coefficients_vanish():
     """Fitted (c1, c2) of the normalized deficit on flat R^3 with
-    optimal a and alpha = 0: |c1| < 1e-6, |c2| < 1e-4."""
+    optimal a: |c1| < 1e-6, |c2| < 1e-4."""
     t0 = time.monotonic()
     ch = make_chart(ModelSpec("flat", 3))
     res = run_expansion(
@@ -177,7 +177,6 @@ def test_c03_flat_series_coefficients_vanish():
         np.zeros(3),
         functional="L",
         mode="optimal_a",
-        alpha=0.0,
         r_s=2.0,
         quad=QuadratureSpec(rule="radial_sphere", order=32),
     )
@@ -190,7 +189,7 @@ def test_c03_flat_series_coefficients_vanish():
 @pytest.mark.filterwarnings("ignore::curvex.errors.PositivityWarning")
 def test_c04_space_form_series_product_hermite():
     """Normalized-deficit series on S^n(1) and H^n(-1), n in {2,3,4},
-    a = Rc/3 and alpha = -Sc/3, product-Hermite order 40: c1 = -n(n-1)K
+    a = Rc/3, product-Hermite order 40: c1 = -n(n-1)K
     within 0.5%, c2 = -(1/6) 2n(n-1)K^2 within 5%, under 5 min a case."""
     quad = QuadratureSpec(rule="hermite", order=40)
     for n, K, r_s in SPACE_FORM_CASES:

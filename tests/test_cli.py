@@ -95,7 +95,6 @@ halfwidth = 1.75
 [experiment]
 r_s = 1.7
 mode = zero
-alpha = -2.0
 
 [quadrature]
 rule = radial_sphere
@@ -377,6 +376,31 @@ class TestExitCodes:
         assert code == 1
         assert line.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "moments_selftest.json").exists()
+
+    @pytest.mark.parametrize("experiment,text,section,line", [
+        ("expand_L", EXPAND_FLAT, "experiment", "alpha = 0.5"),
+        ("expand_W", EXPAND_FLAT, "experiment", "alpha = 0.5"),
+        ("expand_L", EXPAND_FLAT, "chart", "modee = zero"),
+        ("volume", VOLUME_SPHERE_LINE, "experiment", "pionts = 8"),
+        ("isoprofile", ISO_CFG, "experiment", "beta = 0.5"),
+        ("symmetrize", SYM_CFG, "experiment", "level = 64"),
+        ("mu", MU_GAMMA_CFG, "experiment", "gama = 0.1"),
+        ("rigidity", RIG_FLAT_VS_SPHERE, "experiment", "n_points = 3"),
+        ("moments_selftest", MOMENTS_CFG, "experiment", "trails = 2"),
+    ], ids=["expand_L_alpha", "expand_W_alpha", "expand_L_chart", "volume",
+            "isoprofile", "symmetrize", "mu", "rigidity", "moments_selftest"])
+    def test_unknown_key_is_1(self, tmp_path, capsys, experiment, text,
+                              section, line):
+        """A key an experiment does not read, in [experiment] or [chart],
+        is an error, not a silent run at the defaults; alpha is one since
+        the expansion fits one profile matrix."""
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        assert line in text
+        cfg = _write(tmp_path, "c.ini", text)
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown [{section}] keys ['{line.split()[0]}']" in err
+        assert not (tmp_path / f"{experiment}.json").exists()
 
     def test_gamma_out_of_range_is_1(self, tmp_path):
         """|Rm|^2 <= Q / (1/6 - gamma) degenerates from gamma = 1/6 on."""

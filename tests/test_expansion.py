@@ -81,31 +81,31 @@ class TestPredictions:
 
 class TestNormalizedPrediction:
     """run_expansion fits L(u)/M(u), and predict_L predicts the same
-    quantity: c2 = -(lap Sc + |Rm|^2/6 - 4 |a - Rc/3|^2), alpha entering
-    nothing.  The raw deficit L(u) differs by Sc m1 with m1 = 2 tr(a) +
-    alpha - Sc/3; |Sc m1| is 24, 96, 1.33 and 1.68 on these rows, so a
-    prediction of the raw deficit misses each of them.  Measured: within
-    6.0e-5, 3.2e-4, 3.4e-3 and 5.6e-5 relative."""
+    quantity: c2 = -(lap Sc + |Rm|^2/6 - 4 |a - Rc/3|^2).  The raw deficit
+    L(u) differs by Sc m1 with m1 = 2 tr(a) - Sc/3; |Sc m1| is 12, 48,
+    1.33 and 0.84 on these rows, so a prediction of the raw deficit
+    misses each of them.  Measured: within 6.0e-5, 3.2e-4, 3.4e-3 and
+    1.05e-4 relative."""
 
     @pytest.mark.parametrize(
-        "spec,mode,alpha,r_s,want",
+        "spec,mode,r_s,want",
         [
-            (ModelSpec("space_form", 3, K=1.0, halfwidth=1.75), "zero", -2.0,
-             1.7, 10.0 / 3.0),
-            (ModelSpec("space_form", 4, K=-1.0), "zero", 4.0, 1.45, 12.0),
-            (ModelSpec("product_sphere_line", 3, K=1.0), "optimal_a", 0.0,
-             0.9, -2.0 / 3.0),
+            (ModelSpec("space_form", 3, K=1.0, halfwidth=1.75), "zero", 1.7,
+             10.0 / 3.0),
+            (ModelSpec("space_form", 4, K=-1.0), "zero", 1.45, 12.0),
+            (ModelSpec("product_sphere_line", 3, K=1.0), "optimal_a", 0.9,
+             -2.0 / 3.0),
             (ModelSpec("conformal_flat", 3, halfwidth=1.5, perturbation=
                        Perturbation(0.05, PROFILES["quartic_bump"])),
-             np.diag([-0.3, 0.05, 0.4]), 0.7, 0.9, None),
+             np.diag([-0.3, 0.05, 0.4]), 0.9, None),
         ],
         ids=["S3-zero", "H4-zero", "S2xR-optimal", "c06-diagonal"],
     )
-    def test_fit_matches_the_prediction(self, spec, mode, alpha, r_s, want):
+    def test_fit_matches_the_prediction(self, spec, mode, r_s, want):
         ch = make_chart(spec)
-        res = run_expansion(ch, np.zeros(ch.n), "L", mode=mode, alpha=alpha,
-                            r_s=r_s,
+        res = run_expansion(ch, np.zeros(ch.n), "L", mode=mode, r_s=r_s,
                             quad=QuadratureSpec(rule="radial_sphere", order=16))
+        assert "alpha" not in res.meta
         if want is not None:
             assert res.predicted.c2 == pytest.approx(want, rel=1e-9)
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=1e-2)
@@ -215,7 +215,6 @@ class TestRuns:
             np.zeros(3),
             functional="L",
             mode="zero",
-            alpha=0.0,
             r_s=2.0,
             quad=QuadratureSpec(rule="radial_sphere", order=32),
         )

@@ -113,7 +113,7 @@ def test_p3_recorded_fold_matches_a_reading_of_the_input():
         chart = make_chart(spec)
         curv = curvature_at(chart, centre)
         a = profile_matrix(n, curv, _draw_a(rng, n, curv))
-        res = run_expansion(chart, centre, "L", mode=a, alpha=0.0, r_s=r_s,
+        res = run_expansion(chart, centre, "L", mode=a, r_s=r_s,
                             t_points=4, curv=curv,
                             quad=QuadratureSpec(rule="radial_sphere", order=8))
         want = _expected_fold(spec, centre, a)
@@ -140,7 +140,7 @@ def test_p4a_block_fold_agrees_with_the_rotated_full_rule(n, r_s, order):
         d[rng.choice(n, rng.integers(1, n), replace=False)] = mu
         Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
         folded, full = (
-            run_expansion(chart, np.zeros(n), "L", mode=a, alpha=0.0, r_s=r_s,
+            run_expansion(chart, np.zeros(n), "L", mode=a, r_s=r_s,
                           quad=quad, t_points=4)
             for a in (np.diag(d), Q @ np.diag(d) @ Q.T)
         )

@@ -1,5 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -599,6 +604,55 @@ class TestSphereFunctionals:
         assert vh == pytest.approx(vr, abs=1e-11)
 
 
+class TestTimeShiftIdentity:
+    """The profile 1 + x.a.x + alpha t is (1 + alpha t) times the profile
+    1 + x.a.x/(1 + alpha t), and L, the mass and the Sc integral are
+    2-homogeneous in u, so the normalized L and W at (a, alpha, t) equal
+    those at (a/(1 + alpha t), 0, t): alpha only rescales a, which is why
+    run_expansion fits one profile matrix.  Both values are what is left
+    of normalized terms of size (n/2) |log(4 pi t)| + n, about 13 at
+    t = 1e-3, so rounding is measured against that size; W/M, about
+    2.5e-6 on S^3, keeps 6e-10 of its own size in rounding alone.
+    Measured: within 1.1e-14 absolute."""
+
+    T = 1e-3
+    TERMS = 1.5 * abs(math.log(4 * math.pi * T)) + 3.0
+    # non-diagonal: both sides run the full rule of the same nodes
+    A = np.array([[0.3, 0.1, 0.0], [0.1, -0.1, 0.05], [0.0, 0.05, 0.05]])
+
+    @pytest.fixture(scope="class", params=["S3", "c06"])
+    def warped(self, request):
+        spec = {
+            "S3": ModelSpec("space_form", 3, K=1.0, halfwidth=1.75),
+            "c06": ModelSpec("conformal_flat", 3, halfwidth=1.5, perturbation=
+                             Perturbation(0.05, PROFILES["quartic_bump"])),
+        }[request.param]
+        nc = build_normal_chart(make_chart(spec), np.zeros(3), 0.9)
+        assert nc.kind == "warped"
+        return nc
+
+    def _values(self, nc, a, alpha, rule):
+        tf = build_test_function(nc, mode=a, alpha=alpha, r_s=0.9)
+        quad = QuadratureSpec(rule=rule, order=16)
+        return [ev(tf, self.T, quad)[0]
+                for ev in (eval_L_normalized, eval_W_normalized)]
+
+    @pytest.mark.parametrize("rule", ["radial_sphere", "hermite"])
+    @pytest.mark.parametrize("alpha", [-150.0, 0.7, 40.0])
+    def test_alpha_rescales_a(self, warped, rule, alpha):
+        got = self._values(warped, self.A, alpha, rule)
+        want = self._values(warped, self.A / (1.0 + alpha * self.T), 0.0, rule)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * self.TERMS)
+
+    @pytest.mark.parametrize("rule", ["radial_sphere", "hermite"])
+    def test_alpha_is_inert_at_zero_a(self, warped, rule):
+        want = self._values(warped, np.zeros((3, 3)), 0.0, rule)
+        for alpha in (-150.0, -2.0, 4.0, 40.0):
+            got = self._values(warped, np.zeros((3, 3)), alpha, rule)
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * self.TERMS)
+
+
 def _dense_sums(tf, t, X, rho, W, dens, ginv, sc):
     """The four sums from pointwise eta^2 and grad eta^2 at the points X
     with a given density, full inverse metric and Sc at each point."""
@@ -1181,9 +1235,12 @@ class TestGuards:
         assert built == []
 
     def test_bad_alpha_mode(self, s3_setup):
-        _, nc, _ = s3_setup
-        with pytest.raises(ConfigInvalid):
-            build_test_function(nc, mode="zero", alpha="bogus", r_s=1.0)
+        """alpha is a number: the former 'normalized' mode, any other
+        string and None are refused."""
+        _, nc, cv = s3_setup
+        for alpha in ("normalized", "bogus", "0.5", None):
+            with pytest.raises(ConfigInvalid, match="alpha must be a number"):
+                build_test_function(nc, cv, mode="zero", alpha=alpha, r_s=1.0)
 
     def test_clamped_profile_still_evaluates(self, s3_setup):
         _, nc, _ = s3_setup
@@ -1412,3 +1469,43 @@ class TestShell:
             assert skip.sc_integral is None
             assert (skip.mass, skip.entropy, skip.dirichlet) == (
                 comp.mass, comp.entropy, comp.dirichlet)
+
+
+_THREAD_CASE = textwrap.dedent(
+    """
+    import numpy as np
+    from curvex import ModelSpec, build_normal_chart, make_chart
+    from curvex.functionals import (QuadratureSpec, build_test_function,
+                                    eval_L_normalized, gaussian_integral)
+    quad = QuadratureSpec(rule="hermite", order=24)
+    nc = build_normal_chart(make_chart(ModelSpec("space_form", 4, K=1.0)),
+                            np.zeros(4), 1.45)
+    a = 0.25 * np.eye(4)
+    a[0, 1] = a[1, 0] = 0.05
+    tf = build_test_function(nc, mode=a, r_s=1.45)
+    val, err, nodes = eval_L_normalized(tf, 1e-3, quad)
+    g, _ = gaussian_integral(4, 1e-3, lambda X: np.exp(X @ a[0]), quad)
+    print(nodes, val.hex(), err.hex(), g.hex())
+    """
+)
+
+
+def test_sums_do_not_depend_on_the_blas_thread_count():
+    """A non-diagonal a on S^4 runs the full order-24 Hermite grid, 331,776
+    nodes, where a BLAS dot splits its sum by thread.  The functionals and
+    gaussian_integral sum with numpy's own pairwise sum, so one and two
+    BLAS threads give the same bits."""
+    src = str(Path(functionals.__file__).resolve().parents[1])
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _THREAD_CASE], capture_output=True,
+            text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": k},
+        )
+        for k in ("1", "2")
+    ]
+    for out in runs:
+        assert out.returncode == 0, out.stderr
+    one, two = (out.stdout.split() for out in runs)
+    assert one[0] == str(24**4 + 18**4)
+    assert one == two
