@@ -3,8 +3,9 @@
 Gauss-Legendre, Gauss-Gegenbauer and Gauss-Jacobi rules, the one composite
 Gauss-Legendre builder of every piecewise radial rule, ball volumes, one
 bracketed Newton loop (radii of given volumes, level crossings in
-isoperimetry), a factored tridiagonal solver, a not-a-knot cubic spline
-along axis 0 and the Dormand-Prince 5(4) integrator with its quartic
+isoperimetry), a factored tridiagonal solver, the cubic Hermite basis
+(the spline's and isoperimetry's crossing starts), a not-a-knot cubic
+spline along axis 0 and the Dormand-Prince 5(4) integrator with its quartic
 dense output (Dormand & Prince, J. Comput. Appl. Math. 6, 1980; step
 control and initial step as in Hairer, Norsett & Wanner, Solving ODEs I,
 Sec. II.4).  The tests check each against an independent implementation.
@@ -21,7 +22,8 @@ from .errors import GeodesicLeftDomain, NonPositiveVolume, QuadratureNotConverge
 
 __all__ = ["read_only", "gauss_legendre", "gauss_gegenbauer", "gauss_jacobi",
            "composite_gauss_legendre", "shell_volume",
-           "bracketed_newton", "shell_radius", "Tridiagonal", "CubicSpline", "dopri45"]
+           "bracketed_newton", "shell_radius", "Tridiagonal", "hermite_basis",
+           "CubicSpline", "dopri45"]
 
 
 def read_only(*arrays):
@@ -189,25 +191,29 @@ class Tridiagonal:
     solves with right-hand sides (m, ...).  Both triangular sweeps are
     first-order recurrences with fixed coefficients, run in as few blocks
     as keep the running products of the coefficients within 1e+-250.  The
-    read-only pivots, the diagonal of U, are the D of the LDL^T of a
-    symmetric matrix: as many negative as it has negative eigenvalues
-    (Sylvester).  A zero or non-finite pivot raises ValueError."""
+    pivots, the diagonal of U, come from their recurrence p_i = d_i -
+    (l_i / p_{i-1}) u_i on Python floats (no numpy scalar per row), the
+    multipliers l_i / p_{i-1} from them in one vectorized division; both
+    round as a row-by-row numpy loop would.  The read-only pivots are the
+    D of the LDL^T of a symmetric matrix: as many negative as it has
+    negative eigenvalues (Sylvester).  A zero or non-finite pivot raises
+    ValueError."""
 
     def __init__(self, lower, diag, upper):
         lo, diag, up = (np.asarray(a, dtype=float) for a in (lower, diag, upper))
-        piv, mult = [diag[0]], []
-        # numpy scalars: a zero pivot gives inf or nan, rejected below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for lo_i, up_i, d in zip(lo, up, diag[1:]):
-                mult.append(lo_i / piv[-1])
-                piv.append(d - mult[-1] * up_i)
+        p = float(diag[0])
+        try:
+            piv = [p] + [p := d - lo_i / p * up_i for lo_i, up_i, d
+                         in zip(lo.tolist(), up.tolist(), diag[1:].tolist())]
+        except ZeroDivisionError:  # a zero pivot before the last row
+            piv = [0.0]
         (self.pivots,) = read_only(np.array(piv))
         if not np.all(np.isfinite(self.pivots) & (self.pivots != 0.0)):
             raise ValueError("tridiagonal matrix with a zero or non-finite pivot")
         m = self.m = self.pivots.size
         # z_i = b_i - mult_i z_{i-1}, then x_i = z_i / piv_i - (upper_i /
         # piv_i) x_{i+1} on the reversed rows
-        coef = [-np.array(mult), -(up / self.pivots[:-1])[::-1]]
+        coef = [-(lo / self.pivots[:-1]), -(up / self.pivots[:-1])[::-1]]
         if not all(np.all(c) for c in coef):
             raise ValueError("tridiagonal matrix with a zero off-diagonal")
         worst = max([1.0] + [float(np.abs(np.log10(np.abs(c))).max())
@@ -232,6 +238,19 @@ class Tridiagonal:
         flat[:m] = z / self.pivots[::-1].reshape((-1,) + (1,) * len(trail))
         del z
         return _sweep(x, *self._sweeps[1]).reshape(flat.shape)[m - 1 :: -1]
+
+
+def hermite_basis(s, h, nu: int = 0):
+    """The cubic Hermite basis at s = (x - x_i) / h on an interval of width
+    h, against the value y_i, the slope s_i, y_i+1 and s_i+1 (the slope
+    terms carry h): values (nu=0) or first derivatives in x (nu=1)."""
+    if nu == 0:
+        return [(1 + 2 * s) * (1 - s) ** 2, h * s * (1 - s) ** 2,
+                s * s * (3 - 2 * s), h * s * s * (s - 1)]
+    if nu == 1:
+        return [6 * s * (s - 1) / h, (1 - s) * (1 - 3 * s),
+                6 * s * (1 - s) / h, s * (3 * s - 2)]
+    raise ValueError("only values and first derivatives are available")
 
 
 class CubicSpline:
@@ -275,16 +294,7 @@ class CubicSpline:
         i = np.clip(np.searchsorted(self._x, xs, side="right") - 1,
                     0, self._x.size - 2)
         h = self._dx[i]
-        s = (xs - self._x[i]) / h
-        if nu == 0:  # cubic Hermite basis; slope terms carry h
-            w = [(1 + 2 * s) * (1 - s) ** 2, h * s * (1 - s) ** 2,
-                 s * s * (3 - 2 * s), h * s * s * (s - 1)]
-        elif nu == 1:
-            w = [6 * s * (s - 1) / h, (1 - s) * (1 - 3 * s),
-                 6 * s * (1 - s) / h, s * (3 * s - 2)]
-        else:
-            raise ValueError("only values and first derivatives are available")
-        w = np.stack(w, -1)  # against the rows y_i, s_i, y_i+1, s_i+1
+        w = np.stack(hermite_basis((xs - self._x[i]) / h, h, nu), -1)
         ys = self._ys.reshape(self._x.size, 2, -1)
         g = ys[np.stack([i, i + 1], -1)].reshape(xs.size, 4, -1)
         out = (w[:, None, :] @ g)[:, 0]

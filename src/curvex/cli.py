@@ -4,12 +4,15 @@
 
 Experiments: expand_L, expand_W, volume, isoprofile, symmetrize, mu,
 rigidity, moments_selftest.  Configuration is INI-style with [chart],
-[experiment], [quadrature] and [output] sections; every experiment writes
-<experiment>.json (full machine-readable summary, deterministically
-serialized) and, where a table is natural, <experiment>.csv.
+[experiment], [quadrature] and [output] sections, each experiment reading
+those EXPERIMENTS lists; a missing section reads as empty, so its
+defaults run.  Every experiment writes <experiment>.json (full
+machine-readable summary, deterministically serialized) and, where a
+table is natural, <experiment>.csv.
 
 Exit status: 0 on success, 2 when the experiment ran but a configured
-tolerance or expectation failed, 1 on errors, unknown config keys too.
+tolerance or expectation failed, 1 on errors, a config key or section the
+experiment does not read too.
 """
 
 from __future__ import annotations
@@ -51,17 +54,24 @@ def _floats(raw: str) -> list[float]:
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
-def _known(sec, keys: str):
-    """sec; ConfigInvalid on a key not among the space-separated keys."""
-    unknown = sorted(set(sec) - set(keys.lower().split()))
+def _known(found, keys: str, what: str):
+    """found; ConfigInvalid, naming what, on an entry not among the
+    space-separated keys."""
+    unknown = sorted(set(found) - set(keys.lower().split()))
     if unknown:
-        raise ConfigInvalid(f"unknown [{sec.name}] keys {unknown}: only {keys}")
-    return sec
+        raise ConfigInvalid(f"unknown {what} {unknown}: only {keys}")
+    return found
+
+
+def _section(cfg: configparser.ConfigParser, name: str, keys: str):
+    """The [name] section, empty when the config has none; ConfigInvalid
+    on a key not among the space-separated keys."""
+    return _known(cfg[name] if cfg.has_section(name) else {}, keys,
+                  f"[{name}] keys")
 
 
 def _chart_from(cfg: configparser.ConfigParser):
-    sec = _known(cfg["chart"] if cfg.has_section("chart") else {},
-                 "kind n K halfwidth eps profile")
+    sec = _section(cfg, "chart", "kind n K halfwidth eps profile")
     kind = sec.get("kind", "flat")
     n = int(sec.get("n", 3))
     K = float(sec.get("K", 0.0))
@@ -85,8 +95,7 @@ def _chart_from(cfg: configparser.ConfigParser):
 
 
 def _quad_from(cfg: configparser.ConfigParser):
-    sec = _known(cfg["quadrature"] if cfg.has_section("quadrature") else {},
-                 "rule order c_trunc")
+    sec = _section(cfg, "quadrature", "rule order c_trunc")
     return QuadratureSpec(
         rule=sec.get("rule", "auto"),
         order=int(sec.get("order", 40)),
@@ -99,8 +108,8 @@ def _close(measured: float, target: float, rtol: float, atol: float) -> bool:
 
 
 def _expand(cfg, functional: str):
-    sec = _known(cfg["experiment"], "r_s mode t_max t_points c1_rtol c1_atol "
-                 "c2_rtol c2_atol")
+    sec = _section(cfg, "experiment", "r_s mode t_max t_points c1_rtol "
+                   "c1_atol c2_rtol c2_atol")
     chart = _chart_from(cfg)
     quad = _quad_from(cfg)
     r_s = float(sec.get("r_s", 1.0))
@@ -161,8 +170,8 @@ def _expand(cfg, functional: str):
 
 
 def _volume(cfg, seed):
-    sec = _known(cfg["experiment"], "chart_radius r_max points r2_rtol r2_atol "
-                 "r4_rtol r4_atol")
+    sec = _section(cfg, "experiment", "chart_radius r_max points r2_rtol "
+                   "r2_atol r4_rtol r4_atol")
     chart = _chart_from(cfg)
     r0 = float(sec.get("chart_radius", 0.9))
     # an ode chart is shot along the radial-spherical rule of [quadrature]
@@ -189,7 +198,7 @@ def _volume(cfg, seed):
 
 
 def _isoprofile(cfg, seed):
-    sec = _known(cfg["experiment"], "n K betas")
+    sec = _section(cfg, "experiment", "n K betas")
     n = int(sec.get("n", 3))
     K = float(sec.get("K", 0.0))
     betas = _floats(sec.get("betas", "0.5 1.0 2.0"))
@@ -211,8 +220,8 @@ def _isoprofile(cfg, seed):
 
 
 def _symmetrize(cfg, seed):
-    sec = _known(cfg["experiment"], "chart_radius a alpha r_s t K levels order "
-                 "mass_tol")
+    sec = _section(cfg, "experiment", "chart_radius a alpha r_s t K levels "
+                   "order mass_tol")
     chart = _chart_from(cfg)
     nc = build_normal_chart(
         chart, np.zeros(chart.n), r0=float(sec.get("chart_radius", 1.6))
@@ -256,7 +265,7 @@ def _symmetrize(cfg, seed):
 
 
 def _mu(cfg, seed):
-    sec = _known(cfg["experiment"], "n K R ts per_width Q gamma")
+    sec = _section(cfg, "experiment", "n K R ts per_width Q gamma")
     n = int(sec.get("n", 3))
     K = float(sec.get("K", 0.0))
     R = float(sec.get("R", 2.0))
@@ -298,7 +307,7 @@ def _mu(cfg, seed):
 
 
 def _rigidity(cfg, seed):
-    sec = _known(cfg["experiment"], "K npoints tol extended expect")
+    sec = _section(cfg, "experiment", "K npoints tol extended expect")
     chart = _chart_from(cfg)
     rep = assess_rigidity(
         chart,
@@ -334,8 +343,7 @@ def _moments_selftest(cfg, seed):
     from .functionals import gaussian_integral
     from .moments import GaussianWeight, moment_quadratic
 
-    sec = _known(cfg["experiment"] if cfg.has_section("experiment") else {},
-                 "n t trials tol")
+    sec = _section(cfg, "experiment", "n t trials tol")
     n = int(sec.get("n", 3))
     t = float(sec.get("t", 0.05))
     trials = int(sec.get("trials", 10))
@@ -360,15 +368,18 @@ def _moments_selftest(cfg, seed):
     return payload, None, payload["pass"]
 
 
+# each experiment and the config sections it reads
 EXPERIMENTS = {
-    "expand_L": lambda cfg, seed: _expand(cfg, "L"),
-    "expand_W": lambda cfg, seed: _expand(cfg, "W"),
-    "volume": _volume,
-    "isoprofile": _isoprofile,
-    "symmetrize": _symmetrize,
-    "mu": _mu,
-    "rigidity": _rigidity,
-    "moments_selftest": _moments_selftest,
+    "expand_L": (lambda cfg, seed: _expand(cfg, "L"),
+                 "chart experiment quadrature output"),
+    "expand_W": (lambda cfg, seed: _expand(cfg, "W"),
+                 "chart experiment quadrature output"),
+    "volume": (_volume, "chart experiment quadrature output"),
+    "isoprofile": (_isoprofile, "experiment output"),
+    "symmetrize": (_symmetrize, "chart experiment output"),
+    "mu": (_mu, "experiment output"),
+    "rigidity": (_rigidity, "chart experiment output"),
+    "moments_selftest": (_moments_selftest, "experiment quadrature output"),
 }
 
 
@@ -397,13 +408,15 @@ def main(argv=None) -> int:
         if not read:
             raise ConfigInvalid(f"config file {args.config!r} not found")
 
-        out_dir = args.out
-        if out_dir is None and cfg.has_section("output"):
-            out_dir = cfg["output"].get("dir")
+        run, sections = EXPERIMENTS[args.experiment]
+        _known(cfg.sections(), sections, f"sections of {args.experiment}")
+        out_dir = _section(cfg, "output", "dir").get("dir")
+        if args.out is not None:
+            out_dir = args.out
         out = Path(out_dir) if out_dir else Path.cwd()
         out.mkdir(parents=True, exist_ok=True)
 
-        payload, rows, passed = EXPERIMENTS[args.experiment](cfg, args.seed)
+        payload, rows, passed = run(cfg, args.seed)
         doc = {
             "experiment": args.experiment,
             "version": __version__,

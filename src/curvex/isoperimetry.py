@@ -19,8 +19,15 @@ formula, which the tests cross-check against finite differences of the
 volume ladder.
 
 No radius grid is sampled: each r_y(s) comes from Newton on log u in r^2
-(_numerics.bracketed_newton) with slope kappa from the kernel, from the
-Gaussian crossing sqrt(8 t log(u_max/s)) and inside [0, r_s].  At the
+(_numerics.bracketed_newton) with slope kappa from the kernel, inside
+[0, r_s], in two stages.  The first solves every _COARSE_STRIDE-th rung
+of the ladder and the last one from the Gaussian crossing
+sqrt(8 t log(u_max/s)).  The second solves every rung from the cubic
+Hermite interpolant of r^2 in log s through the first stage's roots,
+whose slopes d(r^2)/d(log s) = 2 r / kappa reuse the kappa of the first
+stage's kernel calls; a start that is not finite or leaves [0, r_s]
+takes the Gaussian crossing.  meta["newton_steps"] counts the second
+stage's evaluations, meta["coarse_newton_steps"] the first's.  At the
 converged radii the ray evaluator of the functionals
 (TestFunction.on_rays: the kernel and NormalChart.geometry) gives
 du/dr = u kappa and |grad u|^2 = u^2 (kappa^2 + beta^2 w.g~^{-1}w).
@@ -43,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._numerics import (CubicSpline, bracketed_newton, composite_gauss_legendre,
-                        shell_radius)
+                        hermite_basis, shell_radius)
 from ._spaceform import ball_volume_K, omega_n, sphere_area_K
 from .errors import (
     ConfigInvalid,
@@ -74,6 +81,8 @@ __all__ = [
 # moves u by more (steep where eta^2 falls to its zero)
 _NEWTON_TOL = 1e-13
 _NEWTON_FAIL = 1e-10
+# stage 1 of the crossing solve takes every _COARSE_STRIDE-th ladder rung
+_COARSE_STRIDE = 8
 _EPS = np.finfo(float).eps
 
 
@@ -215,23 +224,49 @@ def symmetrize(
     u_max = float(_u_on_rays(tf, t, dirs[:1], np.zeros((1, 1)))[0][0, 0])
     s_ladder = np.geomspace(u_max * (1.0 - 1e-3), u_max * 1e-6, levels)
 
-    # level crossings, one per (ray, level), flattened: Newton on
+    # level crossings, one per (ray, level): Newton on
     # f = log(u/s) = log_h + (log eta^2)/2 - r^2/8t - log s
     log_s = np.log(s_ladder)
-    r0 = np.minimum(np.sqrt(8.0 * t * (np.log(u_max) - log_s)), tf.r_s)
-    q_flat, log_s = np.repeat(q, levels), np.tile(log_s, nd)
+    r_gauss = np.minimum(np.sqrt(8.0 * t * (np.log(u_max) - log_s)), tf.r_s)
     log_h = -0.25 * n * np.log(4 * np.pi * t)
 
-    def newton(r, live):
-        eta2, kappa, _ = tf.eta2_with_grad(q_flat[live], r, t)
-        f = log_h + 0.5 * np.log(eta2) - r * r / (8.0 * t) - log_s[live]
-        # step in r^2 (df/d(r^2) = kappa/2r); kappa = 0 at r = 0 bisects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_new = np.sqrt(r * (r - 2.0 * f / kappa))
-        return r_new, f > 0.0, np.abs(f) <= _NEWTON_TOL
+    def crossings(r_start, rungs):
+        """Roots (nd, len(rungs)) on the ladder rungs from r_start, the
+        kernel's kappa at each, the crossings left open and the steps."""
+        q_flat = np.repeat(q, rungs.size)
+        log_s_flat = np.tile(log_s[rungs], nd)
+        kappa_at = np.empty(q_flat.size)
 
-    r_cross, stuck, steps = bracketed_newton(newton, np.tile(r0, nd), 0.0, tf.r_s)
-    r_cross = r_cross.reshape(nd, levels)
+        def newton(r, live):
+            eta2, kappa, _ = tf.eta2_with_grad(q_flat[live], r, t)
+            kappa_at[live] = kappa
+            f = log_h + 0.5 * np.log(eta2) - r * r / (8.0 * t) - log_s_flat[live]
+            # step in r^2 (df/d(r^2) = kappa/2r); kappa = 0 at r = 0 bisects
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r_new = np.sqrt(r * (r - 2.0 * f / kappa))
+            return r_new, f > 0.0, np.abs(f) <= _NEWTON_TOL
+
+        r, stuck, steps = bracketed_newton(newton, r_start.ravel(), 0.0, tf.r_s)
+        shape = (nd, rungs.size)
+        return r.reshape(shape), kappa_at.reshape(shape), stuck, steps
+
+    # stage 1: every _COARSE_STRIDE-th rung and the last, from the Gaussian
+    # crossing
+    coarse = np.append(np.arange(0, levels - 1, _COARSE_STRIDE), levels - 1)
+    rc, kc, _, coarse_steps = crossings(np.tile(r_gauss[coarse], nd), coarse)
+    # stage 2: every rung, from the cubic Hermite of r^2 in log s through
+    # the coarse roots, d(r^2)/d(log s) = 2 r / kappa; a start that is not
+    # finite or leaves [0, r_s] takes the Gaussian crossing
+    k = np.minimum(np.arange(levels) // _COARSE_STRIDE, coarse.size - 2)
+    x0, h = log_s[coarse[k]], log_s[coarse[k + 1]] - log_s[coarse[k]]
+    b0, b1, b2, b3 = hermite_basis((log_s - x0) / h, h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2, dr2 = rc * rc, 2.0 * rc / kc
+        r_start = np.sqrt(b0 * r2[:, k] + b1 * dr2[:, k]
+                          + b2 * r2[:, k + 1] + b3 * dr2[:, k + 1])
+    r_start = np.where(np.isfinite(r_start) & (r_start <= tf.r_s),
+                       r_start, r_gauss)
+    r_cross, _, stuck, steps = crossings(r_start, np.arange(levels))
     uc, duc, gsqc, dens = _u_on_rays(tf, t, dirs, r_cross)
     rel = np.abs(uc - s_ladder) / s_ladder
     bound = np.maximum(_NEWTON_FAIL, 4.0 * _EPS * np.abs(duc) * r_cross / s_ladder)
@@ -299,6 +334,6 @@ def symmetrize(
         dirichlet_symmetrized=dir_sym,
         meta={"t": t, "levels": levels, "order": order, "rays": nd,
               "fold": None if fold is None else [list(b) for b in fold],
-              "newton_steps": steps,
+              "newton_steps": steps, "coarse_newton_steps": coarse_steps,
               "crossing_residual": resid},
     )

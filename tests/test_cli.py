@@ -315,8 +315,11 @@ class TestDeterminism:
         o = 16
         assert meta["fold"] == [[0], [1], [2]]
         assert meta["rays"] == (o // 2) * (o // 2 + 1)
-        # Newton evaluations from the Gaussian crossing (5 measured)
+        # Newton evaluations of the last stage, from the Hermite starts
+        # through the coarse roots (2 measured); the coarse stage starts
+        # from the Gaussian crossing (5 measured)
         assert 2 <= meta["newton_steps"] <= 5
+        assert 2 <= meta["coarse_newton_steps"] <= 5
         assert meta["crossing_residual"] <= 1e-13
 
     def test_timestamp_present_by_default(self, tmp_path):
@@ -336,6 +339,39 @@ class TestDeterminism:
             (tmp_path / "moments_selftest.json").read_text()
         )
         assert doc["seed"] == 99
+
+
+NO_EXPERIMENT = {
+    "expand_L": EXPAND_FLAT, "expand_W": EXPAND_FLAT,
+    "volume": VOLUME_SPHERE_LINE, "isoprofile": ISO_CFG, "symmetrize": SYM_CFG,
+    "mu": MU_GAMMA_CFG, "rigidity": RIG_FLAT_VS_SPHERE,
+    "moments_selftest": MOMENTS_CFG,
+}
+
+
+class TestSections:
+    @pytest.mark.parametrize("experiment", sorted(NO_EXPERIMENT))
+    def test_missing_experiment_section_runs_the_defaults(
+            self, tmp_path, capsys, experiment):
+        """Without [experiment] every experiment runs its defaults and
+        ends in a result (exit 0 or 2), not in a KeyError (exit 1)."""
+        text = NO_EXPERIMENT[experiment]
+        head, _, tail = text.partition("[experiment]\n")
+        tail = tail.partition("\n\n")[2]  # drop the section's keys
+        assert "[experiment]" not in head + tail
+        cfg = _write(tmp_path, "c.ini", head + tail)
+        code = main([experiment, "--config", cfg, "--out", str(tmp_path),
+                     "--no-timestamp"])
+        assert code in (0, 2), capsys.readouterr().err
+        doc = json.loads((tmp_path / f"{experiment}.json").read_text())
+        assert "experiment" not in doc["config"]
+
+    def test_output_dir_from_the_config(self, tmp_path, monkeypatch):
+        """Without --out the [output] dir receives the files."""
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, "c.ini", ISO_CFG + "\n[output]\ndir = res\n")
+        assert main(["isoprofile", "--config", cfg, "--no-timestamp"]) == 0
+        assert (tmp_path / "res" / "isoprofile.json").exists()
 
 
 class TestExitCodes:
@@ -401,6 +437,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"unknown [{section}] keys ['{line.split()[0]}']" in err
         assert not (tmp_path / f"{experiment}.json").exists()
+
+    @pytest.mark.parametrize("experiment,text,section", [
+        ("isoprofile", ISO_CFG, "[chart]\nkind = bogus\nn = 9\n"),
+        ("mu", MU_GAMMA_CFG, "[chart]\nkind = flat\n"),
+        ("moments_selftest", MOMENTS_CFG, "[chart]\nn = 3\n"),
+        ("symmetrize", SYM_CFG, "[quadrature]\norder = 8\n"),
+        ("rigidity", RIG_FLAT_VS_SPHERE, "[quadrature]\norder = 8\n"),
+        ("expand_L", EXPAND_FLAT, "[experimnt]\nr_s = 0.5\n"),
+    ], ids=["isoprofile_chart", "mu_chart", "moments_selftest_chart",
+            "symmetrize_quadrature", "rigidity_quadrature", "misspelt"])
+    def test_unread_section_is_1(self, tmp_path, capsys, experiment, text,
+                                 section):
+        """A section the experiment does not read is an error, not a
+        silent run that ignores it."""
+        cfg = _write(tmp_path, "c.ini", text + "\n" + section)
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path)]) == 1
+        name = section.split("]")[0][1:]
+        assert (f"unknown sections of {experiment} ['{name}']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / f"{experiment}.json").exists()
+
+    @pytest.mark.parametrize("out", [False, True], ids=["config", "flag"])
+    def test_unknown_output_key_is_1(self, tmp_path, capsys, monkeypatch,
+                                     out):
+        """[output] holds dir alone, also when --out overrides it."""
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, "c.ini",
+                     ISO_CFG + f"\n[output]\ndri = {tmp_path / 'x'}\n")
+        argv = ["isoprofile", "--config", cfg]
+        assert main(argv + (["--out", str(tmp_path)] if out else [])) == 1
+        assert "unknown [output] keys ['dri']" in capsys.readouterr().err
+        assert not (tmp_path / "isoprofile.json").exists()
 
     def test_gamma_out_of_range_is_1(self, tmp_path):
         """|Rm|^2 <= Q / (1/6 - gamma) degenerates from gamma = 1/6 on."""

@@ -15,14 +15,21 @@ from curvex.errors import (
     TimeTooLarge,
     VolumeTooLarge,
 )
-from curvex.functionals import TestFunction, build_test_function, check_time
+from curvex.functionals import (
+    QuadratureSpec,
+    TestFunction,
+    build_test_function,
+    check_time,
+    ray_bundle,
+    resolve_rule,
+)
 from curvex.isoperimetry import (
     _u_on_rays,
     iso_profile,
     iso_profile_radius,
     symmetrize,
 )
-from oracles import eta2_pointwise
+from oracles import eta2_pointwise, recorded
 
 
 @pytest.fixture(scope="module")
@@ -484,14 +491,17 @@ class TestNewtonCrossings:
         o = 32
         assert meta["fold"] == [[0], [1], [2]]
         assert meta["rays"] == (o // 2) * (o // 2 + 1)
-        # Newton evaluations from the Gaussian crossing, the last one
-        # confirming the crossings still open (5 measured, 4 on c08)
+        # Newton evaluations of the last stage, from the Hermite starts
+        # through the coarse roots, the last one confirming the crossings
+        # still open (2 measured, 2 on c08); the coarse stage starts from
+        # the Gaussian crossing (5 measured, 4 on c08)
         assert 2 <= meta["newton_steps"] <= 5
+        assert 2 <= meta["coarse_newton_steps"] <= 5
         assert meta["crossing_residual"] <= 1e-13
 
     def test_unconverged_crossings_raise(self, flat_chart, monkeypatch):
-        # one Newton step from the Gaussian crossing leaves a residual
-        # near 3e-2 (2e-5 after two)
+        # one Newton step per stage, the coarse one from the Gaussian
+        # crossing, leaves a residual near 3e-5
         monkeypatch.setattr(_numerics, "_NEWTON_CAP", 1)
         tf = build_test_function(
             flat_chart, None, mode=np.diag([0.3, -0.1, 0.05]), alpha=0.0,
@@ -499,6 +509,100 @@ class TestNewtonCrossings:
         )
         with pytest.raises(LevelSetDegenerate, match="did not converge"):
             symmetrize(tf, t=0.01, K=0.0, levels=64, order=32)
+
+
+def _gaussian_start_sweep(tf, t, K, levels, order):
+    """volumes, r_bar, coarea and Newton steps of the sweep with every
+    crossing solved in one bracketed_newton run from the Gaussian crossing
+    sqrt(8 t log(u_max/s)), on symmetrize's rays and ladder."""
+    n = tf.nchart.n
+    fold = resolve_rule(tf, QuadratureSpec(rule="radial_sphere", order=order))[1]
+    dirs, wd = ray_bundle(n, order, fold, tf.nchart)
+    q = np.repeat(np.einsum("di,di->d", dirs, dirs @ tf.a), levels)
+    u_max = float(_u_on_rays(tf, t, dirs[:1], np.zeros((1, 1)))[0][0, 0])
+    s = np.geomspace(u_max * (1.0 - 1e-3), u_max * 1e-6, levels)
+    log_s = np.tile(np.log(s), dirs.shape[0])
+    log_h = -0.25 * n * np.log(4 * np.pi * t)
+
+    def newton(r, live):
+        eta2, kappa, _ = tf.eta2_with_grad(q[live], r, t)
+        f = log_h + 0.5 * np.log(eta2) - r * r / (8.0 * t) - log_s[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_new = np.sqrt(r * (r - 2.0 * f / kappa))
+        return r_new, f > 0.0, np.abs(f) <= 1e-13
+
+    r0 = np.minimum(np.sqrt(8.0 * t * (np.log(u_max) - log_s)), tf.r_s)
+    r, open_, steps = _numerics.bracketed_newton(newton, r0, 0.0, tf.r_s)
+    assert open_.size == 0
+    r = r.reshape(dirs.shape[0], levels)
+    _, du, _, dens = _u_on_rays(tf, t, dirs, r)
+    volumes = wd @ (r**n / n)
+    coarea = wd @ (dens * r ** (n - 1) / np.maximum(-du, 1e-300))
+    return volumes, iso_profile_radius(n, K, volumes), coarea, steps
+
+
+class TestTwoStageCrossings:
+    """The crossings solved on every eighth rung from the Gaussian crossing,
+    then on every rung from the Hermite interpolant of the coarse roots,
+    against all of them solved from the Gaussian crossing at once."""
+
+    @pytest.mark.parametrize("a,r_s,t,K,levels,order", [
+        (np.diag([0.3, -0.1, 0.05]), 1.6, 0.01, 0.0, 512, 32),  # c08
+        (np.diag([0.1, -0.3, -2.0]), 1.2, 0.012, 0.0, 64, 16),  # eta^2 cliff
+        (2.0 * np.eye(3), 1.2, 0.01, 0.0, 512, 32),  # one ray
+        (np.diag([0.2, -0.05, 0.1]), 1.2, 0.01, 1.0, 512, 32),  # onto S^3
+    ], ids=["c08", "eta2_cliff", "lambda_I", "K1"])
+    def test_matches_the_gaussian_start(self, flat_chart, a, r_s, t, K,
+                                        levels, order):
+        tf = TestFunction(flat_chart, a, alpha=0.0, r_s=r_s)
+        res = symmetrize(tf, t=t, K=K, levels=levels, order=order)
+        volumes, r_bar, coarea, steps = _gaussian_start_sweep(
+            tf, t, K, levels, order)
+        for got, want in ((res.volumes, volumes), (res.r_bar, r_bar),
+                          (res.coarea, coarea)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        if levels == 512:  # the warm start saves Newton steps
+            assert res.meta["newton_steps"] < steps
+        if np.array_equal(a, a[0, 0] * np.eye(3)):
+            assert res.meta["rays"] == 1
+
+    def test_non_finite_coarse_slope_falls_back(self, flat_chart, monkeypatch):
+        """kappa is NaN on one ray throughout the coarse stage, which then
+        bisects there: its slopes 2 r / kappa are NaN, so its fine
+        crossings start from the Gaussian crossing, and converge."""
+        import curvex.isoperimetry as iso
+
+        tf = TestFunction(flat_chart, np.diag([0.3, -0.1, 0.05]), alpha=0.0,
+                          r_s=1.2)
+        levels, order = 64, 8
+        want = _gaussian_start_sweep(tf, 0.01, 0.0, levels, order)
+        dirs = ray_bundle(3, order, ((0,), (1,), (2,)), flat_chart)[0]
+        q = np.einsum("di,di->d", dirs, dirs @ tf.a)  # as symmetrize forms it
+        bad = q == q[2]
+        assert bad.sum() == 1
+        stage = {"fine": False}
+        kernel = TestFunction.eta2_with_grad
+
+        def kernel_nan(self, q_live, r, t):
+            eta2, kappa, beta2 = kernel(self, q_live, r, t)
+            if np.ndim(q_live) == 1:
+                stage["fine"] |= q_live.size == dirs.shape[0] * levels
+                if not stage["fine"]:
+                    kappa = np.where(q_live == q[2], np.nan, kappa)
+            return eta2, kappa, beta2
+
+        starts = recorded(monkeypatch, iso, "bracketed_newton")
+        monkeypatch.setattr(TestFunction, "eta2_with_grad", kernel_nan)
+        res = symmetrize(tf, t=0.01, K=0.0, levels=levels, order=order)
+        np.testing.assert_allclose(res.volumes, want[0], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(res.coarea, want[2], rtol=1e-13, atol=0)
+        assert res.meta["coarse_newton_steps"] > 20  # bisection
+        assert res.meta["crossing_residual"] <= 1e-13
+        fine = starts[1][0][1].reshape(dirs.shape[0], levels)
+        gauss = np.minimum(np.sqrt(8.0 * 0.01 * (np.log(res.profile.u[0])
+                                                 - np.log(res.levels))), tf.r_s)
+        np.testing.assert_array_equal(fine[bad][0], gauss)
+        assert not np.allclose(fine[~bad], gauss, rtol=1e-6)
 
 
 def test_symmetrize_peak_memory(flat_chart):

@@ -207,6 +207,63 @@ class TestTridiagonal:
         with pytest.raises(ValueError):
             Tridiagonal([1.0], [0.0, 1.0], [1.0])  # first pivot 0
 
+    @pytest.mark.parametrize("m", [3, 4, 17, 640, 1978, 2000])
+    @pytest.mark.parametrize("kind", ["dominant", "indefinite", "symmetric"])
+    def test_matches_the_row_by_row_recurrence(self, m, kind):
+        """Pivots and solves equal, bit for bit, those of the pivot
+        recurrence run one numpy scalar per row."""
+        rng = np.random.default_rng(m)
+        diag = rng.uniform(2.0, 3.0, m) if kind == "dominant" else rng.normal(size=m)
+        lower, upper = rng.uniform(-1.0, 1.0, (2, m - 1))
+        if kind == "symmetric":
+            upper = lower
+        got, want = (cls(lower, diag, upper) for cls in (Tridiagonal, _RowByRow))
+        assert np.array_equal(got.pivots, want.pivots)
+        if kind != "dominant":
+            assert np.any(got.pivots < 0)
+        for trail in ((), (3, 5)):
+            b = rng.normal(size=(m,) + trail)
+            assert np.array_equal(got.solve(b), want.solve(b))
+
+    @pytest.mark.parametrize("lower,diag,upper", [
+        ([1.0, 2.0, 1.0], [1.0, 1.0, 5.0, 2.0], [1.0, 3.0, 1.0]),  # p_1 = 0
+        ([1.0, 2.0], [1.0, np.nan, 2.0], [1.0, 3.0]),
+        ([1.0, np.inf], [2.0, 1.0, 2.0], [1.0, 3.0]),
+        ([1.0, 2.0], [2.0, 1.0, 2.0], [1.0, -np.inf]),
+    ], ids=["zero_pivot", "nan_diag", "inf_lower", "inf_upper"])
+    def test_zero_or_non_finite_pivot_rejected(self, lower, diag, upper):
+        with pytest.raises(ValueError, match="zero or non-finite pivot"):
+            Tridiagonal(lower, diag, upper)
+
+
+class _RowByRow(Tridiagonal):
+    """Tridiagonal with its pivots and multipliers from a loop over numpy
+    scalars, one row at a time; the sweeps are built as Tridiagonal
+    builds them."""
+
+    def __init__(self, lower, diag, upper):
+        lo, diag, up = (np.asarray(a, dtype=float) for a in (lower, diag, upper))
+        piv, mult = [diag[0]], []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo_i, up_i, d in zip(lo, up, diag[1:]):
+                mult.append(lo_i / piv[-1])
+                piv.append(d - mult[-1] * up_i)
+        self.pivots = np.array(piv)
+        assert np.all(np.isfinite(self.pivots) & (self.pivots != 0.0))
+        m = self.m = self.pivots.size
+        coef = [-np.array(mult), -(up / self.pivots[:-1])[::-1]]
+        worst = max([1.0] + [float(np.abs(np.log10(np.abs(c))).max())
+                             for c in coef if c.size])
+        nb = -(-m // int(250 / worst))
+        blk = -(-m // nb)
+        self._blocks = (nb, blk)
+        self._sweeps = []
+        for c in coef:
+            a = np.ones(nb * blk)
+            a[1:m] = c
+            cp = np.cumprod(a.reshape(self._blocks), axis=1)
+            self._sweeps.append((cp, 1.0 / cp))
+
 
 class TestCubicSpline:
     def _check(self, x, y, xq):
@@ -486,6 +543,47 @@ def test_runtime_paths_load_no_scipy():
         assess_rigidity(s3, 1.0, npoints=2)
         print(sorted(m for m in sys.modules
                      if m.split(".")[0] in ("scipy", "mpmath")))
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_timed_calls_import_nothing():
+    """After `import curvex`, a symmetrize, mu_ball, run_expansion,
+    ball_volume and assess_rigidity call load no further module: a lazy
+    import on a first call (np.unique on integers loads numpy.ma) costs
+    every fresh interpreter once.  The charts are built before the snapshot,
+    since make_chart's positive-definiteness probe draws from
+    numpy.random; the rigidity points are given for the same reason."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import curvex
+        from curvex import (ModelSpec, QuadratureSpec, assess_rigidity,
+                            ball_volume, build_normal_chart,
+                            build_test_function, make_chart, mu_ball,
+                            run_expansion, symmetrize)
+
+        s3 = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.0))
+        flat = make_chart(ModelSpec("flat", 3, halfwidth=2.0))
+        before = set(sys.modules)
+        run_expansion(s3, np.zeros(3), r_s=0.8, quad=QuadratureSpec(order=10))
+        ball_volume(build_normal_chart(s3, np.zeros(3), 0.9),
+                    np.linspace(0.1, 0.8, 5))
+        tf = build_test_function(build_normal_chart(flat, np.zeros(3), 1.6),
+                                 mode=np.diag([0.3, -0.1, 0.05]), alpha=0.0,
+                                 r_s=1.6)
+        symmetrize(tf, t=0.01, levels=64, order=12)
+        mu_ball(3, 0.0, 2.0, 0.01)
+        assess_rigidity(s3, 1.0, points=[np.zeros(3), np.full(3, 0.2)])
+        print(sorted(set(sys.modules) - before))
         """
     )
     out = subprocess.run(
