@@ -1,14 +1,14 @@
 """Numerical building blocks on numpy alone.
 
-Gauss-Legendre, Gauss-Gegenbauer and Gauss-Jacobi rules, the one composite
-Gauss-Legendre builder of every piecewise radial rule, ball volumes, one
-bracketed Newton loop (radii of given volumes, level crossings in
-isoperimetry), a factored tridiagonal solver, the cubic Hermite basis
-(the spline's and isoperimetry's crossing starts), a not-a-knot cubic
-spline along axis 0 and the Dormand-Prince 5(4) integrator with its quartic
-dense output (Dormand & Prince, J. Comput. Appl. Math. 6, 1980; step
-control and initial step as in Hairer, Norsett & Wanner, Solving ODEs I,
-Sec. II.4).  The tests check each against an independent implementation.
+Gauss-Legendre, Gauss-Gegenbauer, Gauss-Jacobi and generalized
+Gauss-Laguerre rules, the one composite Gauss-Legendre builder of every
+piecewise rule, ball volumes, one bracketed Newton loop (radii of given
+volumes, level crossings in isoperimetry), a factored tridiagonal solver,
+the cubic Hermite basis (the spline's and isoperimetry's crossing
+starts), a not-a-knot cubic spline along axis 0 and the Dormand-Prince
+5(4) integrator with its quartic dense output (Dormand & Prince,
+J. Comput. Appl. Math. 6, 1980; step control and initial step as in
+Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4).  The tests check each against an independent implementation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import GeodesicLeftDomain, NonPositiveVolume, QuadratureNotConverged
 
 __all__ = ["read_only", "gauss_legendre", "gauss_gegenbauer", "gauss_jacobi",
-           "composite_gauss_legendre", "shell_volume",
+           "gauss_laguerre", "composite_gauss_legendre", "shell_volume",
            "bracketed_newton", "shell_radius", "Tridiagonal", "hermite_basis",
            "CubicSpline", "dopri45"]
 
@@ -85,6 +85,17 @@ def gauss_jacobi(m: int, alpha: float, beta: float):
         off2[0] = 4 * (1 + alpha) * (1 + beta) / ((2 + ab) ** 2 * (3 + ab))
     mass = 2 ** (ab + 1) * gamma(alpha + 1) * gamma(beta + 1) / gamma(ab + 2)
     return read_only(*_golub_welsch(diag, np.sqrt(off2), mass))
+
+
+@lru_cache(maxsize=32)
+def gauss_laguerre(m: int, alpha: float):
+    """m-point Gauss rule for the weight v^alpha e^(-v) on [0, inf),
+    alpha > -1: nodes (ascending) and weights, from the recurrence of the
+    generalized Laguerre polynomials, a_k = 2 k + alpha + 1 and
+    b_k = k (k + alpha) (_golub_welsch), the mass being Gamma(alpha + 1)."""
+    k = np.arange(1, m)
+    return read_only(*_golub_welsch(2.0 * np.arange(m) + alpha + 1.0,
+                                    np.sqrt(k * (k + alpha)), gamma(alpha + 1.0)))
 
 
 def composite_gauss_legendre(breaks, m: int):

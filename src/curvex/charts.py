@@ -527,10 +527,23 @@ def _conformal_christoffel(n: int, eps: float, jet: Callable):
     return christoffel
 
 
+def _box_points(lo, hi, m: int):
+    """m points spread over the box [lo, hi] in n dimensions, the same at
+    every call: the Kronecker sequence frac(1/2 + k a), k = 1..m, with
+    a_j = phi^-j for phi the root of phi^(n+1) = phi + 1, the generalized
+    golden ratio (Roberts' R_n sequence), whose points cover the cube
+    evenly at every m."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    n = lo.size
+    phi = 2.0
+    for _ in range(64):  # fixed-point iteration, a contraction
+        phi = (1.0 + phi) ** (1.0 / (n + 1))
+    u = (0.5 + np.arange(1, m + 1)[:, None] * phi ** -np.arange(1.0, n + 1)) % 1.0
+    return lo + u * (hi - lo)
+
+
 def _check_positive_definite(chart: MetricChart, samples: int = 128):
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(chart.domain.lo, chart.domain.hi, size=(samples, chart.n))
-    g = chart.metric(pts)
+    g = chart.metric(_box_points(chart.domain.lo, chart.domain.hi, samples))
     if not np.all(np.isfinite(g)):
         raise InvalidSpec("metric not finite on the domain")
     try:

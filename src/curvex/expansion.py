@@ -35,7 +35,7 @@ from .functionals import (
     fold_level,
     profile_matrix,
     ray_bundle,
-    resolve_rule,
+    rule_record,
 )
 from .tensor_core import CurvatureData, norm_sq
 
@@ -253,14 +253,8 @@ def run_expansion(
     pred = (predict_L if functional == "L" else predict_W)(curv, tf.a)
     ts = make_tgrid(t_max, t_points)
     evaluate = eval_L_normalized if functional == "L" else eval_W_normalized
-    values = np.empty_like(ts)
-    errors = np.empty_like(ts)
-    nodes = 0
-    for i, t in enumerate(ts):
-        values[i], errors[i], count = evaluate(tf, float(t), quad)
-        nodes += count
+    values, errors, nodes = evaluate(tf, ts, quad)
     fit = extract_series(ts, values, errors)
-    rule, fold = resolve_rule(tf, quad)
     return ExpansionResult(
         ts=ts,
         values=values,
@@ -271,15 +265,11 @@ def run_expansion(
         meta={
             "mode": mode if isinstance(mode, str) else "explicit",
             "r_s": r_s,
-            "rule": rule,
-            "fold": None if fold is None else [list(b) for b in fold],
+            **rule_record(tf, ts, quad),
             "order": quad.order,
             "nodes": nodes,
             "normal_chart": nc.kind,
             "christoffel": chart.christoffel_route,
-            # the directions that ran, after the limit and the fold
-            **({"rays": len(ray_bundle(nc.n, quad.order, fold, nc)[0])}
-               if rule == "radial_sphere" else {}),
             **(
                 {"nfev": nc.nfev, "gauss_residual": nc.gauss_residual}
                 if nc.kind == "ode" else {}

@@ -9,10 +9,15 @@ against u^2 times the Riemannian volume density.
 The substitution x = 2 sqrt(t) z turns each of them into
 pi^{-n/2} * integral of exp(-|z|^2) G(z), which the engine computes with
 product Gauss-Hermite quadrature (n <= 4) or, in every n, a radial rule
-with segment splits at the cutoff kinks (composite_gauss_legendre) times
-the rays of ray_bundle: an ode chart's own, else one sphere_rule.  One
-node builder serves every rule: unit directions d, z-radii and weights,
-laid out as m points or as nd rays times nr radii.
+(_radial_nodes) times the rays of ray_bundle: an ode chart's own, else
+one sphere_rule.  The radial rule is generalized Gauss-Laguerre in
+rho^2, exact on the Gaussian, wherever the cutoff's first kink lies past
+the Gaussian's tail, and Gauss-Legendre split at the kinks
+(composite_gauss_legendre) before that.  One node builder serves every
+rule: unit directions d, z-radii and weights, laid out as m points or as
+nd rays times nr radii.  The Hermite grid and the Laguerre radii do not
+depend on t, so a 1-D array of times runs in as few kernel passes as
+memory allows (_time_batches), each time summed as if alone.
 
 The Dirichlet integrand is |grad u|^2 = u^2 g~^{ij} M_i M_j with the
 covector M = grad eta^2 / (2 eta^2) - x/4t.  Along x = r d, with
@@ -77,7 +82,7 @@ from numbers import Real
 import numpy as np
 
 from ._numerics import (composite_gauss_legendre, gauss_gegenbauer, gauss_jacobi,
-                        read_only, shell_volume)
+                        gauss_laguerre, read_only, shell_volume)
 from ._spaceform import ball_volume_K, sphere_area_K
 from .charts import NormalChart, Partition, common_refinement
 from .errors import (
@@ -102,6 +107,7 @@ __all__ = [
     "eval_L_normalized",
     "eval_W_normalized",
     "gaussian_integral",
+    "rule_record",
     "sphere_rule",
     "orbit_rule",
     "ball_volume",
@@ -481,10 +487,42 @@ def orbit_rule(order: int, blocks: Partition, fold: bool = True):
     return read_only(dirs, wts)
 
 
-def _radial_nodes(order: int, c: float, kinks=()):
-    """Gauss-Legendre nodes on [0, c] split at 3.0 and at each kink."""
-    brk = sorted({0.0, min(3.0, c), c} | {k for k in kinks if 0.0 < k < c})
-    return composite_gauss_legendre(brk, order)
+# the Gaussian past the first cutoff kink z_k = r_s/(4 sqrt t) is below
+# rounding from z_k = 6 on (e^-36 = 2.3e-16); the default time grid has
+# z_k >= 6.7
+_LAGUERRE_MIN_KINK = 6.0
+
+
+def _first_kink(tf, t):
+    """z_k = r_s/(4 sqrt t), where the cutoff leaves 1 in z = x/(2 sqrt t)."""
+    return tf.r_s / (4.0 * np.sqrt(t))
+
+
+def _laguerre_m(order: int) -> int:
+    """Nodes of the Laguerre radial rule at a rule order: 12 at 16, 16 at 24."""
+    return order // 2 + 4
+
+
+def _radial_nodes(order: int, n: int, kink: float = np.inf, c: float = 10.0):
+    """z-radii rho and weights of the radial factor: the integral of
+    rho^(n-1) e^(-rho^2) g(rho) over rho >= 0 for a g with cutoff kinks
+    at kink and 2 kink (none for kink = inf).
+
+    From kink >= _LAGUERRE_MIN_KINK on, the Gaussian is below rounding
+    where the kinks start, and the rule is generalized Gauss-Laguerre in
+    v = rho^2 (Golub & Welsch, Math. Comp. 23, 1969): rho^(n-1) e^(-rho^2)
+    d rho is v^((n-2)/2) e^(-v) dv / 2, so the weights are half the
+    Laguerre weights, exact on the Gaussian, the same for every t, with
+    _laguerre_m(order) nodes.  Before that, Gauss-Legendre with order
+    points on each piece of [0, min(c, 2 kink)], past which the integrand
+    vanishes, split at 3 and at the kinks, times the Gaussian factor."""
+    if kink >= _LAGUERRE_MIN_KINK:
+        v, w = gauss_laguerre(_laguerre_m(order), (n - 2) / 2.0)
+        return np.sqrt(v), 0.5 * w
+    c = min(c, 2.0 * kink)
+    brk = sorted({0.0, min(3.0, c), c} | {k for k in (kink, 2.0 * kink) if k < c})
+    rho, wr = composite_gauss_legendre(brk, order)
+    return rho, wr * rho ** (n - 1) * np.exp(-(rho**2))
 
 
 def ray_bundle(n: int, order: int, fold: Partition | None = None, nchart=None):
@@ -500,13 +538,14 @@ def ray_bundle(n: int, order: int, fold: Partition | None = None, nchart=None):
     return orbit_rule(order, fold)
 
 
-def _nodes(rule, n, order, c, kinks=(), fold=None, nchart=None):
+def _nodes(rule, n, order, c, kink=np.inf, fold=None, nchart=None):
     """Unit directions d, z-radii rho and weights of one rule; the weights
     carry the Gaussian factor and the pi^{-n/2} normalization.
 
     hermite lays m nodes out as d (m, n), rho (m,), weights (m,);
-    radial_sphere as rays d (nd, 1, n) times radii rho (nr,) on [0, c]
-    split at the kinks, weights (nd, nr).  A fold, a partition (see
+    radial_sphere as rays d (nd, 1, n) times the radii rho (nr,) of
+    _radial_nodes for the first cutoff kink at kink (truncated at c
+    on its split rule), weights (nd, nr).  A fold, a partition (see
     resolve_rule), takes both onto the orbit space of its block group:
     the hermite grid by _hermite_nodes, the radial_sphere directions by
     ray_bundle's orbit rule.  On an ode nchart the rays are the chart's
@@ -517,9 +556,8 @@ def _nodes(rule, n, order, c, kinks=(), fold=None, nchart=None):
         return _hermite_nodes(n, order, fold)
     if rule != "radial_sphere":
         raise ConfigInvalid(f"unknown rule {rule!r}")
-    rho, wr = _radial_nodes(order, c, kinks)
+    rho, radial_w = _radial_nodes(order, n, kink, c)
     dirs, wd = ray_bundle(n, order, fold, nchart)
-    radial_w = wr * rho ** (n - 1) * np.exp(-(rho**2))
     wts = wd[:, None] * radial_w[None, :] / np.pi ** (n / 2.0)
     return dirs[:, None, :], rho, wts
 
@@ -549,44 +587,89 @@ def resolve_rule(tf: TestFunction, quad: QuadratureSpec):
 
 @dataclass
 class Components:
-    """Raw functional pieces at one time, with per-piece error estimates."""
+    """Raw functional pieces at a time t, or at each time of a 1-D array t
+    (then each piece is an array), with per-piece error estimates."""
 
-    t: float
-    mass: float
-    entropy: float
-    dirichlet: float
-    sc_integral: float | None  # None unless asked for (want_sc)
+    t: float | np.ndarray
+    mass: float | np.ndarray
+    entropy: float | np.ndarray
+    dirichlet: float | np.ndarray
+    sc_integral: float | np.ndarray | None  # None unless asked for (want_sc)
     errs: dict = field(default_factory=dict)
     nodes: int = 0  # nodes evaluated, error-estimate rule included
 
 
-def _eval_once(tf: TestFunction, t: float, quad: QuadratureSpec, order: int,
+# nodes of one kernel pass at most, unless one time needs more: a full
+# n = 4 order-24 Hermite grid (331,776 nodes) runs one time per pass
+_BATCH_POINTS = 2**18
+
+
+def _time_batches(tf: TestFunction, t, order: int, rule: str,
+                  fold: Partition | None):
+    """The kernel passes of _eval_once over the times t (1-D) at this
+    order, as index arrays into t.  The Hermite grid does not depend on t,
+    nor does the Laguerre radial rule, which every time whose first kink
+    r_s/(4 sqrt t) lies at _LAGUERRE_MIN_KINK or beyond runs
+    (_radial_nodes): those times share their nodes and run together, at
+    most _BATCH_POINTS nodes per pass and one time at least.  Every other
+    time runs the split rule of its own kinks, alone."""
+    n = tf.nchart.n
+    if rule == "hermite":
+        shared = np.ones(t.shape, dtype=bool)
+        per_t = _nodes(rule, n, order, 0.0, fold=fold)[2].size
+    else:
+        shared = _first_kink(tf, t) >= _LAGUERRE_MIN_KINK
+        per_t = ray_bundle(n, order, fold, tf.nchart)[1].size * _laguerre_m(order)
+    idx = np.flatnonzero(shared)
+    step = max(1, _BATCH_POINTS // per_t)
+    return ([idx[k:k + step] for k in range(0, idx.size, step)]
+            + list(np.flatnonzero(~shared)[:, None]))
+
+
+def _eval_once(tf: TestFunction, t, quad: QuadratureSpec, order: int,
                rule: str, fold: Partition | None, want_sc: bool = True):
     """The four sums over the nodes x = 2 sqrt(t) rho d of the rule
-    resolve_rule gave, folded onto fold, at this order (the Sc integral
-    None unless want_sc), and the node count.  Per node
-    TestFunction.on_rays gives eta^2, kappa, beta^2, the chart density
-    and w.g~^{-1}w, and the Dirichlet integrand is eta^2 (kappa^2 +
-    beta^2 w.g~^{-1}w)."""
+    resolve_rule gave, folded onto fold, at this order and at each time of
+    the 1-D array t, (4, nt) with the Sc row NaN unless want_sc, and the
+    node count.  Per node TestFunction.on_rays gives eta^2, kappa, beta^2,
+    the chart density and w.g~^{-1}w, and the Dirichlet integrand is
+    eta^2 (kappa^2 + beta^2 w.g~^{-1}w).
+
+    The times of a pass share its nodes.  On the Hermite grid (m nodes)
+    the radii are (nt, m); on rays (nd, 1, n) the pairs (t, rho) fold into
+    one radial axis of nt nr radii, t repeated per radius, which an ode
+    chart's geometry takes as it takes one time's radii.  Each time's
+    block of nodes is summed on its own, contiguous, in the order of a
+    pass with that time alone, so a value does not depend on the batch."""
     nc = tf.nchart
     n = nc.n
-    s2t = 2.0 * np.sqrt(t)
-    dirs, rho, wts = _nodes(
-        rule, n, order,
-        c=min(quad.c_trunc, tf.r_s / s2t),  # integrand vanishes past support
-        kinks=(tf.r_s / (2.0 * s2t), tf.r_s / s2t),  # cutoff corners in z
-        fold=fold, nchart=nc,
-    )
-    r = s2t * rho
-    eta2, kappa, beta2, dens, wgw = tf.on_rays(dirs, r, t)
-    # ndarray.sum, not a BLAS dot, whose last bits depend on the thread count
-    wb = wts * eta2 * dens
-    logu2 = np.log(eta2) - (n / 2.0) * np.log(4 * np.pi * t) - rho * rho
-    mass = float(wb.sum())
-    entropy = float((wb * logu2).sum())
-    dirichlet = float((wb * (kappa * kappa + beta2 * wgw)).sum())
-    sc_integral = float((wb * nc.scalar(r)).sum()) if want_sc else None
-    return mass, entropy, dirichlet, sc_integral, wts.size
+    kink = _first_kink(tf, t)
+    sums = np.full((4, t.size), np.nan)
+    nodes = 0
+    for i in _time_batches(tf, t, order, rule, fold):
+        dirs, rho, wts = _nodes(rule, n, order, quad.c_trunc, kink[i[0]], fold, nc)
+        nt, ti, per = i.size, t[i], rho.size
+        s2t = 2.0 * np.sqrt(ti)
+        if rule == "hermite":
+            ti = ti[:, None]
+            r = s2t[:, None] * rho
+        else:
+            ti = np.repeat(ti, per)
+            r = np.outer(s2t, rho).ravel()
+            rho, wts = np.tile(rho, nt), np.tile(wts, nt)
+        eta2, kappa, beta2, dens, wgw = tf.on_rays(dirs, r, ti)
+        # ndarray.sum, not a BLAS dot, whose last bits depend on the thread count
+        wb = wts * eta2 * dens
+        logu2 = np.log(eta2) - (n / 2.0) * np.log(4 * np.pi * ti) - rho * rho
+        terms = [wb, wb * logu2, wb * (kappa * kappa + beta2 * wgw)]
+        if want_sc:
+            terms.append(wb * nc.scalar(r))
+        for k, x in enumerate(terms):
+            # to (nt, nodes of one time): rays (nd, nt nr) regroup by time
+            x = x.reshape(-1, nt, per).swapaxes(0, 1).reshape(nt, -1)
+            sums[k, i] = x.sum(axis=1)
+        nodes += wb.size
+    return sums, nodes
 
 
 def check_time(tf: TestFunction, t: float, c_trunc: float,
@@ -618,29 +701,74 @@ def check_time(tf: TestFunction, t: float, c_trunc: float,
 
 
 def eval_components(
-    tf: TestFunction, t: float, quad: QuadratureSpec = QuadratureSpec(),
+    tf: TestFunction, t, quad: QuadratureSpec = QuadratureSpec(),
     want_err: bool = True, want_sc: bool = True,
 ) -> Components:
     """Mass, entropy, Dirichlet energy and, when want_sc, the
-    scalar-curvature integral of u^2 at time t (None otherwise), with
-    error estimates from a re-evaluation at order - ERR_DROP; both runs
-    share one resolved rule and fold."""
-    check_time(tf, t, quad.c_trunc)
+    scalar-curvature integral of u^2 (None otherwise) at time t, or at
+    each time of a 1-D array t (then as arrays), with error estimates from
+    a re-evaluation at order - ERR_DROP; both runs share one resolved rule
+    and fold, and each runs all the times in as few kernel passes as
+    their nodes allow (_time_batches)."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ConfigInvalid(f"t must be a number or a 1-d array, not shape {ts.shape}")
+    ts = ts.reshape(-1)
+    for ti in ts.tolist():
+        check_time(tf, ti, quad.c_trunc)
     # folded onto the blocks of a diagonal a's equal entries (lambda I: one)
     rule, fold = resolve_rule(tf, quad)
-    hi = _eval_once(tf, t, quad, quad.order, rule, fold, want_sc)
-    if hi[0] <= 0:
+    hi, nodes = _eval_once(tf, ts, quad, quad.order, rule, fold, want_sc)
+    if np.any(hi[0] <= 0):
         raise QuadratureNotConverged("mass came out nonpositive")
-    errs, nodes = {}, hi[4]
+    names = ("mass", "entropy", "dirichlet", "sc_integral")[:4 if want_sc else 3]
+    errs = {}
     if want_err:
-        lo = _eval_once(tf, t, quad, quad.order - ERR_DROP, rule, fold, want_sc)
-        for name, a, b in zip(
-            ("mass", "entropy", "dirichlet", "sc_integral"), hi, lo
-        ):
-            if a is not None:
-                errs[name] = abs(a - b)
-        nodes += lo[4]
-    return Components(t, *hi[:4], errs, nodes)
+        lo, more = _eval_once(tf, ts, quad, quad.order - ERR_DROP, rule, fold,
+                              want_sc)
+        errs = dict(zip(names, np.abs(hi - lo)))
+        nodes += more
+    if np.ndim(t) == 0:  # back to numbers
+        hi = hi[:, 0].tolist()
+        errs = {k: float(v[0]) for k, v in errs.items()}
+    else:
+        t = ts
+    return Components(t, *hi[:3], hi[3] if want_sc else None, errs, nodes)
+
+
+def rule_record(tf: TestFunction, ts, quad: QuadratureSpec) -> dict:
+    """What eval_components runs at the times ts, for a run record: the
+    rule and its fold (resolve_rule), the kernel passes of both orders
+    and, on radial_sphere, the rays, the radial factor ('laguerre',
+    'split_legendre' or, for times on both sides of _LAGUERRE_MIN_KINK,
+    'laguerre+split_legendre') and its nodes per time at the main order
+    (the Laguerre m when it ran, else the Gauss-Legendre points per
+    piece)."""
+    rule, fold = resolve_rule(tf, quad)
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    rec = {
+        "rule": rule,
+        "fold": None if fold is None else [list(b) for b in fold],
+        "batches": sum(len(_time_batches(tf, ts, o, rule, fold))
+                       for o in (quad.order, quad.order - ERR_DROP)),
+    }
+    if rule == "radial_sphere":
+        lag = _first_kink(tf, ts) >= _LAGUERRE_MIN_KINK
+        names = ["laguerre"] * bool(lag.any()) + ["split_legendre"] * bool(
+            not lag.all())
+        rec.update(
+            # the directions that ran, after the limit and the fold
+            rays=len(ray_bundle(tf.nchart.n, quad.order, fold, tf.nchart)[0]),
+            radial_rule="+".join(names),
+            radial_m=_laguerre_m(quad.order) if lag.any() else quad.order,
+        )
+    return rec
+
+
+# an error estimate is raised to 256 eps times the size of the terms its
+# functional cancels (_L_size): below that it is rounding noise, which the
+# series fit would weight by its inverse square
+_ROUNDING_FLOOR = 256 * np.finfo(float).eps
 
 
 def _L_of(comp: Components, n: int) -> float:
@@ -650,6 +778,21 @@ def _L_of(comp: Components, n: int) -> float:
         - comp.entropy
         + M * np.log(M)
         - (n + (n / 2.0) * np.log(4 * np.pi * t)) * M
+    )
+
+
+def _L_size(comp: Components, n: int) -> float:
+    """The sum of the sizes of the terms _L_of cancels, the two
+    (n/2) log(4 pi t) M that cancel exactly (the entropy's, from log u^2,
+    and the one subtracted) set aside: about 2 n M at every t, so a floor
+    in its units leaves the series fit unweighted where every estimate is
+    below it."""
+    t, M = comp.t, comp.mass
+    return (
+        4.0 * t * np.abs(comp.dirichlet)
+        + np.abs(comp.entropy + (n / 2.0) * np.log(4 * np.pi * t) * M)
+        + M * np.abs(np.log(M))
+        + n * M
     )
 
 
@@ -667,10 +810,13 @@ def _L_err(comp: Components, n: int) -> float:
 
 
 def eval_L(tf, t, quad=QuadratureSpec()):
-    """Log-Sobolev-type deficit of u at time t: (value, error estimate,
-    nodes evaluated)."""
+    """Log-Sobolev-type deficit of u at time t, or at each time of a 1-D
+    array t: (value, error estimate, nodes evaluated), the estimate at
+    least the rounding floor of the terms L cancels."""
     comp = eval_components(tf, t, quad, want_sc=False)
-    return _L_of(comp, tf.nchart.n), _L_err(comp, tf.nchart.n), comp.nodes
+    n = tf.nchart.n
+    err = np.maximum(_L_err(comp, n), _ROUNDING_FLOOR * _L_size(comp, n))
+    return _L_of(comp, n), err, comp.nodes
 
 
 def eval_L_normalized(tf, t, quad=QuadratureSpec()):
@@ -679,21 +825,23 @@ def eval_L_normalized(tf, t, quad=QuadratureSpec()):
     n = tf.nchart.n
     val = _L_of(comp, n) / comp.mass
     err = (_L_err(comp, n) + abs(val) * comp.errs.get("mass", 0.0)) / comp.mass
-    return val, err, comp.nodes
+    floor = _ROUNDING_FLOOR * _L_size(comp, n) / comp.mass
+    return val, np.maximum(err, floor), comp.nodes
 
 
 def eval_W_normalized(tf, t, quad=QuadratureSpec()):
     """Entropy functional (deficit plus t times the curvature integral) of
     the unit-mass rescaling, as eval_L."""
     comp = eval_components(tf, t, quad, want_sc=True)
-    n = tf.nchart.n
+    n, t = tf.nchart.n, comp.t
     val = (_L_of(comp, n) + t * comp.sc_integral) / comp.mass
     err = (
         _L_err(comp, n)
         + t * comp.errs.get("sc_integral", 0.0)
         + abs(val) * comp.errs.get("mass", 0.0)
     ) / comp.mass
-    return val, err, comp.nodes
+    size = _L_size(comp, n) + t * np.abs(comp.sc_integral)
+    return val, np.maximum(err, _ROUNDING_FLOOR * size / comp.mass), comp.nodes
 
 
 # ---------------------------------------------------------------------------

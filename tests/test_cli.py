@@ -206,6 +206,11 @@ class TestRuns:
         assert doc["result"]["meta"]["rule"] == "radial_sphere"
         assert doc["result"]["meta"]["fold"] == [[0, 1, 2]]
         assert doc["result"]["meta"]["rays"] == 1
+        # the default grid's first kink lies past 6 at every t: the
+        # Laguerre radii, 12 at order 16, one kernel pass per order
+        assert doc["result"]["meta"]["radial_rule"] == "laguerre"
+        assert doc["result"]["meta"]["radial_m"] == 12
+        assert doc["result"]["meta"]["batches"] == 2
         lines = (tmp_path / "expand_L.csv").read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "t"
         assert len(lines) == 7  # header + 6 time points

@@ -53,6 +53,7 @@ from curvex.functionals import (
     profile_matrix,
     ray_bundle,
     resolve_rule,
+    rule_record,
     sphere_rule,
 )
 from curvex.moments import (
@@ -665,6 +666,13 @@ def _dense_sums(tf, t, X, rho, W, dens, ginv, sc):
     return [W @ base, W @ (base * logu2), W @ (base * Q), W @ (base * sc)]
 
 
+def _sums_at(tf, t, quad, order):
+    """_eval_once at the one time t: the four sums, then the node count."""
+    sums, nodes = _eval_once(tf, np.array([t]), quad, order,
+                             *resolve_rule(tf, quad))
+    return sums[:, 0].tolist() + [nodes]
+
+
 class TestKernelOracle:
     """The scalar ray kernel against a dense evaluation of the same
     integrals: eta^2 and its gradient pointwise, the density sqrt(det g)
@@ -699,7 +707,7 @@ class TestKernelOracle:
         tf = TestFunction(nc, a, 0.3, r_s)
         t = 0.01
         quad = QuadratureSpec(rule="hermite", order=order)
-        got = _eval_once(tf, t, quad, order, *resolve_rule(tf, quad))
+        got = _sums_at(tf, t, quad, order)
         # a silent fall back to the full grid would show in the count
         h = (order + 1) // 2
         assert got[4] == {"random": order**n, "diag": h**n,
@@ -727,11 +735,10 @@ class TestKernelOracle:
         tf = TestFunction(nc, a + a.T, 0.3, r_s)
         t, order = 0.01, 10
         quad = QuadratureSpec(rule="radial_sphere", order=order)
-        got = _eval_once(tf, t, quad, order, *resolve_rule(tf, quad))
+        got = _sums_at(tf, t, quad, order)
         s2t = 2.0 * np.sqrt(t)
-        dirs, rho, W = _nodes("radial_sphere", 3, order,
-                              c=min(quad.c_trunc, r_s / s2t),
-                              kinks=(r_s / (2.0 * s2t), r_s / s2t))
+        dirs, rho, W = _nodes("radial_sphere", 3, order, quad.c_trunc,
+                              kink=r_s / (2.0 * s2t))
         assert got[4] == W.size
         X = (s2t * rho[:, None] * dirs).reshape(-1, 3)  # (nd * nr, 3)
         rho = np.broadcast_to(rho, W.shape).ravel()
@@ -767,11 +774,10 @@ class TestKernelOracle:
                               t_out, states)
         tf = TestFunction(nc, a, 0.2, 0.9)
         t = 0.006
-        got = _eval_once(tf, t, quad, 16, *resolve_rule(tf, quad))
+        got = _sums_at(tf, t, quad, 16)
         s2t = 2.0 * np.sqrt(t)
-        dirs, rho, W = _nodes("radial_sphere", 3, 16,
-                              c=min(quad.c_trunc, 0.9 / s2t),
-                              kinks=(0.9 / (2.0 * s2t), 0.9 / s2t), nchart=nc)
+        dirs, rho, W = _nodes("radial_sphere", 3, 16, quad.c_trunc,
+                              kink=0.9 / (2.0 * s2t), nchart=nc)
         r = s2t * rho
         tab = full(r).swapaxes(0, 1)  # (nd, nr, 1 + n^2)
         sc = nc.scalar(r)
@@ -963,10 +969,9 @@ def _orthant_sums(tf, t, quad, order):
     the number of directions."""
     n = tf.nchart.n
     s2t = 2.0 * np.sqrt(t)
-    rho, wr = _radial_nodes(order, min(quad.c_trunc, tf.r_s / s2t),
-                            (tf.r_s / (2.0 * s2t), tf.r_s / s2t))
+    rho, wr = _radial_nodes(order, n, tf.r_s / (2.0 * s2t), quad.c_trunc)
     dirs, wd = sphere_rule(n, order, True)
-    W = np.outer(wd, wr * rho ** (n - 1) * np.exp(-rho**2)) / np.pi ** (n / 2)
+    W = np.outer(wd, wr) / np.pi ** (n / 2)
     r = s2t * rho
     eta2, kappa, beta2, dens, wgw = tf.on_rays(dirs[:, None, :], r, t)
     base = W * eta2 * dens
@@ -1014,11 +1019,10 @@ class TestOneRay:
         tf = build_test_function(nc, curvature_at(ch, np.zeros(n)), r_s=r_s)
         for t in (r_s**2 / 720, r_s**2 / 5760):
             got = self._check(tf, t, order)
-            # one ray: the radial nodes of one direction
-            s2t = 2.0 * np.sqrt(t)
-            rho = _radial_nodes(order, min(10.0, r_s / s2t),
-                                (r_s / (2.0 * s2t), r_s / s2t))[0]
-            assert got.nodes == rho.size
+            # one ray: the radial nodes of one direction, the Laguerre
+            # rule's order // 2 + 4 at both times
+            rho = _radial_nodes(order, n, r_s / (4.0 * np.sqrt(t)))[0]
+            assert got.nodes == rho.size == order // 2 + 4
 
     @pytest.mark.parametrize("order", [16, 24])
     def test_flat_n5_zero_profile(self, order):
@@ -1159,12 +1163,90 @@ class TestOneRayBundle:
         assert nc.symmetry is None and nc.dirs.shape[0] == 512
 
 
+class TestTimeBatches:
+    """eval_components takes a 1-D array of times and runs those on the
+    t-independent nodes (the Hermite grid, the Laguerre radii) together,
+    at most _BATCH_POINTS nodes per kernel pass; each other time runs its
+    split Gauss-Legendre rule alone.  The oracle is the same call at one
+    time: every sum and error estimate equal, bit for bit."""
+
+    @staticmethod
+    def _assert_batched_equals_alone(tf, ts, quad):
+        got = eval_components(tf, ts, quad)
+        for k, t in enumerate(ts):
+            want = eval_components(tf, float(t), quad)
+            for name in ("mass", "entropy", "dirichlet", "sc_integral"):
+                assert getattr(got, name)[k] == getattr(want, name), name
+                assert got.errs[name][k] == want.errs[name], name
+        assert got.nodes == sum(eval_components(tf, float(t), quad).nodes
+                                for t in ts)
+        return got
+
+    @pytest.mark.parametrize("rule,mode", [
+        ("radial_sphere", "optimal_a"),
+        ("radial_sphere", np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05],
+                                    [0.0, -0.05, 0.1]])),
+        ("hermite", np.diag([0.3, -0.1, 0.05])),
+    ], ids=["one-ray", "full-bundle", "hermite-orthant"])
+    def test_batched_equals_one_time_calls(self, s3_setup, rule, mode):
+        """On S^3 at r_s 1.7, t up to r_s^2/150 puts the first kink at 3.1,
+        so the radial rule runs Laguerre and split times in one call."""
+        _, nc, cv = s3_setup
+        tf = build_test_function(nc, cv, mode=mode, r_s=1.7)
+        ts = np.geomspace(1.7**2 / 150, 1.7**2 / 6000, 7)
+        quad = QuadratureSpec(rule=rule, order=16)
+        self._assert_batched_equals_alone(tf, ts, quad)
+        rec = rule_record(tf, ts, quad)
+        kinks = 1.7 / (4.0 * np.sqrt(ts))
+        if rule == "hermite":
+            assert rec["batches"] == 2 and "radial_rule" not in rec
+        else:
+            split = int(np.sum(kinks < 6.0))
+            assert 0 < split < ts.size
+            assert rec["radial_rule"] == "laguerre+split_legendre"
+            assert rec["radial_m"] == 12
+            assert rec["batches"] == 2 * (1 + split)
+
+    def test_batch_cap_splits_the_passes(self, s3_setup, monkeypatch):
+        """A cap of 3 times' nodes at the main order runs 10 times in 4
+        passes there (and in as many at the error rule's order as its
+        nodes allow), with the same bits; a cap below one time's nodes
+        runs one time per pass."""
+        _, nc, cv = s3_setup
+        tf = build_test_function(nc, cv, mode=np.diag([0.3, -0.1, 0.05]), r_s=1.7)
+        ts = np.geomspace(1.7**2 / 720, 1.7**2 / 14400, 10)
+        quad = QuadratureSpec(rule="radial_sphere", order=16)
+        whole = eval_components(tf, ts, quad)
+        assert rule_record(tf, ts, quad)["batches"] == 2
+        orthant = ((0,), (1,), (2,))
+        main, lo = (orbit_rule(o, orthant)[1].size * (o // 2 + 4) for o in (16, 10))
+        cap = 3 * main
+        for cap, passes in ((cap, 4 + -(-10 // (cap // lo))), (1, 20)):
+            monkeypatch.setattr(functionals, "_BATCH_POINTS", cap)
+            got = self._assert_batched_equals_alone(tf, ts, quad)
+            assert rule_record(tf, ts, quad)["batches"] == passes
+            for name in ("mass", "entropy", "dirichlet", "sc_integral"):
+                assert np.array_equal(getattr(got, name), getattr(whole, name))
+
+    def test_times_are_checked_one_by_one(self, s3_setup):
+        _, nc, cv = s3_setup
+        tf = build_test_function(nc, cv, r_s=1.7)
+        quad = QuadratureSpec(order=16)
+        with pytest.raises(ConfigInvalid):
+            eval_components(tf, np.array([1e-3, -1e-3]), quad)
+        with pytest.raises(TimeTooLarge):
+            eval_components(tf, np.array([1e-3, 0.1]), quad)
+        with pytest.raises(ConfigInvalid):
+            eval_components(tf, np.full((2, 2), 1e-3), quad)
+
+
 def test_one_fold_per_evaluation(s3_setup, monkeypatch):
     """eval_components resolves its rule and fold once and runs both the
     main and the error-estimate rule on them: one fold_level call per
-    evaluation, so a default 10-point run_expansion makes 10 of them in
-    its evaluations and one more for its run record (the normal chart's
-    fold is decided in curvex.expansion)."""
+    evaluation, so a default 10-point run_expansion, which evaluates its
+    whole time grid in one call, makes one of them there and one more for
+    its run record (the normal chart's fold is decided in
+    curvex.expansion)."""
     ch, nc, cv = s3_setup
     calls = recorded(monkeypatch, functionals, "fold_level")
     for mode in ("optimal_a", np.diag([0.3, -0.1, 0.05])):
@@ -1174,7 +1256,7 @@ def test_one_fold_per_evaluation(s3_setup, monkeypatch):
         calls.clear()
     run_expansion(ch, np.zeros(3), "W", r_s=1.0,
                   quad=QuadratureSpec(order=16), curv=cv)
-    assert len(calls) == 11
+    assert len(calls) == 2
 
 
 class TestGuards:

@@ -52,10 +52,9 @@ def test_geometry_is_read_by_the_ray_evaluator_alone():
 
 def test_random_draws_stay_out_of_the_quadrature():
     """Every rule is deterministic: the only random generators seed the
-    positive-definiteness probe, the rigidity sample points and the CLI's
-    moment self-test matrices."""
+    rigidity sample points and the CLI's moment self-test matrices (the
+    positive-definiteness probe reads fixed points, charts._box_points)."""
     assert sorted(_callers("default_rng")) == [
-        ("charts.py", "_check_positive_definite"),
         ("cli.py", "_moments_selftest"),
         ("rigidity.py", "_sample_points"),
     ]
@@ -84,15 +83,16 @@ def test_symmetry_is_a_partition_not_an_enum():
 
 
 def test_one_golub_welsch_routine():
-    """Gauss-Gegenbauer and Gauss-Jacobi nodes come from _numerics'
-    one Golub-Welsch routine, the only eigensolver call there."""
+    """Gauss-Gegenbauer, Gauss-Jacobi and Gauss-Laguerre nodes come from
+    _numerics' one Golub-Welsch routine, the only eigensolver call there."""
     assert sorted(_callers("_golub_welsch")) == [
         ("_numerics.py", "gauss_gegenbauer"),
         ("_numerics.py", "gauss_jacobi"),
+        ("_numerics.py", "gauss_laguerre"),
     ]
     assert [c for c in _callers("eigh") if c[0] == "_numerics.py"] == [
         ("_numerics.py", "_golub_welsch")]
-    for name in ("gauss_jacobi", "gauss_gegenbauer"):
+    for name in ("gauss_jacobi", "gauss_gegenbauer", "gauss_laguerre"):
         assert _callers(name) and {f for f, _ in _callers(name)} <= {
             "_numerics.py", "functionals.py"}
 
