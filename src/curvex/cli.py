@@ -220,15 +220,14 @@ def _isoprofile(cfg, seed):
 
 
 def _symmetrize(cfg, seed):
-    sec = _section(cfg, "experiment", "chart_radius a alpha r_s t K levels "
-                   "order mass_tol")
+    sec = _section(cfg, "experiment", "chart_radius a r_s t K levels order "
+                   "mass_tol")
     chart = _chart_from(cfg)
     nc = build_normal_chart(
         chart, np.zeros(chart.n), r0=float(sec.get("chart_radius", 1.6))
     )
     tf = build_test_function(
         nc, None, mode=np.diag(_floats(sec.get("a", "0 " * chart.n))),
-        alpha=float(sec.get("alpha", 0.0)),
         r_s=float(sec.get("r_s", 1.2)),
     )
     res = symmetrize(
@@ -315,7 +314,6 @@ def _rigidity(cfg, seed):
         npoints=int(sec.get("npoints", 5)),
         tol=float(sec.get("tol", 1e-6)),
         extended=sec.get("extended", "false").lower() == "true",
-        seed=seed if seed is not None else 1234,
     )
     payload = {
         "verdict": rep.verdict,

@@ -6,13 +6,13 @@ expansion is value = c1 * t + c2 * t^2 + o(t^2) with
   c1 = -Sc
   c2 = -( lap Sc + |Rm|^2 / 6 - 4 |a - Rc/3|^2 )
 
-all evaluated at the center.  The raw deficit L(u) = M (c1 t + c2 t^2)
-differs at t^2 by Sc m1, the mass being M = 1 + m1 t + O(t^2) with
-m1 = 2 tr(a) - Sc/3.  The profile is 1 + x.a.x: L, M and the Sc integral
-are 2-homogeneous in u, so a shift alpha t would only turn a into
-a/(1 + alpha t) in L/M and W/M.  The normalized curvature average
-contributes Sc * t + lap Sc * t^2, so the entropy functional keeps only
-the quadratic -( |Rm|^2/6 - 4 |a - Rc/3|^2 ) * t^2.
+all evaluated at the center.  The unnormalized deficit
+L(u) = M (c1 t + c2 t^2) differs at t^2 by Sc m1, the mass being
+M = 1 + m1 t + O(t^2) with m1 = 2 tr(a) - Sc/3.  The profile is
+1 + x.a.x; L, M and the Sc integral are 2-homogeneous in u, so L/M and
+W/M do not see a constant factor on u.  The normalized curvature
+average contributes Sc * t + lap Sc * t^2, so the entropy functional
+keeps only the quadratic -( |Rm|^2/6 - 4 |a - Rc/3|^2 ) * t^2.
 Extraction fits values on a geometric time grid by weighted least squares,
 reports the smallest-half refit as the headline and the full-vs-half drift
 as a systematic error.
@@ -35,7 +35,6 @@ from .functionals import (
     fold_level,
     profile_matrix,
     ray_bundle,
-    rule_record,
 )
 from .tensor_core import CurvatureData, norm_sq
 
@@ -63,10 +62,7 @@ class SeriesPrediction:
 
 def predict_L(curv: CurvatureData, a) -> SeriesPrediction:
     """Coefficients of the normalized deficit L(u)/M(u) through second
-    order, what run_expansion fits.  A time shift alpha t of the profile
-    enters no coefficient: L is 2-homogeneous in u, so 1 + x.a.x + alpha t
-    gives the L/M of 1 + x.a.x/(1 + alpha t), a change of order t^2 in
-    the profile."""
+    order, what run_expansion fits, for the profile 1 + x.a.x."""
     mis = norm_sq(np.asarray(a, dtype=float) - curv.rc / 3.0)  # profile mismatch
     c2 = -(curv.lap_sc + norm_sq(curv.rm) / 6.0 - 4.0 * mis)
     return SeriesPrediction(c1=-curv.sc, c2=c2)
@@ -253,7 +249,7 @@ def run_expansion(
     pred = (predict_L if functional == "L" else predict_W)(curv, tf.a)
     ts = make_tgrid(t_max, t_points)
     evaluate = eval_L_normalized if functional == "L" else eval_W_normalized
-    values, errors, nodes = evaluate(tf, ts, quad)
+    values, errors, ran = evaluate(tf, ts, quad)
     fit = extract_series(ts, values, errors)
     return ExpansionResult(
         ts=ts,
@@ -265,9 +261,8 @@ def run_expansion(
         meta={
             "mode": mode if isinstance(mode, str) else "explicit",
             "r_s": r_s,
-            **rule_record(tf, ts, quad),
             "order": quad.order,
-            "nodes": nodes,
+            **ran,
             "normal_chart": nc.kind,
             "christoffel": chart.christoffel_route,
             **(

@@ -1,8 +1,8 @@
 """Gaussian-weighted functionals of localized heat-kernel test functions.
 
-The test function is u = scale * (4 pi t)^{-n/4} exp(-r^2/8t) * eta with
-eta^2 = cutoff(r/r_s) * (1 + a_ij x^i x^j + alpha t), clamped below at a
-tiny floor, all in normal coordinates at a center point.  The functionals
+The test function is u = (4 pi t)^{-n/4} exp(-r^2/8t) * eta with
+eta^2 = cutoff(r/r_s) * (1 + a_ij x^i x^j), clamped below at a tiny
+floor, all in normal coordinates at a center point.  The functionals
 (mass, entropy, Dirichlet energy, scalar-curvature average) are integrals
 against u^2 times the Riemannian volume density.
 
@@ -21,7 +21,7 @@ memory allows (_time_batches), each time summed as if alone.
 
 The Dirichlet integrand is |grad u|^2 = u^2 g~^{ij} M_i M_j with the
 covector M = grad eta^2 / (2 eta^2) - x/4t.  Along x = r d, with
-q = d.a.d and P = 1 + q r^2 + alpha t, grad(x.a.x) = 2 r (q d + w) where
+q = d.a.d and P = 1 + q r^2, grad(x.a.x) = 2 r (q d + w) where
 w = a d - q d is orthogonal to d, so
 
   M = kappa d + beta w,   kappa = d eta^2/dr / (2 eta^2) - r/4t,
@@ -103,11 +103,9 @@ __all__ = [
     "cutoff",
     "cutoff_prime",
     "eval_components",
-    "eval_L",
     "eval_L_normalized",
     "eval_W_normalized",
     "gaussian_integral",
-    "rule_record",
     "sphere_rule",
     "orbit_rule",
     "ball_volume",
@@ -172,19 +170,15 @@ def cutoff_prime(s):
 
 @dataclass
 class TestFunction:
-    """Localized Gaussian bump on a normal chart.
-
-    a is a symmetric matrix of frame components; alpha shifts the quadratic
-    profile by alpha * t.  scale multiplies u (so every functional of u^2
-    scales by scale^2, which tests covariance)."""
+    """Localized Gaussian bump on a normal chart: the profile 1 + x.a.x,
+    a a symmetric matrix of frame components, cut off at the support
+    radius r_s."""
 
     __test__ = False  # keep pytest collection away from the Test* name
 
     nchart: NormalChart
     a: np.ndarray
-    alpha: float
     r_s: float
-    scale: float = 1.0
 
     def __post_init__(self):
         a = profile_matrix(self.nchart.n, None, self.a)
@@ -207,7 +201,6 @@ class TestFunction:
         cut, dcut = _cutoff_pair(r / self.r_s)
         poly = q * (r * r)
         poly += 1.0
-        poly += self.alpha * t
         val = cut * poly
         live = val > ETA_FLOOR
         np.maximum(val, ETA_FLOOR, out=val)
@@ -219,7 +212,6 @@ class TestFunction:
         kappa -= r / (4.0 * t)
         beta2 = np.divide(r, poly, out=np.zeros(val.shape), where=live)
         beta2 *= beta2
-        val *= self.scale**2
         return val, kappa, beta2
 
     def on_rays(self, dirs, r, t: float):
@@ -308,18 +300,23 @@ def build_test_function(
     mode: str | np.ndarray = "optimal_a",
     alpha: float = 0.0,
     r_s: float | None = None,
-    scale: float = 1.0,
 ) -> TestFunction:
     """Standard test-function configurations.
 
     mode 'optimal_a' takes a = Ricci/3 at the center (needs curv),
-    'zero' takes a = 0; an explicit matrix is used as is.  alpha must be
-    a number.  A quadratic profile that can reach zero inside the support
-    triggers PositivityWarning.
+    'zero' takes a = 0; an explicit matrix is used as is.  A quadratic
+    profile that can reach zero inside the support triggers
+    PositivityWarning.  alpha accepts 0 alone: a time shift 1 + x.a.x +
+    alpha t of the profile is the profile of a/(1 + alpha t), up to a
+    factor that no normalized functional sees.
     """
     a = profile_matrix(nchart.n, curv, mode)
-    if not isinstance(alpha, Real):
-        raise ConfigInvalid(f"alpha must be a number, not {alpha!r}")
+    # the keyword stays while perfbench's c08 passes alpha=0.0; it goes
+    # with the next benchmark change (ROADMAP item 14)
+    if not (isinstance(alpha, Real) and alpha == 0):
+        raise ConfigInvalid(
+            f"alpha={alpha!r}: a profile 1 + x.a.x + alpha t has the "
+            "normalized functionals of a/(1 + alpha t), so pass that a")
     if r_s is None:
         r_s = nchart.radius
     lam_min = float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
@@ -329,7 +326,7 @@ def build_test_function(
             "values will be clamped",
             PositivityWarning,
         )
-    return TestFunction(nchart, a, float(alpha), r_s, scale)
+    return TestFunction(nchart, a, r_s)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +585,8 @@ def resolve_rule(tf: TestFunction, quad: QuadratureSpec):
 @dataclass
 class Components:
     """Raw functional pieces at a time t, or at each time of a 1-D array t
-    (then each piece is an array), with per-piece error estimates."""
+    (then each piece is an array), with per-piece error estimates, and
+    what eval_components ran to get them (record)."""
 
     t: float | np.ndarray
     mass: float | np.ndarray
@@ -596,7 +594,31 @@ class Components:
     dirichlet: float | np.ndarray
     sc_integral: float | np.ndarray | None  # None unless asked for (want_sc)
     errs: dict = field(default_factory=dict)
+    rule: str | None = None  # resolve_rule's rule and fold
+    fold: Partition | None = None
+    batches: int = 0  # kernel passes, error-estimate rule included
     nodes: int = 0  # nodes evaluated, error-estimate rule included
+    # radial_sphere only: the directions that ran, after the limit and the
+    # fold, and the radial factor at the main order ('laguerre',
+    # 'split_legendre' or, for times on both sides of _LAGUERRE_MIN_KINK,
+    # 'laguerre+split_legendre') with its nodes per time (the Laguerre m
+    # when it ran, else the Gauss-Legendre points per piece)
+    rays: int | None = None
+    radial_rule: str | None = None
+    radial_m: int | None = None
+
+    def record(self) -> dict:
+        """What ran, as run_expansion's meta records it."""
+        rec = {
+            "rule": self.rule,
+            "fold": None if self.fold is None else [list(b) for b in self.fold],
+            "batches": self.batches,
+        }
+        if self.rays is not None:
+            rec.update(rays=self.rays, radial_rule=self.radial_rule,
+                       radial_m=self.radial_m)
+        rec["nodes"] = self.nodes
+        return rec
 
 
 # nodes of one kernel pass at most, unless one time needs more: a full
@@ -612,7 +634,8 @@ def _time_batches(tf: TestFunction, t, order: int, rule: str,
     r_s/(4 sqrt t) lies at _LAGUERRE_MIN_KINK or beyond runs
     (_radial_nodes): those times share their nodes and run together, at
     most _BATCH_POINTS nodes per pass and one time at least.  Every other
-    time runs the split rule of its own kinks, alone."""
+    time runs the split rule of its own kinks, alone.  The mask of the
+    times that share their nodes comes second."""
     n = tf.nchart.n
     if rule == "hermite":
         shared = np.ones(t.shape, dtype=bool)
@@ -623,17 +646,18 @@ def _time_batches(tf: TestFunction, t, order: int, rule: str,
     idx = np.flatnonzero(shared)
     step = max(1, _BATCH_POINTS // per_t)
     return ([idx[k:k + step] for k in range(0, idx.size, step)]
-            + list(np.flatnonzero(~shared)[:, None]))
+            + list(np.flatnonzero(~shared)[:, None])), shared
 
 
 def _eval_once(tf: TestFunction, t, quad: QuadratureSpec, order: int,
                rule: str, fold: Partition | None, want_sc: bool = True):
     """The four sums over the nodes x = 2 sqrt(t) rho d of the rule
     resolve_rule gave, folded onto fold, at this order and at each time of
-    the 1-D array t, (4, nt) with the Sc row NaN unless want_sc, and the
-    node count.  Per node TestFunction.on_rays gives eta^2, kappa, beta^2,
-    the chart density and w.g~^{-1}w, and the Dirichlet integrand is
-    eta^2 (kappa^2 + beta^2 w.g~^{-1}w).
+    the 1-D array t, (4, nt) with the Sc row NaN unless want_sc, and what
+    ran: the nodes and the passes, and on radial_sphere the rays and the
+    radial factor (Components).  Per node TestFunction.on_rays gives
+    eta^2, kappa, beta^2, the chart density and w.g~^{-1}w, and the
+    Dirichlet integrand is eta^2 (kappa^2 + beta^2 w.g~^{-1}w).
 
     The times of a pass share its nodes.  On the Hermite grid (m nodes)
     the radii are (nt, m); on rays (nd, 1, n) the pairs (t, rho) fold into
@@ -645,8 +669,9 @@ def _eval_once(tf: TestFunction, t, quad: QuadratureSpec, order: int,
     n = nc.n
     kink = _first_kink(tf, t)
     sums = np.full((4, t.size), np.nan)
-    nodes = 0
-    for i in _time_batches(tf, t, order, rule, fold):
+    nodes = rays = 0
+    passes, shared = _time_batches(tf, t, order, rule, fold)
+    for i in passes:
         dirs, rho, wts = _nodes(rule, n, order, quad.c_trunc, kink[i[0]], fold, nc)
         nt, ti, per = i.size, t[i], rho.size
         s2t = 2.0 * np.sqrt(ti)
@@ -669,30 +694,37 @@ def _eval_once(tf: TestFunction, t, quad: QuadratureSpec, order: int,
             x = x.reshape(-1, nt, per).swapaxes(0, 1).reshape(nt, -1)
             sums[k, i] = x.sum(axis=1)
         nodes += wb.size
-    return sums, nodes
+        rays = len(dirs)
+    ran = {"nodes": nodes, "batches": len(passes)}
+    if rule == "radial_sphere":
+        lag = bool(shared.any())
+        names = ["laguerre"] * lag + ["split_legendre"] * bool(not shared.all())
+        ran.update(rays=rays, radial_rule="+".join(names),
+                   radial_m=_laguerre_m(order) if lag else order)
+    return sums, ran
 
 
 def check_time(tf: TestFunction, t: float, c_trunc: float,
                monotone: bool = False):
     """Checks, in this order, that t > 0, when monotone that u is radially
-    nonincreasing from a live apex (LevelSetDegenerate), and that the
-    Gaussian fits inside the cutoff, t <= (r_s / c_trunc)^2.
+    nonincreasing (LevelSetDegenerate), and that the Gaussian fits inside
+    the cutoff, t <= (r_s / c_trunc)^2.
 
-    Along x = r d, with q = d.a.d and P = 1 + alpha t + q r^2,
+    Along x = r d, with q = d.a.d and P = 1 + q r^2,
     d log u^2/dr = cut'/(r_s cut) + r (4 t q - P) / (2 t P), where
     cut' <= 0, cut = 1 on [0, r_s/2] and eta^2 is clamped (u decays with
-    the Gaussian) where P <= 0.  Since q <= lambda_max(a), with equality
-    along the top eigenvector, the test is exact: 1 + alpha t > 0 and
-    4 t lambda_max(a) <= 1 + alpha t."""
+    the Gaussian) where P <= 0; the apex, P = 1, is live.  Since
+    q <= lambda_max(a), with equality along the top eigenvector, the test
+    is exact: 4 t lambda_max(a) <= 1."""
     if t <= 0:
         raise ConfigInvalid("t must be positive")
     if monotone:
-        p0, lam = 1.0 + tf.alpha * t, float(np.linalg.eigvalsh(tf.a)[-1])
-        if p0 <= 0 or 4.0 * t * lam > p0:
+        lam = float(np.linalg.eigvalsh(tf.a)[-1])
+        if 4.0 * t * lam > 1.0:
             raise LevelSetDegenerate(
-                f"u is not radially nonincreasing from a live apex: 1 + alpha t "
-                f"= {p0:.6g} must be positive and at least 4 t lambda_max(a) = "
-                f"{4.0 * t * lam:.6g}; the level sets are not star-shaped")
+                f"u is not radially nonincreasing: 1 must be at least "
+                f"4 t lambda_max(a) = {4.0 * t * lam:.6g}; the level sets "
+                "are not star-shaped")
     if t > (tf.r_s / c_trunc) ** 2:
         raise TimeTooLarge(
             f"t={t} too large for support {tf.r_s} at truncation {c_trunc}: "
@@ -718,7 +750,7 @@ def eval_components(
         check_time(tf, ti, quad.c_trunc)
     # folded onto the blocks of a diagonal a's equal entries (lambda I: one)
     rule, fold = resolve_rule(tf, quad)
-    hi, nodes = _eval_once(tf, ts, quad, quad.order, rule, fold, want_sc)
+    hi, ran = _eval_once(tf, ts, quad, quad.order, rule, fold, want_sc)
     if np.any(hi[0] <= 0):
         raise QuadratureNotConverged("mass came out nonpositive")
     names = ("mass", "entropy", "dirichlet", "sc_integral")[:4 if want_sc else 3]
@@ -727,42 +759,15 @@ def eval_components(
         lo, more = _eval_once(tf, ts, quad, quad.order - ERR_DROP, rule, fold,
                               want_sc)
         errs = dict(zip(names, np.abs(hi - lo)))
-        nodes += more
+        ran["nodes"] += more["nodes"]
+        ran["batches"] += more["batches"]
     if np.ndim(t) == 0:  # back to numbers
         hi = hi[:, 0].tolist()
         errs = {k: float(v[0]) for k, v in errs.items()}
     else:
         t = ts
-    return Components(t, *hi[:3], hi[3] if want_sc else None, errs, nodes)
-
-
-def rule_record(tf: TestFunction, ts, quad: QuadratureSpec) -> dict:
-    """What eval_components runs at the times ts, for a run record: the
-    rule and its fold (resolve_rule), the kernel passes of both orders
-    and, on radial_sphere, the rays, the radial factor ('laguerre',
-    'split_legendre' or, for times on both sides of _LAGUERRE_MIN_KINK,
-    'laguerre+split_legendre') and its nodes per time at the main order
-    (the Laguerre m when it ran, else the Gauss-Legendre points per
-    piece)."""
-    rule, fold = resolve_rule(tf, quad)
-    ts = np.asarray(ts, dtype=float).reshape(-1)
-    rec = {
-        "rule": rule,
-        "fold": None if fold is None else [list(b) for b in fold],
-        "batches": sum(len(_time_batches(tf, ts, o, rule, fold))
-                       for o in (quad.order, quad.order - ERR_DROP)),
-    }
-    if rule == "radial_sphere":
-        lag = _first_kink(tf, ts) >= _LAGUERRE_MIN_KINK
-        names = ["laguerre"] * bool(lag.any()) + ["split_legendre"] * bool(
-            not lag.all())
-        rec.update(
-            # the directions that ran, after the limit and the fold
-            rays=len(ray_bundle(tf.nchart.n, quad.order, fold, tf.nchart)[0]),
-            radial_rule="+".join(names),
-            radial_m=_laguerre_m(quad.order) if lag.any() else quad.order,
-        )
-    return rec
+    return Components(t, *hi[:3], hi[3] if want_sc else None, errs,
+                      rule=rule, fold=fold, **ran)
 
 
 # an error estimate is raised to 256 eps times the size of the terms its
@@ -809,39 +814,35 @@ def _L_err(comp: Components, n: int) -> float:
     )
 
 
-def eval_L(tf, t, quad=QuadratureSpec()):
-    """Log-Sobolev-type deficit of u at time t, or at each time of a 1-D
-    array t: (value, error estimate, nodes evaluated), the estimate at
-    least the rounding floor of the terms L cancels."""
-    comp = eval_components(tf, t, quad, want_sc=False)
-    n = tf.nchart.n
-    err = np.maximum(_L_err(comp, n), _ROUNDING_FLOOR * _L_size(comp, n))
-    return _L_of(comp, n), err, comp.nodes
+def _normalized(comp: Components, n: int):
+    """(value, error estimate) of the unit-mass rescaling u / sqrt(mass):
+    the deficit _L_of, to which W adds t times the Sc integral when comp
+    has it, in its value, its error and its size; the estimate is at
+    least the rounding floor of the terms the value cancels."""
+    t, M = comp.t, comp.mass
+    val, err, size = _L_of(comp, n), _L_err(comp, n), _L_size(comp, n)
+    if comp.sc_integral is not None:
+        val = val + t * comp.sc_integral
+        err = err + t * comp.errs.get("sc_integral", 0.0)
+        size = size + t * np.abs(comp.sc_integral)
+    val = val / M
+    err = (err + abs(val) * comp.errs.get("mass", 0.0)) / M
+    return val, np.maximum(err, _ROUNDING_FLOOR * size / M)
 
 
 def eval_L_normalized(tf, t, quad=QuadratureSpec()):
-    """Deficit of the unit-mass rescaling u / sqrt(mass), as eval_L."""
+    """Log-Sobolev-type deficit of the unit-mass rescaling u / sqrt(mass)
+    at time t, or at each time of a 1-D array t: (value, error estimate,
+    Components.record of what ran)."""
     comp = eval_components(tf, t, quad, want_sc=False)
-    n = tf.nchart.n
-    val = _L_of(comp, n) / comp.mass
-    err = (_L_err(comp, n) + abs(val) * comp.errs.get("mass", 0.0)) / comp.mass
-    floor = _ROUNDING_FLOOR * _L_size(comp, n) / comp.mass
-    return val, np.maximum(err, floor), comp.nodes
+    return (*_normalized(comp, tf.nchart.n), comp.record())
 
 
 def eval_W_normalized(tf, t, quad=QuadratureSpec()):
     """Entropy functional (deficit plus t times the curvature integral) of
-    the unit-mass rescaling, as eval_L."""
+    the unit-mass rescaling, as eval_L_normalized."""
     comp = eval_components(tf, t, quad, want_sc=True)
-    n, t = tf.nchart.n, comp.t
-    val = (_L_of(comp, n) + t * comp.sc_integral) / comp.mass
-    err = (
-        _L_err(comp, n)
-        + t * comp.errs.get("sc_integral", 0.0)
-        + abs(val) * comp.errs.get("mass", 0.0)
-    ) / comp.mass
-    size = _L_size(comp, n) + t * np.abs(comp.sc_integral)
-    return val, np.maximum(err, _ROUNDING_FLOOR * size / comp.mass), comp.nodes
+    return (*_normalized(comp, tf.nchart.n), comp.record())
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._numerics import shell_radius
-from .charts import MetricChart, curvature_at
+from .charts import MetricChart, _box_points, curvature_at
 from .errors import ConfigInvalid
 from .expansion import prepare_normal_chart
 from .functionals import QuadratureSpec, ball_volume
@@ -105,13 +105,12 @@ _PROBE_QUAD = QuadratureSpec(rule="radial_sphere", order=16)
 _PROBE_FRACS = (0.25, 0.5, 0.75)
 
 
-def _sample_points(chart: MetricChart, npoints: int, seed: int):
-    hw = float(np.min(chart.domain.hi))
-    rng = np.random.default_rng(seed)
-    pts = [np.zeros(chart.n)]
-    for _ in range(max(npoints - 1, 0)):
-        pts.append(rng.uniform(-0.5 * hw, 0.5 * hw, size=chart.n))
-    return pts
+def _sample_points(chart: MetricChart, npoints: int):
+    """The origin, then npoints - 1 fixed points spread over the chart box
+    halved about it (charts._box_points), the same at every call."""
+    box = chart.domain
+    return [np.zeros(chart.n),
+            *_box_points(0.5 * box.lo, 0.5 * box.hi, max(npoints - 1, 0))]
 
 
 def assess_rigidity(
@@ -121,10 +120,11 @@ def assess_rigidity(
     npoints: int = 5,
     tol: float = 1e-6,
     extended: bool = False,
-    seed: int = 1234,
 ) -> RigidityReport:
-    """Run the full battery at sampled points plus isoperimetric probes
-    around the center; fold the margins into a verdict.
+    """Run the full battery at the points (by default _sample_points:
+    the origin and npoints - 1 fixed points of the box halved about it)
+    plus isoperimetric probes around the center; fold the margins into a
+    verdict.
 
     The centre chart is warped where the chart has a warp and otherwise
     shot along the order-16 radial-spherical sphere rule, so every catalog
@@ -132,7 +132,7 @@ def assess_rigidity(
     meta["probe_radius"], 0.7 box halfwidths and below 0.9 pi/sqrt(K)."""
     n = chart.n
     if points is None:
-        points = _sample_points(chart, npoints, seed)
+        points = _sample_points(chart, npoints)
 
     checks: list[RigidityCheck] = []
     margins = []

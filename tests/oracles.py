@@ -6,11 +6,11 @@ the library evaluates, so the tests can compare the two."""
 import numpy as np
 
 
-def eta2_pointwise(tf, X, t, r=None):
-    """(eta^2, grad eta^2) of a TestFunction at points X (m, n); r = |X|
-    when given.
+def eta2_pointwise(tf, X, r=None):
+    """(eta^2, grad eta^2) of a TestFunction at points X (m, n), the same
+    at every time; r = |X| when given.
 
-    eta^2 = scale^2 cut(|x|/r_s) (1 + x.a.x + alpha t), with the quintic
+    eta^2 = cut(|x|/r_s) (1 + x.a.x), with the quintic
     smoothstep cut(s) = 1 - w^3 (10 - 15 w + 6 w^2), w = clip(2s - 1, 0, 1);
     floored at 1e-300, with the gradient zeroed where it is floored."""
     if r is None:
@@ -19,15 +19,15 @@ def eta2_pointwise(tf, X, t, r=None):
     cut = 1.0 - w**3 * (10.0 - 15.0 * w + 6.0 * w * w)
     dcut_dr = -60.0 * (w * (1.0 - w)) ** 2 / tf.r_s
     ax = X @ tf.a
-    poly = 1.0 + np.einsum("mi,mi->m", X, ax) + tf.alpha * t
+    poly = 1.0 + np.einsum("mi,mi->m", X, ax)
     raw = cut * poly
     clamped = raw <= 1e-300
-    grad = tf.scale**2 * (
+    grad = (
         (dcut_dr * poly / np.maximum(r, 1e-300))[:, None] * X
         + (2.0 * cut)[:, None] * ax
     )
     grad[clamped] = 0.0
-    return tf.scale**2 * np.maximum(raw, 1e-300), grad
+    return np.maximum(raw, 1e-300), grad
 
 
 def recorded(monkeypatch, module, name):

@@ -296,7 +296,7 @@ def test_c08_symmetrization_chain():
     ch = make_chart(ModelSpec("flat", 3, halfwidth=2.0))
     nc = build_normal_chart(ch, np.zeros(3), 1.6)
     tf = build_test_function(
-        nc, mode=np.diag([0.3, -0.1, 0.05]), alpha=0.0, r_s=1.6
+        nc, mode=np.diag([0.3, -0.1, 0.05]), r_s=1.6
     )
     res = symmetrize(tf, t=0.01, K=0.0, levels=512, order=32)
 

@@ -425,16 +425,19 @@ class TestExitCodes:
         ("volume", VOLUME_SPHERE_LINE, "experiment", "pionts = 8"),
         ("isoprofile", ISO_CFG, "experiment", "beta = 0.5"),
         ("symmetrize", SYM_CFG, "experiment", "level = 64"),
+        ("symmetrize", SYM_CFG, "experiment", "alpha = 0.5"),
         ("mu", MU_GAMMA_CFG, "experiment", "gama = 0.1"),
         ("rigidity", RIG_FLAT_VS_SPHERE, "experiment", "n_points = 3"),
         ("moments_selftest", MOMENTS_CFG, "experiment", "trails = 2"),
     ], ids=["expand_L_alpha", "expand_W_alpha", "expand_L_chart", "volume",
-            "isoprofile", "symmetrize", "mu", "rigidity", "moments_selftest"])
+            "isoprofile", "symmetrize", "symmetrize_alpha", "mu", "rigidity",
+            "moments_selftest"])
     def test_unknown_key_is_1(self, tmp_path, capsys, experiment, text,
                               section, line):
         """A key an experiment does not read, in [experiment] or [chart],
-        is an error, not a silent run at the defaults; alpha is one since
-        the expansion fits one profile matrix."""
+        is an error, not a silent run at the defaults; alpha is one, since
+        a time shift alpha t of the profile is the profile matrix
+        a/(1 + alpha t)."""
         text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
         assert line in text
         cfg = _write(tmp_path, "c.ini", text)

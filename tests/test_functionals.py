@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -35,6 +36,7 @@ from curvex.functionals import (
     QuadratureSpec,
     TestFunction,
     _L_of,
+    _normalized,
     _eval_once,
     _hermite_nodes,
     _nodes,
@@ -45,7 +47,6 @@ from curvex.functionals import (
     cutoff,
     cutoff_prime,
     eval_components,
-    eval_L,
     eval_L_normalized,
     eval_W_normalized,
     gaussian_integral,
@@ -53,7 +54,6 @@ from curvex.functionals import (
     profile_matrix,
     ray_bundle,
     resolve_rule,
-    rule_record,
     sphere_rule,
 )
 from curvex.moments import (
@@ -200,7 +200,7 @@ class TestSphereRule:
                 make_chart(ModelSpec("space_form", n, K=1.0)), np.zeros(n), 0.75
             )
             a = np.random.default_rng(5).normal(scale=0.1, size=(n, n))
-            tf = TestFunction(nc, a + a.T, 0.2, 0.75)
+            tf = TestFunction(nc, a + a.T, 0.75)
             quad = QuadratureSpec(order=order)
             cut = eval_components(tf, t, quad, want_err=False)
             with monkeypatch.context() as mp:
@@ -540,48 +540,62 @@ class TestFlatExactness:
     def test_deficit_vanishes(self, rule):
         ch = make_chart(ModelSpec("flat", 3))
         nc = build_normal_chart(ch, np.zeros(3), 2.0)
-        tf = TestFunction(nc, np.zeros((3, 3)), 0.0, 2.0)
-        val, err, _ = eval_L(tf, 0.003, QuadratureSpec(rule=rule, order=32))
+        tf = TestFunction(nc, np.zeros((3, 3)), 2.0)
+        val, err, _ = eval_L_normalized(tf, 0.003,
+                                        QuadratureSpec(rule=rule, order=32))
         assert abs(val) < 1e-12
 
     def test_mass_is_one(self):
         ch = make_chart(ModelSpec("flat", 2))
         nc = build_normal_chart(ch, np.zeros(2), 2.0)
-        tf = TestFunction(nc, np.zeros((2, 2)), 0.0, 2.0)
+        tf = TestFunction(nc, np.zeros((2, 2)), 2.0)
         comp = eval_components(tf, 1e-3, QuadratureSpec(order=32), want_err=False)
         assert comp.mass == pytest.approx(1.0, abs=1e-13)
 
 
 class TestSphereFunctionals:
-    def test_scale_covariance(self, s3_setup):
-        _, nc, cv = s3_setup
-        q = QuadratureSpec(rule="radial_sphere", order=32)
-        t = 6e-4
-        tf1 = build_test_function(nc, cv, mode="optimal_a", alpha=0.0, r_s=1.7)
-        tf3 = build_test_function(
-            nc, cv, mode="optimal_a", alpha=0.0, r_s=1.7, scale=3.0
-        )
-        v1, _, _ = eval_L(tf1, t, q)
-        v3, _, _ = eval_L(tf3, t, q)
-        assert v3 == pytest.approx(9.0 * v1, rel=1e-10)
+    QUAD = QuadratureSpec(rule="radial_sphere", order=32)
 
-    def test_normalization_invariance(self, s3_setup):
-        # the unit-mass deficit must not see the scale at all
+    @staticmethod
+    def _scaled(comp, c, sc=True):
+        """The Components of c u, with or without the Sc integral: mass,
+        Dirichlet energy and Sc integral times c^2, the entropy
+        c^2 (E + M log c^2)."""
+        c2 = c * c
+        return Components(comp.t, c2 * comp.mass,
+                          c2 * (comp.entropy + comp.mass * np.log(c2)),
+                          c2 * comp.dirichlet,
+                          c2 * comp.sc_integral if sc else None)
+
+    @pytest.fixture(scope="class")
+    def case(self, s3_setup):
         _, nc, cv = s3_setup
-        q = QuadratureSpec(rule="radial_sphere", order=32)
-        tf1 = build_test_function(nc, cv, mode="optimal_a", alpha=0.0, r_s=1.7)
-        tf3 = build_test_function(
-            nc, cv, mode="optimal_a", alpha=0.0, r_s=1.7, scale=5.0
-        )
-        v1, _, _ = eval_L_normalized(tf1, 6e-4, q)
-        v3, _, _ = eval_L_normalized(tf3, 6e-4, q)
-        assert v3 == pytest.approx(v1, rel=1e-10)
+        tf = build_test_function(nc, cv, mode="optimal_a", r_s=1.7)
+        return tf, eval_components(tf, 6e-4, self.QUAD)
+
+    def test_scale_covariance(self, case):
+        """The deficit is 2-homogeneous in u."""
+        _, comp = case
+        for c in (3.0, 0.2):
+            assert _L_of(self._scaled(comp, c), 3) == pytest.approx(
+                c * c * _L_of(comp, 3), rel=1e-10)
+
+    def test_normalization_invariance(self, case):
+        """The unit-mass L and W, the values eval_L_normalized and
+        eval_W_normalized return, do not see a factor on u."""
+        tf, comp = case
+        for sc, ev in ((False, eval_L_normalized), (True, eval_W_normalized)):
+            want = _normalized(self._scaled(comp, 1.0, sc), 3)[0]
+            assert want == ev(tf, 6e-4, self.QUAD)[0]
+            for c in (5.0, 0.2):
+                assert _normalized(self._scaled(comp, c, sc), 3)[0] == (
+                    pytest.approx(want, rel=1e-10))
 
     def test_entropy_slope(self, s3_setup):
         """Shifted entropy decreases at unit rate for the curvature-adapted
-        quadratic profile with alpha = 0 (Richardson in t)."""
+        quadratic profile (Richardson in t)."""
         _, nc, cv = s3_setup
-        tf = build_test_function(nc, cv, mode="optimal_a", alpha=0.0, r_s=1.7)
+        tf = build_test_function(nc, cv, mode="optimal_a", r_s=1.7)
         q = QuadratureSpec(rule="radial_sphere", order=40)
 
         def slope(t):
@@ -600,9 +614,29 @@ class TestSphereFunctionals:
         _, nc, cv = s3_setup
         tf = build_test_function(nc, cv, mode="optimal_a", r_s=1.7)
         t = 1e-3
-        vh, _, _ = eval_L(tf, t, QuadratureSpec(rule="hermite", order=40))
-        vr, _, _ = eval_L(tf, t, QuadratureSpec(rule="radial_sphere", order=40))
+        vh, _, _ = eval_L_normalized(tf, t, QuadratureSpec(rule="hermite", order=40))
+        vr, _, _ = eval_L_normalized(tf, t,
+                                     QuadratureSpec(rule="radial_sphere", order=40))
         assert vh == pytest.approx(vr, abs=1e-11)
+
+
+@dataclasses.dataclass
+class _ShiftedProfile(TestFunction):
+    """The bump with the time-shifted profile 1 + x.a.x + alpha t, which
+    curvex does not build: its kernel written out from the formulas of the
+    functionals module docstring with P = 1 + alpha t + q r^2."""
+
+    alpha: float = 0.0
+
+    def eta2_with_grad(self, q, r, t):
+        cut, dcut = cutoff(r / self.r_s), cutoff_prime(r / self.r_s)
+        P = 1.0 + self.alpha * t + q * r * r
+        eta2 = cut * P
+        live = eta2 > 1e-300
+        slope = (0.5 * dcut / self.r_s) * P + cut * r * q  # d eta^2/dr / 2
+        kappa = np.where(live, slope / np.where(live, eta2, 1.0), 0.0)
+        beta2 = np.where(live, (r / np.where(live, P, 1.0)) ** 2, 0.0)
+        return np.maximum(eta2, 1e-300), kappa - r / (4.0 * t), beta2
 
 
 class TestTimeShiftIdentity:
@@ -610,11 +644,12 @@ class TestTimeShiftIdentity:
     1 + x.a.x/(1 + alpha t), and L, the mass and the Sc integral are
     2-homogeneous in u, so the normalized L and W at (a, alpha, t) equal
     those at (a/(1 + alpha t), 0, t): alpha only rescales a, which is why
-    run_expansion fits one profile matrix.  Both values are what is left
-    of normalized terms of size (n/2) |log(4 pi t)| + n, about 13 at
-    t = 1e-3, so rounding is measured against that size; W/M, about
-    2.5e-6 on S^3, keeps 6e-10 of its own size in rounding alone.
-    Measured: within 1.1e-14 absolute."""
+    the test function has no alpha and run_expansion fits one profile
+    matrix.  The shifted side runs _ShiftedProfile's kernel through the
+    same evaluators.  Both values are what is left of normalized terms of
+    size (n/2) |log(4 pi t)| + n, about 13 at t = 1e-3, so rounding is
+    measured against that size; W/M, about 2.5e-6 on S^3, keeps 6e-10 of
+    its own size in rounding alone.  Measured: within 1.9e-15 absolute."""
 
     T = 1e-3
     TERMS = 1.5 * abs(math.log(4 * math.pi * T)) + 3.0
@@ -632,24 +667,29 @@ class TestTimeShiftIdentity:
         assert nc.kind == "warped"
         return nc
 
-    def _values(self, nc, a, alpha, rule):
-        tf = build_test_function(nc, mode=a, alpha=alpha, r_s=0.9)
+    def _values(self, tf, rule):
         quad = QuadratureSpec(rule=rule, order=16)
         return [ev(tf, self.T, quad)[0]
                 for ev in (eval_L_normalized, eval_W_normalized)]
 
+    def _shifted(self, nc, a, alpha, rule):
+        return self._values(_ShiftedProfile(nc, a, 0.9, alpha), rule)
+
+    def _rescaled(self, nc, a, rule):
+        return self._values(build_test_function(nc, mode=a, r_s=0.9), rule)
+
     @pytest.mark.parametrize("rule", ["radial_sphere", "hermite"])
     @pytest.mark.parametrize("alpha", [-150.0, 0.7, 40.0])
     def test_alpha_rescales_a(self, warped, rule, alpha):
-        got = self._values(warped, self.A, alpha, rule)
-        want = self._values(warped, self.A / (1.0 + alpha * self.T), 0.0, rule)
+        got = self._shifted(warped, self.A, alpha, rule)
+        want = self._rescaled(warped, self.A / (1.0 + alpha * self.T), rule)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * self.TERMS)
 
     @pytest.mark.parametrize("rule", ["radial_sphere", "hermite"])
     def test_alpha_is_inert_at_zero_a(self, warped, rule):
-        want = self._values(warped, np.zeros((3, 3)), 0.0, rule)
+        want = self._rescaled(warped, np.zeros((3, 3)), rule)
         for alpha in (-150.0, -2.0, 4.0, 40.0):
-            got = self._values(warped, np.zeros((3, 3)), alpha, rule)
+            got = self._shifted(warped, np.zeros((3, 3)), alpha, rule)
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * self.TERMS)
 
@@ -658,7 +698,7 @@ def _dense_sums(tf, t, X, rho, W, dens, ginv, sc):
     """The four sums from pointwise eta^2 and grad eta^2 at the points X
     with a given density, full inverse metric and Sc at each point."""
     n = X.shape[-1]
-    eta2, geta2 = eta2_pointwise(tf, X, t)
+    eta2, geta2 = eta2_pointwise(tf, X)
     M = geta2 / (2.0 * eta2)[:, None] - X / (4.0 * t)
     base = eta2 * dens
     logu2 = np.log(eta2) - (n / 2.0) * np.log(4 * np.pi * t) - rho**2
@@ -668,9 +708,9 @@ def _dense_sums(tf, t, X, rho, W, dens, ginv, sc):
 
 def _sums_at(tf, t, quad, order):
     """_eval_once at the one time t: the four sums, then the node count."""
-    sums, nodes = _eval_once(tf, np.array([t]), quad, order,
-                             *resolve_rule(tf, quad))
-    return sums[:, 0].tolist() + [nodes]
+    sums, ran = _eval_once(tf, np.array([t]), quad, order,
+                           *resolve_rule(tf, quad))
+    return sums[:, 0].tolist() + [ran["nodes"]]
 
 
 class TestKernelOracle:
@@ -704,7 +744,7 @@ class TestKernelOracle:
             a = np.diag([0.2, -0.1, 0.05, 0.15][:n])
         else:
             a = curvature_at(ch, np.zeros(n)).rc / 3.0
-        tf = TestFunction(nc, a, 0.3, r_s)
+        tf = TestFunction(nc, a, r_s)
         t = 0.01
         quad = QuadratureSpec(rule="hermite", order=order)
         got = _sums_at(tf, t, quad, order)
@@ -717,7 +757,7 @@ class TestKernelOracle:
         Z = np.array(list(itertools.product(z1, repeat=n)))
         W = np.prod(list(itertools.product(w1, repeat=n)), axis=1) / np.pi ** (n / 2)
         X = 2.0 * np.sqrt(t) * Z
-        eta2 = eta2_pointwise(tf, X, t)[0]
+        eta2 = eta2_pointwise(tf, X)[0]
         assert np.any((eta2 < 1.0) & (eta2 > 1e-300))  # nodes on the cutoff ramp
         g = ch.metric(X)
         want = _dense_sums(tf, t, X, np.linalg.norm(Z, axis=1), W,
@@ -732,7 +772,7 @@ class TestKernelOracle:
         r_s = 0.95 * float(ch.domain.hi[0])
         nc = build_normal_chart(ch, np.zeros(3), r_s)
         a = np.random.default_rng(9).normal(scale=0.1, size=(3, 3))
-        tf = TestFunction(nc, a + a.T, 0.3, r_s)
+        tf = TestFunction(nc, a + a.T, r_s)
         t, order = 0.01, 10
         quad = QuadratureSpec(rule="radial_sphere", order=order)
         got = _sums_at(tf, t, quad, order)
@@ -742,7 +782,7 @@ class TestKernelOracle:
         assert got[4] == W.size
         X = (s2t * rho[:, None] * dirs).reshape(-1, 3)  # (nd * nr, 3)
         rho = np.broadcast_to(rho, W.shape).ravel()
-        eta2 = eta2_pointwise(tf, X, t)[0]
+        eta2 = eta2_pointwise(tf, X)[0]
         assert np.any((eta2 < 1.0) & (eta2 > 1e-300))  # nodes on the cutoff ramp
         g = ch.metric(X)
         want = _dense_sums(tf, t, X, rho, W.ravel(),
@@ -772,7 +812,7 @@ class TestKernelOracle:
         ((_, _, t_out, _, _), _, (states, _)), = shots
         full = full_ode_table(ch, nc.dirs.shape[0], np.linspace(0.0, 0.9, 384),
                               t_out, states)
-        tf = TestFunction(nc, a, 0.2, 0.9)
+        tf = TestFunction(nc, a, 0.9)
         t = 0.006
         got = _sums_at(tf, t, quad, 16)
         s2t = 2.0 * np.sqrt(t)
@@ -808,7 +848,7 @@ class TestRayEvaluator:
     def _compare(tf, t, X, got, rtol):
         r = np.linalg.norm(X, axis=1)
         d = X / np.where(r > 0.0, r, 1.0)[:, None]
-        eta2, geta2 = eta2_pointwise(tf, X, t, r)
+        eta2, geta2 = eta2_pointwise(tf, X, r)
         M = geta2 / (2.0 * eta2)[:, None] - X / (4.0 * t)
         kappa = np.einsum("mi,mi->m", M, d)
         perp = M - kappa[:, None] * d
@@ -834,7 +874,7 @@ class TestRayEvaluator:
 
     def test_points_on_closed_form_chart(self, sphere):
         """The Hermite layout: points (m, n) against radii (m,)."""
-        tf = TestFunction(sphere, self.A_OFF, 0.3, 0.5)
+        tf = TestFunction(sphere, self.A_OFF, 0.5)
         dirs, rho, _ = _hermite_nodes(3, 10)
         r = 2.0 * np.sqrt(self.T) * rho
         got = tf.on_rays(dirs, r, self.T)
@@ -842,7 +882,7 @@ class TestRayEvaluator:
 
     def test_rays_on_closed_form_chart(self, sphere):
         """The ray layout: rays (nd, 1, n) against radii (nr,)."""
-        tf = TestFunction(sphere, self.A_OFF, 0.3, 1.2)
+        tf = TestFunction(sphere, self.A_OFF, 1.2)
         dirs = sphere_rule(3, 8)[0][:, None, :]
         r = np.linspace(0.0, 1.5, 31)
         got = tf.on_rays(dirs, r, self.T)
@@ -859,7 +899,7 @@ class TestRayEvaluator:
                                   QuadratureSpec(rule="radial_sphere", order=8), a=a)
         assert nc.kind == "ode"
         assert nc.symmetry == (((0,), (1,), (2,)) if fold else None)
-        tf = TestFunction(nc, a, 0.3, 1.2)
+        tf = TestFunction(nc, a, 1.2)
         dirs = nc.dirs[:, None, :]
         r = np.linspace(0.0, 1.4, 31)
         got = tf.on_rays(dirs, r, self.T)
@@ -945,8 +985,8 @@ class TestRadialFold:
         R = np.linalg.qr(np.random.default_rng(3).normal(size=(n, n)))[0]
         order = 16
         quad = QuadratureSpec(rule="radial_sphere", order=order)
-        diag = TestFunction(nc, D, 0.2, 1.5)
-        rot = TestFunction(nc, R @ D @ R.T, 0.2, 1.5)
+        diag = TestFunction(nc, D, 1.5)
+        rot = TestFunction(nc, R @ D @ R.T, 1.5)
         for t in (0.004, 0.02):
             got = eval_components(diag, t, quad)
             want = eval_components(rot, t, quad)
@@ -1028,7 +1068,7 @@ class TestOneRay:
     def test_flat_n5_zero_profile(self, order):
         ch = make_chart(ModelSpec("flat", 5))
         nc = build_normal_chart(ch, np.zeros(5), 1.2)
-        tf = build_test_function(nc, None, mode="zero", alpha=0.0, r_s=1.2)
+        tf = build_test_function(nc, None, mode="zero", r_s=1.2)
         for t in (2e-3, 2.5e-4):
             self._check(tf, t, order)
 
@@ -1040,7 +1080,7 @@ class TestOneRay:
         1.7e-13 relative, masses equal."""
         ch = make_chart(ModelSpec("flat", 3, halfwidth=2.0))
         nc = build_normal_chart(ch, np.zeros(3), 1.6)
-        tf = build_test_function(nc, None, mode="zero", alpha=0.0, r_s=1.2)
+        tf = build_test_function(nc, None, mode="zero", r_s=1.2)
         t, order = 0.01, 16
         res = symmetrize(tf, t=t, K=0.0, levels=64, order=order)
         assert res.meta["fold"] == [[0, 1, 2]] and res.meta["rays"] == 1
@@ -1195,8 +1235,9 @@ class TestTimeBatches:
         tf = build_test_function(nc, cv, mode=mode, r_s=1.7)
         ts = np.geomspace(1.7**2 / 150, 1.7**2 / 6000, 7)
         quad = QuadratureSpec(rule=rule, order=16)
-        self._assert_batched_equals_alone(tf, ts, quad)
-        rec = rule_record(tf, ts, quad)
+        got = self._assert_batched_equals_alone(tf, ts, quad)
+        rec = eval_L_normalized(tf, ts, quad)[2]
+        assert rec == got.record() and rec["nodes"] == got.nodes
         kinks = 1.7 / (4.0 * np.sqrt(ts))
         if rule == "hermite":
             assert rec["batches"] == 2 and "radial_rule" not in rec
@@ -1217,14 +1258,14 @@ class TestTimeBatches:
         ts = np.geomspace(1.7**2 / 720, 1.7**2 / 14400, 10)
         quad = QuadratureSpec(rule="radial_sphere", order=16)
         whole = eval_components(tf, ts, quad)
-        assert rule_record(tf, ts, quad)["batches"] == 2
+        assert eval_W_normalized(tf, ts, quad)[2]["batches"] == whole.batches == 2
         orthant = ((0,), (1,), (2,))
         main, lo = (orbit_rule(o, orthant)[1].size * (o // 2 + 4) for o in (16, 10))
         cap = 3 * main
         for cap, passes in ((cap, 4 + -(-10 // (cap // lo))), (1, 20)):
             monkeypatch.setattr(functionals, "_BATCH_POINTS", cap)
             got = self._assert_batched_equals_alone(tf, ts, quad)
-            assert rule_record(tf, ts, quad)["batches"] == passes
+            assert eval_W_normalized(tf, ts, quad)[2]["batches"] == passes
             for name in ("mass", "entropy", "dirichlet", "sc_integral"):
                 assert np.array_equal(getattr(got, name), getattr(whole, name))
 
@@ -1244,9 +1285,8 @@ def test_one_fold_per_evaluation(s3_setup, monkeypatch):
     """eval_components resolves its rule and fold once and runs both the
     main and the error-estimate rule on them: one fold_level call per
     evaluation, so a default 10-point run_expansion, which evaluates its
-    whole time grid in one call, makes one of them there and one more for
-    its run record (the normal chart's fold is decided in
-    curvex.expansion)."""
+    whole time grid in one call and records the rule that call ran, makes
+    one (the normal chart's fold is decided in curvex.expansion)."""
     ch, nc, cv = s3_setup
     calls = recorded(monkeypatch, functionals, "fold_level")
     for mode in ("optimal_a", np.diag([0.3, -0.1, 0.05])):
@@ -1256,7 +1296,7 @@ def test_one_fold_per_evaluation(s3_setup, monkeypatch):
         calls.clear()
     run_expansion(ch, np.zeros(3), "W", r_s=1.0,
                   quad=QuadratureSpec(order=16), curv=cv)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 class TestGuards:
@@ -1268,9 +1308,9 @@ class TestGuards:
             gaussian_integral(5, 0.01, G, QuadratureSpec(rule="hermite"))
         ch = make_chart(ModelSpec("space_form", 5, K=1.0))
         nc = build_normal_chart(ch, np.zeros(5), 0.5)
-        tf = TestFunction(nc, np.zeros((5, 5)), 0.0, 0.5)
+        tf = TestFunction(nc, np.zeros((5, 5)), 0.5)
         with pytest.raises(ConfigInvalid, match="n <= 4"):
-            eval_L(tf, 1e-4, QuadratureSpec(rule="hermite"))
+            eval_L_normalized(tf, 1e-4, QuadratureSpec(rule="hermite"))
 
     @pytest.mark.parametrize(
         "kw", [{"rule": "mc"}, {"order": 7}, {"c_trunc": 3.0}],
@@ -1285,19 +1325,19 @@ class TestGuards:
 
     def test_time_too_large(self, s3_setup):
         _, nc, cv = s3_setup
-        tf = build_test_function(nc, cv, mode="zero", alpha=0.0, r_s=1.0)
+        tf = build_test_function(nc, cv, mode="zero", r_s=1.0)
         with pytest.raises(TimeTooLarge):
-            eval_L(tf, 0.02, QuadratureSpec(order=16))
+            eval_L_normalized(tf, 0.02, QuadratureSpec(order=16))
 
     def test_support_too_large(self, s3_setup):
         _, nc, _ = s3_setup
         with pytest.raises(SupportTooLarge):
-            TestFunction(nc, np.zeros((3, 3)), 0.0, 2.5)
+            TestFunction(nc, np.zeros((3, 3)), 2.5)
 
     def test_positivity_warning(self, s3_setup):
         _, nc, _ = s3_setup
         with pytest.warns(PositivityWarning):
-            build_test_function(nc, mode=-2.0 * np.eye(3), alpha=0.0, r_s=1.5)
+            build_test_function(nc, mode=-2.0 * np.eye(3), r_s=1.5)
 
     def test_explicit_profile_of_the_wrong_shape(self, monkeypatch):
         """profile_matrix refuses an explicit mode that is not (n, n), so
@@ -1317,18 +1357,35 @@ class TestGuards:
         assert built == []
 
     def test_bad_alpha_mode(self, s3_setup):
-        """alpha is a number: the former 'normalized' mode, any other
-        string and None are refused."""
+        """alpha accepts 0 alone: the former 'normalized' mode, any other
+        string and None are refused, naming the a/(1 + alpha t) identity."""
         _, nc, cv = s3_setup
         for alpha in ("normalized", "bogus", "0.5", None):
-            with pytest.raises(ConfigInvalid, match="alpha must be a number"):
+            with pytest.raises(ConfigInvalid, match=r"a/\(1 \+ alpha t\)"):
                 build_test_function(nc, cv, mode="zero", alpha=alpha, r_s=1.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, -150.0, float("nan")])
+    def test_nonzero_alpha_is_refused(self, s3_setup, alpha):
+        """A time shift of the profile is a/(1 + alpha t) in every
+        normalized functional, so the builder takes no other alpha than 0
+        (which it still accepts as a keyword)."""
+        _, nc, cv = s3_setup
+        with pytest.raises(ConfigInvalid, match=r"a/\(1 \+ alpha t\)"):
+            build_test_function(nc, cv, mode="zero", alpha=alpha, r_s=1.0)
+        tf = build_test_function(nc, cv, mode="zero", alpha=0.0, r_s=1.0)
+        assert np.array_equal(tf.a, np.zeros((3, 3)))
+
+    def test_test_function_is_a_and_r_s(self):
+        """The test function has no time shift and no scale: its fields
+        are the chart, the profile matrix and the support radius."""
+        assert [f.name for f in dataclasses.fields(TestFunction)] == [
+            "nchart", "a", "r_s"]
 
     def test_clamped_profile_still_evaluates(self, s3_setup):
         _, nc, _ = s3_setup
         with pytest.warns(PositivityWarning):
-            tf = build_test_function(nc, mode=-2.0 * np.eye(3), alpha=0.0, r_s=1.5)
-        val, _, _ = eval_L(tf, 1e-3, QuadratureSpec(order=24))
+            tf = build_test_function(nc, mode=-2.0 * np.eye(3), r_s=1.5)
+        val, _, _ = eval_L_normalized(tf, 1e-3, QuadratureSpec(order=24))
         assert np.isfinite(val)
 
 
@@ -1565,9 +1622,9 @@ _THREAD_CASE = textwrap.dedent(
     a = 0.25 * np.eye(4)
     a[0, 1] = a[1, 0] = 0.05
     tf = build_test_function(nc, mode=a, r_s=1.45)
-    val, err, nodes = eval_L_normalized(tf, 1e-3, quad)
+    val, err, ran = eval_L_normalized(tf, 1e-3, quad)
     g, _ = gaussian_integral(4, 1e-3, lambda X: np.exp(X @ a[0]), quad)
-    print(nodes, val.hex(), err.hex(), g.hex())
+    print(ran["nodes"], val.hex(), err.hex(), g.hex())
     """
 )
 

@@ -41,7 +41,7 @@ def flat_chart():
 @pytest.fixture(scope="module")
 def radial_result(flat_chart):
     tf = build_test_function(
-        flat_chart, None, mode=np.zeros((3, 3)), alpha=0.0, r_s=1.2
+        flat_chart, None, mode=np.zeros((3, 3)), r_s=1.2
     )
     return symmetrize(tf, t=0.01, K=0.0, levels=512, order=32)
 
@@ -49,7 +49,7 @@ def radial_result(flat_chart):
 @pytest.fixture(scope="module")
 def aniso_result(flat_chart):
     a = np.diag([0.3, -0.1, 0.05])
-    tf = build_test_function(flat_chart, None, mode=a, alpha=0.0, r_s=1.2)
+    tf = build_test_function(flat_chart, None, mode=a, r_s=1.2)
     return symmetrize(tf, t=0.01, K=0.0, levels=512, order=32)
 
 
@@ -223,8 +223,7 @@ class TestSymmetrizeAnisotropic:
         4 eps |du/dr| r / s instead, and the sweep runs (it raised at a
         fixed 1e-10).  The ladder still matches the r_bar balls, as c08
         checks."""
-        tf = TestFunction(flat_chart, np.diag([0.1, -0.3, -2.0]), alpha=0.0,
-                          r_s=1.2)
+        tf = TestFunction(flat_chart, np.diag([0.1, -0.3, -2.0]), r_s=1.2)
         res = symmetrize(tf, t=0.012, K=0.0, levels=64, order=16)
         assert res.meta["crossing_residual"] > 1e-10  # the cliff is reached
         assert np.all(np.diff(res.volumes) > 0)
@@ -243,7 +242,7 @@ class TestSymmetrizeSphereTarget:
         # rearranging onto the round sphere preserves the layer-cake
         # integrals just the same
         a = np.diag([0.2, -0.05, 0.1])
-        tf = build_test_function(flat_chart, None, mode=a, alpha=0.0, r_s=1.2)
+        tf = build_test_function(flat_chart, None, mode=a, r_s=1.2)
         res = symmetrize(tf, t=0.01, K=1.0, levels=512, order=32)
         assert abs(res.mass_symmetrized - res.mass_original) < 1e-8
         assert abs(res.entropy_symmetrized - res.entropy_original) < 1e-8
@@ -259,14 +258,14 @@ class TestGuards:
         chart = make_chart(ModelSpec(kind="space_form", n=3, K=1.0))
         nc = build_normal_chart(chart, np.zeros(3), r0=0.8)
         tf = build_test_function(
-            nc, None, mode=np.zeros((3, 3)), alpha=0.0, r_s=0.6
+            nc, None, mode=np.zeros((3, 3)), r_s=0.6
         )
         with pytest.raises(ConfigInvalid):
             symmetrize(tf, t=0.001, K=1.0)
 
     def test_too_few_levels(self, flat_chart):
         tf = build_test_function(
-            flat_chart, None, mode=np.zeros((3, 3)), alpha=0.0, r_s=1.2
+            flat_chart, None, mode=np.zeros((3, 3)), r_s=1.2
         )
         with pytest.raises(ConfigInvalid):
             symmetrize(tf, t=0.01, levels=32)
@@ -275,41 +274,34 @@ class TestGuards:
         # strong positive profile growth beats the Gaussian decay at this
         # time scale, so u increases along some ray near the center
         tf = build_test_function(
-            flat_chart, None, mode=0.5 * np.eye(3), alpha=0.0, r_s=1.2
+            flat_chart, None, mode=0.5 * np.eye(3), r_s=1.2
         )
         with pytest.raises(LevelSetDegenerate):
             symmetrize(tf, t=1.0, levels=64)
 
     def test_nonmonotone_at_a_valid_time(self, flat_chart):
         # 4 t lambda_max = 1.6 > 1 at t = 0.01 <= (r_s / 10)^2
-        tf = TestFunction(flat_chart, 40.0 * np.eye(3), alpha=0.0, r_s=1.2)
+        tf = TestFunction(flat_chart, 40.0 * np.eye(3), r_s=1.2)
         with pytest.raises(LevelSetDegenerate,
                            match=r"at least 4 t lambda_max\(a\) = 1.6;"):
             symmetrize(tf, t=0.01, levels=64)
 
-    def test_clamped_apex_raises(self, flat_chart):
-        """1 + alpha t = -0.5: eta^2 is clamped everywhere and u is the
-        floored Gaussian, whose mass is 1e-300: nothing to rearrange."""
-        tf = TestFunction(flat_chart, np.zeros((3, 3)), alpha=-150.0, r_s=1.2)
-        with pytest.raises(LevelSetDegenerate,
-                           match=r"1 \+ alpha t = -0.5 must be positive"):
-            symmetrize(tf, t=0.01, levels=64)
-
     @pytest.mark.parametrize("t", [0.0, -0.01])
     def test_nonpositive_time_rejected(self, flat_chart, t):
-        tf = TestFunction(flat_chart, np.zeros((3, 3)), alpha=0.0, r_s=1.2)
+        tf = TestFunction(flat_chart, np.zeros((3, 3)), r_s=1.2)
         with pytest.raises(ConfigInvalid, match="t must be positive"):
             symmetrize(tf, t=t, levels=64)
 
     def test_nonpositive_time_checked_first(self, flat_chart):
-        # a nonmonotone u at a negative time is a bad time first
-        tf = TestFunction(flat_chart, 40.0 * np.eye(3), alpha=5.0, r_s=1.2)
+        # 4 t lambda_max = 160 > 1 would fail the monotonicity test, but a
+        # negative time is a bad time first
+        tf = TestFunction(flat_chart, -40.0 * np.eye(3), r_s=1.2)
         with pytest.raises(ConfigInvalid, match="t must be positive"):
             symmetrize(tf, t=-1.0, levels=64)
 
     def test_time_too_large(self, flat_chart):
         # (r_s / c_trunc)^2 = 0.0144: a time error, not a failed crossing
-        tf = TestFunction(flat_chart, np.zeros((3, 3)), alpha=0.0, r_s=1.2)
+        tf = TestFunction(flat_chart, np.zeros((3, 3)), r_s=1.2)
         with pytest.raises(TimeTooLarge):
             symmetrize(tf, t=0.5, levels=64)
 
@@ -321,20 +313,19 @@ class TestGuards:
 
 class TestExactMonotonicity:
     """check_time(monotone=True) against sampled u: the exact condition
-    1 + alpha t > 0 and 4 t lambda_max(a) <= 1 + alpha t must say whether
-    u, from eta2_pointwise on 10^4 radii along many directions (the
-    eigenvectors of a among them), is nonincreasing from a live apex."""
+    4 t lambda_max(a) <= 1 must say whether u, from eta2_pointwise on 10^4
+    radii along many directions (the eigenvectors of a among them), is
+    nonincreasing."""
 
     @staticmethod
     def _sampled_nonincreasing(tf, t, dirs):
         r = np.linspace(0.0, tf.r_s, 10_000)
         X = (dirs[:, None, :] * r[None, :, None]).reshape(-1, 3)
-        eta2, _ = eta2_pointwise(tf, X, t, np.tile(r, dirs.shape[0]))
+        eta2, _ = eta2_pointwise(tf, X, np.tile(r, dirs.shape[0]))
         u = np.sqrt(np.exp(-np.tile(r, dirs.shape[0]) ** 2 / (4 * t)) * eta2)
         u = u.reshape(dirs.shape[0], -1)
-        live_apex = eta2[0] > tf.scale**2 * 1e-300
         # a few ulps of slack where u is flat at the apex
-        return live_apex and bool(np.all(np.diff(u, axis=1) <= 4e-16 * u[:, 1:]))
+        return bool(np.all(np.diff(u, axis=1) <= 4e-16 * u[:, 1:]))
 
     def test_agrees_with_sampled_u(self, flat_chart):
         rng = np.random.default_rng(11)
@@ -345,17 +336,15 @@ class TestExactMonotonicity:
             if trial % 4 == 0:
                 a = np.diag(np.diagonal(a))
             t = rng.uniform(0.002, 0.0144)
-            p0 = rng.uniform(-0.3, 2.0)  # 1 + alpha t
-            if trial % 5 == 1:  # negative definite, the apex often clamped
+            if trial % 5 == 1:  # negative definite: clamped inside the support
                 a = -(m @ m.T) - 0.1 * np.eye(3)
-                p0 = rng.uniform(-0.3, 0.3)
-            # 4 t |lambda_max| / |p0| around 1, some of them close to it
+            # 4 t |lambda_max| around 1, some of them close to it
             ratio = (rng.uniform(0.2, 2.0) if trial % 3 else
                      1.0 + rng.choice([-1, 1]) * 10 ** rng.uniform(-4, -2))
-            a *= ratio * abs(p0) / (4 * t * abs(np.linalg.eigvalsh(a)[-1]))
-            tf = TestFunction(flat_chart, a, alpha=(p0 - 1.0) / t, r_s=1.2)
-            margin = 4 * t * np.linalg.eigvalsh(tf.a)[-1] - p0
-            if abs(margin) < 1e-6 or abs(p0) < 1e-6:
+            a *= ratio / (4 * t * abs(np.linalg.eigvalsh(a)[-1]))
+            tf = TestFunction(flat_chart, a, r_s=1.2)
+            margin = 4 * t * np.linalg.eigvalsh(tf.a)[-1] - 1.0
+            if abs(margin) < 1e-6:
                 continue
             dirs = rng.normal(size=(24, 3))
             dirs = np.concatenate([dirs, np.linalg.eigh(tf.a)[1].T])
@@ -366,7 +355,7 @@ class TestExactMonotonicity:
                 got = True
             except LevelSetDegenerate:
                 got = False
-            assert got == want, (trial, margin, p0)
+            assert got == want, (trial, margin)
             verdicts.append(got)
         # both verdicts, each many times
         assert len(verdicts) == 40
@@ -377,7 +366,7 @@ def _u_and_slopes_pointwise(tf, t, X, r, dirs_rep):
     """u, du/dr and |grad u|^2 from pointwise eta^2 and grad eta^2 on full
     coordinate arrays."""
     n = tf.nchart.n
-    eta2, geta2 = eta2_pointwise(tf, X, t, r)
+    eta2, geta2 = eta2_pointwise(tf, X, r)
     h2 = (4 * np.pi * t) ** (-n / 2.0) * np.exp(-r * r / (4 * t))
     u = np.sqrt(h2 * eta2)
     mvec = geta2 / (2.0 * eta2)[:, None] - X / (4.0 * t)
@@ -399,7 +388,7 @@ class TestRayForm:
         # one negative eigenvalue: the profile crosses zero inside the
         # support along e_2, so the clamp is hit before the cutoff ends
         a = np.array([[0.5, 0.2, 0.0], [0.2, -1.5, 0.1], [0.0, 0.1, 0.3]])
-        tf = TestFunction(flat_chart, a, alpha=0.7, r_s=1.2, scale=1.5)
+        tf = TestFunction(flat_chart, a, r_s=1.2)
         rng = np.random.default_rng(7)
         dirs = rng.normal(size=(64, 3))
         dirs[:4] = np.eye(3)[[0, 1, 1, 2]]
@@ -424,7 +413,7 @@ class TestRayForm:
     def _max_rel(self, tf, dirs, r, da=None):
         ref = self._pointwise(tf, dirs, r)
         if da is not None:
-            tf = TestFunction(tf.nchart, tf.a + da, tf.alpha, tf.r_s, tf.scale)
+            tf = TestFunction(tf.nchart, tf.a + da, tf.r_s)
         got = self._rays(tf, dirs, r)
         return max(
             float(np.max(np.abs(g - f) / np.maximum(np.abs(f), 1e-300)))
@@ -434,10 +423,9 @@ class TestRayForm:
     def test_grid_covers_ramp_and_clamp(self, case):
         tf, dirs, r = case
         eta2, _ = eta2_pointwise(
-            tf, (dirs[:, None, :] * r[:, :, None]).reshape(-1, 3), self.T,
-            r.ravel(),
+            tf, (dirs[:, None, :] * r[:, :, None]).reshape(-1, 3), r.ravel()
         )
-        clamped = eta2 <= tf.scale**2 * 1e-300
+        clamped = eta2 <= 1e-300
         ramp = (r.ravel() > 0.5 * tf.r_s) & ~clamped
         assert clamped.sum() > 50 and ramp.sum() > 500
 
@@ -458,7 +446,7 @@ class TestRayForm:
         tf, dirs, r = case
         q = np.einsum("di,di->d", dirs, dirs @ tf.a)[:, None]
         val, kappa, beta2 = tf.eta2_with_grad(q, r, self.T)
-        clamped = val <= tf.scale**2 * 1e-300
+        clamped = val <= 1e-300
         assert clamped.any()
         # grad eta^2 = 0 leaves M = -x/4t
         assert np.all(kappa[clamped] == -r[clamped] / (4.0 * self.T))
@@ -474,7 +462,7 @@ class TestRayForm:
         # away from where eta^2 reaches zero (the clamp and the end of the
         # cutoff), since u = sqrt(...) bends sharply there
         q = np.einsum("di,di->d", dirs, dirs @ tf.a)[:, None]
-        smooth = (1.0 + q * (r + 2 * h) ** 2 + tf.alpha * self.T > 0.05) & (
+        smooth = (1.0 + q * (r + 2 * h) ** 2 > 0.05) & (
             r < 0.95 * tf.r_s
         )
         fd = (u_hi - u_lo) / (2 * h)
@@ -504,7 +492,7 @@ class TestNewtonCrossings:
         # crossing, leaves a residual near 3e-5
         monkeypatch.setattr(_numerics, "_NEWTON_CAP", 1)
         tf = build_test_function(
-            flat_chart, None, mode=np.diag([0.3, -0.1, 0.05]), alpha=0.0,
+            flat_chart, None, mode=np.diag([0.3, -0.1, 0.05]),
             r_s=1.2,
         )
         with pytest.raises(LevelSetDegenerate, match="did not converge"):
@@ -554,7 +542,7 @@ class TestTwoStageCrossings:
     ], ids=["c08", "eta2_cliff", "lambda_I", "K1"])
     def test_matches_the_gaussian_start(self, flat_chart, a, r_s, t, K,
                                         levels, order):
-        tf = TestFunction(flat_chart, a, alpha=0.0, r_s=r_s)
+        tf = TestFunction(flat_chart, a, r_s=r_s)
         res = symmetrize(tf, t=t, K=K, levels=levels, order=order)
         volumes, r_bar, coarea, steps = _gaussian_start_sweep(
             tf, t, K, levels, order)
@@ -572,8 +560,7 @@ class TestTwoStageCrossings:
         crossings start from the Gaussian crossing, and converge."""
         import curvex.isoperimetry as iso
 
-        tf = TestFunction(flat_chart, np.diag([0.3, -0.1, 0.05]), alpha=0.0,
-                          r_s=1.2)
+        tf = TestFunction(flat_chart, np.diag([0.3, -0.1, 0.05]), r_s=1.2)
         levels, order = 64, 8
         want = _gaussian_start_sweep(tf, 0.01, 0.0, levels, order)
         dirs = ray_bundle(3, order, ((0,), (1,), (2,)), flat_chart)[0]
@@ -609,7 +596,7 @@ def test_symmetrize_peak_memory(flat_chart):
     """The c08 configuration stays well below the 708 MB that dense
     (nd * m, n) coordinate arrays took."""
     tf = build_test_function(
-        flat_chart, None, mode=np.diag([0.3, -0.1, 0.05]), alpha=0.0, r_s=1.6
+        flat_chart, None, mode=np.diag([0.3, -0.1, 0.05]), r_s=1.6
     )
     tracemalloc.start()
     try:

@@ -582,7 +582,7 @@ def test_runtime_paths_load_no_scipy():
                           quad=QuadratureSpec(order=10))
         flat = make_chart(ModelSpec("flat", 3, halfwidth=2.0))
         tf = build_test_function(build_normal_chart(flat, np.zeros(3), 1.6),
-                                 mode=np.diag([0.3, -0.1, 0.05]), alpha=0.0,
+                                 mode=np.diag([0.3, -0.1, 0.05]),
                                  r_s=1.6)
         symmetrize(tf, t=0.01, levels=64, order=12)
         mu_ball(3, 0.0, 2.0, 0.01)
@@ -605,8 +605,8 @@ def test_timed_calls_import_nothing():
     run_expansion, ball_volume and assess_rigidity call load no further
     module: a lazy import on a first call (np.unique on integers loads
     numpy.ma, a random draw numpy.random) costs every fresh interpreter
-    once.  make_chart probes positive definiteness on fixed points; the
-    rigidity points are given, since its default ones are drawn."""
+    once.  make_chart probes positive definiteness, and assess_rigidity
+    takes its default points, on fixed points of the chart box."""
     script = textwrap.dedent(
         """
         import sys
@@ -624,11 +624,11 @@ def test_timed_calls_import_nothing():
         ball_volume(build_normal_chart(s3, np.zeros(3), 0.9),
                     np.linspace(0.1, 0.8, 5))
         tf = build_test_function(build_normal_chart(flat, np.zeros(3), 1.6),
-                                 mode=np.diag([0.3, -0.1, 0.05]), alpha=0.0,
+                                 mode=np.diag([0.3, -0.1, 0.05]),
                                  r_s=1.6)
         symmetrize(tf, t=0.01, levels=64, order=12)
         mu_ball(3, 0.0, 2.0, 0.01)
-        assess_rigidity(s3, 1.0, points=[np.zeros(3), np.full(3, 0.2)])
+        assess_rigidity(s3, 1.0)
         print(sorted(set(sys.modules) - before))
         """
     )

@@ -51,13 +51,20 @@ def test_geometry_is_read_by_the_ray_evaluator_alone():
 
 
 def test_random_draws_stay_out_of_the_quadrature():
-    """Every rule is deterministic: the only random generators seed the
-    rigidity sample points and the CLI's moment self-test matrices (the
-    positive-definiteness probe reads fixed points, charts._box_points)."""
-    assert sorted(_callers("default_rng")) == [
-        ("cli.py", "_moments_selftest"),
-        ("rigidity.py", "_sample_points"),
-    ]
+    """Every rule is deterministic: the only random generator seeds the
+    CLI's moment self-test matrices (the positive-definiteness probe and
+    the default rigidity points read fixed points, charts._box_points)."""
+    assert sorted(_callers("default_rng")) == [("cli.py", "_moments_selftest")]
+
+
+def test_no_time_shift_or_scale_is_read():
+    """The test function is (a, r_s): a time shift alpha t of its profile
+    is a/(1 + alpha t) and a factor on u cancels in every normalized
+    functional, so no curvex module reads an `alpha` or a `scale`
+    attribute."""
+    reads = _found(lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in ("alpha", "scale"))
+    assert [(file, scope, node.attr) for file, scope, node in reads] == []
 
 
 def test_one_fold_policy():
@@ -184,12 +191,12 @@ def test_symmetrize_refuses_every_chart_but_flat():
     quad = QuadratureSpec(rule="radial_sphere", order=8)
     for spec in specs:
         nc = prepare_normal_chart(make_chart(spec), np.zeros(3), 0.6, quad)
-        tf = build_test_function(nc, mode="zero", alpha=0.0, r_s=0.6)
+        tf = build_test_function(nc, mode="zero", r_s=0.6)
         with pytest.raises(ConfigInvalid, match="flat"):
             symmetrize(tf, t=0.001, levels=64, order=8)
     flat = prepare_normal_chart(make_chart(ModelSpec("flat", 3)), np.zeros(3),
                                 0.6, quad)
-    tf = build_test_function(flat, mode="zero", alpha=0.0, r_s=0.6)
+    tf = build_test_function(flat, mode="zero", r_s=0.6)
     assert symmetrize(tf, t=0.001, levels=64, order=8).mass_original > 0
 
 
