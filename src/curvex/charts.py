@@ -25,45 +25,42 @@ records a warp f (MetricChart.warp) where the metric reads dr^2 +
 f(r)^2 g_{S^{n-1}} in geodesic polar coordinates about the origin of its
 box (Petersen, Riemannian Geometry, 3rd ed., 2016): f = r on flat space
 (about every point), f = sn_K on a space form, and on a conformal chart
-with a RadialProfile the f of its straight rays.  A 'warped' normal chart
-at such a centre reads all its geometry from f; every other centre ('ode'
-charts: S^2 x R, off-centre points, hand-built charts) integrates the
-geodesic equation together with its variational (Jacobi) system along a
-fixed bundle of rays, since that is the shape the radial-spherical
-quadrature consumes.  make_chart also marks each chart with the symmetry
-of its metric about the origin of its cube box (MetricChart.symmetry): a
-partition of the coordinates into blocks whose block group O(n_1) x ...
-x O(n_k), each factor acting on its own block, leaves the metric
-invariant, or None.  A single space-form block (flat, space_form) and a
-conformal chart whose profile is a RadialProfile are one block, a direct
-sum of space forms (product_sphere_line) its blocks' coordinates ({0, 1},
-{2} on S^2 x R), and a plain-callable profile or a hand-built chart carry
-None.  At that origin the geodesic along an image of a direction under
+with a RadialProfile the f of its straight rays.  The normal chart at
+such a centre, a WarpedNormalChart, reads all its geometry from f; at
+every other centre (S^2 x R, off-centre points, hand-built charts) an
+OdeNormalChart integrates the geodesic equation together with its
+variational (Jacobi) system along a fixed bundle of rays, since that is
+the shape the radial-spherical quadrature consumes.  make_chart also
+marks each chart with the symmetry of its metric about the origin of its
+cube box (MetricChart.symmetry): a partition of the coordinates into
+blocks whose block group O(n_1) x ... x O(n_k), each factor acting on
+its own block, leaves the metric invariant, or None.  A single
+space-form block (flat, space_form) and a conformal chart whose profile
+is a RadialProfile are one block, a direct sum of space forms
+(product_sphere_line) its blocks' coordinates ({0, 1}, {2} on S^2 x R),
+and a plain-callable profile or a hand-built chart carry None.  At that origin the geodesic along an image of a direction under
 the group is the image of its geodesic, so an ode bundle may be the orbit
 rule of the group (functionals.ray_bundle) or of any subgroup, its
 weights counting the rays each ray stands for: 8 rays instead of 512 on
 S^2 x R at order 16, the orthant of the rule for singleton blocks.  An
-'ode' chart keeps one radius-major table, built once at the sample radii,
-a block of radii at a time, with cofactor determinants and inverses for
-n <= 3.  Per ray it holds the density and, in an orthonormal basis B_d of
-the plane orthogonal to the ray d, the n(n-1)/2 upper entries of
-B_d^T g~^{-1} B_d (off-diagonal ones doubled; 4 columns in all at n = 3),
-under one not-a-knot cubic spline in r, so reading it at the quadrature
-radii inverts nothing.  The integrator samples only the exp points and the
-Jacobi fields, at the table radii and at the radii of the scalar-curvature
-grid together (its steps do not depend on where it samples); the exp
-points are kept only on that grid, and Sc is evaluated there the first
-time it is asked for.  The build raises JacobianSingular where det(J/r)
-changes sign (a conjugate point) and QuadratureNotConverged where the Gauss
-lemma g~^{-1} y = y, checked on the full g~^{-1}, fails by more than 1e-8.
-Both kinds answer one call, NormalChart.geometry(r, w) -> (density,
-w.g~^{-1}w) for covectors w orthogonal to the ray: with the Gauss lemma
-that is all the metric a radial kernel needs.  A second call,
-NormalChart.scalar(r), gives Sc, which only the W-functional reads.  Ball
-volumes, sphere areas and the radius of a given volume all come from a
-third call, NormalChart.shell(r), the area of the geodesic sphere: on an
-'ode' chart a sum over the bundle, under the weights of the sphere rule
-its rays came from, of the density column of its one table spline.
+OdeNormalChart keeps one radius-major table, built once at the sample
+radii, a block of radii at a time, with cofactor determinants and
+inverses for n <= 3.  Per ray it holds the density and, in an orthonormal
+basis B_d of the plane orthogonal to the ray d, the n(n-1)/2 upper
+entries of B_d^T g~^{-1} B_d (off-diagonal ones doubled; 4 columns in all
+at n = 3), under one not-a-knot cubic spline in r, so reading it at the
+quadrature radii inverts nothing.  The integrator samples only the exp
+points and the Jacobi fields, at the table radii and at the radii of the
+scalar-curvature grid together (its steps do not depend on where it
+samples); the exp points are kept only on that grid, and Sc is evaluated
+there the first time it is asked for.  The build raises JacobianSingular
+where det(J/r) changes sign (a conjugate point) and QuadratureNotConverged
+where the Gauss lemma g~^{-1} y = y, checked on the full g~^{-1}, fails by
+more than 1e-8.  Both classes answer NormalChart's interface, geometry,
+scalar and shell (the area of the geodesic sphere: on an OdeNormalChart
+a sum over the bundle, under the weights of the sphere rule its rays
+came from, of the density column of its table spline), and no code tells
+them apart: what needs a shot bundle reads NormalChart.dirs.
 """
 
 from __future__ import annotations
@@ -99,6 +96,8 @@ __all__ = [
     "ModelSpec",
     "MetricChart",
     "NormalChart",
+    "WarpedNormalChart",
+    "OdeNormalChart",
     "make_chart",
     "curvature_at",
     "scalar_curvature_batch",
@@ -709,19 +708,6 @@ def _frame(g):
 _ROT = np.array([1, 2, 0]), np.array([2, 0, 1])  # i+1, i+2 mod 3
 
 
-def _det(a):
-    """det a for a stack (..., n, n): expansion along the first row for
-    n <= 3, LAPACK above; the same value _det_inv returns."""
-    n = a.shape[-1]
-    if n > 3:
-        return np.linalg.det(a)
-    if n == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    i1, i2 = _ROT
-    cof0 = a[..., 1, i1] * a[..., 2, i2] - a[..., 1, i2] * a[..., 2, i1]
-    return np.einsum("...j,...j->...", a[..., 0, :], cof0)
-
-
 def _det_inv(a):
     """(det a, a^{-1}) for a stack (..., n, n) of matrices: the cofactors
     over the determinant for n <= 3, LAPACK above."""
@@ -796,13 +782,15 @@ class _GenericCurvature:
 
 
 def curvature_at(
-    chart: MetricChart, x, want_hessian: bool = True
+    chart: MetricChart, x, want_hessian: bool = False
 ) -> CurvatureData:
-    """Full curvature package at a point, in an orthonormal frame.
+    """Curvature package at a point, in an orthonormal frame.
 
-    A homogeneous chart returns its constant `curvature`.  The generic
-    path needs room for nested stencils, so x must sit a few differencing
-    steps away from the domain boundary.
+    A homogeneous chart returns its constant `curvature`.  Elsewhere
+    grad_rc and hess_rc, which only density_series reads, are left None
+    unless want_hessian.  The generic path needs room for nested
+    stencils, so x must sit a few differencing steps away from the domain
+    boundary.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (chart.n,):
@@ -995,79 +983,107 @@ class _ConformalWarp(_Warp):
 
 
 class NormalChart:
-    """Geodesic normal coordinates at a center point.
+    """Geodesic normal coordinates of radius `radius` at a center point.
 
-    kind 'warped' gets all its geometry from the warp f of the chart at
-    the centre (MetricChart.warp); kind 'ode' carries spline tables along
-    a fixed direction bundle, with the weights of the sphere rule behind
-    it, and only serves the radial-spherical node layout.  Both answer the
-    geometry, scalar and shell calls.
+    Its two classes answer one interface: geometry(r, w) -> (density,
+    w.g~^{-1}w) at x = r d for covectors w orthogonal to d, which by the
+    Gauss lemma g~^{-1} d = d is all the metric a radial kernel needs,
+    the leading axes of w (..., n) broadcasting against r; scalar(r), Sc;
+    shell(r), the area of the geodesic sphere; and record(), the entries
+    run_expansion's meta takes from the chart.  symmetry is the partition
+    the nodes may fold onto.  A chart that pins its rays holds them as
+    dirs (nd, n) with their sphere-rule weights (nd,), summing to the
+    area; nfev counts the right-hand-side calls of its shooting and
+    gauss_residual is the largest |g~^{-1} y - y| in its tables.
     """
 
-    def __init__(self, chart, center, radius, kind, warp=None):
+    kind: str  # 'warped' or 'ode', as meta and the CLI record it
+    dirs = weights = None
+    nfev = 0
+    gauss_residual = None
+
+    def __init__(self, chart, center, radius, symmetry: Partition | None):
         self.chart = chart
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
-        self.kind = kind
-        self.warp = warp  # the warp a 'warped' chart reads
         self.n = chart.n
-        self.dirs = None  # ray directions (nd, n) of an ode chart
-        self.weights = None  # their sphere-rule weights (nd,), summing to the area
-        # the partition the nodes may fold onto: one block on a warped
-        # chart, whose geometry depends on the radius alone; on an ode
-        # chart the fold its bundle was shot with (build_normal_chart),
-        # which pins it
-        self.symmetry = None if kind == "ode" else (tuple(range(self.n)),)
-        self.nfev = 0  # right-hand-side calls of the geodesic shooting (ode)
-        self.gauss_residual = None  # largest |g~^{-1} y - y| in the table (ode)
-        self._basis = None  # orthonormal bases B_d (nd, n, n-1) of d^perp (ode)
-        # spline in r of (nd, 1 + n(n-1)/2): density, the upper entries of
-        # B_d^T g~^{-1} B_d with the off-diagonal ones doubled (ode)
-        self._table = None
-        self._sc_pts = None  # exp points (_SC_RADII, nd, n) on the Sc grid
-        self._sc_spline = None
+        self.symmetry = symmetry
+
+    def record(self) -> dict:
+        return {"normal_chart": self.kind}
+
+
+class WarpedNormalChart(NormalChart):
+    """The normal chart at a warped centre, whose geometry depends on the
+    radius alone (symmetry: one block): from the warp f, the density is
+    (f(r)/r)^{n-1}, g~^{-1} = P + (r/f(r))^2 (I - P) with P the radial
+    projector, so w.g~^{-1}w = (r/f(r))^2 |w|^2, Sc is the warp's (n(n-1)K
+    on M^n_K) and the sphere area |S^{n-1}| f(r)^{n-1}."""
+
+    kind = "warped"
+
+    def __init__(self, chart, center, radius, warp: _Warp):
+        super().__init__(chart, center, radius, (tuple(range(chart.n)),))
+        self.warp = warp
 
     def geometry(self, r, w):
-        """(density, w.g~^{-1}w) at x = r d for covectors w orthogonal to d.
-
-        By the Gauss lemma g~^{-1} d = d, so these two scalars are all the
-        metric a radial kernel needs.  The leading axes of w (..., n)
-        broadcast against r: points (m, n) against r (m,), or rays
-        (nd, 1, n) against radii (nr,).  On a warped chart the density is
-        (f(r)/r)^{n-1} and g~^{-1} = P + (r/f(r))^2 (I - P) with P the
-        radial projector, so w.g~^{-1}w = (r/f(r))^2 |w|^2.  An ode chart
-        takes one covector per ray of its bundle, writes it as w = B_d c
-        with c = B_d^T w, evaluates its spline at the radii and contracts
-        the tangential block with the products c_i c_j, i <= j; its
-        outputs are (nd, nr).
-        """
-        r = np.asarray(r, dtype=float)
-        n = self.n
-        if self.kind == "ode":
-            nd = self.dirs.shape[0]
-            if w.size != nd * n:
-                raise InvalidSpec(f"ode chart takes one covector per ray ({nd})")
-            if r.ndim != 1:
-                raise InvalidSpec(
-                    f"ode chart takes one radius vector (nr,) for all its rays, "
-                    f"not shape {r.shape}")
-            # beyond r0 the cutoff is zero
-            tab = self._table(np.minimum(r, self.radius))  # (nr, nd, 1 + n(n-1)/2)
-            c = np.einsum("dk,dkj->dj", w.reshape(nd, n), self._basis)
-            i, j = np.triu_indices(n - 1)
-            wgw = np.einsum("rdk,dk->dr", tab[..., 1:], c[:, i] * c[:, j])
-            return tab[..., 0].T, wgw
-        s = self.warp.f_over_r(r)
+        s = self.warp.f_over_r(np.asarray(r, dtype=float))
         w2 = np.einsum("...i,...i->...", w, w)
-        return s ** (n - 1), w2 / s**2
+        return s ** (self.n - 1), w2 / s**2
 
     def scalar(self, r):
-        """Scalar curvature at x = r d: the warp's on a warped chart (the
-        constant n(n-1)K on M^n_K), and (nd, nr) on an ode chart, from a
-        spline in r through Sc at its _SC_RADII x nd exp points, built on
-        the first call (only the W-functional reads Sc)."""
-        if self.kind != "ode":
-            return self.warp.scalar(r)
+        return self.warp.scalar(r)
+
+    def shell(self, r):
+        return self.n * omega_n(self.n) * self.warp.f(r) ** (self.n - 1)
+
+
+class OdeNormalChart(NormalChart):
+    """The normal chart shot along the rays dirs (_ode_normal_chart), for
+    the radial-spherical node layout alone; symmetry is the fold the
+    bundle was shot with, which pins it.  _basis holds orthonormal bases
+    B_d (nd, n, n-1) of the planes d^perp, _table the spline in r of the
+    density and the upper entries of B_d^T g~^{-1} B_d, off-diagonal ones
+    doubled, (nd, 1 + n(n-1)/2), and _sc_pts the exp points
+    (_SC_RADII, nd, n) of the Sc grid."""
+
+    kind = "ode"
+
+    def __init__(self, chart, center, radius, dirs, weights, fold, basis,
+                 table, sc_pts, nfev, gauss_residual):
+        super().__init__(chart, center, radius, fold)
+        self.dirs, self.weights = dirs, weights
+        self.nfev, self.gauss_residual = nfev, gauss_residual
+        self._basis, self._table, self._sc_pts = basis, table, sc_pts
+        self._sc_spline = None
+
+    def record(self) -> dict:
+        return {**super().record(), "nfev": self.nfev,
+                "gauss_residual": self.gauss_residual}
+
+    def geometry(self, r, w):
+        """(nd, nr): one covector per ray of the bundle against one radius
+        vector r (nr,).  It writes w = B_d c with c = B_d^T w, evaluates
+        the table at the radii and contracts its tangential block with the
+        products c_i c_j, i <= j."""
+        r = np.asarray(r, dtype=float)
+        n, nd = self.n, self.dirs.shape[0]
+        if w.size != nd * n:
+            raise InvalidSpec(f"ode chart takes one covector per ray ({nd})")
+        if r.ndim != 1:
+            raise InvalidSpec(
+                f"ode chart takes one radius vector (nr,) for all its rays, "
+                f"not shape {r.shape}")
+        # beyond r0 the cutoff is zero
+        tab = self._table(np.minimum(r, self.radius))  # (nr, nd, 1 + n(n-1)/2)
+        c = np.einsum("dk,dkj->dj", w.reshape(nd, n), self._basis)
+        i, j = np.triu_indices(n - 1)
+        wgw = np.einsum("rdk,dk->dr", tab[..., 1:], c[:, i] * c[:, j])
+        return tab[..., 0].T, wgw
+
+    def scalar(self, r):
+        """(nd, nr), from a spline in r through Sc at the exp points of the
+        Sc grid, built on the first call (only the W-functional reads Sc)."""
         if self._sc_spline is None:
             rg = np.linspace(0.0, self.radius, _SC_RADII)
             sc = scalar_curvature_batch(self.chart, self._sc_pts.reshape(-1, self.n))
@@ -1075,14 +1091,9 @@ class NormalChart:
         return self._sc_spline(np.minimum(r, self.radius)).T
 
     def shell(self, r):
-        """Area of the geodesic sphere of radius r (any shape).
-
-        On a warped chart it is |S^{n-1}| f(r)^{n-1}.  An ode chart sums
-        density_d(r) r^(n-1) over its rays with the sphere-rule weights,
-        the density read from its one table spline; the Sc spline stays
+        """density_d(r) r^(n-1) summed over the rays under the sphere-rule
+        weights, the density read from the table; the Sc spline stays
         unbuilt."""
-        if self.kind != "ode":
-            return self.n * omega_n(self.n) * self.warp.f(r) ** (self.n - 1)
         r = np.asarray(r, dtype=float)
         dens = self._table(np.minimum(r, self.radius).ravel())[..., 0]
         return (dens @ self.weights).reshape(r.shape) * r ** (self.n - 1)
@@ -1093,7 +1104,7 @@ _SC_RADII = 65  # radii of the lazily built Sc spline of an ode chart
 _GAUSS_TOL = 1e-8  # largest |g~^{-1} y - y| an ode table may carry
 
 
-def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol):
+def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol, fold=None):
     n = chart.n
     dirs, weights = (np.asarray(a, dtype=float) for a in rule)
     if dirs.ndim != 2 or dirs.shape[1] != n or weights.shape != dirs.shape[:1]:
@@ -1175,7 +1186,7 @@ def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol):
         Jr = Jr / np.where(r > 0, r, 1.0)[:, None, None, None]
         if lo == 0:
             Jr[0] = E
-        if np.any(_det(Jr) <= 0):
+        if np.any(_det_inv(Jr)[0] <= 0):
             raise JacobianSingular(
                 "exp-map Jacobian changes sign: the normal radius crosses a "
                 "conjugate point"
@@ -1194,15 +1205,10 @@ def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol):
             f"{_GAUSS_TOL:.0e}; tighten rtol"
         )
 
-    nc = NormalChart(chart, p, r0, "ode")
-    nc.dirs, nc.weights = dirs, weights
-    nc.nfev = nfev
-    nc.gauss_residual = gauss
-    nc._basis = basis
-    nc._sc_pts = y[row_sc, sl_x].reshape(_SC_RADII, nd, n)
+    sc_pts = y[row_sc, sl_x].reshape(_SC_RADII, nd, n)
     del y, ys, pts  # ys is a copy, pts a view of it
-    nc._table = CubicSpline(r_grid, tab)
-    return nc
+    return OdeNormalChart(chart, p, r0, dirs, weights, fold, basis,
+                          CubicSpline(r_grid, tab), sc_pts, nfev, gauss)
 
 
 def _centre_warp(chart: MetricChart, p) -> _Warp | None:
@@ -1234,11 +1240,12 @@ def build_normal_chart(
 
     At a warped centre (MetricChart.warp: flat space anywhere, a space
     form or a conformal chart with a RadialProfile at its exact origin) it
-    returns the 'warped' chart of that f, whatever rule and fold say: its
-    geometry depends on the radius alone.  Every other centre needs
+    returns the WarpedNormalChart of that f, whatever rule and fold say:
+    its geometry depends on the radius alone.  Every other centre needs
     `rule`, a sphere rule (directions (nd, n) and weights (nd,), as the
     product rule `sphere_rule(n, order)` returns them in every dimension,
-    at most 2^15 directions): it shoots geodesics along the directions,
+    at most 2^15 directions): its OdeNormalChart shoots geodesics along
+    the directions,
     tabulates the density and the tangential block of the inverse
     pulled-back metric along each ray and keeps the weights for its
     sphere areas.  fold, a partition of the coordinates, says the rule is
@@ -1284,13 +1291,11 @@ def build_normal_chart(
         # box ball is the honest bound
         if warp.rho(r0) > chart.domain.boundary_distance(p):
             raise OutOfDomain("normal ball leaves the chart domain")
-        return NormalChart(chart, p, r0, "warped", warp=warp)
+        return WarpedNormalChart(chart, p, r0, warp)
 
     if rule is None:
         raise InvalidSpec("generic normal charts need a sphere rule")
-    nc = _ode_normal_chart(chart, p, r0, rule, r_samples, rtol)
-    nc.symmetry = fold
-    return nc
+    return _ode_normal_chart(chart, p, r0, rule, r_samples, rtol, fold)
 
 
 # ---------------------------------------------------------------------------

@@ -95,11 +95,10 @@ def _chart_from(cfg: configparser.ConfigParser):
 
 
 def _quad_from(cfg: configparser.ConfigParser):
-    sec = _section(cfg, "quadrature", "rule order c_trunc")
+    sec = _section(cfg, "quadrature", "rule order")
     return QuadratureSpec(
         rule=sec.get("rule", "auto"),
         order=int(sec.get("order", 40)),
-        c_trunc=float(sec.get("c_trunc", 10.0)),
     )
 
 
@@ -181,7 +180,7 @@ def _volume(cfg, seed):
     radii = np.linspace(r_hi / points, r_hi, points)
     vols = ball_volume(nc, radii)
     fit = fit_volume_series(radii, vols, chart.n)
-    curv = curvature_at(chart, np.zeros(chart.n), want_hessian=False)
+    curv = curvature_at(chart, np.zeros(chart.n))
     r2_pred, r4_pred = predict_volume(curv)
     r2_ok = _close(fit.c1, r2_pred, float(sec.get("r2_rtol", 0.01)),
                    float(sec.get("r2_atol", 1e-9)))

@@ -238,7 +238,7 @@ def run_expansion(
         raise ConfigInvalid("functional must be 'L' or 'W'")
     p = np.asarray(p, dtype=float)
     if curv is None:
-        curv = curvature_at(chart, p, want_hessian=False)
+        curv = curvature_at(chart, p)
     if r_s is None:
         raise ConfigInvalid("r_s is required")
     if t_max is None:
@@ -263,12 +263,8 @@ def run_expansion(
             "r_s": r_s,
             "order": quad.order,
             **ran,
-            "normal_chart": nc.kind,
             "christoffel": chart.christoffel_route,
-            **(
-                {"nfev": nc.nfev, "gauss_residual": nc.gauss_residual}
-                if nc.kind == "ode" else {}
-            ),
+            **nc.record(),
         },
     )
 

@@ -114,6 +114,7 @@ __all__ = [
 
 ETA_FLOOR = 1e-300
 ERR_DROP = 6  # order decrement of the error-estimate rule
+C_TRUNC = 10.0  # z-radius of the split radial rule's end; t <= (r_s/C_TRUNC)^2
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,6 @@ class QuadratureSpec:
     # functionals, and gaussian_integral takes it as hermite for n <= 4
     rule: str = "auto"
     order: int = 40
-    c_trunc: float = 10.0
     # read by nothing: every rule is deterministic, but perfbench's cases
     # still pass seed=, so the field stays until that call drops it
     seed: int = 1234
@@ -132,8 +132,6 @@ class QuadratureSpec:
             raise ConfigInvalid(f"unknown quadrature rule {self.rule!r}")
         if self.order < 8:
             raise ConfigInvalid("quadrature order below 8")
-        if self.c_trunc <= 3.0:
-            raise ConfigInvalid("truncation radius must exceed 3")
 
 
 # arrays from this size up evaluate the smoothstep beyond s = 1/2 alone;
@@ -500,7 +498,7 @@ def _laguerre_m(order: int) -> int:
     return order // 2 + 4
 
 
-def _radial_nodes(order: int, n: int, kink: float = np.inf, c: float = 10.0):
+def _radial_nodes(order: int, n: int, kink: float = np.inf):
     """z-radii rho and weights of the radial factor: the integral of
     rho^(n-1) e^(-rho^2) g(rho) over rho >= 0 for a g with cutoff kinks
     at kink and 2 kink (none for kink = inf).
@@ -511,49 +509,49 @@ def _radial_nodes(order: int, n: int, kink: float = np.inf, c: float = 10.0):
     d rho is v^((n-2)/2) e^(-v) dv / 2, so the weights are half the
     Laguerre weights, exact on the Gaussian, the same for every t, with
     _laguerre_m(order) nodes.  Before that, Gauss-Legendre with order
-    points on each piece of [0, min(c, 2 kink)], past which the integrand
-    vanishes, split at 3 and at the kinks, times the Gaussian factor."""
+    points on each piece of [0, min(C_TRUNC, 2 kink)], past which the
+    integrand vanishes, split at 3 and at the kinks, times the Gaussian
+    factor."""
     if kink >= _LAGUERRE_MIN_KINK:
         v, w = gauss_laguerre(_laguerre_m(order), (n - 2) / 2.0)
         return np.sqrt(v), 0.5 * w
-    c = min(c, 2.0 * kink)
+    c = min(C_TRUNC, 2.0 * kink)
     brk = sorted({0.0, min(3.0, c), c} | {k for k in (kink, 2.0 * kink) if k < c})
     rho, wr = composite_gauss_legendre(brk, order)
     return rho, wr * rho ** (n - 1) * np.exp(-(rho**2))
 
 
 def ray_bundle(n: int, order: int, fold: Partition | None = None, nchart=None):
-    """Directions (nd, n) and weights (nd,) of a radial rule's rays: an
-    ode nchart's own bundle, pinned when it was shot (order then refines
-    the radii alone), else sphere_rule(n, order) for fold None and the
-    orbit rule of the partition fold otherwise (n singletons: the
-    orthant; one block: one ray)."""
-    if nchart is not None and nchart.kind == "ode":
+    """Directions (nd, n) and weights (nd,) of a radial rule's rays: the
+    bundle nchart pins (NormalChart.dirs; order then refines the radii
+    alone), else sphere_rule(n, order) for fold None and the orbit rule
+    of the partition fold otherwise (n singletons: the orthant; one
+    block: one ray)."""
+    if nchart is not None and nchart.dirs is not None:
         return nchart.dirs, nchart.weights
     if fold is None:
         return sphere_rule(n, order)
     return orbit_rule(order, fold)
 
 
-def _nodes(rule, n, order, c, kink=np.inf, fold=None, nchart=None):
+def _nodes(rule, n, order, kink=np.inf, fold=None, nchart=None):
     """Unit directions d, z-radii rho and weights of one rule; the weights
     carry the Gaussian factor and the pi^{-n/2} normalization.
 
     hermite lays m nodes out as d (m, n), rho (m,), weights (m,);
     radial_sphere as rays d (nd, 1, n) times the radii rho (nr,) of
-    _radial_nodes for the first cutoff kink at kink (truncated at c
-    on its split rule), weights (nd, nr).  A fold, a partition (see
-    resolve_rule), takes both onto the orbit space of its block group:
-    the hermite grid by _hermite_nodes, the radial_sphere directions by
-    ray_bundle's orbit rule.  On an ode nchart the rays are the chart's
-    own bundle, folded or not."""
+    _radial_nodes for the first cutoff kink at kink, weights (nd, nr).  A
+    fold, a partition (see resolve_rule), takes both onto the orbit space
+    of its block group: the hermite grid by _hermite_nodes, the
+    radial_sphere directions by ray_bundle's orbit rule.  On an nchart
+    that pins its rays they are its own bundle, folded or not."""
     if rule == "hermite":
         if n > 4:  # order^n nodes: 1e8 at the default order and n = 5
             raise ConfigInvalid("product Hermite grids are limited to n <= 4")
         return _hermite_nodes(n, order, fold)
     if rule != "radial_sphere":
         raise ConfigInvalid(f"unknown rule {rule!r}")
-    rho, radial_w = _radial_nodes(order, n, kink, c)
+    rho, radial_w = _radial_nodes(order, n, kink)
     dirs, wd = ray_bundle(n, order, fold, nchart)
     wts = wd[:, None] * radial_w[None, :] / np.pi ** (n / 2.0)
     return dirs[:, None, :], rho, wts
@@ -568,14 +566,16 @@ def resolve_rule(tf: TestFunction, quad: QuadratureSpec):
     diagonal a gives the nodes of one orbit of the block group of its
     equal entries identical values: fold_level decides, and both rules
     fold onto its partition.  A warped chart is rotation invariant, so
-    there a alone decides.  An ode chart's nodes are its bundle, pinned at
-    the fold it was shot with, so an a that allows less raises
-    ConfigInvalid (prepare_normal_chart shoots the bundle a needs)."""
+    there a alone decides.  A chart that pins its rays (NormalChart.dirs,
+    shot at the fold it holds) runs its nodes on them, so an a that allows
+    less raises ConfigInvalid (prepare_normal_chart shoots the bundle a
+    needs)."""
     nc = tf.nchart
     rule = "radial_sphere" if quad.rule == "auto" else quad.rule
-    if nc.kind == "ode" and rule != "radial_sphere":
+    shot = nc.dirs is not None
+    if shot and rule != "radial_sphere":
         raise ConfigInvalid("ode normal charts support only the radial_sphere rule")
-    return rule, fold_level(tf.a, nc.symmetry, pinned=nc.kind == "ode")
+    return rule, fold_level(tf.a, nc.symmetry, pinned=shot)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +639,7 @@ def _time_batches(tf: TestFunction, t, order: int, rule: str,
     n = tf.nchart.n
     if rule == "hermite":
         shared = np.ones(t.shape, dtype=bool)
-        per_t = _nodes(rule, n, order, 0.0, fold=fold)[2].size
+        per_t = _nodes(rule, n, order, fold=fold)[2].size
     else:
         shared = _first_kink(tf, t) >= _LAGUERRE_MIN_KINK
         per_t = ray_bundle(n, order, fold, tf.nchart)[1].size * _laguerre_m(order)
@@ -672,7 +672,7 @@ def _eval_once(tf: TestFunction, t, quad: QuadratureSpec, order: int,
     nodes = rays = 0
     passes, shared = _time_batches(tf, t, order, rule, fold)
     for i in passes:
-        dirs, rho, wts = _nodes(rule, n, order, quad.c_trunc, kink[i[0]], fold, nc)
+        dirs, rho, wts = _nodes(rule, n, order, kink[i[0]], fold, nc)
         nt, ti, per = i.size, t[i], rho.size
         s2t = 2.0 * np.sqrt(ti)
         if rule == "hermite":
@@ -704,11 +704,10 @@ def _eval_once(tf: TestFunction, t, quad: QuadratureSpec, order: int,
     return sums, ran
 
 
-def check_time(tf: TestFunction, t: float, c_trunc: float,
-               monotone: bool = False):
+def check_time(tf: TestFunction, t: float, monotone: bool = False):
     """Checks, in this order, that t > 0, when monotone that u is radially
     nonincreasing (LevelSetDegenerate), and that the Gaussian fits inside
-    the cutoff, t <= (r_s / c_trunc)^2.
+    the cutoff, t <= (r_s / C_TRUNC)^2.
 
     Along x = r d, with q = d.a.d and P = 1 + q r^2,
     d log u^2/dr = cut'/(r_s cut) + r (4 t q - P) / (2 t P), where
@@ -725,9 +724,9 @@ def check_time(tf: TestFunction, t: float, c_trunc: float,
                 f"u is not radially nonincreasing: 1 must be at least "
                 f"4 t lambda_max(a) = {4.0 * t * lam:.6g}; the level sets "
                 "are not star-shaped")
-    if t > (tf.r_s / c_trunc) ** 2:
+    if t > (tf.r_s / C_TRUNC) ** 2:
         raise TimeTooLarge(
-            f"t={t} too large for support {tf.r_s} at truncation {c_trunc}: "
+            f"t={t} too large for support {tf.r_s} at truncation {C_TRUNC}: "
             "the Gaussian no longer fits inside the cutoff"
         )
 
@@ -747,7 +746,7 @@ def eval_components(
         raise ConfigInvalid(f"t must be a number or a 1-d array, not shape {ts.shape}")
     ts = ts.reshape(-1)
     for ti in ts.tolist():
-        check_time(tf, ti, quad.c_trunc)
+        check_time(tf, ti)
     # folded onto the blocks of a diagonal a's equal entries (lambda I: one)
     rule, fold = resolve_rule(tf, quad)
     hi, ran = _eval_once(tf, ts, quad, quad.order, rule, fold, want_sc)
@@ -861,7 +860,7 @@ def gaussian_integral(n: int, t: float, G, quad: QuadratureSpec = QuadratureSpec
         rule = "hermite" if n <= 4 else "radial_sphere"
 
     def once(order):
-        dirs, rho, W = _nodes(rule, n, order, quad.c_trunc)
+        dirs, rho, W = _nodes(rule, n, order)
         X = ((2.0 * np.sqrt(t) * rho)[..., None] * dirs).reshape(-1, n)
         return float((W.ravel() * np.asarray(G(X))).sum())  # as in _eval_once
 

@@ -210,7 +210,7 @@ def symmetrize(
     if levels < 64:
         raise ConfigInvalid("need at least 64 ladder levels")
     quad = QuadratureSpec(rule="radial_sphere", order=order)
-    check_time(tf, t, quad.c_trunc, monotone=True)
+    check_time(tf, t, monotone=True)
     n = tf.nchart.n
 
     # the sweep runs on the rays of the original side's rule, folded onto

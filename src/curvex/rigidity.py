@@ -138,7 +138,7 @@ def assess_rigidity(
     margins = []
     for p in points:
         p = np.asarray(p, dtype=float)
-        curv = curvature_at(chart, p, want_hessian=False)
+        curv = curvature_at(chart, p)
         m = scalar_bound_margin(curv, K)
         margins.append(m)
         checks.append(

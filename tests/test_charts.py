@@ -31,12 +31,12 @@ from curvex.charts import (
     _GenericCurvature,
     _JetEngine,
     _box_points,
-    _det,
     _det_inv,
 )
 from curvex.errors import (
     InvalidSpec,
     JacobianSingular,
+    MissingField,
     OutOfDomain,
     QuadratureNotConverged,
 )
@@ -345,8 +345,9 @@ class TestChristoffelRoutes:
 
     def test_closed_form_curvature_matches_finite_differences(self):
         p = np.array([0.15, -0.1, 0.125])
-        closed = curvature_at(_conformal(PROFILES["gaussian_bump"]), p)
-        fd = curvature_at(_conformal(_plain("gaussian_bump")), p)
+        closed = curvature_at(_conformal(PROFILES["gaussian_bump"]), p,
+                              want_hessian=True)
+        fd = curvature_at(_conformal(_plain("gaussian_bump")), p, want_hessian=True)
         assert closed.sc == pytest.approx(fd.sc, abs=1e-8)
         assert np.allclose(closed.rm, fd.rm, atol=1e-8)
         assert closed.lap_sc == pytest.approx(fd.lap_sc, abs=1e-4)
@@ -953,12 +954,20 @@ class TestDetInv:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_determinant_alone(self, n):
-        """The conjugate-point check's determinant: the one _det_inv
-        returns, bit for bit, and LAPACK's above n = 3."""
+        """The conjugate-point check's determinant, _det_inv's: the
+        expansion along the first row for n <= 3, bit for bit, and
+        LAPACK's above."""
         rng = np.random.default_rng(13)
         a = np.eye(n) + 0.25 * rng.normal(size=(4, 50, n, n))
-        want = np.linalg.det(a) if n > 3 else _det_inv(a)[0]
-        assert np.array_equal(_det(a), want)
+        if n == 2:
+            want = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        elif n == 3:
+            i1, i2 = [1, 2, 0], [2, 0, 1]
+            cof0 = a[..., 1, i1] * a[..., 2, i2] - a[..., 1, i2] * a[..., 2, i1]
+            want = np.einsum("...j,...j->...", a[..., 0, :], cof0)
+        else:
+            want = np.linalg.det(a)
+        assert np.array_equal(_det_inv(a)[0], want)
 
 
 class TestDensitySeries:
@@ -997,6 +1006,14 @@ class TestDensitySeries:
             assert err[0] < 5e-8  # r = 0.05: remainder is O(r^5)
             assert err[1] < 1e-6
             assert err[3] < 5e-4
+
+    def test_default_package_has_no_hessian(self, conformal_chart):
+        """curvature_at leaves grad_rc and hess_rc out unless asked, so
+        density_series refuses its default package."""
+        c = curvature_at(conformal_chart, np.zeros(3))
+        assert c.grad_rc is None and c.hess_rc is None
+        with pytest.raises(MissingField):
+            density_series(c)
 
     def test_ev_from_chart_matches_algebraic_identity(self, conformal_chart):
         c = curvature_at(conformal_chart, np.zeros(3), want_hessian=True)

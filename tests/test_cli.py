@@ -407,11 +407,13 @@ class TestExitCodes:
         assert main(["rigidity", "--config", cfg, "--out",
                      str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("line", ["ordr = 12", "seed = 3"],
-                             ids=["misspelt_order", "removed_seed"])
+    @pytest.mark.parametrize("line", ["ordr = 12", "seed = 3", "c_trunc = 10"],
+                             ids=["misspelt_order", "removed_seed",
+                                  "removed_c_trunc"])
     def test_unknown_quadrature_key_is_1(self, tmp_path, capsys, line):
-        """A [quadrature] key other than rule, order and c_trunc is an error,
-        not a silent run at the defaults."""
+        """A [quadrature] key other than rule and order is an error, not a
+        silent run at the defaults; the truncation radius is a constant
+        (functionals.C_TRUNC)."""
         cfg = _write(tmp_path, "c.ini", MOMENTS_CFG + f"\n[quadrature]\n{line}\n")
         code = main(["moments_selftest", "--config", cfg, "--out", str(tmp_path)])
         assert code == 1

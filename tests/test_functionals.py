@@ -777,8 +777,7 @@ class TestKernelOracle:
         quad = QuadratureSpec(rule="radial_sphere", order=order)
         got = _sums_at(tf, t, quad, order)
         s2t = 2.0 * np.sqrt(t)
-        dirs, rho, W = _nodes("radial_sphere", 3, order, quad.c_trunc,
-                              kink=r_s / (2.0 * s2t))
+        dirs, rho, W = _nodes("radial_sphere", 3, order, kink=r_s / (2.0 * s2t))
         assert got[4] == W.size
         X = (s2t * rho[:, None] * dirs).reshape(-1, 3)  # (nd * nr, 3)
         rho = np.broadcast_to(rho, W.shape).ravel()
@@ -801,7 +800,7 @@ class TestKernelOracle:
             halfwidth=1.5,
         )))
         quad = QuadratureSpec(rule="radial_sphere", order=16)
-        # a large profile and t near its bound (r_s / c_trunc)^2 make the
+        # a large profile and t near its bound (r_s / C_TRUNC)^2 make the
         # tangential term, and with it the curvature in w.g~^{-1}w, show:
         # reading that term off the flat metric moves the sum by 4e-7; a
         # non-diagonal a needs the full bundle
@@ -816,8 +815,8 @@ class TestKernelOracle:
         t = 0.006
         got = _sums_at(tf, t, quad, 16)
         s2t = 2.0 * np.sqrt(t)
-        dirs, rho, W = _nodes("radial_sphere", 3, 16, quad.c_trunc,
-                              kink=0.9 / (2.0 * s2t), nchart=nc)
+        dirs, rho, W = _nodes("radial_sphere", 3, 16, kink=0.9 / (2.0 * s2t),
+                              nchart=nc)
         r = s2t * rho
         tab = full(r).swapaxes(0, 1)  # (nd, nr, 1 + n^2)
         sc = nc.scalar(r)
@@ -1009,7 +1008,7 @@ def _orthant_sums(tf, t, quad, order):
     the number of directions."""
     n = tf.nchart.n
     s2t = 2.0 * np.sqrt(t)
-    rho, wr = _radial_nodes(order, n, tf.r_s / (2.0 * s2t), quad.c_trunc)
+    rho, wr = _radial_nodes(order, n, tf.r_s / (2.0 * s2t))
     dirs, wd = sphere_rule(n, order, True)
     W = np.outer(wd, wr) / np.pi ** (n / 2)
     r = s2t * rho
@@ -1313,13 +1312,12 @@ class TestGuards:
             eval_L_normalized(tf, 1e-4, QuadratureSpec(rule="hermite"))
 
     @pytest.mark.parametrize(
-        "kw", [{"rule": "mc"}, {"order": 7}, {"c_trunc": 3.0}],
-        ids=["mc_rule", "order_below_8", "c_trunc_3"],
+        "kw", [{"rule": "mc"}, {"order": 7}],
+        ids=["mc_rule", "order_below_8"],
     )
     def test_bad_quadrature_spec(self, kw):
-        """Monte Carlo is not a quadrature rule; the error estimate runs at
-        order - 6, and a truncation radius of 3 cuts the Gaussian too
-        early."""
+        """Monte Carlo is not a quadrature rule, and the error estimate runs
+        at order - 6."""
         with pytest.raises(ConfigInvalid):
             QuadratureSpec(**kw)
 

@@ -300,7 +300,7 @@ class TestGuards:
             symmetrize(tf, t=-1.0, levels=64)
 
     def test_time_too_large(self, flat_chart):
-        # (r_s / c_trunc)^2 = 0.0144: a time error, not a failed crossing
+        # (r_s / C_TRUNC)^2 = 0.0144: a time error, not a failed crossing
         tf = TestFunction(flat_chart, np.zeros((3, 3)), r_s=1.2)
         with pytest.raises(TimeTooLarge):
             symmetrize(tf, t=0.5, levels=64)
@@ -351,7 +351,7 @@ class TestExactMonotonicity:
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             want = self._sampled_nonincreasing(tf, t, dirs)
             try:
-                check_time(tf, t, 10.0, monotone=True)
+                check_time(tf, t, monotone=True)
                 got = True
             except LevelSetDegenerate:
                 got = False

@@ -19,6 +19,7 @@ from scipy.optimize import brentq
 from scipy.special import roots_chebyu, roots_genlaguerre, roots_jacobi, roots_legendre
 
 import curvex.charts as charts
+import curvex.functionals as functionals
 from curvex import ModelSpec, Perturbation, build_normal_chart, make_chart
 import curvex._numerics as numerics
 from curvex._numerics import (
@@ -135,15 +136,18 @@ class TestGaussRules:
         (40, 10.0, (2.1, 4.2)), (24, 2.5, (1.25, 2.5)), (16, 10.0, (30.0, 60.0)),
         (34, 7.3, ()), (16, 10.0, (5.9, 11.8)),
     ])
-    def test_composite_reproduces_the_per_cell_loop(self, order, c, kinks):
+    def test_composite_reproduces_the_per_cell_loop(self, order, c, kinks,
+                                                    monkeypatch):
         """Before the Laguerre cutover (first kink below 6) the radial
         nodes of the functionals equal, bit for bit, the per-interval loop
         they were built with before the shared builder, on the breaks 0, 3
         and the kinks (kink, 2 kink) up to min(c, 2 kink), past which the
-        integrand vanishes, the weights times rho^(n-1) e^(-rho^2).  From
+        integrand vanishes, the weights times rho^(n-1) e^(-rho^2), c the
+        truncation radius (functionals.C_TRUNC, set to each case's).  From
         6 on (a first kink at 30, or none) they are the Laguerre rule."""
+        monkeypatch.setattr(functionals, "C_TRUNC", c)
         kink = kinks[0] if kinks else np.inf
-        x, w = _radial_nodes(order, 3, kink, c)
+        x, w = _radial_nodes(order, 3, kink)
         if kink >= 6.0:
             v, wl = gauss_laguerre(order // 2 + 4, 0.5)
             assert np.array_equal(x, np.sqrt(v)) and np.array_equal(w, 0.5 * wl)

@@ -4,9 +4,9 @@ piecewise radial rule), and the normal chart's geometry is read by the one
 ray evaluator, TestFunction.on_rays, so a second implementation cannot
 creep back unnoticed; no quadrature draws random nodes; one function
 decides how far a rule folds; one Golub-Welsch routine builds every
-non-closed-form Gauss rule; normal charts come in two kinds, warped and
-ode, and no normal-chart code tells flat space from a space form by
-name."""
+non-closed-form Gauss rule; normal charts are two classes with one
+interface, which no module tells apart, and no normal-chart code tells
+flat space from a space form by name."""
 
 import ast
 from pathlib import Path
@@ -161,11 +161,81 @@ def test_no_normal_chart_code_names_flat_or_space_form():
     assert nc.kind == "warped" and not hasattr(nc, "K")
 
 
-def test_normal_charts_are_warped_or_ode():
-    """Every NormalChart the sources build is of kind 'warped' or 'ode'."""
+_NORMAL_CHARTS = ("NormalChart", "WarpedNormalChart", "OdeNormalChart")
+
+
+def test_sources_build_the_two_normal_charts():
+    """NormalChart has two subclasses, and the sources name them only to
+    build each once: no isinstance test tells them apart."""
+    from curvex.charts import NormalChart
+
+    assert sorted(c.__name__ for c in NormalChart.__subclasses__()) == [
+        "OdeNormalChart", "WarpedNormalChart"]
+    named = _found(lambda node: isinstance(node, ast.Name)
+                   and node.id in _NORMAL_CHARTS[1:])
     built = _found(lambda node: isinstance(node, ast.Call)
-                   and getattr(node.func, "id", None) == "NormalChart")
-    assert sorted(node.args[3].value for _, _, node in built) == ["ode", "warped"]
+                   and getattr(node.func, "id", None) in _NORMAL_CHARTS)
+    assert sorted((f, s, n.func.id) for f, s, n in built) == [
+        ("charts.py", "_ode_normal_chart", "OdeNormalChart"),
+        ("charts.py", "build_normal_chart", "WarpedNormalChart"),
+    ]
+    assert len(named) == len(built)
+
+
+def test_no_module_compares_a_normal_chart_kind():
+    """Code that needs a chart's shot bundle reads NormalChart.dirs: the
+    only `kind` comparisons read the catalog's ModelSpec and
+    symmetrize's MetricChart, and none names a normal chart's kind."""
+    def compared(node):
+        return [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+
+    kinds = _found(lambda node: any(isinstance(x, ast.Attribute) and x.attr == "kind"
+                                    for x in compared(node)))
+    assert sorted({(f, ast.unparse(x)) for f, _, n in kinds for x in compared(n)
+                   if isinstance(x, ast.Attribute)}) == [
+        ("charts.py", "spec.kind"), ("isoperimetry.py", "tf.nchart.chart.kind")]
+    named = _found(lambda node: any(isinstance(x, ast.Constant) and x.value in (
+        "warped", "ode") for x in compared(node)))
+    assert named == []
+
+
+def _normal_chart_classes():
+    """The ClassDef nodes of NormalChart and its subclasses."""
+    return [node for _, _, node in _found(
+        lambda n: isinstance(n, ast.ClassDef) and (n.name in _NORMAL_CHARTS))]
+
+
+def test_normal_chart_attributes_are_set_by_constructors():
+    """A normal chart's attributes are its class constants and what its
+    constructor sets: no src statement assigns one elsewhere, on self
+    in another method or on a chart from outside, save the Sc spline an
+    ode chart builds on its first scalar call."""
+    classes = _normal_chart_classes()
+    names = {t.attr for c in classes for f in c.body if isinstance(f, ast.FunctionDef)
+             and f.name == "__init__" for n in ast.walk(f)
+             if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+             for t in ast.walk(n) if isinstance(t, ast.Attribute)
+             and isinstance(t.ctx, ast.Store)}
+    assert {"chart", "center", "radius", "n", "symmetry", "warp", "dirs",
+            "weights", "nfev", "gauss_residual", "_basis", "_table",
+            "_sc_pts", "_sc_spline"} == names
+
+    def stores(node):
+        return isinstance(node, ast.Attribute) and isinstance(
+            node.ctx, ast.Store) and node.attr in names
+
+    chart_scopes = {c.name for c in classes}
+    outside = [(f, s, ast.unparse(n)) for f, s, n in _found(stores)
+               if not (ast.unparse(n.value) == "self" and (
+                   s.split(".")[0] not in chart_scopes or s.endswith("__init__")))]
+    assert outside == [("charts.py", "OdeNormalChart.scalar", "self._sc_spline")]
+    assert [c for c in _callers("setattr") if c[0] == "charts.py"] == []
+
+
+def test_ode_is_only_the_ode_class_constant():
+    """The string 'ode' appears in the sources once, as OdeNormalChart.kind."""
+    found = _found(lambda node: isinstance(node, ast.Constant) and node.value == "ode")
+    assert [(f, s) for f, s, _ in found] == [("charts.py", "OdeNormalChart")]
 
 
 def test_symmetrize_refuses_every_chart_but_flat():
