@@ -21,16 +21,6 @@ Sign convention: R_ijij = K on a space form of curvature K, so
 rc_ij = sum_s rm_isjs and sc = n(n-1)K.
 
 Normal charts wrap the exponential map at a center point.  make_chart
-records a warp f (MetricChart.warp) where the metric reads dr^2 +
-f(r)^2 g_{S^{n-1}} in geodesic polar coordinates about the origin of its
-box (Petersen, Riemannian Geometry, 3rd ed., 2016): f = r on flat space
-(about every point), f = sn_K on a space form, and on a conformal chart
-with a RadialProfile the f of its straight rays.  The normal chart at
-such a centre, a WarpedNormalChart, reads all its geometry from f; at
-every other centre (S^2 x R, off-centre points, hand-built charts) an
-OdeNormalChart integrates the geodesic equation together with its
-variational (Jacobi) system along a fixed bundle of rays, since that is
-the shape the radial-spherical quadrature consumes.  make_chart also
 marks each chart with the symmetry of its metric about the origin of its
 cube box (MetricChart.symmetry): a partition of the coordinates into
 blocks whose block group O(n_1) x ... x O(n_k), each factor acting on
@@ -38,11 +28,25 @@ its own block, leaves the metric invariant, or None.  A single
 space-form block (flat, space_form) and a conformal chart whose profile
 is a RadialProfile are one block, a direct sum of space forms
 (product_sphere_line) its blocks' coordinates ({0, 1}, {2} on S^2 x R),
-and a plain-callable profile or a hand-built chart carry None.  At that origin the geodesic along an image of a direction under
-the group is the image of its geodesic, so an ode bundle may be the orbit
-rule of the group (functionals.ray_bundle) or of any subgroup, its
-weights counting the rays each ray stands for: 8 rays instead of 512 on
-S^2 x R at order 16, the orthant of the rule for singleton blocks.  An
+and a plain-callable profile or a hand-built chart carry None.  With it
+make_chart records one warp per block (MetricChart.warps): block b reads
+dr_b^2 + f_b(r_b)^2 g_{S^(n_b - 1)} in geodesic polar coordinates of its
+own coordinates about the origin (Petersen, Riemannian Geometry, 3rd ed.,
+2016): f = r on a flat block (about every point), f = sn_K on a curved
+space-form block, and on a conformal chart with a RadialProfile the f of
+its straight rays.  The exponential map of a direct sum is the product
+of its blocks', so the normal chart at the origin, a WarpedNormalChart,
+reads all its geometry from the warps (on flat space at every point).
+At every other centre (off-centre points, hand-built charts,
+plain-callable profiles) an OdeNormalChart integrates the geodesic
+equation together with its variational (Jacobi) system along a fixed
+bundle of rays, since that is the shape the radial-spherical quadrature
+consumes.  At the origin of a marked chart the geodesic along an image
+of a direction under the group is the image of its geodesic, so an ode
+bundle may be the orbit rule of the group (functionals.ray_bundle) or of
+any subgroup, its weights counting the rays each ray stands for: 8 rays
+instead of 512 at order 16 on a hand-built chart marked with S^2 x R's
+blocks, the orthant of the rule for singleton blocks.  An
 OdeNormalChart keeps one radius-major table, built once at the sample
 radii, a block of radii at a time, with cofactor determinants and
 inverses for n <= 3.  Per ray it holds the density and, in an orthonormal
@@ -241,9 +245,9 @@ class MetricChart:
     K: float = 0.0
     curvature: CurvatureData | None = None  # constant, on homogeneous charts
     christoffel: Callable | None = field(default=None, repr=False)
-    # set by make_chart alone; see symmetry and warp
+    # set by make_chart alone; see symmetry and warps
     _symmetry: Partition | None = field(default=None, init=False, repr=False)
-    _warp: _Warp | None = field(default=None, init=False, repr=False)
+    _warps: tuple[_Warp, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.christoffel is None:
@@ -260,11 +264,12 @@ class MetricChart:
         return self._symmetry
 
     @property
-    def warp(self) -> _Warp | None:
-        """The warp f of the metric dr^2 + f(r)^2 g_{S^{n-1}} about the
-        origin (about every point on flat space), or None: the one
+    def warps(self) -> tuple[_Warp, ...] | None:
+        """One warp per block of symmetry, in its order, or None: block b
+        reads dr_b^2 + f_b(r_b)^2 g_{S^{n_b - 1}} about the origin of its
+        own coordinates (about every point on flat space), the one
         geometry of a warped normal chart (build_normal_chart)."""
-        return self._warp
+        return self._warps
 
     @property
     def christoffel_route(self) -> str:
@@ -411,11 +416,10 @@ def make_chart(spec: ModelSpec) -> MetricChart:
     # RadialProfile under all of O(n), and the box is a cube about the origin
     if blocks is not None:
         chart._symmetry = symmetry
-        if len(blocks) == 1:
-            chart._warp = _SpaceFormWarp(n, K)
+        chart._warps = tuple(_SpaceFormWarp(nb, Kb) for nb, Kb in blocks)
     elif isinstance(pert.profile, RadialProfile):
         chart._symmetry = (tuple(range(n)),)
-        chart._warp = _ConformalWarp(n, pert.eps, pert.profile, hw)
+        chart._warps = (_ConformalWarp(n, pert.eps, pert.profile, hw),)
     return chart
 
 
@@ -874,11 +878,12 @@ def scalar_curvature_batch(chart: MetricChart, pts) -> np.ndarray:
 
 class _Warp:
     """The warp f of a metric dr^2 + f(r)^2 g_{S^{n-1}} in geodesic polar
-    coordinates about a centre, as a normal chart reads it at geodesic
+    coordinates about a centre, the metric of one block of a chart (of
+    the whole chart for one block), as a normal chart reads it at geodesic
     radii r (any shape): rho(r), the coordinate radius of the geodesic
     sphere of radius r, f(r), f(r)/r (1 at r = 0) and Sc(r).  anywhere
-    says the chart is its own normal chart about every point (flat
-    space), not only about its origin."""
+    says the block is its own normal chart about every point (a flat
+    block), not only about its origin."""
 
     anywhere = False
 
@@ -985,16 +990,17 @@ class _ConformalWarp(_Warp):
 class NormalChart:
     """Geodesic normal coordinates of radius `radius` at a center point.
 
-    Its two classes answer one interface: geometry(r, w) -> (density,
-    w.g~^{-1}w) at x = r d for covectors w orthogonal to d, which by the
-    Gauss lemma g~^{-1} d = d is all the metric a radial kernel needs,
-    the leading axes of w (..., n) broadcasting against r; scalar(r), Sc;
-    shell(r), the area of the geodesic sphere; and record(), the entries
-    run_expansion's meta takes from the chart.  symmetry is the partition
-    the nodes may fold onto.  A chart that pins its rays holds them as
-    dirs (nd, n) with their sphere-rule weights (nd,), summing to the
-    area; nfev counts the right-hand-side calls of its shooting and
-    gauss_residual is the largest |g~^{-1} y - y| in its tables.
+    Its two classes answer one interface: geometry(r, w, dirs) ->
+    (density, w.g~^{-1}w) at x = r d for the unit directions dirs and
+    covectors w orthogonal to d, which by the Gauss lemma g~^{-1} d = d is
+    all the metric a radial kernel needs, the leading axes of w and dirs
+    (..., n) broadcasting against r; scalar(r), Sc; shell(r), the area of
+    the geodesic sphere; and record(), the entries run_expansion's meta
+    takes from the chart.  symmetry is the partition the nodes may fold
+    onto.  A chart that pins its rays holds them as dirs (nd, n) with
+    their sphere-rule weights (nd,), summing to the area; nfev counts the
+    right-hand-side calls of its shooting and gauss_residual is the
+    largest |g~^{-1} y - y| in its tables.
     """
 
     kind: str  # 'warped' or 'ode', as meta and the CLI record it
@@ -1013,29 +1019,71 @@ class NormalChart:
         return {"normal_chart": self.kind}
 
 
+# order of the orbit rule a direct sum's sphere areas sum under: its ball
+# volumes on the catalog products match mpmath's to rounding from order 8
+_SHELL_ORDER = 16
+
+
 class WarpedNormalChart(NormalChart):
-    """The normal chart at a warped centre, whose geometry depends on the
-    radius alone (symmetry: one block): from the warp f, the density is
-    (f(r)/r)^{n-1}, g~^{-1} = P + (r/f(r))^2 (I - P) with P the radial
-    projector, so w.g~^{-1}w = (r/f(r))^2 |w|^2, Sc is the warp's (n(n-1)K
-    on M^n_K) and the sphere area |S^{n-1}| f(r)^{n-1}."""
+    """The normal chart at a warped centre: the chart's blocks (symmetry),
+    block b warped by warps[b] about the origin of its own coordinates.
+
+    One block (flat space, a space form, a radial conformal chart)
+    depends on the radius alone: the density is (f(r)/r)^{n-1}, g~^{-1} =
+    P + (r/f(r))^2 (I - P) with P the radial projector, so w.g~^{-1}w =
+    (r/f(r))^2 |w|^2, Sc is the warp's (n(n-1)K on M^n_K) and the sphere
+    area |S^{n-1}| f(r)^{n-1}.  The exponential map of a direct sum of
+    blocks is the product of theirs, so x = r d lies at the block radii
+    r_b = r |d_b|, and with d^_b = d_b/|d_b| the density is
+    prod_b (f_b(r_b)/r_b)^(n_b - 1), w.g~^{-1}w = sum_b [(w_b.d^_b)^2 +
+    (|w_b|^2 - (w_b.d^_b)^2) (r_b/f_b(r_b))^2], Sc sums the blocks' and
+    the sphere area is density r^(n-1) summed under the orbit rule of the
+    blocks (functionals.orbit_rule at _SHELL_ORDER)."""
 
     kind = "warped"
 
-    def __init__(self, chart, center, radius, warp: _Warp):
-        super().__init__(chart, center, radius, (tuple(range(chart.n)),))
-        self.warp = warp
+    def __init__(self, chart, center, radius, warps: tuple[_Warp, ...]):
+        super().__init__(chart, center, radius, chart.symmetry)
+        self.warps = warps
 
-    def geometry(self, r, w):
-        s = self.warp.f_over_r(np.asarray(r, dtype=float))
-        w2 = np.einsum("...i,...i->...", w, w)
-        return s ** (self.n - 1), w2 / s**2
+    def _ratios(self, r, dirs):
+        """Per block: its coordinates, |d_b|^2 and f_b(r_b)/r_b."""
+        for block, warp in zip(self.symmetry, self.warps):
+            idx = list(block)
+            d2 = np.einsum("...i,...i->...", dirs[..., idx], dirs[..., idx])
+            yield idx, d2, warp.f_over_r(r * np.sqrt(d2))
+
+    def geometry(self, r, w, dirs):
+        r = np.asarray(r, dtype=float)
+        if len(self.warps) == 1:
+            s = self.warps[0].f_over_r(r)
+            w2 = np.einsum("...i,...i->...", w, w)
+            return s ** (self.n - 1), w2 / s**2
+        dens, wgw = 1.0, 0.0
+        for idx, d2, s in self._ratios(r, dirs):
+            wb = w[..., idx]
+            wd = np.einsum("...i,...i->...", wb, dirs[..., idx])
+            # (w_b.d^_b)^2; a ray with no share in the block has r_b = 0,
+            # where s = 1 and the split does not matter
+            rad = np.divide(wd * wd, d2, out=np.zeros(d2.shape), where=d2 > 0)
+            dens = dens * s ** (len(idx) - 1)
+            wgw = wgw + rad + (np.einsum("...i,...i->...", wb, wb) - rad) / s**2
+        return dens, wgw
 
     def scalar(self, r):
-        return self.warp.scalar(r)
+        return sum((w.scalar(r) for w in self.warps[1:]), self.warps[0].scalar(r))
 
     def shell(self, r):
-        return self.n * omega_n(self.n) * self.warp.f(r) ** (self.n - 1)
+        if len(self.warps) == 1:
+            return self.n * omega_n(self.n) * self.warps[0].f(r) ** (self.n - 1)
+        from .functionals import orbit_rule  # functionals imports this module
+
+        dirs, weights = orbit_rule(_SHELL_ORDER, self.symmetry)
+        r = np.asarray(r, dtype=float)
+        dens = 1.0
+        for idx, _, s in self._ratios(r.reshape(-1), dirs[:, None, :]):
+            dens = dens * s ** (len(idx) - 1)
+        return (weights @ dens).reshape(r.shape) * r ** (self.n - 1)
 
 
 class OdeNormalChart(NormalChart):
@@ -1061,9 +1109,10 @@ class OdeNormalChart(NormalChart):
         return {**super().record(), "nfev": self.nfev,
                 "gauss_residual": self.gauss_residual}
 
-    def geometry(self, r, w):
+    def geometry(self, r, w, dirs):
         """(nd, nr): one covector per ray of the bundle against one radius
-        vector r (nr,).  It writes w = B_d c with c = B_d^T w, evaluates
+        vector r (nr,); dirs are the bundle's own rays, which the table
+        already holds.  It writes w = B_d c with c = B_d^T w, evaluates
         the table at the radii and contracts its tangential block with the
         products c_i c_j, i <= j."""
         r = np.asarray(r, dtype=float)
@@ -1211,20 +1260,22 @@ def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol, fold=None):
                           CubicSpline(r_grid, tab), sc_pts, nfev, gauss)
 
 
-def _centre_warp(chart: MetricChart, p) -> _Warp | None:
-    """The chart's warp if p is a warped centre: any point of flat space,
+def _centre_warps(chart: MetricChart, p) -> tuple[_Warp, ...] | None:
+    """The chart's warps if p is a warped centre: any point of flat space,
     the exact origin of the other warped charts; None elsewhere."""
-    warp = chart.warp
-    return warp if warp is not None and (warp.anywhere or not np.any(p)) else None
+    warps = chart.warps
+    if warps is None or (np.any(p) and not all(w.anywhere for w in warps)):
+        return None
+    return warps
 
 
 def center_symmetry(chart: MetricChart, p) -> Partition | None:
-    """The symmetry of the geometry about p: one block (every rotation) at
-    a warped centre, the chart's partition (MetricChart.symmetry) at its
-    exact origin, None elsewhere."""
-    if _centre_warp(chart, p) is not None:
-        return (tuple(range(chart.n)),)
-    return None if np.any(p) else chart.symmetry
+    """The symmetry of the geometry about p: the chart's partition
+    (MetricChart.symmetry) at its exact origin and at every warped centre
+    (every point of flat space, one block), None elsewhere."""
+    if not np.any(p) or _centre_warps(chart, p) is not None:
+        return chart.symmetry
+    return None
 
 
 def build_normal_chart(
@@ -1238,15 +1289,16 @@ def build_normal_chart(
 ) -> NormalChart:
     """Normal coordinates of radius r0 at p.
 
-    At a warped centre (MetricChart.warp: flat space anywhere, a space
-    form or a conformal chart with a RadialProfile at its exact origin) it
-    returns the WarpedNormalChart of that f, whatever rule and fold say:
-    its geometry depends on the radius alone.  Every other centre needs
-    `rule`, a sphere rule (directions (nd, n) and weights (nd,), as the
-    product rule `sphere_rule(n, order)` returns them in every dimension,
-    at most 2^15 directions): its OdeNormalChart shoots geodesics along
-    the directions,
-    tabulates the density and the tangential block of the inverse
+    At a warped centre (MetricChart.warps: flat space anywhere, a space
+    form, a direct sum of space forms such as S^2 x R or a conformal
+    chart with a RadialProfile at its exact origin) it returns the
+    WarpedNormalChart of those warps, whatever rule and fold say: its
+    geometry depends on the radius and each ray's share of every block
+    alone, and it shoots nothing.  Every other centre needs `rule`, a
+    sphere rule (directions (nd, n) and weights (nd,), as the product
+    rule `sphere_rule(n, order)` returns them in every dimension, at most
+    2^15 directions): its OdeNormalChart shoots geodesics along the
+    directions, tabulates the density and the tangential block of the inverse
     pulled-back metric along each ray and keeps the weights for its
     sphere areas.  fold, a partition of the coordinates, says the rule is
     the orbit rule of that block group (`functionals.ray_bundle`), its
@@ -1260,8 +1312,12 @@ def build_normal_chart(
     domain check covers every ray a ray stands for.
 
     A warped chart raises InvalidSpec where r0 reaches the cut locus of a
-    sphere and OutOfDomain where the coordinate radius rho(r0) of its
-    geodesic sphere leaves the box.  Two checks guard the ode tables:
+    sphere block, OutOfDomain where the coordinate radius rho(r0) of its
+    geodesic sphere leaves the box (on a direct sum the largest of its
+    blocks', each reached along a ray inside its block) and, on several
+    blocks, InvalidSpec where the chart's metric at p is not the identity
+    the blocks' normal coordinates have there.  Two checks guard the ode
+    tables:
     det(J/r) changing sign on some ray raises JacobianSingular (a
     conjugate point of even multiplicity, where det J only touches zero,
     as off-centre on S^3, is not seen; on the catalog charts the domain
@@ -1285,13 +1341,20 @@ def build_normal_chart(
                 f"a chart whose symmetry they refine, not {held}"
             )
 
-    warp = _centre_warp(chart, p)
-    if warp is not None:
-        # geodesic spheres are coordinate spheres here, so the inscribed
-        # box ball is the honest bound
-        if warp.rho(r0) > chart.domain.boundary_distance(p):
+    warps = _centre_warps(chart, p)
+    if warps is not None:
+        # geodesic spheres are coordinate spheres here (the distance of a
+        # direct sum is the root sum of squares of its blocks' radii), so
+        # the inscribed box ball is the honest bound
+        if max(w.rho(r0) for w in warps) > chart.domain.boundary_distance(p):
             raise OutOfDomain("normal ball leaves the chart domain")
-        return WarpedNormalChart(chart, p, r0, warp)
+        # a direct sum splits each ray by the chart's coordinate blocks,
+        # which are orthonormal at p only where g(p) = I
+        if len(warps) > 1 and not np.allclose(
+                chart.metric(p[None, :])[0], np.eye(chart.n), rtol=0, atol=1e-12):
+            raise InvalidSpec("the chart's metric at p is not the identity its "
+                              "block warps assume")
+        return WarpedNormalChart(chart, p, r0, warps)
 
     if rule is None:
         raise InvalidSpec("generic normal charts need a sphere rule")

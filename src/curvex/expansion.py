@@ -191,16 +191,18 @@ def extract_series(
 def prepare_normal_chart(chart: MetricChart, p, r_s: float, quad: QuadratureSpec,
                          a=None):
     """Normal chart at p of radius r_s: the warped chart at a warped
-    centre (build_normal_chart), else an ode chart shot along the
-    radial-spherical rule of quad, so the two stay aligned.
+    centre (build_normal_chart; the origin of every catalog chart but a
+    plain-callable profile, and every point of flat space), else an ode
+    chart shot along the radial-spherical rule of quad, so the two stay
+    aligned.
 
     That rule folds as far as a, the test function's profile matrix, and
     the chart's symmetry about p allow (functionals.fold_level), onto the
     orbit rule of the common refinement of their partitions: at n = 3 and
-    order 16, 8 rays instead of 512 for a = Rc/3 on S^2 x R, the
-    orthant's 72 for a diagonal a with distinct entries, the full rule for
-    any other a.  a = None stands for no test function (volumes, shells,
-    probes)."""
+    order 16, 8 rays instead of 512 for a = Rc/3 on a hand-built chart
+    marked with S^2 x R's blocks, the orthant's 72 for a diagonal a with
+    distinct entries, the full rule for any other a.  a = None stands for
+    no test function (volumes, shells, probes)."""
     p = np.asarray(p, dtype=float)
     fold = fold_level(a, center_symmetry(chart, p))
     return build_normal_chart(chart, p, r_s, fold=fold,

@@ -30,12 +30,13 @@ w = a d - q d is orthogonal to d, so
 The Gauss lemma g~^{-1} d = d removes the cross term and fixes the radial
 one: g~^{ij} M_i M_j = kappa^2 + beta^2 w.g~^{-1}w.  So each node needs
 eta^2, kappa and beta^2 from the test function (one kernel) and density
-and w.g~^{-1}w from the normal chart (one geometry call), which one ray
-evaluator, TestFunction.on_rays, makes together.  Only the
-W-functional adds t times the Sc integral; it alone reads Sc
+and w.g~^{-1}w from the normal chart (one geometry call, which takes the
+directions d: a direct sum of blocks reads each block's share of the
+ray), which one ray evaluator, TestFunction.on_rays, makes together.
+Only the W-functional adds t times the Sc integral; it alone reads Sc
 (NormalChart.scalar), which on an ode chart costs curvature evaluations
 at every exp point of its Sc grid and on a warped chart comes from its
-warp.
+warps.
 
 The nodes fold as far as a and the normal chart's symmetry about the
 centre (NormalChart.symmetry, a partition of the coordinates into blocks)
@@ -60,14 +61,16 @@ orbit's size, and the blocks combine as a product; n singletons give
 the orthant, ceil(order/2)^n nodes instead of order^n, and one block
 C(ceil(order/2) + n - 1, n) (1,365 instead of 331,776 at order 24 on
 S^4), the same sum regrouped.  A warped normal chart (flat
-space, a space form or a radial conformal chart at its centre) is one
-block, and its geometry needs no rays of its own, so its nodes fold by a
-alone; an ode chart holds the fold its bundle was shot with (at the
-origin of a chart marked with a partition it refines,
-charts.MetricChart.symmetry).  A non-diagonal a, an ode chart shot along
-the full rule (off the origin, or on a chart without a mark) and
-gaussian_integral with its arbitrary G keep the full rule; an a that
-allows less than a folded bundle holds is refused.
+space, a space form, a direct sum of space forms or a radial conformal
+chart at its centre) needs no rays of its own: its geometry is exact on
+every direction, so its nodes fold onto the common refinement of a's
+blocks and the chart's own (one block but on a direct sum); an ode chart
+holds the fold its bundle was shot with (at the origin of a hand-built
+chart marked with a partition it refines, charts.MetricChart.symmetry).
+A non-diagonal a, an ode chart shot along the full rule (off the origin,
+or on a chart without a mark) and gaussian_integral with its arbitrary G
+keep the full rule; an a that allows less than a folded bundle holds is
+refused.
 """
 
 from __future__ import annotations
@@ -220,7 +223,7 @@ class TestFunction:
         ad = dirs @ self.a
         q = np.einsum("...i,...i->...", dirs, ad)
         eta2, kappa, beta2 = self.eta2_with_grad(q, r, t)
-        dens, wgw = self.nchart.geometry(r, ad - q[..., None] * dirs)
+        dens, wgw = self.nchart.geometry(r, ad - q[..., None] * dirs, dirs)
         return eta2, kappa, beta2, dens, wgw
 
 
@@ -565,11 +568,11 @@ def resolve_rule(tf: TestFunction, quad: QuadratureSpec):
     geometry with the normal chart's symmetry (NormalChart.symmetry) a
     diagonal a gives the nodes of one orbit of the block group of its
     equal entries identical values: fold_level decides, and both rules
-    fold onto its partition.  A warped chart is rotation invariant, so
-    there a alone decides.  A chart that pins its rays (NormalChart.dirs,
-    shot at the fold it holds) runs its nodes on them, so an a that allows
-    less raises ConfigInvalid (prepare_normal_chart shoots the bundle a
-    needs)."""
+    fold onto its partition.  A one-block warped chart is rotation
+    invariant, so there a alone decides.  A chart that pins its rays
+    (NormalChart.dirs, shot at the fold it holds) runs its nodes on them,
+    so an a that allows less raises ConfigInvalid (prepare_normal_chart
+    shoots the bundle a needs)."""
     nc = tf.nchart
     rule = "radial_sphere" if quad.rule == "auto" else quad.rule
     shot = nc.dirs is not None

@@ -98,9 +98,9 @@ def isoperimetric_probe(nchart, K: float, volume: float) -> dict:
     }
 
 
-# the sphere rule an ode centre chart is shot along (S^2 x R, hand-built
-# charts); warped centres (flat space, space forms and radial conformal
-# charts) read their geometry from the warp and ignore it
+# the sphere rule an ode centre chart is shot along (hand-built charts,
+# plain-callable profiles); warped centres (every other catalog chart,
+# S^2 x R included) read their geometry from their warps and ignore it
 _PROBE_QUAD = QuadratureSpec(rule="radial_sphere", order=16)
 _PROBE_FRACS = (0.25, 0.5, 0.75)
 
@@ -126,7 +126,7 @@ def assess_rigidity(
     plus isoperimetric probes around the center; fold the margins into a
     verdict.
 
-    The centre chart is warped where the chart has a warp and otherwise
+    The centre chart is warped where the chart has warps and otherwise
     shot along the order-16 radial-spherical sphere rule, so every catalog
     chart gets its probes: 1/4, 1/2 and 3/4 of the ball of 0.95 times
     meta["probe_radius"], 0.7 box halfwidths and below 0.9 pi/sqrt(K)."""

@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import curvex.cli as cli
 from curvex.cli import main
 from curvex.mu_solver import rm_bound_from_mu
-from oracles import recorded
+from oracles import recorded, shooting_chart
 
 
 def _write(tmp_path, name: str, text: str) -> str:
@@ -226,8 +228,9 @@ class TestRuns:
         assert res["predicted"]["c2"] == pytest.approx(10.0 / 3.0, rel=1e-14)
 
     def test_expand_records_the_block_fold(self, tmp_path):
-        """S^2 x R folds onto the orbit rule of its blocks {0, 1}, {2}:
-        meta["fold"] lists them, and reruns write the same bytes."""
+        """S^2 x R folds onto the orbit rule of its blocks {0, 1}, {2} on
+        its warped chart, which shoots nothing: meta["fold"] lists them,
+        and reruns write the same bytes."""
         cfg = _write(tmp_path, "c.ini", EXPAND_SPHERE_LINE)
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):
@@ -237,19 +240,34 @@ class TestRuns:
         assert raw == (d2 / "expand_L.json").read_bytes()
         meta = json.loads(raw)["result"]["meta"]
         assert meta["fold"] == [[0, 1], [2]] and meta["rays"] == 8
+        assert meta["normal_chart"] == "warped" and "nfev" not in meta
 
-    def test_volume_on_ode_chart(self, tmp_path):
-        """The S^2 x R chart has no closed-form normal chart: volume shoots
-        it along the [quadrature] rule and fits r2 and r4 within their
-        default 1 % and 5 % of the curvature prediction."""
+    def test_volume_on_ode_chart(self, tmp_path, monkeypatch):
+        """S^2 x R volumes on its warped chart and on the ode chart of the
+        same metric, shot along the [quadrature] rule in a hand-built
+        chart with its mark (oracles.shooting_chart, patched in for the
+        catalog chart): both fit r2 and r4 within their default 1 % and
+        5 % of the curvature prediction, and the two tables agree within
+        1e-9 relative."""
         cfg = _write(tmp_path, "c.ini", VOLUME_SPHERE_LINE)
-        code = main(
-            ["volume", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]
-        )
-        assert code == 0
-        res = json.loads((tmp_path / "volume.json").read_text())["result"]
-        assert res["pass"] is True
-        assert res["predicted"]["r2"] == pytest.approx(-2.0 / 30.0)  # -Sc/6(n+2)
+        catalog = cli._chart_from
+        shots = recorded(monkeypatch, cli, "prepare_normal_chart")
+        tables = []
+        for oracle in (False, True):
+            if oracle:
+                monkeypatch.setattr(cli, "_chart_from", lambda c: shooting_chart(
+                    catalog(c), mark=((0, 1), (2,))))
+            out = tmp_path / str(oracle)
+            assert main(["volume", "--config", cfg, "--out", str(out),
+                         "--no-timestamp"]) == 0
+            res = json.loads((out / "volume.json").read_text())["result"]
+            assert res["pass"] is True
+            # -Sc/6(n+2)
+            assert res["predicted"]["r2"] == pytest.approx(-2.0 / 30.0)
+            tables.append(np.loadtxt(out / "volume.csv", delimiter=",",
+                                     skiprows=1))
+        assert [nc.kind for _, _, nc in shots] == ["warped", "ode"]
+        np.testing.assert_allclose(tables[0], tables[1], rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_symmetrize_default_a_fits_n(self, tmp_path, n):
@@ -263,6 +281,35 @@ class TestRuns:
         assert code == 0
         meta = json.loads((tmp_path / "symmetrize.json").read_text())["result"]["meta"]
         assert meta["fold"] == [list(range(n))] and meta["rays"] == 1
+
+    @pytest.mark.parametrize("levels", [64, 128, 512])
+    def test_symmetrize_tolerance_scales_with_the_ladder(self, tmp_path, levels,
+                                                         monkeypatch):
+        """mass_tol is the tolerance at 512 levels and scales as
+        levels^-4, as the drifts do (mass 6.5e-6 at 64 levels, 1.5e-9 at
+        512): every ladder passes, and a mass moved by 2.5 times the
+        scaled tolerance fails with exit 2."""
+        cfg = _write(tmp_path, "c.ini",
+                     SYM_CFG.replace("levels = 512", f"levels = {levels}"))
+        assert main(["symmetrize", "--config", cfg, "--out", str(tmp_path),
+                     "--no-timestamp"]) == 0
+        res = json.loads((tmp_path / "symmetrize.json").read_text())["result"]
+        assert res["pass"] is True and res["meta"]["levels"] == levels
+        tol = 1e-8 * (512 / levels) ** 4
+        drift = abs(res["mass"]["symmetrized"] - res["mass"]["original"])
+        assert 0.01 * tol < drift < 0.5 * tol
+        real = cli.symmetrize
+
+        def broken(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.mass_symmetrized = out.mass_original + 2.5 * tol
+            return out
+
+        monkeypatch.setattr(cli, "symmetrize", broken)
+        assert main(["symmetrize", "--config", cfg, "--out", str(tmp_path),
+                     "--no-timestamp"]) == 2
+        res = json.loads((tmp_path / "symmetrize.json").read_text())["result"]
+        assert res["pass"] is False
 
     def test_mu_small(self, tmp_path):
         cfg = _write(

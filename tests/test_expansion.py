@@ -338,12 +338,18 @@ class TestRadialFactor:
     def test_order_12_fits_c2(self, spec, p, r_s, want):
         """Order 12 fits c2 within 2.5e-3 relative on ode charts (measured
         4.6e-4 on S^2 x R, 2.0e-4 on S^2 x R^2 and 5.1e-4 off the centre
-        of S^3).  The split Gauss-Legendre radial rule left t-independent
-        offsets in the values there (3.6e-8 on S^2 x R), which the fit
-        turned into c2 = +1.657, +7.635 and +0.322, with no
-        NoiseDominates."""
+        of S^3).  The products are shot through their metric and
+        Christoffels with their marks (oracles.shooting_chart), since the
+        catalog origins are warped.  The split Gauss-Legendre radial rule
+        left t-independent offsets in the values there (3.6e-8 on S^2 x
+        R), which the fit turned into c2 = +1.657, +7.635 and +0.322, with
+        no NoiseDominates."""
         ch = make_chart(spec)
-        res = run_expansion(ch, np.array(p), "L", r_s=r_s,
+        p = np.array(p)
+        curv = curvature_at(ch, p)
+        if not np.any(p):
+            ch = shooting_chart(ch, mark=ch.symmetry)
+        res = run_expansion(ch, p, "L", r_s=r_s, curv=curv,
                             quad=QuadratureSpec(rule="radial_sphere", order=12))
         assert res.meta["normal_chart"] == "ode"
         assert res.meta["radial_rule"] == "laguerre" and res.meta["radial_m"] == 10

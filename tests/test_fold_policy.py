@@ -20,6 +20,7 @@ from curvex.functionals import (
     profile_matrix,
     sphere_rule,
 )
+from oracles import shooting_chart
 
 _QUARTIC = PROFILES["quartic_bump"]
 
@@ -151,15 +152,17 @@ def test_p4a_block_fold_agrees_with_the_rotated_full_rule(n, r_s, order):
 
 
 def test_p4b_sphere_line_orbit_bundle_matches_the_orthant():
-    """The S^2 x R ode chart of the series benchmark shoots the orbit rule
-    of its blocks {0, 1}, {2}: 8 rays against the 72 of the orthant bundle
-    built here from sphere_rule, with the same right-hand-side calls.  The
-    L values of run_expansion, the W values (which read Sc), the Sc
-    integrals and the shells agree within 1e-13.  Measured: L and W
-    within 7.2e-15 absolute, Sc integrals within 6.7e-16 and shells
-    within 1.2e-15 relative."""
-    chart = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
-    curv = curvature_at(chart, np.zeros(3))
+    """The S^2 x R ode chart, its metric and Christoffels shot with its
+    mark (oracles.shooting_chart; the catalog origin is warped), shoots
+    the orbit rule of its blocks {0, 1}, {2}: 8 rays against the 72 of
+    the orthant bundle built here from sphere_rule, with the same
+    right-hand-side calls.  The L values of run_expansion, the W values
+    (which read Sc), the Sc integrals and the shells agree within 1e-13.
+    Measured: L and W within 7.2e-15 absolute, Sc integrals within
+    6.7e-16 and shells within 1.2e-15 relative."""
+    cat = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
+    chart = shooting_chart(cat, mark=cat.symmetry)
+    curv = curvature_at(cat, np.zeros(3))
     quad = QuadratureSpec(rule="radial_sphere", order=16)
     res = run_expansion(chart, np.zeros(3), "L", r_s=0.9, quad=quad, curv=curv)
     assert res.meta["fold"] == [[0, 1], [2]] and res.meta["rays"] == 8

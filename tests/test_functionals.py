@@ -887,12 +887,35 @@ class TestRayEvaluator:
         got = tf.on_rays(dirs, r, self.T)
         self._compare(tf, self.T, (r[:, None] * dirs).reshape(-1, 3), got, 1e-12)
 
+    def test_points_and_rays_on_direct_sum_chart(self):
+        """S^2 x R's warped chart reads each block's share of the ray; its
+        chart coordinates are normal coordinates at the origin too, so the
+        same oracle holds on both layouts.  The odd-order Hermite grid
+        holds the zero node, whose direction is 0 (no share in any
+        block)."""
+        ch = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
+        nc = build_normal_chart(ch, np.zeros(3), 1.4)
+        assert nc.kind == "warped" and len(nc.warps) == 2
+        tf = TestFunction(nc, self.A_OFF, 0.5)
+        dirs, rho, _ = _hermite_nodes(3, 9)
+        assert not dirs[np.argmin(rho)].any()
+        r = 2.0 * np.sqrt(self.T) * rho
+        got = tf.on_rays(dirs, r, self.T)
+        self._compare(tf, self.T, r[:, None] * dirs, got, 1e-12)
+        tf = TestFunction(nc, self.A_OFF, 1.2)
+        dirs = sphere_rule(3, 8)[0][:, None, :]
+        r = np.linspace(0.0, 1.4, 31)
+        got = tf.on_rays(dirs, r, self.T)
+        self._compare(tf, self.T, (r[:, None] * dirs).reshape(-1, 3), got, 1e-12)
+
     @pytest.mark.parametrize("fold", [False, True], ids=["full", "folded"])
     def test_rays_on_ode_chart(self, fold):
-        """The bundle of an S^2 x R ode chart, shot in full for a
+        """The bundle of an S^2 x R ode chart (its metric and Christoffels
+        shot with its mark, oracles.shooting_chart), shot in full for a
         non-diagonal a and on the orthant for a diagonal one; the geometry
         comes from its spline tables."""
         ch = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
+        ch = shooting_chart(ch, mark=ch.symmetry)
         a = self.A_DIAG if fold else self.A_OFF
         nc = prepare_normal_chart(ch, np.zeros(3), 1.4,
                                   QuadratureSpec(rule="radial_sphere", order=8), a=a)
@@ -909,9 +932,9 @@ class TestFoldedBundle:
     """An ode chart shot at the origin of a mirror-even chart along the
     orthant of its rule against the same chart shot along the full rule.
     The rays the fold leaves out are reflections of the ones it keeps, so
-    the two agree to the integration tolerance.  The c06 metric is shot in
-    a hand-built chart with its mark, since its catalog chart is warped
-    at the origin."""
+    the two agree to the integration tolerance.  The c06 and S^2 x R
+    metrics are shot in hand-built charts with their marks, since their
+    catalog charts are warped at the origin."""
 
     @pytest.mark.parametrize("which", ["c06", "S2xR"])
     def test_matches_full_bundle(self, which):
@@ -919,8 +942,7 @@ class TestFoldedBundle:
                           perturbation=Perturbation(0.05, PROFILES["quartic_bump"]))
                 if which == "c06" else ModelSpec("product_sphere_line", 3, K=1.0))
         ch = make_chart(spec)
-        if which == "c06":
-            ch = shooting_chart(ch, mark=ch.symmetry)
+        ch = shooting_chart(ch, mark=ch.symmetry)
         full, folded = (
             build_normal_chart(ch, np.zeros(3), 0.9,
                                rule=sphere_rule(3, 16, fold),
@@ -949,7 +971,8 @@ class TestFoldedBundle:
         of its blocks {0, 1}, {2, 3}, 4 rays, against 1,024.  Measured:
         shells within 3.2e-15 relative and L within 8.9e-15 absolute; the
         bounds are 1e-13 for both."""
-        ch = make_chart(ModelSpec("product_sphere_line", 4, K=1.0))
+        cat = make_chart(ModelSpec("product_sphere_line", 4, K=1.0))
+        ch = shooting_chart(cat, mark=cat.symmetry)
         full, *folded = (
             build_normal_chart(ch, np.zeros(4), 0.6, r_samples=96,
                                rule=ray_bundle(4, 8, fold), fold=fold)
@@ -958,7 +981,7 @@ class TestFoldedBundle:
         assert ch.symmetry == ((0, 1), (2, 3))
         assert [nc.dirs.shape[0] for nc in (full, *folded)] == [1024, 80, 4]
         r = np.linspace(0.05, 0.6, 12)
-        curv = curvature_at(ch, np.zeros(4))
+        curv = curvature_at(cat, np.zeros(4))
         quad = QuadratureSpec(rule="radial_sphere", order=8)
         want = eval_L_normalized(build_test_function(full, curv, r_s=0.6),
                                  4e-4, quad)[0]
@@ -1151,8 +1174,9 @@ class TestOneRayBundle:
         assert orthant.kind == "ode" and orthant.dirs.shape == (72, 3)
         assert one.symmetry == ((0, 1, 2),)
         r = np.linspace(0.05, 0.9, 18)
-        dens1, _ = one.geometry(r, np.zeros((1, 1, 3)))
-        dens, _ = orthant.geometry(r, np.zeros((72, 1, 3)))
+        e1, rays = np.eye(1, 3)[:, None, :], orthant.dirs[:, None, :]
+        dens1, _ = one.geometry(r, np.zeros((1, 1, 3)), e1)
+        dens, _ = orthant.geometry(r, np.zeros((72, 1, 3)), rays)
         np.testing.assert_allclose(dens, np.broadcast_to(dens1, dens.shape),
                                    rtol=1e-9, atol=0)
         np.testing.assert_allclose(one.shell(r), orthant.shell(r),
@@ -1161,8 +1185,8 @@ class TestOneRayBundle:
         u1, u2 = self._planes(orthant.dirs)
         for w1, w in ((v1, u1), (v2, u2), ((v1 + v2) / np.sqrt(2),
                                             (u1 + u2) / np.sqrt(2))):
-            block1 = one.geometry(r, w1[None, None, :])[1]
-            block = orthant.geometry(r, w[:, None, :])[1]
+            block1 = one.geometry(r, w1[None, None, :], e1)[1]
+            block = orthant.geometry(r, w[:, None, :], rays)[1]
             np.testing.assert_allclose(
                 block, np.broadcast_to(block1, block.shape), rtol=0, atol=1e-9)
 
@@ -1184,19 +1208,29 @@ class TestOneRayBundle:
         assert none.kind == "warped"
 
     def test_sphere_line_keeps_its_bundles(self):
-        """S^2 x R is invariant under O(2) x O(1): a = Rc/3 = diag(1/3,
-        1/3, 0) and no test function both shoot the orbit rule of its
-        blocks, 8 rays; a diagonal a with distinct entries the orthant, 72;
-        the same metric in a hand-built chart carries no mark and shoots
+        """S^2 x R is invariant under O(2) x O(1), and its origin is a
+        warped centre of two blocks: prepare_normal_chart shoots nothing
+        for any a, and the nodes fold onto the common refinement of the
+        blocks and a's equal entries.  a = Rc/3 = diag(1/3, 1/3, 0) runs
+        the orbit rule of the blocks, 8 rays; a diagonal a with distinct
+        entries the orthant, 72; a non-diagonal a the full rule, 512.
+        The same metric in a hand-built chart carries no mark and shoots
         all 512."""
         cat = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
-        a = curvature_at(cat, np.zeros(3)).rc / 3
-        for mode in (a, None):
+        cv = curvature_at(cat, np.zeros(3))
+        a = cv.rc / 3
+        for mode, fold, rays in ((a, ((0, 1), (2,)), 8),
+                                 (np.diag([0.3, -0.1, 0.05]),
+                                  ((0,), (1,), (2,)), 72),
+                                 (self.A_OFF, None, 512)):
             nc = prepare_normal_chart(cat, np.zeros(3), 0.9, self.QUAD, a=mode)
-            assert nc.symmetry == ((0, 1), (2,)) and nc.dirs.shape[0] == 8
-        nc = prepare_normal_chart(cat, np.zeros(3), 0.9, self.QUAD,
-                                  a=np.diag([0.3, -0.1, 0.05]))
-        assert nc.symmetry == ((0,), (1,), (2,)) and nc.dirs.shape[0] == 72
+            assert nc.kind == "warped" and nc.dirs is None and nc.nfev == 0
+            assert nc.symmetry == ((0, 1), (2,))
+            tf = build_test_function(nc, cv, mode=mode, r_s=0.9)
+            assert resolve_rule(tf, self.QUAD) == ("radial_sphere", fold)
+            assert eval_L_normalized(tf, 1e-3, self.QUAD)[2]["rays"] == rays
+        none = prepare_normal_chart(cat, np.zeros(3), 0.9, self.QUAD)
+        assert none.kind == "warped" and none.symmetry == ((0, 1), (2,))
         bare = MetricChart(3, cat.domain, cat.metric)
         nc = prepare_normal_chart(bare, np.zeros(3), 0.9, self.QUAD, a=a)
         assert nc.symmetry is None and nc.dirs.shape[0] == 512
@@ -1532,7 +1566,8 @@ class TestShell:
         the chart radius), on a full bundle, an orthant and one ray."""
         nc = request.getfixturevalue(which)
         r = np.linspace(0.0, 1.1 * nc.radius, 24).reshape(4, 6)
-        dens, _ = nc.geometry(r.ravel(), np.zeros((nc.dirs.shape[0], 1, 3)))
+        dens, _ = nc.geometry(r.ravel(), np.zeros((nc.dirs.shape[0], 1, 3)),
+                              nc.dirs[:, None, :])
         want = (dens.T @ nc.weights).reshape(r.shape) * r**2
         np.testing.assert_allclose(nc.shell(r), want, rtol=1e-15, atol=0)
 

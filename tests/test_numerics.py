@@ -407,9 +407,8 @@ class TestDormandPrince:
             return out
 
         monkeypatch.setattr(charts, "dopri45", recording)
-        ch = make_chart(spec)
-        if which == "conformal":  # its origin is a warped centre: shoot it by hand
-            ch = shooting_chart(ch)
+        # both origins are warped centres: shoot them by hand
+        ch = shooting_chart(make_chart(spec))
         nc = build_normal_chart(ch, np.zeros(3), 0.9, rule=sphere_rule(3, 8),
                                 r_samples=192)
         (fun, y0, t_out, rtol, atol, keep, got, nfev), = seen
@@ -545,9 +544,10 @@ class TestProbeRadius:
 
 def test_runtime_paths_load_no_scipy():
     """A fresh interpreter runs a Hermite and an auto expansion, an auto
-    expansion at n = 5 (Golub-Welsch polar factors), the S^2xR ode chart
-    and its expansion on the orbit rule, the orbit rule of S^2 x R^2
-    (a Gauss-Jacobi factor), the warped c06 chart's L and W expansions
+    expansion at n = 5 (Golub-Welsch polar factors), an ode chart of the
+    S^2xR metric in a hand-built chart, the warped S^2xR expansion on the
+    orbit rule and its ball volume, the orbit rule of S^2 x R^2 (a
+    Gauss-Jacobi factor), the warped c06 chart's L and W expansions
     (its arc-length inversion), symmetrize, mu_ball and assess_rigidity
     without loading scipy or mpmath, which only the tests use."""
     script = textwrap.dedent(
@@ -560,9 +560,9 @@ def test_runtime_paths_load_no_scipy():
                             assess_rigidity, build_normal_chart,
                             build_test_function, make_chart, mu_ball,
                             run_expansion, symmetrize)
-        from curvex.charts import PROFILES
+        from curvex.charts import PROFILES, MetricChart
         from curvex.errors import PositivityWarning
-        from curvex.functionals import orbit_rule, sphere_rule
+        from curvex.functionals import ball_volume, orbit_rule, sphere_rule
 
         warnings.simplefilter("ignore", PositivityWarning)
         s3 = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.0))
@@ -572,11 +572,14 @@ def test_runtime_paths_load_no_scipy():
         s5 = make_chart(ModelSpec("space_form", 5, K=1.0))
         run_expansion(s5, np.zeros(5), r_s=1.2, quad=QuadratureSpec(order=10))
         s2r = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
-        nc = build_normal_chart(s2r, np.zeros(3), 0.9, rule=sphere_rule(3, 8),
+        bare = MetricChart(3, s2r.domain, s2r.metric, christoffel=s2r.christoffel)
+        nc = build_normal_chart(bare, np.zeros(3), 0.9, rule=sphere_rule(3, 8),
                                 r_samples=96)
-        nc.geometry(np.linspace(0.0, 0.9, 7), np.zeros((nc.dirs.shape[0], 1, 3)))
+        nc.geometry(np.linspace(0.0, 0.9, 7), np.zeros((nc.dirs.shape[0], 1, 3)),
+                    nc.dirs[:, None, :])
         run_expansion(s2r, np.zeros(3), r_s=0.9,
                       quad=QuadratureSpec(rule="radial_sphere", order=10))
+        ball_volume(build_normal_chart(s2r, np.zeros(3), 0.9), 0.9)
         orbit_rule(10, ((0, 1), (2, 3)))
         c06 = make_chart(ModelSpec(
             "conformal_flat", 3, halfwidth=1.5,

@@ -138,10 +138,11 @@ class TestVerdicts:
         assert all(abs(c.margin) < 1e-9 for c in laps)
 
     def test_sphere_line_against_flat_model(self):
-        """S^2 x R is not a closed-form chart, so the centre chart is shot
-        by geodesics.  Sc = 2 >= 0 holds but the traceless Ricci part does
-        not vanish, and geodesic balls have less area than flat balls of
-        the same volume (margins about -0.36, -0.92, -1.60)."""
+        """S^2 x R's centre chart is warped, one warp per block (it was
+        shot by geodesics, with the same margins to 1.6e-13).  Sc = 2 >= 0
+        holds but the traceless Ricci part does not vanish, and geodesic
+        balls have less area than flat balls of the same volume (margins
+        about -0.36, -0.92, -1.60)."""
         ch = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
         rep = assess_rigidity(ch, K=0.0)
         assert rep.verdict == "inconclusive"

@@ -182,6 +182,41 @@ def test_sources_build_the_two_normal_charts():
     assert len(named) == len(built)
 
 
+def test_every_marked_catalog_chart_is_warped_at_its_origin():
+    """Every make_chart kind whose metric carries a symmetry about the
+    origin, one block or a direct sum of space-form blocks, has a warp per
+    block there: its normal chart at the origin is a WarpedNormalChart on
+    the chart's own partition, built without shooting a ray (nfev 0, no
+    bundle), whatever fold the caller asks for."""
+    import numpy as np
+
+    from curvex.charts import (PROFILES, ModelSpec, Perturbation,
+                               build_normal_chart, make_chart)
+    from curvex.functionals import orbit_rule
+
+    specs = [
+        ModelSpec("flat", 3),
+        ModelSpec("space_form", 4, K=1.0),
+        ModelSpec("space_form", 3, K=-1.0),
+        ModelSpec("product_sphere_line", 3, K=1.0),
+        ModelSpec("product_sphere_line", 4, K=-1.0),
+        *(ModelSpec("conformal_flat", 3, halfwidth=1.5,
+                    perturbation=Perturbation(0.05, PROFILES[name]))
+          for name in sorted(PROFILES)),
+    ]
+    assert {s.kind for s in specs} == {
+        "flat", "space_form", "product_sphere_line", "conformal_flat"}
+    for spec in specs:
+        ch = make_chart(spec)
+        assert ch.symmetry is not None and len(ch.warps) == len(ch.symmetry)
+        rule = orbit_rule(8, ch.symmetry)
+        for fold in (None, ch.symmetry):
+            nc = build_normal_chart(ch, np.zeros(spec.n), 0.5, rule=rule,
+                                    fold=fold)
+            assert nc.kind == "warped" and nc.nfev == 0 and nc.dirs is None
+            assert nc.symmetry == ch.symmetry and nc.warps == ch.warps
+
+
 def test_no_module_compares_a_normal_chart_kind():
     """Code that needs a chart's shot bundle reads NormalChart.dirs: the
     only `kind` comparisons read the catalog's ModelSpec and
@@ -216,7 +251,7 @@ def test_normal_chart_attributes_are_set_by_constructors():
              if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign))
              for t in ast.walk(n) if isinstance(t, ast.Attribute)
              and isinstance(t.ctx, ast.Store)}
-    assert {"chart", "center", "radius", "n", "symmetry", "warp", "dirs",
+    assert {"chart", "center", "radius", "n", "symmetry", "warps", "dirs",
             "weights", "nfev", "gauss_residual", "_basis", "_table",
             "_sc_pts", "_sc_spline"} == names
 
