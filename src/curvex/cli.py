@@ -192,6 +192,8 @@ def _volume(cfg, seed):
         "fitted": {"r2": fit.c1, "r4": fit.c2,
                    "r2_stderr": fit.c1_stderr, "r4_stderr": fit.c2_stderr},
         "pass": bool(r2_ok and r4_ok),
+        # which chart ran: [quadrature] shapes an ode chart's rays alone
+        "meta": nc.record(),
     }
     rows = [("r", "volume"), *zip(radii, vols)]
     return payload, rows, payload["pass"]

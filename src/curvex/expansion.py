@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._spaceform import omega_n
-from .charts import MetricChart, build_normal_chart, center_symmetry, curvature_at
+from .charts import (MetricChart, _centre_warps, build_normal_chart, center_symmetry,
+                     curvature_at)
 from .errors import ConfigInvalid, IllConditionedFit, NoiseDominates
 from .functionals import (
     QuadratureSpec,
@@ -202,8 +203,11 @@ def prepare_normal_chart(chart: MetricChart, p, r_s: float, quad: QuadratureSpec
     order 16, 8 rays instead of 512 for a = Rc/3 on a hand-built chart
     marked with S^2 x R's blocks, the orthant's 72 for a diagonal a with
     distinct entries, the full rule for any other a.  a = None stands for
-    no test function (volumes, shells, probes)."""
+    no test function (volumes, shells, probes).  Only a chart that shoots
+    works out the fold and builds the bundle: a warped one reads neither."""
     p = np.asarray(p, dtype=float)
+    if _centre_warps(chart, p) is not None:
+        return build_normal_chart(chart, p, r_s)
     fold = fold_level(a, center_symmetry(chart, p))
     return build_normal_chart(chart, p, r_s, fold=fold,
                               rule=ray_bundle(chart.n, quad.order, fold))

@@ -78,8 +78,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import factorial
+from math import prod
 from numbers import Real
 
 import numpy as np
@@ -348,9 +347,10 @@ def _hermite_nodes(n: int, order: int, fold: Partition | None = None):
     nondecreasing index tuples of the half rule z >= 0 (_half_rule, each
     positive node carrying its mirror's weight) on its coordinates, each
     weighted by the product weight times k!/prod(run length)!, the number
-    of its distinct permutations; the blocks combine as a product in block
-    order.  It integrates the functions invariant under that group exactly
-    as the full grid does, regrouped: n singletons give the orthant,
+    of its distinct permutations (_sorted_tuples lists both with array
+    operations); the blocks combine as a product in block order.  It
+    integrates the functions invariant under that group exactly as the
+    full grid does, regrouped: n singletons give the orthant,
     ceil(order/2)^n nodes, one block C(ceil(order/2) + n - 1, n)."""
     z1, w1 = np.polynomial.hermite.hermgauss(order)  # symmetric: z1 == -z1[::-1]
     if fold is None:
@@ -359,12 +359,7 @@ def _hermite_nodes(n: int, order: int, fold: Partition | None = None):
         z1, w1 = _half_rule(z1, w1)
     idx, mult = np.zeros((1, n), dtype=np.intp), np.ones(1)
     for block in fold:
-        k = len(block)
-        t = np.array(list(combinations_with_replacement(range(z1.size), k)))
-        # k! over the product of the run lengths' factorials: position p
-        # contributes how many of t[:p + 1] equal t[p]
-        same = np.tril(t[:, :, None] == t[:, None, :]).sum(axis=2)
-        orbit = factorial(k) / np.prod(same, axis=1)
+        t, orbit = _sorted_tuples(z1.size, len(block))
         idx = np.repeat(idx, len(t), axis=0)
         idx[:, list(block)] = np.tile(t, (mult.size, 1))
         mult = np.outer(mult, orbit).ravel()
@@ -373,6 +368,29 @@ def _hermite_nodes(n: int, order: int, fold: Partition | None = None):
     zn = np.sqrt(np.einsum("mi,mi->m", zs, zs))
     zs /= np.where(zn > 0.0, zn, 1.0)[:, None]
     return read_only(zs, zn, ws / np.pi ** (n / 2.0))
+
+
+def _sorted_tuples(m: int, k: int):
+    """The nondecreasing k-tuples of range(m) (C(m + k - 1, k) rows, in the
+    lexicographic order of itertools.combinations_with_replacement) and
+    each one's number of distinct permutations, k!/prod(run length)!.
+
+    The columns grow one at a time: a row ending in v repeats m - v times
+    and takes v, v + 1, ..., m - 1 as its next entry.  A row of j + 1
+    entries whose last run has length l counts (j + 1)/l times the
+    permutations of its first j, exactly in integers."""
+    t = np.arange(m)[:, None]
+    count, run = np.ones(m, dtype=np.intp), np.ones(m, dtype=np.intp)
+    for j in range(1, k):
+        last = t[:, -1]
+        reps = m - last
+        rows = np.repeat(np.arange(reps.size), reps)
+        # each row's new entries count up from its last one
+        new = np.arange(rows.size) - (np.cumsum(reps) - reps - last)[rows]
+        run = np.where(new == last[rows], run[rows] + 1, 1)
+        count = count[rows] * (j + 1) // run
+        t = np.column_stack((t[rows], new))
+    return t, count
 
 
 def _half_rule(x, w):
@@ -398,8 +416,9 @@ def _azimuth(m: int, fold: bool):
     return np.cos(th), np.sin(th), mult * (2 * np.pi / m)
 
 
-# directions of a full sphere rule at most: o <= 128 on S^2, 25 on S^3,
-# 11 on S^4, 6 on S^5 (the radial order is never cut)
+# directions of a rule built at most: the full sphere rule keeps o <= 128
+# on S^2, 25 on S^3, 11 on S^4, 6 on S^5; a folded rule holds fewer
+# directions per order and keeps more (the radial order is never cut)
 _MAX_DIRECTIONS = 2**15
 
 
@@ -407,7 +426,7 @@ def sphere_rule(n: int, order: int, fold: bool = False):
     """The product rule on S^{n-1} in hyperspherical coordinates (Stroud,
     Approximate Calculation of Multiple Integrals, 1971): directions and
     weights summing to the sphere's area, exact to degree 2 o - 1, o being
-    order lowered until the full rule holds at most _MAX_DIRECTIONS.
+    order lowered until the rule holds at most _MAX_DIRECTIONS.
 
     It is orbit_rule on n singleton blocks.  fold folds every factor onto
     its nonnegative half by node index (`_half_rule`, `_azimuth`): the rule
@@ -417,10 +436,12 @@ def sphere_rule(n: int, order: int, fold: bool = False):
 
 @lru_cache(maxsize=64)
 def orbit_rule(order: int, blocks: Partition, fold: bool = True):
-    """The rule of sphere_rule(n, order) for the functions invariant under
+    """The product rule of sphere_rule for the functions invariant under
     the block group O(n_1) x ... x O(n_k) of the partition blocks, on its
     orbit space: directions and weights summing to |S^{n-1}|, exact on
-    those functions to the full rule's degree 2 o - 1.
+    those functions to the full rule's degree 2 o - 1, o being order
+    lowered until this rule (not the full one) holds at most
+    _MAX_DIRECTIONS: S^2 x R^3's blocks keep order 16 with 8 directions.
 
     A point of S^{n-1} is (s_1 y_1, ..., s_k y_k) with s on the positive
     part of S^{k-1} and y_b on S^{n_b - 1}; an invariant function depends
@@ -449,10 +470,18 @@ def orbit_rule(order: int, blocks: Partition, fold: bool = True):
     def azimuths(o):
         return max(4 * o, 16) if n == 2 else 2 * o
 
-    o = order
-    while o ** (n - 2) * azimuths(o) > _MAX_DIRECTIONS:
-        o -= 1
     pair = sizes[:2] == [1, 1]
+
+    def directions(o):  # of the rule built at order o
+        half = -(-o // 2)
+        count = prod(o if s == 1 and not fold else half
+                     for s in sizes[2 if pair else 1:])
+        m = azimuths(o)
+        return count * (m // 4 + 1 if fold else m) if pair else count
+
+    o = order
+    while directions(o) > _MAX_DIRECTIONS:
+        o -= 1
     radii, sines, wts = [], np.ones(1), np.ones(1)
     for b in range(len(blocks) - 1, 1 if pair else 0, -1):
         inner = sum(sizes[:b])

@@ -248,11 +248,13 @@ class TestRuns:
         chart with its mark (oracles.shooting_chart, patched in for the
         catalog chart): both fit r2 and r4 within their default 1 % and
         5 % of the curvature prediction, and the two tables agree within
-        1e-9 relative."""
+        1e-9 relative.  volume.json records the chart that ran, with the
+        ode chart's right-hand-side calls and Gauss-lemma residual, and a
+        rerun of the ode chart writes the same bytes."""
         cfg = _write(tmp_path, "c.ini", VOLUME_SPHERE_LINE)
         catalog = cli._chart_from
         shots = recorded(monkeypatch, cli, "prepare_normal_chart")
-        tables = []
+        tables, metas = [], []
         for oracle in (False, True):
             if oracle:
                 monkeypatch.setattr(cli, "_chart_from", lambda c: shooting_chart(
@@ -266,8 +268,32 @@ class TestRuns:
             assert res["predicted"]["r2"] == pytest.approx(-2.0 / 30.0)
             tables.append(np.loadtxt(out / "volume.csv", delimiter=",",
                                      skiprows=1))
+            metas.append(res["meta"])
         assert [nc.kind for _, _, nc in shots] == ["warped", "ode"]
         np.testing.assert_allclose(tables[0], tables[1], rtol=1e-9, atol=0)
+        assert metas[0] == {"normal_chart": "warped"}
+        assert metas[1]["normal_chart"] == "ode" and metas[1]["nfev"] > 0
+        assert 0.0 <= metas[1]["gauss_residual"] <= 1e-8
+        again = tmp_path / "again"
+        assert main(["volume", "--config", cfg, "--out", str(again),
+                     "--no-timestamp"]) == 0
+        assert (again / "volume.json").read_bytes() == (
+            tmp_path / "True" / "volume.json").read_bytes()
+
+    def test_volume_records_the_warped_chart(self, tmp_path):
+        """A catalog S^3 reads its ball volumes from the warped chart, which
+        shoots nothing: volume.json says so, and reruns write the same
+        bytes."""
+        cfg = _write(tmp_path, "c.ini", EXPAND_S3_ZERO.replace(
+            "r_s = 1.7\nmode = zero", "chart_radius = 1.5"))
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        for d in (d1, d2):
+            assert main(["volume", "--config", cfg, "--out", str(d),
+                         "--no-timestamp"]) == 0
+        raw = (d1 / "volume.json").read_bytes()
+        assert raw == (d2 / "volume.json").read_bytes()
+        res = json.loads(raw)["result"]
+        assert res["pass"] is True and res["meta"] == {"normal_chart": "warped"}
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_symmetrize_default_a_fits_n(self, tmp_path, n):

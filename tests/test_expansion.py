@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from curvex import ModelSpec, Perturbation, curvature_at, make_chart, norm_sq
-from curvex.charts import PROFILES, MetricChart, build_normal_chart
+from curvex import ModelSpec, Perturbation, curvature_at, expansion, make_chart, norm_sq
+from curvex.charts import PROFILES, MetricChart, build_normal_chart, center_symmetry
 from curvex.errors import (
     ConfigInvalid,
     IllConditionedFit,
@@ -28,10 +28,11 @@ from curvex.functionals import (
     build_test_function,
     eval_L_normalized,
     eval_W_normalized,
+    fold_level,
     sphere_rule,
 )
 from curvex.tensor_core import space_form_curvature
-from oracles import shooting_chart
+from oracles import recorded, shooting_chart
 
 
 class TestPredictions:
@@ -480,18 +481,73 @@ class TestOdeFold:
         assert off.symmetry is None and off.dirs.shape[0] == 128
 
 
+def _prepare_along_a_bundle(chart, p, r_s, quad, a=None):
+    """prepare_normal_chart as it was: the fold and the ray bundle worked
+    out on every call, whether the chart shoots or not."""
+    fold = fold_level(a, center_symmetry(chart, p))
+    return build_normal_chart(chart, p, r_s, fold=fold,
+                              rule=expansion.ray_bundle(chart.n, quad.order, fold))
+
+
+class TestBundleOnlyWhereShot:
+    """prepare_normal_chart builds a ray bundle only for a chart that
+    shoots; a warped centre reads its geometry from its warps."""
+
+    QUAD = QuadratureSpec(rule="radial_sphere", order=16)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("flat", 3), ModelSpec("space_form", 4, K=1.0),
+        ModelSpec("space_form", 3, K=-1.0),
+        ModelSpec("product_sphere_line", 3, K=1.0),
+        ModelSpec("product_sphere_line", 4, K=-1.0),
+        ModelSpec("conformal_flat", 3, halfwidth=1.5,
+                  perturbation=Perturbation(0.05, PROFILES["quartic_bump"]))],
+        ids=["flat", "S4", "H3", "S2xR", "H2xR2", "conformal"])
+    def test_no_bundle_at_a_catalog_origin(self, monkeypatch, spec):
+        """No bundle at the origin of the catalog charts, and the
+        expansion equals, bit for bit, the one on a chart built along a
+        bundle as before."""
+        ch = make_chart(spec)
+        p = np.zeros(ch.n)
+        bundles = recorded(monkeypatch, expansion, "ray_bundle")
+        res = run_expansion(ch, p, "L", r_s=0.9, quad=self.QUAD, t_points=4)
+        assert bundles == [] and res.meta["normal_chart"] == "warped"
+        monkeypatch.setattr(expansion, "prepare_normal_chart",
+                            _prepare_along_a_bundle)
+        old = run_expansion(ch, p, "L", r_s=0.9, quad=self.QUAD, t_points=4)
+        assert len(bundles) == 1
+        for got, want in [(res.values, old.values), (res.errors, old.errors),
+                          (res.fit.c1, old.fit.c1), (res.fit.c2, old.fit.c2)]:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_one_bundle_on_a_shooting_chart(self, monkeypatch):
+        """The ode chart of S^2 x R's metric at its marked origin is shot
+        along one bundle, the orbit rule of a = Rc/3's fold, as before."""
+        ch = shooting_chart(make_chart(ModelSpec("product_sphere_line", 3, K=1.0)),
+                            mark=((0, 1), (2,)))
+        p, a = np.zeros(3), np.diag([0.0, 0.0, 1.0 / 3.0])
+        bundles = recorded(monkeypatch, expansion, "ray_bundle")
+        nc = prepare_normal_chart(ch, p, 0.9, self.QUAD, a=a)
+        assert [args for args, _, _ in bundles] == [(3, 16, ((0, 1), (2,)))]
+        assert nc.kind == "ode" and nc.dirs.shape[0] == 8
+        old = _prepare_along_a_bundle(ch, p, 0.9, self.QUAD, a=a)
+        for got, want in [(nc.dirs, old.dirs), (nc.weights, old.weights)]:
+            assert got.tobytes() == want.tobytes()
+        assert nc.nfev == old.nfev and nc.gauss_residual == old.gauss_residual
+
+
 class TestEveryDimension:
     """The default QuadratureSpec (auto, order 40) runs the product sphere
-    rule in every dimension; above n = 4 it is cut to 2^15 directions.
-    a = Rc/3 = lambda I folds it onto one ray; a diagonal a with unequal
-    entries (the S5 and H6 orthant cases) keeps its orthant."""
+    rule in every dimension; above n = 4 the rule built is cut to 2^15
+    directions.  a = Rc/3 = lambda I folds it onto one ray; a diagonal a
+    with unequal entries (the S5 and H6 orthant cases) keeps its orthant."""
 
     @pytest.mark.parametrize(
         "n,K,shift,rays",
-        # folded polar orders 11 (n = 5) and 6 (n = 6): ceil(o/2)^(n-2)
-        # polar nodes times o/2 + 1 azimuths
+        # the orthant's own polar orders 26 (n = 5) and 15 (n = 6):
+        # ceil(o/2)^(n-2) polar nodes times o/2 + 1 azimuths
         [(5, 1.0, 0.0, 1), (6, 1.0, 0.0, 1), (5, -1.0, 0.0, 1),
-         (6, -1.0, 0.0, 1), (5, 1.0, 0.1, 6**3 * 6), (6, -1.0, 0.1, 3**4 * 4)],
+         (6, -1.0, 0.0, 1), (5, 1.0, 0.1, 13**3 * 14), (6, -1.0, 0.1, 8**4 * 8)],
         ids=["S5", "S6", "H5", "H6", "S5-orthant", "H6-orthant"],
     )
     def test_default_rule_fits_the_prediction(self, n, K, shift, rays):

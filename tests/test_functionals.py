@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import itertools
 import math
 import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +40,11 @@ from curvex.functionals import (
     _L_of,
     _normalized,
     _eval_once,
+    _half_rule,
     _hermite_nodes,
     _nodes,
     _radial_nodes,
+    _sorted_tuples,
     ball_volume,
     bishop_gromov_ratio,
     build_test_function,
@@ -146,35 +150,43 @@ def _azimuths(n, o):
 
 class TestSphereRule:
     @pytest.mark.parametrize(
-        "n,order,o",
-        [pytest.param(n, order, o, id=f"{order}-{n}") for n, order, o in
-         [(n, order, order) for n in (2, 3, 4) for order in (8, 9, 16, 24)]
-         + [(4, 40, 25), (5, 8, 8), (5, 9, 9), (5, 16, 11), (6, 5, 5),
-            (6, 10, 6)]],
+        "n,order,o,o_fold",
+        [pytest.param(n, order, o, o_fold, id=f"{order}-{n}")
+         for n, order, o, o_fold in
+         [(n, order, order, order) for n in (2, 3, 4) for order in (8, 9, 16, 24)]
+         + [(4, 40, 25, 40), (5, 8, 8, 8), (5, 9, 9, 9), (5, 16, 11, 16),
+            (6, 5, 5, 5), (6, 10, 6, 10)]],
     )
-    def test_folded_rule_is_exact_on_even_monomials(self, n, order, o):
+    def test_folded_rule_is_exact_on_even_monomials(self, n, order, o, o_fold):
         """The rule folded onto the orthant integrates every even monomial
-        up to the rule's degree as the full rule does and as the closed
-        form.  o is the polar order left by the 2^15-direction limit.
+        up to the full rule's degree as the full rule does, and up to its
+        own degree as the closed form.  o and o_fold are the polar orders
+        the 2^15-direction limit leaves to the full rule and to the
+        orthant, which holds fewer directions and keeps more order.
         |y^k| <= 1, so the sphere's area sets the scale.  n = 4 at order 9
         holds the Chebyshev node cos(pi/2) = 6.1e-17, which a fold by sign
         instead of by index mis-weights."""
         full, folded = sphere_rule(n, order), sphere_rule(n, order, True)
         # azimuths 4k <= m of m = max(4 o, 16) (n = 2) or 2 o (n >= 3),
         # times ceil(o/2) nodes u >= 0 per polar factor
-        m = _azimuths(n, o)
-        polar = ((o + 1) // 2) ** (n - 2)
-        assert folded[0].shape == (polar * (m // 4 + 1), n)
+        m, m_fold = _azimuths(n, o), _azimuths(n, o_fold)
+        polar = ((o_fold + 1) // 2) ** (n - 2)
+        assert folded[0].shape == (polar * (m_fold // 4 + 1), n)
+        assert folded[0].shape[0] <= 2**15
         assert full[0].shape == (o ** (n - 2) * m, n) and m * o ** (n - 2) <= 2**15
         assert np.allclose(np.linalg.norm(folded[0], axis=1), 1.0)
         assert np.all(folded[0] >= 0.0)
+        area = sphere_area(n)
         deg = m - 1 if n == 2 else 2 * o - 1
         k, want = _monomial_integrals(*full, deg)
         k_f, got = _monomial_integrals(*folded, deg)
         assert np.array_equal(k, k_f)
-        area = sphere_area(n)
         assert np.max(np.abs(got - want)) <= 1e-14 * area
-        exact = np.array([sphere_monomial(n, tuple(e)) for e in k])
+        k, got = _monomial_integrals(
+            *folded, m_fold - 1 if n == 2 else 2 * o_fold - 1)
+        # the closed form is symmetric in the exponents
+        closed = functools.lru_cache(maxsize=None)(lambda e: sphere_monomial(n, e))
+        exact = np.array([closed(tuple(sorted(e))) for e in k.tolist()])
         assert np.max(np.abs(got - exact)) <= 1e-14 * area
 
     @pytest.mark.parametrize(
@@ -282,6 +294,17 @@ def _block_moment(blocks, k):
     return out
 
 
+def _assert_exact_on_block_moments(blocks, o, dirs, wts):
+    """dirs, wts integrate every prod_b |x_b|^(2 k_b) of degree 2 K <= 2 o - 1
+    over S^(n-1) as _block_moment, within 1e-14 of the sphere's area."""
+    area = sphere_area_K(sum(map(len, blocks)), 0.0, 1.0)
+    radii = np.stack([np.linalg.norm(dirs[:, b], axis=1) for b in blocks], -1)
+    for k in itertools.product(range(o), repeat=len(blocks)):
+        if sum(k) <= o - 1:
+            got = wts @ np.prod(radii ** (2 * np.array(k)), axis=1)
+            assert abs(got - _block_moment(blocks, k)) <= 1e-14 * area, k
+
+
 _PARTITIONS = [
     ((0, 1),), ((0,), (1,)),
     ((0, 1, 2),), ((0, 1), (2,)), ((0,), (1, 2)), ((0, 2), (1,)),
@@ -325,12 +348,27 @@ class TestOrbitRule:
             # each block's share lies on its first coordinate
             others = [i for b in blocks for i in b[1:]]
             assert not np.any(dirs[:, others])
-            radii = np.stack([np.linalg.norm(dirs[:, b], axis=1) for b in blocks], -1)
-            # every prod_b |x_b|^(2 k_b) of degree 2 K <= 2 o - 1
-            for k in itertools.product(range(o), repeat=len(blocks)):
-                if sum(k) <= o - 1:
-                    got = wts @ np.prod(radii ** (2 * np.array(k)), axis=1)
-                    assert abs(got - _block_moment(blocks, k)) <= 1e-14 * area, k
+            _assert_exact_on_block_moments(blocks, o, dirs, wts)
+
+    @pytest.mark.parametrize("blocks,rays", [
+        (((0, 1), (2, 3, 4)), 8), (((0, 1), (2, 3), (4, 5)), 8 * 8),
+        (((0,), (1,), (2, 3, 4)), 8 * 9), (((0,), (1, 2, 3, 4, 5)), 8)],
+        ids=["01|234", "01|23|45", "0|1|234", "0|12345"])
+    def test_limit_counts_the_rule_built(self, blocks, rays):
+        """The 2^15-direction limit bounds the directions of the rule
+        built, so these folded rules keep order 16 and its degree 31,
+        where the full rule's count cut them to 11 (n = 5) and 6 (n = 6):
+        ceil(16/2) nodes per block factor, 16/2 + 1 quadrant azimuths for
+        two leading singletons."""
+        dirs, wts = orbit_rule(16, blocks)
+        assert wts.size == rays
+        _assert_exact_on_block_moments(blocks, 16, dirs, wts)
+
+    def test_unfolded_sphere_rule_keeps_its_limit(self):
+        """The full rule is the one built: o^(n-2) 2 o directions at the
+        largest o that fits 2^15, 11 on S^4 and 6 on S^5."""
+        for n, o in [(5, 11), (6, 6)]:
+            assert sphere_rule(n, 16)[1].size == o ** (n - 2) * 2 * o
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_singletons_and_one_block_are_the_old_rules(self, n):
@@ -392,6 +430,63 @@ def test_s0_area_is_two(K):
         omega = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
         assert sphere_area_K(n, K, r).tobytes() == (
             n * omega * sn(K, r) ** (n - 1)).tobytes()
+
+
+def _hermite_nodes_by_tuples(n, order, fold=None):
+    """_hermite_nodes as a per-tuple build: the index tuples of each block
+    from itertools, their permutation counts from the run lengths."""
+    z1, w1 = np.polynomial.hermite.hermgauss(order)
+    if fold is None:
+        fold = tuple((i,) for i in range(n))
+    else:
+        z1, w1 = _half_rule(z1, w1)
+    idx, mult = np.zeros((1, n), dtype=np.intp), np.ones(1)
+    for block in fold:
+        k = len(block)
+        t = np.array(list(itertools.combinations_with_replacement(
+            range(z1.size), k)))
+        same = np.tril(t[:, :, None] == t[:, None, :]).sum(axis=2)
+        orbit = math.factorial(k) / np.prod(same, axis=1)
+        idx = np.repeat(idx, len(t), axis=0)
+        idx[:, list(block)] = np.tile(t, (mult.size, 1))
+        mult = np.outer(mult, orbit).ravel()
+    ws = np.prod(w1[idx], axis=-1) * mult
+    zs = z1[idx]
+    zn = np.sqrt(np.einsum("mi,mi->m", zs, zs))
+    zs /= np.where(zn > 0.0, zn, 1.0)[:, None]
+    return zs, zn, ws / np.pi ** (n / 2.0)
+
+
+class TestSortedTuples:
+    """_sorted_tuples, the array build of the Hermite fold's index tuples,
+    against itertools and a per-tuple build of the grids."""
+
+    def test_rows_order_and_counts(self):
+        """The rows of combinations_with_replacement in its order, and each
+        row's number of distinct permutations counted by Counter."""
+        for m in range(1, 21):
+            for k in range(1, 5):
+                t, count = _sorted_tuples(m, k)
+                want = list(itertools.combinations_with_replacement(range(m), k))
+                assert t.shape == (len(want), k)
+                assert [tuple(r) for r in t.tolist()] == want
+                perms = [math.factorial(k) // math.prod(
+                    map(math.factorial, Counter(r).values())) for r in want]
+                assert count.tolist() == perms
+
+    @pytest.mark.parametrize("n,order,fold", [
+        (4, 24, ((0, 1, 2, 3),)), (4, 18, ((0, 1, 2, 3),)),
+        (3, 40, ((0, 1, 2),)), (3, 34, ((0, 1, 2),)),
+        (3, 12, None), (4, 9, None), (3, 25, ((0,), (1,), (2,))),
+        (4, 17, ((0,), (1,), (2,), (3,))), (4, 11, ((0, 2), (1,), (3,)))],
+        ids=["S4-24", "S4-18", "H3-40", "H3-34", "full-3", "full-4",
+             "orthant-3", "orthant-4", "02|1|3"])
+    def test_grid_matches_the_per_tuple_build(self, n, order, fold):
+        """The benchmark's four one-block grids, the full grid, the orthant
+        and a mixed partition: directions, radii and weights bit for bit."""
+        for got, want in zip(_hermite_nodes(n, order, fold),
+                             _hermite_nodes_by_tuples(n, order, fold)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestFoldedHermiteGrid:

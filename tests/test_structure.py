@@ -6,7 +6,8 @@ creep back unnoticed; no quadrature draws random nodes; one function
 decides how far a rule folds; one Golub-Welsch routine builds every
 non-closed-form Gauss rule; normal charts are two classes with one
 interface, which no module tells apart, and no normal-chart code tells
-flat space from a space form by name."""
+flat space from a space form by name; the folded Hermite grid is built
+with array operations, not from a Python list of index tuples."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,20 @@ def test_random_draws_stay_out_of_the_quadrature():
     CLI's moment self-test matrices (the positive-definiteness probe and
     the default rigidity points read fixed points, charts._box_points)."""
     assert sorted(_callers("default_rng")) == [("cli.py", "_moments_selftest")]
+
+
+def test_no_module_imports_combinations_with_replacement():
+    """The folded Hermite grid lists its index tuples with array
+    operations (functionals._sorted_tuples): no module imports itertools'
+    combinations_with_replacement, by name or through the module, so the
+    per-tuple build cannot come back."""
+    assert _found(lambda node: isinstance(node, ast.ImportFrom)
+                  and node.module == "itertools"
+                  and any(a.name == "combinations_with_replacement"
+                          for a in node.names)) == []
+    assert _found(lambda node: isinstance(node, (ast.Attribute, ast.Name))
+                  and "combinations_with_replacement" in (
+                      getattr(node, "attr", None), getattr(node, "id", None))) == []
 
 
 def test_no_time_shift_or_scale_is_read():
