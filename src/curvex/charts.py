@@ -20,33 +20,31 @@ Geodesic shooting and the curvature fields both go through it.
 Sign convention: R_ijij = K on a space form of curvature K, so
 rc_ij = sum_s rm_isjs and sc = n(n-1)K.
 
-Normal charts wrap the exponential map at a center point.  make_chart
-marks each chart with the symmetry of its metric about the origin of its
-cube box (MetricChart.symmetry): a partition of the coordinates into
-blocks whose block group O(n_1) x ... x O(n_k), each factor acting on
-its own block, leaves the metric invariant, or None.  A single
-space-form block (flat, space_form) and a conformal chart whose profile
-is a RadialProfile are one block, a direct sum of space forms
-(product_sphere_line) its blocks' coordinates ({0, 1}, {2} on S^2 x R),
-and a plain-callable profile or a hand-built chart carry None.  With it
+Normal charts wrap the exponential map at a center point.  Where a
+chart's metric is a warped product about the origin of its cube box,
 make_chart records one warp per block (MetricChart.warps): block b reads
 dr_b^2 + f_b(r_b)^2 g_{S^(n_b - 1)} in geodesic polar coordinates of its
 own coordinates about the origin (Petersen, Riemannian Geometry, 3rd ed.,
 2016): f = r on a flat block (about every point), f = sn_K on a curved
 space-form block, and on a conformal chart with a RadialProfile the f of
-its straight rays.  The exponential map of a direct sum is the product
+its straight rays.  A single space-form block (flat, space_form) and a
+conformal chart whose profile is a RadialProfile are one block, a direct
+sum of space forms (product_sphere_line) its blocks' coordinates ({0, 1},
+{2} on S^2 x R); a plain-callable profile or a hand-built chart carry no
+warps.  The warps fix the chart's symmetry (MetricChart.symmetry): the
+contiguous partition of the coordinates into their blocks, whose block
+group O(n_1) x ... x O(n_k), each factor acting on its own block, leaves
+the metric invariant.  The exponential map of a direct sum is the product
 of its blocks', so the normal chart at the origin, a WarpedNormalChart,
 reads all its geometry from the warps (on flat space at every point).
 At every other centre (off-centre points, hand-built charts,
 plain-callable profiles) an OdeNormalChart integrates the geodesic
-equation together with its variational (Jacobi) system along a fixed
-bundle of rays, since that is the shape the radial-spherical quadrature
-consumes.  At the origin of a marked chart the geodesic along an image
-of a direction under the group is the image of its geodesic, so an ode
-bundle may be the orbit rule of the group (functionals.ray_bundle) or of
-any subgroup, its weights counting the rays each ray stands for: 8 rays
-instead of 512 at order 16 on a hand-built chart marked with S^2 x R's
-blocks, the orthant of the rule for singleton blocks.  An
+equation together with its variational (Jacobi) system along every ray
+of the sphere rule it is handed, since that is the shape the
+radial-spherical quadrature consumes: a chart that shoots always shoots
+the full sphere_rule(n, order) (expansion.prepare_normal_chart), has no
+symmetry, and its nodes fold onto nothing.  A rule whose integrator
+output would pass _MAX_SHOT_BYTES is refused before anything is shot.  An
 OdeNormalChart keeps one radius-major table, built once at the sample
 radii, a block of radii at a time, with cofactor determinants and
 inverses for n <= 3.  Per ray it holds the density and, in an orthonormal
@@ -93,8 +91,6 @@ from .tensor_core import MAX_DIM, CurvatureData, space_form_curvature
 __all__ = [
     "Box",
     "Partition",
-    "partition",
-    "refines",
     "common_refinement",
     "Perturbation",
     "ModelSpec",
@@ -105,7 +101,6 @@ __all__ = [
     "make_chart",
     "curvature_at",
     "scalar_curvature_batch",
-    "center_symmetry",
     "build_normal_chart",
     "density_series",
     "DensitySeries",
@@ -144,24 +139,6 @@ class Box:
 # group O(n_1) x ... x O(n_k), each factor acting on its block's
 # coordinates, has that symmetry; None stands for no symmetry.
 Partition = tuple[tuple[int, ...], ...]
-
-
-def partition(blocks, n: int) -> Partition:
-    """blocks as a Partition of 0..n-1; InvalidSpec if they are not one."""
-    try:
-        part = tuple(sorted(tuple(sorted(int(i) for i in b)) for b in blocks))
-    except TypeError as exc:
-        raise InvalidSpec(f"{blocks!r} is not a list of blocks") from exc
-    if sorted(i for b in part for i in b) != list(range(n)) or () in part:
-        raise InvalidSpec(f"{blocks!r} is not a partition of the {n} coordinates")
-    return part
-
-
-def refines(fine: Partition, coarse: Partition) -> bool:
-    """Whether every block of fine lies inside one block of coarse: then
-    the block group of fine is a subgroup of coarse's."""
-    home = {i: b for b in coarse for i in b}
-    return all(set(b) <= set(home[b[0]]) for b in fine)
 
 
 def common_refinement(p: Partition | None, q: Partition | None):
@@ -245,8 +222,7 @@ class MetricChart:
     K: float = 0.0
     curvature: CurvatureData | None = None  # constant, on homogeneous charts
     christoffel: Callable | None = field(default=None, repr=False)
-    # set by make_chart alone; see symmetry and warps
-    _symmetry: Partition | None = field(default=None, init=False, repr=False)
+    # set by make_chart alone; see warps
     _warps: tuple[_Warp, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -255,17 +231,19 @@ class MetricChart:
 
     @property
     def symmetry(self) -> Partition | None:
-        """The symmetry of the metric about the origin of a box symmetric
-        about it: a partition of the coordinates into blocks such that
-        g(R x) = R g(x) R^T for every R of the block group (each factor an
-        orthogonal map of its block's coordinates), or None.  A
-        normal chart at the origin may shoot the orbit rule of any
-        refinement of it alone (build_normal_chart)."""
-        return self._symmetry
+        """The symmetry of the metric about the origin of its cube box,
+        read from its warps: the contiguous partition of the coordinates
+        into the warps' blocks, in their order, such that g(R x) = R g(x)
+        R^T for every R of the block group (each factor an orthogonal map
+        of its block's coordinates); None on a chart without warps."""
+        if self._warps is None:
+            return None
+        ends = np.cumsum([w.n for w in self._warps]).tolist()
+        return tuple(tuple(range(e - w.n, e)) for w, e in zip(self._warps, ends))
 
     @property
     def warps(self) -> tuple[_Warp, ...] | None:
-        """One warp per block of symmetry, in its order, or None: block b
+        """One warp per block, in coordinate order, or None: block b
         reads dr_b^2 + f_b(r_b)^2 g_{S^{n_b - 1}} about the origin of its
         own coordinates (about every point on flat space), the one
         geometry of a warped normal chart (build_normal_chart)."""
@@ -310,19 +288,16 @@ def _space_form_metric(n: int, K: float):
 
 
 def _block_geometry(blocks):
-    """(metric, christoffel, curvature, symmetry) of the direct sum of
-    space forms M^{n_b}_{K_b}, blocks = [(n_b, K_b), ...] in coordinate
-    order: a curved block in normal coordinates, a flat one the identity
-    with zero Christoffels.  The curvature is the blocks' space_form_curvature
-    summed directly, the same at every point; each block is rotation
-    invariant about the origin on its own coordinates, so the symmetry is
-    the partition into the blocks' coordinates."""
+    """(metric, christoffel, curvature) of the direct sum of space forms
+    M^{n_b}_{K_b}, blocks = [(n_b, K_b), ...] in coordinate order: a
+    curved block in normal coordinates, a flat one the identity with zero
+    Christoffels.  The curvature is the blocks' space_form_curvature
+    summed directly, the same at every point."""
     n = sum(nb for nb, _ in blocks)
     rm, rc, sc = np.zeros((n,) * 4), np.zeros((n, n)), 0.0
-    curved, parts, start = [], [], 0
+    curved, start = [], 0
     for nb, Kb in blocks:
         b = slice(start, start + nb)
-        parts.append(tuple(range(start, start + nb)))
         start += nb
         if Kb == 0:
             continue
@@ -353,7 +328,7 @@ def _block_geometry(blocks):
             )
         return g, ginv, gam, dgam
 
-    return metric, christoffel, curv, tuple(parts)
+    return metric, christoffel, curv
 
 
 def make_chart(spec: ModelSpec) -> MetricChart:
@@ -384,7 +359,7 @@ def make_chart(spec: ModelSpec) -> MetricChart:
                     f"the M^{nb}_{Kb:g} block leaves its injectivity ball: "
                     f"halfwidth*sqrt({nb})={hw*np.sqrt(nb):.3f} >= pi/sqrt(K)"
                 )
-        metric, christoffel, curv, symmetry = _block_geometry(blocks)
+        metric, christoffel, curv = _block_geometry(blocks)
         chart = MetricChart(n, box, metric, kind=spec.kind, K=K,
                             curvature=curv, christoffel=christoffel)
 
@@ -412,13 +387,11 @@ def make_chart(spec: ModelSpec) -> MetricChart:
         raise InvalidSpec(f"unknown chart kind {spec.kind!r}")
 
     _check_positive_definite(chart)
-    # a direct sum of space forms is invariant under its blocks' group, a
-    # RadialProfile under all of O(n), and the box is a cube about the origin
+    # a direct sum of space forms is warped block by block about the origin,
+    # a RadialProfile as one block, and the box is a cube about the origin
     if blocks is not None:
-        chart._symmetry = symmetry
         chart._warps = tuple(_SpaceFormWarp(nb, Kb) for nb, Kb in blocks)
     elif isinstance(pert.profile, RadialProfile):
-        chart._symmetry = (tuple(range(n)),)
         chart._warps = (_ConformalWarp(n, pert.eps, pert.profile, hw),)
     return chart
 
@@ -997,23 +970,24 @@ class NormalChart:
     (..., n) broadcasting against r; scalar(r), Sc; shell(r), the area of
     the geodesic sphere; and record(), the entries run_expansion's meta
     takes from the chart.  symmetry is the partition the nodes may fold
-    onto.  A chart that pins its rays holds them as dirs (nd, n) with
-    their sphere-rule weights (nd,), summing to the area; nfev counts the
-    right-hand-side calls of its shooting and gauss_residual is the
-    largest |g~^{-1} y - y| in its tables.
+    onto: a warped chart's blocks, None on a chart that shoots.  A chart
+    that pins its rays holds them as dirs (nd, n) with their sphere-rule
+    weights (nd,), summing to the area; nfev counts the right-hand-side
+    calls of its shooting and gauss_residual is the largest
+    |g~^{-1} y - y| in its tables.
     """
 
     kind: str  # 'warped' or 'ode', as meta and the CLI record it
+    symmetry: Partition | None = None
     dirs = weights = None
     nfev = 0
     gauss_residual = None
 
-    def __init__(self, chart, center, radius, symmetry: Partition | None):
+    def __init__(self, chart, center, radius):
         self.chart = chart
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
         self.n = chart.n
-        self.symmetry = symmetry
 
     def record(self) -> dict:
         return {"normal_chart": self.kind}
@@ -1043,7 +1017,8 @@ class WarpedNormalChart(NormalChart):
     kind = "warped"
 
     def __init__(self, chart, center, radius, warps: tuple[_Warp, ...]):
-        super().__init__(chart, center, radius, chart.symmetry)
+        super().__init__(chart, center, radius)
+        self.symmetry = chart.symmetry
         self.warps = warps
 
     def _ratios(self, r, dirs):
@@ -1087,9 +1062,9 @@ class WarpedNormalChart(NormalChart):
 
 
 class OdeNormalChart(NormalChart):
-    """The normal chart shot along the rays dirs (_ode_normal_chart), for
-    the radial-spherical node layout alone; symmetry is the fold the
-    bundle was shot with, which pins it.  _basis holds orthonormal bases
+    """The normal chart shot along the rays dirs (_ode_normal_chart), the
+    whole sphere rule it was handed, for the radial-spherical node layout
+    alone; its nodes fold onto nothing.  _basis holds orthonormal bases
     B_d (nd, n, n-1) of the planes d^perp, _table the spline in r of the
     density and the upper entries of B_d^T g~^{-1} B_d, off-diagonal ones
     doubled, (nd, 1 + n(n-1)/2), and _sc_pts the exp points
@@ -1097,9 +1072,9 @@ class OdeNormalChart(NormalChart):
 
     kind = "ode"
 
-    def __init__(self, chart, center, radius, dirs, weights, fold, basis,
-                 table, sc_pts, nfev, gauss_residual):
-        super().__init__(chart, center, radius, fold)
+    def __init__(self, chart, center, radius, dirs, weights, basis, table,
+                 sc_pts, nfev, gauss_residual):
+        super().__init__(chart, center, radius)
         self.dirs, self.weights = dirs, weights
         self.nfev, self.gauss_residual = nfev, gauss_residual
         self._basis, self._table, self._sc_pts = basis, table, sc_pts
@@ -1151,14 +1126,39 @@ class OdeNormalChart(NormalChart):
 _TABLE_BLOCK = 32  # sample radii per block of the ode table build
 _SC_RADII = 65  # radii of the lazily built Sc spline of an ode chart
 _GAUSS_TOL = 1e-8  # largest |g~^{-1} y - y| an ode table may carry
+# bytes of sampled states (x and J of every ray at every sample radius) a
+# shooting may keep, at the default 384 sample radii: 640 MiB holds the
+# full order-40 rule off the centre of S^3 (3,200 rays, 131 MiB) and the
+# order-16 one at n = 4 (8,192 rays, 559 MiB; assess_rigidity's probe
+# rule), but not the order-25 one at n = 4 (31,250 rays, 2.1 GiB), which
+# raises before anything is shot
+_MAX_SHOT_BYTES = 640 * 2**20
 
 
-def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol, fold=None):
+def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol):
     n = chart.n
     dirs, weights = (np.asarray(a, dtype=float) for a in rule)
     if dirs.ndim != 2 or dirs.shape[1] != n or weights.shape != dirs.shape[:1]:
         raise InvalidSpec("a sphere rule is directions (nd, n) and weights (nd,)")
     nd = dirs.shape[0]
+    # the steps do not depend on the sample radii, so the table radii and
+    # the radii of the Sc spline are sampled together, x and J alone
+    r_grid = np.linspace(0.0, r0, r_samples)
+    r_out, row = np.unique(
+        np.concatenate([r_grid, np.linspace(0.0, r0, _SC_RADII)]),
+        return_inverse=True,
+    )
+    per_ray = r_out.size * (n + n * n) * 8
+    if nd * per_ray > _MAX_SHOT_BYTES:
+        from .functionals import _rule_order  # functionals imports this module
+
+        fits = _MAX_SHOT_BYTES // per_ray
+        raise InvalidSpec(
+            f"shooting {nd} rays would keep {nd * per_ray / 2**20:.0f} MiB of "
+            f"sampled states, above {_MAX_SHOT_BYTES >> 20} MiB: at most {fits} "
+            f"rays fit, sphere_rule({n}, order) up to order "
+            f"{_rule_order(fits, [1] * n, False, fits)}")
+
     g0 = chart.metric(p[None, :])[0]
     E = _frame(g0[None, :, :])[0]
 
@@ -1193,13 +1193,6 @@ def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol, fold=None):
         Jpp = -(dvv.transpose(0, 2, 1) @ J) - 2.0 * (gv @ Jp)
         return np.concatenate([v.ravel(), Jp.ravel(), acc.ravel(), Jpp.ravel()])
 
-    # the steps do not depend on the sample radii, so the table radii and
-    # the radii of the Sc spline are sampled together, x and J alone
-    r_grid = np.linspace(0.0, r0, r_samples)
-    r_out, row = np.unique(
-        np.concatenate([r_grid, np.linspace(0.0, r0, _SC_RADII)]),
-        return_inverse=True,
-    )
     y, nfev = dopri45(rhs, y0, r_out, rtol, 1e-12, keep=nxj)  # radius-major
     nt = r_grid.size
     row_tab, row_sc = row[:nt], row[nt:]
@@ -1256,7 +1249,7 @@ def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol, fold=None):
 
     sc_pts = y[row_sc, sl_x].reshape(_SC_RADII, nd, n)
     del y, ys, pts  # ys is a copy, pts a view of it
-    return OdeNormalChart(chart, p, r0, dirs, weights, fold, basis,
+    return OdeNormalChart(chart, p, r0, dirs, weights, basis,
                           CubicSpline(r_grid, tab), sc_pts, nfev, gauss)
 
 
@@ -1269,15 +1262,6 @@ def _centre_warps(chart: MetricChart, p) -> tuple[_Warp, ...] | None:
     return warps
 
 
-def center_symmetry(chart: MetricChart, p) -> Partition | None:
-    """The symmetry of the geometry about p: the chart's partition
-    (MetricChart.symmetry) at its exact origin and at every warped centre
-    (every point of flat space, one block), None elsewhere."""
-    if not np.any(p) or _centre_warps(chart, p) is not None:
-        return chart.symmetry
-    return None
-
-
 def build_normal_chart(
     chart: MetricChart,
     p,
@@ -1285,31 +1269,24 @@ def build_normal_chart(
     rule=None,
     r_samples: int = 384,
     rtol: float = 1e-10,
-    fold: Partition | None = None,
 ) -> NormalChart:
     """Normal coordinates of radius r0 at p.
 
     At a warped centre (MetricChart.warps: flat space anywhere, a space
     form, a direct sum of space forms such as S^2 x R or a conformal
     chart with a RadialProfile at its exact origin) it returns the
-    WarpedNormalChart of those warps, whatever rule and fold say: its
-    geometry depends on the radius and each ray's share of every block
-    alone, and it shoots nothing.  Every other centre needs `rule`, a
-    sphere rule (directions (nd, n) and weights (nd,), as the product
-    rule `sphere_rule(n, order)` returns them in every dimension, at most
-    2^15 directions): its OdeNormalChart shoots geodesics along the
-    directions, tabulates the density and the tangential block of the inverse
-    pulled-back metric along each ray and keeps the weights for its
-    sphere areas.  fold, a partition of the coordinates, says the rule is
-    the orbit rule of that block group (`functionals.ray_bundle`), its
-    weights counting the rays each ray stands for: all singletons give
-    the orthant of a sphere rule (`sphere_rule(n, order, fold=True)`).  It
-    needs p at the origin of a chart whose partition the fold refines
-    (center_symmetry), where the rays left out are the images of the
-    geodesics shot under the block group, and raises InvalidSpec
-    elsewhere.  The orbit rule puts each block's share of a ray on the
-    block's first coordinate axis, where the cube box is nearest, so the
-    domain check covers every ray a ray stands for.
+    WarpedNormalChart of those warps, whatever rule says: its geometry
+    depends on the radius and each ray's share of every block alone, and
+    it shoots nothing.  Every other centre needs `rule`, a sphere rule
+    (directions (nd, n) and weights (nd,), as the product rule
+    `sphere_rule(n, order)` returns them in every dimension, at most 2^15
+    directions): its OdeNormalChart shoots a geodesic along every
+    direction, tabulates the density and the tangential block of the
+    inverse pulled-back metric along each ray and keeps the weights for
+    its sphere areas.  A rule whose sampled states (x and J of every ray
+    at every sample radius, rays x radii x (n + n^2) doubles) would pass
+    640 MiB (_MAX_SHOT_BYTES) raises InvalidSpec naming the largest order
+    of sphere_rule that fits, before anything is shot.
 
     A warped chart raises InvalidSpec where r0 reaches the cut locus of a
     sphere block, OutOfDomain where the coordinate radius rho(r0) of its
@@ -1322,8 +1299,7 @@ def build_normal_chart(
     conjugate point of even multiplicity, where det J only touches zero,
     as off-centre on S^3, is not seen; on the catalog charts the domain
     check stops such geodesics first), and a Gauss-lemma residual
-    |g~^{-1} y - y| above 1e-8 raises QuadratureNotConverged; the rays a
-    folded bundle leaves out are images of rays checked.
+    |g~^{-1} y - y| above 1e-8 raises QuadratureNotConverged.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (chart.n,):
@@ -1332,14 +1308,6 @@ def build_normal_chart(
         raise OutOfDomain("center outside chart domain")
     if r0 <= 0:
         raise InvalidSpec("normal radius must be positive")
-    if fold is not None:
-        fold = partition(fold, chart.n)
-        held = center_symmetry(chart, p)
-        if held is None or not refines(fold, held):
-            raise InvalidSpec(
-                f"a bundle folded onto the blocks {fold} needs the origin of "
-                f"a chart whose symmetry they refine, not {held}"
-            )
 
     warps = _centre_warps(chart, p)
     if warps is not None:
@@ -1358,7 +1326,7 @@ def build_normal_chart(
 
     if rule is None:
         raise InvalidSpec("generic normal charts need a sphere rule")
-    return _ode_normal_chart(chart, p, r0, rule, r_samples, rtol, fold)
+    return _ode_normal_chart(chart, p, r0, rule, r_samples, rtol)
 
 
 # ---------------------------------------------------------------------------

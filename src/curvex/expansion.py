@@ -25,17 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._spaceform import omega_n
-from .charts import (MetricChart, _centre_warps, build_normal_chart, center_symmetry,
-                     curvature_at)
+from .charts import MetricChart, _centre_warps, build_normal_chart, curvature_at
 from .errors import ConfigInvalid, IllConditionedFit, NoiseDominates
 from .functionals import (
     QuadratureSpec,
     build_test_function,
     eval_L_normalized,
     eval_W_normalized,
-    fold_level,
     profile_matrix,
-    ray_bundle,
+    sphere_rule,
 )
 from .tensor_core import CurvatureData, norm_sq
 
@@ -189,28 +187,18 @@ def extract_series(
 # drivers
 
 
-def prepare_normal_chart(chart: MetricChart, p, r_s: float, quad: QuadratureSpec,
-                         a=None):
+def prepare_normal_chart(chart: MetricChart, p, r_s: float, quad: QuadratureSpec):
     """Normal chart at p of radius r_s: the warped chart at a warped
     centre (build_normal_chart; the origin of every catalog chart but a
     plain-callable profile, and every point of flat space), else an ode
-    chart shot along the radial-spherical rule of quad, so the two stay
-    aligned.
-
-    That rule folds as far as a, the test function's profile matrix, and
-    the chart's symmetry about p allow (functionals.fold_level), onto the
-    orbit rule of the common refinement of their partitions: at n = 3 and
-    order 16, 8 rays instead of 512 for a = Rc/3 on a hand-built chart
-    marked with S^2 x R's blocks, the orthant's 72 for a diagonal a with
-    distinct entries, the full rule for any other a.  a = None stands for
-    no test function (volumes, shells, probes).  Only a chart that shoots
-    works out the fold and builds the bundle: a warped one reads neither."""
+    chart shot along the full sphere_rule(n, quad.order), the rays the
+    radial-spherical nodes then run on.  A chart that shoots always
+    shoots the full rule: only a warped chart has a symmetry to fold
+    onto, and only a chart that shoots builds a rule here."""
     p = np.asarray(p, dtype=float)
     if _centre_warps(chart, p) is not None:
         return build_normal_chart(chart, p, r_s)
-    fold = fold_level(a, center_symmetry(chart, p))
-    return build_normal_chart(chart, p, r_s, fold=fold,
-                              rule=ray_bundle(chart.n, quad.order, fold))
+    return build_normal_chart(chart, p, r_s, rule=sphere_rule(chart.n, quad.order))
 
 
 @dataclass
@@ -249,8 +237,8 @@ def run_expansion(
         raise ConfigInvalid("r_s is required")
     if t_max is None:
         t_max = r_s**2 / 720.0
-    nc = prepare_normal_chart(chart, p, r_s, quad,
-                              a=profile_matrix(chart.n, curv, mode))
+    profile_matrix(chart.n, curv, mode)  # a bad mode raises before a chart shoots
+    nc = prepare_normal_chart(chart, p, r_s, quad)
     tf = build_test_function(nc, curv, mode=mode, r_s=r_s)
     pred = (predict_L if functional == "L" else predict_W)(curv, tf.a)
     ts = make_tgrid(t_max, t_points)

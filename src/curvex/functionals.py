@@ -40,11 +40,11 @@ warps.
 
 The nodes fold as far as a and the normal chart's symmetry about the
 centre (NormalChart.symmetry, a partition of the coordinates into blocks)
-allow; one function, fold_level, decides, for the nodes (resolve_rule)
-and for the bundle an ode chart is shot along.  A diagonal a whose equal
-entries fall into the blocks of a partition (a = lambda I: one block)
-leaves q = d.a.d and |a d|^2 invariant under its block group O(n_1) x
-... x O(n_k), each factor acting on its own block's coordinates; on a
+allow; one function, fold_level, decides, and resolve_rule alone calls
+it.  A diagonal a whose equal entries fall into the blocks of a
+partition (a = lambda I: one block) leaves q = d.a.d and |a d|^2
+invariant under its block group O(n_1) x ... x O(n_k), each factor
+acting on its own block's coordinates; on a
 geometry invariant under that group too, the integrand is constant on
 every orbit, so the rays fold onto the orbit space, the positive part of
 S^(k-1) (orbit_rule): a hyperspherical product of one factor per block,
@@ -60,17 +60,15 @@ orbit of its coordinate reflections and permutations, weighted by the
 orbit's size, and the blocks combine as a product; n singletons give
 the orthant, ceil(order/2)^n nodes instead of order^n, and one block
 C(ceil(order/2) + n - 1, n) (1,365 instead of 331,776 at order 24 on
-S^4), the same sum regrouped.  A warped normal chart (flat
-space, a space form, a direct sum of space forms or a radial conformal
-chart at its centre) needs no rays of its own: its geometry is exact on
+S^4), the same sum regrouped.  Only a warped normal chart (flat space, a
+space form, a direct sum of space forms or a radial conformal chart at
+its centre) has a symmetry, its warps' blocks: its geometry is exact on
 every direction, so its nodes fold onto the common refinement of a's
-blocks and the chart's own (one block but on a direct sum); an ode chart
-holds the fold its bundle was shot with (at the origin of a hand-built
-chart marked with a partition it refines, charts.MetricChart.symmetry).
-A non-diagonal a, an ode chart shot along the full rule (off the origin,
-or on a chart without a mark) and gaussian_integral with its arbitrary G
-keep the full rule; an a that allows less than a folded bundle holds is
-refused.
+blocks and the chart's own (one block but on a direct sum).  A chart
+that shoots always shoots the full sphere_rule(n, order)
+(expansion.prepare_normal_chart), has no symmetry and runs its nodes on
+those rays; it, a non-diagonal a and gaussian_integral with its
+arbitrary G keep the full rule.
 """
 
 from __future__ import annotations
@@ -266,32 +264,18 @@ def _equal_entries(a) -> Partition:
     return tuple(map(tuple, blocks.values()))
 
 
-def fold_level(a, symmetry: Partition | None,
-               pinned: bool = False) -> Partition | None:
-    """The partition a radial rule's rays fold onto (ray_bundle's orbit
-    rule) for the profile matrix a on a geometry of the given symmetry
-    about the centre, or None for the full rule: the one fold policy, for
-    the nodes (resolve_rule) and for the bundle an ode chart is shot along
-    (expansion.prepare_normal_chart).
+def fold_level(a, symmetry: Partition | None) -> Partition | None:
+    """The partition the nodes fold onto (ray_bundle's orbit rule, the
+    folded Hermite grid) for the profile matrix a on a geometry of the
+    given symmetry about the centre, or None for the full rule: the one
+    fold policy, which resolve_rule calls.
 
     A diagonal a keeps every integrand invariant under the block group of
     its sets of equal entries (_equal_entries; a = lambda I is one block),
-    and any other a folds nothing; a = None, no test function, keeps
-    whatever the geometry has.  The fold is the common refinement
-    of that and symmetry.  pinned says the rays were shot on the orbit rule
-    of symmetry already (an ode chart): an a that allows less raises
-    ConfigInvalid instead of integrating part of the sphere."""
-    if a is None:
-        return symmetry
+    and any other a folds nothing.  The fold is the common refinement of
+    that and symmetry."""
     allowed = _equal_entries(a) if is_diagonal(a) else None
-    fold = common_refinement(symmetry, allowed)
-    if pinned and fold != symmetry:
-        raise ConfigInvalid(
-            f"this normal chart holds a ray bundle folded onto the blocks "
-            f"{symmetry}, and a allows the blocks {allowed} at most; "
-            "prepare_normal_chart(..., a=a) shoots the bundle a needs"
-        )
-    return fold
+    return common_refinement(symmetry, allowed)
 
 
 def build_test_function(
@@ -422,16 +406,48 @@ def _azimuth(m: int, fold: bool):
 _MAX_DIRECTIONS = 2**15
 
 
-def sphere_rule(n: int, order: int, fold: bool = False):
+def sphere_rule(n: int, order: int):
     """The product rule on S^{n-1} in hyperspherical coordinates (Stroud,
     Approximate Calculation of Multiple Integrals, 1971): directions and
     weights summing to the sphere's area, exact to degree 2 o - 1, o being
-    order lowered until the rule holds at most _MAX_DIRECTIONS.
+    order lowered until the rule holds at most _MAX_DIRECTIONS
+    (_rule_order).  It is orbit_rule on n singleton blocks, unfolded; the
+    folded orbit_rule on them is its orthant."""
+    return orbit_rule(order, tuple((i,) for i in range(n)), False)
 
-    It is orbit_rule on n singleton blocks.  fold folds every factor onto
-    its nonnegative half by node index (`_half_rule`, `_azimuth`): the rule
-    on the orthant, exact on the functions even in every coordinate."""
-    return orbit_rule(order, tuple((i,) for i in range(n)), fold)
+
+def _azimuths(o: int, n: int) -> int:
+    """Trapezoid angles of a rule of order o on two leading singletons."""
+    return max(4 * o, 16) if n == 2 else 2 * o
+
+
+def _directions(o: int, sizes, fold: bool) -> int:
+    """Directions of orbit_rule's rule at order o on blocks of these
+    sizes, built folded or not."""
+    pair = list(sizes[:2]) == [1, 1]
+    half = -(-o // 2)
+    count = prod(o if s == 1 and not fold else half
+                 for s in sizes[2 if pair else 1:])
+    m = _azimuths(o, sum(sizes))
+    return count * (m // 4 + 1 if fold else m) if pair else count
+
+
+def _rule_order(order: int, sizes, fold: bool, limit: int) -> int:
+    """The order orbit_rule builds at: order lowered until its rule on
+    blocks of these sizes holds at most limit directions (order 1 at the
+    least)."""
+    o = order
+    while o > 1 and _directions(o, sizes, fold) > limit:
+        o -= 1
+    return o
+
+
+def _polar_order(n: int, order: int, fold: Partition | None) -> int:
+    """The order ray_bundle's rule for fold is built at: sphere_rule's
+    for fold None, else the orbit rule's of the partition fold."""
+    blocks = fold if fold is not None else tuple((i,) for i in range(n))
+    return _rule_order(order, [len(b) for b in blocks], fold is not None,
+                       _MAX_DIRECTIONS)
 
 
 @lru_cache(maxsize=64)
@@ -441,7 +457,8 @@ def orbit_rule(order: int, blocks: Partition, fold: bool = True):
     orbit space: directions and weights summing to |S^{n-1}|, exact on
     those functions to the full rule's degree 2 o - 1, o being order
     lowered until this rule (not the full one) holds at most
-    _MAX_DIRECTIONS: S^2 x R^3's blocks keep order 16 with 8 directions.
+    _MAX_DIRECTIONS (_rule_order): S^2 x R^3's blocks keep order 16 with 8
+    directions.
 
     A point of S^{n-1} is (s_1 y_1, ..., s_k y_k) with s on the positive
     part of S^{k-1} and y_b on S^{n_b - 1}; an invariant function depends
@@ -466,22 +483,8 @@ def orbit_rule(order: int, blocks: Partition, fold: bool = True):
     carrying the whole area."""
     n = sum(map(len, blocks))
     sizes = [len(b) for b in blocks]
-
-    def azimuths(o):
-        return max(4 * o, 16) if n == 2 else 2 * o
-
     pair = sizes[:2] == [1, 1]
-
-    def directions(o):  # of the rule built at order o
-        half = -(-o // 2)
-        count = prod(o if s == 1 and not fold else half
-                     for s in sizes[2 if pair else 1:])
-        m = azimuths(o)
-        return count * (m // 4 + 1 if fold else m) if pair else count
-
-    o = order
-    while directions(o) > _MAX_DIRECTIONS:
-        o -= 1
+    o = _rule_order(order, sizes, fold, _MAX_DIRECTIONS)
     radii, sines, wts = [], np.ones(1), np.ones(1)
     for b in range(len(blocks) - 1, 1 if pair else 0, -1):
         inner = sum(sizes[:b])
@@ -501,7 +504,7 @@ def orbit_rule(order: int, blocks: Partition, fold: bool = True):
         sines = np.outer(sines, rest).ravel()
         wts = np.outer(wts, wu).ravel()
     if pair:
-        c, si, wa = _azimuth(azimuths(o), fold)
+        c, si, wa = _azimuth(_azimuths(o, n), fold)
         radii = [np.repeat(r, c.size) for r in radii]
         radii += [np.outer(sines, si).ravel(), np.outer(sines, c).ravel()]
         wts = np.outer(wts, wa).ravel()
@@ -576,7 +579,7 @@ def _nodes(rule, n, order, kink=np.inf, fold=None, nchart=None):
     fold, a partition (see resolve_rule), takes both onto the orbit space
     of its block group: the hermite grid by _hermite_nodes, the
     radial_sphere directions by ray_bundle's orbit rule.  On an nchart
-    that pins its rays they are its own bundle, folded or not."""
+    that pins its rays they are its own bundle, and fold is None."""
     if rule == "hermite":
         if n > 4:  # order^n nodes: 1e8 at the default order and n = 5
             raise ConfigInvalid("product Hermite grids are limited to n <= 4")
@@ -599,15 +602,13 @@ def resolve_rule(tf: TestFunction, quad: QuadratureSpec):
     equal entries identical values: fold_level decides, and both rules
     fold onto its partition.  A one-block warped chart is rotation
     invariant, so there a alone decides.  A chart that pins its rays
-    (NormalChart.dirs, shot at the fold it holds) runs its nodes on them,
-    so an a that allows less raises ConfigInvalid (prepare_normal_chart
-    shoots the bundle a needs)."""
+    (NormalChart.dirs, the full sphere rule it was shot along) has no
+    symmetry, so its nodes fold onto nothing and run on those rays."""
     nc = tf.nchart
     rule = "radial_sphere" if quad.rule == "auto" else quad.rule
-    shot = nc.dirs is not None
-    if shot and rule != "radial_sphere":
+    if nc.dirs is not None and rule != "radial_sphere":
         raise ConfigInvalid("ode normal charts support only the radial_sphere rule")
-    return rule, fold_level(tf.a, nc.symmetry, pinned=shot)
+    return rule, fold_level(tf.a, nc.symmetry)
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +632,15 @@ class Components:
     batches: int = 0  # kernel passes, error-estimate rule included
     nodes: int = 0  # nodes evaluated, error-estimate rule included
     # radial_sphere only: the directions that ran, after the limit and the
-    # fold, and the radial factor at the main order ('laguerre',
+    # fold, the orders the main and the error rule's directions were built
+    # at after the limit (_polar_order; None on a chart that pins its rays),
+    # and the radial factor at the main order ('laguerre',
     # 'split_legendre' or, for times on both sides of _LAGUERRE_MIN_KINK,
     # 'laguerre+split_legendre') with its nodes per time (the Laguerre m
     # when it ran, else the Gauss-Legendre points per piece)
     rays: int | None = None
+    polar_order: int | None = None
+    polar_order_err: int | None = None
     radial_rule: str | None = None
     radial_m: int | None = None
 
@@ -647,8 +652,9 @@ class Components:
             "batches": self.batches,
         }
         if self.rays is not None:
-            rec.update(rays=self.rays, radial_rule=self.radial_rule,
-                       radial_m=self.radial_m)
+            rec.update(rays=self.rays, polar_order=self.polar_order,
+                       polar_order_err=self.polar_order_err,
+                       radial_rule=self.radial_rule, radial_m=self.radial_m)
         rec["nodes"] = self.nodes
         return rec
 
@@ -732,7 +738,9 @@ def _eval_once(tf: TestFunction, t, quad: QuadratureSpec, order: int,
         lag = bool(shared.any())
         names = ["laguerre"] * lag + ["split_legendre"] * bool(not shared.all())
         ran.update(rays=rays, radial_rule="+".join(names),
-                   radial_m=_laguerre_m(order) if lag else order)
+                   radial_m=_laguerre_m(order) if lag else order,
+                   polar_order=None if nc.dirs is not None
+                   else _polar_order(n, order, fold))
     return sums, ran
 
 
@@ -792,6 +800,8 @@ def eval_components(
         errs = dict(zip(names, np.abs(hi - lo)))
         ran["nodes"] += more["nodes"]
         ran["batches"] += more["batches"]
+        if rule == "radial_sphere":
+            ran["polar_order_err"] = more["polar_order"]
     if np.ndim(t) == 0:  # back to numbers
         hi = hi[:, 0].tolist()
         errs = {k: float(v[0]) for k, v in errs.items()}

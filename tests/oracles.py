@@ -86,18 +86,15 @@ def curvature_symmetry_violations(rm, rtol=1e-14):
     return {k: v for k, v in defects.items() if v > tol}
 
 
-def shooting_chart(chart, mark=None):
+def shooting_chart(chart):
     """chart's metric and Christoffel symbols in a hand-built MetricChart.
-    It carries no warp, so its normal charts are shot at every centre:
-    the shooting route a warped chart's geometry is checked against.  mark,
-    a partition, stands in for the symmetry mark make_chart gives the
-    catalog chart, so that a bundle may be folded at the origin."""
+    It carries no warp, so its normal charts are shot along the full
+    sphere rule at every centre: the shooting route a warped chart's
+    geometry is checked against."""
     from curvex.charts import MetricChart
 
-    bare = MetricChart(chart.n, chart.domain, chart.metric,
+    return MetricChart(chart.n, chart.domain, chart.metric,
                        christoffel=chart.christoffel)
-    bare._symmetry = mark
-    return bare
 
 
 def conformal_warp(eps, phi, rho, dps=30):

@@ -244,8 +244,8 @@ class TestRuns:
 
     def test_volume_on_ode_chart(self, tmp_path, monkeypatch):
         """S^2 x R volumes on its warped chart and on the ode chart of the
-        same metric, shot along the [quadrature] rule in a hand-built
-        chart with its mark (oracles.shooting_chart, patched in for the
+        same metric, shot along the full [quadrature] rule in a
+        hand-built chart (oracles.shooting_chart, patched in for the
         catalog chart): both fit r2 and r4 within their default 1 % and
         5 % of the curvature prediction, and the two tables agree within
         1e-9 relative.  volume.json records the chart that ran, with the
@@ -257,8 +257,8 @@ class TestRuns:
         tables, metas = [], []
         for oracle in (False, True):
             if oracle:
-                monkeypatch.setattr(cli, "_chart_from", lambda c: shooting_chart(
-                    catalog(c), mark=((0, 1), (2,))))
+                monkeypatch.setattr(cli, "_chart_from",
+                                    lambda c: shooting_chart(catalog(c)))
             out = tmp_path / str(oracle)
             assert main(["volume", "--config", cfg, "--out", str(out),
                          "--no-timestamp"]) == 0

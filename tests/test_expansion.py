@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from curvex import ModelSpec, Perturbation, curvature_at, expansion, make_chart, norm_sq
-from curvex.charts import PROFILES, MetricChart, build_normal_chart, center_symmetry
+from curvex.charts import PROFILES, MetricChart, build_normal_chart
 from curvex.errors import (
     ConfigInvalid,
     IllConditionedFit,
@@ -28,7 +28,6 @@ from curvex.functionals import (
     build_test_function,
     eval_L_normalized,
     eval_W_normalized,
-    fold_level,
     sphere_rule,
 )
 from curvex.tensor_core import space_form_curvature
@@ -337,22 +336,24 @@ class TestRadialFactor:
         (ModelSpec("space_form", 3, K=1.0), (0.3, 0.2, 0.1), 0.9, -2.0),
     ], ids=["S2xR", "S2xR2", "S3-off-centre"])
     def test_order_12_fits_c2(self, spec, p, r_s, want):
-        """Order 12 fits c2 within 2.5e-3 relative on ode charts (measured
-        4.6e-4 on S^2 x R, 2.0e-4 on S^2 x R^2 and 5.1e-4 off the centre
-        of S^3).  The products are shot through their metric and
-        Christoffels with their marks (oracles.shooting_chart), since the
-        catalog origins are warped.  The split Gauss-Legendre radial rule
-        left t-independent offsets in the values there (3.6e-8 on S^2 x
-        R), which the fit turned into c2 = +1.657, +7.635 and +0.322, with
-        no NoiseDominates."""
+        """Order 12 fits c2 within 2.5e-3 relative (measured 4.6e-4 on
+        S^2 x R, 2.0e-4 on S^2 x R^2 and 5.1e-4 off the centre of S^3).
+        S^2 x R is shot through its metric and Christoffels
+        (oracles.shooting_chart), since the catalog origin is warped, and
+        the S^3 chart off its centre; both shoot the full order-12 rule.
+        S^2 x R^2 runs on its warped chart, whose full rule would be
+        3,456 rays.  The split Gauss-Legendre radial rule left
+        t-independent offsets in the values on the shot charts (3.6e-8 on
+        S^2 x R), which the fit turned into c2 = +1.657, +7.635 and
+        +0.322, with no NoiseDominates."""
         ch = make_chart(spec)
         p = np.array(p)
         curv = curvature_at(ch, p)
-        if not np.any(p):
-            ch = shooting_chart(ch, mark=ch.symmetry)
+        if spec.n == 3 and not np.any(p):
+            ch = shooting_chart(ch)
         res = run_expansion(ch, p, "L", r_s=r_s, curv=curv,
                             quad=QuadratureSpec(rule="radial_sphere", order=12))
-        assert res.meta["normal_chart"] == "ode"
+        assert res.meta["normal_chart"] == ("warped" if spec.n == 4 else "ode")
         assert res.meta["radial_rule"] == "laguerre" and res.meta["radial_m"] == 10
         assert res.predicted.c2 == pytest.approx(want, rel=1e-6)
         assert res.fit.c2 == pytest.approx(want, rel=2.5e-3)
@@ -435,12 +436,11 @@ class TestRuleRecord:
 
 class TestOdeFold:
     """At the centre of the c06 conformal metric, shot in a hand-built
-    chart with its mark (the catalog chart's centre is warped), the ode
-    bundle is one ray for a = lambda I, the orthant for another diagonal
-    a, and shot in full for any other."""
+    chart (the catalog chart's centre is warped), the ode chart shoots
+    the full sphere rule, whatever a is, and its nodes fold onto
+    nothing."""
 
     A_OFF = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05], [0.0, -0.05, 0.1]])
-    A_DIAG = np.diag([0.3, -0.1, 0.05])
     QUAD = QuadratureSpec(rule="radial_sphere", order=16)
 
     @pytest.fixture(scope="class")
@@ -449,7 +449,7 @@ class TestOdeFold:
             "conformal_flat", 3, halfwidth=1.5,
             perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
         ))
-        return shooting_chart(ch, mark=ch.symmetry), curvature_at(ch, np.zeros(3))
+        return shooting_chart(ch), curvature_at(ch, np.zeros(3))
 
     def test_non_diagonal_a_runs_the_full_bundle(self, c06):
         """The values equal, bit for bit, those of the full order-16
@@ -464,33 +464,16 @@ class TestOdeFold:
         want = [eval_L_normalized(tf, float(t), self.QUAD)[0] for t in res.ts]
         assert np.array_equal(res.values, want)
 
-    def test_folded_bundle_refuses_non_diagonal_a(self, c06):
-        ch, cv = c06
-        nc = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD, a=self.A_DIAG)
-        assert nc.symmetry == ((0,), (1,), (2,)) and nc.dirs.shape[0] == 72
-        tf = build_test_function(nc, cv, mode=self.A_OFF, r_s=0.9)
-        with pytest.raises(ConfigInvalid):
-            eval_L_normalized(tf, 1e-3, self.QUAD)
-        # a diagonal a runs on it, lambda I too, and off the centre
-        # nothing folds
-        for mode in (self.A_DIAG, "optimal_a"):
-            tf = build_test_function(nc, cv, mode=mode, r_s=0.9)
-            eval_L_normalized(tf, 1e-3, self.QUAD)
-        off = prepare_normal_chart(ch, np.array([0.1, 0.0, 0.0]), 0.5,
-                                   QuadratureSpec(rule="radial_sphere", order=8))
-        assert off.symmetry is None and off.dirs.shape[0] == 128
 
-
-def _prepare_along_a_bundle(chart, p, r_s, quad, a=None):
-    """prepare_normal_chart as it was: the fold and the ray bundle worked
-    out on every call, whether the chart shoots or not."""
-    fold = fold_level(a, center_symmetry(chart, p))
-    return build_normal_chart(chart, p, r_s, fold=fold,
-                              rule=expansion.ray_bundle(chart.n, quad.order, fold))
+def _prepare_along_the_rule(chart, p, r_s, quad):
+    """prepare_normal_chart handing the full sphere rule to
+    build_normal_chart on every call, whether the chart shoots or not."""
+    return build_normal_chart(chart, p, r_s,
+                              rule=expansion.sphere_rule(chart.n, quad.order))
 
 
 class TestBundleOnlyWhereShot:
-    """prepare_normal_chart builds a ray bundle only for a chart that
+    """prepare_normal_chart builds a sphere rule only for a chart that
     shoots; a warped centre reads its geometry from its warps."""
 
     QUAD = QuadratureSpec(rule="radial_sphere", order=16)
@@ -504,33 +487,32 @@ class TestBundleOnlyWhereShot:
                   perturbation=Perturbation(0.05, PROFILES["quartic_bump"]))],
         ids=["flat", "S4", "H3", "S2xR", "H2xR2", "conformal"])
     def test_no_bundle_at_a_catalog_origin(self, monkeypatch, spec):
-        """No bundle at the origin of the catalog charts, and the
-        expansion equals, bit for bit, the one on a chart built along a
-        bundle as before."""
+        """No sphere rule at the origin of the catalog charts, and the
+        expansion equals, bit for bit, the one on a chart handed the rule
+        it ignores."""
         ch = make_chart(spec)
         p = np.zeros(ch.n)
-        bundles = recorded(monkeypatch, expansion, "ray_bundle")
+        rules = recorded(monkeypatch, expansion, "sphere_rule")
         res = run_expansion(ch, p, "L", r_s=0.9, quad=self.QUAD, t_points=4)
-        assert bundles == [] and res.meta["normal_chart"] == "warped"
+        assert rules == [] and res.meta["normal_chart"] == "warped"
         monkeypatch.setattr(expansion, "prepare_normal_chart",
-                            _prepare_along_a_bundle)
+                            _prepare_along_the_rule)
         old = run_expansion(ch, p, "L", r_s=0.9, quad=self.QUAD, t_points=4)
-        assert len(bundles) == 1
+        assert len(rules) == 1
         for got, want in [(res.values, old.values), (res.errors, old.errors),
                           (res.fit.c1, old.fit.c1), (res.fit.c2, old.fit.c2)]:
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_one_bundle_on_a_shooting_chart(self, monkeypatch):
-        """The ode chart of S^2 x R's metric at its marked origin is shot
-        along one bundle, the orbit rule of a = Rc/3's fold, as before."""
-        ch = shooting_chart(make_chart(ModelSpec("product_sphere_line", 3, K=1.0)),
-                            mark=((0, 1), (2,)))
-        p, a = np.zeros(3), np.diag([0.0, 0.0, 1.0 / 3.0])
-        bundles = recorded(monkeypatch, expansion, "ray_bundle")
-        nc = prepare_normal_chart(ch, p, 0.9, self.QUAD, a=a)
-        assert [args for args, _, _ in bundles] == [(3, 16, ((0, 1), (2,)))]
-        assert nc.kind == "ode" and nc.dirs.shape[0] == 8
-        old = _prepare_along_a_bundle(ch, p, 0.9, self.QUAD, a=a)
+        """The ode chart of S^2 x R's metric at the origin of a hand-built
+        chart is shot along one rule, the full sphere_rule(3, 8)."""
+        ch = shooting_chart(make_chart(ModelSpec("product_sphere_line", 3, K=1.0)))
+        p, quad = np.zeros(3), QuadratureSpec(rule="radial_sphere", order=8)
+        rules = recorded(monkeypatch, expansion, "sphere_rule")
+        nc = prepare_normal_chart(ch, p, 0.9, quad)
+        assert [args for args, _, _ in rules] == [(3, 8)]
+        assert nc.kind == "ode" and nc.dirs.shape[0] == 128
+        old = _prepare_along_the_rule(ch, p, 0.9, quad)
         for got, want in [(nc.dirs, old.dirs), (nc.weights, old.weights)]:
             assert got.tobytes() == want.tobytes()
         assert nc.nfev == old.nfev and nc.gauss_residual == old.gauss_residual
@@ -540,17 +522,22 @@ class TestEveryDimension:
     """The default QuadratureSpec (auto, order 40) runs the product sphere
     rule in every dimension; above n = 4 the rule built is cut to 2^15
     directions.  a = Rc/3 = lambda I folds it onto one ray; a diagonal a
-    with unequal entries (the S5 and H6 orthant cases) keeps its orthant."""
+    with unequal entries (the S5 and H6 orthant cases) keeps its orthant.
+    meta records the polar orders the main and the error-estimate rule
+    were built at: one ray keeps 40 and 34, while the orthant's cap cuts
+    both to 26 (n = 5) or 15 (n = 6), so there the error estimate sees
+    the radial rule alone."""
 
     @pytest.mark.parametrize(
-        "n,K,shift,rays",
+        "n,K,shift,rays,polar",
         # the orthant's own polar orders 26 (n = 5) and 15 (n = 6):
         # ceil(o/2)^(n-2) polar nodes times o/2 + 1 azimuths
-        [(5, 1.0, 0.0, 1), (6, 1.0, 0.0, 1), (5, -1.0, 0.0, 1),
-         (6, -1.0, 0.0, 1), (5, 1.0, 0.1, 13**3 * 14), (6, -1.0, 0.1, 8**4 * 8)],
+        [(5, 1.0, 0.0, 1, (40, 34)), (6, 1.0, 0.0, 1, (40, 34)),
+         (5, -1.0, 0.0, 1, (40, 34)), (6, -1.0, 0.0, 1, (40, 34)),
+         (5, 1.0, 0.1, 13**3 * 14, (26, 26)), (6, -1.0, 0.1, 8**4 * 8, (15, 15))],
         ids=["S5", "S6", "H5", "H6", "S5-orthant", "H6-orthant"],
     )
-    def test_default_rule_fits_the_prediction(self, n, K, shift, rays):
+    def test_default_rule_fits_the_prediction(self, n, K, shift, rays, polar):
         ch = make_chart(ModelSpec("space_form", n, K=K))
         # a traceless diagonal shift of Rc/3 moves c2 by 4 |shift|^2
         a = space_form_curvature(n, K).rc / 3.0 + shift * np.diag(
@@ -564,9 +551,28 @@ class TestEveryDimension:
         elapsed = time.perf_counter() - start
         assert res.meta["rule"] == "radial_sphere"
         assert res.meta["order"] == 40 and res.meta["rays"] == rays
+        assert (res.meta["polar_order"], res.meta["polar_order_err"]) == polar
         assert res.fit.c1 == pytest.approx(res.predicted.c1, rel=5e-3)
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=5e-2)
         assert elapsed < 2.0, f"expansion took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("mode,rays", [("optimal_a", 1), ("off", 2 * 40 * 40)],
+                             ids=["one-ray", "full"])
+    def test_s3_keeps_the_polar_orders_asked_for(self, mode, rays):
+        """On S^3 at the default order neither rule reaches the cap: one
+        ray and the full rule's 3,200 directions both record the polar
+        orders 40 and 34; a chart that shoots records None for both, its
+        rays being the rule it was shot along."""
+        ch = make_chart(ModelSpec("space_form", 3, K=1.0))
+        a = mode if mode == "optimal_a" else np.diag([0.3, 0.2, 0.1]) + 0.05
+        res = run_expansion(ch, np.zeros(3), "L", mode=a, r_s=1.0)
+        assert res.meta["rays"] == rays
+        assert (res.meta["polar_order"], res.meta["polar_order_err"]) == (40, 34)
+        shot = run_expansion(shooting_chart(ch), np.zeros(3), "L", r_s=1.0,
+                             quad=QuadratureSpec(order=8), t_points=4)
+        assert shot.meta["rays"] == 128
+        assert (shot.meta["polar_order"], shot.meta["polar_order_err"]) == (
+            None, None)
 
 
 class TestVolumeFit:

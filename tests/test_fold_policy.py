@@ -7,25 +7,14 @@ import numpy as np
 import pytest
 
 from curvex import ModelSpec, Perturbation, curvature_at, make_chart
-from curvex.charts import PROFILES, build_normal_chart
-from curvex.errors import ConfigInvalid
-from curvex.expansion import prepare_normal_chart, run_expansion
-from curvex.functionals import (
-    QuadratureSpec,
-    build_test_function,
-    eval_components,
-    eval_L_normalized,
-    eval_W_normalized,
-    fold_level,
-    profile_matrix,
-    sphere_rule,
-)
-from oracles import shooting_chart
+from curvex.charts import PROFILES
+from curvex.expansion import run_expansion
+from curvex.functionals import QuadratureSpec, fold_level, profile_matrix
 
 _QUARTIC = PROFILES["quartic_bump"]
 
-# (spec, r_s); the conformal charts carry the radial profile (marked) or
-# the same function as a plain callable (unmarked)
+# (spec, r_s); the conformal charts carry the radial profile (warped at
+# the origin) or the same function as a plain callable (no warps)
 _CHARTS = [
     (ModelSpec("flat", 2), 1.0),
     (ModelSpec("flat", 4), 1.0),
@@ -44,7 +33,7 @@ def _blocks_about(spec, centre):
     about centre, or None: flat space and a space form's origin are
     rotation invariant, S^2 x R^(n-2) at its origin splits into the
     sphere's two coordinates and the line's, the radial conformal profile
-    is rotation invariant at its origin; nothing else is marked."""
+    is rotation invariant at its origin; nothing else has warps there."""
     n = spec.n
     if spec.kind == "flat":
         return [0] * n
@@ -59,7 +48,8 @@ def _blocks_about(spec, centre):
 
 def _expected_fold(spec, centre, a):
     """The coordinates grouped by their block and their diagonal entry of
-    a, when a is diagonal and the geometry marked; None otherwise."""
+    a, when a is diagonal and the geometry has blocks about centre; None
+    otherwise."""
     labels = _blocks_about(spec, centre)
     if labels is None or np.any(a - np.diag(np.diagonal(a))):
         return None
@@ -83,20 +73,17 @@ def _draw_a(rng, n, curv):
 
 def test_fold_level_is_the_common_refinement():
     """The sets of equal entries of a diagonal a (a NaN equals no entry)
-    meet the geometry's blocks; a pinned bundle keeps its own blocks and
-    refuses an a whose blocks they do not refine."""
+    meet the geometry's blocks; a geometry without blocks or a
+    non-diagonal a folds nothing."""
     whole, s2r = ((0, 1, 2, 3),), ((0, 1), (2, 3))
     a = np.diag([0.2, -0.1, 0.2, 0.2])
     assert fold_level(a, whole) == ((0, 2, 3), (1,))
     assert fold_level(a, s2r) == ((0,), (1,), (2, 3))
     assert fold_level(np.diag([np.nan, 1.0, np.nan, 1.0]), whole) == (
         (0,), (1, 3), (2,))
-    assert fold_level(None, s2r) == s2r and fold_level(a, None) is None
+    assert fold_level(np.diag([0.3, 0.3, 0.0, 0.0]), s2r) == s2r
+    assert fold_level(np.eye(4), s2r) == s2r and fold_level(a, None) is None
     assert fold_level(a + 0.1 * np.eye(4, k=1), whole) is None
-    assert fold_level(np.diag([0.3, 0.3, 0.0, 0.0]), s2r, pinned=True) == s2r
-    assert fold_level(np.eye(4), s2r, pinned=True) == s2r
-    with pytest.raises(ConfigInvalid):
-        fold_level(a, s2r, pinned=True)
 
 
 def test_p3_recorded_fold_matches_a_reading_of_the_input():
@@ -149,39 +136,3 @@ def test_p4a_block_fold_agrees_with_the_rotated_full_rule(n, r_s, order):
         assert 50 * folded.meta["rays"] < full.meta["rays"]
         bar = np.maximum(folded.errors, full.errors)
         assert np.all(np.abs(folded.values - full.values) <= bar)
-
-
-def test_p4b_sphere_line_orbit_bundle_matches_the_orthant():
-    """The S^2 x R ode chart, its metric and Christoffels shot with its
-    mark (oracles.shooting_chart; the catalog origin is warped), shoots
-    the orbit rule of its blocks {0, 1}, {2}: 8 rays against the 72 of
-    the orthant bundle built here from sphere_rule, with the same
-    right-hand-side calls.  The L values of run_expansion, the W values
-    (which read Sc), the Sc integrals and the shells agree within 1e-13.
-    Measured: L and W within 7.2e-15 absolute, Sc integrals within
-    6.7e-16 and shells within 1.2e-15 relative."""
-    cat = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
-    chart = shooting_chart(cat, mark=cat.symmetry)
-    curv = curvature_at(cat, np.zeros(3))
-    quad = QuadratureSpec(rule="radial_sphere", order=16)
-    res = run_expansion(chart, np.zeros(3), "L", r_s=0.9, quad=quad, curv=curv)
-    assert res.meta["fold"] == [[0, 1], [2]] and res.meta["rays"] == 8
-    orbit = prepare_normal_chart(chart, np.zeros(3), 0.9, quad, a=curv.rc / 3)
-    orthant = build_normal_chart(chart, np.zeros(3), 0.9,
-                                 rule=sphere_rule(3, 16, True),
-                                 fold=((0,), (1,), (2,)))
-    assert orbit.dirs.shape[0] == 8 and orthant.dirs.shape[0] == 72
-    assert orthant.nfev == orbit.nfev == res.meta["nfev"]
-    tfs = [build_test_function(nc, curv, r_s=0.9) for nc in (orbit, orthant)]
-    L = [[eval_L_normalized(tf, float(t), quad)[0] for t in res.ts] for tf in tfs]
-    assert np.array_equal(L[0], res.values)
-    np.testing.assert_allclose(L[0], L[1], rtol=0, atol=1e-13)
-    for t in res.ts[::3]:
-        W = [eval_W_normalized(tf, float(t), quad)[0] for tf in tfs]
-        assert abs(W[0] - W[1]) <= 1e-13
-        sc = [eval_components(tf, float(t), quad, want_err=False).sc_integral
-              for tf in tfs]
-        assert sc[0] == pytest.approx(sc[1], rel=1e-13, abs=0)
-    r = np.linspace(0.05, 0.9, 18)
-    np.testing.assert_allclose(orbit.shell(r), orthant.shell(r), rtol=1e-13,
-                               atol=0)

@@ -148,6 +148,11 @@ def _azimuths(n, o):
     return max(4 * o, 16) if n == 2 else 2 * o
 
 
+def _orthant(n, order):
+    """The orthant of sphere_rule(n, order): orbit_rule on n singletons."""
+    return orbit_rule(order, tuple((i,) for i in range(n)))
+
+
 class TestSphereRule:
     @pytest.mark.parametrize(
         "n,order,o,o_fold",
@@ -166,7 +171,7 @@ class TestSphereRule:
         |y^k| <= 1, so the sphere's area sets the scale.  n = 4 at order 9
         holds the Chebyshev node cos(pi/2) = 6.1e-17, which a fold by sign
         instead of by index mis-weights."""
-        full, folded = sphere_rule(n, order), sphere_rule(n, order, True)
+        full, folded = sphere_rule(n, order), _orthant(n, order)
         # azimuths 4k <= m of m = max(4 o, 16) (n = 2) or 2 o (n >= 3),
         # times ceil(o/2) nodes u >= 0 per polar factor
         m, m_fold = _azimuths(n, o), _azimuths(n, o_fold)
@@ -243,7 +248,7 @@ class TestSphereRule:
 
     @pytest.mark.parametrize(
         "rule",
-        [lambda: sphere_rule(3, 8), lambda: sphere_rule(5, 7, True),
+        [lambda: sphere_rule(3, 8), lambda: _orthant(5, 7),
          lambda: _hermite_nodes(2, 6), lambda: _hermite_nodes(2, 7, ((0, 1),))],
         ids=["sphere_rule", "sphere_rule_folded", "hermite", "hermite_folded"],
     )
@@ -372,12 +377,20 @@ class TestOrbitRule:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_singletons_and_one_block_are_the_old_rules(self, n):
-        """n singleton blocks give sphere_rule's orthant, one block the
-        direction e_1 carrying |S^(n-1)|, both bit for bit."""
+        """n singleton blocks give sphere_rule's orthant: each of its
+        directions is one of the full rule's, bit for bit, carrying the
+        weights of the full rule's directions that its coordinate
+        reflections reach (the same directions to 1e-12); one block gives
+        the direction e_1 carrying |S^(n-1)|, bit for bit."""
         for o in self._orders(n):
-            for got, want in zip(orbit_rule(o, tuple((i,) for i in range(n))),
-                                 sphere_rule(n, o, True)):
-                assert got.tobytes() == want.tobytes()
+            (dirs, wts), (full, full_w) = _orthant(n, o), sphere_rule(n, o)
+            assert {d.tobytes() for d in dirs} <= {d.tobytes() for d in full}
+            orbit = {}
+            for d, w in zip(np.round(np.abs(full), 12), full_w):
+                orbit[d.tobytes()] = orbit.get(d.tobytes(), 0.0) + w
+            want = [orbit[d.tobytes()] for d in np.round(dirs, 12)]
+            assert len(orbit) == len(dirs)
+            np.testing.assert_allclose(wts, want, rtol=1e-14, atol=0)
             dirs, wts = orbit_rule(o, (tuple(range(n)),))
             assert dirs.tobytes() == np.eye(1, n).tobytes()
             assert wts.tobytes() == np.array([sphere_area_K(n, 0.0, 1.0)]).tobytes()
@@ -897,11 +910,10 @@ class TestKernelOracle:
         quad = QuadratureSpec(rule="radial_sphere", order=16)
         # a large profile and t near its bound (r_s / C_TRUNC)^2 make the
         # tangential term, and with it the curvature in w.g~^{-1}w, show:
-        # reading that term off the flat metric moves the sum by 4e-7; a
-        # non-diagonal a needs the full bundle
+        # reading that term off the flat metric moves the sum by 4e-7
         a = np.array([[1.2, 0.4, -0.2], [0.4, 0.8, 0.28], [-0.2, 0.28, 1.6]])
         shots = recorded(monkeypatch, charts, "dopri45")
-        nc = prepare_normal_chart(ch, np.zeros(3), 0.9, quad, a=a)
+        nc = prepare_normal_chart(ch, np.zeros(3), 0.9, quad)
         assert nc.symmetry is None and nc.dirs.shape[0] == 512
         ((_, _, t_out, _, _), _, (states, _)), = shots
         full = full_ode_table(ch, nc.dirs.shape[0], np.linspace(0.0, 0.9, 384),
@@ -936,7 +948,6 @@ class TestRayEvaluator:
 
     T = 0.004
     A_OFF = np.array([[0.6, 0.3, -0.2], [0.3, -0.4, 0.25], [-0.2, 0.25, 0.9]])
-    A_DIAG = np.diag([0.6, -0.4, 0.9])
 
     @staticmethod
     def _compare(tf, t, X, got, rtol):
@@ -1005,18 +1016,22 @@ class TestRayEvaluator:
 
     @pytest.mark.parametrize("fold", [False, True], ids=["full", "folded"])
     def test_rays_on_ode_chart(self, fold):
-        """The bundle of an S^2 x R ode chart (its metric and Christoffels
-        shot with its mark, oracles.shooting_chart), shot in full for a
-        non-diagonal a and on the orthant for a diagonal one; the geometry
-        comes from its spline tables."""
-        ch = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
-        ch = shooting_chart(ch, mark=ch.symmetry)
-        a = self.A_DIAG if fold else self.A_OFF
-        nc = prepare_normal_chart(ch, np.zeros(3), 1.4,
-                                  QuadratureSpec(rule="radial_sphere", order=8), a=a)
-        assert nc.kind == "ode"
-        assert nc.symmetry == (((0,), (1,), (2,)) if fold else None)
-        tf = TestFunction(nc, a, 1.2)
+        """The rays of an S^2 x R ode chart (its metric and Christoffels
+        shot in a hand-built chart, oracles.shooting_chart): the full
+        order-8 rule that prepare_normal_chart hands it, or the orthant of
+        that rule handed to build_normal_chart, whose every ray it shoots
+        too; the geometry comes from its spline tables."""
+        ch = shooting_chart(make_chart(ModelSpec("product_sphere_line", 3, K=1.0)))
+        if fold:
+            rule = _orthant(3, 8)
+            nc = build_normal_chart(ch, np.zeros(3), 1.4, rule=rule)
+        else:
+            rule = sphere_rule(3, 8)
+            nc = prepare_normal_chart(ch, np.zeros(3), 1.4,
+                                      QuadratureSpec(rule="radial_sphere", order=8))
+        assert nc.kind == "ode" and nc.symmetry is None
+        assert nc.dirs.tobytes() == rule[0].tobytes()
+        tf = TestFunction(nc, self.A_OFF, 1.2)
         dirs = nc.dirs[:, None, :]
         r = np.linspace(0.0, 1.4, 31)
         got = tf.on_rays(dirs, r, self.T)
@@ -1024,35 +1039,32 @@ class TestRayEvaluator:
 
 
 class TestFoldedBundle:
-    """An ode chart shot at the origin of a mirror-even chart along the
-    orthant of its rule against the same chart shot along the full rule.
-    The rays the fold leaves out are reflections of the ones it keeps, so
-    the two agree to the integration tolerance.  The c06 and S^2 x R
-    metrics are shot in hand-built charts with their marks, since their
-    catalog charts are warped at the origin."""
+    """An ode chart shot at the origin of a mirror-even metric along the
+    orthant of a rule against the same metric shot along the full rule.
+    The chart shoots every ray it is handed and has no symmetry; the
+    rays the orthant leaves out are reflections of the ones it keeps,
+    whose weights count them, so the two agree to the integration
+    tolerance only if the shot geometry is mirror even.  The c06 and
+    S^2 x R metrics are shot in hand-built charts, since their catalog
+    charts are warped at the origin."""
 
     @pytest.mark.parametrize("which", ["c06", "S2xR"])
     def test_matches_full_bundle(self, which):
+        """Order 12: the orthant's 42 rays against 288."""
         spec = (ModelSpec("conformal_flat", 3, halfwidth=1.5,
                           perturbation=Perturbation(0.05, PROFILES["quartic_bump"]))
                 if which == "c06" else ModelSpec("product_sphere_line", 3, K=1.0))
-        ch = make_chart(spec)
-        ch = shooting_chart(ch, mark=ch.symmetry)
-        full, folded = (
-            build_normal_chart(ch, np.zeros(3), 0.9,
-                               rule=sphere_rule(3, 16, fold),
-                               fold=((0,), (1,), (2,)) if fold else None)
-            for fold in (False, True)
-        )
-        assert (full.dirs.shape[0], folded.dirs.shape[0]) == (512, 72)
-        assert folded.symmetry == ((0,), (1,), (2,))
-        assert full.symmetry is None
+        ch = shooting_chart(make_chart(spec))
+        full, folded = (build_normal_chart(ch, np.zeros(3), 0.9, rule=rule)
+                        for rule in (sphere_rule(3, 12), _orthant(3, 12)))
+        assert (full.dirs.shape[0], folded.dirs.shape[0]) == (288, 42)
+        assert folded.symmetry is None and full.symmetry is None
         assert folded.nfev == full.nfev
         r = np.linspace(0.05, 0.9, 18)
         np.testing.assert_allclose(folded.shell(r), full.shell(r),
                                    rtol=1e-10, atol=0)
         curv = curvature_at(ch, np.zeros(3))
-        quad = QuadratureSpec(rule="radial_sphere", order=16)
+        quad = QuadratureSpec(rule="radial_sphere", order=12)
         for t in (2e-4, 5e-4, 1.1e-3):
             got, want = (
                 eval_L_normalized(build_test_function(nc, curv, r_s=0.9), t,
@@ -1067,13 +1079,13 @@ class TestFoldedBundle:
         shells within 3.2e-15 relative and L within 8.9e-15 absolute; the
         bounds are 1e-13 for both."""
         cat = make_chart(ModelSpec("product_sphere_line", 4, K=1.0))
-        ch = shooting_chart(cat, mark=cat.symmetry)
+        ch = shooting_chart(cat)
         full, *folded = (
             build_normal_chart(ch, np.zeros(4), 0.6, r_samples=96,
-                               rule=ray_bundle(4, 8, fold), fold=fold)
-            for fold in (None, ((0,), (1,), (2,), (3,)), ch.symmetry)
+                               rule=ray_bundle(4, 8, fold))
+            for fold in (None, ((0,), (1,), (2,), (3,)), cat.symmetry)
         )
-        assert ch.symmetry == ((0, 1), (2, 3))
+        assert cat.symmetry == ((0, 1), (2, 3))
         assert [nc.dirs.shape[0] for nc in (full, *folded)] == [1024, 80, 4]
         r = np.linspace(0.05, 0.6, 12)
         curv = curvature_at(cat, np.zeros(4))
@@ -1120,14 +1132,14 @@ class TestRadialFold:
 
 def _orthant_sums(tf, t, quad, order):
     """The four sums of one rule over the orthant of the sphere rule,
-    sphere_rule(n, order, True), through the ray evaluator: the radial
+    _orthant(n, order), through the ray evaluator: the radial
     fold's oracle, with the engine's radial nodes and every direction of
     the orthant evaluated on its own.  Returns Components (no errors) and
     the number of directions."""
     n = tf.nchart.n
     s2t = 2.0 * np.sqrt(t)
     rho, wr = _radial_nodes(order, n, tf.r_s / (2.0 * s2t))
-    dirs, wd = sphere_rule(n, order, True)
+    dirs, wd = _orthant(n, order)
     W = np.outer(wd, wr) / np.pi ** (n / 2)
     r = s2t * rho
     eta2, kappa, beta2, dens, wgw = tf.on_rays(dirs[:, None, :], r, t)
@@ -1202,7 +1214,7 @@ class TestOneRay:
         res = symmetrize(tf, t=t, K=0.0, levels=64, order=order)
         assert res.meta["fold"] == [[0, 1, 2]] and res.meta["rays"] == 1
 
-        dirs, wd = sphere_rule(3, order, True)
+        dirs, wd = _orthant(3, order)
         levels = res.levels
         D = np.repeat(dirs, levels.size, axis=0)
         log_s = np.tile(np.log(levels), dirs.shape[0])
@@ -1226,9 +1238,10 @@ class TestOneRay:
 
 class TestOneRayBundle:
     """At the origin of the c06 conformal chart (a RadialProfile, so
-    rotation invariant) prepare_normal_chart returns the warped chart for
-    every a and shoots nothing.  The oracle is the orthant bundle of the
-    order-16 rule, 72 rays, shot by hand on the same metric: by symmetry
+    rotation invariant) prepare_normal_chart returns the warped chart and
+    shoots nothing.  The oracle shoots the same metric in a hand-built
+    chart along the 72 rays of the order-16 rule's orthant (a subset of
+    the full rule's 512, weighted to carry the whole sphere): by symmetry
     every one of its rays carries the warped density and, in any
     orthonormal basis of the ray's orthogonal plane, the same multiple
     (r/f)^2 of the identity as tangential block of g~^{-1}.
@@ -1247,11 +1260,9 @@ class TestOneRayBundle:
             perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
         ))
         cv = curvature_at(ch, np.zeros(3))
-        one = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD, a=cv.rc / 3)
-        orthant = build_normal_chart(shooting_chart(ch, mark=ch.symmetry),
-                                     np.zeros(3), 0.9,
-                                     rule=sphere_rule(3, 16, True),
-                                     fold=((0,), (1,), (2,)))
+        one = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD)
+        orthant = build_normal_chart(shooting_chart(ch), np.zeros(3), 0.9,
+                                     rule=_orthant(3, 16))
         return ch, cv, one, orthant
 
     @staticmethod
@@ -1267,7 +1278,7 @@ class TestOneRayBundle:
         ch, _, one, orthant = c06
         assert one.kind == "warped" and one.dirs is None
         assert orthant.kind == "ode" and orthant.dirs.shape == (72, 3)
-        assert one.symmetry == ((0, 1, 2),)
+        assert one.symmetry == ((0, 1, 2),) and orthant.symmetry is None
         r = np.linspace(0.05, 0.9, 18)
         e1, rays = np.eye(1, 3)[:, None, :], orthant.dirs[:, None, :]
         dens1, _ = one.geometry(r, np.zeros((1, 1, 3)), e1)
@@ -1288,46 +1299,39 @@ class TestOneRayBundle:
     def test_other_profiles_need_more_rays(self, c06):
         """Every a runs on the warped chart, its nodes folded by a alone:
         a diagonal a with unequal entries onto the orthant, a non-diagonal
-        one not at all.  prepare_normal_chart shoots for neither, nor for
-        no test function (volumes, probes)."""
+        one not at all; prepare_normal_chart shoots nothing."""
         ch, cv, one, _ = c06
         for a, fold, rays in ((np.diag([0.3, -0.1, 0.05]), ((0,), (1,), (2,)),
                                72), (self.A_OFF, None, 512)):
-            nc = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD, a=a)
-            assert nc.kind == "warped" and nc.nfev == 0
             tf = build_test_function(one, cv, mode=a, r_s=0.9)
             assert resolve_rule(tf, self.QUAD) == ("radial_sphere", fold)
             assert ray_bundle(3, 16, fold)[0].shape[0] == rays
             assert np.isfinite(eval_L_normalized(tf, 1e-3, self.QUAD)[0])
-        none = prepare_normal_chart(ch, np.zeros(3), 0.9, self.QUAD)
-        assert none.kind == "warped"
+        assert one.kind == "warped" and one.nfev == 0
 
     def test_sphere_line_keeps_its_bundles(self):
         """S^2 x R is invariant under O(2) x O(1), and its origin is a
-        warped centre of two blocks: prepare_normal_chart shoots nothing
-        for any a, and the nodes fold onto the common refinement of the
-        blocks and a's equal entries.  a = Rc/3 = diag(1/3, 1/3, 0) runs
+        warped centre of two blocks: prepare_normal_chart shoots nothing,
+        and the nodes fold onto the common refinement of the blocks and
+        a's equal entries.  a = Rc/3 = diag(1/3, 1/3, 0) runs
         the orbit rule of the blocks, 8 rays; a diagonal a with distinct
         entries the orthant, 72; a non-diagonal a the full rule, 512.
-        The same metric in a hand-built chart carries no mark and shoots
-        all 512."""
+        The same metric in a hand-built chart has no warps and shoots the
+        full rule, 512 rays."""
         cat = make_chart(ModelSpec("product_sphere_line", 3, K=1.0))
         cv = curvature_at(cat, np.zeros(3))
-        a = cv.rc / 3
-        for mode, fold, rays in ((a, ((0, 1), (2,)), 8),
+        nc = prepare_normal_chart(cat, np.zeros(3), 0.9, self.QUAD)
+        assert nc.kind == "warped" and nc.dirs is None and nc.nfev == 0
+        assert nc.symmetry == ((0, 1), (2,))
+        for mode, fold, rays in ((cv.rc / 3, ((0, 1), (2,)), 8),
                                  (np.diag([0.3, -0.1, 0.05]),
                                   ((0,), (1,), (2,)), 72),
                                  (self.A_OFF, None, 512)):
-            nc = prepare_normal_chart(cat, np.zeros(3), 0.9, self.QUAD, a=mode)
-            assert nc.kind == "warped" and nc.dirs is None and nc.nfev == 0
-            assert nc.symmetry == ((0, 1), (2,))
             tf = build_test_function(nc, cv, mode=mode, r_s=0.9)
             assert resolve_rule(tf, self.QUAD) == ("radial_sphere", fold)
             assert eval_L_normalized(tf, 1e-3, self.QUAD)[2]["rays"] == rays
-        none = prepare_normal_chart(cat, np.zeros(3), 0.9, self.QUAD)
-        assert none.kind == "warped" and none.symmetry == ((0, 1), (2,))
         bare = MetricChart(3, cat.domain, cat.metric)
-        nc = prepare_normal_chart(bare, np.zeros(3), 0.9, self.QUAD, a=a)
+        nc = prepare_normal_chart(bare, np.zeros(3), 0.9, self.QUAD)
         assert nc.symmetry is None and nc.dirs.shape[0] == 512
 
 
@@ -1612,34 +1616,31 @@ def s3_ode():
     return nc
 
 
-def _c06_normal_chart(a=None):
-    """The c06 metric shot in a hand-built chart with its mark: the
-    catalog chart's origin is warped."""
+def _c06_normal_chart(rule):
+    """The c06 metric shot in a hand-built chart along rule: the catalog
+    chart's origin is warped.  Its profile is rotation invariant, so any
+    rule whose weights carry the whole sphere gives its shells."""
     ch = make_chart(ModelSpec(
         "conformal_flat", 3,
         perturbation=Perturbation(0.05, PROFILES["quartic_bump"]),
         halfwidth=1.5,
     ))
-    ch = shooting_chart(ch, mark=ch.symmetry)
-    return prepare_normal_chart(ch, np.zeros(3), 0.9,
-                                QuadratureSpec(rule="radial_sphere", order=16),
-                                a=a)
+    return build_normal_chart(shooting_chart(ch), np.zeros(3), 0.9, rule=rule)
 
 
 @pytest.fixture
 def conformal_c06():
     """The c06 conformal metric (quartic bump, eps 0.05) at the origin to
-    r_s = 0.9, shot along one ray of the order-16 rule: its profile is
-    rotation invariant and no test function asks for more; built per
+    r_s = 0.9, shot along one ray carrying the sphere's area; built per
     test, since the test below checks what a fresh chart has built."""
-    return _c06_normal_chart()
+    return _c06_normal_chart((np.eye(1, 3), np.array([4.0 * np.pi])))
 
 
 @pytest.fixture
 def conformal_c06_orthant():
-    """The same chart shot along the orthant of the rule (72 rays), as a
-    diagonal a with unequal entries asks for."""
-    return _c06_normal_chart(np.diag([0.3, -0.1, 0.05]))
+    """The same chart shot along the orthant of the order-16 rule (72
+    rays)."""
+    return _c06_normal_chart(_orthant(3, 16))
 
 
 class TestShell:
@@ -1708,14 +1709,15 @@ class TestShell:
         L-functional reads no Sc: the Sc spline of an ode chart (scalar
         curvature at the 65 exp points of its one ray) is not built for them.  W builds
         it from the scalar curvature at those exp points and adds t times
-        the Sc integral to the same deficit."""
+        the Sc integral to the same deficit; run_expansion shoots the full
+        order-12 rule, 288 rays."""
         v = ball_volume(conformal_c06, 0.8)
         assert conformal_c06._sc_spline is None
         isoperimetric_probe(conformal_c06, 0.0, 0.5 * v)
         assert conformal_c06._sc_spline is None
 
         built = recorded(monkeypatch, expansion, "prepare_normal_chart")
-        ch, quad = conformal_c06.chart, QuadratureSpec(rule="radial_sphere", order=16)
+        ch, quad = conformal_c06.chart, QuadratureSpec(rule="radial_sphere", order=12)
         res_L = run_expansion(ch, np.zeros(3), "L", r_s=0.9, quad=quad)
         res_W = run_expansion(ch, np.zeros(3), "W", r_s=0.9, quad=quad)
         (_, _, nc_L), (_, _, nc_W) = built

@@ -6,8 +6,10 @@ creep back unnoticed; no quadrature draws random nodes; one function
 decides how far a rule folds; one Golub-Welsch routine builds every
 non-closed-form Gauss rule; normal charts are two classes with one
 interface, which no module tells apart, and no normal-chart code tells
-flat space from a space form by name; the folded Hermite grid is built
-with array operations, not from a Python list of index tuples."""
+flat space from a space form by name; a chart that shoots folds nothing
+and a chart's symmetry is read from its warps; the folded Hermite grid
+is built with array operations, not from a Python list of index tuples;
+every name charts exports has a caller."""
 
 import ast
 from pathlib import Path
@@ -87,13 +89,61 @@ def test_one_fold_policy():
     profile matrix a, whether it is diagonal and its sets of equal entries
     (a = lambda I is the one-block case), and the common refinement with
     the geometry's partition are called by functionals.fold_level alone,
-    which resolve_rule and prepare_normal_chart both call."""
+    and resolve_rule alone calls it: only nodes fold, never the rays a
+    chart shoots."""
     for name in ("is_diagonal", "_equal_entries", "common_refinement"):
         assert _callers(name) == [("functionals.py", "fold_level")]
-    assert sorted(_callers("fold_level")) == [
-        ("expansion.py", "prepare_normal_chart"),
-        ("functionals.py", "resolve_rule"),
-    ]
+    assert _callers("fold_level") == [("functionals.py", "resolve_rule")]
+
+
+def test_no_shot_bundle_is_folded():
+    """build_normal_chart and _ode_normal_chart take no fold, and no
+    source call passes one to them: a chart that shoots shoots every ray
+    of the sphere rule it is handed."""
+    defs = _found(lambda node: isinstance(node, ast.FunctionDef) and node.name
+                  in ("build_normal_chart", "_ode_normal_chart"))
+    assert sorted(d.name for _, _, d in defs) == [
+        "_ode_normal_chart", "build_normal_chart"]
+    for _, _, d in defs:
+        params = d.args.posonlyargs + d.args.args + d.args.kwonlyargs
+        assert "fold" not in [a.arg for a in params]
+        assert d.args.kwarg is None
+    for name in ("build_normal_chart", "_ode_normal_chart"):
+        calls = _found(lambda node: isinstance(node, ast.Call) and getattr(
+            node.func, "attr", getattr(node.func, "id", None)) == name)
+        assert calls
+        assert [k.arg for _, _, c in calls for k in c.keywords
+                if k.arg in ("fold", None)] == []
+
+
+def test_symmetry_is_read_from_the_warps():
+    """MetricChart holds no symmetry of its own: MetricChart.symmetry is
+    computed from its warps, so a chart has one exactly when it has
+    warps."""
+    from dataclasses import fields
+
+    from curvex.charts import MetricChart
+
+    assert "_symmetry" not in {f.name for f in fields(MetricChart)}
+    assert isinstance(MetricChart.symmetry, property)
+
+
+def test_every_charts_export_has_a_caller():
+    """Every name in charts.__all__ is read somewhere in the sources, the
+    tests, the demos or the benchmark, so an export whose last caller
+    goes is deleted with it."""
+    from curvex import charts
+
+    root = SRC.parents[1]
+    read = set()
+    for top in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    assert [name for name in charts.__all__ if name not in read] == []
 
 
 def test_symmetry_is_a_partition_not_an_enum():
@@ -200,14 +250,15 @@ def test_sources_build_the_two_normal_charts():
 def test_every_marked_catalog_chart_is_warped_at_its_origin():
     """Every make_chart kind whose metric carries a symmetry about the
     origin, one block or a direct sum of space-form blocks, has a warp per
-    block there: its normal chart at the origin is a WarpedNormalChart on
-    the chart's own partition, built without shooting a ray (nfev 0, no
-    bundle), whatever fold the caller asks for."""
+    block there, and its symmetry is the contiguous partition of the
+    warps' sizes: its normal chart at the origin is a WarpedNormalChart on
+    that partition, built without shooting a ray (nfev 0, no bundle),
+    whatever rule the caller hands it."""
     import numpy as np
 
     from curvex.charts import (PROFILES, ModelSpec, Perturbation,
                                build_normal_chart, make_chart)
-    from curvex.functionals import orbit_rule
+    from curvex.functionals import sphere_rule
 
     specs = [
         ModelSpec("flat", 3),
@@ -223,13 +274,13 @@ def test_every_marked_catalog_chart_is_warped_at_its_origin():
         "flat", "space_form", "product_sphere_line", "conformal_flat"}
     for spec in specs:
         ch = make_chart(spec)
-        assert ch.symmetry is not None and len(ch.warps) == len(ch.symmetry)
-        rule = orbit_rule(8, ch.symmetry)
-        for fold in (None, ch.symmetry):
-            nc = build_normal_chart(ch, np.zeros(spec.n), 0.5, rule=rule,
-                                    fold=fold)
-            assert nc.kind == "warped" and nc.nfev == 0 and nc.dirs is None
-            assert nc.symmetry == ch.symmetry and nc.warps == ch.warps
+        ends = np.cumsum([w.n for w in ch.warps])
+        assert ch.symmetry == tuple(tuple(range(e - w.n, e))
+                                    for w, e in zip(ch.warps, ends))
+        nc = build_normal_chart(ch, np.zeros(spec.n), 0.5,
+                                rule=sphere_rule(spec.n, 8))
+        assert nc.kind == "warped" and nc.nfev == 0 and nc.dirs is None
+        assert nc.symmetry == ch.symmetry and nc.warps == ch.warps
 
 
 def test_no_module_compares_a_normal_chart_kind():
