@@ -1127,11 +1127,11 @@ _TABLE_BLOCK = 32  # sample radii per block of the ode table build
 _SC_RADII = 65  # radii of the lazily built Sc spline of an ode chart
 _GAUSS_TOL = 1e-8  # largest |g~^{-1} y - y| an ode table may carry
 # bytes of sampled states (x and J of every ray at every sample radius) a
-# shooting may keep, at the default 384 sample radii: 640 MiB holds the
+# shooting may keep: at the default 384 sample radii, 640 MiB holds the
 # full order-40 rule off the centre of S^3 (3,200 rays, 131 MiB) and the
 # order-16 one at n = 4 (8,192 rays, 559 MiB; assess_rigidity's probe
-# rule), but not the order-25 one at n = 4 (31,250 rays, 2.1 GiB), which
-# raises before anything is shot
+# rule), at most 9,383 rays at n = 4, but not the order-40 one there
+# (128,000 rays, 8.5 GiB), which raises before anything is shot
 _MAX_SHOT_BYTES = 640 * 2**20
 
 
@@ -1150,14 +1150,10 @@ def _ode_normal_chart(chart, p, r0, rule, r_samples, rtol):
     )
     per_ray = r_out.size * (n + n * n) * 8
     if nd * per_ray > _MAX_SHOT_BYTES:
-        from .functionals import _rule_order  # functionals imports this module
-
-        fits = _MAX_SHOT_BYTES // per_ray
         raise InvalidSpec(
             f"shooting {nd} rays would keep {nd * per_ray / 2**20:.0f} MiB of "
-            f"sampled states, above {_MAX_SHOT_BYTES >> 20} MiB: at most {fits} "
-            f"rays fit, sphere_rule({n}, order) up to order "
-            f"{_rule_order(fits, [1] * n, False, fits)}")
+            f"sampled states, above {_MAX_SHOT_BYTES >> 20} MiB: at most "
+            f"{_MAX_SHOT_BYTES // per_ray} rays fit")
 
     g0 = chart.metric(p[None, :])[0]
     E = _frame(g0[None, :, :])[0]
@@ -1279,14 +1275,13 @@ def build_normal_chart(
     depends on the radius and each ray's share of every block alone, and
     it shoots nothing.  Every other centre needs `rule`, a sphere rule
     (directions (nd, n) and weights (nd,), as the product rule
-    `sphere_rule(n, order)` returns them in every dimension, at most 2^15
-    directions): its OdeNormalChart shoots a geodesic along every
-    direction, tabulates the density and the tangential block of the
-    inverse pulled-back metric along each ray and keeps the weights for
-    its sphere areas.  A rule whose sampled states (x and J of every ray
+    `sphere_rule(n, order)` returns them in every dimension): its
+    OdeNormalChart shoots a geodesic along every direction, tabulates the
+    density and the tangential block of the inverse pulled-back metric
+    along each ray and keeps the weights for its sphere areas.  A rule whose sampled states (x and J of every ray
     at every sample radius, rays x radii x (n + n^2) doubles) would pass
-    640 MiB (_MAX_SHOT_BYTES) raises InvalidSpec naming the largest order
-    of sphere_rule that fits, before anything is shot.
+    640 MiB (_MAX_SHOT_BYTES) raises InvalidSpec naming the number of
+    rays that fits, before anything is shot.
 
     A warped chart raises InvalidSpec where r0 reaches the cut locus of a
     sphere block, OutOfDomain where the coordinate radius rho(r0) of its
@@ -1306,7 +1301,7 @@ def build_normal_chart(
         raise DimensionMismatch("center has wrong dimension")
     if not chart.domain.contains(p[None, :])[0]:
         raise OutOfDomain("center outside chart domain")
-    if r0 <= 0:
+    if not (r0 > 0):  # NaN too
         raise InvalidSpec("normal radius must be positive")
 
     warps = _centre_warps(chart, p)

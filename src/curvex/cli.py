@@ -96,9 +96,11 @@ def _chart_from(cfg: configparser.ConfigParser):
 
 def _quad_from(cfg: configparser.ConfigParser):
     sec = _section(cfg, "quadrature", "rule order")
+    # without an order the run uses the measured one
+    order = sec.get("order")
     return QuadratureSpec(
         rule=sec.get("rule", "auto"),
-        order=int(sec.get("order", 40)),
+        order=None if order is None else int(order),
     )
 
 

@@ -28,8 +28,10 @@ from ._spaceform import omega_n
 from .charts import MetricChart, _centre_warps, build_normal_chart, curvature_at
 from .errors import ConfigInvalid, IllConditionedFit, NoiseDominates
 from .functionals import (
+    _SHOT_ORDER,
     QuadratureSpec,
     build_test_function,
+    check_integer,
     eval_L_normalized,
     eval_W_normalized,
     profile_matrix,
@@ -98,8 +100,7 @@ def predict_volume(curv: CurvatureData) -> tuple[float, float]:
 def make_tgrid(t_max: float, points: int = 10):
     """Geometric time grid descending from t_max by factors 2^-1/2,
     returned ascending."""
-    if points < 4:
-        raise ConfigInvalid("need at least 4 grid points")
+    check_integer(points, 4, "grid points")
     ts = t_max * (2**-0.5) ** np.arange(points)
     return ts[::-1].copy()
 
@@ -192,13 +193,18 @@ def prepare_normal_chart(chart: MetricChart, p, r_s: float, quad: QuadratureSpec
     centre (build_normal_chart; the origin of every catalog chart but a
     plain-callable profile, and every point of flat space), else an ode
     chart shot along the full sphere_rule(n, quad.order), the rays the
-    radial-spherical nodes then run on.  A chart that shoots always
-    shoots the full rule: only a warped chart has a symmetry to fold
-    onto, and only a chart that shoots builds a rule here."""
+    radial-spherical nodes then run on.  A measured order (None) shoots
+    sphere_rule(n, _SHOT_ORDER) and runs its radial rule at that fixed
+    order too: the rays are pinned before any node exists, and the
+    chart's spline tables settle no ladder at rounding.  A chart that
+    shoots always shoots the full rule: only a warped chart has a
+    symmetry to fold onto, and only a chart that shoots builds a rule
+    here."""
     p = np.asarray(p, dtype=float)
     if _centre_warps(chart, p) is not None:
         return build_normal_chart(chart, p, r_s)
-    return build_normal_chart(chart, p, r_s, rule=sphere_rule(chart.n, quad.order))
+    order = _SHOT_ORDER if quad.order is None else quad.order
+    return build_normal_chart(chart, p, r_s, rule=sphere_rule(chart.n, order))
 
 
 @dataclass
@@ -255,7 +261,6 @@ def run_expansion(
         meta={
             "mode": mode if isinstance(mode, str) else "explicit",
             "r_s": r_s,
-            "order": quad.order,
             **ran,
             "christoffel": chart.christoffel_route,
             **nc.record(),

@@ -42,33 +42,23 @@ The nodes fold as far as a and the normal chart's symmetry about the
 centre (NormalChart.symmetry, a partition of the coordinates into blocks)
 allow; one function, fold_level, decides, and resolve_rule alone calls
 it.  A diagonal a whose equal entries fall into the blocks of a
-partition (a = lambda I: one block) leaves q = d.a.d and |a d|^2
-invariant under its block group O(n_1) x ... x O(n_k), each factor
-acting on its own block's coordinates; on a
-geometry invariant under that group too, the integrand is constant on
-every orbit, so the rays fold onto the orbit space, the positive part of
-S^(k-1) (orbit_rule): a hyperspherical product of one factor per block,
-Gauss-Gegenbauer halved by node index for a singleton, Gauss-Jacobi in
-the squared block radius for a larger block, each with ceil(o/2) nodes,
-exact to the full rule's degree.  n singletons give the orthant of the
-sphere rule, ceil(o/2)^(n-2) (floor(o/2) + 1) directions instead of
-2 o^(n-1); S^2 x R's blocks {0, 1}, {2} give ceil(o/2); one block gives
-one ray, e_1, weighted by the sphere's area.  The Hermite grid folds
-onto the same partition (_hermite_nodes): each block keeps the
-nondecreasing index tuples of the half rule (_half_rule), one node per
-orbit of its coordinate reflections and permutations, weighted by the
-orbit's size, and the blocks combine as a product; n singletons give
-the orthant, ceil(order/2)^n nodes instead of order^n, and one block
-C(ceil(order/2) + n - 1, n) (1,365 instead of 331,776 at order 24 on
-S^4), the same sum regrouped.  Only a warped normal chart (flat space, a
-space form, a direct sum of space forms or a radial conformal chart at
-its centre) has a symmetry, its warps' blocks: its geometry is exact on
-every direction, so its nodes fold onto the common refinement of a's
-blocks and the chart's own (one block but on a direct sum).  A chart
-that shoots always shoots the full sphere_rule(n, order)
-(expansion.prepare_normal_chart), has no symmetry and runs its nodes on
-those rays; it, a non-diagonal a and gaussian_integral with its
-arbitrary G keep the full rule.
+partition (a = lambda I: one block) leaves the integrand invariant under
+the block group O(n_1) x ... x O(n_k) on a geometry invariant under it
+too, so the rays fold onto the orbit space (orbit_rule: n singletons
+give the orthant of the sphere rule, one block the one ray e_1) and the
+Hermite grid onto one node per orbit (_hermite_nodes), the same sums
+regrouped.  Only a warped normal chart has a symmetry, its warps'
+blocks; a chart that shoots always shoots the full sphere_rule(n, order)
+(expansion.prepare_normal_chart) and folds nothing, and it, a
+non-diagonal a and gaussian_integral with its arbitrary G keep the full
+rule.
+
+Every rule is built at exactly the order it names, at most _MAX_NODES
+nodes per time.  One ladder, _climb, picks the order and the error
+estimate of eval_components and gaussian_integral: an analytic
+integrand converges geometrically in the order (Trefethen, "Is Gauss
+quadrature better than Clenshaw-Curtis?", SIAM Rev. 50, 2008), so the
+default, measured order stops where the next rung changes nothing.
 """
 
 from __future__ import annotations
@@ -76,8 +66,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
-from numbers import Real
+from math import comb, prod
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -113,8 +103,20 @@ __all__ = [
 ]
 
 ETA_FLOOR = 1e-300
-ERR_DROP = 6  # order decrement of the error-estimate rule
+ERR_DROP = 6  # order step of the ladder (_climb)
+_FIRST_RUNG = 8  # the least order, and the measured order's first rung
+# the measured order of a chart that pins its rays, which is shot along
+# sphere_rule(n, _SHOT_ORDER): its spline tables keep every rung changing
+# by about 1e-11 (S^3 off its centre, orders 8 to 100), above rounding
+_SHOT_ORDER = 40
 C_TRUNC = 10.0  # z-radius of the split radial rule's end; t <= (r_s/C_TRUNC)^2
+
+
+def check_integer(x, least: int, what: str):
+    """ConfigInvalid, naming what, unless x is an integer (a Python or
+    numpy one, not a bool) of at least least."""
+    if not (isinstance(x, Integral) and not isinstance(x, bool) and x >= least):
+        raise ConfigInvalid(f"{what} {x!r} is not an integer of at least {least}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ class QuadratureSpec:
     # auto | hermite | radial_sphere; auto is radial_sphere for the
     # functionals, and gaussian_integral takes it as hermite for n <= 4
     rule: str = "auto"
-    order: int = 40
+    order: int | None = None  # an integer >= 8, or None: measured (_climb)
     # read by nothing: every rule is deterministic, but perfbench's cases
     # still pass seed=, so the field stays until that call drops it
     seed: int = 1234
@@ -130,8 +132,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.rule not in ("auto", "hermite", "radial_sphere"):
             raise ConfigInvalid(f"unknown quadrature rule {self.rule!r}")
-        if self.order < 8:
-            raise ConfigInvalid("quadrature order below 8")
+        if self.order is not None:
+            check_integer(self.order, _FIRST_RUNG, "quadrature order")
 
 
 # arrays from this size up evaluate the smoothstep beyond s = 1/2 alone;
@@ -181,7 +183,7 @@ class TestFunction:
     def __post_init__(self):
         a = profile_matrix(self.nchart.n, None, self.a)
         self.a = 0.5 * (a + a.T)
-        if self.r_s <= 0:
+        if not (self.r_s > 0):  # NaN too
             raise ConfigInvalid("support radius must be positive")
         if self.r_s > self.nchart.radius * (1 + 1e-12):
             raise SupportTooLarge(
@@ -400,19 +402,19 @@ def _azimuth(m: int, fold: bool):
     return np.cos(th), np.sin(th), mult * (2 * np.pi / m)
 
 
-# directions of a rule built at most: the full sphere rule keeps o <= 128
-# on S^2, 25 on S^3, 11 on S^4, 6 on S^5; a folded rule holds fewer
-# directions per order and keeps more (the radial order is never cut)
-_MAX_DIRECTIONS = 2**15
+# nodes one time point of a rule may hold (directions times radial nodes,
+# or the Hermite grid; orbit_rule and _nodes check it from counts): the
+# full n = 4 order-40 Hermite grid holds 2,560,000, and a kernel pass
+# keeps about a dozen doubles per node, 400 MB at the bound
+_MAX_NODES = 2**22
 
 
 def sphere_rule(n: int, order: int):
     """The product rule on S^{n-1} in hyperspherical coordinates (Stroud,
     Approximate Calculation of Multiple Integrals, 1971): directions and
-    weights summing to the sphere's area, exact to degree 2 o - 1, o being
-    order lowered until the rule holds at most _MAX_DIRECTIONS
-    (_rule_order).  It is orbit_rule on n singleton blocks, unfolded; the
-    folded orbit_rule on them is its orthant."""
+    weights summing to the sphere's area, exact to degree 2 order - 1.  It
+    is orbit_rule on n singleton blocks, unfolded; the folded orbit_rule
+    on them is its orthant."""
     return orbit_rule(order, tuple((i,) for i in range(n)), False)
 
 
@@ -432,33 +434,14 @@ def _directions(o: int, sizes, fold: bool) -> int:
     return count * (m // 4 + 1 if fold else m) if pair else count
 
 
-def _rule_order(order: int, sizes, fold: bool, limit: int) -> int:
-    """The order orbit_rule builds at: order lowered until its rule on
-    blocks of these sizes holds at most limit directions (order 1 at the
-    least)."""
-    o = order
-    while o > 1 and _directions(o, sizes, fold) > limit:
-        o -= 1
-    return o
-
-
-def _polar_order(n: int, order: int, fold: Partition | None) -> int:
-    """The order ray_bundle's rule for fold is built at: sphere_rule's
-    for fold None, else the orbit rule's of the partition fold."""
-    blocks = fold if fold is not None else tuple((i,) for i in range(n))
-    return _rule_order(order, [len(b) for b in blocks], fold is not None,
-                       _MAX_DIRECTIONS)
-
-
 @lru_cache(maxsize=64)
 def orbit_rule(order: int, blocks: Partition, fold: bool = True):
     """The product rule of sphere_rule for the functions invariant under
     the block group O(n_1) x ... x O(n_k) of the partition blocks, on its
     orbit space: directions and weights summing to |S^{n-1}|, exact on
-    those functions to the full rule's degree 2 o - 1, o being order
-    lowered until this rule (not the full one) holds at most
-    _MAX_DIRECTIONS (_rule_order): S^2 x R^3's blocks keep order 16 with 8
-    directions.
+    those functions to the full rule's degree 2 o - 1, o = order (S^2 x
+    R^3's blocks: 8 directions at order 16); more than _MAX_NODES
+    directions raise ConfigInvalid before anything is built.
 
     A point of S^{n-1} is (s_1 y_1, ..., s_k y_k) with s on the positive
     part of S^{k-1} and y_b on S^{n_b - 1}; an invariant function depends
@@ -484,7 +467,11 @@ def orbit_rule(order: int, blocks: Partition, fold: bool = True):
     n = sum(map(len, blocks))
     sizes = [len(b) for b in blocks]
     pair = sizes[:2] == [1, 1]
-    o = _rule_order(order, sizes, fold, _MAX_DIRECTIONS)
+    o = order
+    count = _directions(o, sizes, fold)
+    if count > _MAX_NODES:
+        raise ConfigInvalid(f"the order-{o} rule on blocks of sizes {sizes} "
+                            f"holds {count} directions, above {_MAX_NODES}")
     radii, sines, wts = [], np.ones(1), np.ones(1)
     for b in range(len(blocks) - 1, 1 if pair else 0, -1):
         inner = sum(sizes[:b])
@@ -533,6 +520,14 @@ def _laguerre_m(order: int) -> int:
     return order // 2 + 4
 
 
+def _breaks(kink: float):
+    """The pieces of the split radial rule for the first cutoff kink at
+    kink: [0, min(C_TRUNC, 2 kink)], past which the integrand vanishes,
+    split at 3 and at the kinks."""
+    c = min(C_TRUNC, 2.0 * kink)
+    return sorted({0.0, min(3.0, c), c} | {k for k in (kink, 2.0 * kink) if k < c})
+
+
 def _radial_nodes(order: int, n: int, kink: float = np.inf):
     """z-radii rho and weights of the radial factor: the integral of
     rho^(n-1) e^(-rho^2) g(rho) over rho >= 0 for a g with cutoff kinks
@@ -544,15 +539,11 @@ def _radial_nodes(order: int, n: int, kink: float = np.inf):
     d rho is v^((n-2)/2) e^(-v) dv / 2, so the weights are half the
     Laguerre weights, exact on the Gaussian, the same for every t, with
     _laguerre_m(order) nodes.  Before that, Gauss-Legendre with order
-    points on each piece of [0, min(C_TRUNC, 2 kink)], past which the
-    integrand vanishes, split at 3 and at the kinks, times the Gaussian
-    factor."""
+    points on each piece of _breaks(kink), times the Gaussian factor."""
     if kink >= _LAGUERRE_MIN_KINK:
         v, w = gauss_laguerre(_laguerre_m(order), (n - 2) / 2.0)
         return np.sqrt(v), 0.5 * w
-    c = min(C_TRUNC, 2.0 * kink)
-    brk = sorted({0.0, min(3.0, c), c} | {k for k in (kink, 2.0 * kink) if k < c})
-    rho, wr = composite_gauss_legendre(brk, order)
+    rho, wr = composite_gauss_legendre(_breaks(kink), order)
     return rho, wr * rho ** (n - 1) * np.exp(-(rho**2))
 
 
@@ -569,6 +560,23 @@ def ray_bundle(n: int, order: int, fold: Partition | None = None, nchart=None):
     return orbit_rule(order, fold)
 
 
+def _node_count(rule, n, order, kink=np.inf, fold=None, nchart=None) -> int:
+    """Nodes of one time point of _nodes's rule, from counts alone: the
+    Hermite grid's size, or directions times radial nodes."""
+    if rule == "hermite":
+        if fold is None:
+            return order**n
+        half = -(-order // 2)  # _half_rule's nodes
+        return prod(comb(half + len(b) - 1, len(b)) for b in fold)
+    if nchart is not None and nchart.dirs is not None:
+        rays = len(nchart.dirs)
+    else:
+        blocks = fold if fold is not None else tuple((i,) for i in range(n))
+        rays = _directions(order, [len(b) for b in blocks], fold is not None)
+    return rays * (_laguerre_m(order) if kink >= _LAGUERRE_MIN_KINK
+                   else (len(_breaks(kink)) - 1) * order)
+
+
 def _nodes(rule, n, order, kink=np.inf, fold=None, nchart=None):
     """Unit directions d, z-radii rho and weights of one rule; the weights
     carry the Gaussian factor and the pi^{-n/2} normalization.
@@ -579,13 +587,18 @@ def _nodes(rule, n, order, kink=np.inf, fold=None, nchart=None):
     fold, a partition (see resolve_rule), takes both onto the orbit space
     of its block group: the hermite grid by _hermite_nodes, the
     radial_sphere directions by ray_bundle's orbit rule.  On an nchart
-    that pins its rays they are its own bundle, and fold is None."""
-    if rule == "hermite":
-        if n > 4:  # order^n nodes: 1e8 at the default order and n = 5
-            raise ConfigInvalid("product Hermite grids are limited to n <= 4")
-        return _hermite_nodes(n, order, fold)
-    if rule != "radial_sphere":
+    that pins its rays they are its own bundle, and fold is None.  More
+    than _MAX_NODES nodes raise ConfigInvalid before anything is built."""
+    if rule not in ("hermite", "radial_sphere"):
         raise ConfigInvalid(f"unknown rule {rule!r}")
+    if rule == "hermite" and n > 4:  # order^n nodes: 3.3e7 at order 32 and n = 5
+        raise ConfigInvalid("product Hermite grids are limited to n <= 4")
+    count = _node_count(rule, n, order, kink, fold, nchart)
+    if count > _MAX_NODES:
+        raise ConfigInvalid(f"the order-{order} {rule} rule holds {count} "
+                            f"nodes per time, above {_MAX_NODES}")
+    if rule == "hermite":
+        return _hermite_nodes(n, order, fold)
     rho, radial_w = _radial_nodes(order, n, kink)
     dirs, wd = ray_bundle(n, order, fold, nchart)
     wts = wd[:, None] * radial_w[None, :] / np.pi ** (n / 2.0)
@@ -629,18 +642,15 @@ class Components:
     errs: dict = field(default_factory=dict)
     rule: str | None = None  # resolve_rule's rule and fold
     fold: Partition | None = None
-    batches: int = 0  # kernel passes, error-estimate rule included
-    nodes: int = 0  # nodes evaluated, error-estimate rule included
-    # radial_sphere only: the directions that ran, after the limit and the
-    # fold, the orders the main and the error rule's directions were built
-    # at after the limit (_polar_order; None on a chart that pins its rays),
-    # and the radial factor at the main order ('laguerre',
-    # 'split_legendre' or, for times on both sides of _LAGUERRE_MIN_KINK,
+    order: int | None = None  # the order kept (_climb)
+    batches: int = 0  # kernel passes, every rung of the ladder included
+    nodes: int = 0  # nodes evaluated, every rung of the ladder included
+    # radial_sphere only: the directions that ran at the kept order, after
+    # the fold, and the radial factor there ('laguerre', 'split_legendre'
+    # or, for times on both sides of _LAGUERRE_MIN_KINK,
     # 'laguerre+split_legendre') with its nodes per time (the Laguerre m
     # when it ran, else the Gauss-Legendre points per piece)
     rays: int | None = None
-    polar_order: int | None = None
-    polar_order_err: int | None = None
     radial_rule: str | None = None
     radial_m: int | None = None
 
@@ -649,12 +659,12 @@ class Components:
         rec = {
             "rule": self.rule,
             "fold": None if self.fold is None else [list(b) for b in self.fold],
+            "order": self.order,
             "batches": self.batches,
         }
         if self.rays is not None:
-            rec.update(rays=self.rays, polar_order=self.polar_order,
-                       polar_order_err=self.polar_order_err,
-                       radial_rule=self.radial_rule, radial_m=self.radial_m)
+            rec.update(rays=self.rays, radial_rule=self.radial_rule,
+                       radial_m=self.radial_m)
         rec["nodes"] = self.nodes
         return rec
 
@@ -674,21 +684,19 @@ def _time_batches(tf: TestFunction, t, order: int, rule: str,
     most _BATCH_POINTS nodes per pass and one time at least.  Every other
     time runs the split rule of its own kinks, alone.  The mask of the
     times that share their nodes comes second."""
-    n = tf.nchart.n
     if rule == "hermite":
         shared = np.ones(t.shape, dtype=bool)
-        per_t = _nodes(rule, n, order, fold=fold)[2].size
     else:
         shared = _first_kink(tf, t) >= _LAGUERRE_MIN_KINK
-        per_t = ray_bundle(n, order, fold, tf.nchart)[1].size * _laguerre_m(order)
+    per_t = _node_count(rule, tf.nchart.n, order, fold=fold, nchart=tf.nchart)
     idx = np.flatnonzero(shared)
     step = max(1, _BATCH_POINTS // per_t)
     return ([idx[k:k + step] for k in range(0, idx.size, step)]
             + list(np.flatnonzero(~shared)[:, None])), shared
 
 
-def _eval_once(tf: TestFunction, t, quad: QuadratureSpec, order: int,
-               rule: str, fold: Partition | None, want_sc: bool = True):
+def _eval_once(tf: TestFunction, t, order: int, rule: str,
+               fold: Partition | None, want_sc: bool = True):
     """The four sums over the nodes x = 2 sqrt(t) rho d of the rule
     resolve_rule gave, folded onto fold, at this order and at each time of
     the 1-D array t, (4, nt) with the Sc row NaN unless want_sc, and what
@@ -738,9 +746,7 @@ def _eval_once(tf: TestFunction, t, quad: QuadratureSpec, order: int,
         lag = bool(shared.any())
         names = ["laguerre"] * lag + ["split_legendre"] * bool(not shared.all())
         ran.update(rays=rays, radial_rule="+".join(names),
-                   radial_m=_laguerre_m(order) if lag else order,
-                   polar_order=None if nc.dirs is not None
-                   else _polar_order(n, order, fold))
+                   radial_m=_laguerre_m(order) if lag else order)
     return sums, ran
 
 
@@ -755,7 +761,7 @@ def check_time(tf: TestFunction, t: float, monotone: bool = False):
     the Gaussian) where P <= 0; the apex, P = 1, is live.  Since
     q <= lambda_max(a), with equality along the top eigenvector, the test
     is exact: 4 t lambda_max(a) <= 1."""
-    if t <= 0:
+    if not (t > 0):  # NaN too
         raise ConfigInvalid("t must be positive")
     if monotone:
         lam = float(np.linalg.eigvalsh(tf.a)[-1])
@@ -771,16 +777,34 @@ def check_time(tf: TestFunction, t: float, monotone: bool = False):
         )
 
 
+def _climb(run, order, settled, want_err: bool = True):
+    """(the order kept, run's result there, run's result at the rung below,
+    or None for an explicit order without want_err).  Each step runs a
+    rung o and the rung o - ERR_DROP below it: an explicit order takes one
+    step, the measured order (None) starts at 8 and climbs by ERR_DROP
+    until settled(hi, lo) accepts a rung against the one below; a rung
+    past _MAX_NODES raises ConfigInvalid in _nodes before it is built."""
+    o = _FIRST_RUNG if order is None else order
+    hi = run(o)
+    lo = run(o - ERR_DROP) if want_err or order is None else None
+    while order is None and not settled(hi, lo):
+        o, lo, hi = o + ERR_DROP, hi, run(o + ERR_DROP)
+    return o, hi, lo
+
+
 def eval_components(
     tf: TestFunction, t, quad: QuadratureSpec = QuadratureSpec(),
     want_err: bool = True, want_sc: bool = True,
 ) -> Components:
     """Mass, entropy, Dirichlet energy and, when want_sc, the
     scalar-curvature integral of u^2 (None otherwise) at time t, or at
-    each time of a 1-D array t (then as arrays), with error estimates from
-    a re-evaluation at order - ERR_DROP; both runs share one resolved rule
-    and fold, and each runs all the times in as few kernel passes as
-    their nodes allow (_time_batches)."""
+    each time of a 1-D array t (then as arrays), with error estimates:
+    each piece's change from the rung below the order kept (_climb).  The
+    measured order keeps the first rung that moves the normalized value
+    (L, or W with want_sc) by no more than its rounding floor at every
+    time; on a chart that pins its rays it is _SHOT_ORDER.  Every rung
+    runs all the times in as few kernel passes as their nodes allow
+    (_time_batches)."""
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ConfigInvalid(f"t must be a number or a 1-d array, not shape {ts.shape}")
@@ -789,19 +813,30 @@ def eval_components(
         check_time(tf, ti)
     # folded onto the blocks of a diagonal a's equal entries (lambda I: one)
     rule, fold = resolve_rule(tf, quad)
-    hi, ran = _eval_once(tf, ts, quad, quad.order, rule, fold, want_sc)
-    if np.any(hi[0] <= 0):
-        raise QuadratureNotConverged("mass came out nonpositive")
+    n = tf.nchart.n
+    order = quad.order
+    if order is None and tf.nchart.dirs is not None:
+        order = _SHOT_ORDER
     names = ("mass", "entropy", "dirichlet", "sc_integral")[:4 if want_sc else 3]
-    errs = {}
-    if want_err:
-        lo, more = _eval_once(tf, ts, quad, quad.order - ERR_DROP, rule, fold,
-                              want_sc)
-        errs = dict(zip(names, np.abs(hi - lo)))
-        ran["nodes"] += more["nodes"]
-        ran["batches"] += more["batches"]
-        if rule == "radial_sphere":
-            ran["polar_order_err"] = more["polar_order"]
+    spent = {"nodes": 0, "batches": 0}
+
+    def run(o):
+        sums, ran = _eval_once(tf, ts, o, rule, fold, want_sc)
+        if np.any(sums[0] <= 0):
+            raise QuadratureNotConverged("mass came out nonpositive")
+        for k in spent:
+            spent[k] += ran[k]
+        return sums, ran
+
+    def settled(hi, lo):
+        comp = Components(ts, *hi[0][:3], hi[0][3] if want_sc else None,
+                          dict(zip(names, np.abs(hi[0] - lo[0]))))
+        _, err, floor = _normalized(comp, n)
+        return bool(np.all(err <= floor))
+
+    order, (hi, ran), lo = _climb(run, order, settled, want_err)
+    errs = {} if lo is None else dict(zip(names, np.abs(hi - lo[0])))
+    ran.update(spent, order=order)
     if np.ndim(t) == 0:  # back to numbers
         hi = hi[:, 0].tolist()
         errs = {k: float(v[0]) for k, v in errs.items()}
@@ -856,10 +891,11 @@ def _L_err(comp: Components, n: int) -> float:
 
 
 def _normalized(comp: Components, n: int):
-    """(value, error estimate) of the unit-mass rescaling u / sqrt(mass):
-    the deficit _L_of, to which W adds t times the Sc integral when comp
-    has it, in its value, its error and its size; the estimate is at
-    least the rounding floor of the terms the value cancels."""
+    """(value, error, rounding floor) of the unit-mass rescaling
+    u / sqrt(mass): the deficit _L_of, to which W adds t times the Sc
+    integral when comp has it, in its value, its error and its size; the
+    floor is _ROUNDING_FLOOR of the terms the value cancels, and the
+    estimate reported is the larger of error and floor."""
     t, M = comp.t, comp.mass
     val, err, size = _L_of(comp, n), _L_err(comp, n), _L_size(comp, n)
     if comp.sc_integral is not None:
@@ -868,7 +904,7 @@ def _normalized(comp: Components, n: int):
         size = size + t * np.abs(comp.sc_integral)
     val = val / M
     err = (err + abs(val) * comp.errs.get("mass", 0.0)) / M
-    return val, np.maximum(err, _ROUNDING_FLOOR * size / M)
+    return val, err, _ROUNDING_FLOOR * size / M
 
 
 def eval_L_normalized(tf, t, quad=QuadratureSpec()):
@@ -876,14 +912,16 @@ def eval_L_normalized(tf, t, quad=QuadratureSpec()):
     at time t, or at each time of a 1-D array t: (value, error estimate,
     Components.record of what ran)."""
     comp = eval_components(tf, t, quad, want_sc=False)
-    return (*_normalized(comp, tf.nchart.n), comp.record())
+    val, err, floor = _normalized(comp, tf.nchart.n)
+    return val, np.maximum(err, floor), comp.record()
 
 
 def eval_W_normalized(tf, t, quad=QuadratureSpec()):
     """Entropy functional (deficit plus t times the curvature integral) of
     the unit-mass rescaling, as eval_L_normalized."""
     comp = eval_components(tf, t, quad, want_sc=True)
-    return (*_normalized(comp, tf.nchart.n), comp.record())
+    val, err, floor = _normalized(comp, tf.nchart.n)
+    return val, np.maximum(err, floor), comp.record()
 
 
 # ---------------------------------------------------------------------------
@@ -896,18 +934,23 @@ def gaussian_integral(n: int, t: float, G, quad: QuadratureSpec = QuadratureSpec
     Equivalently the integral of the heat-kernel weight H^2 against G on
     flat space.  G maps (m, n) points to (m,) values.  The rule is
     quad.rule, 'auto' taken as hermite for n <= 4 and radial_sphere
-    beyond.  Returns (value, error estimate)."""
+    beyond, at the order _climb keeps: the measured order stops where the
+    sum moves by no more than _ROUNDING_FLOOR of its terms' sizes.
+    Returns (value, error estimate: the change from the rung below)."""
     rule = quad.rule
     if rule == "auto":
         rule = "hermite" if n <= 4 else "radial_sphere"
 
-    def once(order):
+    def run(order):
         dirs, rho, W = _nodes(rule, n, order)
         X = ((2.0 * np.sqrt(t) * rho)[..., None] * dirs).reshape(-1, n)
-        return float((W.ravel() * np.asarray(G(X))).sum())  # as in _eval_once
+        terms = W.ravel() * np.asarray(G(X))
+        return float(terms.sum()), float(np.abs(terms).sum())  # as in _eval_once
 
-    hi = once(quad.order)
-    lo = once(quad.order - ERR_DROP)
+    def settled(hi, lo):
+        return abs(hi[0] - lo[0]) <= _ROUNDING_FLOOR * hi[1]
+
+    _, (hi, _), (lo, _) = _climb(run, quad.order, settled)
     return hi, abs(hi - lo)
 
 
@@ -915,7 +958,7 @@ def ball_volume(nchart: NormalChart, r):
     """Riemannian volume of the geodesic ball of radius r at the center
     (vectorized in r): the integral of the chart's sphere areas."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    if not np.all(r > 0):  # NaN too
         raise ConfigInvalid("radius must be positive")
     if np.any(r > nchart.radius * (1 + 1e-12)):
         raise SupportTooLarge("ball radius exceeds the normal chart radius")

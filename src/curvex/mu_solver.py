@@ -60,7 +60,7 @@ class RadialDomain:
     m: int = 1024
 
     def __post_init__(self):
-        if self.R <= 0:
+        if not (self.R > 0):  # NaN too
             raise ConfigInvalid("ball radius must be positive")
         if self.K > 0 and self.R >= np.pi / np.sqrt(self.K):
             raise OutOfDomain(
@@ -84,8 +84,10 @@ class RadialDomain:
         cls, n: int, K: float, R: float, t: float, per_width: int = 32
     ) -> "RadialDomain":
         """Mesh fine enough to resolve the sqrt(t) concentration scale."""
-        if t <= 0:
+        if not (t > 0):  # NaN too
             raise ConfigInvalid("t must be positive")
+        if not (R > 0):  # before R sizes the mesh
+            raise ConfigInvalid("ball radius must be positive")
         m = int(np.clip(np.ceil(per_width * R / np.sqrt(t)), 256, 8192))
         return cls(n=n, K=K, R=R, m=m)
 

@@ -635,16 +635,19 @@ class TestNormalCharts:
         assert held < 17e6, f"held {held / 1e6:.0f} MB"
 
     def test_oversized_rule_raises_before_it_shoots(self, monkeypatch):
-        """Off the centre of H^4 the default order-40 rule is cut to order
-        25, 31,250 rays, whose sampled states (447 radii of x and J, 20
-        doubles, per ray) would keep 2.1 GiB: run_expansion raises
-        InvalidSpec naming order 16, the largest whose full rule fits in
+        """Off the centre of H^4 the order-40 rule, asked for explicitly or
+        shot at the measured order, is 128,000 rays, whose sampled states
+        (447 radii of x and J, 20 doubles, per ray) would keep 8.5 GiB:
+        run_expansion raises InvalidSpec naming the 9,383 rays that fit in
         640 MiB, and dopri45 is never called.  Off the centre of S^3 the
         order-16 rule (512 rays) still shoots."""
         shots = recorded(monkeypatch, charts, "dopri45")
         h4 = make_chart(ModelSpec("space_form", 4, K=-1.0))
-        with pytest.raises(InvalidSpec, match=r"31250 rays.*up to order 16$"):
-            run_expansion(h4, np.array([0.1, 0.0, 0.0, 0.05]), "L", r_s=0.5)
+        for quad in (QuadratureSpec(order=40), QuadratureSpec()):
+            with pytest.raises(InvalidSpec,
+                               match=r"^shooting 128000 rays.*at most 9383 rays fit$"):
+                run_expansion(h4, np.array([0.1, 0.0, 0.0, 0.05]), "L",
+                              r_s=0.5, quad=quad)
         assert shots == []
         s3 = make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
         nc = build_normal_chart(s3, np.array([0.3, -0.2, 0.1]), 1.0,

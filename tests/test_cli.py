@@ -242,6 +242,21 @@ class TestRuns:
         assert meta["fold"] == [[0, 1], [2]] and meta["rays"] == 8
         assert meta["normal_chart"] == "warped" and "nfev" not in meta
 
+    def test_expand_without_order_runs_the_measured_order(self, tmp_path):
+        """Without [quadrature] order the run uses the measured order: the
+        JSON meta records the order kept, 14 on S^2 x R, and no polar
+        orders; an explicit order 16 is recorded as 16."""
+        bare = EXPAND_SPHERE_LINE.replace("order = 16\n", "")
+        for text, order in ((bare, 14), (EXPAND_SPHERE_LINE, 16)):
+            cfg = _write(tmp_path, "c.ini", text)
+            assert main(["expand_L", "--config", cfg, "--out", str(tmp_path),
+                         "--no-timestamp"]) == 0
+            doc = json.loads((tmp_path / "expand_L.json").read_text())
+            assert ("order" in doc["config"]["quadrature"]) == (order == 16)
+            meta = doc["result"]["meta"]
+            assert meta["order"] == order and doc["result"]["pass"] is True
+            assert not any(k.startswith("polar_order") for k in meta)
+
     def test_volume_on_ode_chart(self, tmp_path, monkeypatch):
         """S^2 x R volumes on its warped chart and on the ode chart of the
         same metric, shot along the full [quadrature] rule in a

@@ -123,6 +123,16 @@ class TestGrid:
         with pytest.raises(ConfigInvalid):
             make_tgrid(1e-3, points=3)
 
+    @pytest.mark.parametrize("points", [4.5, 10.0, "10", True])
+    def test_non_integer_points(self, points):
+        """A grid of 4.5 points is not rounded to 5: anything but an
+        integer raises ConfigInvalid, through run_expansion too."""
+        with pytest.raises(ConfigInvalid, match="an integer of at least"):
+            make_tgrid(1e-3, points=points)
+        ch = make_chart(ModelSpec("space_form", 3, K=1.0))
+        with pytest.raises(ConfigInvalid, match="an integer of at least"):
+            run_expansion(ch, np.zeros(3), r_s=1.0, t_points=points)
+
 
 class TestExtraction:
     def test_exact_series(self):
@@ -519,25 +529,21 @@ class TestBundleOnlyWhereShot:
 
 
 class TestEveryDimension:
-    """The default QuadratureSpec (auto, order 40) runs the product sphere
-    rule in every dimension; above n = 4 the rule built is cut to 2^15
-    directions.  a = Rc/3 = lambda I folds it onto one ray; a diagonal a
-    with unequal entries (the S5 and H6 orthant cases) keeps its orthant.
-    meta records the polar orders the main and the error-estimate rule
-    were built at: one ray keeps 40 and 34, while the orthant's cap cuts
-    both to 26 (n = 5) or 15 (n = 6), so there the error estimate sees
-    the radial rule alone."""
+    """The default QuadratureSpec (auto, measured order) runs the product
+    sphere rule in every dimension, built at the order the ladder keeps.
+    a = Rc/3 = lambda I folds it onto one ray; a diagonal a with unequal
+    entries (the S5 and H6 orthant cases) keeps its orthant,
+    (o/2)^(n-2) (o/2 + 1) directions at the even order o kept.  meta
+    records that order and no polar orders: the rule built is the one
+    named."""
 
     @pytest.mark.parametrize(
-        "n,K,shift,rays,polar",
-        # the orthant's own polar orders 26 (n = 5) and 15 (n = 6):
-        # ceil(o/2)^(n-2) polar nodes times o/2 + 1 azimuths
-        [(5, 1.0, 0.0, 1, (40, 34)), (6, 1.0, 0.0, 1, (40, 34)),
-         (5, -1.0, 0.0, 1, (40, 34)), (6, -1.0, 0.0, 1, (40, 34)),
-         (5, 1.0, 0.1, 13**3 * 14, (26, 26)), (6, -1.0, 0.1, 8**4 * 8, (15, 15))],
+        "n,K,shift",
+        [(5, 1.0, 0.0), (6, 1.0, 0.0), (5, -1.0, 0.0), (6, -1.0, 0.0),
+         (5, 1.0, 0.1), (6, -1.0, 0.1)],
         ids=["S5", "S6", "H5", "H6", "S5-orthant", "H6-orthant"],
     )
-    def test_default_rule_fits_the_prediction(self, n, K, shift, rays, polar):
+    def test_default_rule_fits_the_prediction(self, n, K, shift):
         ch = make_chart(ModelSpec("space_form", n, K=K))
         # a traceless diagonal shift of Rc/3 moves c2 by 4 |shift|^2
         a = space_form_curvature(n, K).rc / 3.0 + shift * np.diag(
@@ -549,9 +555,10 @@ class TestEveryDimension:
             res = run_expansion(ch, np.zeros(n), functional="L", mode=a,
                                 r_s=1.2)
         elapsed = time.perf_counter() - start
-        assert res.meta["rule"] == "radial_sphere"
-        assert res.meta["order"] == 40 and res.meta["rays"] == rays
-        assert (res.meta["polar_order"], res.meta["polar_order_err"]) == polar
+        o = res.meta["order"]
+        assert res.meta["rule"] == "radial_sphere" and o <= 20
+        assert res.meta["rays"] == (1 if shift == 0 else (o // 2) ** (n - 2) * (o // 2 + 1))
+        assert not any(k.startswith("polar_order") for k in res.meta)
         assert res.fit.c1 == pytest.approx(res.predicted.c1, rel=5e-3)
         assert res.fit.c2 == pytest.approx(res.predicted.c2, rel=5e-2)
         assert elapsed < 2.0, f"expansion took {elapsed:.2f}s"
@@ -559,20 +566,104 @@ class TestEveryDimension:
     @pytest.mark.parametrize("mode,rays", [("optimal_a", 1), ("off", 2 * 40 * 40)],
                              ids=["one-ray", "full"])
     def test_s3_keeps_the_polar_orders_asked_for(self, mode, rays):
-        """On S^3 at the default order neither rule reaches the cap: one
-        ray and the full rule's 3,200 directions both record the polar
-        orders 40 and 34; a chart that shoots records None for both, its
-        rays being the rule it was shot along."""
+        """On S^3 an explicit order 40 builds its rule at 40: one ray, or
+        the full rule's 2 o^2 = 3,200 directions, and meta records order
+        40 and no polar orders.  A chart that shoots runs on the rule it
+        was shot along, 128 rays at order 8."""
         ch = make_chart(ModelSpec("space_form", 3, K=1.0))
         a = mode if mode == "optimal_a" else np.diag([0.3, 0.2, 0.1]) + 0.05
-        res = run_expansion(ch, np.zeros(3), "L", mode=a, r_s=1.0)
-        assert res.meta["rays"] == rays
-        assert (res.meta["polar_order"], res.meta["polar_order_err"]) == (40, 34)
+        res = run_expansion(ch, np.zeros(3), "L", mode=a, r_s=1.0,
+                            quad=QuadratureSpec(order=40))
+        assert res.meta["rays"] == rays and res.meta["order"] == 40
+        assert not any(k.startswith("polar_order") for k in res.meta)
         shot = run_expansion(shooting_chart(ch), np.zeros(3), "L", r_s=1.0,
                              quad=QuadratureSpec(order=8), t_points=4)
-        assert shot.meta["rays"] == 128
-        assert (shot.meta["polar_order"], shot.meta["polar_order_err"]) == (
-            None, None)
+        assert shot.meta["rays"] == 128 and shot.meta["order"] == 8
+        assert not any(k.startswith("polar_order") for k in shot.meta)
+
+
+def _rand_a(n, seed=3):
+    a = np.random.default_rng(seed).normal(scale=0.1, size=(n, n))
+    return a + a.T
+
+
+def _c06():
+    return make_chart(ModelSpec(
+        "conformal_flat", 3, halfwidth=1.5,
+        perturbation=Perturbation(0.05, PROFILES["quartic_bump"])))
+
+
+class TestMeasuredOrder:
+    """The default order is measured: the ladder runs 8 against 2, then
+    14, 20, ... each against the rung below, and keeps the first order
+    whose values differ from the rung below by no more than their
+    rounding floor.  On the catalog rows at the default time grid that is
+    8 on one ray (a = Rc/3 on a space form or c06, where order 2 is
+    already exact to rounding) and 14 on the rows with more rays; c2
+    stays within 1e-6 relative of the explicit order 40 (5e-6 for c06's
+    W, whose c2 is 300 times smaller than its L's).  With
+    t_max = r_s^2/100 the first kink lies at z_k = 2.5, the radial rule
+    is the split Gauss-Legendre one, and the ladder climbs to 26.  A
+    chart that shoots runs the fixed shot order 40 on the rays of its
+    sphere_rule(n, 40)."""
+
+    # chart, functional, a, r_s and the order the ladder keeps
+    CASES = {
+        "S3": lambda: (make_chart(ModelSpec("space_form", 3, K=1.0)), "L",
+                       "optimal_a", 1.7, 8),
+        "S3-random": lambda: (make_chart(ModelSpec("space_form", 3, K=1.0)),
+                              "L", _rand_a(3), 1.7, 14),
+        "H4-random": lambda: (make_chart(ModelSpec("space_form", 4, K=-1.0)),
+                              "L", _rand_a(4), 0.9, 14),
+        "c06-L": lambda: (_c06(), "L", "optimal_a", 0.9, 8),
+        "c06-W": lambda: (_c06(), "W", "optimal_a", 0.9, 8),
+        "S2xR": lambda: (make_chart(ModelSpec("product_sphere_line", 3, K=1.0)),
+                         "L", "optimal_a", 0.9, 14),
+    }
+    # c2 against order 40: relative bound, None where order 40's full
+    # rule (3.1 million nodes per time on H^4) costs more than the check
+    RTOL_40 = {"S3": 1e-6, "S3-random": 1e-6, "H4-random": None,
+               "c06-L": 1e-6, "c06-W": 5e-6, "S2xR": 1e-6}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_default_runs_stop_by_14(self, case):
+        ch, functional, mode, r_s, order = self.CASES[case]()
+        p = np.zeros(ch.n)
+        res = run_expansion(ch, p, functional, mode=mode, r_s=r_s)
+        assert res.meta["order"] == order
+        assert "polar_order" not in res.meta
+        if self.RTOL_40[case] is not None:
+            ref = run_expansion(ch, p, functional, mode=mode, r_s=r_s,
+                                quad=QuadratureSpec(order=40))
+            assert res.fit.c2 == pytest.approx(ref.fit.c2, rel=self.RTOL_40[case])
+
+    def test_split_radial_rule_stops_at_26(self):
+        ch = make_chart(ModelSpec("space_form", 3, K=1.0))
+        res = run_expansion(ch, np.zeros(3), "L", mode=_rand_a(3), r_s=1.0,
+                            t_max=1.0 / 100)
+        assert res.meta["order"] == 26
+        assert "split_legendre" in res.meta["radial_rule"]
+
+    def test_shot_chart_runs_the_shot_order(self, monkeypatch):
+        """The measured order hands the full sphere_rule(3, 40) to a chart
+        that shoots, and on a chart that pins its rays eval_components
+        runs the radial rule at 40 with the estimate from 34, bit for bit
+        as an explicit order 40: the spline tables of a shot chart would
+        keep every rung changing above rounding."""
+        ch = shooting_chart(make_chart(ModelSpec("space_form", 3, K=1.0)))
+        with monkeypatch.context() as mp:
+            mp.setattr(expansion, "build_normal_chart",
+                       lambda chart, p, r0, rule=None: rule)
+            dirs, _ = prepare_normal_chart(ch, np.zeros(3), 0.9, QuadratureSpec())
+        assert dirs.shape == (3200, 3)
+        nc = build_normal_chart(ch, np.zeros(3), 0.9, rule=sphere_rule(3, 8))
+        tf = build_test_function(nc, curvature_at(ch, np.zeros(3)), r_s=0.9)
+        ts = make_tgrid(0.9**2 / 720, 4)
+        got = eval_L_normalized(tf, ts)
+        want = eval_L_normalized(tf, ts, QuadratureSpec(order=40))
+        assert got[2]["order"] == 40 and got[2]["rays"] == 128
+        for g, w in zip(got[:2], want[:2]):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestVolumeFit:

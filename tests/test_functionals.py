@@ -28,6 +28,7 @@ from curvex.expansion import predict_volume, prepare_normal_chart, run_expansion
 from curvex._spaceform import ball_volume_K, sn, sphere_area_K
 from curvex.errors import (
     ConfigInvalid,
+    CurvexError,
     InvalidSpec,
     PositivityWarning,
     SupportTooLarge,
@@ -155,30 +156,25 @@ def _orthant(n, order):
 
 class TestSphereRule:
     @pytest.mark.parametrize(
-        "n,order,o,o_fold",
-        [pytest.param(n, order, o, o_fold, id=f"{order}-{n}")
-         for n, order, o, o_fold in
-         [(n, order, order, order) for n in (2, 3, 4) for order in (8, 9, 16, 24)]
-         + [(4, 40, 25, 40), (5, 8, 8, 8), (5, 9, 9, 9), (5, 16, 11, 16),
-            (6, 5, 5, 5), (6, 10, 6, 10)]],
+        "n,o",
+        [pytest.param(n, o, id=f"{o}-{n}")
+         for n, o in [(n, o) for n in (2, 3, 4) for o in (8, 9, 16, 24)]
+         + [(5, 8), (5, 9), (6, 5)]],
     )
-    def test_folded_rule_is_exact_on_even_monomials(self, n, order, o, o_fold):
+    def test_folded_rule_is_exact_on_even_monomials(self, n, o):
         """The rule folded onto the orthant integrates every even monomial
         up to the full rule's degree as the full rule does, and up to its
-        own degree as the closed form.  o and o_fold are the polar orders
-        the 2^15-direction limit leaves to the full rule and to the
-        orthant, which holds fewer directions and keeps more order.
-        |y^k| <= 1, so the sphere's area sets the scale.  n = 4 at order 9
+        own degree as the closed form; both are built at the order o asked
+        for.  |y^k| <= 1, so the sphere's area sets the scale.  n = 4 at order 9
         holds the Chebyshev node cos(pi/2) = 6.1e-17, which a fold by sign
         instead of by index mis-weights."""
-        full, folded = sphere_rule(n, order), _orthant(n, order)
+        full, folded = sphere_rule(n, o), _orthant(n, o)
         # azimuths 4k <= m of m = max(4 o, 16) (n = 2) or 2 o (n >= 3),
         # times ceil(o/2) nodes u >= 0 per polar factor
-        m, m_fold = _azimuths(n, o), _azimuths(n, o_fold)
-        polar = ((o_fold + 1) // 2) ** (n - 2)
-        assert folded[0].shape == (polar * (m_fold // 4 + 1), n)
-        assert folded[0].shape[0] <= 2**15
-        assert full[0].shape == (o ** (n - 2) * m, n) and m * o ** (n - 2) <= 2**15
+        m = _azimuths(n, o)
+        polar = ((o + 1) // 2) ** (n - 2)
+        assert folded[0].shape == (polar * (m // 4 + 1), n)
+        assert full[0].shape == (o ** (n - 2) * m, n)
         assert np.allclose(np.linalg.norm(folded[0], axis=1), 1.0)
         assert np.all(folded[0] >= 0.0)
         area = sphere_area(n)
@@ -187,15 +183,14 @@ class TestSphereRule:
         k_f, got = _monomial_integrals(*folded, deg)
         assert np.array_equal(k, k_f)
         assert np.max(np.abs(got - want)) <= 1e-14 * area
-        k, got = _monomial_integrals(
-            *folded, m_fold - 1 if n == 2 else 2 * o_fold - 1)
+        k, got = _monomial_integrals(*folded, deg)
         # the closed form is symmetric in the exponents
         closed = functools.lru_cache(maxsize=None)(lambda e: sphere_monomial(n, e))
         exact = np.array([closed(tuple(sorted(e))) for e in k.tolist()])
         assert np.max(np.abs(got - exact)) <= 1e-14 * area
 
     @pytest.mark.parametrize(
-        "n,order,o", [(2, 8, 8), (3, 16, 16), (4, 9, 9), (5, 6, 6), (6, 10, 6)]
+        "n,order,o", [(2, 8, 8), (3, 16, 16), (4, 9, 9), (5, 6, 6), (6, 6, 6)]
     )
     def test_full_rule_is_exact_on_every_monomial(self, n, order, o):
         """The full rule integrates every monomial up to its degree, odd
@@ -204,31 +199,6 @@ class TestSphereRule:
         k, got = _monomial_integrals(*sphere_rule(n, order), deg, step=1)
         exact = np.array([sphere_monomial(n, tuple(e)) for e in k])
         assert np.max(np.abs(got - exact)) <= 1e-14 * sphere_area(n)
-
-    def test_limit_costs_no_accuracy(self, monkeypatch):
-        """With a non-diagonal a, the functionals on the rule cut to 2^15
-        directions equal those on the full product rule (131,072 directions
-        on S^4 at order 16, 200,000 on S^5 at order 10)."""
-        import curvex.functionals as F
-
-        t = 1.0 / 256  # r_s / 2 sqrt(t) = 6: two radial panels
-        for n, order in [(5, 16), (6, 10)]:
-            nc = build_normal_chart(
-                make_chart(ModelSpec("space_form", n, K=1.0)), np.zeros(n), 0.75
-            )
-            a = np.random.default_rng(5).normal(scale=0.1, size=(n, n))
-            tf = TestFunction(nc, a + a.T, 0.75)
-            quad = QuadratureSpec(order=order)
-            cut = eval_components(tf, t, quad, want_err=False)
-            with monkeypatch.context() as mp:
-                mp.setattr(F, "_MAX_DIRECTIONS", 2**40)
-                F.orbit_rule.cache_clear()
-                full = eval_components(tf, t, quad, want_err=False)
-                F.orbit_rule.cache_clear()
-            assert full.nodes > 4 * cut.nodes
-            for name in ("mass", "entropy", "dirichlet", "sc_integral"):
-                assert getattr(cut, name) == pytest.approx(
-                    getattr(full, name), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_total_weight_is_area(self, n):
@@ -360,20 +330,28 @@ class TestOrbitRule:
         (((0,), (1,), (2, 3, 4)), 8 * 9), (((0,), (1, 2, 3, 4, 5)), 8)],
         ids=["01|234", "01|23|45", "0|1|234", "0|12345"])
     def test_limit_counts_the_rule_built(self, blocks, rays):
-        """The 2^15-direction limit bounds the directions of the rule
-        built, so these folded rules keep order 16 and its degree 31,
-        where the full rule's count cut them to 11 (n = 5) and 6 (n = 6):
-        ceil(16/2) nodes per block factor, 16/2 + 1 quadrant azimuths for
-        two leading singletons."""
+        """The node bound counts the directions of the rule built, so these
+        folded rules hold a few dozen directions at order 16 and keep its
+        degree 31, where the full rule holds 131,072 (n = 5) and 2,097,152
+        (n = 6): ceil(16/2) nodes per block factor, 16/2 + 1 quadrant
+        azimuths for two leading singletons."""
         dirs, wts = orbit_rule(16, blocks)
         assert wts.size == rays
         _assert_exact_on_block_moments(blocks, 16, dirs, wts)
 
-    def test_unfolded_sphere_rule_keeps_its_limit(self):
-        """The full rule is the one built: o^(n-2) 2 o directions at the
-        largest o that fits 2^15, 11 on S^4 and 6 on S^5."""
-        for n, o in [(5, 11), (6, 6)]:
-            assert sphere_rule(n, 16)[1].size == o ** (n - 2) * 2 * o
+    def test_unfolded_sphere_rule_keeps_its_limit(self, monkeypatch):
+        """The full rule is built at the order asked, o^(n-2) 2 o
+        directions (131,072 on S^4 at order 16, 65,536 on S^5 at order 8),
+        and one of more than _MAX_NODES directions (S^5 at order 24,
+        15.9 million) raises ConfigInvalid before anything is built."""
+        import curvex.functionals as F
+
+        for n, o in [(5, 16), (6, 8)]:
+            assert sphere_rule(n, o)[1].size == o ** (n - 2) * 2 * o
+        built = recorded(monkeypatch, F, "gauss_gegenbauer")
+        with pytest.raises(ConfigInvalid, match="15925248 directions"):
+            sphere_rule(6, 24)
+        assert built == []
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_singletons_and_one_block_are_the_old_rules(self, n):
@@ -631,16 +609,26 @@ class TestMomentBridge:
         assert val == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("n", [5, 6])
-    def test_default_rule_above_four_dimensions(self, n):
+    def test_default_rule_above_four_dimensions(self, n, monkeypatch):
         """Above n = 4 gaussian_integral runs the radial-spherical product
-        rule, exact on quadratic moments."""
+        rule, exact on quadratic moments at order 8.  Order 24 is built at
+        24 or not at all: its full rule holds 10.6 million nodes at n = 5
+        and 255 million at n = 6, so it raises ConfigInvalid before any
+        rule array exists."""
+        import curvex.functionals as F
+
         rng = np.random.default_rng(n)
         A = rng.normal(size=(n, n))
         A = 0.5 * (A + A.T)
         G = lambda X: np.einsum("mi,ij,mj->m", X, A, X)
-        val, _ = gaussian_integral(n, 0.05, G, QuadratureSpec(order=24))
+        val, _ = gaussian_integral(n, 0.05, G, QuadratureSpec(order=8))
         want = moment_quadratic(GaussianWeight(n, 0.05), A)
         assert val == pytest.approx(want, rel=1e-12, abs=1e-14)
+        built = [recorded(monkeypatch, F, name)
+                 for name in ("orbit_rule", "_radial_nodes", "_hermite_nodes")]
+        with pytest.raises(ConfigInvalid, match="nodes per time"):
+            gaussian_integral(n, 0.05, G, QuadratureSpec(order=24))
+        assert built == [[], [], []]
 
 
 class TestFlatExactness:
@@ -816,8 +804,7 @@ def _dense_sums(tf, t, X, rho, W, dens, ginv, sc):
 
 def _sums_at(tf, t, quad, order):
     """_eval_once at the one time t: the four sums, then the node count."""
-    sums, ran = _eval_once(tf, np.array([t]), quad, order,
-                           *resolve_rule(tf, quad))
+    sums, ran = _eval_once(tf, np.array([t]), order, *resolve_rule(tf, quad))
     return sums[:, 0].tolist() + [ran["nodes"]]
 
 
@@ -1434,7 +1421,7 @@ def test_one_fold_per_evaluation(s3_setup, monkeypatch):
 class TestGuards:
     def test_hermite_grid_limited_to_four_dimensions(self):
         """The shared node builder refuses the product grid at n = 5
-        (order^5 nodes, 1e8 at the default order) before building it."""
+        (order^5 nodes) before building it."""
         G = lambda X: np.ones(X.shape[0])
         with pytest.raises(ConfigInvalid, match="n <= 4"):
             gaussian_integral(5, 0.01, G, QuadratureSpec(rule="hermite"))
@@ -1453,6 +1440,17 @@ class TestGuards:
         at order - 6."""
         with pytest.raises(ConfigInvalid):
             QuadratureSpec(**kw)
+
+    @pytest.mark.parametrize("order", [12.0, "16", True, 16.5],
+                             ids=["float", "str", "bool", "fraction"])
+    def test_non_integer_order(self, order):
+        """An order is an integer: a float, even a whole one, a string or a
+        bool raises ConfigInvalid, not numpy's TypeError from deep in a
+        rule; None is the measured order and numpy integers count."""
+        with pytest.raises(ConfigInvalid, match="an integer of at least"):
+            QuadratureSpec(order=order)
+        assert QuadratureSpec(order=None).order is None
+        assert QuadratureSpec(order=np.int64(16)).order == 16
 
     def test_time_too_large(self, s3_setup):
         _, nc, cv = s3_setup
@@ -1778,3 +1776,125 @@ def test_sums_do_not_depend_on_the_blas_thread_count():
     one, two = (out.stdout.split() for out in runs)
     assert one[0] == str(24**4 + 18**4)
     assert one == two
+
+
+class TestOrderLadder:
+    """Every rule is built at the order it names.  Each step of the ladder
+    runs a rung o and the rung o - 6 below it: an explicit order takes one
+    step, the measured order (None) starts at 8 and climbs by 6 until a
+    rung lies within the rounding floor of the one below."""
+
+    def test_measured_order_stops_where_the_next_rung_changes_nothing(
+            self, monkeypatch):
+        """The Hermite rule of order o is exact on x^30 from o = 16 on:
+        rungs 2, 8, 14 and 20 differ, 26 repeats 20 to rounding and is
+        kept, and the value is the closed form E x^30 = 29!! (2 t)^15 for
+        the weight of variance 2 t per coordinate."""
+        import curvex.functionals as F
+
+        calls = recorded(monkeypatch, F, "_nodes")
+        val, err = gaussian_integral(2, 0.25, lambda X: X[:, 0] ** 30)
+        assert [args[2] for args, _, _ in calls] == [8, 2, 14, 20, 26]
+        want = math.prod(range(1, 30, 2)) * 0.5**15
+        assert val == pytest.approx(want, rel=1e-13)
+        assert err <= 256 * np.finfo(float).eps * want
+
+    def test_explicit_order_is_the_passes_at_o_and_o_minus_6(self, s3_setup):
+        """An explicit order o returns the sums of one pass at o and, as
+        the error estimate, their distance from one pass at o - 6, bit for
+        bit; gaussian_integral likewise."""
+        _, nc, cv = s3_setup
+        a = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, -0.05], [0.0, -0.05, 0.1]])
+        tf = build_test_function(nc, cv, mode=a, r_s=1.7)
+        ts = np.geomspace(1.7**2 / 150, 1.7**2 / 6000, 5)
+        quad = QuadratureSpec(order=16)
+        comp = eval_components(tf, ts, quad)
+        hi, _ = _eval_once(tf, ts, 16, *resolve_rule(tf, quad))
+        lo, _ = _eval_once(tf, ts, 10, *resolve_rule(tf, quad))
+        names = ("mass", "entropy", "dirichlet", "sc_integral")
+        for k, name in enumerate(names):
+            assert getattr(comp, name).tobytes() == hi[k].tobytes()
+            assert comp.errs[name].tobytes() == np.abs(hi[k] - lo[k]).tobytes()
+        assert comp.order == 16 and comp.record()["order"] == 16
+
+        def once(order):
+            dirs, rho, W = _nodes("hermite", 3, order)
+            X = ((2.0 * np.sqrt(0.05) * rho)[..., None] * dirs).reshape(-1, 3)
+            return float((W.ravel() * np.exp(X @ a[0])).sum())
+
+        val, err = gaussian_integral(3, 0.05, lambda X: np.exp(X @ a[0]), quad)
+        assert (val, err) == (once(16), abs(once(16) - once(10)))
+
+    def test_order_over_the_bound_raises_before_any_rule_exists(self, monkeypatch):
+        """S^4 with a non-diagonal a at order 24 would run the full sphere
+        rule, 663,552 directions times 16 Laguerre radii, 10.6 million
+        nodes per time: eval_components raises ConfigInvalid before any
+        rule array is built."""
+        import curvex.functionals as F
+
+        built = [recorded(monkeypatch, F, name) for name in
+                 ("orbit_rule", "_radial_nodes", "_hermite_nodes", "gauss_laguerre")]
+        nc = build_normal_chart(make_chart(ModelSpec("space_form", 5, K=1.0)),
+                                np.zeros(5), 0.75)
+        a = np.random.default_rng(5).normal(scale=0.1, size=(5, 5))
+        tf = TestFunction(nc, a + a.T, 0.75)
+        with pytest.raises(ConfigInvalid, match="10616832 nodes per time"):
+            eval_components(tf, 5e-4, QuadratureSpec(order=24))
+        assert built == [[], [], [], []]
+
+    def test_ladder_that_passes_the_bound_raises(self, monkeypatch):
+        """On S^5 the full sphere rule holds 524,288 nodes at order 8 and
+        11.8 million at 14, above the bound.  x^2 settles at 8, where rung
+        2 already integrates it exactly; x^20, of degree 20, is exact at
+        neither 2 nor 8, so gaussian_integral raises ConfigInvalid naming
+        rung 14, before building it."""
+        import curvex.functionals as F
+
+        rules = recorded(monkeypatch, F, "orbit_rule")
+        val, _ = gaussian_integral(6, 0.05, lambda X: X[:, 0] ** 2)
+        assert val == pytest.approx(0.1, rel=1e-13)  # 2 t
+        assert [args[0] for args, _, _ in rules] == [8, 2]
+        rules.clear()
+        with pytest.raises(ConfigInvalid, match="order-14 .* 11832128 nodes"):
+            gaussian_integral(6, 0.05, lambda X: X[:, 0] ** 20)
+        assert [args[0] for args, _, _ in rules] == [8, 2]
+
+
+class TestNanInputs:
+    """A NaN radius or time fails every `<= 0` test, so each check reads
+    `not (x > 0)`: NaN raises the typed error 0 raises."""
+
+    @staticmethod
+    def _s3():
+        return make_chart(ModelSpec("space_form", 3, K=1.0, halfwidth=1.75))
+
+    @pytest.mark.parametrize("site", [
+        "build_normal_chart", "TestFunction", "check_time", "ball_volume",
+        "bishop_gromov_ratio", "run_expansion_r_s", "run_expansion_t_max",
+        "RadialDomain", "RadialDomain.for_time_R", "RadialDomain.for_time_t",
+        "mu_ball_R", "mu_ball_t"])
+    def test_nan_raises_as_zero(self, site):
+        from curvex.mu_solver import RadialDomain, mu_ball
+
+        ch = self._s3()
+        nc = build_normal_chart(ch, np.zeros(3), 1.0)
+        tf = TestFunction(nc, np.zeros((3, 3)), 1.0)
+        call = {
+            "build_normal_chart": lambda x: build_normal_chart(ch, np.zeros(3), x),
+            "TestFunction": lambda x: TestFunction(nc, np.zeros((3, 3)), x),
+            "check_time": lambda x: eval_L_normalized(tf, x, QuadratureSpec(order=8)),
+            "ball_volume": lambda x: ball_volume(nc, x),
+            "bishop_gromov_ratio": lambda x: bishop_gromov_ratio(nc, [0.5, x], 1.0),
+            "run_expansion_r_s": lambda x: run_expansion(ch, np.zeros(3), r_s=x),
+            "run_expansion_t_max": lambda x: run_expansion(ch, np.zeros(3),
+                                                           r_s=1.0, t_max=x),
+            "RadialDomain": lambda x: RadialDomain(3, 0.0, x),
+            "RadialDomain.for_time_R": lambda x: RadialDomain.for_time(3, 0.0, x, 0.01),
+            "RadialDomain.for_time_t": lambda x: RadialDomain.for_time(3, 0.0, 1.0, x),
+            "mu_ball_R": lambda x: mu_ball(3, 0.0, x, 0.01),
+            "mu_ball_t": lambda x: mu_ball(3, 0.0, 1.0, x),
+        }[site]
+        with pytest.raises(CurvexError) as zero:
+            call(0.0)
+        with pytest.raises(type(zero.value)):
+            call(float("nan"))

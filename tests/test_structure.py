@@ -9,7 +9,8 @@ interface, which no module tells apart, and no normal-chart code tells
 flat space from a space form by name; a chart that shoots folds nothing
 and a chart's symmetry is read from its warps; the folded Hermite grid
 is built with array operations, not from a Python list of index tuples;
-every name charts exports has a caller."""
+every name charts exports has a caller; every rule is built at the
+order it names, and one function climbs the order ladder."""
 
 import ast
 from pathlib import Path
@@ -382,3 +383,89 @@ def test_both_rules_fold_onto_one_partition():
     (ret,) = [n for n in ast.walk(fn) if isinstance(n, ast.Return)]
     fold = ret.value.elts[1]
     assert isinstance(fold, ast.Call) and fold.func.id == "fold_level"
+
+
+_GONE = {"_rule_order", "_polar_order", "_MAX_DIRECTIONS", "polar_order",
+         "polar_order_err"}
+
+
+def test_no_rule_order_is_lowered():
+    """No source defines, reads or writes a name of the direction cap that
+    built a lower order than the one named (_MAX_DIRECTIONS, _rule_order,
+    _polar_order) or of the orders it recorded (polar_order and
+    polar_order_err, as names or as meta keys)."""
+    def named(node):
+        names = {getattr(node, a, None) for a in ("id", "attr", "name", "arg")}
+        if isinstance(node, ast.Constant):
+            names.add(node.value if isinstance(node.value, str) else None)
+        return bool(names & _GONE)
+
+    assert [(file, scope) for file, scope, _ in _found(named)] == []
+
+
+def _compositions(n):
+    """Every sequence of positive block sizes summing to n."""
+    if n == 0:
+        return [[]]
+    return [[k] + rest for k in range(1, n + 1) for rest in _compositions(n - k)]
+
+
+def _closed_form_directions(sizes, o, fold):
+    """Directions of the product rule at order o on blocks of these sizes:
+    ceil(o/2) nodes per block factor after the first (o for an unfolded
+    singleton), and two leading singletons share the trapezoid azimuth,
+    m = max(4 o, 16) angles on S^1 and 2 o beyond, m/4 + 1 of them when
+    folded onto the quadrant."""
+    n, half = sum(sizes), -(-o // 2)
+    pair = sizes[:2] == [1, 1]
+    count = 1
+    for s in sizes[2 if pair else 1:]:
+        count *= o if s == 1 and not fold else half
+    if pair:
+        m = max(4 * o, 16) if n == 2 else 2 * o
+        count *= m // 4 + 1 if fold else m
+    return count
+
+
+def test_every_orbit_rule_is_built_at_the_order_asked():
+    """For every partition of n <= 6 coordinates into contiguous blocks
+    (every sequence of block sizes) and every order of 8, 9, 14 and 25,
+    orbit_rule returns exactly the closed-form direction count at that
+    order, folded and, for n singletons, unfolded as sphere_rule builds
+    it; a count above the node bound raises ConfigInvalid instead."""
+    import pytest
+
+    from curvex.errors import ConfigInvalid
+    from curvex.functionals import _MAX_NODES, orbit_rule
+
+    try:
+        for n in range(2, 7):
+            for sizes in _compositions(n):
+                starts = [sum(sizes[:i]) for i in range(len(sizes))]
+                blocks = tuple(tuple(range(a, a + s)) for a, s in zip(starts, sizes))
+                folds = (True, False) if sizes == [1] * n else (True,)
+                for o in (8, 9, 14, 25):
+                    for fold in folds:
+                        want = _closed_form_directions(sizes, o, fold)
+                        if want > _MAX_NODES:
+                            with pytest.raises(ConfigInvalid, match="directions"):
+                                orbit_rule(o, blocks, fold)
+                            continue
+                        dirs, wts = orbit_rule(o, blocks, fold)
+                        assert dirs.shape == (want, n) and wts.shape == (want,)
+    finally:
+        orbit_rule.cache_clear()  # the largest rules hold tens of MB
+
+
+def test_one_order_ladder():
+    """The step to order - ERR_DROP is taken in one function, the ladder
+    functionals._climb, and both eval_components and gaussian_integral
+    reach their orders and error estimates through it."""
+    steps = _found(lambda node: isinstance(node, ast.BinOp)
+                   and isinstance(node.op, ast.Sub)
+                   and getattr(node.right, "id", None) == "ERR_DROP")
+    assert steps and {(file, scope) for file, scope, _ in steps} == {
+        ("functionals.py", "_climb")}
+    assert sorted(_callers("_climb")) == [
+        ("functionals.py", "eval_components"),
+        ("functionals.py", "gaussian_integral")]
