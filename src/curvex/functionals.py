@@ -119,6 +119,13 @@ def check_integer(x, least: int, what: str):
         raise ConfigInvalid(f"{what} {x!r} is not an integer of at least {least}")
 
 
+def check_finite(x, what: str):
+    """ConfigInvalid, naming what, unless x is a finite real number (a
+    model curvature K of NaN or +-inf would read as flat or as NaN)."""
+    if not (isinstance(x, Real) and np.isfinite(x)):
+        raise ConfigInvalid(f"{what} {x!r} is not a finite number")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     # auto | hermite | radial_sphere; auto is radial_sphere for the
@@ -968,5 +975,6 @@ def ball_volume(nchart: NormalChart, r):
 
 def bishop_gromov_ratio(nchart: NormalChart, radii, K: float) -> np.ndarray:
     """Volume of B(p, r) divided by the space-form ball volume at each r."""
+    check_finite(K, "model curvature K")
     radii = np.asarray(radii, dtype=float)
     return ball_volume(nchart, radii) / ball_volume_K(nchart.n, K, radii)

@@ -19,18 +19,27 @@ formula, which the tests cross-check against finite differences of the
 volume ladder.
 
 No radius grid is sampled: each r_y(s) comes from Newton on log u in r^2
-(_numerics.bracketed_newton) with slope kappa from the kernel, inside
-[0, r_s], in two stages.  The first solves every _COARSE_STRIDE-th rung
-of the ladder and the last one from the Gaussian crossing
-sqrt(8 t log(u_max/s)).  The second solves every rung from the cubic
-Hermite interpolant of r^2 in log s through the first stage's roots,
-whose slopes d(r^2)/d(log s) = 2 r / kappa reuse the kappa of the first
-stage's kernel calls; a start that is not finite or leaves [0, r_s]
-takes the Gaussian crossing.  meta["newton_steps"] counts the second
-stage's evaluations, meta["coarse_newton_steps"] the first's.  At the
-converged radii the ray evaluator of the functionals
-(TestFunction.on_rays: the kernel and NormalChart.geometry) gives
-du/dr = u kappa and |grad u|^2 = u^2 (kappa^2 + beta^2 w.g~^{-1}w).
+with slope kappa from the kernel, inside [0, r_s], in two stages.  The
+first solves every _COARSE_STRIDE-th rung of the ladder and the last one
+from the Gaussian crossing sqrt(8 t log(u_max/s))
+(_numerics.bracketed_newton).  The second starts every rung from the cubic
+Hermite interpolant of r^2 in log s through the first stage's roots, whose
+slopes d(r^2)/d(log s) = 2 r / kappa reuse the kappa of the first stage's
+kernel calls; a start that is not finite or leaves [0, r_s] takes the
+Gaussian crossing.  It makes two kernel passes over the whole sweep: one
+at the starts, from which every crossing takes one unbracketed Newton
+step, and one read of the ray evaluator at those roots, which is both the
+convergence test |log(u/s)| <= _NEWTON_TOL (or a step that rounded to
+zero) and the sweep's read.  The crossings left open (a step that left
+(0, r_s) or is not finite, the eta^2 cliff) go into one bracketed run,
+inside the bracket their start leaves, where a step that rounds to zero
+stops a crossing too, and are read again.  meta["newton_steps"] is 2 plus
+that run's evaluations, meta["open_crossings"] the crossings it solved,
+meta["coarse_newton_steps"] the first stage's evaluations and
+meta["crossing_residual"] the largest |u/s - 1| at the roots.  At the
+roots the ray evaluator of the functionals (TestFunction.on_rays: the
+kernel and NormalChart.geometry) gives du/dr = u kappa and
+|grad u|^2 = u^2 (kappa^2 + beta^2 w.g~^{-1}w).
 Each level is crossed once per ray: u is radially nonincreasing, which
 functionals.check_time tests exactly beforehand.
 
@@ -59,8 +68,11 @@ from .errors import (
     VolumeTooLarge,
 )
 from .functionals import (
+    _MAX_NODES,
     QuadratureSpec,
     TestFunction,
+    check_finite,
+    check_integer,
     check_time,
     eval_components,
     ray_bundle,
@@ -97,6 +109,7 @@ def iso_profile_radius(n: int, K: float, beta):
     1/k of the radius (k = sqrt(-K)) alone holds at least
     n omega_n sn_K(r - 1/k)^(n-1) / k; the run starts from the smaller
     bound."""
+    check_finite(K, "model curvature K")
     b = np.asarray(beta, dtype=float)
     if np.any(b <= 0):
         raise NonPositiveVolume("volume must be positive")
@@ -199,16 +212,18 @@ def symmetrize(
     Works on flat normal charts (a ray holds volume r^n/n there) for t > 0,
     u radially nonincreasing and t <= (r_s/10)^2 (functionals.check_time).
     The level ladder runs geometrically from max * (1 - 1e-3) down to max
-    * 1e-6 with at least 64 rungs.  The sweep and the original side share
+    * 1e-6 with an integer number of rungs, at least 64; a sweep of more
+    than _MAX_NODES crossings (rays times rungs) raises ConfigInvalid
+    before the ladder exists.  The sweep and the original side share
     one radial-spherical rule, folded onto the orbit rule of the sets of
     equal entries of a diagonal a (meta["fold"] lists them).
     """
+    check_finite(K, "model curvature K")
     if tf.nchart.chart.kind != "flat":
         raise ConfigInvalid(
             "symmetrization is implemented for flat normal charts"
         )
-    if levels < 64:
-        raise ConfigInvalid("need at least 64 ladder levels")
+    check_integer(levels, 64, "ladder levels")
     quad = QuadratureSpec(rule="radial_sphere", order=order)
     check_time(tf, t, monotone=True)
     n = tf.nchart.n
@@ -218,6 +233,9 @@ def symmetrize(
     fold = resolve_rule(tf, quad)[1]
     dirs, wd = ray_bundle(n, order, fold, tf.nchart)
     nd = dirs.shape[0]
+    if nd * levels > _MAX_NODES:
+        raise ConfigInvalid(f"the sweep of {nd} rays by {levels} levels holds "
+                            f"{nd * levels} crossings, above {_MAX_NODES}")
     q = np.einsum("di,di->d", dirs, dirs @ tf.a)
 
     # u at the apex, the same on every ray
@@ -230,30 +248,39 @@ def symmetrize(
     r_gauss = np.minimum(np.sqrt(8.0 * t * (np.log(u_max) - log_s)), tf.r_s)
     log_h = -0.25 * n * np.log(4 * np.pi * t)
 
-    def crossings(r_start, rungs):
-        """Roots (nd, len(rungs)) on the ladder rungs from r_start, the
-        kernel's kappa at each, the crossings left open and the steps."""
-        q_flat = np.repeat(q, rungs.size)
-        log_s_flat = np.tile(log_s[rungs], nd)
-        kappa_at = np.empty(q_flat.size)
+    def newton_step(q_at, r, log_s_at):
+        """The Newton step in r^2 (df/d(r^2) = kappa/2r) from r, f there
+        and the kernel's kappa; kappa = 0 at r = 0 makes the step NaN."""
+        eta2, kappa, _ = tf.eta2_with_grad(q_at, r, t)
+        f = log_h + 0.5 * np.log(eta2) - r * r / (8.0 * t) - log_s_at
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.sqrt(r * (r - 2.0 * f / kappa)), f, kappa
+
+    def crossings(r_start, q_at, log_s_at, lo=0.0, hi=tf.r_s, stall=False):
+        """bracketed_newton inside (lo, hi) on the 1-d crossings of q_at
+        and log_s_at from r_start: the roots, the kernel's kappa at each,
+        the crossings left open and the evaluations.  With stall, a step
+        that rounds to zero stops a crossing too."""
+        kappa_at = np.empty(r_start.size)
 
         def newton(r, live):
-            eta2, kappa, _ = tf.eta2_with_grad(q_flat[live], r, t)
+            r_new, f, kappa = newton_step(q_at[live], r, log_s_at[live])
             kappa_at[live] = kappa
-            f = log_h + 0.5 * np.log(eta2) - r * r / (8.0 * t) - log_s_flat[live]
-            # step in r^2 (df/d(r^2) = kappa/2r); kappa = 0 at r = 0 bisects
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r_new = np.sqrt(r * (r - 2.0 * f / kappa))
-            return r_new, f > 0.0, np.abs(f) <= _NEWTON_TOL
+            done = np.abs(f) <= _NEWTON_TOL
+            if stall:
+                done |= r_new == r
+            return r_new, f > 0.0, done
 
-        r, stuck, steps = bracketed_newton(newton, r_start.ravel(), 0.0, tf.r_s)
-        shape = (nd, rungs.size)
-        return r.reshape(shape), kappa_at.reshape(shape), stuck, steps
+        r, stuck, steps = bracketed_newton(newton, r_start, lo, hi)
+        return r, kappa_at, stuck, steps
 
     # stage 1: every _COARSE_STRIDE-th rung and the last, from the Gaussian
     # crossing
     coarse = np.append(np.arange(0, levels - 1, _COARSE_STRIDE), levels - 1)
-    rc, kc, _, coarse_steps = crossings(np.tile(r_gauss[coarse], nd), coarse)
+    rc, kc, _, coarse_steps = crossings(
+        np.tile(r_gauss[coarse], nd), np.repeat(q, coarse.size),
+        np.tile(log_s[coarse], nd))
+    rc, kc = rc.reshape(nd, coarse.size), kc.reshape(nd, coarse.size)
     # stage 2: every rung, from the cubic Hermite of r^2 in log s through
     # the coarse roots, d(r^2)/d(log s) = 2 r / kappa; a start that is not
     # finite or leaves [0, r_s] takes the Gaussian crossing
@@ -264,33 +291,58 @@ def symmetrize(
         r2, dr2 = rc * rc, 2.0 * rc / kc
         r_start = np.sqrt(b0 * r2[:, k] + b1 * dr2[:, k]
                           + b2 * r2[:, k + 1] + b3 * dr2[:, k + 1])
+    del r2, dr2
     r_start = np.where(np.isfinite(r_start) & (r_start <= tf.r_s),
                        r_start, r_gauss)
-    r_cross, _, stuck, steps = crossings(r_start, np.arange(levels))
+    # start pass: one unbracketed Newton step from every start.  Root
+    # pass: u at the steps is the convergence test and the sweep's read at
+    # once; a step that rounded to zero has converged too
+    r_cross, f = newton_step(q[:, None], r_start, log_s)[:2]
+    below = f > 0.0
+    del f
     uc, duc, gsqc, dens = _u_on_rays(tf, t, dirs, r_cross)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shut = np.abs(np.log(uc / s_ladder)) <= _NEWTON_TOL
+    shut |= r_cross == r_start
+    # fallback: the crossings still open (a step that left (0, r_s) or is
+    # not finite, the eta^2 cliff) in one bracketed run inside the bracket
+    # their start leaves, from their step or else the bracket's midpoint,
+    # and read again
+    open_ = np.flatnonzero(~shut)
+    stuck, steps = open_, 2
+    if open_.size:
+        ray, rung = np.divmod(open_, levels)
+        r0, r1, up0 = (np.take(a, open_) for a in (r_start, r_cross, below))
+        lo, hi = np.where(up0, r0, 0.0), np.where(up0, tf.r_s, r0)
+        r_open, _, stuck, fb_steps = crossings(
+            np.where((lo < r1) & (r1 < hi), r1, 0.5 * (lo + hi)),
+            q[ray], log_s[rung], lo, hi, stall=True)
+        steps += fb_steps
+        read = _u_on_rays(tf, t, dirs[ray], r_open[:, None])
+        for whole, part in zip((r_cross, uc, duc, gsqc, dens), (r_open, *read)):
+            np.put(whole, open_, part)
+    del r_start, below
     rel = np.abs(uc - s_ladder) / s_ladder
     bound = np.maximum(_NEWTON_FAIL, 4.0 * _EPS * np.abs(duc) * r_cross / s_ladder)
     resid = float(rel.max())
-    if np.any(rel > bound):
+    if not np.all(rel <= bound):  # NaN too
         worst = np.argmax(rel / bound)
         raise LevelSetDegenerate(
             f"level crossings did not converge: relative residual "
             f"{rel.flat[worst]:.2e} against its bound {bound.flat[worst]:.2e} "
             f"with {stuck.size} crossings open after {steps} Newton steps"
         )
+    del rel, bound
 
-    slope = np.maximum(-duc, 1e-300)
-    gnorm = np.sqrt(gsqc)
-    shell = dens * r_cross ** (n - 1)
-
-    coarea = np.einsum("d,dl->l", wd, shell / slope)  # -dV/ds
-    area_orig = np.einsum("d,dl->l", wd, gnorm * shell / slope)
-    grad_int = np.einsum("d,dl->l", wd, gnorm**2 * shell / slope)
+    # the polar-route ray sums, all weighted by shell / slope
+    w = dens * r_cross ** (n - 1) / np.maximum(-duc, 1e-300)
+    coarea = wd @ w  # -dV/ds
+    area_orig = wd @ (np.sqrt(gsqc) * w)
+    grad_int = wd @ (gsqc * w)
 
     # superlevel volume along each ray: flat density, so the radial
     # antiderivative r^n / n is exact
-    vol_along = r_cross**n / n
-    volumes = np.einsum("d,dl->l", wd, vol_along)
+    volumes = wd @ (r_cross**n / n)
 
     r_bar = iso_profile_radius(n, K, volumes)
     area_comp = sphere_area_K(n, K, r_bar)
@@ -335,5 +387,6 @@ def symmetrize(
         meta={"t": t, "levels": levels, "order": order, "rays": nd,
               "fold": None if fold is None else [list(b) for b in fold],
               "newton_steps": steps, "coarse_newton_steps": coarse_steps,
+              "open_crossings": int(open_.size),
               "crossing_residual": resid},
     )

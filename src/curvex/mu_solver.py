@@ -29,7 +29,7 @@ import numpy as np
 from ._numerics import Tridiagonal, composite_gauss_legendre
 from ._spaceform import sphere_area_K
 from .errors import ConfigInvalid, GammaOutOfRange, OutOfDomain
-from .functionals import cutoff
+from .functionals import check_finite, cutoff
 
 __all__ = [
     "RadialDomain",
@@ -62,6 +62,7 @@ class RadialDomain:
     def __post_init__(self):
         if not (self.R > 0):  # NaN too
             raise ConfigInvalid("ball radius must be positive")
+        check_finite(self.K, "model curvature K")
         if self.K > 0 and self.R >= np.pi / np.sqrt(self.K):
             raise OutOfDomain(
                 "ball radius reaches the diameter of the sphere"

@@ -24,7 +24,7 @@ from ._numerics import shell_radius
 from .charts import MetricChart, _box_points, curvature_at
 from .errors import ConfigInvalid
 from .expansion import prepare_normal_chart
-from .functionals import QuadratureSpec, ball_volume
+from .functionals import QuadratureSpec, ball_volume, check_finite
 from .isoperimetry import iso_profile
 from .tensor_core import CurvatureData, norm_sq, weyl_decompose
 
@@ -130,6 +130,7 @@ def assess_rigidity(
     shot along the order-16 radial-spherical sphere rule, so every catalog
     chart gets its probes: 1/4, 1/2 and 3/4 of the ball of 0.95 times
     meta["probe_radius"], 0.7 box halfwidths and below 0.9 pi/sqrt(K)."""
+    check_finite(K, "model curvature K")
     n = chart.n
     if points is None:
         points = _sample_points(chart, npoints)

@@ -1898,3 +1898,31 @@ class TestNanInputs:
             call(0.0)
         with pytest.raises(type(zero.value)):
             call(float("nan"))
+
+    @pytest.mark.parametrize("K", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("site", [
+        "iso_profile_radius", "iso_profile", "symmetrize",
+        "bishop_gromov_ratio", "mu_ball", "assess_rigidity"])
+    def test_non_finite_model_curvature(self, site, K):
+        """A model curvature K of NaN failed every K > 0 and K < 0 test and
+        read as flat (iso_profile, symmetrize, a NaN mu_ball, finite
+        Bishop-Gromov ratios); each entry point refuses it."""
+        from curvex.isoperimetry import iso_profile, iso_profile_radius, symmetrize
+        from curvex.mu_solver import mu_ball
+        from curvex.rigidity import assess_rigidity
+
+        ch = self._s3()
+        nc = build_normal_chart(ch, np.zeros(3), 1.0)
+        flat = build_normal_chart(make_chart(ModelSpec("flat", 3, halfwidth=2.0)),
+                                  np.zeros(3), 1.6)
+        call = {
+            "iso_profile_radius": lambda: iso_profile_radius(3, K, 1.0),
+            "iso_profile": lambda: iso_profile(3, K, [0.5, 1.0]),
+            "symmetrize": lambda: symmetrize(
+                TestFunction(flat, np.zeros((3, 3)), 1.2), 0.01, K=K),
+            "bishop_gromov_ratio": lambda: bishop_gromov_ratio(nc, [0.5], K),
+            "mu_ball": lambda: mu_ball(3, K, 1.0, 0.01),
+            "assess_rigidity": lambda: assess_rigidity(ch, K, points=[np.zeros(3)]),
+        }[site]
+        with pytest.raises(ConfigInvalid, match="model curvature K .* finite"):
+            call()

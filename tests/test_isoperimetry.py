@@ -20,6 +20,7 @@ from curvex.functionals import (
     TestFunction,
     build_test_function,
     check_time,
+    eval_components,
     ray_bundle,
     resolve_rule,
 )
@@ -270,6 +271,27 @@ class TestGuards:
         with pytest.raises(ConfigInvalid):
             symmetrize(tf, t=0.01, levels=32)
 
+    @pytest.mark.parametrize("levels", [100.0, "100", True, None])
+    def test_non_integer_levels(self, flat_chart, levels):
+        """levels=100.0 or "100" raised numpy's bare TypeError."""
+        tf = TestFunction(flat_chart, np.zeros((3, 3)), 1.2)
+        with pytest.raises(ConfigInvalid, match="an integer of at least 64"):
+            symmetrize(tf, t=0.01, levels=levels)
+
+    def test_oversized_sweep_raises_before_the_ladder(self, flat_chart):
+        """c08's 272 rays by 10^7 levels are 2.7e9 crossings: refused
+        before the ladder is allocated (an unbounded sweep of this size
+        allocated until the process was killed)."""
+        tf = TestFunction(flat_chart, np.diag([0.3, -0.1, 0.05]), 1.6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigInvalid, match="272 rays by 10000000 levels"):
+                symmetrize(tf, t=0.01, levels=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_nonmonotone_ray_detected(self, flat_chart):
         # strong positive profile growth beats the Gaussian decay at this
         # time scale, so u increases along some ray near the center
@@ -479,24 +501,74 @@ class TestNewtonCrossings:
         o = 32
         assert meta["fold"] == [[0], [1], [2]]
         assert meta["rays"] == (o // 2) * (o // 2 + 1)
-        # Newton evaluations of the last stage, from the Hermite starts
-        # through the coarse roots, the last one confirming the crossings
-        # still open (2 measured, 2 on c08); the coarse stage starts from
-        # the Gaussian crossing (5 measured, 4 on c08)
-        assert 2 <= meta["newton_steps"] <= 5
+        # two kernel passes close every crossing of the sweep (the step
+        # from the Hermite starts, the read at its roots), so nothing falls
+        # back; the coarse stage starts from the Gaussian crossing (5
+        # measured, 4 on c08)
+        assert meta["newton_steps"] == 2
+        assert meta["open_crossings"] == 0
         assert 2 <= meta["coarse_newton_steps"] <= 5
         assert meta["crossing_residual"] <= 1e-13
 
     def test_unconverged_crossings_raise(self, flat_chart, monkeypatch):
-        # one Newton step per stage, the coarse one from the Gaussian
-        # crossing, leaves a residual near 3e-5
+        """With kappa four times too large every Newton step covers a
+        quarter of the way: the unbracketed step from the Hermite starts
+        leaves the crossings open, and the fallback, capped at one
+        evaluation, does not close them."""
         monkeypatch.setattr(_numerics, "_NEWTON_CAP", 1)
+        kernel = TestFunction.eta2_with_grad
+
+        def kernel_steep(self, q, r, t):
+            eta2, kappa, beta2 = kernel(self, q, r, t)
+            return eta2, 4.0 * kappa, beta2
+
+        monkeypatch.setattr(TestFunction, "eta2_with_grad", kernel_steep)
         tf = build_test_function(
             flat_chart, None, mode=np.diag([0.3, -0.1, 0.05]),
             r_s=1.2,
         )
         with pytest.raises(LevelSetDegenerate, match="did not converge"):
             symmetrize(tf, t=0.01, K=0.0, levels=64, order=32)
+
+    def test_c08_takes_two_kernel_passes(self, flat_chart, monkeypatch):
+        """On c08 (272 rays by 512 levels) the kernel reads the sweep twice,
+        both times whole; with stage 1, the fallback, the apex and the
+        original side the points stay below the 402,671 that the bracketed
+        second stage took (all 139,264 crossings, 68,893 of them again to
+        confirm one step, and the read at the roots)."""
+        tf = TestFunction(flat_chart, np.diag([0.3, -0.1, 0.05]), r_s=1.6)
+        quad = QuadratureSpec(rule="radial_sphere", order=32)
+        kernel = TestFunction.eta2_with_grad
+        sizes = []
+
+        def counting(self, q, r, t):
+            sizes.append(np.shape(r))
+            return kernel(self, q, r, t)
+
+        monkeypatch.setattr(TestFunction, "eta2_with_grad", counting)
+        eval_components(tf, 0.01, quad, want_err=False, want_sc=False)
+        original = sum(np.prod(s) for s in sizes)
+        sizes.clear()
+        res = symmetrize(tf, t=0.01, K=0.0, levels=512, order=32)
+        meta = res.meta
+        sweep = meta["rays"] * 512
+        assert sweep == 139_264
+        assert sizes.count((meta["rays"], 512)) == 2
+        coarse = meta["coarse_newton_steps"] * meta["rays"] * (512 // 8 + 1)
+        fallback = meta["open_crossings"] * (meta["newton_steps"] - 1)
+        bound = 2 * sweep + coarse + fallback + 1 + original
+        points = sum(np.prod(s) for s in sizes)
+        assert points <= bound < 402_671, (points, bound)
+
+    def test_eta2_cliff_falls_back_once(self, flat_chart):
+        """On the eta^2 cliff most crossings stay open after the root pass
+        and are solved in one bracketed run, in which a step that rounds
+        to zero stops a crossing: a few steps, where bisecting each
+        bracket down to rounding took 56."""
+        tf = TestFunction(flat_chart, np.diag([0.1, -0.3, -2.0]), r_s=1.2)
+        res = symmetrize(tf, t=0.012, K=0.0, levels=64, order=16)
+        assert res.meta["open_crossings"] > 0
+        assert res.meta["newton_steps"] <= 12
 
 
 def _gaussian_start_sweep(tf, t, K, levels, order):
@@ -556,10 +628,9 @@ class TestTwoStageCrossings:
 
     def test_non_finite_coarse_slope_falls_back(self, flat_chart, monkeypatch):
         """kappa is NaN on one ray throughout the coarse stage, which then
-        bisects there: its slopes 2 r / kappa are NaN, so its fine
-        crossings start from the Gaussian crossing, and converge."""
-        import curvex.isoperimetry as iso
-
+        bisects there: its slopes 2 r / kappa are NaN, so the start pass
+        takes its fine crossings from the Gaussian crossing, and they
+        converge."""
         tf = TestFunction(flat_chart, np.diag([0.3, -0.1, 0.05]), r_s=1.2)
         levels, order = 64, 8
         want = _gaussian_start_sweep(tf, 0.01, 0.0, levels, order)
@@ -567,29 +638,29 @@ class TestTwoStageCrossings:
         q = np.einsum("di,di->d", dirs, dirs @ tf.a)  # as symmetrize forms it
         bad = q == q[2]
         assert bad.sum() == 1
-        stage = {"fine": False}
+        sweeps = []  # the radii of each kernel call over the whole sweep
         kernel = TestFunction.eta2_with_grad
 
         def kernel_nan(self, q_live, r, t):
             eta2, kappa, beta2 = kernel(self, q_live, r, t)
-            if np.ndim(q_live) == 1:
-                stage["fine"] |= q_live.size == dirs.shape[0] * levels
-                if not stage["fine"]:
-                    kappa = np.where(q_live == q[2], np.nan, kappa)
+            if np.shape(r) == (dirs.shape[0], levels):
+                sweeps.append(r.copy())
+            elif not sweeps and np.ndim(q_live) == 1:  # the coarse stage
+                kappa = np.where(q_live == q[2], np.nan, kappa)
             return eta2, kappa, beta2
 
-        starts = recorded(monkeypatch, iso, "bracketed_newton")
         monkeypatch.setattr(TestFunction, "eta2_with_grad", kernel_nan)
         res = symmetrize(tf, t=0.01, K=0.0, levels=levels, order=order)
         np.testing.assert_allclose(res.volumes, want[0], rtol=1e-13, atol=0)
         np.testing.assert_allclose(res.coarea, want[2], rtol=1e-13, atol=0)
         assert res.meta["coarse_newton_steps"] > 20  # bisection
         assert res.meta["crossing_residual"] <= 1e-13
-        fine = starts[1][0][1].reshape(dirs.shape[0], levels)
+        starts = sweeps[0]  # the start pass; the root pass follows
+        assert len(sweeps) == 2
         gauss = np.minimum(np.sqrt(8.0 * 0.01 * (np.log(res.profile.u[0])
                                                  - np.log(res.levels))), tf.r_s)
-        np.testing.assert_array_equal(fine[bad][0], gauss)
-        assert not np.allclose(fine[~bad], gauss, rtol=1e-6)
+        np.testing.assert_array_equal(starts[bad][0], gauss)
+        assert not np.allclose(starts[~bad], gauss, rtol=1e-6)
 
 
 def test_symmetrize_peak_memory(flat_chart):
