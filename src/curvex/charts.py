@@ -85,6 +85,8 @@ from .errors import (
     JacobianSingular,
     OutOfDomain,
     QuadratureNotConverged,
+    check_finite,
+    check_integer,
 )
 from .tensor_core import MAX_DIM, CurvatureData, space_form_curvature
 
@@ -335,9 +337,12 @@ def make_chart(spec: ModelSpec) -> MetricChart:
     """Build a catalog chart.  Positive-definiteness is spot-checked by
     sampling the domain; each sphere block must fit strictly inside its
     cut locus, which bounds the halfwidth."""
-    if not (2 <= spec.n <= MAX_DIM):
+    check_integer(spec.n, 2, "dimension n", InvalidSpec)
+    if spec.n > MAX_DIM:
         raise InvalidSpec(f"n={spec.n} outside 2..{MAX_DIM}")
+    check_finite(spec.K, "model curvature K", InvalidSpec)
     hw = spec.halfwidth if spec.halfwidth is not None else _default_halfwidth(spec)
+    check_finite(hw, "halfwidth", InvalidSpec)
     if hw <= 0:
         raise InvalidSpec("halfwidth must be positive")
     n = spec.n

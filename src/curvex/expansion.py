@@ -26,12 +26,12 @@ import numpy as np
 
 from ._spaceform import omega_n
 from .charts import MetricChart, _centre_warps, build_normal_chart, curvature_at
-from .errors import ConfigInvalid, IllConditionedFit, NoiseDominates
+from .errors import (ConfigInvalid, IllConditionedFit, NoiseDominates, check_finite,
+                     check_integer)
 from .functionals import (
     _SHOT_ORDER,
     QuadratureSpec,
     build_test_function,
-    check_integer,
     eval_L_normalized,
     eval_W_normalized,
     profile_matrix,
@@ -157,7 +157,10 @@ def extract_series(
         errors = np.zeros_like(values)
     else:
         errors = np.asarray(errors, dtype=float)[order]
-    ws = 1.0 / (errors**2 + (1e-14 * np.abs(values)) ** 2 + 1e-300)
+    for x, what in ((ts, "fit times"), (values, "fit values"), (errors, "fit errors")):
+        check_finite(x, what)
+    with np.errstate(over="ignore"):  # a square past 1.8e308 is inf: weight 0
+        ws = 1.0 / (errors**2 + (1e-14 * np.abs(values)) ** 2 + 1e-300)
 
     beta_full, _, cond_full = _wlsq(ts, values, ws)
     half = max(4, ts.size // 2)

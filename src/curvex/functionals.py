@@ -59,6 +59,10 @@ estimate of eval_components and gaussian_integral: an analytic
 integrand converges geometrically in the order (Trefethen, "Is Gauss
 quadrature better than Clenshaw-Curtis?", SIAM Rev. 50, 2008), so the
 default, measured order stops where the next rung changes nothing.
+
+eval_components returns the sums, their errors and one record dict of
+what ran (Components); one function, _normalized, forms L/M and W/M from
+sums as numbers or as arrays, for the evaluators and every rung alike.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, prod
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -82,6 +86,8 @@ from .errors import (
     QuadratureNotConverged,
     SupportTooLarge,
     TimeTooLarge,
+    check_finite,
+    check_integer,
 )
 from .tensor_core import CurvatureData
 
@@ -110,20 +116,6 @@ _FIRST_RUNG = 8  # the least order, and the measured order's first rung
 # by about 1e-11 (S^3 off its centre, orders 8 to 100), above rounding
 _SHOT_ORDER = 40
 C_TRUNC = 10.0  # z-radius of the split radial rule's end; t <= (r_s/C_TRUNC)^2
-
-
-def check_integer(x, least: int, what: str):
-    """ConfigInvalid, naming what, unless x is an integer (a Python or
-    numpy one, not a bool) of at least least."""
-    if not (isinstance(x, Integral) and not isinstance(x, bool) and x >= least):
-        raise ConfigInvalid(f"{what} {x!r} is not an integer of at least {least}")
-
-
-def check_finite(x, what: str):
-    """ConfigInvalid, naming what, unless x is a finite real number (a
-    model curvature K of NaN or +-inf would read as flat or as NaN)."""
-    if not (isinstance(x, Real) and np.isfinite(x)):
-        raise ConfigInvalid(f"{what} {x!r} is not a finite number")
 
 
 @dataclass(frozen=True)
@@ -639,7 +631,9 @@ def resolve_rule(tf: TestFunction, quad: QuadratureSpec):
 class Components:
     """Raw functional pieces at a time t, or at each time of a 1-D array t
     (then each piece is an array), with per-piece error estimates, and
-    what eval_components ran to get them (record)."""
+    record, what eval_components ran, as run_expansion's meta records it:
+    rule, fold, the order kept, the passes (batches) and nodes of every
+    rung and, on radial_sphere, _eval_once's rays and radial factor."""
 
     t: float | np.ndarray
     mass: float | np.ndarray
@@ -647,33 +641,7 @@ class Components:
     dirichlet: float | np.ndarray
     sc_integral: float | np.ndarray | None  # None unless asked for (want_sc)
     errs: dict = field(default_factory=dict)
-    rule: str | None = None  # resolve_rule's rule and fold
-    fold: Partition | None = None
-    order: int | None = None  # the order kept (_climb)
-    batches: int = 0  # kernel passes, every rung of the ladder included
-    nodes: int = 0  # nodes evaluated, every rung of the ladder included
-    # radial_sphere only: the directions that ran at the kept order, after
-    # the fold, and the radial factor there ('laguerre', 'split_legendre'
-    # or, for times on both sides of _LAGUERRE_MIN_KINK,
-    # 'laguerre+split_legendre') with its nodes per time (the Laguerre m
-    # when it ran, else the Gauss-Legendre points per piece)
-    rays: int | None = None
-    radial_rule: str | None = None
-    radial_m: int | None = None
-
-    def record(self) -> dict:
-        """What ran, as run_expansion's meta records it."""
-        rec = {
-            "rule": self.rule,
-            "fold": None if self.fold is None else [list(b) for b in self.fold],
-            "order": self.order,
-            "batches": self.batches,
-        }
-        if self.rays is not None:
-            rec.update(rays=self.rays, radial_rule=self.radial_rule,
-                       radial_m=self.radial_m)
-        rec["nodes"] = self.nodes
-        return rec
+    record: dict = field(default_factory=dict)
 
 
 # nodes of one kernel pass at most, unless one time needs more: a full
@@ -708,7 +676,7 @@ def _eval_once(tf: TestFunction, t, order: int, rule: str,
     resolve_rule gave, folded onto fold, at this order and at each time of
     the 1-D array t, (4, nt) with the Sc row NaN unless want_sc, and what
     ran: the nodes and the passes, and on radial_sphere the rays and the
-    radial factor (Components).  Per node TestFunction.on_rays gives
+    radial factor (Components.record).  Per node TestFunction.on_rays gives
     eta^2, kappa, beta^2, the chart density and w.g~^{-1}w, and the
     Dirichlet integrand is eta^2 (kappa^2 + beta^2 w.g~^{-1}w).
 
@@ -748,12 +716,14 @@ def _eval_once(tf: TestFunction, t, order: int, rule: str,
             sums[k, i] = x.sum(axis=1)
         nodes += wb.size
         rays = len(dirs)
-    ran = {"nodes": nodes, "batches": len(passes)}
+    ran = {"batches": len(passes)}
     if rule == "radial_sphere":
+        # radial_m: the Laguerre m when it ran, else the points per piece
         lag = bool(shared.any())
         names = ["laguerre"] * lag + ["split_legendre"] * bool(not shared.all())
         ran.update(rays=rays, radial_rule="+".join(names),
                    radial_m=_laguerre_m(order) if lag else order)
+    ran["nodes"] = nodes
     return sums, ran
 
 
@@ -825,7 +795,7 @@ def eval_components(
     if order is None and tf.nchart.dirs is not None:
         order = _SHOT_ORDER
     names = ("mass", "entropy", "dirichlet", "sc_integral")[:4 if want_sc else 3]
-    spent = {"nodes": 0, "batches": 0}
+    spent = {"batches": 0, "nodes": 0}
 
     def run(o):
         sums, ran = _eval_once(tf, ts, o, rule, fold, want_sc)
@@ -835,100 +805,79 @@ def eval_components(
             spent[k] += ran[k]
         return sums, ran
 
+    def pieces(s):  # the four sums, Sc None unless want_sc
+        return (*s[:3], s[3] if want_sc else None)
+
     def settled(hi, lo):
-        comp = Components(ts, *hi[0][:3], hi[0][3] if want_sc else None,
-                          dict(zip(names, np.abs(hi[0] - lo[0]))))
-        _, err, floor = _normalized(comp, n)
+        errs = dict(zip(names, np.abs(hi[0] - lo[0])))
+        _, err, floor = _normalized(ts, pieces(hi[0]), errs, n)
         return bool(np.all(err <= floor))
 
     order, (hi, ran), lo = _climb(run, order, settled, want_err)
     errs = {} if lo is None else dict(zip(names, np.abs(hi - lo[0])))
-    ran.update(spent, order=order)
+    fold_rec = None if fold is None else [list(b) for b in fold]
+    # spent, every rung's passes and nodes, overrides ran's in place
+    record = {"rule": rule, "fold": fold_rec, "order": order, **ran, **spent}
     if np.ndim(t) == 0:  # back to numbers
         hi = hi[:, 0].tolist()
         errs = {k: float(v[0]) for k, v in errs.items()}
     else:
         t = ts
-    return Components(t, *hi[:3], hi[3] if want_sc else None, errs,
-                      rule=rule, fold=fold, **ran)
+    return Components(t, *pieces(hi), errs, record)
 
 
 # an error estimate is raised to 256 eps times the size of the terms its
-# functional cancels (_L_size): below that it is rounding noise, which the
-# series fit would weight by its inverse square
+# functional cancels: below that it is rounding noise, which the series
+# fit would weight by its inverse square
 _ROUNDING_FLOOR = 256 * np.finfo(float).eps
 
 
-def _L_of(comp: Components, n: int) -> float:
-    t, M = comp.t, comp.mass
-    return (
-        4.0 * t * comp.dirichlet
-        - comp.entropy
-        + M * np.log(M)
-        - (n + (n / 2.0) * np.log(4 * np.pi * t)) * M
-    )
-
-
-def _L_size(comp: Components, n: int) -> float:
-    """The sum of the sizes of the terms _L_of cancels, the two
-    (n/2) log(4 pi t) M that cancel exactly (the entropy's, from log u^2,
-    and the one subtracted) set aside: about 2 n M at every t, so a floor
-    in its units leaves the series fit unweighted where every estimate is
-    below it."""
-    t, M = comp.t, comp.mass
-    return (
-        4.0 * t * np.abs(comp.dirichlet)
-        + np.abs(comp.entropy + (n / 2.0) * np.log(4 * np.pi * t) * M)
-        + M * np.abs(np.log(M))
-        + n * M
-    )
-
-
-def _L_err(comp: Components, n: int) -> float:
-    t, M = comp.t, comp.mass
-    e = comp.errs
-    if not e:
-        return 0.0
-    return (
-        4.0 * t * e["dirichlet"]
-        + e["entropy"]
-        + (abs(np.log(M)) + 1.0 + n + (n / 2.0) * abs(np.log(4 * np.pi * t)))
-        * e["mass"]
-    )
-
-
-def _normalized(comp: Components, n: int):
+def _normalized(t, sums, errs: dict, n: int):
     """(value, error, rounding floor) of the unit-mass rescaling
-    u / sqrt(mass): the deficit _L_of, to which W adds t times the Sc
-    integral when comp has it, in its value, its error and its size; the
-    floor is _ROUNDING_FLOOR of the terms the value cancels, and the
-    estimate reported is the larger of error and floor."""
-    t, M = comp.t, comp.mass
-    val, err, size = _L_of(comp, n), _L_err(comp, n), _L_size(comp, n)
-    if comp.sc_integral is not None:
-        val = val + t * comp.sc_integral
-        err = err + t * comp.errs.get("sc_integral", 0.0)
-        size = size + t * np.abs(comp.sc_integral)
+    u / sqrt(mass) at the times t, numbers or arrays, from the sums M, E,
+    D and Sc (None for L) and their error estimates errs (Components'
+    names; empty: none): L = 4 t D - E + M log M - (n + (n/2) log(4 pi t)) M,
+    plus t Sc for W, over M.  The floor is _ROUNDING_FLOOR of the sizes of
+    the terms the value cancels, the two (n/2) log(4 pi t) M that cancel
+    exactly set aside: about 2 n M, so the series fit stays unweighted
+    where every estimate is below it.  The estimate reported is the
+    larger of error and floor."""
+    M, E, D, sc = sums
+    lt = np.log(4 * np.pi * t)
+    val = 4.0 * t * D - E + M * np.log(M) - (n + (n / 2.0) * lt) * M
+    size = (4.0 * t * np.abs(D) + np.abs(E + (n / 2.0) * lt * M)
+            + M * np.abs(np.log(M)) + n * M)
+    err = 0.0
+    if errs:
+        err = (4.0 * t * errs["dirichlet"] + errs["entropy"]
+               + (abs(np.log(M)) + 1.0 + n + (n / 2.0) * abs(lt)) * errs["mass"])
+    if sc is not None:
+        val = val + t * sc
+        err = err + t * errs.get("sc_integral", 0.0)
+        size = size + t * np.abs(sc)
     val = val / M
-    err = (err + abs(val) * comp.errs.get("mass", 0.0)) / M
+    err = (err + abs(val) * errs.get("mass", 0.0)) / M
     return val, err, _ROUNDING_FLOOR * size / M
+
+
+def _eval_normalized(tf, t, quad, want_sc: bool):
+    comp = eval_components(tf, t, quad, want_sc=want_sc)
+    sums = (comp.mass, comp.entropy, comp.dirichlet, comp.sc_integral)
+    val, err, floor = _normalized(comp.t, sums, comp.errs, tf.nchart.n)
+    return val, np.maximum(err, floor), comp.record
 
 
 def eval_L_normalized(tf, t, quad=QuadratureSpec()):
     """Log-Sobolev-type deficit of the unit-mass rescaling u / sqrt(mass)
     at time t, or at each time of a 1-D array t: (value, error estimate,
     Components.record of what ran)."""
-    comp = eval_components(tf, t, quad, want_sc=False)
-    val, err, floor = _normalized(comp, tf.nchart.n)
-    return val, np.maximum(err, floor), comp.record()
+    return _eval_normalized(tf, t, quad, want_sc=False)
 
 
 def eval_W_normalized(tf, t, quad=QuadratureSpec()):
     """Entropy functional (deficit plus t times the curvature integral) of
     the unit-mass rescaling, as eval_L_normalized."""
-    comp = eval_components(tf, t, quad, want_sc=True)
-    val, err, floor = _normalized(comp, tf.nchart.n)
-    return val, np.maximum(err, floor), comp.record()
+    return _eval_normalized(tf, t, quad, want_sc=True)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,11 @@ step, and one read of the ray evaluator at those roots, which is both the
 convergence test |log(u/s)| <= _NEWTON_TOL (or a step that rounded to
 zero) and the sweep's read.  The crossings left open (a step that left
 (0, r_s) or is not finite, the eta^2 cliff) go into one bracketed run,
-inside the bracket their start leaves, where a step that rounds to zero
-stops a crossing too, and are read again.  meta["newton_steps"] is 2 plus
-that run's evaluations, meta["open_crossings"] the crossings it solved,
+inside the bracket their start leaves, from the Newton step that the
+root pass's u and du/dr give, and are read again.  In every bracketed
+run, stage 1's too, a step that rounds to zero stops a crossing.
+meta["newton_steps"] is 2 plus that run's evaluations,
+meta["open_crossings"] the crossings it solved,
 meta["coarse_newton_steps"] the first stage's evaluations and
 meta["crossing_residual"] the largest |u/s - 1| at the roots.  At the
 roots the ray evaluator of the functionals (TestFunction.on_rays: the
@@ -66,13 +68,13 @@ from .errors import (
     LevelSetDegenerate,
     NonPositiveVolume,
     VolumeTooLarge,
+    check_finite,
+    check_integer,
 )
 from .functionals import (
     _MAX_NODES,
     QuadratureSpec,
     TestFunction,
-    check_finite,
-    check_integer,
     check_time,
     eval_components,
     ray_bundle,
@@ -109,6 +111,7 @@ def iso_profile_radius(n: int, K: float, beta):
     1/k of the radius (k = sqrt(-K)) alone holds at least
     n omega_n sn_K(r - 1/k)^(n-1) / k; the run starts from the smaller
     bound."""
+    check_integer(n, 2, "dimension n")
     check_finite(K, "model curvature K")
     b = np.asarray(beta, dtype=float)
     if np.any(b <= 0):
@@ -116,7 +119,8 @@ def iso_profile_radius(n: int, K: float, beta):
     r = (b / omega_n(n)) ** (1.0 / n)
     if K > 0:
         hi = np.pi / np.sqrt(K)
-        total = ball_volume_K(n, K, hi)
+        with np.errstate(over="ignore"):  # inf for a K near 0
+            total = ball_volume_K(n, K, hi)
         if np.any(b >= total):
             raise VolumeTooLarge(
                 f"volume {b.max()} reaches the total volume {total} of the sphere"
@@ -256,20 +260,17 @@ def symmetrize(
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.sqrt(r * (r - 2.0 * f / kappa)), f, kappa
 
-    def crossings(r_start, q_at, log_s_at, lo=0.0, hi=tf.r_s, stall=False):
+    def crossings(r_start, q_at, log_s_at, lo=0.0, hi=tf.r_s):
         """bracketed_newton inside (lo, hi) on the 1-d crossings of q_at
         and log_s_at from r_start: the roots, the kernel's kappa at each,
-        the crossings left open and the evaluations.  With stall, a step
-        that rounds to zero stops a crossing too."""
+        the crossings left open and the evaluations.  A step that rounds
+        to zero stops a crossing too."""
         kappa_at = np.empty(r_start.size)
 
         def newton(r, live):
             r_new, f, kappa = newton_step(q_at[live], r, log_s_at[live])
             kappa_at[live] = kappa
-            done = np.abs(f) <= _NEWTON_TOL
-            if stall:
-                done |= r_new == r
-            return r_new, f > 0.0, done
+            return r_new, f > 0.0, (np.abs(f) <= _NEWTON_TOL) | (r_new == r)
 
         r, stuck, steps = bracketed_newton(newton, r_start, lo, hi)
         return r, kappa_at, stuck, steps
@@ -306,17 +307,22 @@ def symmetrize(
     shut |= r_cross == r_start
     # fallback: the crossings still open (a step that left (0, r_s) or is
     # not finite, the eta^2 cliff) in one bracketed run inside the bracket
-    # their start leaves, from their step or else the bracket's midpoint,
-    # and read again
+    # their start leaves, from the root pass's own Newton step (f =
+    # log(u/s) and kappa = (du/dr)/u read at the roots), else from the
+    # root, else from the bracket's midpoint, and read again
     open_ = np.flatnonzero(~shut)
     stuck, steps = open_, 2
     if open_.size:
         ray, rung = np.divmod(open_, levels)
-        r0, r1, up0 = (np.take(a, open_) for a in (r_start, r_cross, below))
+        r0, r1, up0, u1, du1 = (np.take(a, open_)
+                                for a in (r_start, r_cross, below, uc, duc))
         lo, hi = np.where(up0, r0, 0.0), np.where(up0, tf.r_s, r0)
-        r_open, _, stuck, fb_steps = crossings(
-            np.where((lo < r1) & (r1 < hi), r1, 0.5 * (lo + hi)),
-            q[ray], log_s[rung], lo, hi, stall=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r2 = np.sqrt(r1 * (r1 - 2.0 * np.log(u1 / s_ladder[rung]) * u1 / du1))
+        start = 0.5 * (lo + hi)
+        for r in (r1, r2):  # r2 where inside the bracket, else r1
+            start = np.where((lo < r) & (r < hi), r, start)
+        r_open, _, stuck, fb_steps = crossings(start, q[ray], log_s[rung], lo, hi)
         steps += fb_steps
         read = _u_on_rays(tf, t, dirs[ray], r_open[:, None])
         for whole, part in zip((r_cross, uc, duc, gsqc, dens), (r_open, *read)):

@@ -28,8 +28,9 @@ import numpy as np
 
 from ._numerics import Tridiagonal, composite_gauss_legendre
 from ._spaceform import sphere_area_K
-from .errors import ConfigInvalid, GammaOutOfRange, OutOfDomain
-from .functionals import check_finite, cutoff
+from .errors import (ConfigInvalid, GammaOutOfRange, OutOfDomain, check_finite,
+                     check_integer)
+from .functionals import cutoff
 
 __all__ = [
     "RadialDomain",
@@ -50,6 +51,12 @@ _KKT_TOL = 1e-8  # KKT residual of a converged profile, relative to the gradient
 _BOUND_TOL = 1e-9  # slack of mu_bound_report's test mu >= -Q t^2
 
 
+def _check_positive(x, what: str):
+    check_finite(x, what)
+    if not x > 0:
+        raise ConfigInvalid(f"{what} must be positive")
+
+
 @dataclass
 class RadialDomain:
     """Uniform radial mesh on [0, R] carrying the space-form area weight."""
@@ -60,15 +67,14 @@ class RadialDomain:
     m: int = 1024
 
     def __post_init__(self):
-        if not (self.R > 0):  # NaN too
-            raise ConfigInvalid("ball radius must be positive")
+        check_integer(self.n, 2, "dimension n")
+        _check_positive(self.R, "ball radius")
         check_finite(self.K, "model curvature K")
         if self.K > 0 and self.R >= np.pi / np.sqrt(self.K):
             raise OutOfDomain(
                 "ball radius reaches the diameter of the sphere"
             )
-        if self.m < 32:
-            raise ConfigInvalid("mesh too coarse")
+        check_integer(self.m, 32, "mesh nodes")
         self.r = np.linspace(0.0, self.R, self.m)
         h = self.r[1] - self.r[0]
         # two-point Gauss nodes per cell, weight = space-form area element
@@ -85,10 +91,9 @@ class RadialDomain:
         cls, n: int, K: float, R: float, t: float, per_width: int = 32
     ) -> "RadialDomain":
         """Mesh fine enough to resolve the sqrt(t) concentration scale."""
-        if not (t > 0):  # NaN too
-            raise ConfigInvalid("t must be positive")
-        if not (R > 0):  # before R sizes the mesh
-            raise ConfigInvalid("ball radius must be positive")
+        _check_positive(t, "t")
+        _check_positive(R, "ball radius")  # before R sizes the mesh
+        check_integer(per_width, 1, "mesh nodes per width")
         m = int(np.clip(np.ceil(per_width * R / np.sqrt(t)), 256, 8192))
         return cls(n=n, K=K, R=R, m=m)
 
@@ -236,6 +241,7 @@ def mu_ball(
     O(per_width^-2) positive discretization bias; raise per_width when the
     target value is itself O(t^2) small.
     """
+    _check_positive(t, "t")
     if m is None:
         dom = RadialDomain.for_time(n, K, R, t, per_width=per_width)
     else:
@@ -313,6 +319,10 @@ def mu_bound_report(ts, mus, Q: float | None = None) -> MuBoundReport:
     mus = np.asarray(mus, dtype=float)
     if ts.shape != mus.shape or ts.ndim != 1 or ts.size < 2:
         raise ConfigInvalid("need matching 1-d time and value arrays")
+    check_finite(ts, "times")
+    check_finite(mus, "mu values")
+    if Q is not None:
+        check_finite(Q, "Q")
     order = np.argsort(ts)
     ts, mus = ts[order], mus[order]
     k = max(2, ts.size // 2)
@@ -336,6 +346,7 @@ def mu_bound_report(ts, mus, Q: float | None = None) -> MuBoundReport:
 def rm_bound_from_mu(Q: float, gamma: float) -> float:
     """Curvature-norm bound implied by mu >= -Q t^2 under a gamma-fraction
     loss: |Rm|^2 <= Q / (1/6 - gamma), valid for gamma strictly below 1/6."""
+    check_finite(Q, "Q")
     if Q < 0:
         raise ConfigInvalid("Q must be nonnegative")
     if not 0.0 <= gamma < 1.0 / 6.0:

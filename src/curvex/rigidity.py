@@ -22,9 +22,9 @@ import numpy as np
 
 from ._numerics import shell_radius
 from .charts import MetricChart, _box_points, curvature_at
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, check_finite, check_integer
 from .expansion import prepare_normal_chart
-from .functionals import QuadratureSpec, ball_volume, check_finite
+from .functionals import QuadratureSpec, ball_volume
 from .isoperimetry import iso_profile
 from .tensor_core import CurvatureData, norm_sq, weyl_decompose
 
@@ -131,8 +131,12 @@ def assess_rigidity(
     chart gets its probes: 1/4, 1/2 and 3/4 of the ball of 0.95 times
     meta["probe_radius"], 0.7 box halfwidths and below 0.9 pi/sqrt(K)."""
     check_finite(K, "model curvature K")
+    check_finite(tol, "tolerance")
+    if tol < 0:
+        raise ConfigInvalid(f"tolerance {tol!r} is negative")
     n = chart.n
     if points is None:
+        check_integer(npoints, 1, "sample points")
         points = _sample_points(chart, npoints)
 
     checks: list[RigidityCheck] = []

@@ -24,7 +24,8 @@ from curvex import (
 )
 from curvex import charts, expansion, functionals
 from curvex.charts import PROFILES
-from curvex.expansion import predict_volume, prepare_normal_chart, run_expansion
+from curvex.expansion import (extract_series, predict_volume, prepare_normal_chart,
+                               run_expansion)
 from curvex._spaceform import ball_volume_K, sn, sphere_area_K
 from curvex.errors import (
     ConfigInvalid,
@@ -38,7 +39,6 @@ from curvex.functionals import (
     Components,
     QuadratureSpec,
     TestFunction,
-    _L_of,
     _normalized,
     _eval_once,
     _half_rule,
@@ -68,8 +68,9 @@ from curvex.moments import (
     sphere_area,
     sphere_monomial,
 )
-from curvex.isoperimetry import symmetrize
-from curvex.rigidity import isoperimetric_probe
+from curvex.isoperimetry import iso_profile, symmetrize
+from curvex.mu_solver import mu_ball, mu_bound_report, rm_bound_from_mu
+from curvex.rigidity import assess_rigidity, isoperimetric_probe
 from oracles import eta2_pointwise, full_ode_table, recorded, shooting_chart
 
 
@@ -654,14 +655,12 @@ class TestSphereFunctionals:
 
     @staticmethod
     def _scaled(comp, c, sc=True):
-        """The Components of c u, with or without the Sc integral: mass,
+        """The sums of c u, with or without the Sc integral: mass,
         Dirichlet energy and Sc integral times c^2, the entropy
         c^2 (E + M log c^2)."""
         c2 = c * c
-        return Components(comp.t, c2 * comp.mass,
-                          c2 * (comp.entropy + comp.mass * np.log(c2)),
-                          c2 * comp.dirichlet,
-                          c2 * comp.sc_integral if sc else None)
+        return (c2 * comp.mass, c2 * (comp.entropy + comp.mass * np.log(c2)),
+                c2 * comp.dirichlet, c2 * comp.sc_integral if sc else None)
 
     @pytest.fixture(scope="class")
     def case(self, s3_setup):
@@ -670,21 +669,26 @@ class TestSphereFunctionals:
         return tf, eval_components(tf, 6e-4, self.QUAD)
 
     def test_scale_covariance(self, case):
-        """The deficit is 2-homogeneous in u."""
+        """The deficit, the normalized L times the mass, is 2-homogeneous
+        in u."""
         _, comp = case
+
+        def deficit(sums):
+            return sums[0] * _normalized(comp.t, sums, {}, 3)[0]
+
         for c in (3.0, 0.2):
-            assert _L_of(self._scaled(comp, c), 3) == pytest.approx(
-                c * c * _L_of(comp, 3), rel=1e-10)
+            assert deficit(self._scaled(comp, c, False)) == pytest.approx(
+                c * c * deficit(self._scaled(comp, 1.0, False)), rel=1e-10)
 
     def test_normalization_invariance(self, case):
         """The unit-mass L and W, the values eval_L_normalized and
         eval_W_normalized return, do not see a factor on u."""
         tf, comp = case
         for sc, ev in ((False, eval_L_normalized), (True, eval_W_normalized)):
-            want = _normalized(self._scaled(comp, 1.0, sc), 3)[0]
+            want = _normalized(comp.t, self._scaled(comp, 1.0, sc), {}, 3)[0]
             assert want == ev(tf, 6e-4, self.QUAD)[0]
             for c in (5.0, 0.2):
-                assert _normalized(self._scaled(comp, c, sc), 3)[0] == (
+                assert _normalized(comp.t, self._scaled(comp, c, sc), {}, 3)[0] == (
                     pytest.approx(want, rel=1e-10))
 
     def test_entropy_slope(self, s3_setup):
@@ -1107,7 +1111,7 @@ class TestRadialFold:
             got = eval_components(diag, t, quad)
             want = eval_components(rot, t, quad)
             # the fold keeps one direction in about 2^n
-            assert 2 ** (n - 1) * got.nodes < want.nodes
+            assert 2 ** (n - 1) * got.record["nodes"] < want.record["nodes"]
             for name in ("mass", "entropy", "dirichlet"):
                 # rounding apart (measured up to 9e-16 relative), well
                 # inside the order-(o - 6) error estimates (3e-10 to 9e-8)
@@ -1160,8 +1164,12 @@ class TestOneRay:
             assert getattr(got, name) == pytest.approx(getattr(want, name),
                                                        rel=1e-13, abs=0)
         n = tf.nchart.n
-        L = _L_of(want, n) / want.mass
-        W = (_L_of(want, n) + t * want.sc_integral) / want.mass
+        # the deficit written out
+        L = (4.0 * t * want.dirichlet - want.entropy
+             + want.mass * np.log(want.mass)
+             - (n + (n / 2.0) * np.log(4 * np.pi * t)) * want.mass)
+        W = (L + t * want.sc_integral) / want.mass
+        L = L / want.mass
         assert abs(eval_L_normalized(tf, t, quad)[0] - L) <= 1e-13
         assert abs(eval_W_normalized(tf, t, quad)[0] - W) <= 1e-13
         return got
@@ -1178,7 +1186,7 @@ class TestOneRay:
             # one ray: the radial nodes of one direction, the Laguerre
             # rule's order // 2 + 4 at both times
             rho = _radial_nodes(order, n, r_s / (4.0 * np.sqrt(t)))[0]
-            assert got.nodes == rho.size == order // 2 + 4
+            assert got.record["nodes"] == rho.size == order // 2 + 4
 
     @pytest.mark.parametrize("order", [16, 24])
     def test_flat_n5_zero_profile(self, order):
@@ -1337,8 +1345,8 @@ class TestTimeBatches:
             for name in ("mass", "entropy", "dirichlet", "sc_integral"):
                 assert getattr(got, name)[k] == getattr(want, name), name
                 assert got.errs[name][k] == want.errs[name], name
-        assert got.nodes == sum(eval_components(tf, float(t), quad).nodes
-                                for t in ts)
+        assert got.record["nodes"] == sum(
+            eval_components(tf, float(t), quad).record["nodes"] for t in ts)
         return got
 
     @pytest.mark.parametrize("rule,mode", [
@@ -1356,7 +1364,7 @@ class TestTimeBatches:
         quad = QuadratureSpec(rule=rule, order=16)
         got = self._assert_batched_equals_alone(tf, ts, quad)
         rec = eval_L_normalized(tf, ts, quad)[2]
-        assert rec == got.record() and rec["nodes"] == got.nodes
+        assert rec == got.record
         kinks = 1.7 / (4.0 * np.sqrt(ts))
         if rule == "hermite":
             assert rec["batches"] == 2 and "radial_rule" not in rec
@@ -1377,7 +1385,7 @@ class TestTimeBatches:
         ts = np.geomspace(1.7**2 / 720, 1.7**2 / 14400, 10)
         quad = QuadratureSpec(rule="radial_sphere", order=16)
         whole = eval_components(tf, ts, quad)
-        assert eval_W_normalized(tf, ts, quad)[2]["batches"] == whole.batches == 2
+        assert eval_W_normalized(tf, ts, quad)[2]["batches"] == whole.record["batches"] == 2
         orthant = ((0,), (1,), (2,))
         main, lo = (orbit_rule(o, orthant)[1].size * (o // 2 + 4) for o in (16, 10))
         cap = 3 * main
@@ -1815,7 +1823,7 @@ class TestOrderLadder:
         for k, name in enumerate(names):
             assert getattr(comp, name).tobytes() == hi[k].tobytes()
             assert comp.errs[name].tobytes() == np.abs(hi[k] - lo[k]).tobytes()
-        assert comp.order == 16 and comp.record()["order"] == 16
+        assert comp.record["order"] == 16
 
         def once(order):
             dirs, rho, W = _nodes("hermite", 3, order)
@@ -1860,6 +1868,56 @@ class TestOrderLadder:
         assert [args[0] for args, _, _ in rules] == [8, 2]
 
 
+def _conformal_bump():
+    return ModelSpec("conformal_flat", 3, halfwidth=1.5,
+                     perturbation=Perturbation(0.05, PROFILES["quartic_bump"]))
+
+
+class TestRunRecord:
+    """What an evaluation ran is one dict, Components.record, which
+    eval_L_normalized and eval_W_normalized return and run_expansion
+    merges into its meta.  On the benchmark's six series runs it holds,
+    key for key and in this order, what the record held when Components
+    also carried it as eight fields."""
+
+    @pytest.mark.parametrize("spec,functional,r_s,rule,order,want", [
+        (ModelSpec("space_form", 4, K=1.0), "L", 1.45, "hermite", 24,
+         {"rule": "hermite", "fold": [[0, 1, 2, 3]], "order": 24,
+          "batches": 2, "nodes": 18600}),
+        (ModelSpec("space_form", 3, K=-1.0), "L", 1.1, "hermite", 40,
+         {"rule": "hermite", "fold": [[0, 1, 2]], "order": 40,
+          "batches": 2, "nodes": 25090}),
+        (ModelSpec("space_form", 4, K=1.0), "W", 1.45, "auto", 16,
+         {"rule": "radial_sphere", "fold": [[0, 1, 2, 3]], "order": 16,
+          "batches": 2, "rays": 1, "radial_rule": "laguerre", "radial_m": 12,
+          "nodes": 210}),
+        (ModelSpec("space_form", 3, K=1.0), "L", 1.7, "auto", 24,
+         {"rule": "radial_sphere", "fold": [[0, 1, 2]], "order": 24,
+          "batches": 2, "rays": 1, "radial_rule": "laguerre", "radial_m": 16,
+          "nodes": 290}),
+        (_conformal_bump(), "L", 0.9, "radial_sphere", 16,
+         {"rule": "radial_sphere", "fold": [[0, 1, 2]], "order": 16,
+          "batches": 2, "rays": 1, "radial_rule": "laguerre", "radial_m": 12,
+          "nodes": 210}),
+        (ModelSpec("product_sphere_line", 3, K=1.0), "L", 0.9,
+         "radial_sphere", 16,
+         {"rule": "radial_sphere", "fold": [[0, 1], [2]], "order": 16,
+          "batches": 2, "rays": 8, "radial_rule": "laguerre", "radial_m": 12,
+          "nodes": 1410}),
+    ], ids=["S4_L_hermite24", "H3_L_hermite40", "S4_W_auto16", "S3_L_auto24",
+            "conformal3_L_radial16", "S2xR_L_radial16"])
+    def test_series_runs_record_what_they_ran(self, monkeypatch, spec,
+                                              functional, r_s, rule, order, want):
+        calls = recorded(monkeypatch, expansion,
+                         f"eval_{functional}_normalized")
+        ch = make_chart(spec)
+        res = run_expansion(ch, np.zeros(ch.n), functional, r_s=r_s,
+                            quad=QuadratureSpec(rule=rule, order=order))
+        [(_, _, (_, _, record))] = calls
+        assert list(record.items()) == list(want.items())
+        assert {k: res.meta[k] for k in want} == want
+
+
 class TestNanInputs:
     """A NaN radius or time fails every `<= 0` test, so each check reads
     `not (x > 0)`: NaN raises the typed error 0 raises."""
@@ -1898,6 +1956,46 @@ class TestNanInputs:
             call(0.0)
         with pytest.raises(type(zero.value)):
             call(float("nan"))
+
+    WRONG_KIND = {
+        "mu_ball m=100.5": lambda: mu_ball(3, 0.0, 1.0, 0.01, m=100.5),
+        "mu_ball per_width=nan": lambda: mu_ball(3, 0.0, 1.0, 0.01,
+                                                 per_width=float("nan")),
+        "mu_ball n=0": lambda: mu_ball(0, 0.0, 1.0, 0.01),
+        "mu_ball n=1.5": lambda: mu_ball(1.5, 0.0, 1.0, 0.01),
+        "mu_ball t=0 m=32": lambda: mu_ball(3, 0.0, 1.0, 0.0, m=32),
+        "mu_ball t=inf": lambda: mu_ball(3, 0.0, 1.0, float("inf")),
+        "mu_ball R=inf": lambda: mu_ball(3, 0.0, float("inf"), 0.03),
+        "iso_profile n=0": lambda: iso_profile(0, 0.0, 1.0),
+        "iso_profile n=2.5": lambda: iso_profile(2.5, 0.0, 1.0),
+        "extract_series nan": lambda: extract_series(
+            np.geomspace(1e-3, 1e-2, 6), [1.0, 2.0, float("nan"), 4.0, 5.0, 6.0]),
+        "make_chart n=2.5": lambda: make_chart(ModelSpec("flat", 2.5)),
+        "make_chart K=-inf": lambda: make_chart(
+            ModelSpec("space_form", 2, K=-float("inf"))),
+        "make_chart halfwidth=nan": lambda: make_chart(
+            ModelSpec("flat", 3, halfwidth=float("nan"))),
+        "rm_bound_from_mu nan": lambda: rm_bound_from_mu(float("nan"), 0.0),
+        "mu_bound_report nan": lambda: mu_bound_report([0.01, 0.02],
+                                                       [float("nan"), -1e-4]),
+        "assess_rigidity tol=nan": lambda: assess_rigidity(
+            TestNanInputs._s3(), 1.0, tol=float("nan")),
+        "assess_rigidity tol=-1": lambda: assess_rigidity(
+            TestNanInputs._s3(), 1.0, tol=-1.0),
+        "assess_rigidity npoints=2.5": lambda: assess_rigidity(
+            TestNanInputs._s3(), 1.0, npoints=2.5),
+    }
+
+    @pytest.mark.parametrize("site", list(WRONG_KIND))
+    def test_wrong_kind_raises_typed_error(self, site):
+        """Each of these leaked a bare TypeError, ValueError,
+        ZeroDivisionError or LinAlgError, ran a meaningless case (n = 0 or
+        1.5, t = 0 on a given mesh, a flat box of NaN halfwidth) or
+        returned NaN or a wrong verdict (inconclusive on S^3 for a NaN
+        tol); each raises ConfigInvalid, or InvalidSpec from make_chart."""
+        error = InvalidSpec if site.startswith("make_chart") else ConfigInvalid
+        with pytest.raises(error):
+            self.WRONG_KIND[site]()
 
     @pytest.mark.parametrize("K", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("site", [

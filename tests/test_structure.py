@@ -10,7 +10,8 @@ flat space from a space form by name; a chart that shoots folds nothing
 and a chart's symmetry is read from its warps; the folded Hermite grid
 is built with array operations, not from a Python list of index tuples;
 every name charts exports has a caller; every rule is built at the
-order it names, and one function climbs the order ladder."""
+order it names, and one function climbs the order ladder; an
+evaluation's record is one dict, and one function builds Components."""
 
 import ast
 from pathlib import Path
@@ -469,3 +470,18 @@ def test_one_order_ladder():
     assert sorted(_callers("_climb")) == [
         ("functionals.py", "eval_components"),
         ("functionals.py", "gaussian_integral")]
+
+
+def test_one_record_per_evaluation():
+    """Components holds the sums, their errors and one record dict, with
+    no method to rebuild it, and eval_components alone builds one: the
+    order ladder passes each rung's sums to _normalized as arrays."""
+    import dataclasses
+
+    from curvex.functionals import Components
+
+    assert [f.name for f in dataclasses.fields(Components)] == [
+        "t", "mass", "entropy", "dirichlet", "sc_integral", "errs", "record"]
+    assert not any(callable(v) for k, v in vars(Components).items()
+                   if not k.startswith("__"))
+    assert _callers("Components") == [("functionals.py", "eval_components")]
