@@ -1,9 +1,11 @@
 """Numerical building blocks on numpy alone.
 
 Gauss-Legendre, Gauss-Gegenbauer, Gauss-Jacobi and generalized
-Gauss-Laguerre rules, the one composite Gauss-Legendre builder of every
-piecewise rule, ball volumes, one bracketed Newton loop (radii of given
-volumes, level crossings in isoperimetry), a factored tridiagonal solver,
+Gauss-Laguerre rules, the Gauss-Hermite rule folded onto x >= 0 (from
+the Laguerre rules with alpha = -1/2 and +1/2, polished by one Newton
+step on the Hermite recurrence), the one composite Gauss-Legendre
+builder of every piecewise rule, ball volumes, one bracketed Newton loop
+(radii of given volumes, level crossings in isoperimetry), a factored tridiagonal solver,
 the cubic Hermite basis (the spline's and isoperimetry's crossing
 starts), a not-a-knot cubic spline along axis 0 and the Dormand-Prince
 5(4) integrator with its quartic dense output (Dormand & Prince,
@@ -14,15 +16,15 @@ Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4).  The tests check each agai
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gamma, pi, sqrt
+from math import gamma, log2, pi, sqrt
 
 import numpy as np
 
 from .errors import GeodesicLeftDomain, NonPositiveVolume, QuadratureNotConverged
 
 __all__ = ["read_only", "gauss_legendre", "gauss_gegenbauer", "gauss_jacobi",
-           "gauss_laguerre", "composite_gauss_legendre", "shell_volume",
-           "bracketed_newton", "shell_radius", "Tridiagonal", "hermite_basis",
+           "gauss_laguerre", "gauss_hermite", "composite_gauss_legendre",
+           "shell_volume", "bracketed_newton", "shell_radius", "Tridiagonal", "hermite_basis",
            "CubicSpline", "dopri45"]
 
 
@@ -96,6 +98,48 @@ def gauss_laguerre(m: int, alpha: float):
     k = np.arange(1, m)
     return read_only(*_golub_welsch(2.0 * np.arange(m) + alpha + 1.0,
                                     np.sqrt(k * (k + alpha)), gamma(alpha + 1.0)))
+
+
+@lru_cache(maxsize=16)
+def gauss_hermite(m: int):
+    """The m-point Gauss-Hermite rule for the weight e^(-x^2) on the real
+    line, folded onto x >= 0: the ceil(m/2) nodes x >= 0 (ascending, the
+    middle node of an odd m exactly 0) and weights, each positive node
+    carrying its mirror's too.
+
+    H_2k(x) and H_2k+1(x)/x are Laguerre polynomials of degree k in
+    y = x^2 with alpha = -1/2 and +1/2 (Szego, Orthogonal Polynomials,
+    (5.6.1)), so the positive nodes are the square roots of the m // 2
+    gauss_laguerre nodes for alpha = m % 2 - 1/2.  One Newton step on x
+    with H_k+1 = 2 x H_k - 2 k H_k-1, whose coefficients are exact, takes
+    them to rounding.  The weights, proportional to 1/H_m-1(x)^2
+    (Christoffel-Darboux), come from the same pass, H_m-1 carried to the
+    new node to first order (H_m-1' = 2 x H_m-1 - H_m), and are
+    normalized to the total sqrt(pi).  The pass rescales by exact powers
+    of two, so nothing overflows, and a weight below the smallest double
+    is 0."""
+    odd = m % 2
+    y = gauss_laguerre(m // 2, odd - 0.5)[0] if m > 1 else np.empty(0)
+    x = np.concatenate((np.zeros(odd), np.sqrt(y)))
+    # |H_k+1| and |H_k-1| are at most 2 max|x| + 2 k < 2 sqrt(2 m + 1) + 2 m
+    # times max(|H_k|, |H_k-1|) and max(|H_k|, |H_k+1|): rescale before the
+    # pair can leave 2^(+-960)
+    every = max(1, int(960 / log2(2.0 * sqrt(2.0 * m + 1.0) + 2.0 * m)))
+    h0, h1 = np.zeros_like(x), np.ones_like(x)  # H_k-1, H_k times 2^-e
+    e = np.zeros(x.shape, dtype=int)
+    x2 = 2.0 * x
+    for k in range(m):
+        h0, h1 = h1, x2 * h1 - 2.0 * k * h0
+        if (k + 1) % every == 0:
+            _, scale = np.frexp(np.maximum(np.abs(h0), np.abs(h1)))
+            h0, h1, e = np.ldexp(h0, -scale), np.ldexp(h1, -scale), e + scale
+    dx = h1 / (2.0 * m * h0)  # H_m / H_m'
+    mant, scale = np.frexp(h0 + dx * (h1 - x2 * h0))
+    e += scale
+    w = np.ldexp(1.0 / (mant * mant), 2 * (e.min() - e))
+    w[odd:] *= 2.0
+    w *= sqrt(pi) / w.sum()
+    return read_only(x - dx, w)
 
 
 def composite_gauss_legendre(breaks, m: int):

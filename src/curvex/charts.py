@@ -333,6 +333,9 @@ def _block_geometry(blocks):
     return metric, christoffel, curv
 
 
+_MAX_SINH_ARG = 40.0  # sqrt(-K) r at the box corner of a hyperbolic block
+
+
 def make_chart(spec: ModelSpec) -> MetricChart:
     """Build a catalog chart.  Positive-definiteness is spot-checked by
     sampling the domain; each sphere block must fit strictly inside its
@@ -363,6 +366,16 @@ def make_chart(spec: ModelSpec) -> MetricChart:
                 raise InvalidSpec(
                     f"the M^{nb}_{Kb:g} block leaves its injectivity ball: "
                     f"halfwidth*sqrt({nb})={hw*np.sqrt(nb):.3f} >= pi/sqrt(K)"
+                )
+            # x = sqrt(-K) r at the box corner: the metric's tangential
+            # eigenvalue (sinh x / x)^2 is 9e30 times the radial one at
+            # x = 40, and the probe below refuses it from x near 23 on; the
+            # bound refuses it before sinh^2 overflows (from x = 355 on)
+            x = hw * np.sqrt(nb) * np.sqrt(-Kb) if Kb < 0 else 0.0
+            if x > _MAX_SINH_ARG:
+                raise InvalidSpec(
+                    f"the M^{nb}_{Kb:g} block's metric is out of double range: "
+                    f"halfwidth*sqrt({nb})*sqrt(-K)={x:.3g} > {_MAX_SINH_ARG:g}"
                 )
         metric, christoffel, curv = _block_geometry(blocks)
         chart = MetricChart(n, box, metric, kind=spec.kind, K=K,

@@ -75,8 +75,8 @@ from numbers import Real
 
 import numpy as np
 
-from ._numerics import (composite_gauss_legendre, gauss_gegenbauer, gauss_jacobi,
-                        gauss_laguerre, read_only, shell_volume)
+from ._numerics import (composite_gauss_legendre, gauss_gegenbauer, gauss_hermite,
+                        gauss_jacobi, gauss_laguerre, read_only, shell_volume)
 from ._spaceform import ball_volume_K, sphere_area_K
 from .charts import NormalChart, Partition, common_refinement
 from .errors import (
@@ -324,24 +324,26 @@ def build_test_function(
 def _hermite_nodes(n: int, order: int, fold: Partition | None = None):
     """Product Gauss-Hermite nodes z = |z| d as unit directions d (the
     zero node gets d = 0), radii |z| and weights: the full grid for fold
-    None (n singleton blocks of the whole 1-D rule), else the grid folded
-    onto the orbit space of fold's block group.
+    None (n singleton blocks of the whole 1-D rule, _full_rule of the half
+    rule), else the grid folded onto the orbit space of fold's block
+    group.  The 1-D rule is gauss_hermite's half rule z >= 0: Laguerre
+    nodes in z^2 (alpha = -1/2 for an even order, +1/2 for an odd one)
+    taken to rounding by one Newton step on the Hermite recurrence.
 
     The fold keeps one node per orbit of the reflections and permutations
     of each block's coordinates.  A block of size k takes the
-    nondecreasing index tuples of the half rule z >= 0 (_half_rule, each
-    positive node carrying its mirror's weight) on its coordinates, each
+    nondecreasing index tuples of the half rule (each positive node
+    carrying its mirror's weight) on its coordinates, each
     weighted by the product weight times k!/prod(run length)!, the number
     of its distinct permutations (_sorted_tuples lists both with array
     operations); the blocks combine as a product in block order.  It
     integrates the functions invariant under that group exactly as the
     full grid does, regrouped: n singletons give the orthant,
     ceil(order/2)^n nodes, one block C(ceil(order/2) + n - 1, n)."""
-    z1, w1 = np.polynomial.hermite.hermgauss(order)  # symmetric: z1 == -z1[::-1]
+    z1, w1 = gauss_hermite(order)
     if fold is None:
         fold = tuple((i,) for i in range(n))
-    else:
-        z1, w1 = _half_rule(z1, w1)
+        z1, w1 = _full_rule(z1, w1, order)
     idx, mult = np.zeros((1, n), dtype=np.intp), np.ones(1)
     for block in fold:
         t, orbit = _sorted_tuples(z1.size, len(block))
@@ -388,6 +390,16 @@ def _half_rule(x, w):
     if m % 2:
         wf[0] = w[m // 2]
     return x[m // 2 :], wf
+
+
+def _full_rule(x, w, m: int):
+    """The m-point rule symmetric about 0 whose _half_rule is x, w: the
+    positive nodes' mirror images join them and each pair shares its
+    weight, halved exactly, so the nodes are exact mirrors and _half_rule
+    gives x, w back bit for bit."""
+    half = 0.5 * w[m % 2 :]
+    return (np.concatenate((-x[m % 2 :][::-1], x)),
+            np.concatenate((half[::-1], w[: m % 2], half)))
 
 
 def _azimuth(m: int, fold: bool):

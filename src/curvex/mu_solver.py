@@ -49,6 +49,9 @@ _SHIFTS = (0.0,) + tuple(10.0 ** np.arange(13))
 _ROUNDING = 1e-14  # relative rise of W a step may make; W rounds at 2e-15
 _KKT_TOL = 1e-8  # KKT residual of a converged profile, relative to the gradient
 _BOUND_TOL = 1e-9  # slack of mu_bound_report's test mu >= -Q t^2
+# largest ball volume a mesh takes: the solve squares gradients that scale
+# with the volume, and a double squares to at most 1.8e308
+_MAX_VOLUME = 1e150
 
 
 def _check_positive(x, what: str):
@@ -79,7 +82,11 @@ class RadialDomain:
         h = self.r[1] - self.r[0]
         # two-point Gauss nodes per cell, weight = space-form area element
         self.rq, self.wq = composite_gauss_legendre(self.r, 2)
-        self.mq = self.wq * sphere_area_K(self.n, self.K, self.rq)
+        with np.errstate(over="ignore"):
+            self.mq = self.wq * sphere_area_K(self.n, self.K, self.rq)
+        if not self.mq.sum() <= _MAX_VOLUME:
+            raise ConfigInvalid(f"the ball of radius {self.R:g} in M^{self.n}_"
+                                f"{self.K:g} has a volume above {_MAX_VOLUME:g}")
         self.theta = ((self.rq.reshape(-1, 2) - self.r[:-1, None]) / h).ravel()
         self.idx = np.repeat(np.arange(self.m - 1), 2)
         self.h = h
@@ -327,13 +334,17 @@ def mu_bound_report(ts, mus, Q: float | None = None) -> MuBoundReport:
     ts, mus = ts[order], mus[order]
     k = max(2, ts.size // 2)
     t2 = ts[:k] ** 2
-    q = -float(np.dot(mus[:k], t2) / np.dot(t2, t2))
-    resid = mus[:k] + q * t2
     dof = max(k - 1, 1)
-    stderr = float(
-        np.sqrt(np.dot(resid, resid) / dof / np.dot(t2, t2))
-    )
-    envelope = float(np.maximum(-mus / ts**2, 0.0).max())
+    with np.errstate(over="ignore"):
+        q = -float(np.dot(mus[:k], t2) / np.dot(t2, t2))
+        resid = mus[:k] + q * t2
+        stderr = float(
+            np.sqrt(np.dot(resid, resid) / dof / np.dot(t2, t2))
+        )
+        envelope = float(np.maximum(-mus / ts**2, 0.0).max())
+    if not np.isfinite([q, stderr, envelope]).all():
+        raise ConfigInvalid("the fit of mu ~ -q t^2 overflows: mu values or "
+                            "times out of range")
     satisfied = None
     if Q is not None:
         satisfied = bool(np.all(mus >= -Q * ts**2 - _BOUND_TOL))
@@ -353,4 +364,8 @@ def rm_bound_from_mu(Q: float, gamma: float) -> float:
         raise GammaOutOfRange(
             f"gamma={gamma} outside [0, 1/6); the bound degenerates"
         )
-    return Q / (1.0 / 6.0 - gamma)
+    with np.errstate(over="ignore"):
+        bound = Q / (1.0 / 6.0 - gamma)
+    if bound == np.inf:
+        raise ConfigInvalid(f"Q={Q:g}: the bound Q/(1/6 - gamma) overflows")
+    return bound

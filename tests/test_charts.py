@@ -92,6 +92,16 @@ class TestCatalog:
         with pytest.raises(InvalidSpec):
             make_chart(ModelSpec("product_sphere_line", 3, K=1.0, halfwidth=2.25))
 
+    @pytest.mark.parametrize("n,K", [(2, -17_822.0), (5, -33_830.0)])
+    def test_strongly_hyperbolic_block_raises_before_its_metric(self, n, K):
+        """At the default halfwidth 2, sqrt(-K) times the box corner's
+        radius is 378 and 823: sinh^2 there overflows, and the chart is
+        refused before its metric is evaluated (a RuntimeWarning would be
+        an error under the tier-1 filter)."""
+        for kind in ("space_form", "product_sphere_line")[: 1 + (n > 2)]:
+            with pytest.raises(InvalidSpec, match="out of double range"):
+                make_chart(ModelSpec(kind, n, K=K))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_probe_points_cover_the_box(self, n):
         """make_chart's positive-definiteness probe reads 128 fixed points

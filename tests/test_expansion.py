@@ -401,6 +401,24 @@ class TestHermiteFold:
         # nondecreasing triples
         assert res.meta["nodes"] == 10 * (455 + 220) == 6_750
 
+    def test_large_orders_end_in_a_fit(self):
+        """Orders 400 and 800 on S^2 (folded: 200 and 400 half nodes) give
+        the order-24 fit within its error bars and raise no RuntimeWarning
+        (the tier-1 filter makes one an error); numpy's hermgauss divided
+        by zero there and the run ended in ConfigInvalid on non-finite
+        fit values."""
+        ch = make_chart(ModelSpec("space_form", 2, K=1.0))
+        runs = {order: run_expansion(ch, np.zeros(2), functional="L", r_s=1.0,
+                                     quad=QuadratureSpec(rule="hermite", order=order))
+                for order in (24, 400, 800)}
+        ref = runs[24].fit
+        for order in (400, 800):
+            res = runs[order]
+            assert res.meta["order"] == order and res.meta["fold"] == [[0, 1]]
+            assert np.all(np.isfinite(res.values)) and np.all(np.isfinite(res.errors))
+            assert abs(res.fit.c1 - ref.c1) <= ref.c1_stderr
+            assert abs(res.fit.c2 - ref.c2) <= ref.c2_stderr
+
 
 class TestRuleRecord:
     """meta["rule"] is the rule that ran, with 'auto' resolved, and

@@ -26,6 +26,7 @@ from curvex import charts, expansion, functionals
 from curvex.charts import PROFILES
 from curvex.expansion import (extract_series, predict_volume, prepare_normal_chart,
                                run_expansion)
+from curvex._numerics import gauss_hermite
 from curvex._spaceform import ball_volume_K, sn, sphere_area_K
 from curvex.errors import (
     ConfigInvalid,
@@ -41,6 +42,7 @@ from curvex.functionals import (
     TestFunction,
     _normalized,
     _eval_once,
+    _full_rule,
     _half_rule,
     _hermite_nodes,
     _nodes,
@@ -220,8 +222,10 @@ class TestSphereRule:
     @pytest.mark.parametrize(
         "rule",
         [lambda: sphere_rule(3, 8), lambda: _orthant(5, 7),
-         lambda: _hermite_nodes(2, 6), lambda: _hermite_nodes(2, 7, ((0, 1),))],
-        ids=["sphere_rule", "sphere_rule_folded", "hermite", "hermite_folded"],
+         lambda: _hermite_nodes(2, 6), lambda: _hermite_nodes(2, 7, ((0, 1),)),
+         lambda: gauss_hermite(7)],
+        ids=["sphere_rule", "sphere_rule_folded", "hermite", "hermite_folded",
+             "gauss_hermite"],
     )
     def test_cached_rules_are_read_only(self, rule):
         """Every caller of a cached rule gets the same arrays, so none may
@@ -234,10 +238,11 @@ class TestSphereRule:
 
     @pytest.mark.parametrize("order", [24, 25, 40])
     def test_hermite_fold_keeps_the_sign_based_fold(self, order):
-        """Folding onto n singleton blocks by node index (_half_rule) gives,
-        bit for bit, the grid of the sign-based fold: keep z >= 0, double
-        the weights of z > 0, take the product grid."""
-        z1, w1 = np.polynomial.hermite.hermgauss(order)
+        """Folding onto n singleton blocks by node index gives, bit for bit,
+        the grid of the sign-based fold of the full rule (gauss_hermite's
+        mirror, _full_rule): keep z >= 0, double the weights of z > 0,
+        take the product grid."""
+        z1, w1 = _full_rule(*gauss_hermite(order), order)
         keep = z1 >= 0.0
         z1, w1 = z1[keep], np.where(z1[keep] > 0.0, 2.0 * w1[keep], w1[keep])
         for n in (2, 3, 4):
@@ -427,11 +432,10 @@ def test_s0_area_is_two(K):
 def _hermite_nodes_by_tuples(n, order, fold=None):
     """_hermite_nodes as a per-tuple build: the index tuples of each block
     from itertools, their permutation counts from the run lengths."""
-    z1, w1 = np.polynomial.hermite.hermgauss(order)
+    z1, w1 = gauss_hermite(order)
     if fold is None:
         fold = tuple((i,) for i in range(n))
-    else:
-        z1, w1 = _half_rule(z1, w1)
+        z1, w1 = _full_rule(z1, w1, order)
     idx, mult = np.zeros((1, n), dtype=np.intp), np.ones(1)
     for block in fold:
         k = len(block)

@@ -28,6 +28,15 @@ class TestRadialDomain:
         with pytest.raises(OutOfDomain):
             RadialDomain(n=3, K=1.0, R=np.pi)
 
+    def test_ball_too_large_for_doubles(self):
+        """A flat 3-ball of radius 3.8e153 overflowed its area weights;
+        one whose volume passes 1e150 raises ConfigInvalid instead, with
+        no RuntimeWarning (an error under the tier-1 filter)."""
+        with pytest.raises(ConfigInvalid, match="volume above"):
+            mu_ball(3, 0.0, 3.8e153, 0.031)
+        with pytest.raises(ConfigInvalid, match="volume above"):
+            RadialDomain(n=3, K=-1.0, R=1000.0)
+
     def test_mass_quadrature(self):
         # f = 1 - (r/2)^2 on the flat 3-ball of radius 2:
         # integral of f^2 * 4 pi r^2 dr = 256 pi / 105; the discrete mass
@@ -278,6 +287,12 @@ class TestBoundReport:
         with pytest.raises(ConfigInvalid):
             mu_bound_report([0.01, 0.02], [0.0])
 
+    def test_fit_overflow_raises(self):
+        """A mu of 2.3e151 at t = 0.01 overflowed the fit's standard
+        error; it raises ConfigInvalid with no RuntimeWarning."""
+        with pytest.raises(ConfigInvalid, match="overflows"):
+            mu_bound_report([0.01, 0.02], [2.3e151, -1.0])
+
     def test_report_rm_bound_uses_envelope(self):
         ts = np.array([0.01, 0.02])
         rep = mu_bound_report(ts, -2.0 * ts**2)
@@ -301,3 +316,10 @@ class TestRmBound:
             rm_bound_from_mu(1.0, -0.01)
         with pytest.raises(ConfigInvalid):
             rm_bound_from_mu(-1.0, 0.0)
+
+    def test_bound_overflow_raises(self):
+        """Q = 3.0e307 gave a bound of inf; it raises ConfigInvalid, and
+        the largest Q whose bound is finite still returns it."""
+        with pytest.raises(ConfigInvalid, match="overflows"):
+            rm_bound_from_mu(3.0e307, 0.0)
+        assert np.isfinite(rm_bound_from_mu(2.9e307, 0.0))

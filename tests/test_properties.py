@@ -6,10 +6,12 @@ returns finite numbers or raises a typed error; a bare TypeError,
 ZeroDivisionError or numpy LinAlgError, or a NaN result, fails it.
 
 Parameters are drawn from a working range plus the special values; the
-fit's values and errors from every float.  Magnitudes far outside the
-working range (a ball radius of 1e150, K = -3e4 at the default
-halfwidth, Q of 1e307) still overflow inside numpy on the way to a
-typed error or an infinite bound: P1 over the whole float range is open
+fit's values and errors from every float.  A ball of volume above 1e150,
+a hyperbolic chart block whose sqrt(-K) times its box corner's radius
+passes 40, and a mu bound or fit that overflows raise typed errors
+(tests/test_mu_solver.py, tests/test_charts.py); a time t far outside
+the working range (at R = 1, t = 1e160, or t = 1e-300 for n = 6) still
+overflows inside mu_ball, so P1 over the whole float range is open
 (ROADMAP item 7)."""
 
 import math

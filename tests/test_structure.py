@@ -4,7 +4,8 @@ piecewise radial rule), and the normal chart's geometry is read by the one
 ray evaluator, TestFunction.on_rays, so a second implementation cannot
 creep back unnoticed; no quadrature draws random nodes; one function
 decides how far a rule folds; one Golub-Welsch routine builds every
-non-closed-form Gauss rule; normal charts are two classes with one
+non-closed-form Gauss rule but Legendre's, Hermite's included (no module
+calls hermgauss); normal charts are two classes with one
 interface, which no module tells apart, and no normal-chart code tells
 flat space from a space form by name; a chart that shoots folds nothing
 and a chart's symmetry is read from its warps; the folded Hermite grid
@@ -157,18 +158,29 @@ def test_symmetry_is_a_partition_not_an_enum():
 
 
 def test_one_golub_welsch_routine():
-    """Gauss-Gegenbauer, Gauss-Jacobi and Gauss-Laguerre nodes come from
-    _numerics' one Golub-Welsch routine, the only eigensolver call there."""
+    """Gauss-Gegenbauer, Gauss-Jacobi, Gauss-Laguerre and Gauss-Hermite
+    nodes come from _numerics' one Golub-Welsch routine, the only
+    eigensolver call there; the Hermite half rule reaches it through the
+    Laguerre rules."""
     assert sorted(_callers("_golub_welsch")) == [
         ("_numerics.py", "gauss_gegenbauer"),
         ("_numerics.py", "gauss_jacobi"),
         ("_numerics.py", "gauss_laguerre"),
     ]
+    assert ("_numerics.py", "gauss_hermite") in _callers("gauss_laguerre")
     assert [c for c in _callers("eigh") if c[0] == "_numerics.py"] == [
         ("_numerics.py", "_golub_welsch")]
-    for name in ("gauss_jacobi", "gauss_gegenbauer", "gauss_laguerre"):
+    for name in ("gauss_jacobi", "gauss_gegenbauer", "gauss_laguerre",
+                 "gauss_hermite"):
         assert _callers(name) and {f for f, _ in _callers(name)} <= {
             "_numerics.py", "functionals.py"}
+
+
+def test_no_hermgauss_in_the_sources():
+    """The Hermite grid's 1-D rule is gauss_hermite's, built on the shared
+    Golub-Welsch routine: no module calls numpy's hermgauss."""
+    assert _callers("hermgauss") == []
+    assert _callers("gauss_hermite") == [("functionals.py", "_hermite_nodes")]
 
 
 def _gegenbauer_as_built_alone(m, lam):
